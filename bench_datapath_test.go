@@ -8,9 +8,13 @@ package nezha
 // identical packet stream — the differential tests prove the outputs
 // match bit for bit — so the pair measures pure pipeline overhead.
 // TestDatapathBurstGuard turns it into a CI gate: with
-// DATAPATH_BENCH_GUARD=1 it fails unless the burst pipeline moves at
-// least 2x the packets per second with at most half the allocations
-// per packet, and writes the measurement to BENCH_datapath.json.
+// DATAPATH_BENCH_GUARD=1 it fails unless the burst pipeline clears its
+// absolute floors (A→B ≥ 2M pkts/s at ≤ 1 alloc/pkt, W=4 forwarding
+// ≥ 4M pkts/s at ≤ 1 alloc/pkt), and writes the measurement — scalar
+// numbers included, for information — to BENCH_datapath.json. The gate
+// used to be relative to scalar (≥ 2x pkts/s, ≤ 50% of its allocs);
+// with the scalar path on the same pooled tasks that ratio measures
+// nothing.
 
 import (
 	"encoding/json"
@@ -280,10 +284,9 @@ type datapathBenchResult struct {
 	BurstAllocsPerOp   int64   `json:"burst_allocs_per_op"`
 	ScalarAllocsPerPkt float64 `json:"scalar_allocs_per_pkt"`
 	BurstAllocsPerPkt  float64 `json:"burst_allocs_per_pkt"`
-	AllocReductionPct  float64 `json:"alloc_reduction_pct"`
 	PktsPerOp          int     `json:"pkts_per_op"`
-	MinSpeedup         float64 `json:"min_speedup"`
-	MaxAllocFrac       float64 `json:"max_alloc_frac"`
+	BurstMinPktsPerSec float64 `json:"burst_min_pkts_per_sec"`
+	BurstMaxAllocsPkt  float64 `json:"burst_max_allocs_per_pkt"`
 	Reps               int     `json:"reps"`
 
 	// Single-switch forwarding rate per worker count (the
@@ -305,8 +308,9 @@ type workerBenchRow struct {
 
 // TestDatapathBurstGuard is the CI benchmark gate (set
 // DATAPATH_BENCH_GUARD=1 to run): best of three reps each way, written
-// to BENCH_datapath.json; fails unless the burst pipeline is ≥2x the
-// scalar packets/sec with ≤50% of its allocations per packet.
+// to BENCH_datapath.json; fails unless the burst pipeline clears its
+// absolute pkts/s and allocs/pkt floors. The scalar rig is measured and
+// recorded but gates nothing.
 func TestDatapathBurstGuard(t *testing.T) {
 	if os.Getenv("DATAPATH_BENCH_GUARD") == "" {
 		t.Skip("set DATAPATH_BENCH_GUARD=1 to run the burst datapath gate")
@@ -346,10 +350,9 @@ func TestDatapathBurstGuard(t *testing.T) {
 		BurstAllocsPerOp:    burstAllocs,
 		ScalarAllocsPerPkt:  float64(scalarAllocs) / pktsPerOp,
 		BurstAllocsPerPkt:   float64(burstAllocs) / pktsPerOp,
-		AllocReductionPct:   (1 - float64(burstAllocs)/float64(scalarAllocs)) * 100,
 		PktsPerOp:           pktsPerOp,
-		MinSpeedup:          2.0,
-		MaxAllocFrac:        0.5,
+		BurstMinPktsPerSec:  2.0e6,
+		BurstMaxAllocsPkt:   1.0,
 		Reps:                reps,
 		Workers:             workerRows,
 		WorkersMinPktsPerS:  4.0e6, // 2x the 2M pkts/s burst-pipeline floor
@@ -364,18 +367,16 @@ func TestDatapathBurstGuard(t *testing.T) {
 	if err := os.WriteFile("BENCH_datapath.json", out, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("scalar %.0f pkts/s (%.2f allocs/pkt), burst %.0f pkts/s (%.2f allocs/pkt): %.2fx, %.0f%% fewer allocs",
-		res.ScalarPktsPerSec, res.ScalarAllocsPerPkt, res.BurstPktsPerSec, res.BurstAllocsPerPkt,
-		res.SpeedupRatio, res.AllocReductionPct)
+	t.Logf("scalar %.0f pkts/s (%.2f allocs/pkt, informational), burst %.0f pkts/s (%.2f allocs/pkt): %.2fx",
+		res.ScalarPktsPerSec, res.ScalarAllocsPerPkt, res.BurstPktsPerSec, res.BurstAllocsPerPkt, res.SpeedupRatio)
 	for _, row := range workerRows {
 		t.Logf("forwarding W=%d: %.0f pkts/s (%.2f allocs/pkt)", row.W, row.PktsPerSec, row.AllocsPerPkt)
 	}
-	if res.SpeedupRatio < res.MinSpeedup {
-		t.Errorf("burst pipeline is only %.2fx the scalar packets/sec (floor %.1fx); see BENCH_datapath.json", res.SpeedupRatio, res.MinSpeedup)
+	if res.BurstPktsPerSec < res.BurstMinPktsPerSec {
+		t.Errorf("A→B burst rate %.0f pkts/s below the %.0f floor; see BENCH_datapath.json", res.BurstPktsPerSec, res.BurstMinPktsPerSec)
 	}
-	if float64(burstAllocs) > res.MaxAllocFrac*float64(scalarAllocs) {
-		t.Errorf("burst pipeline allocates %.2f/pkt vs scalar %.2f/pkt (ceiling %.0f%%); see BENCH_datapath.json",
-			res.BurstAllocsPerPkt, res.ScalarAllocsPerPkt, res.MaxAllocFrac*100)
+	if res.BurstAllocsPerPkt > res.BurstMaxAllocsPkt {
+		t.Errorf("A→B burst allocates %.2f/pkt (ceiling %.1f); see BENCH_datapath.json", res.BurstAllocsPerPkt, res.BurstMaxAllocsPkt)
 	}
 	for _, row := range workerRows {
 		if row.W != res.WorkersGateW {

@@ -231,7 +231,12 @@ func campaignClientIP(i int) packet.IPv4 {
 // invariants. The rig: one high-demand server VM homed on server 0
 // (the BE), offloaded to an FE pool, with open-loop CRR clients on
 // servers 1..Clients hammering it while faults land.
-func RunCampaign(cfg CampaignConfig) (Report, error) {
+func RunCampaign(cfg CampaignConfig) (Report, error) { return runCampaign(cfg, nil) }
+
+// runCampaign is RunCampaign with an optional hook that sees the engine
+// once the standard invariants are registered — how tests add their own
+// (a reference implementation checked against the real one, say).
+func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 8 * sim.Second
 	}
@@ -349,6 +354,9 @@ func RunCampaign(cfg CampaignConfig) (Report, error) {
 	RegisterStandard(eng)
 	if tracker != nil {
 		eng.Register(SLOBurnBound(tracker, cfg.SLOBurnStreak))
+	}
+	if extra != nil {
+		extra(eng)
 	}
 	eng.SetUnaccountedDrops(cfg.UnaccountedDrops)
 	if ob != nil {

@@ -240,60 +240,59 @@ func (f *Fabric) putGroup(g []*packet.Packet) {
 // counts as lost, as does a partition active at either end of the
 // flight: a partition raised mid-flight kills the frames already on
 // the wire. The packet's hop counter advances on delivery.
+//
+// Ownership, for Send and SendBurst alike (DESIGN.md §10): the fabric
+// takes every packet it is handed. One it loses — unknown or
+// partitioned destination, fault-injector drop, lost in flight, wire
+// decode failure — it releases to the pool; a delivered one passes to
+// the handler. The caller must not touch a packet after sending it.
 func (f *Fabric) Send(from, to packet.IPv4, p *packet.Packet) {
+	p.CheckLive()
 	f.Sends++
 	dst, ok := f.nodes[to]
 	if !ok || f.partitions[pairKey(from, to)] {
-		f.Lost++
-		f.traceHop(p.ID, from, "wire-lost", to)
+		f.lose(p, from, to)
 		return
 	}
 	lat := f.Latency(from, to, p.SizeBytes)
-	if f.faults != nil {
-		v := f.faults(from, to, p)
-		if v.Drop {
-			if !v.SkipAccounting {
-				f.ChaosLost++
-			}
-			f.traceHop(p.ID, from, "chaos-lost", to)
-			return
-		}
-		if v.Jitter > 0 {
-			lat += v.Jitter
-		}
+	if f.faults != nil && f.faulted(from, to, p, &lat) {
+		return
 	}
 	f.BytesSent += uint64(p.SizeBytes)
-	var wire []byte
 	if f.wireMode {
-		wire = p.Marshal()
+		f.deliverBurst(from, to, append(f.getGroup(), p), lat)
+		return
 	}
 	f.inFlight++
-	f.loop.Schedule(lat, func() {
-		f.inFlight--
-		// The destination may have crashed, or the pair partitioned,
-		// while in flight.
-		cur, ok := f.nodes[to]
-		if !ok || cur != dst || cur.handler == nil || f.partitions[pairKey(from, to)] {
-			f.Lost++
-			f.traceHop(p.ID, from, "wire-lost", to)
-			return
+	t := f.getTask(from, to, dst)
+	t.one = p
+	f.loop.AtTask(f.loop.Now()+lat, t)
+}
+
+// faulted consults the fault injector for one send. It reports true when
+// the injector dropped p — accounted, traced and released here — and
+// otherwise adds any injected jitter to *lat.
+func (f *Fabric) faulted(from, to packet.IPv4, p *packet.Packet, lat *sim.Time) bool {
+	v := f.faults(from, to, p)
+	if v.Drop {
+		if !v.SkipAccounting {
+			f.ChaosLost++
 		}
-		deliver := p
-		if wire != nil {
-			q, err := packet.Unmarshal(wire)
-			packet.PutBuf(wire)
-			if err != nil {
-				f.Lost++
-				f.traceHop(p.ID, from, "wire-lost", to)
-				return
-			}
-			deliver = q
-		}
-		deliver.Hops++
-		f.Delivered++
-		f.traceHop(deliver.ID, from, "wire", to)
-		cur.handler(deliver)
-	})
+		f.traceHop(p.ID, from, "chaos-lost", to)
+		p.Release()
+		return true
+	}
+	if v.Jitter > 0 {
+		*lat += v.Jitter
+	}
+	return false
+}
+
+// lose accounts p as lost on the from→to link and releases it.
+func (f *Fabric) lose(p *packet.Packet, from, to packet.IPv4) {
+	f.Lost++
+	f.traceHop(p.ID, from, "wire-lost", to)
+	p.Release()
 }
 
 // SendBurst delivers a batch of packets from one server to another,
@@ -305,11 +304,8 @@ func (f *Fabric) Send(from, to packet.IPv4, p *packet.Packet) {
 // event (and, with a BurstHandler, one call) per deadline instead of
 // one per packet.
 //
-// Ownership: SendBurst takes every packet in ps. Packets lost at the
-// link, dropped by the fault injector, or lost in flight are released
-// back to the pool here; delivered packets pass ownership to the
-// handler. The caller must not touch ps or its packets afterward (the
-// slice itself is not retained).
+// Ownership is Send's: every packet in ps is the fabric's from here on
+// (the slice itself is not retained).
 func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 	// The destination, partition state, and propagation delay cannot
 	// change mid-call: fault injectors are pure per-send draws (the
@@ -319,9 +315,7 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 		for _, p := range ps {
 			p.CheckLive()
 			f.Sends++
-			f.Lost++
-			f.traceHop(p.ID, from, "wire-lost", to)
-			p.Release()
+			f.lose(p, from, to)
 		}
 		return
 	}
@@ -335,19 +329,8 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 		p.CheckLive()
 		f.Sends++
 		lat := prop + f.serTime(p.SizeBytes)
-		if f.faults != nil {
-			v := f.faults(from, to, p)
-			if v.Drop {
-				if !v.SkipAccounting {
-					f.ChaosLost++
-				}
-				f.traceHop(p.ID, from, "chaos-lost", to)
-				p.Release()
-				continue
-			}
-			if v.Jitter > 0 {
-				lat += v.Jitter
-			}
+		if f.faults != nil && f.faulted(from, to, p, &lat) {
+			continue
 		}
 		f.BytesSent += uint64(p.SizeBytes)
 		if len(group) > 0 && lat != groupLat {
@@ -367,54 +350,46 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 // deliverBurst schedules one delivery event for a group of packets
 // sharing a deadline. Reachability is re-checked at delivery time, as
 // in Send; in wire mode each packet is marshaled now and decoded at
-// delivery, with the original released once its bytes are on the wire.
+// delivery.
 // The group slice returns to the freelist once the event resolves —
 // the handlers take the packets, never the slice.
 func (f *Fabric) deliverBurst(from, to packet.IPv4, group []*packet.Packet, lat sim.Time) {
 	dst := f.nodes[to]
 	f.inFlight += uint64(len(group))
 	if !f.wireMode {
-		t := f.taskFree
-		if t == nil {
-			t = &deliverTask{f: f}
-		} else {
-			f.taskFree = t.next
-			t.next = nil
-		}
-		t.from, t.to, t.dst, t.group = from, to, dst, group
+		t := f.getTask(from, to, dst)
+		t.group = group
 		f.loop.AtTask(f.loop.Now()+lat, t)
 		return
 	}
-	// Wire mode: marshal now, decode at delivery. It is a debugging
-	// mode, so the closure-per-group cost stays acceptable.
+	// Wire mode: marshal now, decode at delivery; each original is
+	// released once its copy is decoded (or it is lost). It is a
+	// debugging mode, so the closure-per-group cost stays acceptable.
 	wires := make([][]byte, len(group))
-	ids := make([]uint64, len(group))
 	for i, p := range group {
 		wires[i] = p.Marshal()
-		ids[i] = p.ID
-		p.Release()
 	}
 	f.loop.Schedule(lat, func() {
 		f.inFlight -= uint64(len(group))
 		cur, ok := f.nodes[to]
 		if !ok || cur != dst || (cur.handler == nil && cur.burst == nil) || f.partitions[pairKey(from, to)] {
-			for i := range group {
-				f.Lost++
-				f.traceHop(ids[i], from, "wire-lost", to)
+			for i, p := range group {
 				packet.PutBuf(wires[i])
+				f.lose(p, from, to)
 			}
 			f.putGroup(group)
 			return
 		}
 		deliver := group[:0]
 		for i, w := range wires {
+			p := group[i]
 			q, err := packet.Unmarshal(w)
 			packet.PutBuf(w)
 			if err != nil {
-				f.Lost++
-				f.traceHop(ids[i], from, "wire-lost", to)
+				f.lose(p, from, to)
 				continue
 			}
+			p.Release()
 			deliver = append(deliver, q)
 		}
 		for _, q := range deliver {
@@ -433,33 +408,60 @@ func (f *Fabric) deliverBurst(from, to packet.IPv4, group []*packet.Packet, lat 
 	})
 }
 
-// deliverTask is one scheduled non-wire delivery group, pooled on the
-// fabric and scheduled via sim.Loop.AtTask so a burst's delivery event
-// allocates nothing. It re-checks reachability at delivery time
-// exactly as the closure it replaces did.
+// deliverTask is one scheduled non-wire delivery, pooled on the fabric
+// and scheduled via sim.Loop.AtTask so a delivery event allocates
+// nothing: SendBurst's same-deadline group, or Send's single packet
+// (one), which needs no group slice and goes to the per-packet handler.
+// It re-checks reachability at delivery time.
 type deliverTask struct {
 	f        *Fabric
 	from, to packet.IPv4
 	dst      *node
 	group    []*packet.Packet
+	one      *packet.Packet
 	next     *deliverTask
+}
+
+func (f *Fabric) getTask(from, to packet.IPv4, dst *node) *deliverTask {
+	t := f.taskFree
+	if t == nil {
+		t = &deliverTask{f: f}
+	} else {
+		f.taskFree = t.next
+		t.next = nil
+	}
+	t.from, t.to, t.dst = from, to, dst
+	return t
 }
 
 // Run fires the delivery. The task recycles itself before touching the
 // fabric — fields are copied out first, so handlers that reenter
-// SendBurst can reuse the struct safely.
+// Send or SendBurst can reuse the struct safely.
 func (t *deliverTask) Run() {
-	f, from, to, dst, group := t.f, t.from, t.to, t.dst, t.group
-	t.dst, t.group = nil, nil
+	f, from, to, dst, group, one := t.f, t.from, t.to, t.dst, t.group, t.one
+	t.dst, t.group, t.one = nil, nil, nil
 	t.next = f.taskFree
 	f.taskFree = t
-	f.inFlight -= uint64(len(group))
+	// The destination may have crashed, or the pair partitioned, while
+	// in flight.
 	cur, ok := f.nodes[to]
-	if !ok || cur != dst || (cur.handler == nil && cur.burst == nil) || f.partitions[pairKey(from, to)] {
+	ok = ok && cur == dst && !f.partitions[pairKey(from, to)]
+	if one != nil {
+		f.inFlight--
+		if !ok || cur.handler == nil {
+			f.lose(one, from, to)
+			return
+		}
+		one.Hops++
+		f.Delivered++
+		f.traceHop(one.ID, from, "wire", to)
+		cur.handler(one)
+		return
+	}
+	f.inFlight -= uint64(len(group))
+	if !ok || (cur.handler == nil && cur.burst == nil) {
 		for _, p := range group {
-			f.Lost++
-			f.traceHop(p.ID, from, "wire-lost", to)
-			p.Release()
+			f.lose(p, from, to)
 		}
 		f.putGroup(group)
 		return

@@ -44,11 +44,10 @@ func (g *Gateway) EnableObs(o *obs.Obs) {
 	o.Reg.GaugeFunc("gateway_table_size", nil, func() float64 { return float64(len(g.table)) })
 }
 
-// traceHop records a wire-stage hop; the note is only materialized
-// for sampled packets.
+// traceHop records a wire-stage hop toward to for sampled packets.
 func (f *Fabric) traceHop(id uint64, node packet.IPv4, stage string, to packet.IPv4) {
 	if f.tr == nil || !f.tr.Sampled(id) {
 		return
 	}
-	f.tr.Hop(id, obs.Hop{At: f.loop.Now(), Node: node, Stage: stage, Note: "to=" + to.String()})
+	f.tr.Hop(id, obs.Hop{At: f.loop.Now(), Node: node, Stage: stage, HasTo: true, To: to})
 }

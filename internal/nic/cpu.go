@@ -140,23 +140,21 @@ func (c *CPU) ServiceTime(cycles uint64) sim.Time {
 	return sim.Time(cycles * uint64(sim.Second) / c.hz)
 }
 
-// Submit enqueues cycles of work. done(true, total) fires when the
-// work completes, where total is queueing delay plus service time;
-// done(false, 0) fires immediately (synchronously) if the work is
-// dropped for exceeding the queueing-delay bound. done may be nil.
-func (c *CPU) Submit(cycles uint64, done func(ok bool, delay sim.Time)) {
+// admit places cycles of work on the earliest-free core and returns
+// its queueing delay plus service time. With bounded set, work that
+// would wait longer than the queueing-delay bound is refused instead
+// (ok false, nothing charged) — the one admission body behind every
+// single-item submit.
+func (c *CPU) admit(cycles uint64, bounded bool) (total sim.Time, ok bool) {
 	now := c.loop.Now()
 	best := c.pickCore()
 	start := c.cores[best]
 	if start < now {
 		start = now
 	}
-	if start-now > c.maxDelay {
+	if bounded && start-now > c.maxDelay {
 		c.dropped++
-		if done != nil {
-			done(false, 0)
-		}
-		return
+		return 0, false
 	}
 	st := c.ServiceTime(cycles)
 	end := start + st
@@ -166,10 +164,37 @@ func (c *CPU) Submit(cycles uint64, done func(ok bool, delay sim.Time)) {
 	c.busy += st
 	c.coreBusy[best] += st
 	c.processed++
-	if done != nil {
-		total := end - now
-		c.loop.At(end, func() { done(true, total) })
+	return end - now, true
+}
+
+// SubmitTask enqueues cycles of work and schedules t.Run for the
+// instant it completes, returning the queueing delay plus service time
+// the work will have experienced. Work refused at admission (the
+// queueing-delay bound) returns ok false with t not scheduled. Callers
+// pool their tasks, so a submission allocates nothing.
+func (c *CPU) SubmitTask(cycles uint64, t sim.Task) (delay sim.Time, ok bool) {
+	delay, ok = c.admit(cycles, true)
+	if ok {
+		c.loop.AtTask(c.loop.Now()+delay, t)
 	}
+	return delay, ok
+}
+
+// Submit is SubmitTask with a plain callback: done(true, total) fires
+// when the work completes, where total is queueing delay plus service
+// time; done(false, 0) fires immediately (synchronously) if the work is
+// dropped for exceeding the queueing-delay bound. done may be nil. It
+// allocates a closure per call; hot paths use SubmitTask.
+func (c *CPU) Submit(cycles uint64, done func(ok bool, delay sim.Time)) {
+	total, ok := c.admit(cycles, true)
+	if done == nil {
+		return
+	}
+	if !ok {
+		done(false, 0)
+		return
+	}
+	c.loop.At(c.loop.Now()+total, func() { done(true, total) })
 }
 
 // BurstSink receives a burst submission's outcomes. Callers pool their
@@ -321,39 +346,19 @@ func (c *CPU) putWave(w []int32) {
 // that rides the datapath with priority, such as Sirius-style in-line
 // state replication.
 func (c *CPU) SubmitPriority(cycles uint64, done func(delay sim.Time)) {
-	now := c.loop.Now()
-	best := c.pickCore()
-	start := c.cores[best]
-	if start < now {
-		start = now
-	}
-	st := c.ServiceTime(cycles)
-	end := start + st
-	c.cores[best] = end
-	c.order[0] = c.orderKey(best, end)
-	c.fixTop()
-	c.busy += st
-	c.coreBusy[best] += st
-	c.processed++
+	total, _ := c.admit(cycles, false)
 	if done != nil {
-		total := end - now
-		c.loop.At(end, func() { done(total) })
+		c.loop.At(c.loop.Now()+total, func() { done(total) })
 	}
 }
 
 // TrySubmit is Submit for callers that only need the admission
 // decision synchronously; it reports whether the work was accepted.
 func (c *CPU) TrySubmit(cycles uint64, done func(delay sim.Time)) bool {
-	ok := true
-	c.Submit(cycles, func(accepted bool, d sim.Time) {
-		if !accepted {
-			ok = false
-			return
-		}
-		if done != nil {
-			done(d)
-		}
-	})
+	total, ok := c.admit(cycles, true)
+	if ok && done != nil {
+		c.loop.At(c.loop.Now()+total, func() { done(total) })
+	}
 	return ok
 }
 

@@ -13,19 +13,32 @@ import (
 // and what the lookup decided. Stages seen in practice: ingress-vm,
 // cpu, lookup, local-tx, local-rx, gw-pick, be-tx, be-rx, fe-tx,
 // fe-rx, wire, wire-lost, chaos-lost, deliver, and drop:<reason>.
+//
+// The two variable parts of a hop stay typed so recording one builds no
+// string: a drop is Stage "drop" plus its reason in Drop, and the
+// next-hop note of gw-pick and wire hops is To (with HasTo, since
+// 0.0.0.0 is a renderable address). String renders them as
+// "drop:<reason>" and "to=a.b.c.d"; the digest folds exactly those
+// bytes.
 type Hop struct {
 	At         sim.Time
 	Node       packet.IPv4
 	Stage      string
+	Drop       string
 	QueueWait  sim.Time
 	Cycles     uint64
 	TableHit   bool
 	EncapBytes int
-	Note       string
+	HasTo      bool
+	To         packet.IPv4
 }
 
 func (h Hop) String() string {
-	s := fmt.Sprintf("[%v] %-12s node=%s", h.At, h.Stage, h.Node)
+	stage := h.Stage
+	if h.Drop != "" {
+		stage += ":" + h.Drop
+	}
+	s := fmt.Sprintf("[%v] %-12s node=%s", h.At, stage, h.Node)
 	if h.QueueWait != 0 {
 		s += fmt.Sprintf(" wait=%v", h.QueueWait)
 	}
@@ -42,10 +55,23 @@ func (h Hop) String() string {
 	if h.EncapBytes != 0 {
 		s += fmt.Sprintf(" encap=%dB", h.EncapBytes)
 	}
-	if h.Note != "" {
-		s += " " + h.Note
+	if h.HasTo {
+		s += " to=" + h.To.String()
 	}
 	return s
+}
+
+// flightHopsHint is a new ring slot's hop capacity: an offloaded
+// packet's full flight (BE, FE and peer stages plus three wire hops)
+// fits, so slots rarely regrow.
+const flightHopsHint = 16
+
+// flight is one ring slot: a sampled packet's retained hop sequence.
+// An evicted slot keeps its hop capacity for the flight that replaces
+// it.
+type flight struct {
+	id   uint64
+	hops []Hop
 }
 
 // FlightTracer records sampled per-packet hop sequences. Sampling is
@@ -53,6 +79,10 @@ func (h Hop) String() string {
 // rate always trace the same packets, and the running digest over all
 // hops is reproducible: the sim loop is single-threaded, so hops
 // arrive in a deterministic order for a given seed.
+//
+// Retained flights live in a ring of at most maxFlights slots in
+// first-hop order, so once the ring is full and its slots have grown to
+// the longest flight seen, recording a hop allocates nothing.
 type FlightTracer struct {
 	seed uint64
 	rate float64
@@ -60,8 +90,9 @@ type FlightTracer struct {
 	mu         sync.Mutex
 	digest     uint64
 	hops       uint64
-	flights    map[uint64][]Hop
-	order      []uint64 // flight IDs in first-hop order, for FIFO eviction
+	ring       []flight         // grows to maxFlights, then wraps
+	head       int              // oldest slot once the ring is full
+	slot       map[uint64]int32 // retained flight ID → ring index
 	maxFlights int
 }
 
@@ -76,7 +107,7 @@ func NewFlightTracer(seed int64, rate float64, maxFlights int) *FlightTracer {
 	return &FlightTracer{
 		seed:       uint64(seed),
 		rate:       rate,
-		flights:    make(map[uint64][]Hop),
+		slot:       make(map[uint64]int32),
 		maxFlights: maxFlights,
 	}
 }
@@ -102,20 +133,31 @@ func (t *FlightTracer) Hop(id uint64, h Hop) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.hops++
-	t.digest = foldFNV(t.digest, id, uint64(h.At), uint64(h.Node), uint64(h.QueueWait),
+	d := foldFNV(t.digest, id, uint64(h.At), uint64(h.Node), uint64(h.QueueWait),
 		h.Cycles, uint64(h.EncapBytes), boolWord(h.TableHit))
-	t.digest = foldFNVString(t.digest, h.Stage)
-	t.digest = foldFNVString(t.digest, h.Note)
-	hops, ok := t.flights[id]
-	if !ok {
-		if len(t.order) >= t.maxFlights {
-			evict := t.order[0]
-			t.order = t.order[1:]
-			delete(t.flights, evict)
-		}
-		t.order = append(t.order, id)
+	d = foldFNVBytes(d, h.Stage)
+	if h.Drop != "" {
+		d = foldFNVBytes(foldFNVBytes(d, ":"), h.Drop)
 	}
-	t.flights[id] = append(hops, h)
+	if h.HasTo {
+		var buf [len("to=255.255.255.255")]byte
+		d = foldFNVBytes(d, h.To.AppendTo(append(buf[:0], "to="...)))
+	}
+	t.digest = d
+	i, ok := t.slot[id]
+	if !ok {
+		if len(t.ring) < t.maxFlights {
+			i = int32(len(t.ring))
+			t.ring = append(t.ring, flight{hops: make([]Hop, 0, flightHopsHint)})
+		} else {
+			i = int32(t.head)
+			t.head = (t.head + 1) % len(t.ring)
+			delete(t.slot, t.ring[i].id)
+		}
+		t.slot[id] = i
+		t.ring[i].id, t.ring[i].hops = id, t.ring[i].hops[:0]
+	}
+	t.ring[i].hops = append(t.ring[i].hops, h)
 }
 
 // Trace returns the retained hop sequence for packet id (nil if not
@@ -123,7 +165,11 @@ func (t *FlightTracer) Hop(id uint64, h Hop) {
 func (t *FlightTracer) Trace(id uint64) []Hop {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Hop(nil), t.flights[id]...)
+	i, ok := t.slot[id]
+	if !ok {
+		return nil
+	}
+	return append([]Hop(nil), t.ring[i].hops...)
 }
 
 // Digest returns the running FNV digest over every hop recorded so
@@ -150,14 +196,15 @@ func (t *FlightTracer) writeFlights(w io.Writer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, err := fmt.Fprintf(w, "== flights (%d retained, %d hops total, rate=%g) ==\n",
-		len(t.order), t.hops, t.rate); err != nil {
+		len(t.ring), t.hops, t.rate); err != nil {
 		return err
 	}
-	for _, id := range t.order {
-		if _, err := fmt.Fprintf(w, "flight id=%d hops=%d\n", id, len(t.flights[id])); err != nil {
+	for k := range t.ring {
+		fl := &t.ring[(t.head+k)%len(t.ring)]
+		if _, err := fmt.Fprintf(w, "flight id=%d hops=%d\n", fl.id, len(fl.hops)); err != nil {
 			return err
 		}
-		for _, h := range t.flights[id] {
+		for _, h := range fl.hops {
 			if _, err := fmt.Fprintf(w, "  %s\n", h); err != nil {
 				return err
 			}
@@ -187,9 +234,16 @@ func (s Span) String() string {
 // spans, bounded to the most recent maxDone completed spans.
 type SpanLog struct {
 	mu      sync.Mutex
-	active  map[string]Span
+	active  map[spanKey]Span
 	done    []Span
 	maxDone int
+}
+
+// spanKey identifies an open span.
+type spanKey struct {
+	kind  string
+	vnic  uint32
+	epoch uint64
 }
 
 // NewSpanLog builds a span log keeping the last maxDone completed
@@ -198,11 +252,7 @@ func NewSpanLog(maxDone int) *SpanLog {
 	if maxDone <= 0 {
 		maxDone = 256
 	}
-	return &SpanLog{active: make(map[string]Span), maxDone: maxDone}
-}
-
-func spanKey(kind string, vnic uint32, epoch uint64) string {
-	return fmt.Sprintf("%s|%d|%d", kind, vnic, epoch)
+	return &SpanLog{active: make(map[spanKey]Span), maxDone: maxDone}
 }
 
 // Begin opens a span. Re-beginning an open span restarts it.
@@ -212,7 +262,7 @@ func (l *SpanLog) Begin(kind string, vnic uint32, epoch uint64, at sim.Time) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.active[spanKey(kind, vnic, epoch)] = Span{Kind: kind, VNIC: vnic, Epoch: epoch, Start: at}
+	l.active[spanKey{kind, vnic, epoch}] = Span{Kind: kind, VNIC: vnic, Epoch: epoch, Start: at}
 }
 
 // End closes a span with an outcome. Ending a span that was never
@@ -223,7 +273,7 @@ func (l *SpanLog) End(kind string, vnic uint32, epoch uint64, at sim.Time, outco
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	key := spanKey(kind, vnic, epoch)
+	key := spanKey{kind, vnic, epoch}
 	s, ok := l.active[key]
 	if !ok {
 		s = Span{Kind: kind, VNIC: vnic, Epoch: epoch, Start: at}
@@ -287,7 +337,8 @@ func foldFNV(h uint64, words ...uint64) uint64 {
 	return h
 }
 
-func foldFNVString(h uint64, s string) uint64 {
+// foldFNVBytes folds the bytes of s into the digest.
+func foldFNVBytes[T string | []byte](h uint64, s T) uint64 {
 	const prime64 = 1099511628211
 	if h == 0 {
 		h = 14695981039346656037

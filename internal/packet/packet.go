@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Proto is an IP protocol number. Only TCP and UDP appear in the
@@ -46,7 +47,19 @@ func (p Proto) String() string {
 type IPv4 uint32
 
 func (ip IPv4) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
+	var b [len("255.255.255.255")]byte
+	return string(ip.AppendTo(b[:0]))
+}
+
+// AppendTo appends the dotted-quad form of ip to b.
+func (ip IPv4) AppendTo(b []byte) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		b = strconv.AppendUint(b, uint64(byte(ip>>shift)), 10)
+		if shift > 0 {
+			b = append(b, '.')
+		}
+	}
+	return b
 }
 
 // MakeIP builds an IPv4 from four octets.

@@ -68,6 +68,10 @@ func getBlank() *Packet {
 func (p *Packet) Release() {
 	poolCheckRelease(p)
 	poolMarkFree(p)
+	// The pool is process-wide and outlives any one simulation: a parked
+	// packet must not keep its header — and through a pooled header view,
+	// the vSwitch and world that view belongs to — reachable.
+	p.Nezha = nil
 	pktPool.Put(p)
 }
 

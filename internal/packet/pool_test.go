@@ -115,3 +115,15 @@ func TestGetBufCapacity(t *testing.T) {
 		t.Fatalf("getBuf(1024) after recycling smaller buf: len=%d cap=%d", len(c), cap(c))
 	}
 }
+
+// TestReleaseDropsHeader pins that a parked packet does not keep its
+// Nezha header reachable: the pool is process-wide, and a pooled header
+// view leads back to the vSwitch — the whole world — that issued it.
+func TestReleaseDropsHeader(t *testing.T) {
+	p := Get(1, 1, 1, poolTuple(), DirTX, FlagACK, 64)
+	p.AttachNezha(&NezhaHeader{Type: NezhaCarryState, StateBlob: []byte{1}})
+	p.Release()
+	if p.Nezha != nil {
+		t.Fatal("released packet still references its header")
+	}
+}

@@ -1,0 +1,145 @@
+//go:build !race
+
+package vswitch
+
+// Tier-1 allocation guards for the scalar event path (DESIGN.md §10):
+// once a flow is established and the free lists have grown to the
+// packets in flight, a packet costs no heap allocation from FromVM to
+// deliverToVM. The benchmark's 10 % allocs_per_pkt bound cannot see a
+// stray closure; these can. (Not under -race: the race runtime makes
+// sync.Pool drop a share of the packets it is handed.)
+
+import (
+	"testing"
+
+	"nezha/internal/nic"
+	"nezha/internal/obs"
+	"nezha/internal/packet"
+	"nezha/internal/sim"
+)
+
+// allocWorld is newWorld with VMs that release what they are handed and
+// pooled packet injection, so the only allocations left are the path's.
+func allocWorld(t *testing.T, nFEs int) *world {
+	w := newWorld(t, nFEs, nil)
+	release := func(_ uint32, p *packet.Packet, _ sim.Time) { p.Release() }
+	w.A.SetDelivery(release)
+	w.B.SetDelivery(release)
+	return w
+}
+
+func (w *world) pooledSend(vs *VSwitch, vnic uint32, ft packet.FiveTuple) {
+	pktID++
+	vs.FromVM(packet.GetStamped(int64(w.loop.Now()), pktID, vpcID, vnic, ft, packet.DirTX, packet.FlagACK, 100))
+	w.loop.RunAll()
+}
+
+// roundTrip is one established-flow packet each way, run to delivery.
+func (w *world) roundTrip() {
+	w.pooledSend(w.A, clientVNIC, tuple(1000))
+	w.pooledSend(w.B, serverVNIC, tuple(1000).Reverse())
+}
+
+func (w *world) establish(t *testing.T) {
+	t.Helper()
+	w.clientSend(1000, packet.FlagSYN)
+	w.loop.RunAll()
+	w.serverSend(1000, packet.FlagSYN|packet.FlagACK)
+	w.loop.RunAll()
+	before := w.A.Stats.Delivered + w.B.Stats.Delivered
+	// Grow the free lists and pools, and walk the calendar queue's 4096
+	// slots a few times so every bucket owns its event storage.
+	const warm = 2048
+	for i := 0; i < warm; i++ {
+		w.roundTrip()
+	}
+	if got := w.A.Stats.Delivered + w.B.Stats.Delivered - before; got != 2*warm {
+		t.Fatalf("warm-up delivered %d of %d packets (drops A=%v B=%v)", got, 2*warm, w.A.Stats.Drops, w.B.Stats.Drops)
+	}
+}
+
+func TestScalarPathAllocFreeMonolithic(t *testing.T) {
+	w := allocWorld(t, 0)
+	w.installLocal(t, false)
+	w.establish(t)
+	if n := testing.AllocsPerRun(200, w.roundTrip); n != 0 {
+		t.Fatalf("monolithic A→B→A round allocates %v per run, want 0", n)
+	}
+}
+
+func TestScalarPathAllocFreeWithObs(t *testing.T) {
+	w := allocWorld(t, 0)
+	w.installLocal(t, false)
+	// Every packet traced, and a ring small enough to be full (and so
+	// evicting) throughout the measured runs.
+	o := obs.New(obs.Options{Seed: 1, SampleRate: 1, MaxFlights: 8})
+	w.A.EnableObs(o)
+	w.B.EnableObs(o)
+	w.fab.EnableObs(o)
+	w.establish(t)
+	hops := o.Tracer.HopCount()
+	if n := testing.AllocsPerRun(200, w.roundTrip); n != 0 {
+		t.Fatalf("traced monolithic round allocates %v per run, want 0", n)
+	}
+	if o.Tracer.HopCount() == hops {
+		t.Fatal("tracer recorded no hops; the guard measured nothing")
+	}
+}
+
+func TestScalarPathAllocFreeOffloaded(t *testing.T) {
+	w := allocWorld(t, 2)
+	w.installLocal(t, false)
+	w.offloadServer(t, false, true)
+	w.establish(t)
+	if w.B.Stats.Sent == 0 || w.fes[0].Stats.Sent+w.fes[1].Stats.Sent == 0 {
+		t.Fatal("traffic did not take the BE→FE→peer / peer→FE→BE path")
+	}
+	// Ten rounds per run: AllocsPerRun reports whole allocations per run,
+	// so ≤ 1 here is ≤ 0.1 per round.
+	tenRounds := func() {
+		for i := 0; i < 10; i++ {
+			w.roundTrip()
+		}
+	}
+	if n := testing.AllocsPerRun(50, tenRounds); n > 1 {
+		t.Fatalf("offloaded round allocates %v per 10 rounds, want ≤ 1", n)
+	}
+}
+
+type nopTask struct{}
+
+func (nopTask) Run() {}
+
+func TestSubmitTaskAllocFree(t *testing.T) {
+	loop := sim.NewLoop(1)
+	cpu := nic.NewCPU(loop, 2, 0, 0)
+	var task sim.Task = nopTask{}
+	submit := func() {
+		if _, ok := cpu.SubmitTask(nic.FastPathCycles, task); !ok {
+			t.Fatal("idle CPU refused work")
+		}
+		loop.RunAll()
+	}
+	submit()
+	if n := testing.AllocsPerRun(200, submit); n != 0 {
+		t.Fatalf("SubmitTask allocates %v per call, want 0", n)
+	}
+}
+
+func TestFlightTracerHopAllocFreeWhenFull(t *testing.T) {
+	tr := obs.NewFlightTracer(1, 1, 4)
+	id := uint64(0)
+	flight := func() { // a new flight each run: evicts the oldest slot
+		id++
+		for i := 0; i < 12; i++ {
+			tr.Hop(id, obs.Hop{At: sim.Time(i), Node: addrA, Stage: "wire", HasTo: true, To: addrB})
+		}
+		tr.Hop(id, obs.Hop{Node: addrB, Stage: "drop", Drop: DropACL.String()})
+	}
+	for i := 0; i < 16; i++ {
+		flight()
+	}
+	if n := testing.AllocsPerRun(200, flight); n != 0 {
+		t.Fatalf("Hop allocates %v per 13-hop flight with the ring full, want 0", n)
+	}
+}

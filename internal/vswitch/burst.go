@@ -12,9 +12,9 @@ package vswitch
 // worker.go, shared between the sequential pipeline and the per-core
 // run-to-completion workers.
 //
-// The scalar entry points remain untouched, so everything built on
-// them — including the chaos campaigns and their golden digests — is
-// bit-identical with or without this file.
+// The scalar entry points share this file's act verbs and act body
+// (runAct): a scalar packet is one planned act on a pooled stage task
+// (datapath.go) where a burst is a slice of them on one burstRun.
 
 import (
 	"nezha/internal/packet"
@@ -43,7 +43,8 @@ const (
 	actDeliver              // hand to the local VM
 	actDropACL
 	actDropNoRoute
-	actNone // empty merge slot: the packet was consumed at plan time
+	actAbsorbNotify // consume a notify packet, applying its carried policy
+	actNone         // empty merge slot: the packet was consumed at plan time
 )
 
 // pendSend is an egress waiting for the end of its completion wave,
@@ -280,37 +281,47 @@ func (r *burstRun) Complete(i int, ok bool, d sim.Time) {
 	a := &r.acts[i]
 	if !ok {
 		vs.drop(a.p, DropOverload)
-	} else {
-		if vs.ob != nil {
-			vs.hopCPU(a.p, a.cycles, d)
-		}
-		switch a.kind {
-		case actForward:
-			a.p.VNIC = a.peer
-			a.p.Dir = packet.DirRX
-			a.p.Encap(vs.cfg.Addr, a.to)
-			vs.Stats.Sent++
-			vs.pend = append(vs.pend, pendSend{to: a.to, p: a.p})
-		case actRelay:
-			a.p.Encap(vs.cfg.Addr, a.to)
-			vs.Stats.Sent++
-			vs.pend = append(vs.pend, pendSend{to: a.to, p: a.p})
-		case actDeliver:
-			if a.strip {
-				vs.stripNezha(a.p)
-			}
-			vs.deliverToVM(a.vnic, a.p)
-		case actDropACL:
-			vs.drop(a.p, DropACL)
-		case actDropNoRoute:
-			vs.drop(a.p, DropNoRoute)
-		}
+	} else if vs.runAct(a, d) {
+		vs.pend = append(vs.pend, pendSend{to: a.to, p: a.p})
 	}
 	r.remaining--
 	if r.remaining == 0 {
 		vs.putActs(r.acts)
 		vs.putRun(r)
 	}
+}
+
+// runAct executes one planned act at its CPU completion — the single
+// act body behind the burst sink and the scalar stage task. It reports
+// whether a.p, now encapsulated toward a.to, is the caller's to send:
+// the burst path coalesces the wave's sends, the scalar path sends at
+// once.
+func (vs *VSwitch) runAct(a *burstAct, d sim.Time) (send bool) {
+	if vs.ob != nil {
+		vs.hopCPU(a.p, a.cycles, d)
+	}
+	switch a.kind {
+	case actForward:
+		a.p.VNIC = a.peer
+		a.p.Dir = packet.DirRX
+		fallthrough
+	case actRelay:
+		a.p.Encap(vs.cfg.Addr, a.to)
+		vs.Stats.Sent++
+		return true
+	case actDeliver:
+		if a.strip {
+			vs.stripNezha(a.p)
+		}
+		vs.deliverToVM(a.vnic, a.p)
+	case actDropACL:
+		vs.drop(a.p, DropACL)
+	case actDropNoRoute:
+		vs.drop(a.p, DropNoRoute)
+	case actAbsorbNotify:
+		vs.absorbNotify(a.p)
+	}
+	return false
 }
 
 // WaveEnd implements nic.BurstSink: flush the wave's coalesced sends.

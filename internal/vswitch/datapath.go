@@ -134,39 +134,63 @@ func perByteCycles(p *packet.Packet) uint64 {
 	return uint64(p.SizeBytes) * nic.PerByteCycles
 }
 
-// submit charges cycles on the CPU; egress runs when the work
-// completes, or the packet is dropped as overload.
-func (vs *VSwitch) submit(p *packet.Packet, cycles uint64, egress func()) {
-	vs.cyclesLocal += cycles
+// submit charges a.cycles on the CPU (attributed to hosted-FE work when
+// remote); a executes when the work completes, or the packet is
+// dropped as overload. The completion rides a pooled stage task, so a
+// scalar packet schedules its CPU stage without allocating.
+func (vs *VSwitch) submit(a burstAct, remote bool) {
+	if remote {
+		vs.cyclesRemote += a.cycles
+	} else {
+		vs.cyclesLocal += a.cycles
+	}
+	t := vs.stageFree
+	if t == nil {
+		t = &stageTask{vs: vs}
+	} else {
+		vs.stageFree = t.next
+		t.next = nil
+	}
+	stageMarkLive(t)
+	delay, ok := vs.cpu.SubmitTask(a.cycles, t)
+	if !ok {
+		vs.putStage(t)
+		vs.drop(a.p, DropOverload)
+		return
+	}
+	t.act, t.delay = a, delay
 	vs.inFlightCPU++
-	vs.cpu.Submit(cycles, func(ok bool, d sim.Time) {
-		vs.inFlightCPU--
-		if !ok {
-			vs.drop(p, DropOverload)
-			return
-		}
-		if vs.ob != nil {
-			vs.hopCPU(p, cycles, d)
-		}
-		egress()
-	})
 }
 
-// submitRemote is submit for hosted-FE work (attribution differs).
-func (vs *VSwitch) submitRemote(p *packet.Packet, cycles uint64, egress func()) {
-	vs.cyclesRemote += cycles
-	vs.inFlightCPU++
-	vs.cpu.Submit(cycles, func(ok bool, d sim.Time) {
-		vs.inFlightCPU--
-		if !ok {
-			vs.drop(p, DropOverload)
-			return
-		}
-		if vs.ob != nil {
-			vs.hopCPU(p, cycles, d)
-		}
-		egress()
-	})
+// stageTask is one scalar packet's scheduled CPU completion: the
+// planned act plus the delay the CPU model charged it. Tasks are
+// free-listed per vSwitch, grown on demand by the packets in flight.
+type stageTask struct {
+	vs    *VSwitch
+	act   burstAct
+	delay sim.Time
+	next  *stageTask
+	dbg   viewDebugState
+}
+
+func (vs *VSwitch) putStage(t *stageTask) {
+	stageMarkFree(t)
+	t.act = burstAct{}
+	t.next = vs.stageFree
+	vs.stageFree = t
+}
+
+// Run fires the completion. The task recycles itself first — its
+// fields are copied out — so an act that reenters the vSwitch can reuse
+// the struct.
+func (t *stageTask) Run() {
+	stageCheckLive(t)
+	vs, a, d := t.vs, t.act, t.delay
+	vs.putStage(t)
+	vs.inFlightCPU--
+	if vs.runAct(&a, d) {
+		vs.fab.Send(vs.cfg.Addr, a.to, a.p)
+	}
 }
 
 // lookupOrSlowPath resolves the session entry and pre-actions for a
@@ -305,7 +329,7 @@ func (vs *VSwitch) localTX(vn *vnicState, p *packet.Packet) {
 	st := e.State
 
 	if !FinalAllow(pre, st, packet.DirTX) {
-		vs.submit(p, cycles, func() { vs.drop(p, DropACL) })
+		vs.submit(burstAct{p: p, cycles: cycles, kind: actDropACL}, false)
 		return
 	}
 
@@ -325,40 +349,16 @@ func (vs *VSwitch) localTX(vn *vnicState, p *packet.Packet) {
 			peer, nextHop = dp, dnh
 		}
 	}
-	vs.forwardOverlay(p, peer, nextHop, cycles, vp)
+	vs.forwardOverlay(p, peer, nextHop, cycles, false, vp)
 }
 
 // forwardOverlay resolves the peer's current location and sends the
-// packet, after charging cycles.
-func (vs *VSwitch) forwardOverlay(p *packet.Packet, peer uint32, staticHop packet.IPv4, cycles uint64, vp *prof.VNICProf) {
-	vs.forwardOverlayVia(p, peer, staticHop, cycles, vs.submit, vp)
-}
-
-func (vs *VSwitch) forwardOverlayVia(p *packet.Packet, peer uint32, staticHop packet.IPv4, cycles uint64, submit func(*packet.Packet, uint64, func()), vp *prof.VNICProf) {
-	if peer == 0 && staticHop == 0 {
-		submit(p, cycles, func() { vs.drop(p, DropNoRoute) })
-		return
-	}
-	addr, ok := vs.learner.Pick(peer, p.TupleHash())
-	if !ok {
-		addr = staticHop
-	}
-	if addr == 0 {
-		submit(p, cycles, func() { vs.drop(p, DropNoRoute) })
-		return
-	}
-	if vs.ob != nil {
-		vs.hopPick(p, addr)
-	}
-	cycles += nic.EncapCycles
-	profCharge(vp, prof.DirTX, prof.StageEncap, nic.EncapCycles)
-	submit(p, cycles, func() {
-		p.VNIC = peer
-		p.Dir = packet.DirRX
-		p.Encap(vs.cfg.Addr, addr)
-		vs.Stats.Sent++
-		vs.fab.Send(vs.cfg.Addr, addr, p)
-	})
+// packet (or drops it as unroutable) after charging cycles, as local or
+// hosted-FE (remote) work.
+func (vs *VSwitch) forwardOverlay(p *packet.Packet, peer uint32, staticHop packet.IPv4, cycles uint64, remote bool, vp *prof.VNICProf) {
+	var a burstAct
+	vs.planForwardAct(p, peer, staticHop, cycles, vp, &a)
+	vs.submit(a, remote)
 }
 
 func (vs *VSwitch) localRX(vn *vnicState, p *packet.Packet) {
@@ -391,14 +391,14 @@ func (vs *VSwitch) localRX(vn *vnicState, p *packet.Packet) {
 	st := e.State
 
 	if !FinalAllow(pre, st, packet.DirRX) {
-		vs.submit(p, cycles, func() { vs.drop(p, DropACL) })
+		vs.submit(burstAct{p: p, cycles: cycles, kind: actDropACL}, false)
 		return
 	}
 	if !vs.qosAdmit(vn.id, pre.RX, p) {
 		return
 	}
 	vs.maybeMirror(p, pre, packet.DirRX)
-	vs.submit(p, cycles, func() { vs.deliverToVM(p.VNIC, p) })
+	vs.submit(burstAct{p: p, cycles: cycles, kind: actDeliver, vnic: p.VNIC}, false)
 }
 
 func (vs *VSwitch) deliverToVM(vnic uint32, p *packet.Packet) {
@@ -447,26 +447,15 @@ func (vs *VSwitch) beTX(vn *vnicState, p *packet.Packet) {
 
 	fe := vn.fes[p.TupleHash()%uint64(len(vn.fes))]
 	if vn.pinned != nil {
-		if key, _ := p.SessionKey(); true {
-			if dedicated, ok := vn.pinned[key]; ok {
-				fe = dedicated
-			}
+		if dedicated, ok := vn.pinned[key]; ok {
+			fe = dedicated
 		}
 	}
-	p.AttachNezha(&packet.NezhaHeader{
-		Type:      packet.NezhaCarryState,
-		VNIC:      vn.id,
-		Dir:       packet.DirTX,
-		StateBlob: e.State.Encode(),
-	})
+	vs.attachStateView(p, vn.id, packet.DirTX, e.State)
 	if vs.ob != nil {
 		vs.hopEncap(p, "be-tx", p.Nezha.WireSize())
 	}
-	vs.submit(p, cycles, func() {
-		p.Encap(vs.cfg.Addr, fe)
-		vs.Stats.Sent++
-		vs.fab.Send(vs.cfg.Addr, fe, p)
-	})
+	vs.submit(burstAct{p: p, cycles: cycles, kind: actRelay, to: fe}, false)
 }
 
 // beRX finishes processing an RX packet the FE forwarded with
@@ -519,17 +508,14 @@ func (vs *VSwitch) beRX(vn *vnicState, p *packet.Packet) {
 	st := e.State
 
 	if !FinalAllow(pre, st, packet.DirRX) {
-		vs.submit(p, cycles, func() { vs.drop(p, DropACL) })
+		vs.submit(burstAct{p: p, cycles: cycles, kind: actDropACL}, false)
 		return
 	}
 	if !vs.qosAdmit(vn.id, pre.RX, p) {
 		return
 	}
 	vs.maybeMirror(p, pre, packet.DirRX)
-	vs.submit(p, cycles, func() {
-		vs.stripNezha(p)
-		vs.deliverToVM(vn.id, p)
-	})
+	vs.submit(burstAct{p: p, cycles: cycles, kind: actDeliver, vnic: vn.id, strip: true}, false)
 }
 
 // beNotify absorbs a designated notify packet updating rule-table-
@@ -537,8 +523,7 @@ func (vs *VSwitch) beRX(vn *vnicState, p *packet.Packet) {
 func (vs *VSwitch) beNotify(vn *vnicState, p *packet.Packet) {
 	vs.Stats.NotifyRecv++
 	now := int64(vs.loop.Now())
-	carried, err := nezhaState(p.Nezha)
-	if err != nil {
+	if _, err := nezhaState(p.Nezha); err != nil {
 		vs.drop(p, DropMalformed)
 		return
 	}
@@ -548,17 +533,25 @@ func (vs *VSwitch) beNotify(vn *vnicState, p *packet.Packet) {
 		return
 	}
 	profCharge(vs.profVNIC(vn), prof.DirRX, prof.StageNotify, nic.NotifyCycles)
-	vs.submit(p, nic.NotifyCycles, func() {
-		vs.Stats.Absorbed++
-		p.Release()
-		cur := vs.sessions.Peek(key)
-		if cur == nil {
-			return
-		}
-		st := cur.State
-		st.Policy = carried.Policy
-		_ = vs.sessions.SetState(cur, st)
-	})
+	vs.submit(burstAct{p: p, cycles: nic.NotifyCycles, kind: actAbsorbNotify}, false)
+}
+
+// absorbNotify is beNotify's completion: the packet is consumed and the
+// policy it carries (validated at arrival, and still attached) lands on
+// the session if that still exists.
+func (vs *VSwitch) absorbNotify(p *packet.Packet) {
+	vs.Stats.Absorbed++
+	carried, _ := nezhaState(p.Nezha)
+	key, _ := p.SessionKey()
+	vs.stripNezha(p)
+	p.Release()
+	cur := vs.sessions.Peek(key)
+	if cur == nil {
+		return
+	}
+	st := cur.State
+	st.Policy = carried.Policy
+	_ = vs.sessions.SetState(cur, st)
 }
 
 // --- FE datapath ------------------------------------------------------
@@ -593,7 +586,7 @@ func (vs *VSwitch) feTX(fe *feInstance, p *packet.Packet) {
 	}
 
 	if !FinalAllow(pre, carried, packet.DirTX) {
-		vs.submitRemote(p, cycles, func() { vs.drop(p, DropACL) })
+		vs.submit(burstAct{p: p, cycles: cycles, kind: actDropACL}, true)
 		return
 	}
 
@@ -612,7 +605,7 @@ func (vs *VSwitch) feTX(fe *feInstance, p *packet.Packet) {
 		}
 	}
 	vs.stripNezha(p)
-	vs.forwardOverlayVia(p, peer, nextHop, cycles, vs.submitRemote, vp)
+	vs.forwardOverlay(p, peer, nextHop, cycles, true, vp)
 }
 
 // sendNotify emits a designated notify packet to the BE carrying the
@@ -623,12 +616,10 @@ func (vs *VSwitch) sendNotify(fe *feInstance, orig *packet.Packet, policy tables
 	st.InitFirst(orig.Nezha.Dir, int64(vs.loop.Now()))
 	st.Policy = policy
 	n := packet.GetStamped(int64(vs.loop.Now()), orig.ID, orig.VPC, orig.VNIC, orig.Tuple, orig.Dir, 0, 0)
-	n.AttachNezha(&packet.NezhaHeader{
-		Type:      packet.NezhaNotify,
-		VNIC:      fe.vnic,
-		Dir:       orig.Nezha.Dir,
-		StateBlob: st.Encode(),
-	})
+	// A notify carries state exactly as a TX relay does; only the type
+	// (which the wire size does not depend on) differs.
+	vs.attachStateView(n, fe.vnic, orig.Nezha.Dir, st)
+	n.Nezha.Type = packet.NezhaNotify
 	n.Encap(vs.cfg.Addr, fe.beAddr)
 	vs.fab.Send(vs.cfg.Addr, fe.beAddr, n)
 }
@@ -645,23 +636,11 @@ func (vs *VSwitch) feRX(fe *feInstance, p *packet.Packet) {
 	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.EncapCycles
 	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, &cycles, false, vp, prof.DirRX)
 
-	orig := p.OuterSrc
-	p.AttachNezha(&packet.NezhaHeader{
-		Type:          packet.NezhaCarryPreActions,
-		VNIC:          fe.vnic,
-		Dir:           packet.DirRX,
-		PreActionBlob: pre.Encode(),
-		OrigOuterSrc:  orig,
-	})
+	// The relay replaces the outer source with the FE's own (§3.2.2) —
+	// the original is preserved in the Nezha header.
+	vs.attachPreView(p, fe.vnic, pre, p.OuterSrc)
 	if vs.ob != nil {
 		vs.hopEncap(p, "fe-rx", p.Nezha.WireSize())
 	}
-	beAddr := fe.beAddr
-	vs.submitRemote(p, cycles, func() {
-		// The FE replaces the outer source with its own (§3.2.2) —
-		// the original is preserved in the Nezha header.
-		p.Encap(vs.cfg.Addr, beAddr)
-		vs.Stats.Sent++
-		vs.fab.Send(vs.cfg.Addr, beAddr, p)
-	})
+	vs.submit(burstAct{p: p, cycles: cycles, kind: actRelay, to: fe.beAddr}, true)
 }

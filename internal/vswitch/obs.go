@@ -169,7 +169,7 @@ func (vs *VSwitch) hopPick(p *packet.Packet, addr packet.IPv4) {
 	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
 		return
 	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: "gw-pick", Note: "to=" + addr.String()})
+	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: "gw-pick", HasTo: true, To: addr})
 }
 
 // hopDrop records the packet's terminal drop with its reason.
@@ -177,7 +177,7 @@ func (vs *VSwitch) hopDrop(p *packet.Packet, r DropReason) {
 	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
 		return
 	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: "drop:" + r.String()})
+	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: "drop", Drop: r.String()})
 }
 
 // hopDeliver records final VM delivery and charges the flow table.

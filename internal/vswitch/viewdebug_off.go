@@ -9,3 +9,7 @@ type viewDebugState struct{}
 func viewMarkLive(*viewBox)  {}
 func viewMarkFree(*viewBox)  {}
 func viewCheckLive(*viewBox) {}
+
+func stageMarkLive(*stageTask)  {}
+func stageMarkFree(*stageTask)  {}
+func stageCheckLive(*stageTask) {}

@@ -47,3 +47,28 @@ func viewCheckLive(b *viewBox) {
 		panic("vswitch: view box used after recycle")
 	}
 }
+
+// The scalar stage tasks carry the same tripwires: a task is live from
+// submit until its completion fires, and one that returns to the
+// freelist while still scheduled panics when its event runs (putStage
+// clears the act, so it could otherwise only fire an empty one).
+
+func stageMarkLive(t *stageTask) {
+	if t.dbg.st == viewStLive {
+		panic("vswitch: stage task acquired while scheduled")
+	}
+	t.dbg.st = viewStLive
+}
+
+func stageMarkFree(t *stageTask) {
+	if t.dbg.st != viewStLive {
+		panic("vswitch: stage task freed while not live (double put?)")
+	}
+	t.dbg.st = viewStFree
+}
+
+func stageCheckLive(t *stageTask) {
+	if t.dbg.st != viewStLive {
+		panic("vswitch: stage task fired after recycle")
+	}
+}

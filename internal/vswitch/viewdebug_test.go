@@ -67,3 +67,26 @@ func TestViewDebugLiveViewStaysUsable(t *testing.T) {
 	}
 	w.A.stripNezha(p)
 }
+
+// TestStageDebugTripwires pins the same guards on the scalar path's
+// pooled stage tasks: one that returns to the freelist while its
+// completion is still scheduled panics when the event fires, as do a
+// double put and handing out a task that is still live.
+func TestStageDebugTripwires(t *testing.T) {
+	w := newWorld(t, 0, nil)
+	task := &stageTask{vs: w.A}
+	stageMarkLive(task) // as submit does before scheduling it
+	mustPanic(t, "acquire while scheduled", func() { stageMarkLive(task) })
+	w.A.putStage(task)
+	mustPanic(t, "fire after recycle", func() { task.Run() })
+	mustPanic(t, "double put", func() { w.A.putStage(task) })
+
+	// Counterweight: a real packet's submit → completion cycle runs clean
+	// and leaves the task on the freelist.
+	w.installLocal(t, false)
+	w.clientSend(1000, packet.FlagSYN)
+	w.loop.RunAll()
+	if len(w.deliveredB) != 1 || w.A.stageFree == nil {
+		t.Fatalf("delivered %d, stage freelist empty=%v", len(w.deliveredB), w.A.stageFree == nil)
+	}
+}

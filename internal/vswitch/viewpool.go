@@ -10,13 +10,16 @@ package vswitch
 // read the value directly; anything else (a blob from a wire-mode hop,
 // a foreign view) falls back to Decode.
 //
-// Lifecycle: the attach sites (burst beTX/feRX plans) take a box from
-// the per-vSwitch freelist; the consuming vSwitch recycles it via
-// stripNezha — boxes migrate between pools, which is fine inside one
-// single-threaded sim world. Packets that terminate with the header
-// still attached (drops, wire-mode sends, fabric loss) leak their box
-// to the GC; correctness never depends on recycling. The simdebug
-// build guards use-after-recycle (see viewdebug_on.go).
+// Lifecycle: the attach sites (beTX, feRX, sendNotify — scalar and
+// burst) take a box from the per-vSwitch freelist; the consuming
+// vSwitch hands it back to that same freelist via stripNezha (one
+// single-threaded sim world, so reaching into the sender's pool is
+// safe), which keeps every pool the size of its own switch's headers
+// in flight however lopsided the BE→FE and FE→BE flows are. Packets
+// that terminate with the header still attached (drops, wire-mode
+// sends, fabric loss) leak their box to the GC; correctness never
+// depends on recycling. The simdebug build guards use-after-recycle
+// (see viewdebug_on.go).
 
 import (
 	"nezha/internal/packet"
@@ -31,6 +34,7 @@ type viewBox struct {
 	hdr  packet.NezhaHeader
 	st   state.State
 	pre  tables.PreActions
+	home *VSwitch // whose freelist the box returns to
 	next *viewBox
 	dbg  viewDebugState
 }
@@ -45,7 +49,7 @@ func (b *viewBox) WireLen() int {
 }
 
 // AppendWire implements packet.HeaderView. The encoding must be
-// byte-identical to the blob the legacy path would have attached.
+// byte-identical to the blob Encode would have produced.
 func (b *viewBox) AppendWire(dst []byte) []byte {
 	viewCheckLive(b)
 	if b.hdr.Type == packet.NezhaCarryPreActions {
@@ -57,7 +61,7 @@ func (b *viewBox) AppendWire(dst []byte) []byte {
 func (vs *VSwitch) getBox() *viewBox {
 	b := vs.boxFree
 	if b == nil {
-		b = &viewBox{}
+		b = &viewBox{home: vs}
 	} else {
 		vs.boxFree = b.next
 		b.next = nil
@@ -66,16 +70,17 @@ func (vs *VSwitch) getBox() *viewBox {
 	return b
 }
 
-func (vs *VSwitch) putBox(b *viewBox) {
+// putBox returns b to the freelist of the vSwitch that took it, not
+// the one consuming it.
+func (*VSwitch) putBox(b *viewBox) {
 	viewMarkFree(b)
-	b.next = vs.boxFree
-	vs.boxFree = b
+	b.next = b.home.boxFree
+	b.home.boxFree = b
 }
 
 // attachStateView attaches a CarryState header holding a snapshot of
-// st — a value copy, matching the legacy path's Encode-at-attach
-// semantics (the sender's live state keeps mutating while the packet
-// is in flight).
+// st — a value copy, matching Encode-at-attach semantics (the sender's
+// live state keeps mutating while the packet is in flight).
 func (vs *VSwitch) attachStateView(p *packet.Packet, vnic uint32, dir packet.Direction, st state.State) {
 	b := vs.getBox()
 	b.st = st

@@ -314,6 +314,9 @@ type VSwitch struct {
 	// boxFree pools zero-copy header-view boxes (viewpool.go).
 	boxFree *viewBox
 
+	// stageFree pools scalar CPU-stage tasks (stageTask in datapath.go).
+	stageFree *stageTask
+
 	Stats Counters
 }
 

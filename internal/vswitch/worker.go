@@ -418,9 +418,10 @@ func (vs *VSwitch) planFeRX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet,
 	return true
 }
 
-// planForwardAct is forwardOverlay at plan time: resolve the peer now,
-// record the forward (or the no-route drop) for execution at CPU
-// completion.
+// planForwardAct resolves the peer's location now and records the
+// forward (or the no-route drop) for execution at CPU completion — the
+// forwarding tail of the burst plans and of scalar forwardOverlay. It
+// always fills *a.
 func (vs *VSwitch) planForwardAct(p *packet.Packet, peer uint32, staticHop packet.IPv4, cycles uint64, vp *prof.VNICProf, a *burstAct) bool {
 	if peer == 0 && staticHop == 0 {
 		*a = burstAct{p: p, cycles: cycles, kind: actDropNoRoute}

@@ -64,6 +64,8 @@ type VM struct {
 
 	conns map[uint16]*connState
 
+	taskFree *kernelTask // recycled server-side kernel completions
+
 	// Counters.
 	Started     uint64 // client connections initiated
 	Completed   uint64 // client connections fully closed
@@ -163,36 +165,63 @@ func (vm *VM) OnDeliver(vnic uint32, p *packet.Packet, lat sim.Time) {
 
 // serverHandle implements the passive side: accept, respond, close.
 // The kernel completions fire after OnDeliver releases p, so they
-// capture copies of its fields, never p itself.
+// carry copies of its fields, never p itself.
 func (vm *VM) serverHandle(p *packet.Packet) {
 	reply := p.Tuple.Reverse()
-	sentAt := p.SentAt
 	switch {
 	case p.Flags.Has(packet.FlagSYN) && !p.Flags.Has(packet.FlagACK):
 		// New connection: charge the kernel; beyond capacity the
 		// backlog drops it (the Fig 10 VM bottleneck).
-		vm.kernel.Submit(vm.connCost, func(ok bool, _ sim.Time) {
-			if !ok {
-				vm.KernelDrops++
-				return
-			}
-			vm.Accepted++
-			vm.send(reply, packet.FlagSYN|packet.FlagACK, 0, sentAt)
-		})
+		vm.kernelReply(vm.connCost, reply, packet.FlagSYN|packet.FlagACK, 0, p.SentAt, true)
 	case p.Flags.Has(packet.FlagFIN):
-		vm.kernel.Submit(vm.pktCost, func(ok bool, _ sim.Time) {
-			if ok {
-				vm.send(reply, packet.FlagFIN|packet.FlagACK, 0, sentAt)
-			}
-		})
+		vm.kernelReply(vm.pktCost, reply, packet.FlagFIN|packet.FlagACK, 0, p.SentAt, false)
 	case p.PayloadLen > 0:
 		// Request: produce the response.
-		vm.kernel.Submit(vm.pktCost, func(ok bool, _ sim.Time) {
-			if ok {
-				vm.send(reply, packet.FlagACK, vm.respBytes, sentAt)
-			}
-		})
+		vm.kernelReply(vm.pktCost, reply, packet.FlagACK, vm.respBytes, p.SentAt, false)
 	}
+}
+
+// kernelTask is one server-side kernel completion: the reply to send
+// once the kernel has spent the packet's cycles. Tasks are free-listed
+// per VM, so the server side of a connection allocates nothing.
+type kernelTask struct {
+	vm      *VM
+	reply   packet.FiveTuple
+	flags   packet.TCPFlags
+	payload int
+	sentAt  int64
+	accept  bool // the reply accepts a new connection
+	next    *kernelTask
+}
+
+// kernelReply charges cost cycles on the VM's kernel and sends the
+// reply when they complete. A kernel over its backlog bound drops the
+// work; for a new connection (accept) that is a counted kernel drop.
+func (vm *VM) kernelReply(cost uint64, reply packet.FiveTuple, flags packet.TCPFlags, payload int, sentAt int64, accept bool) {
+	t := vm.taskFree
+	if t == nil {
+		t = &kernelTask{vm: vm}
+	} else {
+		vm.taskFree = t.next
+	}
+	t.reply, t.flags, t.payload, t.sentAt, t.accept = reply, flags, payload, sentAt, accept
+	if _, ok := vm.kernel.SubmitTask(cost, t); !ok {
+		t.next, vm.taskFree = vm.taskFree, t
+		if accept {
+			vm.KernelDrops++
+		}
+	}
+}
+
+// Run fires the completion; the task recycles itself first, since the
+// send can reenter the VM.
+func (t *kernelTask) Run() {
+	vm, reply, flags, payload, sentAt, accept := t.vm, t.reply, t.flags, t.payload, t.sentAt, t.accept
+	t.next, vm.taskFree = vm.taskFree, t
+	if accept {
+		vm.Accepted++
+	}
+	vm.send(reply, flags, payload, sentAt)
 }
 
 // clientHandle advances the active side's per-connection state
