@@ -58,6 +58,10 @@ type node struct {
 	tor     int
 	handler Handler
 	burst   BurstHandler
+	// gone is set when the node leaves the fabric (Unregister, or a
+	// Register that replaces it): a delivery already in flight holds the
+	// node pointer and reads this instead of looking the address up again.
+	gone bool
 }
 
 // Fabric is the underlay network.
@@ -157,12 +161,18 @@ func (f *Fabric) InFlight() uint64 { return f.inFlight }
 // Register attaches a server at addr under ToR tor with a delivery
 // handler. Re-registering an address replaces its handler.
 func (f *Fabric) Register(addr packet.IPv4, tor int, h Handler) {
+	if old, ok := f.nodes[addr]; ok {
+		old.gone = true
+	}
 	f.nodes[addr] = &node{addr: addr, tor: tor, handler: h}
 }
 
 // Unregister detaches a server (a crashed SmartNIC stops receiving).
 func (f *Fabric) Unregister(addr packet.IPv4) {
-	delete(f.nodes, addr)
+	if n, ok := f.nodes[addr]; ok {
+		n.gone = true
+		delete(f.nodes, addr)
+	}
 }
 
 // SetHandler swaps a node's handler in place.
@@ -442,24 +452,23 @@ func (t *deliverTask) Run() {
 	t.dst, t.group, t.one = nil, nil, nil
 	t.next = f.taskFree
 	f.taskFree = t
-	// The destination may have crashed, or the pair partitioned, while
-	// in flight.
-	cur, ok := f.nodes[to]
-	ok = ok && cur == dst && !f.partitions[pairKey(from, to)]
+	// The destination may have crashed or been replaced (dst.gone), or
+	// the pair partitioned, while in flight.
+	ok := !dst.gone && !f.partitions[pairKey(from, to)]
 	if one != nil {
 		f.inFlight--
-		if !ok || cur.handler == nil {
+		if !ok || dst.handler == nil {
 			f.lose(one, from, to)
 			return
 		}
 		one.Hops++
 		f.Delivered++
 		f.traceHop(one.ID, from, "wire", to)
-		cur.handler(one)
+		dst.handler(one)
 		return
 	}
 	f.inFlight -= uint64(len(group))
-	if !ok || (cur.handler == nil && cur.burst == nil) {
+	if !ok || (dst.handler == nil && dst.burst == nil) {
 		for _, p := range group {
 			f.lose(p, from, to)
 		}
@@ -471,11 +480,11 @@ func (t *deliverTask) Run() {
 		f.Delivered++
 		f.traceHop(q.ID, from, "wire", to)
 	}
-	if cur.burst != nil {
-		cur.burst(group)
+	if dst.burst != nil {
+		dst.burst(group)
 	} else {
 		for _, q := range group {
-			cur.handler(q)
+			dst.handler(q)
 		}
 	}
 	f.putGroup(group)

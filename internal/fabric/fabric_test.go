@@ -111,6 +111,55 @@ func TestCrashInFlight(t *testing.T) {
 	}
 }
 
+// A frame in flight toward a node that is replaced — re-registered in
+// place, or crashed and brought back — before it lands is lost: neither
+// the old handler nor the new one sees it. Holds for the per-packet
+// task, the burst task and the wire-mode closure alike.
+func TestReRegisterInFlight(t *testing.T) {
+	src, dst := ip(1, 0, 0, 1), ip(1, 0, 0, 2)
+	for _, tc := range []struct {
+		name  string
+		wire  bool
+		burst bool
+		crash bool
+	}{
+		{name: "send"},
+		{name: "send-crash-first", crash: true},
+		{name: "burst", burst: true},
+		{name: "wire", wire: true},
+	} {
+		loop := sim.NewLoop(1)
+		f := New(loop)
+		f.SetWireMode(tc.wire)
+		f.Register(src, 0, nil)
+		oldGot, newGot := 0, 0
+		f.Register(dst, 0, func(*packet.Packet) { oldGot++ })
+		if tc.burst {
+			f.SendBurst(src, dst, []*packet.Packet{mkPkt(1), mkPkt(2)})
+		} else {
+			f.Send(src, dst, mkPkt(1))
+		}
+		sent := f.Sends
+		if tc.crash {
+			f.Unregister(dst)
+		}
+		f.Register(dst, 0, func(*packet.Packet) { newGot++ })
+		loop.RunAll()
+		if oldGot != 0 || newGot != 0 {
+			t.Fatalf("%s: in-flight frame delivered across a re-register: old=%d new=%d", tc.name, oldGot, newGot)
+		}
+		if f.Lost != sent || f.InFlight() != 0 {
+			t.Fatalf("%s: lost=%d in-flight=%d, want %d and 0", tc.name, f.Lost, f.InFlight(), sent)
+		}
+		// The replacement receives what is sent after it registered.
+		f.Send(src, dst, mkPkt(3))
+		loop.RunAll()
+		if newGot != 1 {
+			t.Fatalf("%s: replacement node got %d packets, want 1", tc.name, newGot)
+		}
+	}
+}
+
 func TestReRegisterReplacesHandler(t *testing.T) {
 	loop := sim.NewLoop(1)
 	f := New(loop)

@@ -17,19 +17,52 @@
 // are dropped (an overload). Aging follows the state's FSM phase
 // (short for establishing sessions, §7.3).
 //
-// Layout: the table is sharded by session-key hash into numShards
-// open-addressed arrays (linear probing, backward-shift deletion,
-// pointer buckets over a freelist of entries). Shard selection uses
-// the same hash the per-core dispatcher uses (packet.RSSWorker), so
-// for any power-of-two worker count W dividing numShards, worker w
-// touches exactly the shards s with s ≡ w (mod W) — each worker owns
-// its slice of the flowcache. The *H method variants accept the
-// caller's precomputed key hash so the datapath hashes each packet's
-// key once.
+// Layout. The table is numShards open-addressed bucket arrays (linear
+// probing, backward-shift deletion) over one slab store of entries.
+//
+// Shard and slot must not share hash bits. The shard is the hash's low
+// shardBits — the bits packet.RSSWorker reduces, so for any
+// power-of-two worker count W dividing numShards, worker w touches
+// exactly the shards s with s ≡ w (mod W) and each worker owns its
+// slice of the flowcache. Every key in one shard therefore agrees on
+// those bits; a home slot taken from them too would use one slot in
+// numShards and turn linear probing into long shared runs (measured:
+// 3.0 probes per hit and 5.3 per miss at load 0.5, against 1.5 and 2.5
+// in theory). The home slot comes from hash >> shardBits instead.
+//
+// A bucket is 8 bytes: {h, idx}. h is the low 32 bits of
+// hash >> shardBits — the home slot in its low bits, a tag above —
+// and idx is the entry's slab index + 1 (0 marks an empty bucket). A
+// probe walks the bucket array alone and dereferences an entry only
+// where h matches, so a hit touches one entry and a miss none; growth
+// and backward shift re-home buckets from h without touching entries.
+//
+// Entries live in append-only slabs addressed by index: slab sizes
+// double from minSlab to maxSlab entries and stay there (a table with
+// a dozen flows holds two minSlab slabs; a table with 10^5 wastes at
+// most one part-filled maxSlab slab, where doubling forever would
+// strand up to half the store). Deleted entries go on an index
+// freelist threaded through the entries themselves. Nothing in the
+// bucket arrays or the slabs is a Go pointer, so the collector marks
+// the table without scanning it. Entry keeps Key, the flags, LastSeen
+// and PreVersion in its first 64 bytes: a fast-path hit and the aging
+// sweep of a stateless entry read nothing beyond them.
+//
+// Pointer stability: slabs are never moved or freed while the table
+// lives, so an *Entry stays valid — the same live entry — until that
+// entry is deleted (Delete, Sweep, InvalidateVNIC, Clear), across any
+// number of unrelated inserts, deletes and bucket growth. After its
+// deletion the slot is recycled by a later insert and the pointer
+// must not be used; the simdebug build poisons recycled entries and
+// panics when one is handed back to the table.
+//
+// The *H method variants accept the caller's precomputed key hash so
+// the datapath hashes each packet's key once.
 package flowcache
 
 import (
 	"errors"
+	"math/bits"
 
 	"nezha/internal/packet"
 	"nezha/internal/state"
@@ -38,6 +71,8 @@ import (
 
 // Per-entry memory footprints (bytes). A full entry is O(100B) as the
 // paper reports: bidirectional 5-tuple + VPC + pre-actions + state.
+// These are the simulated SmartNIC's bytes — what MemBytes, the budget
+// and Rejects count — and have nothing to do with Go's size of Entry.
 const (
 	EntryOverheadBytes = 64 // key, links, aging bookkeeping
 	PreActionsBytes    = 64 // bidirectional pre-actions
@@ -46,52 +81,58 @@ const (
 // ErrNoMemory is returned when inserting would exceed the byte budget.
 var ErrNoMemory = errors.New("flowcache: memory budget exhausted")
 
-// Entry is one session's cached record.
+// Entry is one session's cached record. It holds no pointers (the
+// slabs are invisible to the collector) and its first 64 bytes hold
+// everything a lookup hit and a stateless aging check read.
 type Entry struct {
 	Key  packet.SessionKey
 	VNIC uint32
 
 	// HasPre marks cached pre-actions (fast-path rules result).
 	HasPre bool
-	Pre    tables.PreActions
+	// HasState marks locally maintained session state.
+	HasState bool
+	// live is set while the entry is in the table; the slab walks skip
+	// the rest, and the simdebug tripwire reads it.
+	live bool
+
+	// LastSeen is the last access time (ns), for aging.
+	LastSeen int64
 	// PreVersion is the RuleSet version the pre-actions were derived
 	// from; a version mismatch is treated as a miss and the entry is
 	// regenerated (rule-table change invalidation, §3.2.2).
 	PreVersion uint64
 
-	// HasState marks locally maintained session state.
-	HasState bool
-	State    state.State
-
-	// LastSeen is the last access time (ns), for aging.
-	LastSeen int64
-
-	// hash caches Key.Hash() for probing and rehash.
+	// hash caches Key.Hash(): bulk deletion finds the entry's bucket
+	// from it.
 	hash uint64
-	// free links recycled entries; nil while the entry is live.
-	free *Entry
+	// nextFree links recycled entries (slab index + 1); 0 ends the list.
+	nextFree uint32
+
+	Pre   tables.PreActions
+	State state.State
 }
 
 // SizeOf reports the bytes e occupies under this table's layout — the
 // accounting the profiler uses to attribute session-table residency
 // per vNIC at drain time.
 func (t *Table) SizeOf(e *Entry) int {
-	return e.sizeBytes(!t.cfg.VariableState)
-}
-
-func (e *Entry) sizeBytes(fixedState bool) int {
 	n := EntryOverheadBytes
 	if e.HasPre {
 		n += PreActionsBytes
 	}
 	if e.HasState {
-		if fixedState {
-			n += state.FixedSizeBytes
-		} else {
-			n += e.State.EncodedSize()
-		}
+		n += t.stateBytes(&e.State)
 	}
 	return n
+}
+
+// stateBytes is what a state slot holding s is charged.
+func (t *Table) stateBytes(s *state.State) int {
+	if t.cfg.VariableState {
+		return s.EncodedSize()
+	}
+	return state.FixedSizeBytes
 }
 
 // Config controls a table's budget and layout.
@@ -107,16 +148,38 @@ type Config struct {
 // numShards is the shard count; must stay a power of two so shard
 // ownership aligns with packet.RSSWorker for power-of-two worker
 // counts (see package comment).
-const numShards = 8
+const (
+	shardBits = 3
+	numShards = 1 << shardBits
+)
 
 // minShardBuckets keeps tiny shards probe-friendly.
 const minShardBuckets = 8
 
+// Slab sizes in entries: minSlab, minSlab again, then doubling up to
+// maxSlab and maxSlab from there on, so the slabs' total capacity
+// passes through every power of two from minSlab up and every
+// multiple of maxSlab — a table of 4096 flows holds exactly 4096
+// entries. maxSlab*unsafe.Sizeof(Entry{}) is a whole number of 8 KiB
+// pages, so a full-size slab wastes none.
+const (
+	minSlabBits = 3
+	maxSlabBits = 9
+	minSlab     = 1 << minSlabBits
+	maxSlab     = 1 << maxSlabBits
+)
+
+// bucket is one slot of a shard; see the package comment.
+type bucket struct {
+	h   uint32
+	idx uint32
+}
+
 // shard is one open-addressed bucket array (linear probing).
 type shard struct {
-	buckets []*Entry
-	mask    uint64
-	n       int
+	buckets []bucket
+	mask    uint32
+	n       uint32
 }
 
 // Table is the session table. Not safe for concurrent use; the
@@ -127,11 +190,18 @@ type Table struct {
 	shards [numShards]shard
 	count  int
 	mem    int
-	free   *Entry // recycled entries
 
-	// scratch collects victims for two-pass bulk deletion (Sweep,
-	// InvalidateVNIC) so iteration never races backward-shift moves.
-	scratch []*Entry
+	slabs [][]Entry
+	used  uint32 // indices below used are live or on the freelist
+	free  uint32 // freelist head (slab index + 1); 0 = empty
+
+	// The last LookupH miss: its key and the empty slot the probe ended
+	// on. A GetOrCreateH for that key with no table change in between —
+	// the slow path's lookup → rule walk → install sequence — inserts
+	// there without probing again.
+	missKey  packet.SessionKey
+	missSlot uint32
+	missOK   bool
 
 	// Counters for the experiments.
 	Hits      uint64
@@ -150,115 +220,134 @@ func New(cfg Config) *Table {
 }
 
 func (s *shard) init() {
-	s.buckets = make([]*Entry, minShardBuckets)
+	s.buckets = make([]bucket, minShardBuckets)
 	s.mask = minShardBuckets - 1
 	s.n = 0
 }
 
-// shardOf selects the shard for a hash. Uses the low bits — the same
-// bits packet.RSSWorker reduces — so worker ownership and shard
-// ownership coincide for power-of-two worker counts.
-func (t *Table) shardOf(hash uint64) *shard {
-	return &t.shards[hash&(numShards-1)]
+// shardIndex selects the shard for a hash: the low bits, the same bits
+// packet.RSSWorker reduces, so worker ownership and shard ownership
+// coincide for power-of-two worker counts.
+func shardIndex(hash uint64) uint64 { return hash & (numShards - 1) }
+
+// bucketHash is the part of the hash a bucket keeps: everything the
+// shard choice did not consume, truncated to 32 bits.
+func bucketHash(hash uint64) uint32 { return uint32(hash >> shardBits) }
+
+// entry returns the entry at slab index i.
+func (t *Table) entry(i uint32) *Entry {
+	k, off := slabOf(i)
+	return &t.slabs[k][off]
 }
 
-// probe returns the entry for (key, hash), or nil.
-func (s *shard) probe(key packet.SessionKey, hash uint64) *Entry {
-	i := hash & s.mask
+// slabOf maps a slab index to (slab, offset): full-size slabs hold one
+// maxSlab-aligned block of indices each; below them slab k ≥ 1 holds
+// the indices whose top bit is minSlabBits+k-1, and slab 0 the first
+// minSlab.
+func slabOf(i uint32) (k, off uint32) {
+	switch {
+	case i >= maxSlab:
+		return i>>maxSlabBits + (maxSlabBits - minSlabBits), i & (maxSlab - 1)
+	case i < minSlab:
+		return 0, i
+	}
+	b := uint32(bits.Len32(i)) - 1
+	return b - minSlabBits + 1, i &^ (1 << b)
+}
+
+// slabLen is the size of slab k.
+func slabLen(k uint32) int {
+	if k == 0 {
+		return minSlab
+	}
+	return minSlab << min(k-1, maxSlabBits-minSlabBits)
+}
+
+// find probes s for key. It returns the entry and its slot, or nil and
+// the empty slot the probe ended on.
+func (t *Table) find(s *shard, key packet.SessionKey, h uint32) (*Entry, uint32) {
+	i := h & s.mask
 	for {
-		e := s.buckets[i]
-		if e == nil {
-			return nil
+		b := s.buckets[i]
+		if b.idx == 0 {
+			return nil, i
 		}
-		if e.hash == hash && e.Key == key {
-			return e
+		if b.h == h {
+			if e := t.entry(b.idx - 1); e.Key == key {
+				return e, i
+			}
 		}
 		i = (i + 1) & s.mask
 	}
 }
 
-// insert places e (not already present) into the shard, growing first
-// when load would exceed 3/4.
-func (s *shard) insert(e *Entry) {
-	if uint64(s.n+1)*4 > (s.mask+1)*3 {
-		s.grow()
-	}
-	i := e.hash & s.mask
-	for s.buckets[i] != nil {
+// emptyFrom returns the first empty slot at or after h's home.
+func (s *shard) emptyFrom(h uint32) uint32 {
+	i := h & s.mask
+	for s.buckets[i].idx != 0 {
 		i = (i + 1) & s.mask
 	}
-	s.buckets[i] = e
-	s.n++
+	return i
+}
+
+// slotOf returns the slot whose bucket points at slab index idx; the
+// entry must be in the shard.
+func (s *shard) slotOf(h, idx uint32) uint32 {
+	i := h & s.mask
+	for s.buckets[i].idx != idx+1 {
+		i = (i + 1) & s.mask
+	}
+	return i
 }
 
 func (s *shard) grow() {
 	old := s.buckets
-	size := (s.mask + 1) * 2
-	s.buckets = make([]*Entry, size)
-	s.mask = size - 1
-	for _, e := range old {
-		if e == nil {
-			continue
+	s.buckets = make([]bucket, 2*len(old))
+	s.mask = uint32(len(s.buckets) - 1)
+	for _, b := range old {
+		if b.idx != 0 {
+			s.buckets[s.emptyFrom(b.h)] = b
 		}
-		i := e.hash & s.mask
-		for s.buckets[i] != nil {
-			i = (i + 1) & s.mask
-		}
-		s.buckets[i] = e
 	}
 }
 
-// remove deletes the slot holding (key, hash) via backward shift,
-// keeping every remaining entry reachable from its home slot. Returns
-// the removed entry or nil.
-func (s *shard) remove(key packet.SessionKey, hash uint64) *Entry {
-	i := hash & s.mask
-	for {
-		e := s.buckets[i]
-		if e == nil {
-			return nil
-		}
-		if e.hash == hash && e.Key == key {
-			break
-		}
-		i = (i + 1) & s.mask
-	}
-	victim := s.buckets[i]
-	s.buckets[i] = nil
+// removeAt empties slot i via backward shift, keeping every remaining
+// bucket reachable from its home slot.
+func (s *shard) removeAt(i uint32) {
 	s.n--
-	// Backward shift: pull displaced successors into the hole.
 	j := i
 	for {
 		j = (j + 1) & s.mask
-		e := s.buckets[j]
-		if e == nil {
-			return victim
+		b := s.buckets[j]
+		if b.idx == 0 {
+			break
 		}
-		home := e.hash & s.mask
-		if ((j-home)&s.mask) >= ((j-i)&s.mask) {
-			s.buckets[i] = e
-			s.buckets[j] = nil
+		// Pull a displaced successor into the hole unless its home lies
+		// between the hole and where it sits.
+		if (j-b.h)&s.mask >= (j-i)&s.mask {
+			s.buckets[i] = b
 			i = j
 		}
 	}
+	s.buckets[i] = bucket{}
 }
 
-// alloc returns a zeroed entry, reusing the freelist when possible.
-func (t *Table) alloc() *Entry {
-	e := t.free
-	if e == nil {
-		return &Entry{}
+// alloc hands out a zeroed entry and its slab index, reusing the
+// freelist before extending the slabs.
+func (t *Table) alloc() (uint32, *Entry) {
+	if t.free != 0 {
+		i := t.free - 1
+		e := t.entry(i)
+		t.free = e.nextFree
+		return i, e
 	}
-	t.free = e.free
-	*e = Entry{}
-	return e
-}
-
-// recycle returns a removed entry to the freelist. Callers must not
-// retain the pointer: entries are reused by later inserts.
-func (t *Table) recycle(e *Entry) {
-	*e = Entry{free: t.free}
-	t.free = e
+	i := t.used
+	k, off := slabOf(i)
+	if int(k) == len(t.slabs) {
+		t.slabs = append(t.slabs, make([]Entry, slabLen(k)))
+	}
+	t.used++
+	return i, &t.slabs[k][off]
 }
 
 // Len returns the number of entries.
@@ -285,9 +374,10 @@ func (t *Table) Lookup(key packet.SessionKey, now int64) *Entry {
 // datapath hashes each packet's key once and reuses it for worker
 // dispatch, shard selection, and probing).
 func (t *Table) LookupH(key packet.SessionKey, hash uint64, now int64) *Entry {
-	e := t.shardOf(hash).probe(key, hash)
+	e, slot := t.find(&t.shards[shardIndex(hash)], key, bucketHash(hash))
 	if e == nil {
 		t.Misses++
+		t.missKey, t.missSlot, t.missOK = key, slot, true
 		return nil
 	}
 	t.Hits++
@@ -302,7 +392,8 @@ func (t *Table) Peek(key packet.SessionKey) *Entry {
 
 // PeekH is Peek with a precomputed hash.
 func (t *Table) PeekH(key packet.SessionKey, hash uint64) *Entry {
-	return t.shardOf(hash).probe(key, hash)
+	e, _ := t.find(&t.shards[shardIndex(hash)], key, bucketHash(hash))
+	return e
 }
 
 // Hit records a lookup hit served from an entry the caller already
@@ -311,6 +402,7 @@ func (t *Table) PeekH(key packet.SessionKey, hash uint64) *Entry {
 // LastSeen refresh. Skipping the duplicate probe this way keeps every
 // observable — counters, aging — identical to probing again.
 func (t *Table) Hit(e *Entry, now int64) {
+	checkLive(e)
 	t.Hits++
 	e.LastSeen = now
 }
@@ -324,136 +416,142 @@ func (t *Table) GetOrCreate(key packet.SessionKey, vnic uint32, now int64) (*Ent
 
 // GetOrCreateH is GetOrCreate with a precomputed hash.
 func (t *Table) GetOrCreateH(key packet.SessionKey, hash uint64, vnic uint32, now int64) (*Entry, error) {
-	s := t.shardOf(hash)
-	if e := s.probe(key, hash); e != nil {
-		e.LastSeen = now
-		return e, nil
+	s, h := &t.shards[shardIndex(hash)], bucketHash(hash)
+	slot := t.missSlot
+	if !t.missOK || t.missKey != key {
+		var e *Entry
+		if e, slot = t.find(s, key, h); e != nil {
+			e.LastSeen = now
+			return e, nil
+		}
 	}
-	sz := EntryOverheadBytes // a fresh entry has neither pre nor state
-	if t.cfg.MaxBytes > 0 && t.mem+sz > t.cfg.MaxBytes {
-		t.Rejects++
+	// A fresh entry has neither pre nor state.
+	if !t.charge(EntryOverheadBytes) {
 		return nil, ErrNoMemory
 	}
-	e := t.alloc()
-	e.Key, e.VNIC, e.LastSeen, e.hash = key, vnic, now, hash
-	s.insert(e)
+	if (s.n+1)*4 > (s.mask+1)*3 {
+		s.grow()
+		slot = s.emptyFrom(h)
+	}
+	idx, e := t.alloc()
+	e.Key, e.VNIC, e.LastSeen, e.hash, e.live, e.nextFree = key, vnic, now, hash, true, 0
+	s.buckets[slot] = bucket{h: h, idx: idx + 1}
+	s.n++
 	t.count++
-	t.mem += sz
+	t.missOK = false
 	return e, nil
 }
 
-// mutate applies fn to e, re-charging its size delta. It returns
-// ErrNoMemory (and rolls back) if growth would exceed the budget.
-func (t *Table) mutate(e *Entry, fn func(*Entry)) error {
-	before := e.sizeBytes(!t.cfg.VariableState)
-	saved := *e
-	fn(e)
-	after := e.sizeBytes(!t.cfg.VariableState)
-	if after > before && t.cfg.MaxBytes > 0 && t.mem+after-before > t.cfg.MaxBytes {
-		*e = saved
+// charge adds n bytes to the table's use. Growth that would exceed the
+// budget is refused and counted; the caller leaves the entry as it was.
+func (t *Table) charge(n int) bool {
+	if n > 0 && t.cfg.MaxBytes > 0 && t.mem+n > t.cfg.MaxBytes {
 		t.Rejects++
-		return ErrNoMemory
+		return false
 	}
-	t.mem += after - before
-	return nil
+	t.mem += n
+	return true
 }
 
 // SetPre installs pre-actions (cached flow) on an entry.
 func (t *Table) SetPre(e *Entry, pre tables.PreActions, version uint64) error {
-	if e.HasPre {
-		// Size is unchanged (pre-actions charge a fixed 64 B), so the
-		// full mutate round-trip (two size computations plus a ~160 B
-		// entry copy) is skipped.
-		e.Pre = pre
-		e.PreVersion = version
-		return nil
-	}
-	return t.mutate(e, func(e *Entry) {
+	checkLive(e)
+	if !e.HasPre {
+		if !t.charge(PreActionsBytes) {
+			return ErrNoMemory
+		}
 		e.HasPre = true
-		e.Pre = pre
-		e.PreVersion = version
-	})
+	}
+	e.Pre = pre
+	e.PreVersion = version
+	return nil
 }
 
 // SetState installs or replaces the session state on an entry.
 func (t *Table) SetState(e *Entry, s state.State) error {
-	if e.HasState && !t.cfg.VariableState {
-		// Fixed-size layout: a state slot is 64 B regardless of
-		// content, so replacement cannot change the charge.
-		e.State = s
-		return nil
+	checkLive(e)
+	delta := t.stateBytes(&s)
+	if e.HasState {
+		// Under the fixed layout a slot is 64 B whatever it holds, so a
+		// replacement charges nothing.
+		delta -= t.stateBytes(&e.State)
 	}
-	return t.mutate(e, func(e *Entry) {
-		e.HasState = true
-		e.State = s
-	})
+	if !t.charge(delta) {
+		return ErrNoMemory
+	}
+	e.HasState = true
+	e.State = s
+	return nil
 }
 
 // TouchState advances the entry's state for one packet (FSM + stats),
 // re-charging variable-size growth.
 func (t *Table) TouchState(e *Entry, dir packet.Direction, flags packet.TCPFlags, payloadLen int, now int64) error {
+	checkLive(e)
 	if e.HasState && !t.cfg.VariableState {
 		// Hot path: under the fixed layout the charge cannot move, so
 		// the FSM advances in place with no copy and no budget check.
 		e.State.Touch(dir, flags, payloadLen, now)
 		return nil
 	}
-	return t.mutate(e, func(e *Entry) {
-		e.HasState = true
-		e.State.Touch(dir, flags, payloadLen, now)
-	})
+	s := e.State
+	s.Touch(dir, flags, payloadLen, now)
+	return t.SetState(e, s)
 }
 
 // DropPre removes cached pre-actions from an entry, refunding their
 // memory — the BE deletes its cached flows when entering the final
 // offload stage while keeping the states (§4.2.1).
 func (t *Table) DropPre(e *Entry) {
+	checkLive(e)
 	if !e.HasPre {
 		return
 	}
-	_ = t.mutate(e, func(e *Entry) {
-		e.HasPre = false
-		e.Pre = tables.PreActions{}
-		e.PreVersion = 0
-	})
+	e.HasPre = false
+	e.Pre = tables.PreActions{}
+	e.PreVersion = 0
+	t.mem -= PreActionsBytes
 }
 
 // Delete removes an entry, refunding its memory.
 func (t *Table) Delete(key packet.SessionKey) {
-	t.deleteH(key, key.Hash())
-}
-
-func (t *Table) deleteH(key packet.SessionKey, hash uint64) {
-	e := t.shardOf(hash).remove(key, hash)
-	if e == nil {
-		return
+	hash := key.Hash()
+	s := &t.shards[shardIndex(hash)]
+	if e, slot := t.find(s, key, bucketHash(hash)); e != nil {
+		t.remove(s, slot, s.buckets[slot].idx-1, e)
 	}
-	t.mem -= e.sizeBytes(!t.cfg.VariableState)
-	t.count--
-	t.recycle(e)
 }
 
-// bulkDelete removes every entry fn selects, two-pass: victims are
-// collected first so backward-shift compaction never disturbs the
-// iteration. The eviction SET is exactly the set a one-pass map
-// delete produced.
+// remove takes entry e (slab index idx, in slot of s) out of the table
+// and recycles it. Callers must not retain e: a later insert reuses it.
+func (t *Table) remove(s *shard, slot, idx uint32, e *Entry) {
+	s.removeAt(slot)
+	t.mem -= t.SizeOf(e)
+	t.count--
+	t.missOK = false
+	*e = Entry{nextFree: t.free}
+	poison(e)
+	t.free = idx + 1
+}
+
+// bulkDelete removes every entry fn selects and returns how many. It
+// walks the slabs in index order — sequential memory, not hash order —
+// and deletes in place: removing an entry shifts buckets, never
+// entries, so the walk is undisturbed.
 func (t *Table) bulkDelete(fn func(*Entry) bool) int {
-	victims := t.scratch[:0]
-	for si := range t.shards {
-		for _, e := range t.shards[si].buckets {
-			if e != nil && fn(e) {
-				victims = append(victims, e)
+	n := 0
+	idx := uint32(0)
+	for _, slab := range t.slabs {
+		slab = slab[:min(uint32(len(slab)), t.used-idx)]
+		for i := range slab {
+			if e := &slab[i]; e.live && fn(e) {
+				s := &t.shards[shardIndex(e.hash)]
+				t.remove(s, s.slotOf(bucketHash(e.hash), idx), idx, e)
+				n++
 			}
+			idx++
 		}
 	}
-	for _, e := range victims {
-		t.deleteH(e.Key, e.hash)
-	}
-	n := len(victims)
-	for i := range victims {
-		victims[i] = nil
-	}
-	t.scratch = victims[:0]
 	return n
 }
 
@@ -463,14 +561,15 @@ func (t *Table) InvalidateVNIC(vnic uint32) int {
 	return t.bulkDelete(func(e *Entry) bool { return e.VNIC == vnic })
 }
 
-// Clear drops everything.
+// Clear drops everything, slabs included: every *Entry is invalid.
 func (t *Table) Clear() {
 	for i := range t.shards {
 		t.shards[i].init()
 	}
 	t.count = 0
 	t.mem = 0
-	t.free = nil
+	t.slabs, t.used, t.free = nil, 0, 0
+	t.missOK = false
 }
 
 // idleAging is the eviction idle time for entries without state (FE
@@ -492,13 +591,15 @@ func (t *Table) Sweep(now int64) int {
 }
 
 // Range iterates entries; fn returning false stops early. Iteration
-// order is shard-then-bucket order — deterministic, unlike the map
-// iteration it replaces; callers must not insert or delete during the
-// walk.
+// order is slab index order — deterministic for a given operation
+// history; callers must not insert or delete during the walk.
 func (t *Table) Range(fn func(*Entry) bool) {
-	for si := range t.shards {
-		for _, e := range t.shards[si].buckets {
-			if e != nil && !fn(e) {
+	left := t.used
+	for _, slab := range t.slabs {
+		slab = slab[:min(uint32(len(slab)), left)]
+		left -= uint32(len(slab))
+		for i := range slab {
+			if e := &slab[i]; e.live && !fn(e) {
 				return
 			}
 		}

@@ -1,6 +1,7 @@
 package flowcache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -256,6 +257,27 @@ func TestSetMaxBytes(t *testing.T) {
 	}
 }
 
+// applyMemOp is one step of the memory-consistency op stream: op picks
+// the key and the operation.
+func applyMemOp(tb *Table, op uint16, now int64) {
+	k := key(op % 16)
+	switch op % 5 {
+	case 0, 1:
+		e, err := tb.GetOrCreate(k, uint32(op%3), now)
+		if err == nil && op%2 == 0 {
+			tb.TouchState(e, packet.DirTX, packet.FlagSYN, 0, now)
+		}
+	case 2:
+		if e := tb.Peek(k); e != nil {
+			tb.SetPre(e, tables.PreActions{}, 1)
+		}
+	case 3:
+		tb.Delete(k)
+	case 4:
+		tb.Sweep(now)
+	}
+}
+
 // Property: memory accounting equals the sum over live entries under
 // any interleaving of operations.
 func TestQuickMemoryConsistency(t *testing.T) {
@@ -264,27 +286,12 @@ func TestQuickMemoryConsistency(t *testing.T) {
 		now := int64(0)
 		for _, op := range ops {
 			now++
-			k := key(op % 16)
-			switch op % 5 {
-			case 0, 1:
-				e, err := tb.GetOrCreate(k, uint32(op%3), now)
-				if err == nil && op%2 == 0 {
-					tb.TouchState(e, packet.DirTX, packet.FlagSYN, 0, now)
-				}
-			case 2:
-				if e := tb.Peek(k); e != nil {
-					tb.SetPre(e, tables.PreActions{}, 1)
-				}
-			case 3:
-				tb.Delete(k)
-			case 4:
-				tb.Sweep(now)
-			}
+			applyMemOp(tb, op, now)
 		}
 		// Recompute from scratch.
 		want := 0
 		tb.Range(func(e *Entry) bool {
-			want += e.sizeBytes(true)
+			want += tb.SizeOf(e)
 			return true
 		})
 		return tb.MemBytes() == want
@@ -292,6 +299,54 @@ func TestQuickMemoryConsistency(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMemoryModelTotals replays that op stream — under a budget tight
+// enough to reject, with a lookup per step and a clock that lets
+// sessions age out — and compares every model total with the values
+// the pointer-bucket table produced. MemBytes, the budget and the
+// counters are the simulated SmartNIC's bytes and events; how Go stores
+// an entry must not reach them.
+func TestMemoryModelTotals(t *testing.T) {
+	for _, tc := range []struct {
+		variable bool
+		want     [6]uint64 // Len, MemBytes, Hits, Misses, Evictions, Rejects
+	}{
+		{false, [6]uint64{10, 768, 21359, 28641, 2738, 7402}},
+		{true, [6]uint64{9, 726, 21973, 28027, 3756, 4168}},
+	} {
+		tb := New(Config{MaxBytes: 6 * (EntryOverheadBytes + PreActionsBytes), VariableState: tc.variable})
+		rng := rand.New(rand.NewSource(7))
+		now := int64(0)
+		for i := 0; i < 50000; i++ {
+			now += rng.Int63n(state.AgingSyn / 8)
+			op := uint16(rng.Intn(1 << 16))
+			tb.Lookup(key(op%16), now)
+			applyMemOp(tb, op, now)
+		}
+		got := [6]uint64{uint64(tb.Len()), uint64(tb.MemBytes()), tb.Hits, tb.Misses, tb.Evictions, tb.Rejects}
+		if got != tc.want {
+			t.Errorf("variable=%v: Len, MemBytes, Hits, Misses, Evictions, Rejects = %v, recorded %v", tc.variable, got, tc.want)
+		}
+	}
+}
+
+// filled returns a table of n flows with pre-actions and state, and
+// their keys and hashes.
+func filled(b *testing.B, n int) (*Table, []packet.SessionKey, []uint64) {
+	tb := New(Config{})
+	ks, hs := make([]packet.SessionKey, n), make([]uint64, n)
+	var st state.State
+	st.InitFirst(packet.DirTX, 0)
+	for i := range ks {
+		ks[i] = keyFor(i)
+		hs[i] = ks[i].Hash()
+		e, err := tb.GetOrCreateH(ks[i], hs[i], ks[i].VNIC, 0)
+		if err != nil || tb.SetPre(e, tables.PreActions{}, 1) != nil || tb.SetState(e, st) != nil {
+			b.Fatal("fill failed")
+		}
+	}
+	return tb, ks, hs
 }
 
 func BenchmarkLookupHit(b *testing.B) {
@@ -304,6 +359,37 @@ func BenchmarkLookupHit(b *testing.B) {
 	}
 }
 
+// BenchmarkLookupHit50k cycles through a table far larger than the
+// cache: every lookup pays its bucket and entry misses.
+func BenchmarkLookupHit50k(b *testing.B) {
+	tb, ks, hs := filled(b, 50000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(ks)
+		if tb.LookupH(ks[j], hs[j], int64(i)) == nil {
+			b.Fatal("miss")
+		}
+	}
+}
+
+func BenchmarkLookupMiss(b *testing.B) {
+	tb, ks, _ := filled(b, 50000)
+	absent, hs := make([]packet.SessionKey, 4096), make([]uint64, 4096)
+	for i := range absent {
+		absent[i] = keyFor(len(ks) + i)
+		hs[i] = absent[i].Hash()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(absent)
+		if tb.LookupH(absent[j], hs[j], int64(i)) != nil {
+			b.Fatal("hit")
+		}
+	}
+}
+
 func BenchmarkGetOrCreate(b *testing.B) {
 	tb := New(Config{})
 	b.ReportAllocs()
@@ -311,6 +397,19 @@ func BenchmarkGetOrCreate(b *testing.B) {
 		tb.GetOrCreate(key(uint16(i)), 3, int64(i))
 		if i%65536 == 65535 {
 			tb.Clear()
+		}
+	}
+}
+
+// BenchmarkSweep times the scan that finds nothing expired; ns/op is
+// per entry visited.
+func BenchmarkSweep(b *testing.B) {
+	tb, ks, _ := filled(b, 50000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(ks) {
+		if tb.Sweep(0) != 0 {
+			b.Fatal("sweep evicted a live entry")
 		}
 	}
 }

@@ -21,36 +21,53 @@ func keyFor(i int) packet.SessionKey {
 
 // TestOpenAddrModel drives the open-addressed table against a plain
 // map model through a long random op sequence: insert, delete,
-// lookup, sweep-like bulk deletes, and clear. Backward-shift deletion
-// must never strand an entry.
+// lookup, bulk deletes by vNIC, aging sweeps at a random clock, and
+// clear. Backward-shift deletion must never strand an entry, the slab
+// walks must select exactly the set the model does, and a key's *Entry
+// must not change while the key is in the table.
 func TestOpenAddrModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tab := New(Config{})
-	model := map[packet.SessionKey]uint32{}
+	type rec struct {
+		vnic     uint32
+		lastSeen int64
+		e        *Entry // must stay this key's entry until the key is deleted
+	}
+	model := map[packet.SessionKey]rec{}
 
-	const keySpace = 300
-	for op := 0; op < 20000; op++ {
+	// Enough keys to spill past the first full-size slab, and a clock
+	// that covers the idle aging a few times over the run.
+	const keySpace = 8 * maxSlab
+	now := int64(0)
+	for op := 0; op < 40000; op++ {
+		now += rng.Int63n(idleAging / 2000) // the idle aging is ~4000 ops
 		i := rng.Intn(keySpace)
 		k := keyFor(i)
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3: // insert
-			e, err := tab.GetOrCreate(k, k.VNIC, int64(op))
+		switch rng.Intn(20) {
+		case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9: // insert
+			e, err := tab.GetOrCreate(k, k.VNIC, now)
 			if err != nil {
 				t.Fatalf("op %d: GetOrCreate: %v", op, err)
 			}
 			if e.Key != k {
 				t.Fatalf("op %d: wrong entry returned", op)
 			}
-			model[k] = k.VNIC
-		case 4, 5: // delete
+			if old, ok := model[k]; ok && old.e != e {
+				t.Fatalf("op %d: entry for %v moved from %p to %p", op, k, old.e, e)
+			}
+			model[k] = rec{k.VNIC, now, e}
+		case 10, 11: // delete
 			tab.Delete(k)
 			delete(model, k)
-		case 6: // bulk delete one vNIC
+		case 12: // bulk delete one vNIC, now and then
+			if rng.Intn(100) != 0 {
+				break
+			}
 			vnic := uint32(1 + rng.Intn(3))
 			n := tab.InvalidateVNIC(vnic)
 			want := 0
 			for mk, mv := range model {
-				if mv == vnic {
+				if mv.vnic == vnic {
 					delete(model, mk)
 					want++
 				}
@@ -58,16 +75,31 @@ func TestOpenAddrModel(t *testing.T) {
 			if n != want {
 				t.Fatalf("op %d: InvalidateVNIC(%d) = %d, want %d", op, vnic, n, want)
 			}
-		case 7: // occasional clear
-			if rng.Intn(50) == 0 {
+		case 13: // aging sweep, now and then; entries here are stateless
+			if rng.Intn(10) != 0 {
+				break
+			}
+			at := now - rng.Int63n(idleAging)
+			n := tab.Sweep(at)
+			want := 0
+			for mk, mv := range model {
+				if at-mv.lastSeen > idleAging {
+					delete(model, mk)
+					want++
+				}
+			}
+			if n != want {
+				t.Fatalf("op %d: Sweep(%d) = %d, want %d", op, at, n, want)
+			}
+		case 14: // occasional clear
+			if rng.Intn(200) == 0 {
 				tab.Clear()
-				model = map[packet.SessionKey]uint32{}
+				model = map[packet.SessionKey]rec{}
 			}
 		default: // lookup
 			got := tab.Peek(k)
-			_, want := model[k]
-			if (got != nil) != want {
-				t.Fatalf("op %d: Peek(%v) present=%v, model=%v", op, k, got != nil, want)
+			if want := model[k].e; got != want {
+				t.Fatalf("op %d: Peek(%v) = %p, model has %p", op, k, got, want)
 			}
 			if got != nil && got.Key != k {
 				t.Fatalf("op %d: Peek returned wrong key", op)
@@ -77,10 +109,15 @@ func TestOpenAddrModel(t *testing.T) {
 			t.Fatalf("op %d: Len=%d, model=%d", op, tab.Len(), len(model))
 		}
 	}
-	// Every surviving model key must still probe.
-	for k := range model {
-		if tab.Peek(k) == nil {
-			t.Fatalf("stranded key %v after op sequence", k)
+	t.Logf("%d evictions, %d slabs, %d live at the end", tab.Evictions, len(tab.slabs), tab.Len())
+	if tab.Evictions == 0 || len(tab.slabs) <= maxSlabBits-minSlabBits {
+		t.Fatalf("run too tame: %d evictions, %d slabs", tab.Evictions, len(tab.slabs))
+	}
+	// Every surviving model key must still probe, to the entry it was
+	// given.
+	for k, r := range model {
+		if tab.Peek(k) != r.e {
+			t.Fatalf("stranded or moved key %v after op sequence", k)
 		}
 	}
 	// Range must visit exactly the model set.

@@ -242,6 +242,9 @@ func (vs *VSwitch) lookupOrSlowPathH(rules *tables.RuleSet, p *packet.Packet, ke
 	profCharge(vp, dir, prof.StageSlowpath, res.Cycles)
 	profCharge(vp, dir, prof.StageSessionInstall, nic.SessionInstallCycles)
 	if e == nil {
+		// Nothing between the LookupH miss above and here touches the
+		// session table, so the insert takes the slot that miss ended on
+		// without probing again.
 		var err error
 		e, err = vs.sessions.GetOrCreateH(key, hash, p.VNIC, now)
 		if err != nil {

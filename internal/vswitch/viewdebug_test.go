@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"nezha/internal/packet"
+	"nezha/internal/state"
+	"nezha/internal/tables"
 )
 
 // The simdebug build arms lifecycle tripwires on the pooled view
@@ -88,5 +90,53 @@ func TestStageDebugTripwires(t *testing.T) {
 	w.loop.RunAll()
 	if len(w.deliveredB) != 1 || w.A.stageFree == nil {
 		t.Fatalf("delivered %d, stage freelist empty=%v", len(w.deliveredB), w.A.stageFree == nil)
+	}
+}
+
+// TestSessionEntryUseAfterDelete pins the session table's tripwire on
+// the path it guards: the burst pipeline probes an entry when it sorts
+// a packet as eligible and hands it to the plan stage as a hint. Were
+// the session deleted in between, the plan stage would record a hit on,
+// and write state into, a recycled slot — another flow's by then. Under
+// simdebug the table panics on every entry point that takes an *Entry.
+func TestSessionEntryUseAfterDelete(t *testing.T) {
+	w := newWorld(t, 0, nil)
+	w.installLocal(t, false)
+	w.clientSend(1000, packet.FlagSYN)
+	w.loop.RunAll()
+
+	p := packet.New(99, vpcID, clientVNIC, tuple(1000), packet.DirTX, packet.FlagACK, 0)
+	key, hash, _ := p.SessionKeyHashed()
+	vn := w.A.vnics[clientVNIC]
+	hint := w.A.burstEligible(pipeLocalTX, vn, nil, p, key, hash)
+	if hint == nil {
+		t.Fatal("established flow not burst-eligible")
+	}
+	// Counterweight: the live hint plans clean.
+	var a burstAct
+	if !w.A.planLocalTX(vn, nil, p, key, hash, hint, &a) {
+		t.Fatal("live hint: packet consumed at plan time")
+	}
+
+	tab := w.A.sessions
+	tab.Delete(key)
+	mustPanic(t, "plan stage with a stale hint", func() { w.A.planLocalTX(vn, nil, p, key, hash, hint, &a) })
+	mustPanic(t, "Hit after delete", func() { tab.Hit(hint, 0) })
+	mustPanic(t, "TouchState after delete", func() { _ = tab.TouchState(hint, packet.DirTX, packet.FlagACK, 0, 0) })
+	mustPanic(t, "SetPre after delete", func() { _ = tab.SetPre(hint, tables.PreActions{}, 1) })
+	mustPanic(t, "SetState after delete", func() { _ = tab.SetState(hint, state.State{}) })
+	mustPanic(t, "DropPre after delete", func() { tab.DropPre(hint) })
+	if hint.Key == key {
+		t.Fatal("recycled entry still carries the deleted session's key")
+	}
+
+	// The slot's next owner is live again and passes every check.
+	e, err := tab.GetOrCreateH(key, hash, clientVNIC, 1)
+	if err != nil || e != hint {
+		t.Fatalf("recycled slot not reused: %p vs %p, err %v", e, hint, err)
+	}
+	tab.Hit(e, 2)
+	if err := tab.SetPre(e, tables.PreActions{}, 1); err != nil {
+		t.Fatal(err)
 	}
 }
