@@ -39,7 +39,9 @@ func TestWriteDump(t *testing.T) {
 	o.Spans.Begin("offload", 5, 2, sim.Second)
 	o.Spans.End("offload", 5, 2, 2*sim.Second, "commit")
 	o.Event(sim.Second, "txn-prepare", packet.MakeIP(10, 0, 0, 1), 5, "targets=%d", 3)
-	o.Tracer.Hop(77, Hop{At: sim.Second, Node: packet.MakeIP(10, 0, 0, 2), Stage: "drop:no-route"})
+	// Typed notes, as the datapath records them: the dump renders them.
+	o.Tracer.Hop(77, Hop{At: sim.Second, Node: packet.MakeIP(10, 0, 0, 1), Stage: "gw-pick", HasTo: true, To: packet.MakeIP(10, 0, 0, 2)})
+	o.Tracer.Hop(77, Hop{At: sim.Second, Node: packet.MakeIP(10, 0, 0, 2), Stage: "drop", Drop: "no-route"})
 	var b strings.Builder
 	if err := o.WriteDump(&b, "meta seed=42 violation=no-blackhole"); err != nil {
 		t.Fatal(err)
@@ -52,8 +54,9 @@ func TestWriteDump(t *testing.T) {
 		"outcome=commit",
 		"txn-prepare",
 		"targets=3",
-		"flight id=77",
-		"drop:no-route",
+		"flight id=77 hops=2",
+		"gw-pick      node=10.0.0.1 to=10.0.0.2",
+		"drop:no-route node=10.0.0.2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
