@@ -9,8 +9,8 @@ package nezha
 // match bit for bit — so the pair measures pure pipeline overhead.
 // TestDatapathBurstGuard turns it into a CI gate: with
 // DATAPATH_BENCH_GUARD=1 it fails unless the burst pipeline clears its
-// absolute floors (A→B ≥ 2M pkts/s at ≤ 1 alloc/pkt, W=4 forwarding
-// ≥ 4M pkts/s at ≤ 1 alloc/pkt), and writes the measurement — scalar
+// absolute floors (A→B ≥ 2M pkts/s at ≤ 1 alloc/pkt, single-switch
+// forwarding ≥ 4M pkts/s at ≤ 1 alloc/pkt), and writes the measurement — scalar
 // numbers included, for information — to BENCH_datapath.json. The gate
 // used to be relative to scalar (≥ 2x pkts/s, ≤ 50% of its allocs);
 // with the scalar path on the same pooled tasks that ratio measures
@@ -18,7 +18,6 @@ package nezha
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"testing"
 
@@ -156,17 +155,15 @@ func BenchmarkDatapathBurst(b *testing.B) {
 	benchDatapathPipeline(b, sim.SchedCalendar, true)
 }
 
-// --- Per-worker forwarding rate ---------------------------------------
+// --- Single-switch forwarding rate ------------------------------------
 //
 // The A→B rig above charges both the TX and the RX datapath to every
 // packet, so its pkts/s is the round-trip rate of a switch PAIR. The
 // forwarding rig isolates ONE vSwitch: A runs the full burst TX
-// datapath (RSS dispatch, per-worker plan, CPU completion waves, encap,
-// coalesced SendBurst) with Config.Workers=W, and the destination
-// underlay address is a raw fabric node that counts and releases — no
-// second datapath in the measurement. pkts/s is therefore the
-// forwarding rate of a single switch, the number the worker split is
-// meant to move.
+// datapath (plan, CPU completion waves, encap, coalesced SendBurst),
+// and the destination underlay address is a raw fabric node that
+// counts and releases — no second datapath in the measurement. pkts/s
+// is therefore the forwarding rate of a single switch.
 
 type dpFwdRig struct {
 	loop      *sim.Loop
@@ -175,16 +172,15 @@ type dpFwdRig struct {
 	id        uint64
 }
 
-func newForwardRig(workers int) *dpFwdRig {
+func newForwardRig() *dpFwdRig {
 	r := &dpFwdRig{loop: sim.NewLoopSched(1, sim.SchedCalendar)}
 	fab := fabric.New(r.loop)
 	gw := fabric.NewGateway(r.loop)
 	r.a = vswitch.New(r.loop, fab, gw, vswitch.Config{
 		Addr: dpAddrA, Cores: dpBenchCores, CoreHz: dpBenchHz,
-		Workers: workers,
 	})
-	// The ledger is always-on in production, so the W=4 gate measures
-	// the worker datapath with it attached.
+	// The ledger is always-on in production, so the forwarding gate
+	// measures the datapath with it attached.
 	r.a.EnableSLO(slo.NewTracker(slo.Config{}))
 	// Raw sink node: every delivered underlay packet is counted and
 	// returned to the pool, per-packet and coalesced alike.
@@ -240,8 +236,9 @@ func (r *dpFwdRig) runForwardOp() {
 	r.loop.Run(base + sim.Time(dpBenchRounds+2)*100*sim.Microsecond)
 }
 
-func benchDatapathWorkers(b *testing.B, workers int) {
-	r := newForwardRig(workers)
+// BenchmarkDatapathForward is the single-switch forwarding rig.
+func BenchmarkDatapathForward(b *testing.B) {
+	r := newForwardRig()
 	for i := 0; i < dpBenchFlows; i++ {
 		r.a.FromVM(r.pkt(uint16(2000+i), packet.FlagSYN, 0))
 	}
@@ -260,19 +257,6 @@ func benchDatapathWorkers(b *testing.B, workers int) {
 	b.ReportMetric(float64(r.delivered)/b.Elapsed().Seconds(), "pkts/s")
 }
 
-// BenchmarkDatapathWorkers sweeps the worker count over the
-// single-switch forwarding rig. Every count moves the identical stream
-// (the differential suite proves outputs are byte-identical), so the
-// sweep measures pure plan-stage efficiency.
-func BenchmarkDatapathWorkers(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		w := w
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
-			benchDatapathWorkers(b, w)
-		})
-	}
-}
-
 // datapathBenchResult is the BENCH_datapath.json schema.
 type datapathBenchResult struct {
 	ScalarNsPerOp      int64   `json:"scalar_ns_per_op"`
@@ -289,21 +273,14 @@ type datapathBenchResult struct {
 	BurstMaxAllocsPkt  float64 `json:"burst_max_allocs_per_pkt"`
 	Reps               int     `json:"reps"`
 
-	// Single-switch forwarding rate per worker count (the
-	// BenchmarkDatapathWorkers rig), plus the W=4 gate floors.
-	Workers             []workerBenchRow `json:"workers"`
-	WorkersMinPktsPerS  float64          `json:"workers_min_pkts_per_sec"`
-	WorkersMaxAllocsPkt float64          `json:"workers_max_allocs_per_pkt"`
-	WorkersGateW        int              `json:"workers_gate_w"`
-}
-
-// workerBenchRow is one worker-count measurement in the JSON artifact.
-type workerBenchRow struct {
-	W            int     `json:"w"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	PktsPerSec   float64 `json:"pkts_per_sec"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	AllocsPerPkt float64 `json:"allocs_per_pkt"`
+	// Single-switch forwarding rate (the BenchmarkDatapathForward rig)
+	// and its gate floors.
+	ForwardNsPerOp      int64   `json:"forward_ns_per_op"`
+	ForwardPktsPerSec   float64 `json:"forward_pkts_per_sec"`
+	ForwardAllocsPerOp  int64   `json:"forward_allocs_per_op"`
+	ForwardAllocsPerPkt float64 `json:"forward_allocs_per_pkt"`
+	ForwardMinPktsPerS  float64 `json:"forward_min_pkts_per_sec"`
+	ForwardMaxAllocsPkt float64 `json:"forward_max_allocs_per_pkt"`
 }
 
 // TestDatapathBurstGuard is the CI benchmark gate (set
@@ -327,19 +304,8 @@ func TestDatapathBurstGuard(t *testing.T) {
 	}
 	scalarNs, scalarAllocs := best(BenchmarkDatapathScalar)
 	burstNs, burstAllocs := best(BenchmarkDatapathBurst)
+	fwdNs, fwdAllocs := best(BenchmarkDatapathForward)
 	const pktsPerOp = dpBenchRounds * dpBenchBatch
-	var workerRows []workerBenchRow
-	for _, w := range []int{1, 2, 4, 8} {
-		w := w
-		ns, allocs := best(func(b *testing.B) { benchDatapathWorkers(b, w) })
-		workerRows = append(workerRows, workerBenchRow{
-			W:            w,
-			NsPerOp:      ns,
-			PktsPerSec:   float64(pktsPerOp) / (float64(ns) / 1e9),
-			AllocsPerOp:  allocs,
-			AllocsPerPkt: float64(allocs) / pktsPerOp,
-		})
-	}
 	res := datapathBenchResult{
 		ScalarNsPerOp:       scalarNs,
 		BurstNsPerOp:        burstNs,
@@ -354,10 +320,12 @@ func TestDatapathBurstGuard(t *testing.T) {
 		BurstMinPktsPerSec:  2.0e6,
 		BurstMaxAllocsPkt:   1.0,
 		Reps:                reps,
-		Workers:             workerRows,
-		WorkersMinPktsPerS:  4.0e6, // 2x the 2M pkts/s burst-pipeline floor
-		WorkersMaxAllocsPkt: 1.0,
-		WorkersGateW:        4,
+		ForwardNsPerOp:      fwdNs,
+		ForwardPktsPerSec:   float64(pktsPerOp) / (float64(fwdNs) / 1e9),
+		ForwardAllocsPerOp:  fwdAllocs,
+		ForwardAllocsPerPkt: float64(fwdAllocs) / pktsPerOp,
+		ForwardMinPktsPerS:  4.0e6, // 2x the 2M pkts/s burst-pipeline floor
+		ForwardMaxAllocsPkt: 1.0,
 	}
 	out, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
@@ -369,26 +337,19 @@ func TestDatapathBurstGuard(t *testing.T) {
 	}
 	t.Logf("scalar %.0f pkts/s (%.2f allocs/pkt, informational), burst %.0f pkts/s (%.2f allocs/pkt): %.2fx",
 		res.ScalarPktsPerSec, res.ScalarAllocsPerPkt, res.BurstPktsPerSec, res.BurstAllocsPerPkt, res.SpeedupRatio)
-	for _, row := range workerRows {
-		t.Logf("forwarding W=%d: %.0f pkts/s (%.2f allocs/pkt)", row.W, row.PktsPerSec, row.AllocsPerPkt)
-	}
+	t.Logf("forwarding %.0f pkts/s (%.2f allocs/pkt)", res.ForwardPktsPerSec, res.ForwardAllocsPerPkt)
 	if res.BurstPktsPerSec < res.BurstMinPktsPerSec {
 		t.Errorf("A→B burst rate %.0f pkts/s below the %.0f floor; see BENCH_datapath.json", res.BurstPktsPerSec, res.BurstMinPktsPerSec)
 	}
 	if res.BurstAllocsPerPkt > res.BurstMaxAllocsPkt {
 		t.Errorf("A→B burst allocates %.2f/pkt (ceiling %.1f); see BENCH_datapath.json", res.BurstAllocsPerPkt, res.BurstMaxAllocsPkt)
 	}
-	for _, row := range workerRows {
-		if row.W != res.WorkersGateW {
-			continue
-		}
-		if row.PktsPerSec < res.WorkersMinPktsPerS {
-			t.Errorf("W=%d forwarding rate %.0f pkts/s below the %.0f floor; see BENCH_datapath.json",
-				row.W, row.PktsPerSec, res.WorkersMinPktsPerS)
-		}
-		if row.AllocsPerPkt > res.WorkersMaxAllocsPkt {
-			t.Errorf("W=%d allocates %.2f/pkt (ceiling %.1f); see BENCH_datapath.json",
-				row.W, row.AllocsPerPkt, res.WorkersMaxAllocsPkt)
-		}
+	if res.ForwardPktsPerSec < res.ForwardMinPktsPerS {
+		t.Errorf("forwarding rate %.0f pkts/s below the %.0f floor; see BENCH_datapath.json",
+			res.ForwardPktsPerSec, res.ForwardMinPktsPerS)
+	}
+	if res.ForwardAllocsPerPkt > res.ForwardMaxAllocsPkt {
+		t.Errorf("forwarding allocates %.2f/pkt (ceiling %.1f); see BENCH_datapath.json",
+			res.ForwardAllocsPerPkt, res.ForwardMaxAllocsPkt)
 	}
 }

@@ -4,10 +4,8 @@
 // RPC activity, and the top-K flows by sampled packets. Runs with the
 // latency SLO ledger attached (-slo) additionally get a LATENCY
 // section (per-vNIC end-to-end p99 vs objective, burn rate, per-path
-// breakdown), a TOP FLOWS (hot) table from the count-min heavy-hitter
-// sketch, and a WORKERS section (per-RSS-worker packets, cycles,
-// phase-B deferrals, and imbalance gauges) — in both file and attach
-// modes.
+// breakdown) and a TOP FLOWS (hot) table from the count-min
+// heavy-hitter sketch — in both file and attach modes.
 //
 // Two input modes:
 //
@@ -419,45 +417,6 @@ func renderSLO(w io.Writer, s *obs.Snapshot, topK int, f filter) {
 	}
 }
 
-// renderWorkers draws the WORKERS section: per-RSS-worker packet and
-// cycle accounting plus the per-node imbalance gauges. Rows exist only
-// on multi-worker (run-to-completion) configs.
-func renderWorkers(w io.Writer, idx index, f filter) {
-	nodes := idx.labelValues("vswitch_worker_packets_total", "node")
-	var shown []string
-	for _, n := range nodes {
-		if f.matchNode(n) {
-			shown = append(shown, n)
-		}
-	}
-	if len(shown) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "WORKERS %-12s %3s %14s %16s %10s %6s %8s\n",
-		"", "W", "PACKETS", "CYCLES", "DEFERRED", "SKEW", "CYCSKEW")
-	for _, n := range shown {
-		workers := idx.labelValues("vswitch_worker_packets_total", "worker")
-		for i, wk := range workers {
-			onWorker := func(l map[string]string) bool {
-				return l["node"] == n && l["worker"] == wk
-			}
-			skew := ""
-			cycSkew := ""
-			if i == 0 {
-				skew = fmt.Sprintf("%.2f", idx.val("vswitch_worker_skew", "node", n))
-				cycSkew = fmt.Sprintf("%.2f", idx.val("vswitch_worker_cycle_skew", "node", n))
-			}
-			fmt.Fprintf(w, "  %-18s %3s %14.0f %16.0f %10.0f %6s %8s\n",
-				n, wk,
-				idx.sumWhere("vswitch_worker_packets_total", onWorker),
-				idx.sumWhere("vswitch_worker_cycles_total", onWorker),
-				idx.sumWhere("vswitch_worker_deferred_total", onWorker),
-				skew, cycSkew)
-		}
-	}
-	fmt.Fprintln(w)
-}
-
 // renderSpans draws the TXN SPANS section from the completed
 // control-plane transaction spans embedded in live snapshots.
 func renderSpans(w io.Writer, s *obs.Snapshot, f filter) {
@@ -609,7 +568,6 @@ func render(w io.Writer, s *obs.Snapshot, topK int, f filter) {
 	}
 
 	renderSLO(w, s, topK, f)
-	renderWorkers(w, idx, f)
 	renderSpans(w, s, f)
 	renderProf(w, idx, topK, f)
 

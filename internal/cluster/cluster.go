@@ -30,10 +30,6 @@ type Options struct {
 	ServersPerToR int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers sets every vSwitch's burst-datapath worker count
-	// (vswitch.Config.Workers); 0 keeps the sequential pipeline. The
-	// VSwitch hook can still override it per server.
-	Workers int
 	// VSwitch optionally mutates each server's vSwitch config
 	// (addresses and ToR are filled in by the cluster).
 	VSwitch func(i int, cfg *vswitch.Config)
@@ -166,9 +162,8 @@ func New(opts Options) *Cluster {
 
 	for i := 0; i < opts.Servers; i++ {
 		cfg := vswitch.Config{
-			Addr:    ServerAddr(i),
-			ToR:     i / opts.ServersPerToR,
-			Workers: opts.Workers,
+			Addr: ServerAddr(i),
+			ToR:  i / opts.ServersPerToR,
 		}
 		if opts.VSwitch != nil {
 			opts.VSwitch(i, &cfg)

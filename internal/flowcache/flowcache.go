@@ -21,14 +21,11 @@
 // probing, backward-shift deletion) over one slab store of entries.
 //
 // Shard and slot must not share hash bits. The shard is the hash's low
-// shardBits — the bits packet.RSSWorker reduces, so for any
-// power-of-two worker count W dividing numShards, worker w touches
-// exactly the shards s with s ≡ w (mod W) and each worker owns its
-// slice of the flowcache. Every key in one shard therefore agrees on
-// those bits; a home slot taken from them too would use one slot in
-// numShards and turn linear probing into long shared runs (measured:
-// 3.0 probes per hit and 5.3 per miss at load 0.5, against 1.5 and 2.5
-// in theory). The home slot comes from hash >> shardBits instead.
+// shardBits, so every key in one shard agrees on those bits; a home
+// slot taken from them too would use one slot in numShards and turn
+// linear probing into long shared runs (measured: 3.0 probes per hit
+// and 5.3 per miss at load 0.5, against 1.5 and 2.5 in theory). The
+// home slot comes from hash >> shardBits instead.
 //
 // A bucket is 8 bytes: {h, idx}. h is the low 32 bits of
 // hash >> shardBits — the home slot in its low bits, a tag above —
@@ -145,9 +142,8 @@ type Config struct {
 	VariableState bool
 }
 
-// numShards is the shard count; must stay a power of two so shard
-// ownership aligns with packet.RSSWorker for power-of-two worker
-// counts (see package comment).
+// numShards is the shard count; a power of two, so the shard is a mask
+// of the hash's low bits (see package comment).
 const (
 	shardBits = 3
 	numShards = 1 << shardBits
@@ -183,8 +179,7 @@ type shard struct {
 }
 
 // Table is the session table. Not safe for concurrent use; the
-// simulation is single-threaded by design (per-core workers partition
-// flows, they do not introduce parallelism).
+// simulation is single-threaded by design.
 type Table struct {
 	cfg    Config
 	shards [numShards]shard
@@ -225,9 +220,7 @@ func (s *shard) init() {
 	s.n = 0
 }
 
-// shardIndex selects the shard for a hash: the low bits, the same bits
-// packet.RSSWorker reduces, so worker ownership and shard ownership
-// coincide for power-of-two worker counts.
+// shardIndex selects the shard for a hash: its low shardBits bits.
 func shardIndex(hash uint64) uint64 { return hash & (numShards - 1) }
 
 // bucketHash is the part of the hash a bucket keeps: everything the
@@ -371,8 +364,8 @@ func (t *Table) Lookup(key packet.SessionKey, now int64) *Entry {
 }
 
 // LookupH is Lookup with the key hash precomputed by the caller (the
-// datapath hashes each packet's key once and reuses it for worker
-// dispatch, shard selection, and probing).
+// datapath hashes each packet's key once and reuses it for shard
+// selection and probing).
 func (t *Table) LookupH(key packet.SessionKey, hash uint64, now int64) *Entry {
 	e, slot := t.find(&t.shards[shardIndex(hash)], key, bucketHash(hash))
 	if e == nil {
@@ -394,17 +387,6 @@ func (t *Table) Peek(key packet.SessionKey) *Entry {
 func (t *Table) PeekH(key packet.SessionKey, hash uint64) *Entry {
 	e, _ := t.find(&t.shards[shardIndex(hash)], key, bucketHash(hash))
 	return e
-}
-
-// Hit records a lookup hit served from an entry the caller already
-// holds (the burst pipeline's eligibility probe), with exactly the
-// side effects LookupH's hit path has: the hit counter and the entry's
-// LastSeen refresh. Skipping the duplicate probe this way keeps every
-// observable — counters, aging — identical to probing again.
-func (t *Table) Hit(e *Entry, now int64) {
-	checkLive(e)
-	t.Hits++
-	e.LastSeen = now
 }
 
 // GetOrCreate returns the existing entry or inserts an empty one,

@@ -128,20 +128,6 @@ func TestSlabOf(t *testing.T) {
 	}
 }
 
-// TestShardMatchesRSSWorker pins the ownership contract: for every
-// power-of-two worker count up to numShards, a key's shard is one its
-// RSS worker owns.
-func TestShardMatchesRSSWorker(t *testing.T) {
-	for i := 0; i < 10000; i++ {
-		hash := keyFor(i).Hash()
-		for _, w := range []int{1, 2, 4, 8} {
-			if got, want := int(shardIndex(hash))%w, packet.RSSWorker(hash, w); got != want {
-				t.Fatalf("key %d, %d workers: shard %d ≡ %d, RSS worker %d", i, w, shardIndex(hash), got, want)
-			}
-		}
-	}
-}
-
 // TestPointerStability: an *Entry stays the same live entry while
 // unrelated keys come and go, through bucket growth in every shard and
 // many new slabs.

@@ -526,20 +526,6 @@ func (p *Packet) SessionKeyHashed() (SessionKey, uint64, bool) {
 // live packet (e.g. the NAT rewrite) must call it.
 func (p *Packet) InvalidateHashes() { p.memoHash = 0 }
 
-// RSSWorker maps a session-key hash onto one of n run-to-completion
-// workers, RSS-style: both directions of a flow normalize to the same
-// SessionKey, so a flow is pinned to exactly one worker for its
-// lifetime — per-flow state is then worker-owned and needs no
-// cross-worker ordering. The mapping must stay a pure function of
-// (hash, n); the burst datapath's cross-worker-count determinism
-// depends on nothing else feeding placement.
-func RSSWorker(hash uint64, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(hash % uint64(n))
-}
-
 // Clone returns a pooled deep copy (blobs included). Notify packets
 // are generated by cloning headers off a transit packet, which must
 // not alias the original's blobs. Zero-copy views are materialized

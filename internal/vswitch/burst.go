@@ -8,9 +8,8 @@ package vswitch
 // work: the vNIC lookup, the CPU scheduler events (one per completion
 // wave instead of one per packet, via nic.CPU.SubmitBurst), and the
 // fabric events (one per same-deadline group instead of one per
-// packet, via fabric.SendBurst). The plan stage itself lives in
-// worker.go, shared between the sequential pipeline and the per-core
-// run-to-completion workers.
+// packet, via fabric.SendBurst). The per-role plan stages live in
+// datapath.go and are the same ones the scalar entry points run.
 //
 // The scalar entry points share this file's act verbs and act body
 // (runAct): a scalar packet is one planned act on a pooled stage task
@@ -18,19 +17,18 @@ package vswitch
 
 import (
 	"nezha/internal/packet"
+	"nezha/internal/prof"
 	"nezha/internal/sim"
 )
 
 // burstAct is the planned egress side effect of one CPU-submitted
 // packet. The pre-CPU stages (lookup, state, admission) run at plan
-// time, exactly as the scalar path runs them at arrival; the act
-// executes when the CPU completes the packet. worker records which
-// run-to-completion worker planned it, for per-worker CPU accounting.
+// time, when the packet arrives; the act executes when the CPU
+// completes the packet.
 type burstAct struct {
 	p      *packet.Packet
 	cycles uint64
 	kind   uint8
-	worker int32
 	to     packet.IPv4 // actForward / actRelay destination
 	peer   uint32      // actForward peer-vNIC rewrite
 	vnic   uint32      // actDeliver target vNIC
@@ -44,7 +42,6 @@ const (
 	actDropACL
 	actDropNoRoute
 	actAbsorbNotify // consume a notify packet, applying its carried policy
-	actNone         // empty merge slot: the packet was consumed at plan time
 )
 
 // pendSend is an egress waiting for the end of its completion wave,
@@ -73,9 +70,9 @@ func (vs *VSwitch) FromVMBurst(ps []*packet.Packet) {
 // fromVMRun is FromVM for a run of same-vNIC packets.
 func (vs *VSwitch) fromVMRun(ps []*packet.Packet) {
 	vs.Stats.FromVM += uint64(len(ps))
-	if vs.ob != nil {
-		for _, p := range ps {
-			p.CheckLive()
+	for _, p := range ps {
+		p.CheckLive()
+		if vs.ob != nil {
 			vs.hop(p, "ingress-vm")
 		}
 	}
@@ -93,7 +90,7 @@ func (vs *VSwitch) fromVMRun(ps []*packet.Packet) {
 		return
 	}
 	// VM-level rate admission runs over the whole batch in arrival
-	// order, before any pipeline split — the limiter is a strictly
+	// order, before planning — the limiter is a strictly
 	// order-sensitive shared bucket.
 	admitted := vs.admitBuf[:0]
 	for _, p := range ps {
@@ -141,12 +138,16 @@ func (vs *VSwitch) HandleUnderlayBurst(ps []*packet.Packet) {
 			}
 		}
 		run := ps[i:j]
+		if cls != classOther {
+			for _, p := range run {
+				p.CheckLive()
+			}
+			vs.Stats.FromNet += uint64(len(run))
+		}
 		switch cls {
 		case classFeRX:
-			vs.Stats.FromNet += uint64(len(run))
 			vs.feRXBurst(vs.fes[vnic], run)
 		case classLocalRX:
-			vs.Stats.FromNet += uint64(len(run))
 			vs.localRXBurst(vs.vnics[vnic], run)
 		default:
 			vs.HandleUnderlay(run[0])
@@ -194,7 +195,14 @@ func (vs *VSwitch) sameRXClass(p *packet.Packet, vnic uint32) bool {
 	return p.Nezha == nil || p.Nezha.Type == packet.NezhaNone
 }
 
-// The four batched pipelines: plan via worker.go, then one CPU burst.
+// The four batched pipelines: the role's plan stage per packet, in
+// arrival order, then one CPU burst.
+const (
+	pipeLocalTX uint8 = iota
+	pipeLocalRX
+	pipeBeTX
+	pipeFeRX
+)
 
 func (vs *VSwitch) localTXBurst(vn *vnicState, ps []*packet.Packet) {
 	vs.runBurstPipeline(pipeLocalTX, vn, nil, vs.profVNIC(vn), ps, false)
@@ -210,6 +218,48 @@ func (vs *VSwitch) feRXBurst(fe *feInstance, ps []*packet.Packet) {
 
 func (vs *VSwitch) localRXBurst(vn *vnicState, ps []*packet.Packet) {
 	vs.runBurstPipeline(pipeLocalRX, vn, nil, vs.profVNIC(vn), ps, false)
+}
+
+// runBurstPipeline plans a same-pipeline run of packets in arrival
+// order and submits the planned acts as one CPU burst.
+func (vs *VSwitch) runBurstPipeline(pipe uint8, vn *vnicState, fe *feInstance, vp *prof.VNICProf, ps []*packet.Packet, remote bool) {
+	acts := vs.getActs(len(ps))
+	var a burstAct
+	for _, p := range ps {
+		key, hash, _ := p.SessionKeyHashed()
+		var ok bool
+		switch pipe {
+		case pipeLocalTX:
+			ok = vs.planLocalTX(vn, vp, p, key, hash, &a)
+		case pipeLocalRX:
+			ok = vs.planLocalRX(vn, vp, p, key, hash, &a)
+		case pipeBeTX:
+			ok = vs.planBeTX(vn, vp, p, key, hash, &a)
+		default:
+			ok = vs.planFeRX(fe, vp, p, key, hash, &a)
+		}
+		if ok {
+			acts = append(acts, a)
+		}
+	}
+	vs.runPlan(acts, remote)
+}
+
+// getActs takes a pooled act buffer. runPlan returns it to the pool
+// when the burst's last CPU completion fires — the buffer is retained
+// by the burst's sink, so multiple bursts can be in flight with their
+// own buffers.
+func (vs *VSwitch) getActs(n int) []burstAct {
+	if m := len(vs.actsFree); m > 0 {
+		a := vs.actsFree[m-1]
+		vs.actsFree = vs.actsFree[:m-1]
+		return a[:0]
+	}
+	return make([]burstAct, 0, n)
+}
+
+func (vs *VSwitch) putActs(a []burstAct) {
+	vs.actsFree = append(vs.actsFree, a)
 }
 
 // runPlan submits the planned packets to the CPU as one burst and
@@ -231,9 +281,6 @@ func (vs *VSwitch) runPlan(acts []burstAct, remote bool) {
 			vs.cyclesRemote += acts[i].cycles
 		} else {
 			vs.cyclesLocal += acts[i].cycles
-		}
-		if vs.workers != nil {
-			vs.workers.Charge(int(acts[i].worker), acts[i].cycles)
 		}
 	}
 	vs.burstCosts = costs

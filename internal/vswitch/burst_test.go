@@ -16,7 +16,9 @@ import (
 // same traffic through FromVMBurst / HandleUnderlayBurst produces the
 // exact same deliveries (order and latency), the same counters, and
 // the same drops as pushing it packet by packet through the scalar
-// entry points. Only the event count may differ.
+// entry points. Only the event count may differ. Both modes run the
+// same per-role plan stages, so what differs — and what these tests
+// hold — is the entry, CPU-submission and fabric-event plumbing.
 
 // burstOp is one generated packet: direction, flow, flags, size, and
 // the two deliberate misbehaviors (denied port, unrouted destination).
@@ -107,20 +109,14 @@ type burstOutcome struct {
 }
 
 // runBurstScenario drives the generated batches through a fresh world
-// in either scalar or burst mode and snapshots the outcome. workers
-// sets Config.Workers on every vSwitch (0 keeps the sequential burst
-// pipeline); the outcome must not depend on it.
-func runBurstScenario(t *testing.T, batches [][]burstOp, burst, offload bool, workers int) burstOutcome {
+// in either scalar or burst mode and snapshots the outcome.
+func runBurstScenario(t *testing.T, batches [][]burstOp, burst, offload bool) burstOutcome {
 	t.Helper()
 	nFEs := 0
 	if offload {
 		nFEs = 2
 	}
-	var cfgMut func(*Config)
-	if workers > 0 {
-		cfgMut = func(cfg *Config) { cfg.Workers = workers }
-	}
-	w := newWorld(t, nFEs, cfgMut)
+	w := newWorld(t, nFEs, nil)
 	// Profile both runs: the drained attribution totals are part of the
 	// scalar/burst contract — every charge site must fire identically.
 	pr := prof.New()
@@ -297,8 +293,8 @@ func TestBurstMatchesScalarMonolithic(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := sim.NewRand(seed)
 		batches := genBurstBatches(rng, 40)
-		scalar := runBurstScenario(t, batches, false, false, 0)
-		burst := runBurstScenario(t, batches, true, false, 0)
+		scalar := runBurstScenario(t, batches, false, false)
+		burst := runBurstScenario(t, batches, true, false)
 		diffOutcomes(t, fmt.Sprintf("mono/seed%d", seed), scalar, burst)
 		if scalar.deliv == 0 {
 			t.Fatalf("mono/seed%d: no traffic delivered — scenario proves nothing", seed)
@@ -314,8 +310,8 @@ func TestBurstMatchesScalarOffloaded(t *testing.T) {
 	for seed := int64(10); seed <= 15; seed++ {
 		rng := sim.NewRand(seed)
 		batches := genBurstBatches(rng, 40)
-		scalar := runBurstScenario(t, batches, false, true, 0)
-		burst := runBurstScenario(t, batches, true, true, 0)
+		scalar := runBurstScenario(t, batches, false, true)
+		burst := runBurstScenario(t, batches, true, true)
 		diffOutcomes(t, fmt.Sprintf("offload/seed%d", seed), scalar, burst)
 		if scalar.deliv == 0 {
 			t.Fatalf("offload/seed%d: no traffic delivered — scenario proves nothing", seed)

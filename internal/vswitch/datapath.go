@@ -195,31 +195,17 @@ func (t *stageTask) Run() {
 
 // lookupOrSlowPath resolves the session entry and pre-actions for a
 // packet against a rule set, running the slow path on a miss or when
-// the cached pre-actions are stale.
+// the cached pre-actions are stale. key and hash are the packet's
+// session key and its hash, computed once per packet by the caller.
 //
 // needEntry distinguishes the two users: a monolithic/BE caller must
 // have an entry to hold state, so memory exhaustion drops the packet
 // (dropped=true, the #concurrent-flows overload); an FE caller
 // (needEntry=false) is stateless and simply processes the packet from
 // the slow-path result without caching when memory is tight.
-func (vs *VSwitch) lookupOrSlowPath(rules *tables.RuleSet, p *packet.Packet, cycles *uint64, needEntry bool, vp *prof.VNICProf, dir prof.Dir) (e *flowcache.Entry, pre tables.PreActions, dropped bool) {
-	key, hash, _ := p.SessionKeyHashed()
-	return vs.lookupOrSlowPathH(rules, p, key, hash, nil, cycles, needEntry, vp, dir)
-}
-
-// lookupOrSlowPathH is lookupOrSlowPath with the session key and its
-// hash precomputed — the burst pipelines hash each packet once up
-// front (RSS worker placement and every table probe share it).
-func (vs *VSwitch) lookupOrSlowPathH(rules *tables.RuleSet, p *packet.Packet, key packet.SessionKey, hash uint64, hint *flowcache.Entry, cycles *uint64, needEntry bool, vp *prof.VNICProf, dir prof.Dir) (e *flowcache.Entry, pre tables.PreActions, dropped bool) {
+func (vs *VSwitch) lookupOrSlowPath(rules *tables.RuleSet, p *packet.Packet, key packet.SessionKey, hash uint64, cycles *uint64, needEntry bool, vp *prof.VNICProf, dir prof.Dir) (e *flowcache.Entry, pre tables.PreActions, dropped bool) {
 	now := int64(vs.loop.Now())
-	if hint != nil {
-		// The burst eligibility probe already found the entry; record
-		// the hit (counter + LastSeen) without probing again.
-		vs.sessions.Hit(hint, now)
-		e = hint
-	} else {
-		e = vs.sessions.LookupH(key, hash, now)
-	}
+	e = vs.sessions.LookupH(key, hash, now)
 	if e != nil && e.HasPre && e.PreVersion == rules.Version() {
 		vs.Stats.FastPath++
 		p.Path = packet.PathFast
@@ -305,20 +291,36 @@ func (vs *VSwitch) applyNAT(rules *tables.RuleSet, preTX tables.PreAction, p *pa
 	}
 }
 
+// --- Per-role stage bodies --------------------------------------------
+//
+// Each role's pre-CPU work (lookup, state, admission) is one plan
+// function writing at most one act into *a; it returns false when the
+// packet was consumed at plan time (dropped or rate-limited). The
+// scalar entry points (localTX, localRX, beTX, feRX) plan one packet
+// and submit its act on a pooled stage task; the burst pipelines
+// (burst.go) plan a run and submit the acts as one CPU burst.
+
 // --- Monolithic datapath ---------------------------------------------
 
 func (vs *VSwitch) localTX(vn *vnicState, p *packet.Packet) {
+	var a burstAct
+	key, hash, _ := p.SessionKeyHashed()
+	if vs.planLocalTX(vn, vs.profVNIC(vn), p, key, hash, &a) {
+		vs.submit(a, false)
+	}
+}
+
+func (vs *VSwitch) planLocalTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if vs.ob != nil {
 		vs.hop(p, "local-tx")
 	}
-	vp := vs.profVNIC(vn)
 	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
 	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
 	cycles := perByteCycles(p) + nic.FastPathCycles + nic.ProcessPktCycles
-	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, &cycles, true, vp, prof.DirTX)
+	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, key, hash, &cycles, true, vp, prof.DirTX)
 	vn.cycles += cycles
 	if dropped {
-		return
+		return false
 	}
 	// Install the rule-table-involved state (stats policy) locally —
 	// trivial in the monolithic case, the whole point of notify
@@ -330,14 +332,12 @@ func (vs *VSwitch) localTX(vn *vnicState, p *packet.Packet) {
 	}
 	_ = vs.sessions.TouchState(e, packet.DirTX, p.Flags, p.PayloadLen, int64(vs.loop.Now()))
 	st := e.State
-
 	if !FinalAllow(pre, st, packet.DirTX) {
-		vs.submit(burstAct{p: p, cycles: cycles, kind: actDropACL}, false)
-		return
+		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		return true
 	}
-
 	if !vs.qosAdmit(vn.id, pre.TX, p) {
-		return
+		return false
 	}
 	vs.maybeMirror(p, pre, packet.DirTX)
 	peer, nextHop := pre.TX.PeerVNIC, pre.TX.NextHop
@@ -352,33 +352,57 @@ func (vs *VSwitch) localTX(vn *vnicState, p *packet.Packet) {
 			peer, nextHop = dp, dnh
 		}
 	}
-	vs.forwardOverlay(p, peer, nextHop, cycles, false, vp)
+	return vs.planForwardAct(p, peer, nextHop, cycles, vp, a)
 }
 
-// forwardOverlay resolves the peer's current location and sends the
-// packet (or drops it as unroutable) after charging cycles, as local or
-// hosted-FE (remote) work.
-func (vs *VSwitch) forwardOverlay(p *packet.Packet, peer uint32, staticHop packet.IPv4, cycles uint64, remote bool, vp *prof.VNICProf) {
-	var a burstAct
-	vs.planForwardAct(p, peer, staticHop, cycles, vp, &a)
-	vs.submit(a, remote)
+// planForwardAct resolves the peer's location now and records the
+// forward (or the no-route drop) for execution at CPU completion — the
+// forwarding tail of the monolithic and FE TX stages. It always fills
+// *a.
+func (vs *VSwitch) planForwardAct(p *packet.Packet, peer uint32, staticHop packet.IPv4, cycles uint64, vp *prof.VNICProf, a *burstAct) bool {
+	if peer == 0 && staticHop == 0 {
+		*a = burstAct{p: p, cycles: cycles, kind: actDropNoRoute}
+		return true
+	}
+	addr, ok := vs.learner.Pick(peer, p.TupleHash())
+	if !ok {
+		addr = staticHop
+	}
+	if addr == 0 {
+		*a = burstAct{p: p, cycles: cycles, kind: actDropNoRoute}
+		return true
+	}
+	if vs.ob != nil {
+		vs.hopPick(p, addr)
+	}
+	cycles += nic.EncapCycles
+	profCharge(vp, prof.DirTX, prof.StageEncap, nic.EncapCycles)
+	*a = burstAct{p: p, cycles: cycles, kind: actForward, to: addr, peer: peer}
+	return true
 }
 
 func (vs *VSwitch) localRX(vn *vnicState, p *packet.Packet) {
+	var a burstAct
+	key, hash, _ := p.SessionKeyHashed()
+	if vs.planLocalRX(vn, vs.profVNIC(vn), p, key, hash, &a) {
+		vs.submit(a, false)
+	}
+}
+
+func (vs *VSwitch) planLocalRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if !vs.rateAdmit(vn, p) {
-		return
+		return false
 	}
 	if vs.ob != nil {
 		vs.hop(p, "local-rx")
 	}
-	vp := vs.profVNIC(vn)
 	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
 	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
 	cycles := perByteCycles(p) + nic.FastPathCycles + nic.ProcessPktCycles
-	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, &cycles, true, vp, prof.DirRX)
+	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, key, hash, &cycles, true, vp, prof.DirRX)
 	vn.cycles += cycles
 	if dropped {
-		return
+		return false
 	}
 	if e.State.Policy != pre.RX.Stats {
 		st := e.State
@@ -392,16 +416,16 @@ func (vs *VSwitch) localRX(vn *vnicState, p *packet.Packet) {
 	}
 	_ = vs.sessions.TouchState(e, packet.DirRX, p.Flags, p.PayloadLen, int64(vs.loop.Now()))
 	st := e.State
-
 	if !FinalAllow(pre, st, packet.DirRX) {
-		vs.submit(burstAct{p: p, cycles: cycles, kind: actDropACL}, false)
-		return
+		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		return true
 	}
 	if !vs.qosAdmit(vn.id, pre.RX, p) {
-		return
+		return false
 	}
 	vs.maybeMirror(p, pre, packet.DirRX)
-	vs.submit(burstAct{p: p, cycles: cycles, kind: actDeliver, vnic: p.VNIC}, false)
+	*a = burstAct{p: p, cycles: cycles, kind: actDeliver, vnic: p.VNIC}
+	return true
 }
 
 func (vs *VSwitch) deliverToVM(vnic uint32, p *packet.Packet) {
@@ -429,25 +453,30 @@ func (vs *VSwitch) deliverToVM(vnic uint32, p *packet.Packet) {
 // beTX relays a TX packet to an FE, carrying the locally held state in
 // the packet header (red flow of Fig 5).
 func (vs *VSwitch) beTX(vn *vnicState, p *packet.Packet) {
+	var a burstAct
+	key, hash, _ := p.SessionKeyHashed()
+	if vs.planBeTX(vn, vs.profVNIC(vn), p, key, hash, &a) {
+		vs.submit(a, false)
+	}
+}
+
+func (vs *VSwitch) planBeTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	now := int64(vs.loop.Now())
-	vp := vs.profVNIC(vn)
 	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
 	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles)
 	profCharge(vp, prof.DirTX, prof.StageStateCarry, nic.StateCarryCycles)
 	profCharge(vp, prof.DirTX, prof.StageEncap, nic.EncapCycles)
 	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.EncapCycles
-	key, _ := p.SessionKey()
 	vn.cycles += cycles
-	e, err := vs.sessions.GetOrCreate(key, vn.id, now)
+	e, err := vs.sessions.GetOrCreateH(key, hash, vn.id, now)
 	if err != nil {
 		vs.drop(p, DropNoMemory)
-		return
+		return false
 	}
 	// Initialize/update state locally: first packet direction, FSM.
 	// If the FE later denies the flow, this state ages out quickly
 	// via the short SYN aging (§5.1, §7.3).
 	_ = vs.sessions.TouchState(e, packet.DirTX, p.Flags, p.PayloadLen, now)
-
 	fe := vn.fes[p.TupleHash()%uint64(len(vn.fes))]
 	if vn.pinned != nil {
 		if dedicated, ok := vn.pinned[key]; ok {
@@ -458,7 +487,8 @@ func (vs *VSwitch) beTX(vn *vnicState, p *packet.Packet) {
 	if vs.ob != nil {
 		vs.hopEncap(p, "be-tx", p.Nezha.WireSize())
 	}
-	vs.submit(burstAct{p: p, cycles: cycles, kind: actRelay, to: fe}, false)
+	*a = burstAct{p: p, cycles: cycles, kind: actRelay, to: fe}
+	return true
 }
 
 // beRX finishes processing an RX packet the FE forwarded with
@@ -576,7 +606,8 @@ func (vs *VSwitch) feTX(fe *feInstance, p *packet.Packet) {
 		vs.drop(p, DropMalformed)
 		return
 	}
-	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, &cycles, false, vp, prof.DirTX)
+	key, hash, _ := p.SessionKeyHashed()
+	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, key, hash, &cycles, false, vp, prof.DirTX)
 
 	// Rule-table-involved state for TX flows: notify the BE when the
 	// freshly looked-up policy differs from what the packet carried
@@ -608,7 +639,9 @@ func (vs *VSwitch) feTX(fe *feInstance, p *packet.Packet) {
 		}
 	}
 	vs.stripNezha(p)
-	vs.forwardOverlay(p, peer, nextHop, cycles, true, vp)
+	var a burstAct
+	vs.planForwardAct(p, peer, nextHop, cycles, vp, &a)
+	vs.submit(a, true)
 }
 
 // sendNotify emits a designated notify packet to the BE carrying the
@@ -631,19 +664,26 @@ func (vs *VSwitch) sendNotify(fe *feInstance, orig *packet.Packet, policy tables
 // then forward to the BE with the pre-actions (and the information
 // needed for state initialization) in the header.
 func (vs *VSwitch) feRX(fe *feInstance, p *packet.Packet) {
-	vp := vs.profFE(fe)
+	var a burstAct
+	key, hash, _ := p.SessionKeyHashed()
+	if vs.planFeRX(fe, vs.profFE(fe), p, key, hash, &a) {
+		vs.submit(a, true)
+	}
+}
+
+func (vs *VSwitch) planFeRX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
 	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles)
 	profCharge(vp, prof.DirRX, prof.StageStateCarry, nic.StateCarryCycles)
 	profCharge(vp, prof.DirRX, prof.StageEncap, nic.EncapCycles)
 	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.EncapCycles
-	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, &cycles, false, vp, prof.DirRX)
-
+	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, key, hash, &cycles, false, vp, prof.DirRX)
 	// The relay replaces the outer source with the FE's own (§3.2.2) —
 	// the original is preserved in the Nezha header.
 	vs.attachPreView(p, fe.vnic, pre, p.OuterSrc)
 	if vs.ob != nil {
 		vs.hopEncap(p, "fe-rx", p.Nezha.WireSize())
 	}
-	vs.submit(burstAct{p: p, cycles: cycles, kind: actRelay, to: fe.beAddr}, true)
+	*a = burstAct{p: p, cycles: cycles, kind: actRelay, to: fe.beAddr}
+	return true
 }

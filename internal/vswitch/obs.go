@@ -1,8 +1,6 @@
 package vswitch
 
 import (
-	"strconv"
-
 	"nezha/internal/nic"
 	"nezha/internal/obs"
 	"nezha/internal/packet"
@@ -109,25 +107,6 @@ func (vs *VSwitch) EnableObs(o *obs.Obs) {
 		}
 		return 0
 	})
-	// Per-worker rows exist only on multi-worker configs, so the default
-	// (sequential) registry shape — and every golden digest over it —
-	// is unchanged.
-	if vs.workers != nil {
-		r.Help("vswitch_worker_cycles_total", "CPU cycles planned per run-to-completion worker.")
-		r.Help("vswitch_worker_packets_total", "Packets planned per run-to-completion worker.")
-		r.Help("vswitch_worker_deferred_total", "Packets a worker punted from the burst fast phase to the ordered phase-B replay (hazard or burst-ineligible flow).")
-		r.Help("vswitch_worker_skew", "Per-worker packet imbalance, max/mean over cumulative totals (1.0 = perfectly balanced).")
-		r.Help("vswitch_worker_cycle_skew", "Per-worker cycle imbalance, max/mean over cumulative totals (1.0 = perfectly balanced).")
-		for w := 0; w < vs.workers.Workers(); w++ {
-			w := w
-			wl := obs.L("node", node, "worker", strconv.Itoa(w))
-			r.CounterFunc("vswitch_worker_cycles_total", wl, func() uint64 { return vs.workers.CyclesOf(w) })
-			r.CounterFunc("vswitch_worker_packets_total", wl, func() uint64 { return vs.workers.PacketsOf(w) })
-			r.CounterFunc("vswitch_worker_deferred_total", wl, func() uint64 { return vs.workers.DeferredOf(w) })
-		}
-		r.GaugeFunc("vswitch_worker_skew", lbl, func() float64 { return vs.workers.Skew() })
-		r.GaugeFunc("vswitch_worker_cycle_skew", lbl, func() float64 { return vs.workers.CycleSkew() })
-	}
 }
 
 // hop records a simple stage hop for a sampled packet.

@@ -93,12 +93,11 @@ func TestStageDebugTripwires(t *testing.T) {
 	}
 }
 
-// TestSessionEntryUseAfterDelete pins the session table's tripwire on
-// the path it guards: the burst pipeline probes an entry when it sorts
-// a packet as eligible and hands it to the plan stage as a hint. Were
-// the session deleted in between, the plan stage would record a hit on,
-// and write state into, a recycled slot — another flow's by then. Under
-// simdebug the table panics on every entry point that takes an *Entry.
+// TestSessionEntryUseAfterDelete pins the session table's tripwire: an
+// *Entry held across the deletion of its session points at a recycled
+// slot — another flow's once reused. Writing state through it would
+// corrupt that flow, so under simdebug the table panics on every entry
+// point that takes an *Entry.
 func TestSessionEntryUseAfterDelete(t *testing.T) {
 	w := newWorld(t, 0, nil)
 	w.installLocal(t, false)
@@ -107,36 +106,48 @@ func TestSessionEntryUseAfterDelete(t *testing.T) {
 
 	p := packet.New(99, vpcID, clientVNIC, tuple(1000), packet.DirTX, packet.FlagACK, 0)
 	key, hash, _ := p.SessionKeyHashed()
-	vn := w.A.vnics[clientVNIC]
-	hint := w.A.burstEligible(pipeLocalTX, vn, nil, p, key, hash)
-	if hint == nil {
-		t.Fatal("established flow not burst-eligible")
-	}
-	// Counterweight: the live hint plans clean.
-	var a burstAct
-	if !w.A.planLocalTX(vn, nil, p, key, hash, hint, &a) {
-		t.Fatal("live hint: packet consumed at plan time")
+	tab := w.A.sessions
+	held := tab.PeekH(key, hash)
+	if held == nil {
+		t.Fatal("established flow has no session entry")
 	}
 
-	tab := w.A.sessions
 	tab.Delete(key)
-	mustPanic(t, "plan stage with a stale hint", func() { w.A.planLocalTX(vn, nil, p, key, hash, hint, &a) })
-	mustPanic(t, "Hit after delete", func() { tab.Hit(hint, 0) })
-	mustPanic(t, "TouchState after delete", func() { _ = tab.TouchState(hint, packet.DirTX, packet.FlagACK, 0, 0) })
-	mustPanic(t, "SetPre after delete", func() { _ = tab.SetPre(hint, tables.PreActions{}, 1) })
-	mustPanic(t, "SetState after delete", func() { _ = tab.SetState(hint, state.State{}) })
-	mustPanic(t, "DropPre after delete", func() { tab.DropPre(hint) })
-	if hint.Key == key {
+	mustPanic(t, "TouchState after delete", func() { _ = tab.TouchState(held, packet.DirTX, packet.FlagACK, 0, 0) })
+	mustPanic(t, "SetPre after delete", func() { _ = tab.SetPre(held, tables.PreActions{}, 1) })
+	mustPanic(t, "SetState after delete", func() { _ = tab.SetState(held, state.State{}) })
+	mustPanic(t, "DropPre after delete", func() { tab.DropPre(held) })
+	if held.Key == key {
 		t.Fatal("recycled entry still carries the deleted session's key")
 	}
 
 	// The slot's next owner is live again and passes every check.
 	e, err := tab.GetOrCreateH(key, hash, clientVNIC, 1)
-	if err != nil || e != hint {
-		t.Fatalf("recycled slot not reused: %p vs %p, err %v", e, hint, err)
+	if err != nil || e != held {
+		t.Fatalf("recycled slot not reused: %p vs %p, err %v", e, held, err)
 	}
-	tab.Hit(e, 2)
 	if err := tab.SetPre(e, tables.PreActions{}, 1); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBurstIngressChecksLive pins that both burst entry points assert
+// every packet is live, as FromVM and HandleUnderlay do: a released
+// packet slipped into a batch — even behind a live one — panics at
+// ingress instead of being planned, submitted and released twice.
+func TestBurstIngressChecksLive(t *testing.T) {
+	w := newWorld(t, 0, nil)
+	w.installLocal(t, false)
+
+	live := packet.New(1, vpcID, clientVNIC, tuple(2000), packet.DirTX, packet.FlagSYN, 0)
+	gone := packet.New(2, vpcID, clientVNIC, tuple(2001), packet.DirTX, packet.FlagSYN, 0)
+	gone.Release()
+	mustPanic(t, "FromVMBurst of a released packet", func() { w.A.FromVMBurst([]*packet.Packet{live, gone}) })
+
+	// A batched monolithic-RX run at B: both packets classify to the same
+	// pipeline, so neither takes the scalar HandleUnderlay fallback.
+	live = packet.New(3, vpcID, serverVNIC, tuple(2002), packet.DirRX, packet.FlagSYN, 0)
+	gone = packet.New(4, vpcID, serverVNIC, tuple(2003), packet.DirRX, packet.FlagSYN, 0)
+	gone.Release()
+	mustPanic(t, "HandleUnderlayBurst of a released packet", func() { w.B.HandleUnderlayBurst([]*packet.Packet{live, gone}) })
 }

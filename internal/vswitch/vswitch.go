@@ -113,11 +113,6 @@ type Config struct {
 	MaxQueueDelay sim.Time
 	// VariableState stores session states at encoded size (§7.1).
 	VariableState bool
-	// Workers splits the burst datapath's plan stage into N per-core
-	// run-to-completion workers: an RSS hash over the normalized session
-	// key pins each flow to one worker (see worker.go). 0 or 1 keeps the
-	// single sequential pipeline. Digests are identical at every count.
-	Workers int
 }
 
 // Counters exposes the vSwitch's datapath statistics.
@@ -294,19 +289,13 @@ type VSwitch struct {
 	// single-threaded, so one set per vSwitch suffices: burstCosts is
 	// consumed synchronously by SubmitBurst, pend accumulates egress
 	// within one completion wave, admitBuf/sendBuf live only within
-	// one call.
+	// one call. actsFree pools planned-act buffers, each owned by its
+	// burst's sink until the burst's last completion fires.
 	burstCosts []uint64
 	pend       []pendSend
 	admitBuf   []*packet.Packet
 	sendBuf    []*packet.Packet
-
-	// Run-to-completion worker state (worker.go): the RSS plan scratch,
-	// the pooled act buffers (owned by completion closures until a
-	// burst's last completion fires), and the per-worker CPU account
-	// (nil unless cfg.Workers > 1).
-	wk       workerScratch
-	actsFree [][]burstAct
-	workers  *nic.WorkerAccount
+	actsFree   [][]burstAct
 
 	// runFree pools burst-submission sinks (burstRun in burst.go).
 	runFree *burstRun
@@ -345,9 +334,6 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *VS
 		fes:     make(map[uint32]*feInstance),
 	}
 	vs.qosBuckets = make(map[uint64]*tokenBucket)
-	if cfg.Workers > 1 {
-		vs.workers = nic.NewWorkerAccount(cfg.Workers)
-	}
 	vs.sessions = flowcache.New(flowcache.Config{
 		MaxBytes:      cfg.NetMemBytes,
 		VariableState: cfg.VariableState,
@@ -377,10 +363,6 @@ func (vs *VSwitch) CyclesRemote() uint64 { return vs.cyclesRemote }
 
 // Sessions exposes the session table (read-mostly, for experiments).
 func (vs *VSwitch) Sessions() *flowcache.Table { return vs.sessions }
-
-// Workers exposes the per-worker CPU account (nil unless the vSwitch
-// was configured with more than one run-to-completion worker).
-func (vs *VSwitch) Workers() *nic.WorkerAccount { return vs.workers }
 
 // EnableSLO attaches the latency/hot-flow SLO tracker: the terminal
 // points (deliverToVM, drop) then record end-to-end latency,
