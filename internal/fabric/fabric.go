@@ -288,7 +288,7 @@ func (f *Fabric) faulted(from, to packet.IPv4, p *packet.Packet, lat *sim.Time) 
 		if !v.SkipAccounting {
 			f.ChaosLost++
 		}
-		f.traceHop(p.ID, from, "chaos-lost", to)
+		f.traceHop(p.ID, from, obs.StageChaosLost, to)
 		p.Release()
 		return true
 	}
@@ -301,7 +301,7 @@ func (f *Fabric) faulted(from, to packet.IPv4, p *packet.Packet, lat *sim.Time) 
 // lose accounts p as lost on the from→to link and releases it.
 func (f *Fabric) lose(p *packet.Packet, from, to packet.IPv4) {
 	f.Lost++
-	f.traceHop(p.ID, from, "wire-lost", to)
+	f.traceHop(p.ID, from, obs.StageWireLost, to)
 	p.Release()
 }
 
@@ -405,7 +405,7 @@ func (f *Fabric) deliverBurst(from, to packet.IPv4, group []*packet.Packet, lat 
 		for _, q := range deliver {
 			q.Hops++
 			f.Delivered++
-			f.traceHop(q.ID, from, "wire", to)
+			f.traceHop(q.ID, from, obs.StageWire, to)
 		}
 		if cur.burst != nil {
 			cur.burst(deliver)
@@ -463,7 +463,7 @@ func (t *deliverTask) Run() {
 		}
 		one.Hops++
 		f.Delivered++
-		f.traceHop(one.ID, from, "wire", to)
+		f.traceHop(one.ID, from, obs.StageWire, to)
 		dst.handler(one)
 		return
 	}
@@ -478,7 +478,7 @@ func (t *deliverTask) Run() {
 	for _, q := range group {
 		q.Hops++
 		f.Delivered++
-		f.traceHop(q.ID, from, "wire", to)
+		f.traceHop(q.ID, from, obs.StageWire, to)
 	}
 	if dst.burst != nil {
 		dst.burst(group)

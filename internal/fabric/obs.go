@@ -45,9 +45,9 @@ func (g *Gateway) EnableObs(o *obs.Obs) {
 }
 
 // traceHop records a wire-stage hop toward to for sampled packets.
-func (f *Fabric) traceHop(id uint64, node packet.IPv4, stage string, to packet.IPv4) {
+func (f *Fabric) traceHop(id uint64, node packet.IPv4, stage obs.Stage, to packet.IPv4) {
 	if f.tr == nil || !f.tr.Sampled(id) {
 		return
 	}
-	f.tr.Hop(id, obs.Hop{At: f.loop.Now(), Node: node, Stage: stage, HasTo: true, To: to})
+	f.tr.Hop(id, obs.Hop{At: f.loop.Now(), Node: node, Stage: stage, Flags: obs.HasTo, To: to})
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,7 +34,7 @@ type Obs struct {
 type Options struct {
 	Seed       int64   // trace-sampling seed (usually the campaign seed)
 	SampleRate float64 // fraction of packets flight-traced (0 disables)
-	MaxFlights int     // retained full flights (default 512)
+	MaxHops    int     // retained flight-trace hops (default 8192)
 	RingSize   int     // flight-recorder events (default 4096)
 	MaxSpans   int     // retained completed spans (default 256)
 	MaxFlows   int     // flow table size (default 1024)
@@ -54,7 +55,7 @@ func New(opts Options) *Obs {
 	reg.Help("obs_series_dropped_total", "Series registrations refused by the registry cardinality cap.")
 	return &Obs{
 		Reg:    reg,
-		Tracer: NewFlightTracer(opts.Seed, opts.SampleRate, opts.MaxFlights),
+		Tracer: NewFlightTracer(opts.Seed, opts.SampleRate, opts.MaxHops),
 		Spans:  NewSpanLog(opts.MaxSpans),
 		Rec:    NewFlightRecorder(opts.RingSize),
 		Flows:  NewFlowTop(opts.MaxFlows),
@@ -135,23 +136,16 @@ func (s *Snapshot) WriteJSONLine(w io.Writer) error {
 // an invariant violation is recorded, so the ring holds the events
 // leading up to the failure.
 func (o *Obs) WriteDump(w io.Writer, meta string) error {
-	if _, err := fmt.Fprintf(w, "# nezha flight-recorder dump\n%s\n", meta); err != nil {
-		return err
-	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# nezha flight-recorder dump\n%s\n", meta)
 	spans := o.Spans.Completed()
-	if _, err := fmt.Fprintf(w, "== spans (%d completed, %d active) ==\n",
-		len(spans), o.Spans.ActiveCount()); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, "== spans (%d completed, %d active) ==\n", len(spans), o.Spans.ActiveCount())
 	for _, s := range spans {
-		if _, err := fmt.Fprintf(w, "%s\n", s); err != nil {
-			return err
-		}
+		fmt.Fprintf(bw, "%s\n", s)
 	}
-	if err := o.Rec.writeEvents(w); err != nil {
-		return err
-	}
-	return o.Tracer.writeFlights(w)
+	o.Rec.writeEvents(bw)
+	o.Tracer.writeFlights(bw)
+	return bw.Flush()
 }
 
 // FlowStat is one flow's delivered-packet count in a snapshot.

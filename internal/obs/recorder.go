@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
-	"io"
 	"sync"
 
 	"nezha/internal/packet"
@@ -100,16 +100,12 @@ func (r *FlightRecorder) Total() uint64 {
 	return r.total
 }
 
-// writeEvents dumps the retained events, oldest first.
-func (r *FlightRecorder) writeEvents(w io.Writer) error {
+// writeEvents dumps the retained events, oldest first. w's first
+// write error sticks; the caller's Flush returns it.
+func (r *FlightRecorder) writeEvents(w *bufio.Writer) {
 	events := r.Events()
-	if _, err := fmt.Fprintf(w, "== events (last %d of %d) ==\n", len(events), r.Total()); err != nil {
-		return err
-	}
+	fmt.Fprintf(w, "== events (last %d of %d) ==\n", len(events), r.Total())
 	for _, e := range events {
-		if _, err := fmt.Fprintf(w, "%s\n", e); err != nil {
-			return err
-		}
+		fmt.Fprintf(w, "%s\n", e)
 	}
-	return nil
 }

@@ -39,9 +39,12 @@ func TestWriteDump(t *testing.T) {
 	o.Spans.Begin("offload", 5, 2, sim.Second)
 	o.Spans.End("offload", 5, 2, 2*sim.Second, "commit")
 	o.Event(sim.Second, "txn-prepare", packet.MakeIP(10, 0, 0, 1), 5, "targets=%d", 3)
-	// Typed notes, as the datapath records them: the dump renders them.
-	o.Tracer.Hop(77, Hop{At: sim.Second, Node: packet.MakeIP(10, 0, 0, 1), Stage: "gw-pick", HasTo: true, To: packet.MakeIP(10, 0, 0, 2)})
-	o.Tracer.Hop(77, Hop{At: sim.Second, Node: packet.MakeIP(10, 0, 0, 2), Stage: "drop", Drop: "no-route"})
+	// Typed notes, as the datapath records them: the dump renders them,
+	// drop codes through the installed names.
+	defer SetDropNames(dropNames)
+	SetDropNames([]string{3: "no-route"})
+	o.Tracer.Hop(77, Hop{At: sim.Second, Node: packet.MakeIP(10, 0, 0, 1), Stage: StageGWPick, Flags: HasTo, To: packet.MakeIP(10, 0, 0, 2)})
+	o.Tracer.Hop(77, Hop{At: sim.Second, Node: packet.MakeIP(10, 0, 0, 2), Stage: StageDrop, Drop: 3})
 	var b strings.Builder
 	if err := o.WriteDump(&b, "meta seed=42 violation=no-blackhole"); err != nil {
 		t.Fatal(err)

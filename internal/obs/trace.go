@@ -1,42 +1,93 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
-	"io"
+	"math/bits"
+	"strconv"
 	"sync"
 
 	"nezha/internal/packet"
 	"nezha/internal/sim"
 )
 
+// Stage names where a hop happened on a packet's flight.
+type Stage uint8
+
+// Flight stages.
+const (
+	StageIngressVM Stage = iota
+	StageCPU
+	StageLookup
+	StageLocalTx
+	StageLocalRx
+	StageGWPick
+	StageBETx
+	StageBERx
+	StageFETx
+	StageFERx
+	StageWire
+	StageWireLost
+	StageChaosLost
+	StageDeliver
+	StageDrop
+	numStages
+)
+
+var stageNames = [numStages]string{
+	"ingress-vm", "cpu", "lookup", "local-tx", "local-rx", "gw-pick", "be-tx",
+	"be-rx", "fe-tx", "fe-rx", "wire", "wire-lost", "chaos-lost", "deliver", "drop",
+}
+
+func (s Stage) String() string { return nameOf(stageNames[:], uint8(s)) }
+
+// HopFlags are a hop's yes/no notes.
+type HopFlags uint8
+
+// Hop flags.
+const (
+	TableHit HopFlags = 1 << iota // the lookup hit the session table
+	HasTo                         // To is set (0.0.0.0 is a renderable address)
+)
+
+// dropNames[c] renders drop code c; see SetDropNames.
+var dropNames []string
+
+// SetDropNames installs the names Hop.String renders drop codes with:
+// names[c] is the name of code c. The vSwitch installs its DropReason
+// names at package init, before any hop is rendered.
+func SetDropNames(names []string) { dropNames = names }
+
+// nameOf returns names[c], or c in decimal past the table's end.
+func nameOf(names []string, c uint8) string {
+	if int(c) < len(names) {
+		return names[c]
+	}
+	return strconv.Itoa(int(c))
+}
+
 // Hop is one stage of a packet's flight: where it was, what it cost,
-// and what the lookup decided. Stages seen in practice: ingress-vm,
-// cpu, lookup, local-tx, local-rx, gw-pick, be-tx, be-rx, fe-tx,
-// fe-rx, wire, wire-lost, chaos-lost, deliver, and drop:<reason>.
-//
-// The two variable parts of a hop stay typed so recording one builds no
-// string: a drop is Stage "drop" plus its reason in Drop, and the
-// next-hop note of gw-pick and wire hops is To (with HasTo, since
-// 0.0.0.0 is a renderable address). String renders them as
-// "drop:<reason>" and "to=a.b.c.d"; the digest folds exactly those
-// bytes.
+// and what the lookup decided. It is a fixed-width record with no
+// pointers, so recording one builds no string and stores no reference:
+// a drop is StageDrop plus its reason's code in Drop, and the next-hop
+// note of gw-pick and wire hops is To, flagged HasTo. String renders
+// them as "drop:<reason>" and "to=a.b.c.d".
 type Hop struct {
 	At         sim.Time
-	Node       packet.IPv4
-	Stage      string
-	Drop       string
 	QueueWait  sim.Time
 	Cycles     uint64
-	TableHit   bool
-	EncapBytes int
-	HasTo      bool
+	Node       packet.IPv4
 	To         packet.IPv4
+	EncapBytes uint32
+	Stage      Stage
+	Drop       uint8 // drop reason code, for StageDrop
+	Flags      HopFlags
 }
 
 func (h Hop) String() string {
-	stage := h.Stage
-	if h.Drop != "" {
-		stage += ":" + h.Drop
+	stage := h.Stage.String()
+	if h.Stage == StageDrop {
+		stage += ":" + nameOf(dropNames, h.Drop)
 	}
 	s := fmt.Sprintf("[%v] %-12s node=%s", h.At, stage, h.Node)
 	if h.QueueWait != 0 {
@@ -45,8 +96,8 @@ func (h Hop) String() string {
 	if h.Cycles != 0 {
 		s += fmt.Sprintf(" cycles=%d", h.Cycles)
 	}
-	if h.Stage == "lookup" {
-		if h.TableHit {
+	if h.Stage == StageLookup {
+		if h.Flags&TableHit != 0 {
 			s += " hit"
 		} else {
 			s += " miss"
@@ -55,24 +106,20 @@ func (h Hop) String() string {
 	if h.EncapBytes != 0 {
 		s += fmt.Sprintf(" encap=%dB", h.EncapBytes)
 	}
-	if h.HasTo {
+	if h.Flags&HasTo != 0 {
 		s += " to=" + h.To.String()
 	}
 	return s
 }
 
-// flightHopsHint is a new ring slot's hop capacity: an offloaded
-// packet's full flight (BE, FE and peer stages plus three wire hops)
-// fits, so slots rarely regrow.
-const flightHopsHint = 16
-
-// flight is one ring slot: a sampled packet's retained hop sequence.
-// An evicted slot keeps its hop capacity for the flight that replaces
-// it.
-type flight struct {
-	id   uint64
-	hops []Hop
+// record is one logged hop of packet id.
+type record struct {
+	id uint64
+	Hop
 }
+
+// defaultMaxHops retains about 512 offloaded flights of 16 hops.
+const defaultMaxHops = 512 * 16
 
 // FlightTracer records sampled per-packet hop sequences. Sampling is
 // a deterministic hash of (seed, packet ID), so the same seed and
@@ -80,40 +127,35 @@ type flight struct {
 // hops is reproducible: the sim loop is single-threaded, so hops
 // arrive in a deterministic order for a given seed.
 //
-// A tracer belongs to the sim goroutine and takes no lock: every
-// method — Hop from the vSwitch and fabric hop sites, Digest at
-// campaign end, the dump an invariant violation writes, HopCount —
-// runs on the loop that records the hops. Telemetry other goroutines
-// read goes through obs.History, never through the tracer.
+// A tracer belongs to the sim goroutine and takes no lock: the hop
+// sites, Digest, HopCount and the violation dump all run on the loop.
+// Other goroutines read telemetry through obs.History, never here.
 //
-// Retained flights live in a ring of at most maxFlights slots in
-// first-hop order, so once the ring is full and its slots have grown to
-// the longest flight seen, recording a hop allocates nothing.
+// Retained hops live in one flat log of the last maxHops records, a
+// power-of-two ring that doubles up to maxHops and then wraps, so a
+// full-size log records a hop without allocating. Flights are the log
+// grouped by packet ID; the oldest may have lost hops to the wrap.
 type FlightTracer struct {
 	seed uint64
 	rate float64
 
-	digest     uint64
-	hops       uint64
-	ring       []flight         // grows to maxFlights, then wraps
-	head       int              // oldest slot once the ring is full
-	slot       map[uint64]int32 // retained flight ID → ring index
-	maxFlights int
+	digest  uint64
+	hops    uint64   // hops recorded; the next one goes to log[hops%len(log)]
+	log     []record // grows by doubling to maxHops, then wraps
+	maxHops int
 }
 
 // NewFlightTracer samples packets at rate (0..1) keyed on seed,
-// retaining at most maxFlights full hop sequences (digest and hop
-// count keep accumulating past the cap; old flights are evicted
-// FIFO). maxFlights <= 0 selects a default of 512.
-func NewFlightTracer(seed int64, rate float64, maxFlights int) *FlightTracer {
-	if maxFlights <= 0 {
-		maxFlights = 512
+// retaining the last maxHops hops (rounded up to a power of two; <= 0
+// selects 8192). Digest and hop count keep accumulating past the cap.
+func NewFlightTracer(seed int64, rate float64, maxHops int) *FlightTracer {
+	if maxHops <= 0 {
+		maxHops = defaultMaxHops
 	}
 	return &FlightTracer{
-		seed:       uint64(seed),
-		rate:       rate,
-		slot:       make(map[uint64]int32),
-		maxFlights: maxFlights,
+		seed:    uint64(seed),
+		rate:    rate,
+		maxHops: 1 << bits.Len(uint(maxHops-1)),
 	}
 }
 
@@ -126,82 +168,79 @@ func (t *FlightTracer) Sampled(id uint64) bool {
 	if t.rate >= 1 {
 		return true
 	}
-	return hashFloat(obsMix(t.seed, id)) < t.rate
+	return float64(obsMix(t.seed, id)>>11)/(1<<53) < t.rate // the hash mapped to [0,1)
 }
 
-// Hop records one hop for packet id if it is sampled. Every field is
-// folded into the running digest in call order.
+// Hop records one hop for packet id if it is sampled: the record's
+// words are folded into the running digest and the record is stored
+// in the log.
 func (t *FlightTracer) Hop(id uint64, h Hop) {
 	if !t.Sampled(id) {
 		return
 	}
+	t.digest = foldHop(t.digest, id, &h)
+	if t.hops == uint64(len(t.log)) && len(t.log) < t.maxHops {
+		t.grow()
+	}
+	t.log[t.hops&uint64(len(t.log)-1)] = record{id, h}
 	t.hops++
-	d := foldFNV(t.digest, id, uint64(h.At), uint64(h.Node), uint64(h.QueueWait),
-		h.Cycles, uint64(h.EncapBytes), boolWord(h.TableHit))
-	d = foldFNVBytes(d, h.Stage)
-	if h.Drop != "" {
-		d = foldFNVBytes(foldFNVBytes(d, ":"), h.Drop)
-	}
-	if h.HasTo {
-		var buf [len("to=255.255.255.255")]byte
-		d = foldFNVBytes(d, h.To.AppendTo(append(buf[:0], "to="...)))
-	}
-	t.digest = d
-	i, ok := t.slot[id]
-	if !ok {
-		if len(t.ring) < t.maxFlights {
-			i = int32(len(t.ring))
-			t.ring = append(t.ring, flight{hops: make([]Hop, 0, flightHopsHint)})
-		} else {
-			i = int32(t.head)
-			t.head = (t.head + 1) % len(t.ring)
-			delete(t.slot, t.ring[i].id)
-		}
-		t.slot[id] = i
-		t.ring[i].id, t.ring[i].hops = id, t.ring[i].hops[:0]
-	}
-	t.ring[i].hops = append(t.ring[i].hops, h)
 }
 
-// Trace returns the retained hop sequence for packet id (nil if not
-// sampled or evicted).
+// grow doubles the log, from 16 records at the first hop, so a tracer
+// that never records allocates none. It runs only before the first
+// wrap, when the records sit in order at the front.
+func (t *FlightTracer) grow() {
+	log := make([]record, min(max(2*len(t.log), 16), t.maxHops))
+	copy(log, t.log)
+	t.log = log
+}
+
+// retained returns the retained records, oldest first.
+func (t *FlightTracer) retained() []record {
+	if t.hops <= uint64(len(t.log)) {
+		return t.log[:t.hops]
+	}
+	i := t.hops & uint64(len(t.log)-1)
+	return append(append([]record(nil), t.log[i:]...), t.log[:i]...)
+}
+
+// Trace returns the retained hops of packet id (nil if not sampled or
+// evicted).
 func (t *FlightTracer) Trace(id uint64) []Hop {
-	i, ok := t.slot[id]
-	if !ok {
-		return nil
+	var hops []Hop
+	for _, r := range t.retained() {
+		if r.id == id {
+			hops = append(hops, r.Hop)
+		}
 	}
-	return append([]Hop(nil), t.ring[i].hops...)
+	return hops
 }
 
-// Digest returns the running FNV digest over every hop recorded so
-// far. Same seed + same rate + same workload => same digest.
+// Digest returns the running digest over every hop recorded so far.
+// Same seed + same rate + same workload => same digest.
 func (t *FlightTracer) Digest() uint64 { return t.digest }
 
-// HopCount returns the total hops recorded (including for evicted
-// flights).
+// HopCount returns the total hops recorded (including evicted ones).
 func (t *FlightTracer) HopCount() uint64 { return t.hops }
 
-// Rate returns the configured sampling rate.
-func (t *FlightTracer) Rate() float64 { return t.rate }
-
-// writeFlights dumps every retained flight, oldest first.
-func (t *FlightTracer) writeFlights(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== flights (%d retained, %d hops total, rate=%g) ==\n",
-		len(t.ring), t.hops, t.rate); err != nil {
-		return err
-	}
-	for k := range t.ring {
-		fl := &t.ring[(t.head+k)%len(t.ring)]
-		if _, err := fmt.Fprintf(w, "flight id=%d hops=%d\n", fl.id, len(fl.hops)); err != nil {
-			return err
+// writeFlights dumps every retained flight in first-retained-hop
+// order. w's first write error sticks; the caller's Flush returns it.
+func (t *FlightTracer) writeFlights(w *bufio.Writer) {
+	var ids []uint64
+	flights := make(map[uint64][]Hop)
+	for _, r := range t.retained() {
+		if _, ok := flights[r.id]; !ok {
+			ids = append(ids, r.id)
 		}
-		for _, h := range fl.hops {
-			if _, err := fmt.Fprintf(w, "  %s\n", h); err != nil {
-				return err
-			}
+		flights[r.id] = append(flights[r.id], r.Hop)
+	}
+	fmt.Fprintf(w, "== flights (%d retained, %d hops total, rate=%g) ==\n", len(ids), t.hops, t.rate)
+	for _, id := range ids {
+		fmt.Fprintf(w, "flight id=%d hops=%d\n", id, len(flights[id]))
+		for _, h := range flights[id] {
+			fmt.Fprintf(w, "  %s\n", h)
 		}
 	}
-	return nil
 }
 
 // Span is one control-plane transaction: an offload, scale-out,
@@ -308,63 +347,29 @@ func obsMix(words ...uint64) uint64 {
 	return h
 }
 
-// hashFloat maps a hash to [0,1).
-func hashFloat(h uint64) float64 {
-	return float64(h>>11) / float64(1<<53)
-}
-
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// fnvPrimePow[k] is fnvPrime64^k mod 2^64: what folding k zero bytes
-// multiplies a digest by.
-var fnvPrimePow = func() (p [9]uint64) {
-	p[0] = 1
-	for k := 1; k < len(p); k++ {
-		p[k] = p[k-1] * fnvPrime64
+// foldHop folds hop h of packet id into digest d, six words per hop:
+// each word is xored in, multiplied by the FNV prime and rotated, so
+// a word's high bits reach the low bits of the words after it. Each
+// step is a bijection of the running state, so changing any one bit of
+// any field changes the digest after the hop. A zero digest (no hops
+// yet) starts from the FNV offset basis.
+func foldHop(d, id uint64, h *Hop) uint64 {
+	if d == 0 {
+		d = fnvOffset64
 	}
-	return p
-}()
-
-// foldFNV folds words into an FNV-1a style running digest, each word
-// as its eight little-endian bytes. Folding a zero byte is just
-// h *= prime, and multiplication mod 2^64 associates, so a word's k
-// high zero bytes fold as one multiply by prime^k: the result is bit
-// for bit the byte-serial fold's, at a fraction of its multiplies for
-// the small times, addresses and counts a hop carries.
-func foldFNV(h uint64, words ...uint64) uint64 {
-	if h == 0 {
-		h = fnvOffset64
-	}
-	for _, w := range words {
-		k := 8
-		for ; w != 0; w >>= 8 {
-			h ^= w & 0xff
-			h *= fnvPrime64
-			k--
-		}
-		h *= fnvPrimePow[k]
-	}
-	return h
+	d = foldWord(d, id)
+	d = foldWord(d, uint64(h.At))
+	d = foldWord(d, uint64(h.QueueWait))
+	d = foldWord(d, h.Cycles)
+	d = foldWord(d, uint64(h.Node)|uint64(h.To)<<32)
+	return foldWord(d, uint64(h.EncapBytes)|uint64(h.Stage)<<32|uint64(h.Drop)<<40|uint64(h.Flags)<<48)
 }
 
-// foldFNVBytes folds the bytes of s into the digest.
-func foldFNVBytes[T string | []byte](h uint64, s T) uint64 {
-	if h == 0 {
-		h = fnvOffset64
-	}
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func boolWord(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
+func foldWord(d, w uint64) uint64 {
+	return bits.RotateLeft64((d^w)*fnvPrime64, 29)
 }

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -48,8 +50,12 @@ func TestHopDigestDeterministic(t *testing.T) {
 	run := func() uint64 {
 		tr := NewFlightTracer(7, 1, 4)
 		for id := uint64(1); id <= 10; id++ {
-			tr.Hop(id, Hop{At: sim.Time(id), Node: packet.MakeIP(10, 0, 0, byte(id)), Stage: "lookup", TableHit: id%2 == 0})
-			tr.Hop(id, Hop{At: sim.Time(id + 1), Stage: "deliver", Cycles: 100 * id})
+			var f HopFlags
+			if id%2 == 0 {
+				f = TableHit
+			}
+			tr.Hop(id, Hop{At: sim.Time(id), Node: packet.MakeIP(10, 0, 0, byte(id)), Stage: StageLookup, Flags: f})
+			tr.Hop(id, Hop{At: sim.Time(id + 1), Stage: StageDeliver, Cycles: 100 * id})
 		}
 		return tr.Digest()
 	}
@@ -57,24 +63,72 @@ func TestHopDigestDeterministic(t *testing.T) {
 		t.Fatal("identical hop sequences produced different digests")
 	}
 	// The digest is a defined function of the hops, not just a stable
-	// one: this is the byte-serial tracer's value for the stream above.
-	if got, want := run(), uint64(0x6e620258ed6798fb); got != want {
+	// one: this is the word fold's value for the stream above.
+	if got, want := run(), uint64(0x2413eadd82069abb); got != want {
 		t.Fatalf("digest %#x, want %#x", got, want)
 	}
-	// A single field difference must change the digest.
-	tr := NewFlightTracer(7, 1, 4)
-	tr.Hop(1, Hop{Stage: "lookup", TableHit: true})
-	tr2 := NewFlightTracer(7, 1, 4)
-	tr2.Hop(1, Hop{Stage: "lookup", TableHit: false})
-	if tr.Digest() == tr2.Digest() {
-		t.Fatal("digest insensitive to TableHit")
+}
+
+// TestHopDigestSensitivity flips every bit of every field of every hop
+// in a short stream, one at a time, and swaps each pair of adjacent
+// hops: each change must change the digest.
+func TestHopDigestSensitivity(t *testing.T) {
+	base := []idHop{
+		{7, Hop{At: 5 * sim.Millisecond, Node: packet.MakeIP(10, 0, 1, 1), Stage: StageLookup, Flags: TableHit}},
+		{7, Hop{At: 5 * sim.Millisecond, QueueWait: 3 * sim.Microsecond, Cycles: 1800, Node: packet.MakeIP(10, 0, 1, 1), Stage: StageCPU}},
+		{8, Hop{At: 6 * sim.Millisecond, Node: packet.MakeIP(10, 0, 5, 1), To: packet.MakeIP(10, 0, 100, 1), Stage: StageWire, Flags: HasTo}},
+		{7, Hop{At: 7 * sim.Millisecond, Node: packet.MakeIP(10, 0, 5, 1), EncapBytes: 54, Stage: StageFETx}},
+		{8, Hop{At: 8 * sim.Millisecond, Node: packet.MakeIP(10, 0, 100, 1), Stage: StageDrop, Drop: 3}},
+	}
+	digest := func(stream []idHop) uint64 {
+		tr := NewFlightTracer(1, 1, 4)
+		for _, r := range stream {
+			tr.Hop(r.id, r.h)
+		}
+		return tr.Digest()
+	}
+	want := digest(base)
+	fields := []struct {
+		name string
+		bits int
+		flip func(r *idHop, b int)
+	}{
+		{"id", 64, func(r *idHop, b int) { r.id ^= 1 << b }},
+		{"At", 64, func(r *idHop, b int) { r.h.At ^= 1 << b }},
+		{"Node", 32, func(r *idHop, b int) { r.h.Node ^= 1 << b }},
+		{"To", 32, func(r *idHop, b int) { r.h.To ^= 1 << b }},
+		{"QueueWait", 64, func(r *idHop, b int) { r.h.QueueWait ^= 1 << b }},
+		{"Cycles", 64, func(r *idHop, b int) { r.h.Cycles ^= 1 << b }},
+		{"EncapBytes", 32, func(r *idHop, b int) { r.h.EncapBytes ^= 1 << b }},
+		{"Stage", 8, func(r *idHop, b int) { r.h.Stage ^= 1 << b }},
+		{"Drop", 8, func(r *idHop, b int) { r.h.Drop ^= 1 << b }},
+		{"TableHit", 1, func(r *idHop, _ int) { r.h.Flags ^= TableHit }},
+		{"HasTo", 1, func(r *idHop, _ int) { r.h.Flags ^= HasTo }},
+	}
+	for i := range base {
+		for _, f := range fields {
+			for b := 0; b < f.bits; b++ {
+				stream := append([]idHop(nil), base...)
+				f.flip(&stream[i], b)
+				if digest(stream) == want {
+					t.Fatalf("flipping %s bit %d of hop %d left the digest at %#x", f.name, b, i, want)
+				}
+			}
+		}
+	}
+	for i := 0; i+1 < len(base); i++ {
+		stream := append([]idHop(nil), base...)
+		stream[i], stream[i+1] = stream[i+1], stream[i]
+		if digest(stream) == want {
+			t.Fatalf("swapping hops %d and %d left the digest at %#x", i, i+1, want)
+		}
 	}
 }
 
 func TestFlightEvictionKeepsDigest(t *testing.T) {
 	tr := NewFlightTracer(7, 1, 2)
 	for id := uint64(1); id <= 5; id++ {
-		tr.Hop(id, Hop{Stage: "deliver"})
+		tr.Hop(id, Hop{Stage: StageDeliver})
 	}
 	if got := tr.HopCount(); got != 5 {
 		t.Fatalf("hop count %d, want 5", got)
@@ -89,13 +143,9 @@ func TestFlightEvictionKeepsDigest(t *testing.T) {
 
 func TestTraceRendering(t *testing.T) {
 	tr := NewFlightTracer(1, 1, 8)
-	tr.Hop(9, Hop{At: sim.Millisecond, Node: packet.MakeIP(10, 0, 0, 1), Stage: "lookup", TableHit: false})
-	tr.Hop(9, Hop{At: 2 * sim.Millisecond, Node: packet.MakeIP(10, 0, 0, 2), Stage: "be-tx", EncapBytes: 54})
-	var b strings.Builder
-	if err := tr.writeFlights(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	tr.Hop(9, Hop{At: sim.Millisecond, Node: packet.MakeIP(10, 0, 0, 1), Stage: StageLookup})
+	tr.Hop(9, Hop{At: 2 * sim.Millisecond, Node: packet.MakeIP(10, 0, 0, 2), Stage: StageBETx, EncapBytes: 54})
+	out := flightDump(tr)
 	for _, want := range []string{"flight id=9 hops=2", "lookup", "miss", "be-tx", "encap=54B", "node=10.0.0.2"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("flight dump missing %q:\n%s", want, out)
@@ -103,133 +153,104 @@ func TestTraceRendering(t *testing.T) {
 	}
 }
 
-// referenceTracer is FlightTracer as it was before the zero-run fold,
-// logic verbatim (its mutex aside): every word folded byte by byte,
-// every hop's slot looked up in the map, and the to= note rendered into
-// a buffer before folding. It is the oracle the tracer is checked
-// against.
-type referenceTracer struct {
-	digest     uint64
-	hops       uint64
-	ring       []flight
-	head       int
-	slot       map[uint64]int32
-	maxFlights int
+// refWords is a hop's digest input: six words holding every field of
+// the record and its packet id.
+func refWords(id uint64, h Hop) []uint64 {
+	return []uint64{
+		id,
+		uint64(h.At),
+		uint64(h.QueueWait),
+		h.Cycles,
+		uint64(h.Node) | uint64(h.To)<<32,
+		uint64(h.EncapBytes) | uint64(h.Stage)<<32 | uint64(h.Drop)<<40 | uint64(h.Flags)<<48,
+	}
 }
 
-func newReferenceTracer(maxFlights int) *referenceTracer {
-	return &referenceTracer{slot: make(map[uint64]int32), maxFlights: maxFlights}
+const (
+	refPrime  = 1099511628211
+	refRotate = 29
+)
+
+// referenceTracer is the flight tracer's definition written straight:
+// every hop appended to one unbounded history, the digest folded in a
+// loop over refWords, and Trace and the dump computed by scanning the
+// last maxHops entries of the history. It is the oracle the tracer is
+// checked against.
+type referenceTracer struct {
+	digest  uint64
+	history []idHop
+	maxHops int
+}
+
+func newReferenceTracer(maxHops int) *referenceTracer {
+	n := 1
+	for n < maxHops {
+		n *= 2
+	}
+	return &referenceTracer{maxHops: n}
 }
 
 func (t *referenceTracer) Hop(id uint64, h Hop) {
-	t.hops++
-	d := refFoldFNV(t.digest, id, uint64(h.At), uint64(h.Node), uint64(h.QueueWait),
-		h.Cycles, uint64(h.EncapBytes), boolWord(h.TableHit))
-	d = refFoldFNVBytes(d, h.Stage)
-	if h.Drop != "" {
-		d = refFoldFNVBytes(refFoldFNVBytes(d, ":"), h.Drop)
+	if t.digest == 0 {
+		t.digest = 14695981039346656037
 	}
-	if h.HasTo {
-		var buf [len("to=255.255.255.255")]byte
-		d = refFoldFNVBytes(d, h.To.AppendTo(append(buf[:0], "to="...)))
+	for _, w := range refWords(id, h) {
+		t.digest = bits.RotateLeft64((t.digest^w)*refPrime, refRotate)
 	}
-	t.digest = d
-	i, ok := t.slot[id]
-	if !ok {
-		if len(t.ring) < t.maxFlights {
-			i = int32(len(t.ring))
-			t.ring = append(t.ring, flight{hops: make([]Hop, 0, flightHopsHint)})
-		} else {
-			i = int32(t.head)
-			t.head = (t.head + 1) % len(t.ring)
-			delete(t.slot, t.ring[i].id)
-		}
-		t.slot[id] = i
-		t.ring[i].id, t.ring[i].hops = id, t.ring[i].hops[:0]
-	}
-	t.ring[i].hops = append(t.ring[i].hops, h)
+	t.history = append(t.history, idHop{id, h})
+}
+
+func (t *referenceTracer) retained() []idHop {
+	return t.history[max(0, len(t.history)-t.maxHops):]
 }
 
 func (t *referenceTracer) Trace(id uint64) []Hop {
-	i, ok := t.slot[id]
-	if !ok {
-		return nil
+	var hops []Hop
+	for _, r := range t.retained() {
+		if r.id == id {
+			hops = append(hops, r.h)
+		}
 	}
-	return append([]Hop(nil), t.ring[i].hops...)
+	return hops
 }
 
-func (t *referenceTracer) writeFlights(w io.Writer, rate float64) error {
-	if _, err := fmt.Fprintf(w, "== flights (%d retained, %d hops total, rate=%g) ==\n",
-		len(t.ring), t.hops, rate); err != nil {
-		return err
-	}
-	for k := range t.ring {
-		fl := &t.ring[(t.head+k)%len(t.ring)]
-		if _, err := fmt.Fprintf(w, "flight id=%d hops=%d\n", fl.id, len(fl.hops)); err != nil {
-			return err
+func (t *referenceTracer) writeFlights(w io.Writer, rate float64) {
+	kept := t.retained()
+	var ids []uint64
+	for i, r := range kept {
+		seen := false
+		for _, q := range kept[:i] {
+			seen = seen || q.id == r.id
 		}
-		for _, h := range fl.hops {
-			if _, err := fmt.Fprintf(w, "  %s\n", h); err != nil {
-				return err
-			}
+		if !seen {
+			ids = append(ids, r.id)
 		}
 	}
-	return nil
+	fmt.Fprintf(w, "== flights (%d retained, %d hops total, rate=%g) ==\n", len(ids), len(t.history), rate)
+	for _, id := range ids {
+		hops := t.Trace(id)
+		fmt.Fprintf(w, "flight id=%d hops=%d\n", id, len(hops))
+		for _, h := range hops {
+			fmt.Fprintf(w, "  %s\n", h)
+		}
+	}
 }
 
-func refFoldFNV(h uint64, words ...uint64) uint64 {
-	const prime64 = 1099511628211
-	if h == 0 {
-		h = 14695981039346656037
-	}
-	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
-	return h
-}
-
-func refFoldFNVBytes[T string | []byte](h uint64, s T) uint64 {
-	const prime64 = 1099511628211
-	if h == 0 {
-		h = 14695981039346656037
-	}
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
-// TestFoldFNVMatchesByteSerial checks the zero-run fold on its own:
-// word lists shorter and longer than a hop's seven, words of every
-// significant-byte length, a zero starting digest.
-func TestFoldFNVMatchesByteSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 20000; i++ {
-		words := make([]uint64, rng.Intn(20))
-		for k := range words {
-			if n := rng.Intn(12); n <= 8 { // n > 8: a zero word
-				words[k] = rng.Uint64() >> (64 - 8*n)
-			}
-		}
-		h := rng.Uint64()
-		if i%4 == 0 {
-			h = 0
-		}
-		if got, want := foldFNV(h, words...), refFoldFNV(h, words...); got != want {
-			t.Fatalf("foldFNV(%#x, %#x) = %#x, byte-serial %#x", h, words, got, want)
-		}
-	}
+// flightDump returns the tracer's flight dump.
+func flightDump(tr *FlightTracer) string {
+	var b strings.Builder
+	w := bufio.NewWriter(&b)
+	tr.writeFlights(w)
+	w.Flush()
+	return b.String()
 }
 
 // hopProgram decodes a byte string into a hop stream: which packet
 // (the previous one, a new one, a recent one, or an edge ID), which
-// stage, a drop reason, a to= address (0.0.0.0 and 255.255.255.255
-// among them) and numeric fields of every significant-byte length
-// 0..8, interior zero bytes included. Exhausted input reads as zeros.
+// stage (one past the last among them), a drop code, flags, a to=
+// address (0.0.0.0 and 255.255.255.255 among them) and numeric fields
+// of every significant-byte length, interior zero bytes included.
+// Exhausted input reads as zeros.
 type hopProgram struct {
 	b      []byte
 	nextID uint64
@@ -237,11 +258,7 @@ type hopProgram struct {
 	ids    map[uint64]bool
 }
 
-var (
-	progStages = []string{"lookup", "cpu", "gw-pick", "wire", "deliver", "be-tx", "fe-rx", ""}
-	progDrops  = []string{"no-route", "acl", "cpu-overload", "x"}
-	progIDs    = []uint64{0, 1, 4095, 4096, 1 << 63, math.MaxUint64}
-)
+var progIDs = []uint64{0, 1, 4095, 4096, 1 << 63, math.MaxUint64}
 
 func (p *hopProgram) u8() byte {
 	if len(p.b) == 0 {
@@ -288,19 +305,21 @@ func (p *hopProgram) next() (uint64, Hop) {
 	p.ids[id] = true
 	f := p.u8()
 	h := Hop{
-		Stage:      progStages[int(f)%len(progStages)],
-		TableHit:   f&0x80 != 0,
+		Stage:      Stage(f % (uint8(numStages) + 1)),
 		At:         sim.Time(p.word(8)),
 		Node:       packet.IPv4(p.word(4)),
 		QueueWait:  sim.Time(p.word(8)),
 		Cycles:     p.word(8),
-		EncapBytes: int(p.word(8)),
+		EncapBytes: uint32(p.word(4)),
+	}
+	if f&0x80 != 0 {
+		h.Flags |= TableHit
 	}
 	if f&0x20 != 0 {
-		h.Drop = progDrops[int(p.u8())%len(progDrops)]
+		h.Drop = p.u8()
 	}
 	if f&0x40 != 0 {
-		h.HasTo = true
+		h.Flags |= HasTo
 		switch c := p.u8(); c % 4 {
 		case 0:
 			h.To = 0
@@ -323,9 +342,9 @@ type idHop struct {
 // tracer and the reference, both starting from digest start, and
 // requires equal digests after every hop, equal hop counts, equal
 // traces for every ID and byte-equal flight dumps.
-func checkAgainstReference(t *testing.T, prog []byte, maxFlights int, start uint64, lead ...idHop) {
+func checkAgainstReference(t *testing.T, prog []byte, maxHops int, start uint64, lead ...idHop) {
 	t.Helper()
-	got, want := NewFlightTracer(1, 1, maxFlights), newReferenceTracer(maxFlights)
+	got, want := NewFlightTracer(1, 1, maxHops), newReferenceTracer(maxHops)
 	got.digest, want.digest = start, start
 	p := &hopProgram{b: prog, ids: make(map[uint64]bool)}
 	for len(lead) > 0 || len(p.b) > 0 {
@@ -339,12 +358,12 @@ func checkAgainstReference(t *testing.T, prog []byte, maxFlights int, start uint
 		got.Hop(r.id, r.h)
 		want.Hop(r.id, r.h)
 		if got.Digest() != want.digest {
-			t.Fatalf("maxFlights=%d: digest %#x, reference %#x after hop %d (id=%d %+v)",
-				maxFlights, got.Digest(), want.digest, want.hops, r.id, r.h)
+			t.Fatalf("maxHops=%d: digest %#x, reference %#x after hop %d (id=%d %+v)",
+				maxHops, got.Digest(), want.digest, len(want.history), r.id, r.h)
 		}
 	}
-	if got.HopCount() != want.hops {
-		t.Fatalf("maxFlights=%d: %d hops, reference %d", maxFlights, got.HopCount(), want.hops)
+	if got.HopCount() != uint64(len(want.history)) {
+		t.Fatalf("maxHops=%d: %d hops, reference %d", maxHops, got.HopCount(), len(want.history))
 	}
 	for _, id := range progIDs {
 		p.ids[id] = true
@@ -352,72 +371,69 @@ func checkAgainstReference(t *testing.T, prog []byte, maxFlights int, start uint
 	p.ids[p.nextID+1] = true
 	for id := range p.ids {
 		if g, w := got.Trace(id), want.Trace(id); !reflect.DeepEqual(g, w) {
-			t.Fatalf("maxFlights=%d: Trace(%d) = %v, reference %v", maxFlights, id, g, w)
+			t.Fatalf("maxHops=%d: Trace(%d) = %v, reference %v", maxHops, id, g, w)
 		}
 	}
-	var gb, wb strings.Builder
-	if err := got.writeFlights(&gb); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.writeFlights(&wb, got.Rate()); err != nil {
-		t.Fatal(err)
-	}
-	if gb.String() != wb.String() {
-		t.Fatalf("maxFlights=%d: flight dump differs:\n%s\nreference:\n%s", maxFlights, gb.String(), wb.String())
+	var wb strings.Builder
+	want.writeFlights(&wb, got.rate)
+	if gd := flightDump(got); gd != wb.String() {
+		t.Fatalf("maxHops=%d: flight dump differs:\n%s\nreference:\n%s", maxHops, gd, wb.String())
 	}
 }
 
-// TestTracerMatchesReference drives the tracer and the byte-serial
-// reference with random hop streams; ring sizes 1 and 2 evict on almost
-// every new packet, 512 fills and wraps.
+// TestTracerMatchesReference drives the tracer and the reference with
+// random hop streams; log sizes 1 and 2 wrap on almost every hop, 3
+// rounds up to 4, 512 grows by doubling, fills and wraps, and the
+// default 8192 is still doubling when the stream ends.
 func TestTracerMatchesReference(t *testing.T) {
-	for _, maxFlights := range []int{1, 2, 512} {
+	for _, maxHops := range []int{1, 2, 3, 512, defaultMaxHops} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			prog := make([]byte, 1<<17)
+			prog := make([]byte, 1<<16)
 			rng.Read(prog)
-			checkAgainstReference(t, prog, maxFlights, 0)
+			checkAgainstReference(t, prog, maxHops, 0)
 		}
 	}
 }
 
 // TestTracerZeroMidHopMatchesReference steers the running digest to
-// exactly 0 after a hop's words, so the stage fold takes its reset
-// branch; both tracers must reset alike.
+// exactly 0 after each prefix of a hop's words, the whole hop included,
+// so the next hop takes the zero digest's reset branch; both tracers
+// must agree on every one.
 func TestTracerZeroMidHopMatchesReference(t *testing.T) {
-	const prime64 = 1099511628211
-	inv := uint64(prime64) // Newton's iteration for prime64⁻¹ mod 2⁶⁴
+	inv := uint64(refPrime) // Newton's iteration for refPrime⁻¹ mod 2⁶⁴
 	for i := 0; i < 6; i++ {
-		inv *= 2 - prime64*inv
+		inv *= 2 - refPrime*inv
 	}
 	id := uint64(300)
-	h := Hop{At: 12345678, Node: packet.MakeIP(10, 0, 3, 1), Cycles: 4000, Stage: "gw-pick", HasTo: true, To: packet.MakeIP(10, 0, 4, 1)}
-	words := []uint64{id, uint64(h.At), uint64(h.Node), uint64(h.QueueWait), h.Cycles, uint64(h.EncapBytes), boolWord(h.TableHit)}
-	// Run the byte-serial fold backwards from 0 to the start state.
-	start := uint64(0)
-	for k := len(words) - 1; k >= 0; k-- {
-		for i := 7; i >= 0; i-- {
-			start = (start * inv) ^ (words[k]>>(8*i))&0xff
-		}
-	}
-	if start == 0 || foldFNV(start, words...) != 0 || refFoldFNV(start, words...) != 0 {
-		t.Fatalf("start %#x does not fold to 0", start)
-	}
+	h := Hop{At: 12345678, Node: packet.MakeIP(10, 0, 3, 1), Cycles: 4000, Stage: StageGWPick, Flags: HasTo, To: packet.MakeIP(10, 0, 4, 1)}
+	words := refWords(id, h)
 	var prog []byte // ordinary hops after the crafted one
 	for i := 0; i < 256; i++ {
 		prog = append(prog, byte(i*37))
 	}
-	for _, stage := range []string{"gw-pick", ""} {
-		h.Stage = stage
+	for k := 1; k <= len(words); k++ {
+		// Run the fold backwards from 0 over the first k words.
+		start := uint64(0)
+		for j := k - 1; j >= 0; j-- {
+			start = bits.RotateLeft64(start, -refRotate)*inv ^ words[j]
+		}
+		d := start
+		for _, w := range words[:k] {
+			d = bits.RotateLeft64((d^w)*refPrime, refRotate)
+		}
+		if start == 0 || d != 0 {
+			t.Fatalf("start %#x does not fold to 0 after %d words", start, k)
+		}
 		checkAgainstReference(t, prog, 4, start, idHop{id, h})
 	}
 }
 
 // FuzzTracerMatchesReference fuzzes hop streams against the reference.
-// The first byte picks the ring size (1, 2 or 512).
+// The first byte picks the log size (1, 2 or 512).
 func FuzzTracerMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 0x40, 4, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{1, 3, 0x60, 8, 1, 0, 0, 0, 0, 0, 0, 255, 0, 0, 0, 0, 0, 1, 1, 7, 2, 9, 9, 9, 9})
+	f.Add([]byte{1, 3, 0x6e, 8, 1, 0, 0, 0, 0, 0, 0, 255, 0, 0, 0, 0, 0, 1, 1, 7, 2, 9, 9, 9, 9})
 	rng := rand.New(rand.NewSource(42))
 	seedProg := make([]byte, 256)
 	rng.Read(seedProg)
@@ -426,32 +442,31 @@ func FuzzTracerMatchesReference(f *testing.F) {
 		if len(prog) == 0 || len(prog) > 1<<16 {
 			t.Skip()
 		}
-		maxFlights := []int{1, 2, 512}[int(prog[0])%3]
-		checkAgainstReference(t, prog[1:], maxFlights, 0)
+		maxHops := []int{1, 2, 512}[int(prog[0])%3]
+		checkAgainstReference(t, prog[1:], maxHops, 0)
 	})
 }
 
-// BenchmarkFlightTracerHop records a campaign-shaped hop mix — offloaded
-// flights of ten hops across client, FE and BE switches, neighbouring
-// packets' wire hops interleaved — with the 512-flight ring full, so
-// every new packet evicts the oldest flight. One op is one hop.
-func BenchmarkFlightTracerHop(b *testing.B) {
+// campaignHops is a campaign-shaped hop mix: offloaded flights of ten
+// hops across client, FE and BE switches, neighbouring packets' wire
+// hops interleaved.
+func campaignHops() []idHop {
 	client, fe, be := packet.MakeIP(10, 0, 1, 1), packet.MakeIP(10, 0, 5, 1), packet.MakeIP(10, 0, 100, 1)
 	var stream []idHop
 	at := 2 * sim.Second
 	flightOf := func(id uint64) []idHop {
 		at += 37 * sim.Microsecond
 		return []idHop{
-			{id, Hop{At: at, Node: client, Stage: "lookup", TableHit: true}},
-			{id, Hop{At: at, Node: client, Stage: "cpu", Cycles: 1800, QueueWait: 3 * sim.Microsecond}},
-			{id, Hop{At: at + 4*sim.Microsecond, Node: client, Stage: "gw-pick", HasTo: true, To: fe}},
-			{id, Hop{At: at + 4*sim.Microsecond, Node: client, Stage: "wire", HasTo: true, To: fe}},
-			{id, Hop{At: at + 9*sim.Microsecond, Node: fe, Stage: "lookup", TableHit: true}},
-			{id, Hop{At: at + 9*sim.Microsecond, Node: fe, Stage: "cpu", Cycles: 2600, QueueWait: 5 * sim.Microsecond}},
-			{id, Hop{At: at + 14*sim.Microsecond, Node: fe, Stage: "fe-tx", EncapBytes: 54}},
-			{id, Hop{At: at + 14*sim.Microsecond, Node: fe, Stage: "wire", HasTo: true, To: be}},
-			{id, Hop{At: at + 19*sim.Microsecond, Node: be, Stage: "cpu", Cycles: 1200, QueueWait: sim.Microsecond}},
-			{id, Hop{At: at + 21*sim.Microsecond, Node: be, Stage: "deliver"}},
+			{id, Hop{At: at, Node: client, Stage: StageLookup, Flags: TableHit}},
+			{id, Hop{At: at, Node: client, Stage: StageCPU, Cycles: 1800, QueueWait: 3 * sim.Microsecond}},
+			{id, Hop{At: at + 4*sim.Microsecond, Node: client, Stage: StageGWPick, Flags: HasTo, To: fe}},
+			{id, Hop{At: at + 4*sim.Microsecond, Node: client, Stage: StageWire, Flags: HasTo, To: fe}},
+			{id, Hop{At: at + 9*sim.Microsecond, Node: fe, Stage: StageLookup, Flags: TableHit}},
+			{id, Hop{At: at + 9*sim.Microsecond, Node: fe, Stage: StageCPU, Cycles: 2600, QueueWait: 5 * sim.Microsecond}},
+			{id, Hop{At: at + 14*sim.Microsecond, Node: fe, Stage: StageFETx, EncapBytes: 54}},
+			{id, Hop{At: at + 14*sim.Microsecond, Node: fe, Stage: StageWire, Flags: HasTo, To: be}},
+			{id, Hop{At: at + 19*sim.Microsecond, Node: be, Stage: StageCPU, Cycles: 1200, QueueWait: sim.Microsecond}},
+			{id, Hop{At: at + 21*sim.Microsecond, Node: be, Stage: StageDeliver}},
 		}
 	}
 	for id := uint64(1000); id < 1000+4096; id += 2 {
@@ -461,8 +476,15 @@ func BenchmarkFlightTracerHop(b *testing.B) {
 		stream = append(stream, a[4:]...)
 		stream = append(stream, c[4:]...)
 	}
-	tr := NewFlightTracer(1, 1, 512)
-	for _, r := range stream { // fill the ring and grow every slot
+	return stream
+}
+
+// BenchmarkFlightTracerHop records campaignHops with the default-size
+// log full, so every hop overwrites the oldest. One op is one hop.
+func BenchmarkFlightTracerHop(b *testing.B) {
+	stream := campaignHops()
+	tr := NewFlightTracer(1, 1, 0)
+	for _, r := range stream { // grow the log to full size
 		tr.Hop(r.id, r.h)
 	}
 	b.ReportAllocs()
@@ -470,6 +492,41 @@ func BenchmarkFlightTracerHop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := &stream[i%len(stream)]
 		tr.Hop(r.id, r.h)
+	}
+}
+
+// TestFlightTracerHopAllocFreeWhenFull holds a warmed tracer's Hop at
+// zero allocations: once the log has doubled to full size, a hop is an
+// indexed store over the oldest record.
+func TestFlightTracerHopAllocFreeWhenFull(t *testing.T) {
+	stream := campaignHops()
+	tr := NewFlightTracer(1, 1, 64)
+	i := 0
+	flight := func() {
+		for k := 0; k < 10; k++ {
+			r := &stream[i%len(stream)]
+			tr.Hop(r.id, r.h)
+			i++
+		}
+	}
+	for k := 0; k < 16; k++ {
+		flight()
+	}
+	if n := testing.AllocsPerRun(200, flight); n != 0 {
+		t.Fatalf("Hop allocates %v per 10 hops with the log full, want 0", n)
+	}
+}
+
+// TestNewFlightTracerAllocatesNoLog keeps tracer setup cheap: the log
+// is allocated at the first hop, so building a tracer allocates only
+// the tracer itself.
+func TestNewFlightTracerAllocatesNoLog(t *testing.T) {
+	var tr *FlightTracer
+	if n := testing.AllocsPerRun(100, func() { tr = NewFlightTracer(1, 1, 0) }); n > 1 {
+		t.Fatalf("NewFlightTracer allocates %v, want ≤ 1", n)
+	}
+	if tr.log != nil {
+		t.Fatal("a fresh tracer holds a log")
 	}
 }
 

@@ -70,9 +70,9 @@ func TestScalarPathAllocFreeMonolithic(t *testing.T) {
 func TestScalarPathAllocFreeWithObs(t *testing.T) {
 	w := allocWorld(t, 0)
 	w.installLocal(t, false)
-	// Every packet traced, and a ring small enough to be full (and so
-	// evicting) throughout the measured runs.
-	o := obs.New(obs.Options{Seed: 1, SampleRate: 1, MaxFlights: 8})
+	// Every packet traced, and a log small enough to be full (and so
+	// wrapping) throughout the measured runs.
+	o := obs.New(obs.Options{Seed: 1, SampleRate: 1, MaxHops: 8})
 	w.A.EnableObs(o)
 	w.B.EnableObs(o)
 	w.fab.EnableObs(o)
@@ -123,23 +123,5 @@ func TestSubmitTaskAllocFree(t *testing.T) {
 	submit()
 	if n := testing.AllocsPerRun(200, submit); n != 0 {
 		t.Fatalf("SubmitTask allocates %v per call, want 0", n)
-	}
-}
-
-func TestFlightTracerHopAllocFreeWhenFull(t *testing.T) {
-	tr := obs.NewFlightTracer(1, 1, 4)
-	id := uint64(0)
-	flight := func() { // a new flight each run: evicts the oldest slot
-		id++
-		for i := 0; i < 12; i++ {
-			tr.Hop(id, obs.Hop{At: sim.Time(i), Node: addrA, Stage: "wire", HasTo: true, To: addrB})
-		}
-		tr.Hop(id, obs.Hop{Node: addrB, Stage: "drop", Drop: DropACL.String()})
-	}
-	for i := 0; i < 16; i++ {
-		flight()
-	}
-	if n := testing.AllocsPerRun(200, flight); n != 0 {
-		t.Fatalf("Hop allocates %v per 13-hop flight with the ring full, want 0", n)
 	}
 }

@@ -16,6 +16,7 @@ package vswitch
 // (datapath.go) where a burst is a slice of them on one burstRun.
 
 import (
+	"nezha/internal/obs"
 	"nezha/internal/packet"
 	"nezha/internal/prof"
 	"nezha/internal/sim"
@@ -73,7 +74,7 @@ func (vs *VSwitch) fromVMRun(ps []*packet.Packet) {
 	for _, p := range ps {
 		p.CheckLive()
 		if vs.ob != nil {
-			vs.hop(p, "ingress-vm")
+			vs.hop(p, obs.StageIngressVM)
 		}
 	}
 	if vs.crashed {

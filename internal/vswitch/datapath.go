@@ -3,6 +3,7 @@ package vswitch
 import (
 	"nezha/internal/flowcache"
 	"nezha/internal/nic"
+	"nezha/internal/obs"
 	"nezha/internal/packet"
 	"nezha/internal/prof"
 	"nezha/internal/sim"
@@ -17,7 +18,7 @@ func (vs *VSwitch) FromVM(p *packet.Packet) {
 	p.CheckLive()
 	vs.Stats.FromVM++
 	if vs.ob != nil {
-		vs.hop(p, "ingress-vm")
+		vs.hop(p, obs.StageIngressVM)
 	}
 	if vs.crashed {
 		vs.drop(p, DropCrashed)
@@ -312,7 +313,7 @@ func (vs *VSwitch) localTX(vn *vnicState, p *packet.Packet) {
 
 func (vs *VSwitch) planLocalTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if vs.ob != nil {
-		vs.hop(p, "local-tx")
+		vs.hop(p, obs.StageLocalTx)
 	}
 	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
 	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
@@ -394,7 +395,7 @@ func (vs *VSwitch) planLocalRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packe
 		return false
 	}
 	if vs.ob != nil {
-		vs.hop(p, "local-rx")
+		vs.hop(p, obs.StageLocalRx)
 	}
 	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
 	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
@@ -485,7 +486,7 @@ func (vs *VSwitch) planBeTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, 
 	}
 	vs.attachStateView(p, vn.id, packet.DirTX, e.State)
 	if vs.ob != nil {
-		vs.hopEncap(p, "be-tx", p.Nezha.WireSize())
+		vs.hopEncap(p, obs.StageBETx, p.Nezha.WireSize())
 	}
 	*a = burstAct{p: p, cycles: cycles, kind: actRelay, to: fe}
 	return true
@@ -502,7 +503,7 @@ func (vs *VSwitch) beRX(vn *vnicState, p *packet.Packet) {
 	// fast/slow tag the FE's own lookup left behind.
 	p.Path = packet.PathOffloaded
 	if vs.ob != nil {
-		vs.hop(p, "be-rx")
+		vs.hop(p, obs.StageBERx)
 	}
 	now := int64(vs.loop.Now())
 	vp := vs.profVNIC(vn)
@@ -594,7 +595,7 @@ func (vs *VSwitch) absorbNotify(p *packet.Packet) {
 // then forwarding toward the peer.
 func (vs *VSwitch) feTX(fe *feInstance, p *packet.Packet) {
 	if vs.ob != nil {
-		vs.hop(p, "fe-tx")
+		vs.hop(p, obs.StageFETx)
 	}
 	vp := vs.profFE(fe)
 	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
@@ -682,7 +683,7 @@ func (vs *VSwitch) planFeRX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet,
 	// the original is preserved in the Nezha header.
 	vs.attachPreView(p, fe.vnic, pre, p.OuterSrc)
 	if vs.ob != nil {
-		vs.hopEncap(p, "fe-rx", p.Nezha.WireSize())
+		vs.hopEncap(p, obs.StageFERx, p.Nezha.WireSize())
 	}
 	*a = burstAct{p: p, cycles: cycles, kind: actRelay, to: fe.beAddr}
 	return true

@@ -19,6 +19,9 @@ type vsObs struct {
 	util      *nic.UtilMeter
 }
 
+// The flight tracer renders drop hops with DropReason names.
+func init() { obs.SetDropNames(dropCauseNames()) }
+
 // EnableObs publishes this vSwitch's datapath statistics into the
 // registry and turns on flight tracing for sampled packets. Counter
 // mirrors are snapshot-time funcs over the plain Stats fields (owned
@@ -110,7 +113,7 @@ func (vs *VSwitch) EnableObs(o *obs.Obs) {
 }
 
 // hop records a simple stage hop for a sampled packet.
-func (vs *VSwitch) hop(p *packet.Packet, stage string) {
+func (vs *VSwitch) hop(p *packet.Packet, stage obs.Stage) {
 	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
 		return
 	}
@@ -118,11 +121,11 @@ func (vs *VSwitch) hop(p *packet.Packet, stage string) {
 }
 
 // hopEncap records a hop that added encapsulation bytes.
-func (vs *VSwitch) hopEncap(p *packet.Packet, stage string, encapBytes int) {
+func (vs *VSwitch) hopEncap(p *packet.Packet, stage obs.Stage, encapBytes int) {
 	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
 		return
 	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: stage, EncapBytes: encapBytes})
+	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: stage, EncapBytes: uint32(encapBytes)})
 }
 
 // hopLookup records the session-table verdict.
@@ -130,7 +133,11 @@ func (vs *VSwitch) hopLookup(p *packet.Packet, hit bool) {
 	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
 		return
 	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: "lookup", TableHit: hit})
+	var f obs.HopFlags
+	if hit {
+		f = obs.TableHit
+	}
+	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageLookup, Flags: f})
 }
 
 // hopCPU records the CPU stage with the cycles charged and the queue
@@ -140,7 +147,7 @@ func (vs *VSwitch) hopCPU(p *packet.Packet, cycles uint64, wait sim.Time) {
 	if !vs.ob.tr.Sampled(p.ID) {
 		return
 	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: "cpu", Cycles: cycles, QueueWait: wait})
+	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageCPU, Cycles: cycles, QueueWait: wait})
 }
 
 // hopPick records the gateway-learner pick that chose the next hop.
@@ -148,7 +155,7 @@ func (vs *VSwitch) hopPick(p *packet.Packet, addr packet.IPv4) {
 	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
 		return
 	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: "gw-pick", HasTo: true, To: addr})
+	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageGWPick, Flags: obs.HasTo, To: addr})
 }
 
 // hopDrop records the packet's terminal drop with its reason.
@@ -156,7 +163,7 @@ func (vs *VSwitch) hopDrop(p *packet.Packet, r DropReason) {
 	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
 		return
 	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: "drop", Drop: r.String()})
+	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageDrop, Drop: uint8(r)})
 }
 
 // hopDeliver records final VM delivery and charges the flow table.
@@ -164,6 +171,6 @@ func (vs *VSwitch) hopDeliver(p *packet.Packet) {
 	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
 		return
 	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: "deliver"})
+	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageDeliver})
 	vs.ob.flows.Observe(p.Tuple, p.SizeBytes)
 }

@@ -1,9 +1,11 @@
 package vswitch
 
 import (
+	"strings"
 	"testing"
 
 	"nezha/internal/fabric"
+	"nezha/internal/obs"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
 	"nezha/internal/tables"
@@ -770,6 +772,10 @@ func TestDropReasonStrings(t *testing.T) {
 	for r := DropReason(0); r < numDropReasons; r++ {
 		if r.String() == "unknown" {
 			t.Fatalf("reason %d has no name", r)
+		}
+		// The flight tracer renders a drop hop's code with this name.
+		if h := (obs.Hop{Stage: obs.StageDrop, Drop: uint8(r)}); !strings.Contains(h.String(), "drop:"+r.String()+" ") {
+			t.Fatalf("reason %d renders as hop %q", r, h)
 		}
 	}
 }
