@@ -95,10 +95,6 @@ type CampaignConfig struct {
 	// (nezha-prof-seed<N>.pb.gz) — at the first invariant violation,
 	// or at campaign end on a clean run.
 	ProfDir string
-	// Scheduler picks the simulation loop's event-queue implementation
-	// (default: calendar queue). Differential tests run the same seed
-	// under sim.SchedHeap and require identical digests.
-	Scheduler sim.SchedulerKind
 	// Hist, when non-nil, is the ops-surface history store: a publisher
 	// feeds it one registry snapshot per virtual second (plus spans and
 	// attribution profiles) and the engine mirrors invariant violations
@@ -297,9 +293,8 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 	}
 
 	c := cluster.New(cluster.Options{
-		Servers:   cfg.Servers,
-		Seed:      cfg.Seed,
-		Scheduler: cfg.Scheduler,
+		Servers: cfg.Servers,
+		Seed:    cfg.Seed,
 		VSwitch: func(i int, vc *vswitch.Config) {
 			vc.Cores = 2
 			vc.CoreHz = 500_000_000

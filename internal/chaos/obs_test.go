@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"strings"
@@ -93,20 +94,41 @@ func TestTraceDigestDeterminism(t *testing.T) {
 	}
 }
 
-// TestObsDoesNotPerturbSimulation guards the observer effect: wiring
-// the obs layer into a campaign must not change the simulated
-// behavior — the end-state digest with obs on must equal the digest
-// with obs off for the same seed.
-func TestObsDoesNotPerturbSimulation(t *testing.T) {
-	plain, err := RunCampaign(CampaignConfig{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	observed, err := RunCampaign(CampaignConfig{Seed: 9, Obs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Digest != observed.Digest {
-		t.Errorf("enabling obs changed the run: digest %#x (off) vs %#x (on)", plain.Digest, observed.Digest)
+// TestTelemetryDoesNotPerturbSimulation guards the observer effect for
+// every telemetry combination: the obs layer, the attribution profiler
+// and the latency ledger, each on or off, on one seed. All eight runs
+// must reach the same end-state digest and completion count, and the
+// four runs with obs on must record the same flight-trace digest.
+func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
+	var base, traced Report
+	for i := 0; i < 8; i++ {
+		cfg := CampaignConfig{Seed: 9, Obs: i&1 != 0, Prof: i&2 != 0, SLO: i&4 != 0}
+		name := fmt.Sprintf("obs=%t prof=%t slo=%t", cfg.Obs, cfg.Prof, cfg.SLO)
+		if cfg.Prof {
+			cfg.ProfDir = t.TempDir()
+		}
+		rep, err := RunCampaign(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if i == 0 {
+			base = rep
+		} else if rep.Digest != base.Digest || rep.Completed != base.Completed {
+			t.Errorf("%s changed the run: digest %#x completed %d, want %#x and %d (all off)",
+				name, rep.Digest, rep.Completed, base.Digest, base.Completed)
+		}
+		if cfg.Obs {
+			if i == 1 {
+				traced = rep
+			} else if rep.TraceDigest != traced.TraceDigest {
+				t.Errorf("%s changed the flight traces: %#x, want %#x (obs only)", name, rep.TraceDigest, traced.TraceDigest)
+			}
+		}
+		if cfg.Prof && rep.ProfDumpPath == "" {
+			t.Errorf("%s: ProfDir set but no profile was written", name)
+		}
+		if cfg.SLO && rep.SLOWorstP99 == 0 {
+			t.Errorf("%s: SLO-enabled campaign recorded no latency at all; the ledger is not wired", name)
+		}
 	}
 }

@@ -97,19 +97,3 @@ func TestProfDumpOnCleanRun(t *testing.T) {
 		t.Error("profile missing control-plane attribution (stage:ctrl)")
 	}
 }
-
-// TestProfDoesNotPerturbSimulation guards the observer effect for the
-// profiler: the end-state digest with prof on must equal prof off.
-func TestProfDoesNotPerturbSimulation(t *testing.T) {
-	plain, err := RunCampaign(CampaignConfig{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiled, err := RunCampaign(CampaignConfig{Seed: 11, Prof: true, ProfDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Digest != profiled.Digest {
-		t.Errorf("enabling prof changed the run: digest %#x (off) vs %#x (on)", plain.Digest, profiled.Digest)
-	}
-}

@@ -92,8 +92,6 @@ type ScenarioConfig struct {
 	CtrlOutage sim.Time
 	// CheckEvery paces invariant evaluation (default 50 ms).
 	CheckEvery sim.Time
-	// Scheduler picks the event-queue implementation.
-	Scheduler sim.SchedulerKind
 	// Hist, when non-nil, is the ops-surface history store: the rig
 	// gains an obs bundle, a per-virtual-second snapshot publisher, the
 	// policy decision log, and invariant mirroring, so an opsapi server
@@ -337,9 +335,8 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		tracker = slo.NewTracker(slo.Config{})
 	}
 	c := cluster.New(cluster.Options{
-		Servers:   cfg.Servers,
-		Seed:      cfg.Seed,
-		Scheduler: cfg.Scheduler,
+		Servers: cfg.Servers,
+		Seed:    cfg.Seed,
 		VSwitch: func(i int, vc *vswitch.Config) {
 			vc.Cores = 2
 			vc.CoreHz = 500_000_000

@@ -19,6 +19,8 @@ import (
 // engine must self-report zero thrash.
 //
 // Reproduce one seed: go test ./internal/chaos -run PolicyScenarioSweep -chaos.seed=<n>
+// With -v, seed 1's converged gap, peak pool and Sirius card count are
+// logged; they are the policy numbers README and DESIGN quote.
 func TestPolicyScenarioSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario sweep is not run in -short mode")
@@ -52,6 +54,14 @@ func TestPolicyScenarioSweep(t *testing.T) {
 		}
 		if res.ThrashCount != 0 {
 			t.Errorf("seed %d: %d relocation thrash event(s) under the production cooldown", seed, res.ThrashCount)
+		}
+		if seed == 1 {
+			peak := 0
+			for _, p := range res.Pools {
+				peak = max(peak, p)
+			}
+			t.Logf("seed 1: converged oracle gap %.2f%% over %d windows, peak policy pool %d FEs vs %d Sirius cards",
+				res.Score.ConvergedGapPct, res.Score.ConvergedWindows, peak, res.SiriusCards)
 		}
 		if res.Failed() {
 			t.Errorf("seed %d: %d invariant violation(s); reproduce with:\n\tgo test ./internal/chaos -run PolicyScenarioSweep -chaos.seed=%d",
@@ -146,9 +156,8 @@ func TestPolicyThrashNegativeControl(t *testing.T) {
 }
 
 // TestPolicyScenarioDeterminism pins reproducibility: the same seed
-// must yield a byte-identical decision log and digest, including under
-// the alternate (heap) event scheduler — the decision stream is part
-// of the simulation's observable behavior.
+// must yield a byte-identical decision log and digest — the decision
+// stream is part of the simulation's observable behavior.
 func TestPolicyScenarioDeterminism(t *testing.T) {
 	base, err := RunScenario(ScenarioConfig{Seed: 7})
 	if err != nil {
@@ -161,15 +170,8 @@ func TestPolicyScenarioDeterminism(t *testing.T) {
 	if base.Digest != again.Digest {
 		t.Fatalf("same seed, different digests: %#x vs %#x", base.Digest, again.Digest)
 	}
-	heap, err := RunScenario(ScenarioConfig{Seed: 7, Scheduler: sim.SchedHeap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, h := strings.Join(base.DecisionLog, "\n"), strings.Join(heap.DecisionLog, "\n"); d != h {
-		t.Fatalf("heap scheduler produced a different decision log:\ncalendar:\n%s\nheap:\n%s", d, h)
-	}
-	if base.Digest != heap.Digest {
-		t.Fatalf("heap scheduler changed the scenario digest: %#x vs %#x", base.Digest, heap.Digest)
+	if a, b := strings.Join(base.DecisionLog, "\n"), strings.Join(again.DecisionLog, "\n"); a != b {
+		t.Fatalf("same seed, different decision logs:\nfirst:\n%s\nsecond:\n%s", a, b)
 	}
 }
 

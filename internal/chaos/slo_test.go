@@ -7,46 +7,6 @@ import (
 	"nezha/internal/sim"
 )
 
-// TestSLODoesNotPerturbSimulation guards the observer effect for the
-// latency ledger: attaching the SLO tracker must not change the
-// simulated behavior — the end-state digest with SLO on must equal
-// the digest with SLO off for the same seed, and with the obs layer
-// also attached the flight-trace digest must be untouched too.
-func TestSLODoesNotPerturbSimulation(t *testing.T) {
-	plain, err := RunCampaign(CampaignConfig{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracked, err := RunCampaign(CampaignConfig{Seed: 9, SLO: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Digest != tracked.Digest {
-		t.Errorf("enabling SLO changed the run: digest %#x (off) vs %#x (on)", plain.Digest, tracked.Digest)
-	}
-	if plain.Completed != tracked.Completed {
-		t.Errorf("completed diverged: %d (off) vs %d (on)", plain.Completed, tracked.Completed)
-	}
-	if tracked.SLOWorstP99 == 0 {
-		t.Error("SLO-enabled campaign recorded no latency at all; the ledger is not wired")
-	}
-
-	obsOnly, err := RunCampaign(CampaignConfig{Seed: 9, Obs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obsSLO, err := RunCampaign(CampaignConfig{Seed: 9, Obs: true, SLO: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obsOnly.Digest != obsSLO.Digest {
-		t.Errorf("SLO under obs changed the run: digest %#x vs %#x", obsOnly.Digest, obsSLO.Digest)
-	}
-	if obsOnly.TraceDigest != obsSLO.TraceDigest {
-		t.Errorf("SLO under obs changed the flight traces: %#x vs %#x", obsOnly.TraceDigest, obsSLO.TraceDigest)
-	}
-}
-
 // TestScenarioDecisionLogUnchangedBySLO is the same observer-effect
 // pin for the policy scenario harness: the decision log — the
 // golden-file regression handle — must stay byte-identical with the

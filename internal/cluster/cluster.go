@@ -41,10 +41,6 @@ type Options struct {
 	Monitor monitor.Config
 	// SweepInterval paces session-table aging sweeps (default 1s).
 	SweepInterval sim.Time
-	// Scheduler picks the event-queue implementation for the loop
-	// (default: the calendar queue; sim.SchedHeap for differential
-	// runs).
-	Scheduler sim.SchedulerKind
 	// Obs, when non-nil, wires the observability bundle into every
 	// component (fabric, gateway, vSwitches, controller, monitor).
 	Obs *obs.Obs
@@ -108,7 +104,7 @@ func New(opts Options) *Cluster {
 		opts.SweepInterval = sim.Second
 	}
 	c := &Cluster{
-		Loop: sim.NewLoopSched(opts.Seed, opts.Scheduler),
+		Loop: sim.NewLoop(opts.Seed),
 		Obs:  opts.Obs,
 		Prof: opts.Prof,
 		SLO:  opts.SLO,

@@ -7,25 +7,21 @@ import (
 	"sort"
 )
 
-// SchedulerKind selects the Loop's event-queue implementation.
+// SchedulerKind names the Loop's event-queue implementation; the
+// calendar queue is the only one. It exists only as NewLoopSched's
+// parameter and goes with it.
 type SchedulerKind uint8
 
-const (
-	// SchedCalendar is the default scheduler: a calendar-queue /
-	// timer-wheel hybrid with O(1) amortized push and pop for the
-	// near-future events the datapath generates by the million, and a
-	// spill heap for far-future timers. Pop order is exactly the heap
-	// scheduler's: deadline ascending, FIFO at equal deadlines.
-	SchedCalendar SchedulerKind = iota
-	// SchedHeap is the original container/heap event queue, kept for
-	// differential testing against the calendar queue.
-	SchedHeap
-)
+// SchedCalendar is the calendar-queue / timer-wheel hybrid: O(1)
+// amortized push and pop for the near-future events the datapath
+// generates by the million, and a spill heap for far-future timers.
+const SchedCalendar SchedulerKind = 0
 
 // scheduler is the event-queue contract. Pop order is strictly
-// (at, seq) ascending — equal deadlines fire in scheduling order —
-// and both implementations must agree bit for bit; the chaos digest
-// sweep runs on one and is replayed on the other.
+// (at, seq) ascending — equal deadlines fire in scheduling order. The
+// Loop holds it as an interface so the package tests can substitute a
+// container/heap oracle and require bit-identical firing logs from the
+// calendar queue.
 type scheduler interface {
 	push(*event)
 	// popLE removes and returns the earliest event if its deadline is
@@ -33,21 +29,6 @@ type scheduler interface {
 	popLE(max Time) *event
 	len() int
 }
-
-// --- heap scheduler (the pre-calendar baseline) ----------------------
-
-type heapSched struct{ q eventQueue }
-
-func (h *heapSched) push(ev *event) { heap.Push(&h.q, ev) }
-
-func (h *heapSched) popLE(max Time) *event {
-	if len(h.q) == 0 || h.q[0].at > max {
-		return nil
-	}
-	return heap.Pop(&h.q).(*event)
-}
-
-func (h *heapSched) len() int { return len(h.q) }
 
 // --- calendar queue --------------------------------------------------
 

@@ -1,17 +1,52 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"testing"
 )
 
+// heapSched is the container/heap event queue the calendar queue
+// replaced, kept as the ordering oracle: (at, seq) order by
+// construction, so every test below requires the calendar queue to
+// fire exactly what it fires.
+type heapSched struct{ q eventQueue }
+
+func (h *heapSched) push(ev *event) { heap.Push(&h.q, ev) }
+
+func (h *heapSched) popLE(max Time) *event {
+	if len(h.q) == 0 || h.q[0].at > max {
+		return nil
+	}
+	return heap.Pop(&h.q).(*event)
+}
+
+func (h *heapSched) len() int { return len(h.q) }
+
+// schedulers is the oracle and the production queue, in that order.
+var schedulers = []struct {
+	name   string
+	oracle bool
+}{{"heap", true}, {"calendar", false}}
+
+// newTestLoop returns a seed-1 loop on the calendar queue, or on the
+// heap oracle when oracle is set.
+func newTestLoop(oracle bool) *Loop {
+	l := NewLoop(1)
+	if oracle {
+		l.sched = &heapSched{}
+	}
+	return l
+}
+
 // driveOps interprets a byte string as a schedule/cancel/tick program
-// against a fresh loop with the given scheduler and returns the exact
-// firing log. Deltas are decoded so that equal-deadline collisions,
-// in-slot inserts during a drain, far-heap spills (beyond the
-// calendar's ~4.2 ms window), and idle jumps all occur routinely.
-func driveOps(kind SchedulerKind, prog []byte) []string {
-	l := NewLoopSched(1, kind)
+// against a fresh loop (the heap oracle when oracle is set) and
+// returns the exact firing log. Deltas are decoded so that
+// equal-deadline collisions, in-slot inserts during a drain, far-heap
+// spills (beyond the calendar's ~4.2 ms window), and idle jumps all
+// occur routinely.
+func driveOps(oracle bool, prog []byte) []string {
+	l := newTestLoop(oracle)
 	var log []string
 	var refs []EventRef
 	id := 0
@@ -64,8 +99,8 @@ func driveOps(kind SchedulerKind, prog []byte) []string {
 
 func diffLogs(t *testing.T, prog []byte) {
 	t.Helper()
-	h := driveOps(SchedHeap, prog)
-	c := driveOps(SchedCalendar, prog)
+	h := driveOps(true, prog)
+	c := driveOps(false, prog)
 	if len(h) != len(c) {
 		t.Fatalf("fired %d events on heap, %d on calendar", len(h), len(c))
 	}
@@ -93,8 +128,8 @@ func TestSchedulerDifferentialOps(t *testing.T) {
 // deadlines — from outside and from inside the draining slot — and
 // checks FIFO order on both schedulers.
 func TestEqualDeadlineFIFO(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedHeap, SchedCalendar} {
-		l := NewLoopSched(1, kind)
+	for _, s := range schedulers {
+		l := newTestLoop(s.oracle)
 		var got []int
 		at := Time(5 * Microsecond)
 		for i := 0; i < 50; i++ {
@@ -111,15 +146,15 @@ func TestEqualDeadlineFIFO(t *testing.T) {
 		}
 		l.RunAll()
 		if len(got) != 51 {
-			t.Fatalf("%v: fired %d, want 51", kind, len(got))
+			t.Fatalf("%s: fired %d, want 51", s.name, len(got))
 		}
 		for i := 0; i < 50; i++ {
 			if got[i] != i {
-				t.Fatalf("%v: position %d fired %d, want %d (FIFO broken)", kind, i, got[i], i)
+				t.Fatalf("%s: position %d fired %d, want %d (FIFO broken)", s.name, i, got[i], i)
 			}
 		}
 		if got[50] != 1000 {
-			t.Fatalf("%v: delay-zero insert fired at position %d, want last", kind, got[50])
+			t.Fatalf("%s: delay-zero insert fired at position %d, want last", s.name, got[50])
 		}
 	}
 }
@@ -128,7 +163,7 @@ func TestEqualDeadlineFIFO(t *testing.T) {
 // case: the queue idles far into the future (base slot jumps), then an
 // event lands before the jumped-to slot and must still fire first.
 func TestCalendarIdleJumpThenEarlyPush(t *testing.T) {
-	l := NewLoopSched(1, SchedCalendar)
+	l := NewLoop(1)
 	var got []string
 	l.At(100*Millisecond, func() { got = append(got, "far") })
 	// Run to 50 ms: nothing fires, but popLE's idle jump advances the
@@ -152,8 +187,8 @@ func TestCalendarIdleJumpThenEarlyPush(t *testing.T) {
 // TestSchedulerCancelRecycle checks that a stale EventRef from a fired
 // event cannot cancel the recycled event struct's next incarnation.
 func TestSchedulerCancelRecycle(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedHeap, SchedCalendar} {
-		l := NewLoopSched(1, kind)
+	for _, s := range schedulers {
+		l := newTestLoop(s.oracle)
 		fired := 0
 		ref := l.Schedule(Microsecond, func() { fired++ })
 		l.RunAll()
@@ -163,7 +198,7 @@ func TestSchedulerCancelRecycle(t *testing.T) {
 		ref.Cancel()
 		l.RunAll()
 		if fired != 2 {
-			t.Fatalf("%v: fired %d, want 2 — stale ref cancelled a recycled event", kind, fired)
+			t.Fatalf("%s: fired %d, want 2 — stale ref cancelled a recycled event", s.name, fired)
 		}
 	}
 }
@@ -184,15 +219,6 @@ func FuzzSchedulerOrdering(f *testing.F) {
 		if len(prog) > 1<<16 {
 			t.Skip("program too large")
 		}
-		h := driveOps(SchedHeap, prog)
-		c := driveOps(SchedCalendar, prog)
-		if len(h) != len(c) {
-			t.Fatalf("fired %d events on heap, %d on calendar", len(h), len(c))
-		}
-		for i := range h {
-			if h[i] != c[i] {
-				t.Fatalf("firing order diverges at %d: heap %s, calendar %s", i, h[i], c[i])
-			}
-		}
+		diffLogs(t, prog)
 	})
 }

@@ -141,24 +141,15 @@ func (l *Loop) notify() {
 }
 
 // NewLoop returns a loop whose clock starts at zero and whose random
-// source is seeded with seed, using the default calendar-queue
-// scheduler.
+// source is seeded with seed, scheduling on the calendar queue.
 func NewLoop(seed int64) *Loop {
-	return NewLoopSched(seed, SchedCalendar)
+	return &Loop{rng: NewRand(seed), sched: newCalendarQueue()}
 }
 
-// NewLoopSched is NewLoop with an explicit scheduler implementation,
-// for differential testing of the calendar queue against the heap.
-func NewLoopSched(seed int64, kind SchedulerKind) *Loop {
-	l := &Loop{rng: NewRand(seed)}
-	switch kind {
-	case SchedHeap:
-		l.sched = &heapSched{}
-	default:
-		l.sched = newCalendarQueue()
-	}
-	return l
-}
+// NewLoopSched is NewLoop. The alias exists only for the one call in
+// bench/fastpath.go, which names the scheduler explicitly; a later
+// benchmark change deletes it together with SchedulerKind.
+func NewLoopSched(seed int64, _ SchedulerKind) *Loop { return NewLoop(seed) }
 
 func (l *Loop) newEvent(at Time, fn func()) *event {
 	var ev *event
