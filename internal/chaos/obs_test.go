@@ -94,15 +94,23 @@ func TestTraceDigestDeterminism(t *testing.T) {
 	}
 }
 
-// TestTelemetryDoesNotPerturbSimulation guards the observer effect for
-// every telemetry combination: the obs layer, the attribution profiler
-// and the latency ledger, each on or off, on one seed. All eight runs
-// must reach the same end-state digest and completion count, and the
-// four runs with obs on must record the same flight-trace digest.
-func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
+// Telemetry combinations as bit masks: obs, prof and slo on or off.
+const (
+	telObs = 1 << iota
+	telProf
+	telSLO
+)
+
+// checkTelemetryCombos runs one campaign per combination on one seed.
+// The first combination is the reference: every other run must reach
+// its end-state digest and completion count, and every obs-on run must
+// record the flight-trace digest of the first obs-on run.
+func checkTelemetryCombos(t *testing.T, seed int64, combos ...int) {
+	t.Helper()
 	var base, traced Report
-	for i := 0; i < 8; i++ {
-		cfg := CampaignConfig{Seed: 9, Obs: i&1 != 0, Prof: i&2 != 0, SLO: i&4 != 0}
+	haveTrace := false
+	for i, c := range combos {
+		cfg := CampaignConfig{Seed: seed, Obs: c&telObs != 0, Prof: c&telProf != 0, SLO: c&telSLO != 0}
 		name := fmt.Sprintf("obs=%t prof=%t slo=%t", cfg.Obs, cfg.Prof, cfg.SLO)
 		if cfg.Prof {
 			cfg.ProfDir = t.TempDir()
@@ -118,8 +126,8 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 				name, rep.Digest, rep.Completed, base.Digest, base.Completed)
 		}
 		if cfg.Obs {
-			if i == 1 {
-				traced = rep
+			if !haveTrace {
+				traced, haveTrace = rep, true
 			} else if rep.TraceDigest != traced.TraceDigest {
 				t.Errorf("%s changed the flight traces: %#x, want %#x (obs only)", name, rep.TraceDigest, traced.TraceDigest)
 			}
@@ -131,4 +139,33 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 			t.Errorf("%s: SLO-enabled campaign recorded no latency at all; the ledger is not wired", name)
 		}
 	}
+}
+
+// TestTelemetryDoesNotPerturbSimulation guards the observer effect for
+// every telemetry combination: the obs layer, the attribution profiler
+// and the latency ledger, each on or off, on one seed. All eight runs
+// must reach the same end-state digest and completion count, and the
+// four runs with obs on must record the same flight-trace digest.
+func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
+	checkTelemetryCombos(t, 9, 0, telObs, telProf, telObs|telProf,
+		telSLO, telObs|telSLO, telProf|telSLO, telObs|telProf|telSLO)
+}
+
+// TestObsDoesNotPerturbSimulation guards the observer effect of the obs
+// layer alone: obs on must match obs off for the same seed.
+func TestObsDoesNotPerturbSimulation(t *testing.T) {
+	checkTelemetryCombos(t, 9, 0, telObs)
+}
+
+// TestProfDoesNotPerturbSimulation guards the observer effect of the
+// profiler alone, on a second seed: prof on must match prof off.
+func TestProfDoesNotPerturbSimulation(t *testing.T) {
+	checkTelemetryCombos(t, 11, 0, telProf)
+}
+
+// TestSLODoesNotPerturbSimulation guards the observer effect of the
+// latency ledger: SLO on must match SLO off, and with the obs layer
+// also attached the flight-trace digest must be untouched too.
+func TestSLODoesNotPerturbSimulation(t *testing.T) {
+	checkTelemetryCombos(t, 9, 0, telSLO, telObs, telObs|telSLO)
 }
