@@ -58,7 +58,7 @@ func (c *Controller) ScaleOut(vnic uint32, n int) error {
 	if !v.offloaded {
 		return ErrNotOffloaded
 	}
-	if v.txn != nil || v.inProgress || v.scaling {
+	if v.txn != nil || v.inProgress {
 		return ErrBusy
 	}
 	if !c.scaleOutOpts(v, n, true) {
@@ -79,7 +79,7 @@ func (c *Controller) ScaleIn(vnic uint32, n int) error {
 	if !v.offloaded {
 		return ErrNotOffloaded
 	}
-	if v.txn != nil || v.inProgress || v.scaling {
+	if v.txn != nil || v.inProgress {
 		return ErrBusy
 	}
 	if max := len(v.fes) - c.floorOf(v); n > max {
