@@ -101,6 +101,39 @@ func TestSoakMidPushKill(t *testing.T) {
 	}
 }
 
+// TestTeardownRaceSeeds pins campaigns that blackhole a vNIC when an
+// FE's tables are torn down while the gateway can still steer at it:
+// a deferred shrink teardown carrying the epoch read at its ack
+// instead of the shrink's own, a teardown of an FE re-adopted
+// meanwhile, a scale-out commit resurrecting a member removed during
+// its commit RPCs, and a rollback racing an unacked shrink. The first
+// five failed before the controller's teardown and adopt rules; the
+// controller crash in three of them only shapes the timing. Plain 903
+// fails if the shrink's teardown alone reverts to the ack-time epoch.
+func TestTeardownRaceSeeds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  CampaignConfig
+	}{
+		{"ctrl-crash/302", CampaignConfig{Seed: 302, CtrlCrash: true}},
+		{"ctrl-crash/800", CampaignConfig{Seed: 800, CtrlCrash: true}},
+		{"ctrl-crash/905", CampaignConfig{Seed: 905, CtrlCrash: true}},
+		{"plain/412", CampaignConfig{Seed: 412}},
+		{"midpush/40", CampaignConfig{Seed: 40, MidPushKill: true}},
+		{"plain/903", CampaignConfig{Seed: 903}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := RunCampaign(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range rep.Violations {
+				t.Error(v)
+			}
+		})
+	}
+}
+
 // TestNoBlackholeNegativeControl proves the no-blackhole invariant
 // actually has teeth: with the two-phase commit bypassed (the gateway
 // flipped fire-and-forget while FE installs are still in flight), at
