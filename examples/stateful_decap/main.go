@@ -101,7 +101,7 @@ func main() {
 	// The BE recorded the LB address in the session state.
 	key, _ := packet.SessionKeyOf(rsVNIC, vpc, ft)
 	if e := vsRS.Sessions().Peek(key); e != nil {
-		fmt.Printf("  BE state: DecapIP=%v (the LB) — kept in ONE local copy\n", e.State.DecapIP)
+		fmt.Printf("  BE state: DecapIP=%v (the LB) — kept in ONE local copy\n", vsRS.Sessions().State(e).DecapIP)
 	}
 
 	// 2. The RS responds to the client address; stateful decap

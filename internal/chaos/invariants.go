@@ -82,11 +82,12 @@ type stateResidency struct {
 // system.
 //
 // The sweep runs after every event, so it avoids a per-session map: a
-// session key names its vNIC (flowcache entries are created under the
-// key's vNIC), and state off the vNIC's home is already the first
-// error, so two copies of one key can only both get past that check
-// when the vNIC is resident on two switches. Only such vNICs — none, in
-// a healthy world — have their keys tracked across switches.
+// session key names its vNIC (a flowcache entry belongs to its key's
+// vNIC, which the simdebug build checks at creation), and state off
+// the vNIC's home is already the first error, so two copies of one key
+// can only both get past that check when the vNIC is resident on two
+// switches. Only such vNICs — none, in a healthy world — have their
+// keys tracked across switches.
 func StateResidency(sys System) Invariant {
 	return &stateResidency{sys: sys, holders: make(map[packet.SessionKey]packet.IPv4)}
 }
@@ -108,21 +109,21 @@ func (c *stateResidency) Check(now sim.Time) error {
 			if !e.HasState {
 				return true
 			}
-			if !memo.valid || memo.vnic != e.VNIC {
-				memo.vnic, memo.valid = e.VNIC, true
-				memo.resident = vs.HasVNIC(e.VNIC)
-				memo.multi = memo.resident && c.residentElsewhere(vs, e.VNIC)
+			if !memo.valid || memo.vnic != e.Key.VNIC {
+				memo.vnic, memo.valid = e.Key.VNIC, true
+				memo.resident = vs.HasVNIC(e.Key.VNIC)
+				memo.multi = memo.resident && c.residentElsewhere(vs, e.Key.VNIC)
 			}
 			if !memo.resident {
 				err = fmt.Errorf("session state for vNIC %d held at %v, where the vNIC is not resident (FE holding state)",
-					e.VNIC, vs.Addr())
+					e.Key.VNIC, vs.Addr())
 				return false
 			}
 			if !memo.multi {
 				return true
 			}
 			if first, dup := c.holders[e.Key]; dup {
-				err = fmt.Errorf("session state for vNIC %d duplicated: copies at %v and %v", e.VNIC, first, vs.Addr())
+				err = fmt.Errorf("session state for vNIC %d duplicated: copies at %v and %v", e.Key.VNIC, first, vs.Addr())
 				return false
 			}
 			c.holders[e.Key] = vs.Addr()

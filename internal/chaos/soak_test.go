@@ -29,8 +29,9 @@ func TestSoak(t *testing.T) {
 	}
 	var declared, failovers, completed uint64
 	for _, seed := range seeds {
-		// Every invariant sweep of the soak also runs the reference
-		// residency check; a disagreement is a violation like any other.
+		// Every eighth invariant sweep of the soak, and any sweep where
+		// residency fails, also runs the reference residency check; a
+		// disagreement is a violation like any other.
 		rep, err := runCampaign(CampaignConfig{Seed: seed}, registerResidencyDifferential)
 		if err != nil {
 			t.Fatalf("seed %d: campaign failed to build: %v", seed, err)

@@ -183,7 +183,7 @@ func fig9Flows(cfg RunConfig, k int) int {
 	be := r.serverSwitch()
 	states := 0
 	be.Sessions().Range(func(e *flowcache.Entry) bool {
-		if e.HasState && e.VNIC == rigServerVNIC {
+		if e.HasState && e.Key.VNIC == rigServerVNIC {
 			states++
 		}
 		return true
@@ -198,7 +198,7 @@ func fig9Flows(cfg RunConfig, k int) int {
 			continue
 		}
 		vs.Sessions().Range(func(e *flowcache.Entry) bool {
-			if e.HasPre && e.VNIC == rigServerVNIC {
+			if e.HasPre && e.Key.VNIC == rigServerVNIC {
 				cached++
 			}
 			return true

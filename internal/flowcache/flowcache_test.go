@@ -10,12 +10,15 @@ import (
 	"nezha/internal/tables"
 )
 
-func key(n uint16) packet.SessionKey {
+// key is session n of vNIC 3, the vNIC most tests create entries under.
+func key(n uint16) packet.SessionKey { return keyIn(3, n) }
+
+func keyIn(vnic uint32, n uint16) packet.SessionKey {
 	ft := packet.FiveTuple{
 		SrcIP: packet.MakeIP(10, 0, 0, 1), DstIP: packet.MakeIP(10, 0, 0, 2),
 		SrcPort: n, DstPort: 80, Proto: packet.ProtoTCP,
 	}
-	k, _ := packet.SessionKeyOf(1, 7, ft)
+	k, _ := packet.SessionKeyOf(vnic, 7, ft)
 	return k
 }
 
@@ -25,7 +28,7 @@ func TestGetOrCreateAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.VNIC != 3 || e.LastSeen != 100 {
+	if e.Key.VNIC != 3 || e.LastSeen != 100 {
 		t.Fatalf("entry fields: %+v", e)
 	}
 	if tb.Len() != 1 {
@@ -146,8 +149,8 @@ func TestTouchState(t *testing.T) {
 	if err := tb.TouchState(e, packet.DirTX, packet.FlagSYN, 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	if !e.HasState || e.State.TCP != state.TCPSynSent {
-		t.Fatalf("state not advanced: %+v", e.State)
+	if st := tb.State(e); !e.HasState || st.TCP != state.TCPSynSent {
+		t.Fatalf("state not advanced: %+v", *st)
 	}
 	if tb.MemBytes() != EntryOverheadBytes+state.FixedSizeBytes {
 		t.Fatalf("mem = %d", tb.MemBytes())
@@ -158,14 +161,14 @@ func TestInvalidateVNIC(t *testing.T) {
 	tb := New(Config{})
 	tb.GetOrCreate(key(1), 3, 0)
 	tb.GetOrCreate(key(2), 3, 0)
-	tb.GetOrCreate(key(3), 4, 0)
+	tb.GetOrCreate(keyIn(4, 3), 4, 0)
 	if n := tb.InvalidateVNIC(3); n != 2 {
 		t.Fatalf("invalidated %d, want 2", n)
 	}
 	if tb.Len() != 1 {
 		t.Fatalf("len = %d", tb.Len())
 	}
-	if tb.Peek(key(3)) == nil {
+	if tb.Peek(keyIn(4, 3)) == nil {
 		t.Fatal("wrong vnic invalidated")
 	}
 }
@@ -263,7 +266,7 @@ func applyMemOp(tb *Table, op uint16, now int64) {
 	k := key(op % 16)
 	switch op % 5 {
 	case 0, 1:
-		e, err := tb.GetOrCreate(k, uint32(op%3), now)
+		e, err := tb.GetOrCreate(k, k.VNIC, now)
 		if err == nil && op%2 == 0 {
 			tb.TouchState(e, packet.DirTX, packet.FlagSYN, 0, now)
 		}

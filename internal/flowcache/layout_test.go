@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"nezha/internal/packet"
+	"nezha/internal/state"
 	"nezha/internal/tables"
 )
 
@@ -49,30 +50,22 @@ func TestProbeLength(t *testing.T) {
 	}
 }
 
-// TestEntryLayout pins what the slab design rests on: an entry no
-// larger than the separately allocated one it replaced, the fields a
-// hit and a stateless aging check read inside the first 64 bytes, and
-// no pointer anywhere in it (or in a bucket), so the collector never
-// scans the table.
+// TestEntryLayout pins what the role-shaped store rests on: an entry
+// that is one cache line, full entry and state slabs that are whole
+// pages, and no pointer in an entry, a state slot, a pre-actions pool
+// slot or a bucket, so the collector never scans the table.
 func TestEntryLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(Entry{}); sz > 216 {
-		t.Errorf("Entry is %d bytes, want ≤ 216", sz)
+	if sz := unsafe.Sizeof(Entry{}); sz > 64 {
+		t.Errorf("Entry is %d bytes, want ≤ 64", sz)
 	}
 	if sz := maxSlab * unsafe.Sizeof(Entry{}); sz%8192 != 0 {
-		t.Errorf("a full slab is %d bytes, not a whole number of 8 KiB pages", sz)
+		t.Errorf("a full entry slab is %d bytes, not a whole number of 8 KiB pages", sz)
+	}
+	if sz := maxSlab * unsafe.Sizeof(state.State{}); sz%8192 != 0 {
+		t.Errorf("a full state slab is %d bytes, not a whole number of 8 KiB pages", sz)
 	}
 	if sz := unsafe.Sizeof(bucket{}); sz != 8 {
 		t.Errorf("bucket is %d bytes, want 8", sz)
-	}
-	typ := reflect.TypeOf(Entry{})
-	for _, name := range []string{"Key", "VNIC", "HasPre", "HasState", "live", "LastSeen", "PreVersion"} {
-		f, ok := typ.FieldByName(name)
-		if !ok {
-			t.Fatalf("Entry has no field %s", name)
-		}
-		if end := f.Offset + f.Type.Size(); end > 64 {
-			t.Errorf("Entry.%s ends at byte %d, outside the first cache line", name, end)
-		}
 	}
 	var pointerFree func(path string, typ reflect.Type)
 	pointerFree = func(path string, typ reflect.Type) {
@@ -88,7 +81,9 @@ func TestEntryLayout(t *testing.T) {
 			t.Errorf("%s is a %s: the table must hold no Go pointers", path, typ.Kind())
 		}
 	}
-	pointerFree("Entry", typ)
+	pointerFree("Entry", reflect.TypeOf(Entry{}))
+	pointerFree("state slot", reflect.TypeOf(state.State{}))
+	pointerFree("preSlot", reflect.TypeOf(preSlot{}))
 	pointerFree("bucket", reflect.TypeOf(bucket{}))
 }
 
@@ -134,7 +129,7 @@ func TestSlabOf(t *testing.T) {
 func TestPointerStability(t *testing.T) {
 	tab := New(Config{})
 	k0 := keyFor(0)
-	e0, err := tab.GetOrCreate(k0, 9, 5)
+	e0, err := tab.GetOrCreate(k0, k0.VNIC, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +152,7 @@ func TestPointerStability(t *testing.T) {
 	if got := tab.Peek(k0); got != e0 {
 		t.Fatalf("Peek returned %p, the entry was created at %p", got, e0)
 	}
-	if e0.Key != k0 || e0.VNIC != 9 || e0.LastSeen != 5 || !e0.HasPre || e0.PreVersion != 77 || !e0.live {
+	if e0.Key != k0 || e0.LastSeen != 5 || !e0.HasPre || e0.PreVersion != 77 || !e0.live {
 		t.Fatalf("entry changed under unrelated inserts: %+v", e0)
 	}
 }
@@ -191,7 +186,7 @@ func TestMissSlotReuse(t *testing.T) {
 	if tab.Lookup(a, 1) != nil || !tab.missOK {
 		t.Fatal("expected a recorded miss")
 	}
-	ea, _ := tab.GetOrCreate(a, 1, 1)
+	ea, _ := tab.GetOrCreate(a, a.VNIC, 1)
 	if tab.missOK || tab.Peek(a) != ea {
 		t.Fatal("create after miss did not land where Peek finds it")
 	}
@@ -200,7 +195,7 @@ func TestMissSlotReuse(t *testing.T) {
 	// Miss on a, create b: the memo is not b's.
 	tab.Delete(a)
 	tab.Lookup(a, 2)
-	eb, _ := tab.GetOrCreate(b, 1, 2)
+	eb, _ := tab.GetOrCreate(b, b.VNIC, 2)
 	if tab.Peek(b) != eb || tab.Peek(a) != nil {
 		t.Fatal("memo for one key leaked into another's insert")
 	}
@@ -212,12 +207,12 @@ func TestMissSlotReuse(t *testing.T) {
 	if tab.missOK {
 		t.Fatal("memo survived a delete")
 	}
-	tab.GetOrCreate(a, 1, 3)
+	tab.GetOrCreate(a, a.VNIC, 3)
 	check("miss→delete→create")
 
 	// Creating an existing key after a miss elsewhere returns it.
 	tab.Lookup(b, 4)
-	if got, _ := tab.GetOrCreate(a, 1, 4); got != tab.Peek(a) || tab.Len() != 201 {
+	if got, _ := tab.GetOrCreate(a, a.VNIC, 4); got != tab.Peek(a) || tab.Len() != 201 {
 		t.Fatal("existing key duplicated")
 	}
 
@@ -256,7 +251,7 @@ func TestChurnAllocs(t *testing.T) {
 		if tab.LookupH(keys[j], hashes[j], 1) != nil {
 			t.Fatal("deleted key found")
 		}
-		e, _ := tab.GetOrCreateH(keys[j], hashes[j], 1, 1)
+		e, _ := tab.GetOrCreateH(keys[j], hashes[j], keys[j].VNIC, 1)
 		tab.SetPre(e, pre, 1)
 		tab.TouchState(e, packet.DirTX, packet.FlagSYN, 0, 1)
 		if j%8 == 0 && (tab.InvalidateVNIC(keys[j].VNIC+100) != 0 || tab.Sweep(1) != 0) {

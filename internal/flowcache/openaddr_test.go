@@ -160,7 +160,7 @@ func TestHashVariantsAgree(t *testing.T) {
 func TestEntryRecycling(t *testing.T) {
 	tab := New(Config{})
 	k1 := keyFor(1)
-	e1, _ := tab.GetOrCreate(k1, 1, 5)
+	e1, _ := tab.GetOrCreate(k1, k1.VNIC, 5)
 	var st state.State
 	st.InitFirst(packet.DirTX, 5)
 	if err := tab.SetState(e1, st); err != nil {
@@ -168,11 +168,11 @@ func TestEntryRecycling(t *testing.T) {
 	}
 	tab.Delete(k1)
 	k2 := keyFor(2)
-	e2, _ := tab.GetOrCreate(k2, 2, 6)
+	e2, _ := tab.GetOrCreate(k2, k2.VNIC, 6)
 	if e2 != e1 {
 		t.Fatal("expected freelist reuse")
 	}
-	if e2.HasState || e2.HasPre || e2.Key != k2 || e2.VNIC != 2 {
+	if e2.HasState || e2.HasPre || e2.Key != k2 || *tab.State(e2) != (state.State{}) {
 		t.Fatalf("recycled entry not reset: %+v", e2)
 	}
 	if tab.MemBytes() != EntryOverheadBytes {

@@ -49,7 +49,10 @@ func slotOf(at Time) int64 { return int64(at) >> calSlotShift }
 // appended to unsorted and sorted lazily when first drained; pushes
 // into an already-sorted bucket (delay-zero scheduling into the slot
 // being drained) insert in (at, seq) position, which is always at or
-// after the drain cursor because seq grows monotonically.
+// after the drain cursor because seq grows monotonically. Such an
+// insert shifts whichever side of its position is shorter: the events
+// after it up by one, or — when the drain has consumed a prefix — the
+// events between the cursor and it down into that prefix.
 type calBucket struct {
 	evs    []*event
 	next   int
@@ -100,9 +103,17 @@ func (c *calendarQueue) bucketPush(slot int64, ev *event) {
 		i := b.next + sort.Search(len(b.evs)-b.next, func(i int) bool {
 			return b.evs[b.next+i].at > ev.at
 		})
-		b.evs = append(b.evs, nil)
-		copy(b.evs[i+1:], b.evs[i:])
-		b.evs[i] = ev
+		if b.next > 0 && i-b.next < len(b.evs)-i {
+			// The consumed prefix is free room: shift the shorter,
+			// earlier side one slot into it instead of the tail up.
+			copy(b.evs[b.next-1:], b.evs[b.next:i])
+			b.next--
+			b.evs[i-1] = ev
+		} else {
+			b.evs = append(b.evs, nil)
+			copy(b.evs[i+1:], b.evs[i:])
+			b.evs[i] = ev
+		}
 	} else {
 		b.evs = append(b.evs, ev)
 	}

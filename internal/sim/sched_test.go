@@ -184,6 +184,53 @@ func TestCalendarIdleJumpThenEarlyPush(t *testing.T) {
 	}
 }
 
+// TestCalendarInsertIntoDrainingBucket fills one slot, drains half of
+// it, then pushes into what is left at both ends — at the drain cursor
+// and just past it (head shifts into the consumed prefix), at the
+// slot's last nanosecond and near it (tail shifts) — and requires the
+// calendar queue to pop exactly what the heap oracle pops.
+func TestCalendarInsertIntoDrainingBucket(t *testing.T) {
+	cal, oracle := newCalendarQueue(), &heapSched{}
+	var seq uint64
+	push := func(at Time) {
+		seq++
+		cal.push(&event{at: at, seq: seq})
+		oracle.push(&event{at: at, seq: seq})
+	}
+	popBoth := func(i int) {
+		t.Helper()
+		c, o := cal.popLE(1<<62), oracle.popLE(1<<62)
+		if c.at != o.at || c.seq != o.seq {
+			t.Fatalf("pop %d: calendar (%d, %d), heap (%d, %d)", i, c.at, c.seq, o.at, o.seq)
+		}
+	}
+	const base = Time(64 << calSlotShift) // a slot's first nanosecond
+	for k := 0; k < 100; k++ {
+		push(base + Time(10*k))
+	}
+	for i := 0; i < 50; i++ {
+		popBoth(i)
+	}
+	b := &cal.buckets[slotOf(base)&calMask]
+	next, n := b.next, len(b.evs)
+	push(base + 490) // the last popped deadline: lands at the cursor
+	push(base + 515) // behind three live events
+	if b.next != next-2 || len(b.evs) != n {
+		t.Fatalf("head-side inserts: cursor %d → %d, length %d → %d; want the cursor to move back 2", next, b.next, n, len(b.evs))
+	}
+	push(base + 1023) // the slot's last nanosecond
+	push(base + 805)  // behind ~20 live events, ahead of ~30
+	if b.next != next-2 || len(b.evs) != n+2 {
+		t.Fatalf("tail-side inserts: cursor %d, length %d → %d; want the tail to grow by 2", b.next, n, len(b.evs))
+	}
+	for i := 50; oracle.len() > 0; i++ {
+		popBoth(i)
+	}
+	if cal.len() != 0 {
+		t.Fatalf("calendar holds %d events the heap does not", cal.len())
+	}
+}
+
 // TestSchedulerCancelRecycle checks that a stale EventRef from a fired
 // event cannot cancel the recycled event struct's next incarnation.
 func TestSchedulerCancelRecycle(t *testing.T) {

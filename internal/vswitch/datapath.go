@@ -213,7 +213,7 @@ func (vs *VSwitch) lookupOrSlowPath(rules *tables.RuleSet, p *packet.Packet, key
 		if vs.ob != nil {
 			vs.hopLookup(p, true)
 		}
-		return e, e.Pre, false
+		return e, *vs.sessions.Pre(e), false
 	}
 	vs.Stats.SlowPath++
 	p.Path = packet.PathSlow
@@ -326,13 +326,13 @@ func (vs *VSwitch) planLocalTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packe
 	// Install the rule-table-involved state (stats policy) locally —
 	// trivial in the monolithic case, the whole point of notify
 	// packets in the Nezha case.
-	if e.State.Policy != pre.TX.Stats {
-		st := e.State
+	if vs.sessions.State(e).Policy != pre.TX.Stats {
+		st := *vs.sessions.State(e)
 		st.Policy = pre.TX.Stats
 		_ = vs.sessions.SetState(e, st)
 	}
 	_ = vs.sessions.TouchState(e, packet.DirTX, p.Flags, p.PayloadLen, int64(vs.loop.Now()))
-	st := e.State
+	st := *vs.sessions.State(e)
 	if !FinalAllow(pre, st, packet.DirTX) {
 		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
 		return true
@@ -405,18 +405,18 @@ func (vs *VSwitch) planLocalRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packe
 	if dropped {
 		return false
 	}
-	if e.State.Policy != pre.RX.Stats {
-		st := e.State
+	if vs.sessions.State(e).Policy != pre.RX.Stats {
+		st := *vs.sessions.State(e)
 		st.Policy = pre.RX.Stats
 		_ = vs.sessions.SetState(e, st)
 	}
-	if vn.decap && !e.State.Init && p.OuterSrc != 0 {
-		st := e.State
+	if vn.decap && !vs.sessions.State(e).Init && p.OuterSrc != 0 {
+		st := *vs.sessions.State(e)
 		st.DecapIP = p.OuterSrc
 		_ = vs.sessions.SetState(e, st)
 	}
 	_ = vs.sessions.TouchState(e, packet.DirRX, p.Flags, p.PayloadLen, int64(vs.loop.Now()))
-	st := e.State
+	st := *vs.sessions.State(e)
 	if !FinalAllow(pre, st, packet.DirRX) {
 		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
 		return true
@@ -484,7 +484,7 @@ func (vs *VSwitch) planBeTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, 
 			fe = dedicated
 		}
 	}
-	vs.attachStateView(p, vn.id, packet.DirTX, e.State)
+	vs.attachStateView(p, vn.id, packet.DirTX, *vs.sessions.State(e))
 	if vs.ob != nil {
 		vs.hopEncap(p, obs.StageBETx, p.Nezha.WireSize())
 	}
@@ -526,20 +526,20 @@ func (vs *VSwitch) beRX(vn *vnicState, p *packet.Packet) {
 	// Rule-table-involved state arrives in-band with RX packets
 	// (§3.2.2): install the stats policy the FE looked up without
 	// verifying the old value.
-	if e.State.Policy != pre.RX.Stats {
-		st := e.State
+	if vs.sessions.State(e).Policy != pre.RX.Stats {
+		st := *vs.sessions.State(e)
 		st.Policy = pre.RX.Stats
 		_ = vs.sessions.SetState(e, st)
 	}
 	// Rule-table-not-involved state: stateful decap needs the
 	// original outer source the FE preserved in the header.
-	if vn.decap && !e.State.Init && p.Nezha.OrigOuterSrc != 0 {
-		st := e.State
+	if vn.decap && !vs.sessions.State(e).Init && p.Nezha.OrigOuterSrc != 0 {
+		st := *vs.sessions.State(e)
 		st.DecapIP = p.Nezha.OrigOuterSrc
 		_ = vs.sessions.SetState(e, st)
 	}
 	_ = vs.sessions.TouchState(e, packet.DirRX, p.Flags, p.PayloadLen, now)
-	st := e.State
+	st := *vs.sessions.State(e)
 
 	if !FinalAllow(pre, st, packet.DirRX) {
 		vs.submit(burstAct{p: p, cycles: cycles, kind: actDropACL}, false)
@@ -583,7 +583,7 @@ func (vs *VSwitch) absorbNotify(p *packet.Packet) {
 	if cur == nil {
 		return
 	}
-	st := cur.State
+	st := *vs.sessions.State(cur)
 	st.Policy = carried.Policy
 	_ = vs.sessions.SetState(cur, st)
 }

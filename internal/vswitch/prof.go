@@ -126,18 +126,18 @@ func (vs *VSwitch) profLive(emit func(vnic uint32, role prof.Role, cause prof.Ca
 	var accs []liveAcc
 	vs.sessions.Range(func(e *flowcache.Entry) bool {
 		role := prof.RoleLocal
-		if _, hosted := vs.fes[e.VNIC]; hosted {
+		if _, hosted := vs.fes[e.Key.VNIC]; hosted {
 			role = prof.RoleFE
 		}
 		var a *liveAcc
 		for i := range accs {
-			if accs[i].vnic == e.VNIC && accs[i].role == role {
+			if accs[i].vnic == e.Key.VNIC && accs[i].role == role {
 				a = &accs[i]
 				break
 			}
 		}
 		if a == nil {
-			accs = append(accs, liveAcc{vnic: e.VNIC, role: role})
+			accs = append(accs, liveAcc{vnic: e.Key.VNIC, role: role})
 			a = &accs[len(accs)-1]
 		}
 		total := uint64(vs.sessions.SizeOf(e))

@@ -635,7 +635,7 @@ func (vs *VSwitch) OffloadFinalize(vnic uint32) error {
 	}
 	// Drop cached pre-actions; keep states.
 	vs.sessions.Range(func(e *flowcache.Entry) bool {
-		if e.VNIC == vnic {
+		if e.Key.VNIC == vnic {
 			vs.sessions.DropPre(e)
 		}
 		return true

@@ -476,7 +476,7 @@ func TestNotifyPacketInstallsPolicy(t *testing.T) {
 	// The BE's state must now carry the policy.
 	key, _ := packet.SessionKeyOf(serverVNIC, vpcID, tuple(1000))
 	e := w.B.Sessions().Peek(key)
-	if e == nil || e.State.Policy != tables.StatsBytesOut|tables.StatsPackets {
+	if e == nil || w.B.Sessions().State(e).Policy != tables.StatsBytesOut|tables.StatsPackets {
 		t.Fatalf("policy not installed at BE: %+v", e)
 	}
 
@@ -544,7 +544,7 @@ func TestStatefulDecapViaNezha(t *testing.T) {
 	// BE state must have recorded the LB address.
 	key, _ := packet.SessionKeyOf(serverVNIC, vpcID, tuple(3000))
 	e := w.B.Sessions().Peek(key)
-	if e == nil || e.State.DecapIP != lbIP {
+	if e == nil || w.B.Sessions().State(e).DecapIP != lbIP {
 		t.Fatalf("DecapIP not recorded: %+v", e)
 	}
 
