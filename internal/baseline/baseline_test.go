@@ -104,21 +104,6 @@ func TestSiriusMinimumCards(t *testing.T) {
 	}
 }
 
-func TestSailfishModel(t *testing.T) {
-	m := SailfishModel{StatelessFraction: 0.5}
-	if m.SpeedupCPS() != 2 {
-		t.Fatalf("50%% stateless should double CPS, got %v", m.SpeedupCPS())
-	}
-	m = SailfishModel{StatelessFraction: 1}
-	if m.SpeedupCPS() < 1e6 {
-		t.Fatal("fully stateless should be unbounded")
-	}
-	m = SailfishModel{StatelessFraction: 0}
-	if m.SpeedupCPS() != 1 {
-		t.Fatal("no stateless fraction, no speedup")
-	}
-}
-
 func TestCostModelTable5(t *testing.T) {
 	s, n := SailfishCost(), NezhaCost()
 	if s.TotalPM() != 168 || n.TotalPM() != 15 {

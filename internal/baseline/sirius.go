@@ -1,8 +1,8 @@
 // Package baseline implements the comparators the paper positions
 // Nezha against (Table 2, §8): a Sirius-style dedicated DPU pool with
 // primary-backup in-line state replication and bucket-based load
-// balancing, a Sailfish-style stateless-only offloader, and the
-// Table 5 deployment cost model. The monolithic "local-only" baseline
+// balancing, and the Table 5 deployment cost model (Sailfish vs
+// Nezha). The monolithic "local-only" baseline
 // needs no code — it is a Nezha cluster with offloading disabled.
 package baseline
 
@@ -177,25 +177,4 @@ func (v *NezhaPoolView) NewConnection(flowHash uint64, done func(ok bool)) {
 			done(ok)
 		}
 	})
-}
-
-// SailfishModel captures the stateless-only offloader: only the
-// stateless fraction of NF work can move to the Tofino, so the
-// achievable CPS gain is bounded by Amdahl over the stateful
-// remainder (Table 2's "stateful NF support: no").
-type SailfishModel struct {
-	// StatelessFraction is the share of per-connection vSwitch work
-	// that is stateless (offloadable to the switch ASIC).
-	StatelessFraction float64
-}
-
-// SpeedupCPS returns the CPS multiplier when the stateless fraction
-// is fully offloaded and the stateful remainder stays on the local
-// vSwitch.
-func (m SailfishModel) SpeedupCPS() float64 {
-	rem := 1 - m.StatelessFraction
-	if rem <= 0 {
-		return 1e9 // fully stateless: unbounded by the vSwitch
-	}
-	return 1 / rem
 }

@@ -303,16 +303,6 @@ func (c *Cluster) AddVM(spec VMSpec) (*workload.VM, error) {
 // Switch returns server i's vSwitch.
 func (c *Cluster) Switch(i int) *vswitch.VSwitch { return c.Switches[i] }
 
-// TotalDrops sums packet drops across the region, optionally filtered
-// by reason.
-func (c *Cluster) TotalDrops(reason vswitch.DropReason) uint64 {
-	var t uint64
-	for _, vs := range c.Switches {
-		t += vs.Stats.Drops[reason]
-	}
-	return t
-}
-
 // TwoSubnetRules builds the standard bidirectional routing used by
 // the experiments: vnic's VM lives in ownNet, the peer vNIC in
 // peerNet.

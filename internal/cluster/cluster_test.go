@@ -288,8 +288,7 @@ func TestTwoSubnetRulesHelper(t *testing.T) {
 	if rs1.VNIC != 1 || rs1.VPC != 7 {
 		t.Fatal("identity wrong")
 	}
-	peer, ok := rs1.Route.Lookup(packet.MakeIP(10, 0, 2, 50))
-	if !ok || uint32(peer) != 2 {
+	if peer, _, _ := rs1.ResolvePeer(packet.MakeIP(10, 0, 2, 50)); peer != 2 {
 		t.Fatal("route missing")
 	}
 }

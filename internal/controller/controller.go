@@ -478,13 +478,6 @@ func (c *Controller) Epoch(vnic uint32) uint64 {
 	return 0
 }
 
-// Degraded reports whether a vNIC's pool is in the alarmed
-// below-MinFEs degraded state.
-func (c *Controller) Degraded(vnic uint32) bool {
-	v, ok := c.vnics[vnic]
-	return ok && v.degraded
-}
-
 // SetPrepareHook installs an observer fired when a prepare phase
 // starts, with the vNIC and its target FEs. The chaos engine uses it
 // to kill or partition targets mid-push.

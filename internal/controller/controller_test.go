@@ -648,3 +648,10 @@ func TestDegradedPoolRepairConverges(t *testing.T) {
 		t.Fatal("degraded exit not counted")
 	}
 }
+
+// Degraded reports whether a vNIC's pool is in the alarmed
+// below-MinFEs degraded state.
+func (c *Controller) Degraded(vnic uint32) bool {
+	v, ok := c.vnics[vnic]
+	return ok && v.degraded
+}

@@ -104,9 +104,6 @@ func (c *Controller) AttachJournal(j *journal.Journal) {
 	}
 }
 
-// Journal returns the attached write-ahead log (nil if none).
-func (c *Controller) Journal() *journal.Journal { return c.journal }
-
 func (c *Controller) journalAppend(r journal.Record) {
 	if c.journal == nil {
 		return

@@ -56,8 +56,8 @@ func runTableA1(cfg RunConfig) *Result {
 				Verdict:  tables.VerdictDeny,
 			})
 		}
-		// Warm the lazy sort outside the timed region.
-		rs.ACL.Lookup(packet.FiveTuple{})
+		// Compile the rule set outside the timed region.
+		rs.Lookup(packet.FiveTuple{})
 		sets[i] = rs
 	}
 

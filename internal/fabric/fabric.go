@@ -197,14 +197,6 @@ func (f *Fabric) SetBurstHandler(addr packet.IPv4, h BurstHandler) error {
 	return nil
 }
 
-// ToROf returns the ToR a server sits under; -1 if unknown.
-func (f *Fabric) ToROf(addr packet.IPv4) int {
-	if n, ok := f.nodes[addr]; ok {
-		return n.tor
-	}
-	return -1
-}
-
 // SameToR reports whether two servers share a ToR.
 func (f *Fabric) SameToR(a, b packet.IPv4) bool {
 	na, oka := f.nodes[a]
@@ -488,13 +480,4 @@ func (t *deliverTask) Run() {
 		}
 	}
 	f.putGroup(group)
-}
-
-// Nodes returns the registered addresses (order unspecified).
-func (f *Fabric) Nodes() []packet.IPv4 {
-	out := make([]packet.IPv4, 0, len(f.nodes))
-	for a := range f.nodes {
-		out = append(out, a)
-	}
-	return out
 }

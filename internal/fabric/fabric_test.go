@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -193,15 +194,22 @@ func TestSetHandler(t *testing.T) {
 	}
 }
 
+// TestToROf: servers share a ToR exactly when they registered under
+// the same one; an unknown server shares none.
 func TestToROf(t *testing.T) {
 	loop := sim.NewLoop(1)
 	f := New(loop)
 	f.Register(ip(1, 0, 0, 1), 42, nil)
-	if f.ToROf(ip(1, 0, 0, 1)) != 42 {
-		t.Fatal("ToROf wrong")
+	f.Register(ip(1, 0, 0, 2), 42, nil)
+	f.Register(ip(1, 0, 1, 1), 7, nil)
+	if !f.SameToR(ip(1, 0, 0, 1), ip(1, 0, 0, 2)) {
+		t.Fatal("servers under ToR 42 should share it")
 	}
-	if f.ToROf(ip(9, 9, 9, 9)) != -1 {
-		t.Fatal("unknown node should report -1")
+	if f.SameToR(ip(1, 0, 0, 1), ip(1, 0, 1, 1)) {
+		t.Fatal("servers under different ToRs should not")
+	}
+	if f.SameToR(ip(1, 0, 0, 1), ip(9, 9, 9, 9)) {
+		t.Fatal("unknown node should share no ToR")
 	}
 }
 
@@ -245,10 +253,13 @@ func TestLearnerNegativeCaching(t *testing.T) {
 	if _, ok := l.Lookup(5); ok {
 		t.Fatal("negative cache not honored")
 	}
-	l.Invalidate(5)
-	if _, ok := l.Lookup(5); !ok {
-		t.Fatal("invalidate did not force refresh")
-	}
+	// The negative entry expires like any other after LearnInterval.
+	loop.Schedule(LearnInterval, func() {
+		if _, ok := l.Lookup(5); !ok {
+			t.Error("negative entry outlived the learning interval")
+		}
+	})
+	loop.RunAll()
 }
 
 func TestLearnerPickByHash(t *testing.T) {
@@ -277,38 +288,51 @@ func TestLearnerPickByHash(t *testing.T) {
 	}
 }
 
+// TestGatewayAddRemove: scale-out and scale-in reach the gateway as
+// whole-list pushes at rising epochs; a push older than the installed
+// list is refused and changes nothing.
 func TestGatewayAddRemove(t *testing.T) {
 	loop := sim.NewLoop(1)
 	gw := NewGateway(loop)
 	gw.Set(1, ip(1, 1, 1, 1), ip(2, 2, 2, 2))
-	gw.Add(1, ip(3, 3, 3, 3))
-	gw.Add(1, ip(3, 3, 3, 3)) // duplicate ignored
+	e := gw.Epoch(1)
+	if err := gw.SetEpoch(1, e+1, ip(1, 1, 1, 1), ip(2, 2, 2, 2), ip(3, 3, 3, 3)); err != nil {
+		t.Fatal(err)
+	}
 	addrs, _ := gw.Lookup(1)
 	if len(addrs) != 3 {
-		t.Fatalf("after add: %v", addrs)
+		t.Fatalf("after scale-out: %v", addrs)
 	}
-	gw.Remove(1, ip(2, 2, 2, 2))
+	if err := gw.SetEpoch(1, e+2, ip(1, 1, 1, 1), ip(3, 3, 3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.SetEpoch(1, e+1, ip(2, 2, 2, 2)); err != ErrStaleEpoch {
+		t.Fatalf("stale push: %v, want ErrStaleEpoch", err)
+	}
 	addrs, _ = gw.Lookup(1)
-	if len(addrs) != 2 {
-		t.Fatalf("after remove: %v", addrs)
-	}
-	gw.Remove(1, ip(1, 1, 1, 1))
-	gw.Remove(1, ip(3, 3, 3, 3))
-	if _, ok := gw.Lookup(1); ok {
-		t.Fatal("removing last address should delete the entry")
+	if len(addrs) != 2 || addrs[0] != ip(1, 1, 1, 1) || addrs[1] != ip(3, 3, 3, 3) {
+		t.Fatalf("after scale-in: %v", addrs)
 	}
 }
 
+// TestGatewayDelete: an empty push withdraws every location but keeps
+// the entry's epoch, so a delayed older push cannot bring them back.
 func TestGatewayDelete(t *testing.T) {
 	loop := sim.NewLoop(1)
 	gw := NewGateway(loop)
 	gw.Set(1, ip(1, 1, 1, 1))
-	gw.Delete(1)
-	if _, ok := gw.Lookup(1); ok {
-		t.Fatal("delete failed")
+	if err := gw.SetEpoch(1, 5); err != nil {
+		t.Fatal(err)
 	}
-	if gw.Len() != 0 {
-		t.Fatal("len after delete")
+	l := NewLearner(loop, gw)
+	if _, ok := l.Pick(1, 42); ok {
+		t.Fatal("withdrawn vNIC still resolves")
+	}
+	if err := gw.SetEpoch(1, 4, ip(1, 1, 1, 1)); err != ErrStaleEpoch {
+		t.Fatalf("stale push: %v, want ErrStaleEpoch", err)
+	}
+	if addrs, _ := gw.Lookup(1); len(addrs) != 0 || gw.Epoch(1) != 5 {
+		t.Fatalf("stale push resurrected %v at epoch %d", addrs, gw.Epoch(1))
 	}
 }
 
@@ -402,61 +426,49 @@ func TestWireModeRoundtrips(t *testing.T) {
 	}
 }
 
-// Property: any interleaving of Set/Add/Remove/Delete keeps each
-// vNIC's address list duplicate-free, and membership matches a naive
-// set model.
+// Property: any sequence of whole-list pushes, some at stale epochs,
+// leaves each vNIC's list equal to the newest accepted push, and its
+// epoch never moves backwards.
 func TestQuickGatewayConsistency(t *testing.T) {
 	f := func(ops []uint16) bool {
 		loop := sim.NewLoop(3)
 		gw := NewGateway(loop)
-		model := make(map[uint32]map[packet.IPv4]bool)
-		addr := func(op uint16) packet.IPv4 { return ip(1, 0, 0, byte(op%7)+1) }
+		model := make(map[uint32][]packet.IPv4)
 		for _, op := range ops {
 			vnic := uint32(op % 3)
-			a := addr(op >> 3)
-			switch op % 4 {
-			case 0:
-				gw.Set(vnic, a)
-				model[vnic] = map[packet.IPv4]bool{a: true}
-			case 1:
-				gw.Add(vnic, a)
-				if model[vnic] == nil {
-					model[vnic] = map[packet.IPv4]bool{}
+			var list []packet.IPv4
+			for b := 0; b < 7; b++ {
+				if op>>(3+b)&1 != 0 {
+					list = append(list, ip(1, 0, 0, byte(b)+1))
 				}
-				model[vnic][a] = true
-			case 2:
-				gw.Remove(vnic, a)
-				delete(model[vnic], a)
-				if len(model[vnic]) == 0 {
-					delete(model, vnic)
-				}
-			case 3:
-				gw.Delete(vnic)
-				delete(model, vnic)
 			}
-			// Verify.
-			got, ok := gw.Lookup(vnic)
-			want := model[vnic]
-			if ok != (len(want) > 0) {
-				return false
+			before := gw.Epoch(vnic)
+			epoch := before + 1
+			if op&4 != 0 && before > 1 {
+				epoch = before - 1 // a delayed push
 			}
-			seen := make(map[packet.IPv4]bool)
-			for _, g := range got {
-				if seen[g] {
-					return false // duplicate
-				}
-				seen[g] = true
-				if !want[g] {
+			err := gw.SetEpoch(vnic, epoch, list...)
+			switch {
+			case epoch < before:
+				if err != ErrStaleEpoch {
 					return false
 				}
+			case err != nil:
+				return false
+			default:
+				model[vnic] = list
 			}
-			if len(seen) != len(want) {
+			if gw.Epoch(vnic) < before {
+				return false
+			}
+			got, _ := gw.Lookup(vnic)
+			if !slices.Equal(got, model[vnic]) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -562,4 +574,13 @@ func TestSkipAccountingBreaksLedger(t *testing.T) {
 	if got := f.Delivered + f.Lost + f.ChaosLost + f.InFlight(); got == f.Sends {
 		t.Fatal("SkipAccounting drop should leave the ledger unbalanced")
 	}
+}
+
+// Nodes returns the registered addresses (order unspecified).
+func (f *Fabric) Nodes() []packet.IPv4 {
+	out := make([]packet.IPv4, 0, len(f.nodes))
+	for a := range f.nodes {
+		out = append(out, a)
+	}
+	return out
 }

@@ -87,42 +87,6 @@ func (g *Gateway) entry(vnic uint32) *gwEntry {
 	return e
 }
 
-// Remove deletes one address from a vNIC's list (scale-in / failover),
-// keeping the rest.
-func (g *Gateway) Remove(vnic uint32, server packet.IPv4) {
-	e, ok := g.table[vnic]
-	if !ok {
-		return
-	}
-	out := make([]packet.IPv4, 0, len(e.addrs))
-	for _, a := range e.addrs {
-		if a != server {
-			out = append(out, a)
-		}
-	}
-	if len(out) == 0 {
-		delete(g.table, vnic)
-		return
-	}
-	e.epoch++
-	e.addrs = out
-}
-
-// Add appends one address to a vNIC's list (scale-out).
-func (g *Gateway) Add(vnic uint32, server packet.IPv4) {
-	e := g.entry(vnic)
-	for _, a := range e.addrs {
-		if a == server {
-			return
-		}
-	}
-	e.epoch++
-	e.addrs = append(append([]packet.IPv4(nil), e.addrs...), server)
-}
-
-// Delete removes a vNIC entirely.
-func (g *Gateway) Delete(vnic uint32) { delete(g.table, vnic) }
-
 // Lookup resolves a vNIC's current locations.
 func (g *Gateway) Lookup(vnic uint32) ([]packet.IPv4, bool) {
 	e, ok := g.table[vnic]
@@ -164,7 +128,7 @@ type Learner struct {
 	// same peer vNIC for every packet of a run, so the common Lookup
 	// is a field compare instead of a map probe. The memo mirrors a
 	// cache entry exactly (same addrs, ok, at), so it expires on the
-	// same LearnInterval boundary and Invalidate clears both.
+	// same LearnInterval boundary.
 	memoVNIC uint32
 	memoHas  bool
 	memo     learned
@@ -210,14 +174,3 @@ func (l *Learner) Pick(vnic uint32, flowHash uint64) (packet.IPv4, bool) {
 	}
 	return addrs[flowHash%uint64(len(addrs))], true
 }
-
-// Invalidate drops a cached entry, forcing a refresh on next lookup.
-func (l *Learner) Invalidate(vnic uint32) {
-	if l.memoVNIC == vnic {
-		l.memoHas = false
-	}
-	delete(l.cache, vnic)
-}
-
-// CacheLen reports how many entries are cached.
-func (l *Learner) CacheLen() int { return len(l.cache) }

@@ -7,10 +7,9 @@
 // world from snapshot + tail and then reconciles against the live
 // agents; nothing the controller knows is allowed to live only in RAM.
 //
-// The journal is layered over a Store that holds encoded lines:
-// MemStore backs deterministic simulation (a crash "loses" the process
-// but the store survives, exactly like a file on disk would), and
-// FileStore is the real thing for live mode. Records are JSON-encoded
+// The journal is layered over a Store that holds encoded lines.
+// MemStore backs deterministic simulation: a crash "loses" the process
+// but the store survives, exactly like a file on disk would. Records are JSON-encoded
 // structs with a fixed field order, so identical mutation sequences
 // produce byte-identical journals — the same determinism contract the
 // rest of the simulator keeps.

@@ -2,11 +2,10 @@ package journal
 
 import (
 	"bytes"
-	"nezha/internal/packet"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
+
+	"nezha/internal/packet"
 )
 
 func placement(vnic uint32, epoch uint64, off bool) Record {
@@ -89,13 +88,11 @@ func TestSnapshotTruncates(t *testing.T) {
 	}
 }
 
+// TestFileStoreReload: a fresh journal over the store a crashed
+// controller left behind replays it, snapshot and tail.
 func TestFileStoreReload(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := New(fs, 4)
+	store := NewMemStore()
+	j := New(store, 4)
 	j.AddCompactor(func() []Record { return []Record{placement(9, 99, true)} })
 	var want []Record
 	for i := 0; i < 10; i++ {
@@ -105,17 +102,9 @@ func TestFileStoreReload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// A fresh process reopens the same directory and replays.
-	fs2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs2.Close()
-	j2 := New(fs2, 4)
+	// A fresh process reopens the same store and replays.
+	j2 := New(store, 4)
 	got, err := j2.Replay()
 	if err != nil {
 		t.Fatal(err)
@@ -132,37 +121,21 @@ func TestFileStoreReload(t *testing.T) {
 	}
 }
 
-// TestTornTailTolerated cuts the wal mid-record: replay must stop at
-// the torn line instead of erroring (the record never became durable).
+// TestTornTailTolerated cuts the last record short: replay must stop
+// at the torn line instead of erroring (the record never became
+// durable).
 func TestTornTailTolerated(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := New(fs, 1000)
+	store := NewMemStore()
+	j := New(store, 1000)
 	for i := 0; i < 3; i++ {
 		if err := j.Append(placement(1, uint64(i+1), false)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fs.Close()
-	wal := filepath.Join(dir, "wal.jsonl")
-	data, err := os.ReadFile(wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chop the trailing newline plus a few bytes: a torn final record.
-	if err := os.WriteFile(wal, data[:len(data)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	last := store.tail[len(store.tail)-1]
+	store.tail[len(store.tail)-1] = last[:len(last)-4]
 
-	fs2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs2.Close()
-	got, err := New(fs2, 1000).Replay()
+	got, err := New(store, 1000).Replay()
 	if err != nil {
 		t.Fatalf("torn tail must not fail replay: %v", err)
 	}

@@ -111,9 +111,6 @@ func (h *Histogram) sketchObserve(v float64) {
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the arithmetic mean, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
@@ -182,68 +179,6 @@ func (h *Histogram) P90() float64   { return h.Quantile(0.90) }
 func (h *Histogram) P99() float64   { return h.Quantile(0.99) }
 func (h *Histogram) P999() float64  { return h.Quantile(0.999) }
 func (h *Histogram) P9999() float64 { return h.Quantile(0.9999) }
-
-// Summary formats the standard percentile row.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("%s: n=%d mean=%.4g p50=%.4g p90=%.4g p99=%.4g p999=%.4g p9999=%.4g max=%.4g",
-		h.name, h.count, h.Mean(), h.P50(), h.P90(), h.P99(), h.P999(), h.P9999(), h.Max())
-}
-
-// CDF returns (value, cumulative fraction) pairs at n evenly spaced
-// quantiles, suitable for plotting Fig 4-style curves.
-func (h *Histogram) CDF(n int) [][2]float64 {
-	if n < 2 {
-		n = 2
-	}
-	out := make([][2]float64, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		out[i] = [2]float64{h.Quantile(q), q}
-	}
-	return out
-}
-
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	name string
-	n    uint64
-}
-
-// NewCounter returns a zeroed counter.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Name returns the counter's label.
-func (c *Counter) Name() string { return c.name }
-
-// Gauge is a point-in-time value.
-type Gauge struct {
-	name string
-	v    float64
-}
-
-// NewGauge returns a zeroed gauge.
-func NewGauge(name string) *Gauge { return &Gauge{name: name} }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts by delta.
-func (g *Gauge) Add(delta float64) { g.v += delta }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
-// Name returns the gauge's label.
-func (g *Gauge) Name() string { return g.name }
 
 // Series is a (time, value) sequence used for utilization traces such
 // as Fig 11's CPU-over-time curves.

@@ -150,21 +150,6 @@ func (m *Monitor) Watch(addr packet.IPv4) {
 	}
 }
 
-// Unwatch removes a vSwitch from the probe set.
-func (m *Monitor) Unwatch(addr packet.IPv4) { delete(m.targets, addr) }
-
-// Watching reports whether addr is probed.
-func (m *Monitor) Watching(addr packet.IPv4) bool {
-	_, ok := m.targets[addr]
-	return ok
-}
-
-// Down reports whether addr is currently declared down.
-func (m *Monitor) Down(addr packet.IPv4) bool {
-	t, ok := m.targets[addr]
-	return ok && t.down
-}
-
 // DeclaredAt returns when addr's current down declaration happened.
 // ok is false while the target is healthy (or unknown). The chaos
 // failover-bound invariant compares this against the crash time.

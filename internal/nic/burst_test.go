@@ -159,3 +159,26 @@ func TestSubmitBurstDropsSynchronous(t *testing.T) {
 		t.Fatalf("processed=%d dropped=%d, want 1/2", c.Processed(), c.Dropped())
 	}
 }
+
+// SubmitBurst is SubmitBurstTo with plain callbacks, either of which
+// may be nil.
+func (c *CPU) SubmitBurst(costs []uint64, each func(i int, ok bool, delay sim.Time), waveEnd func(members []int32)) {
+	c.SubmitBurstTo(costs, &funcSink{each: each, waveEnd: waveEnd})
+}
+
+type funcSink struct {
+	each    func(i int, ok bool, delay sim.Time)
+	waveEnd func(members []int32)
+}
+
+func (s *funcSink) Complete(i int, ok bool, delay sim.Time) {
+	if s.each != nil {
+		s.each(i, ok, delay)
+	}
+}
+
+func (s *funcSink) WaveEnd(members []int32) {
+	if s.waveEnd != nil {
+		s.waveEnd(members)
+	}
+}

@@ -19,9 +19,6 @@ const (
 	DefaultCores = 8
 	// DefaultCoreHz is cycles per second per core.
 	DefaultCoreHz = 2_500_000_000
-	// DefaultMemBytes is the vSwitch's memory allocation (10 GB on
-	// the testbed SmartNIC).
-	DefaultMemBytes = 10 << 30
 	// DefaultMaxQueueDelay bounds how long a packet may wait for a
 	// core before the NIC drops it (finite buffering). Latency grows
 	// toward this bound as load approaches capacity — Fig 12's

@@ -199,8 +199,7 @@ func (c *CPU) Submit(cycles uint64, done func(ok bool, delay sim.Time)) {
 
 // BurstSink receives a burst submission's outcomes. Callers pool their
 // sink implementations and pass them by pointer, so submitting a burst
-// allocates nothing for its callbacks (the closure-based SubmitBurst
-// wrapper exists for tests and one-off callers).
+// allocates nothing for its callbacks.
 type BurstSink interface {
 	// Complete fires per item: (i, false, 0) synchronously, in
 	// submission order, for items dropped at admission; (i, true,
@@ -211,30 +210,6 @@ type BurstSink interface {
 	// to emit coalesced output. The members slice is owned by the
 	// callback for the duration of the call only.
 	WaveEnd(members []int32)
-}
-
-// SubmitBurst is SubmitBurstTo with plain callbacks, either of which
-// may be nil. It allocates an adapter per call; hot paths implement
-// BurstSink instead.
-func (c *CPU) SubmitBurst(costs []uint64, each func(i int, ok bool, delay sim.Time), waveEnd func(members []int32)) {
-	c.SubmitBurstTo(costs, &funcSink{each: each, waveEnd: waveEnd})
-}
-
-type funcSink struct {
-	each    func(i int, ok bool, delay sim.Time)
-	waveEnd func(members []int32)
-}
-
-func (s *funcSink) Complete(i int, ok bool, delay sim.Time) {
-	if s.each != nil {
-		s.each(i, ok, delay)
-	}
-}
-
-func (s *funcSink) WaveEnd(members []int32) {
-	if s.waveEnd != nil {
-		s.waveEnd(members)
-	}
 }
 
 // SubmitBurstTo enqueues a batch of work items in one call, equivalent
@@ -352,16 +327,6 @@ func (c *CPU) SubmitPriority(cycles uint64, done func(delay sim.Time)) {
 	}
 }
 
-// TrySubmit is Submit for callers that only need the admission
-// decision synchronously; it reports whether the work was accepted.
-func (c *CPU) TrySubmit(cycles uint64, done func(delay sim.Time)) bool {
-	total, ok := c.admit(cycles, true)
-	if ok && done != nil {
-		c.loop.At(c.loop.Now()+total, func() { done(total) })
-	}
-	return ok
-}
-
 // BusyTime returns cumulative busy core-time.
 func (c *CPU) BusyTime() sim.Time { return c.busy }
 
@@ -451,11 +416,3 @@ func (m *Memory) Free(n int) {
 // Used and Total return the accounting.
 func (m *Memory) Used() int  { return int(m.used.Load()) }
 func (m *Memory) Total() int { return int(m.total) }
-
-// Utilization returns used/total in 0..1.
-func (m *Memory) Utilization() float64 {
-	if m.total == 0 {
-		return 0
-	}
-	return float64(m.used.Load()) / float64(m.total)
-}

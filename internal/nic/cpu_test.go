@@ -113,17 +113,28 @@ func TestDropIsSynchronous(t *testing.T) {
 	loop.RunAll()
 }
 
+// TestTrySubmit checks the admission decision a caller learns at
+// submit time: accepted on an idle CPU, refused under a deep backlog.
 func TestTrySubmit(t *testing.T) {
 	loop := sim.NewLoop(1)
 	c := newCPU(loop, 1)
-	if !c.TrySubmit(100, nil) {
-		t.Fatal("TrySubmit should accept on idle CPU")
+	admitted := func(cycles uint64) bool {
+		ok := true
+		c.Submit(cycles, func(accepted bool, _ sim.Time) {
+			if !accepted {
+				ok = false
+			}
+		})
+		return ok
+	}
+	if !admitted(100) {
+		t.Fatal("Submit should accept on idle CPU")
 	}
 	for i := 0; i < 15; i++ {
-		c.TrySubmit(100_000, nil)
+		c.Submit(100_000, nil)
 	}
-	if c.TrySubmit(100, nil) {
-		t.Fatal("TrySubmit should reject under deep backlog")
+	if admitted(100) {
+		t.Fatal("Submit should reject under deep backlog")
 	}
 	loop.RunAll()
 }
@@ -247,4 +258,12 @@ func BenchmarkSubmit(b *testing.B) {
 		}
 	}
 	loop.RunAll()
+}
+
+// Utilization returns used/total in 0..1.
+func (m *Memory) Utilization() float64 {
+	if m.total == 0 {
+		return 0
+	}
+	return float64(m.used.Load()) / float64(m.total)
 }

@@ -245,13 +245,6 @@ func (h *History) Subscribers() int {
 	return len(h.subs)
 }
 
-// SubDropped reports events dropped on full subscriber channels.
-func (h *History) SubDropped() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.subDropped
-}
-
 // SetPolicyLog replaces the retained policy decision-log tail
 // (bounded to HistoryOptions.PolicyLines most recent lines).
 func (h *History) SetPolicyLog(lines []string) {

@@ -156,9 +156,6 @@ func (h *Histogram) Observe(v uint64) {
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 func (h *Histogram) Sum() uint64   { return h.sum.Load() }
 
-// Max returns the largest value observed.
-func (h *Histogram) Max() uint64 { return h.max.Load() }
-
 // Quantile returns an estimate of the q-th quantile (0 < q <= 1): the
 // midpoint of the first bucket at which the cumulative count reaches
 // q*total, clamped to the largest observed value so small counts
@@ -297,16 +294,6 @@ func (r *Registry) SetMaxSeries(n int) {
 	r.maxSeries = n
 }
 
-// SetWarnFn replaces the first-drop warning sink (default: stderr).
-func (r *Registry) SetWarnFn(fn func(msg string)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.warnFn = fn
-}
-
-// Dropped reports how many registrations the cardinality cap refused.
-func (r *Registry) Dropped() uint64 { return r.dropped.Load() }
-
 // Help attaches exposition help text to a metric name; WritePrometheus
 // emits it as a # HELP line ahead of the # TYPE line.
 func (r *Registry) Help(name, text string) {
@@ -377,11 +364,6 @@ func (r *Registry) get(name string, labels Labels, kind Kind) *series {
 // GetCounter returns (creating if needed) the counter for name+labels.
 func (r *Registry) GetCounter(name string, labels Labels) *Counter {
 	return r.get(name, labels, KindCounter).c
-}
-
-// GetGauge returns (creating if needed) the gauge for name+labels.
-func (r *Registry) GetGauge(name string, labels Labels) *Gauge {
-	return r.get(name, labels, KindGauge).g
 }
 
 // GetHistogram returns (creating if needed) the histogram for

@@ -1,0 +1,41 @@
+package obs
+
+// Accessors only the tests use: they read or replace state the
+// program itself never inspects from outside the package.
+
+// Trace returns the retained hops of packet id (nil if not sampled or
+// evicted).
+func (t *FlightTracer) Trace(id uint64) []Hop {
+	var hops []Hop
+	for _, r := range t.retained() {
+		if r.id == id {
+			hops = append(hops, r.Hop)
+		}
+	}
+	return hops
+}
+
+// SubDropped reports events dropped on full subscriber channels.
+func (h *History) SubDropped() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.subDropped
+}
+
+// SetWarnFn replaces the first-drop warning sink (default: stderr).
+func (r *Registry) SetWarnFn(fn func(msg string)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.warnFn = fn
+}
+
+// GetGauge returns (creating if needed) the gauge for name+labels.
+func (r *Registry) GetGauge(name string, labels Labels) *Gauge {
+	return r.get(name, labels, KindGauge).g
+}
+
+// Max returns the largest value observed.
+func (h *Histogram) Max() uint64 { return h.max.Load() }
+
+// Dropped reports how many registrations the cardinality cap refused.
+func (r *Registry) Dropped() uint64 { return r.dropped.Load() }

@@ -204,18 +204,6 @@ func (t *FlightTracer) retained() []record {
 	return append(append([]record(nil), t.log[i:]...), t.log[:i]...)
 }
 
-// Trace returns the retained hops of packet id (nil if not sampled or
-// evicted).
-func (t *FlightTracer) Trace(id uint64) []Hop {
-	var hops []Hop
-	for _, r := range t.retained() {
-		if r.id == id {
-			hops = append(hops, r.Hop)
-		}
-	}
-	return hops
-}
-
 // Digest returns the running digest over every hop recorded so far.
 // Same seed + same rate + same workload => same digest.
 func (t *FlightTracer) Digest() uint64 { return t.digest }

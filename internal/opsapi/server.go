@@ -30,14 +30,13 @@ import (
 	"nezha/internal/slo"
 )
 
-// Server hosts the ops endpoints. The history source and the chaos
-// report provider are swappable mid-flight (nezha-chaos points the
-// same listener at each campaign's fresh History).
+// Server hosts the ops endpoints. The history source is swappable
+// mid-flight (nezha-chaos points the same listener at each campaign's
+// fresh History).
 type Server struct {
-	mu     sync.Mutex
-	hist   *obs.History
-	report func() any
-	meta   map[string]string
+	mu   sync.Mutex
+	hist *obs.History
+	meta map[string]string
 
 	httpSrv *http.Server
 	ln      net.Listener
@@ -53,16 +52,6 @@ func (s *Server) SetHistory(h *obs.History) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hist = h
-}
-
-// SetChaosReport installs the /api/v1/chaos/report provider. The
-// closure must be safe to call from handler goroutines and return a
-// JSON-serializable value (nil = not available yet). When no provider
-// is installed the handler falls back to History.ChaosReport.
-func (s *Server) SetChaosReport(fn func() any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.report = fn
 }
 
 // SetMeta attaches a static key=value shown on the index endpoint
@@ -394,13 +383,10 @@ func (s *Server) handlePolicyLog(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleChaosReport(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	fn := s.report
 	h := s.hist
 	s.mu.Unlock()
 	var v any
-	if fn != nil {
-		v = fn()
-	} else if h != nil {
+	if h != nil {
 		v = h.ChaosReport()
 	}
 	if v == nil {

@@ -335,8 +335,8 @@ func TestPolicyLogEndpoint(t *testing.T) {
 	}
 }
 
-// TestChaosReportEndpoint pins the provider-beats-history precedence
-// and both fallbacks.
+// TestChaosReportEndpoint serves the attached history's report, and
+// 404 until there is one.
 func TestChaosReportEndpoint(t *testing.T) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
@@ -351,18 +351,13 @@ func TestChaosReportEndpoint(t *testing.T) {
 	h.SetChaosReport(map[string]any{"seed": 5, "digest": "abc"})
 	code, body, _ := get(t, ts.URL+"/api/v1/chaos/report")
 	if code != 200 || !strings.Contains(body, `"digest":"abc"`) {
-		t.Errorf("history-fallback report: %d %q", code, body)
+		t.Errorf("history report: %d %q", code, body)
 	}
 
-	srv.SetChaosReport(func() any { return map[string]any{"source": "provider"} })
-	_, body, _ = get(t, ts.URL+"/api/v1/chaos/report")
-	if !strings.Contains(body, `"source":"provider"`) {
-		t.Errorf("provider should shadow history report, got %q", body)
-	}
-
-	srv.SetChaosReport(func() any { return nil }) // provider present, nothing yet
+	// A campaign's fresh history has no report yet.
+	srv.SetHistory(obs.NewHistory(obs.HistoryOptions{}))
 	if code, _, _ := get(t, ts.URL+"/api/v1/chaos/report"); code != http.StatusNotFound {
-		t.Errorf("nil provider result: want 404, got %d", code)
+		t.Errorf("report from a fresh history: want 404, got %d", code)
 	}
 }
 

@@ -111,14 +111,6 @@ const (
 	DirRX
 )
 
-// Opposite returns the reverse direction.
-func (d Direction) Opposite() Direction {
-	if d == DirTX {
-		return DirRX
-	}
-	return DirTX
-}
-
 func (d Direction) String() string {
 	if d == DirTX {
 		return "TX"
@@ -160,8 +152,8 @@ func (ft FiveTuple) Normalize() (FiveTuple, bool) {
 
 // Hash returns a 64-bit hash of the tuple (FNV-1a over the packed
 // bytes). Nezha's FE selection is Hash(5-tuple) mod #FEs (§3.2.3).
-// The hash is direction-sensitive; use SymmetricHash for a hash that
-// is equal for both directions of a session.
+// The hash is direction-sensitive; a SessionKey hashes the normalized
+// tuple, which is equal for both directions of a session.
 func (ft FiveTuple) Hash() uint64 {
 	var b [13]byte
 	binary.BigEndian.PutUint32(b[0:], uint32(ft.SrcIP))
@@ -170,12 +162,6 @@ func (ft FiveTuple) Hash() uint64 {
 	binary.BigEndian.PutUint16(b[10:], ft.DstPort)
 	b[12] = byte(ft.Proto)
 	return fnv1a(b[:])
-}
-
-// SymmetricHash hashes the normalized tuple, so A→B and B→A collide.
-func (ft FiveTuple) SymmetricHash() uint64 {
-	n, _ := ft.Normalize()
-	return n.Hash()
 }
 
 func fnv1a(b []byte) uint64 {

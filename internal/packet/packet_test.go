@@ -46,8 +46,10 @@ func TestNormalizeBothDirectionsAgree(t *testing.T) {
 
 func TestSymmetricHash(t *testing.T) {
 	ft := sampleTuple()
-	if ft.SymmetricHash() != ft.Reverse().SymmetricHash() {
-		t.Fatal("symmetric hash differs across directions")
+	k1, _ := SessionKeyOf(1, 7, ft)
+	k2, _ := SessionKeyOf(1, 7, ft.Reverse())
+	if k1.Hash() != k2.Hash() {
+		t.Fatal("session key hash differs across directions")
 	}
 	if ft.Hash() == ft.Reverse().Hash() {
 		t.Fatal("directional hash should differ across directions (overwhelmingly)")
@@ -95,9 +97,6 @@ func TestSessionKeyOf(t *testing.T) {
 }
 
 func TestDirectionOpposite(t *testing.T) {
-	if DirTX.Opposite() != DirRX || DirRX.Opposite() != DirTX {
-		t.Fatal("Opposite wrong")
-	}
 	if DirTX.String() != "TX" || DirRX.String() != "RX" {
 		t.Fatal("direction strings wrong")
 	}

@@ -156,31 +156,6 @@ type Config struct {
 	ThrashWindow sim.Time
 }
 
-// DefaultConfig returns the production-calibrated policy loop: the
-// paper's 70% offload trigger and 40% target utilization, sized for
-// full-scale vSwitches.
-func DefaultConfig() Config {
-	cfg := Config{
-		Interval:       500 * sim.Millisecond,
-		Windows:        6,
-		Horizon:        sim.Second,
-		BECapacityHz:   float64(nic.DefaultCores) * float64(nic.DefaultCoreHz),
-		FECapacityHz:   float64(nic.DefaultCores) * float64(nic.DefaultCoreHz),
-		TargetUtil:     0.40,
-		OffloadHigh:    0.70,
-		FallbackLow:    0.15,
-		MinFEs:         4,
-		MaxFEs:         16,
-		ScaleInSlack:   1,
-		ScaleInUtilBar: 0.60,
-		SustainWindows: 2,
-		FlipCooldown:   10 * sim.Second,
-		ScaleCooldown:  3 * sim.Second,
-	}
-	cfg.fill()
-	return cfg
-}
-
 // fill normalizes zero values so configs built field-by-field work.
 func (cfg *Config) fill() {
 	if cfg.Interval <= 0 {
@@ -293,9 +268,6 @@ func New(cfg Config) *Engine {
 	cfg.fill()
 	return &Engine{cfg: cfg, tracks: make(map[uint32]*track)}
 }
-
-// Config returns the engine's filled configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Decisions returns every decision issued, in order.
 func (e *Engine) Decisions() []Decision { return e.decisions }

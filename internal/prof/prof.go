@@ -55,9 +55,6 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage(%d)", uint8(s))
 }
 
-// StageNames lists all stage names in enum order (for renderers).
-func StageNames() []string { return stageNames[:] }
-
 // Dir is the packet direction of a charge.
 type Dir uint8
 
@@ -146,7 +143,6 @@ const (
 	RoleLocal Role = iota
 	RoleFE
 	RoleCtrl
-	NumRoles
 )
 
 func (r Role) String() string {

@@ -94,15 +94,6 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
-// Zipf draws from a Zipf distribution over ranks [0, n) with skew s>1
-// using inverse-CDF on the harmonic partial sums. The sums are cached
-// per (n, s) by the caller via NewZipf when performance matters; this
-// method is the simple one-shot form.
-func (r *Rand) Zipf(n int, s float64) int {
-	z := NewZipf(r, n, s)
-	return z.Next()
-}
-
 // Zipfian is a cached Zipf sampler.
 type Zipfian struct {
 	rng *Rand

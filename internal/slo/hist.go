@@ -118,17 +118,6 @@ func QuantileOf(counts *[NumBuckets]uint64, total uint64, q float64) uint64 {
 	return BucketUpper(NumBuckets - 1)
 }
 
-// CountAbove returns how many observations fell in buckets strictly
-// above the one holding v — an approximation of "observations > v"
-// that is exact whenever v is a bucket upper edge.
-func (h *Hist) CountAbove(v uint64) uint64 {
-	var n uint64
-	for i := BucketOf(v) + 1; i < NumBuckets; i++ {
-		n += h.counts[i]
-	}
-	return n
-}
-
 // AddTo accumulates this histogram's buckets into out and returns the
 // added observation count (for cross-path aggregation at snapshot
 // time).

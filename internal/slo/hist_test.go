@@ -90,7 +90,4 @@ func TestHistQuantileAndCounters(t *testing.T) {
 	if p100 := h.Quantile(1.0); BucketOf(p100) != BucketOf(1_000_000) {
 		t.Fatalf("p100 = %d, want within bucket of 1000000", p100)
 	}
-	if got := h.CountAbove(BucketUpper(BucketOf(1000))); got != 1 {
-		t.Fatalf("CountAbove = %d, want 1", got)
-	}
 }

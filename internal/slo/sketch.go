@@ -55,9 +55,6 @@ type Sketch struct {
 // SetDecay sets the halving period in virtual nanoseconds.
 func (s *Sketch) SetDecay(every int64) { s.decayEvery = every }
 
-// Decays returns how many halvings have run.
-func (s *Sketch) Decays() uint64 { return s.decays }
-
 // Observe records one packet of the flow identified by (hash, key).
 // now is virtual time, used only to drive lazy decay — rankings track
 // the current window because every counter is halved each decay
@@ -93,19 +90,6 @@ func (s *Sketch) Observe(now int64, hash uint64, key packet.SessionKey, bytes ui
 		// are reported per-candidate, not CM-backed.
 		*sl = flowSlot{hash: hash, key: key, count: est, bytes: bytes}
 	}
-}
-
-// Estimate returns the count-min frequency estimate for hash (an
-// overestimate, never an underestimate, modulo decay).
-func (s *Sketch) Estimate(hash uint64) uint64 {
-	est := ^uint64(0)
-	for i := 0; i < sketchRows; i++ {
-		c := s.rows[i][(hash*rowMix[i])>>(64-sketchWidthBits)]
-		if c < est {
-			est = c
-		}
-	}
-	return est
 }
 
 // decay halves every row counter and candidate count, dropping

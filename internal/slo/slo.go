@@ -273,18 +273,6 @@ func (t *Tracker) CurrentBurnStreak(vnic uint32) int {
 	return 0
 }
 
-// MaxBurnStreak returns the longest run of consecutive burning
-// windows seen on any vNIC, and that vNIC (the chaos invariant's
-// input).
-func (t *Tracker) MaxBurnStreak() (vnic uint32, streak int) {
-	for _, v := range t.sortedVNICs() {
-		if l := t.ledger[v]; l.burnPeak > streak {
-			vnic, streak = v, l.burnPeak
-		}
-	}
-	return vnic, streak
-}
-
 // aggregate folds every (path, dir) histogram of l into one bucket
 // array and returns the total count.
 func (l *vnicLedger) aggregate(out *[NumBuckets]uint64) uint64 {

@@ -47,7 +47,7 @@ func TestBurnEvaluator(t *testing.T) {
 	if len(events) != 1 {
 		t.Fatalf("healthy window fired a burn event: %+v", events)
 	}
-	if _, streak := tr.MaxBurnStreak(); streak != 1 {
+	if streak := tr.ledger[1].burnPeak; streak != 1 {
 		t.Fatalf("max streak = %d, want 1", streak)
 	}
 	if tr.BurnEvents() != 1 {

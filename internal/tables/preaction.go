@@ -21,11 +21,10 @@ import (
 // Verdict is an ACL decision.
 type Verdict uint8
 
-// Verdicts. The zero value is VerdictNone (no ACL matched; default
-// policy applies at RuleSet level).
+// Verdicts. The zero value means no ACL matched; the default policy
+// applies at RuleSet level.
 const (
-	VerdictNone Verdict = iota
-	VerdictAllow
+	VerdictAllow Verdict = iota + 1
 	VerdictDeny
 )
 

@@ -27,29 +27,12 @@ func mask(l uint8) packet.IPv4 {
 	return packet.IPv4(^uint32(0) << (32 - l))
 }
 
-// Contains reports whether ip falls inside the prefix.
-func (p Prefix) Contains(ip packet.IPv4) bool {
-	return ip&mask(p.Len) == p.IP
-}
-
 func (p Prefix) String() string {
 	return fmt.Sprintf("%s/%d", p.IP, p.Len)
 }
 
-// PortRange is an inclusive transport port range. Zero value matches
-// everything (0..0 means "any" when Hi == 0 and Lo == 0).
+// PortRange is an inclusive transport port range. The zero range
+// matches everything (an unconfigured field in an ACL rule).
 type PortRange struct {
 	Lo, Hi uint16
-}
-
-// AnyPort matches all ports.
-var AnyPort = PortRange{0, 65535}
-
-// Contains reports whether port falls in the range. The zero range
-// matches everything (unconfigured field in an ACL rule).
-func (r PortRange) Contains(port uint16) bool {
-	if r.Lo == 0 && r.Hi == 0 {
-		return true
-	}
-	return port >= r.Lo && port <= r.Hi
 }

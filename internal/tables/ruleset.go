@@ -207,8 +207,7 @@ func (rs *RuleSet) LookupInto(txTuple packet.FiveTuple, res *LookupResult) {
 	rs.lookupAdvanced(c, uint32(txTuple.DstIP), res)
 }
 
-// lookupAdvanced runs the optional-table tail of the walk (shared by
-// LookupInto and LookupBatch).
+// lookupAdvanced runs the optional-table tail of the walk.
 func (rs *RuleSet) lookupAdvanced(c *soaRules, dst uint32, res *LookupResult) {
 	if c.hasNAT {
 		res.Cycles += c.natCycles
@@ -246,167 +245,4 @@ func (rs *RuleSet) lookupAdvanced(c *soaRules, dst uint32, res *LookupResult) {
 		res.Pre.TX.Stats = sp
 		res.Pre.RX.Stats = sp
 	}
-}
-
-// LookupBatch performs the walk for a batch of TX-oriented tuples,
-// writing into out[i] (len(out) must equal len(txTuples)). The route
-// and VXLAN stages run as batched hash probes — per level, the masked
-// keys for the whole batch are computed before probing — and the call
-// is alloc-free after the compiled scratch warms up. Per-tuple results
-// are identical to Lookup.
-func (rs *RuleSet) LookupBatch(txTuples []packet.FiveTuple, out []LookupResult) {
-	n := len(txTuples)
-	if n == 0 {
-		return
-	}
-	if len(out) != n {
-		panic("tables: LookupBatch len(out) != len(txTuples)")
-	}
-	c := rs.compiled()
-	if cap(c.dstBuf) < n {
-		c.dstBuf = make([]uint32, n)
-		c.keyBuf = make([]uint32, n)
-		c.valBuf = make([]uint32, n)
-		c.hitBuf = make([]bool, n)
-		c.vniBuf = make([]uint32, n)
-		c.vhitBuf = make([]bool, n)
-	}
-	dsts := c.dstBuf[:n]
-	for i := range txTuples {
-		dsts[i] = uint32(txTuples[i].DstIP)
-	}
-	keys := c.keyBuf[:n]
-	peerBuf, peerHit := c.valBuf[:n], c.hitBuf[:n]
-	c.route.lookupBatch(dsts, keys, peerBuf, peerHit)
-	vniBuf, vniHit := c.vniBuf[:n], c.vhitBuf[:n]
-	c.vxlan.lookupBatch(dsts, keys, vniBuf, vniHit)
-
-	for i := range txTuples {
-		tt := &txTuples[i]
-		res := &out[i]
-		*res = LookupResult{}
-
-		res.Cycles += 2 * c.aclCycles
-		res.TablesWalked += 2
-		res.Pre.TX.ACL = c.acl.lookup(*tt, c.aclDefault)
-		res.Pre.RX.ACL = c.acl.lookup(tt.Reverse(), c.aclDefault)
-
-		res.Cycles += c.qosCycles
-		res.TablesWalked++
-		class, rate := c.qos.lookup(tt.DstPort)
-		res.Pre.TX.QoSClass, res.Pre.TX.RateBps = class, rate
-		res.Pre.RX.QoSClass, res.Pre.RX.RateBps = class, rate
-
-		res.Cycles += c.routeCycles
-		res.TablesWalked++
-		if peerHit[i] {
-			res.PeerVNIC = peerBuf[i]
-			res.Pre.TX.PeerVNIC = peerBuf[i]
-		}
-		res.Pre.RX.PeerVNIC = c.vnic
-
-		res.Cycles += c.vxlanCycles
-		res.TablesWalked++
-		if vniHit[i] {
-			res.Pre.TX.EncapVNI = vniBuf[i]
-			res.Pre.RX.EncapVNI = vniBuf[i]
-		} else {
-			res.Pre.TX.EncapVNI = c.vpc
-			res.Pre.RX.EncapVNI = c.vpc
-		}
-
-		res.Cycles += c.srvCycles
-		res.TablesWalked++
-		if res.PeerVNIC != 0 {
-			if srv, ok := c.srv.lookup(res.PeerVNIC); ok {
-				res.Pre.TX.NextHop = packet.IPv4(srv)
-			}
-		}
-
-		rs.lookupAdvanced(c, uint32(tt.DstIP), res)
-	}
-}
-
-// lookupReference is the original interpretive table walk, preserved
-// verbatim as the equivalence oracle for the compiled form: the fuzz
-// and unit suites assert Lookup == lookupReference on arbitrary rule
-// sets and tuples.
-func (rs *RuleSet) lookupReference(txTuple packet.FiveTuple) LookupResult {
-	var res LookupResult
-	walk := func(t Table) {
-		res.Cycles += t.LookupCycles()
-		res.TablesWalked++
-	}
-
-	// 1. ACL — both directions, one walk each (range matching).
-	walk(rs.ACL)
-	res.Pre.TX.ACL = rs.ACL.Lookup(txTuple)
-	walk(rs.ACL)
-	res.Pre.RX.ACL = rs.ACL.Lookup(txTuple.Reverse())
-
-	// 2. QoS.
-	walk(rs.QoS)
-	class, rate := rs.QoS.Lookup(txTuple)
-	res.Pre.TX.QoSClass, res.Pre.TX.RateBps = class, rate
-	res.Pre.RX.QoSClass, res.Pre.RX.RateBps = class, rate
-
-	// 3. Overlay route: TX destination -> peer vNIC.
-	walk(rs.Route)
-	if peer, ok := rs.Route.Lookup(txTuple.DstIP); ok {
-		res.PeerVNIC = uint32(peer)
-		res.Pre.TX.PeerVNIC = uint32(peer)
-	}
-	res.Pre.RX.PeerVNIC = rs.VNIC
-
-	// 4. VXLAN routing: VNI for re-encapsulation.
-	walk(rs.VXLAN)
-	if vni, ok := rs.VXLAN.Lookup(txTuple.DstIP); ok {
-		res.Pre.TX.EncapVNI = vni
-		res.Pre.RX.EncapVNI = vni
-	} else {
-		res.Pre.TX.EncapVNI = rs.VPC
-		res.Pre.RX.EncapVNI = rs.VPC
-	}
-
-	// 5. vNIC-server mapping: underlay next hop for the peer.
-	walk(rs.VNICSrv)
-	if res.PeerVNIC != 0 {
-		if srv, ok := rs.VNICSrv.Lookup(res.PeerVNIC); ok {
-			res.Pre.TX.NextHop = srv
-		}
-	}
-
-	// Advanced tables, when enabled.
-	if rs.NAT != nil {
-		walk(rs.NAT)
-		if e, ok := rs.NAT.Lookup(txTuple); ok {
-			res.Pre.TX.NAT = true
-			res.Pre.TX.NATIP = e.XlatIP
-			res.Pre.TX.NATPort = e.XlatPort
-		}
-	}
-	if rs.Policy != nil {
-		walk(rs.Policy)
-		// Policy routing simply flags; the route result stands.
-		_ = rs.Policy.Lookup(txTuple.DstIP)
-	}
-	if rs.Mirror != nil {
-		walk(rs.Mirror)
-		m := rs.Mirror.Lookup(txTuple.DstIP)
-		res.Pre.TX.Mirror = m
-		res.Pre.RX.Mirror = m
-	}
-	if rs.FlowLog != nil {
-		walk(rs.FlowLog)
-		fl := rs.FlowLog.Lookup(txTuple.DstIP)
-		res.Pre.TX.FlowLog = fl
-		res.Pre.RX.FlowLog = fl
-	}
-	if rs.Stats != nil {
-		walk(rs.Stats)
-		sp := rs.Stats.Lookup(txTuple.DstIP)
-		res.Pre.TX.Stats = sp
-		res.Pre.RX.Stats = sp
-	}
-	return res
 }

@@ -2,20 +2,21 @@ package tables
 
 import "nezha/internal/packet"
 
-// Struct-of-arrays compiled form of a RuleSet. The interpretive walk
-// in lookupReference chases one pointer-rich table structure per
-// stage (maps of maps for routes, a rule slice of fat structs for the
-// ACL); the burst datapath runs the walk millions of times, so the
-// hot lookups compile into flat parallel arrays probed with open
-// addressing. Compilation is keyed on the RuleSet version: any config
-// change goes through Bump, which invalidates the compiled form the
-// same way it invalidates cached flows.
+// Struct-of-arrays compiled form of a RuleSet: the only rule walk the
+// program runs. The table types hold pointer-rich structures (maps of
+// maps for routes, a rule slice of fat structs for the ACL); the
+// datapath runs the walk millions of times, so every lookup compiles
+// into flat parallel arrays probed with open addressing. Compilation
+// is keyed on the RuleSet version: any config change goes through
+// Bump, which invalidates the compiled form the same way it
+// invalidates cached flows.
 //
 // Equivalence contract: for every tuple, the compiled walk must
 // produce the exact LookupResult (pre-actions, cycles, tables walked)
-// the reference walk produces — the cycle model depends only on table
-// sizes, so cycles are cached per table at compile time. The contract
-// is pinned by FuzzSoAEquivalence and TestSoAEquivalence.
+// the interpretive reference walk in reference_test.go produces — the
+// cycle model depends only on table sizes, so cycles are cached per
+// table at compile time. The contract is pinned by FuzzSoAEquivalence
+// and TestSoAEquivalence.
 
 // soaRules is the compiled rule set.
 type soaRules struct {
@@ -47,15 +48,6 @@ type soaRules struct {
 	mirror     prefixSoA
 	flow       prefixSoA
 	stats      statsSoA
-
-	// Batched-probe scratch, reused across LookupBatch calls (the
-	// rule set is owned by one sim goroutine).
-	dstBuf  []uint32
-	keyBuf  []uint32
-	valBuf  []uint32
-	hitBuf  []bool
-	vniBuf  []uint32
-	vhitBuf []bool
 }
 
 // compiled returns the up-to-date compiled form, rebuilding it when
@@ -95,7 +87,7 @@ func (c *soaRules) fresh(rs *RuleSet) bool {
 
 func compileSoA(rs *RuleSet) *soaRules {
 	if !rs.ACL.sorted {
-		rs.ACL.reindex()
+		rs.ACL.sortRules()
 	}
 	c := &soaRules{
 		version: rs.version,
@@ -142,8 +134,8 @@ func compileSoA(rs *RuleSet) *soaRules {
 // --- ACL: parallel match arrays, priority order ----------------------
 
 // aclSoA holds one column per match field; rule i occupies index i in
-// every column, in the same priority-stable order the reference scan
-// uses, so "first match wins" is preserved bit for bit.
+// every column, in stable priority order (ties keep insertion order),
+// so the first match is the rule the reference walk picks.
 type aclSoA struct {
 	srcRef, srcMask []uint32
 	dstRef, dstMask []uint32
@@ -242,8 +234,8 @@ func (q *qosSoA) lookup(dstPort uint16) (uint8, uint64) {
 // --- LPM: open-addressed exact-match level per prefix length ---------
 
 // hashLPM compiles the 33-map route table into open-addressed levels
-// probed longest-first — the same level order as RouteTable.Lookup,
-// so longest-prefix semantics are preserved exactly.
+// probed longest-first — the same level order as the reference route
+// lookup, so longest-prefix semantics are preserved exactly.
 type hashLPM struct {
 	levels []lpmLevel
 }
@@ -299,32 +291,6 @@ func (t *hashLPM) lookup(ip uint32) (uint32, bool) {
 		}
 	}
 	return 0, false
-}
-
-// lookupBatch resolves a batch of addresses with the probes batched
-// per level: the masked keys for one level are computed for the whole
-// batch before probing, so the level's arrays stay hot in cache while
-// the batch streams through. Results land in vals/hits (caller-sized,
-// len(ips)).
-func (t *hashLPM) lookupBatch(ips []uint32, keys []uint32, vals []uint32, hits []bool) {
-	for i := range ips {
-		hits[i] = false
-		vals[i] = 0
-	}
-	for li := range t.levels {
-		lv := &t.levels[li]
-		for i, ip := range ips {
-			keys[i] = ip & lv.mask
-		}
-		for i := range ips {
-			if hits[i] {
-				continue
-			}
-			if v, ok := lv.probe(keys[i]); ok {
-				vals[i], hits[i] = v, true
-			}
-		}
-	}
 }
 
 // --- vNIC-server map: open-addressed uint32 -> IPv4 ------------------

@@ -67,44 +67,22 @@ type ACLRule struct {
 	Verdict  Verdict
 }
 
-func (r *ACLRule) matches(ft packet.FiveTuple) bool {
-	if r.Proto != 0 && r.Proto != ft.Proto {
-		return false
-	}
-	if !r.Src.Contains(ft.SrcIP) || !r.Dst.Contains(ft.DstIP) {
-		return false
-	}
-	return r.SrcPorts.Contains(ft.SrcPort) && r.DstPorts.Contains(ft.DstPort)
-}
-
 // ACLTable is a priority-matched access control list with range
 // matching — the expensive lookup on the slow path. Rules are kept
-// priority-sorted lazily (bulk loading is O(n log n) total), and
-// large tables are additionally indexed by destination prefix so
-// lookup cost stays near-flat in the rule count, as production
-// multi-field classifiers behave (Table A1 loses only ~18% going
-// from 0 to 1000 rules).
+// priority-sorted lazily (bulk loading is O(n log n) total). The
+// compiled walk scans them linearly in priority order, and the cost
+// model charges ACLBaseCycles + ACLPerRuleCycles per rule, which is
+// what Table A1 measures.
 type ACLTable struct {
 	rules   []ACLRule
 	sorted  bool
 	Default Verdict
-
-	// Destination-prefix index: per prefix length, masked dst ->
-	// indices into rules (priority-sorted). Rules whose dst is a
-	// wildcard (/0) live in wild. Built lazily with the sort.
-	byLen map[uint8]map[packet.IPv4][]int
-	wild  []int
 }
-
-// aclIndexThreshold is the rule count below which a linear scan beats
-// the index.
-const aclIndexThreshold = 16
 
 // NewACL returns an empty table with the given default verdict.
 func NewACL(def Verdict) *ACLTable { return &ACLTable{sorted: true, Default: def} }
 
-// Add inserts a rule; priority order (and the index) is restored on
-// the next lookup.
+// Add inserts a rule; priority order is restored on the next compile.
 func (t *ACLTable) Add(r ACLRule) {
 	t.rules = append(t.rules, r)
 	t.sorted = false
@@ -113,64 +91,10 @@ func (t *ACLTable) Add(r ACLRule) {
 // Len reports the rule count.
 func (t *ACLTable) Len() int { return len(t.rules) }
 
-func (t *ACLTable) reindex() {
+// sortRules restores priority order; ties keep insertion order.
+func (t *ACLTable) sortRules() {
 	sort.SliceStable(t.rules, func(i, j int) bool { return t.rules[i].Priority < t.rules[j].Priority })
 	t.sorted = true
-	t.byLen = nil
-	t.wild = nil
-	if len(t.rules) <= aclIndexThreshold {
-		return
-	}
-	t.byLen = make(map[uint8]map[packet.IPv4][]int)
-	for i := range t.rules {
-		p := t.rules[i].Dst
-		if p.Len == 0 {
-			t.wild = append(t.wild, i)
-			continue
-		}
-		m := t.byLen[p.Len]
-		if m == nil {
-			m = make(map[packet.IPv4][]int)
-			t.byLen[p.Len] = m
-		}
-		m[p.IP] = append(m[p.IP], i)
-	}
-}
-
-// Lookup returns the verdict for ft: the lowest-priority matching
-// rule's (ties broken by insertion order), or the default.
-func (t *ACLTable) Lookup(ft packet.FiveTuple) Verdict {
-	if !t.sorted {
-		t.reindex()
-	}
-	if t.byLen == nil {
-		for i := range t.rules {
-			if t.rules[i].matches(ft) {
-				return t.rules[i].Verdict
-			}
-		}
-		return t.Default
-	}
-	best := -1
-	scan := func(idxs []int) {
-		for _, idx := range idxs {
-			if best != -1 && idx >= best {
-				return // candidates are priority-sorted
-			}
-			if t.rules[idx].matches(ft) {
-				best = idx
-				return
-			}
-		}
-	}
-	for l, m := range t.byLen {
-		scan(m[ft.DstIP&mask(l)])
-	}
-	scan(t.wild)
-	if best >= 0 {
-		return t.rules[best].Verdict
-	}
-	return t.Default
 }
 
 func (t *ACLTable) Name() string { return "acl" }
@@ -207,20 +131,6 @@ func (t *RouteTable) Add(p Prefix, nextHop packet.IPv4) {
 // Len reports the number of routes.
 func (t *RouteTable) Len() int { return t.n }
 
-// Lookup finds the longest matching prefix; ok is false with no match.
-func (t *RouteTable) Lookup(ip packet.IPv4) (nextHop packet.IPv4, ok bool) {
-	for l := 32; l >= 0; l-- {
-		m := t.byLen[l]
-		if m == nil {
-			continue
-		}
-		if nh, hit := m[ip&mask(uint8(l))]; hit {
-			return nh, true
-		}
-	}
-	return 0, false
-}
-
 func (t *RouteTable) Name() string         { return "route" }
 func (t *RouteTable) SizeBytes() int       { return tableFixedBytes + t.n*RouteEntryBytes }
 func (t *RouteTable) LookupCycles() uint64 { return RouteCycles }
@@ -247,12 +157,6 @@ func (t *QoSTable) MapPort(port uint16, class uint8) { t.portClass[port] = class
 // Len reports configured classes plus port mappings.
 func (t *QoSTable) Len() int { return len(t.classes) + len(t.portClass) }
 
-// Lookup classifies ft and returns (class, rate).
-func (t *QoSTable) Lookup(ft packet.FiveTuple) (uint8, uint64) {
-	class := t.portClass[ft.DstPort]
-	return class, t.classes[class]
-}
-
 func (t *QoSTable) Name() string         { return "qos" }
 func (t *QoSTable) SizeBytes() int       { return tableFixedBytes + t.Len()*QoSEntryBytes }
 func (t *QoSTable) LookupCycles() uint64 { return QoSCycles }
@@ -278,16 +182,6 @@ func (t *NATTable) Add(e NATEntry) { t.entries = append(t.entries, e) }
 // Len reports the entry count.
 func (t *NATTable) Len() int { return len(t.entries) }
 
-// Lookup returns a rewrite for ft's destination, if any.
-func (t *NATTable) Lookup(ft packet.FiveTuple) (NATEntry, bool) {
-	for _, e := range t.entries {
-		if e.Orig.Contains(ft.DstIP) {
-			return e, true
-		}
-	}
-	return NATEntry{}, false
-}
-
 func (t *NATTable) Name() string         { return "nat" }
 func (t *NATTable) SizeBytes() int       { return tableFixedBytes + len(t.entries)*NATEntryBytes }
 func (t *NATTable) LookupCycles() uint64 { return NATCycles }
@@ -306,12 +200,6 @@ func (t *VXLANRouteTable) Add(p Prefix, vni uint32) { t.routes.Add(p, packet.IPv
 
 // Len reports the entry count.
 func (t *VXLANRouteTable) Len() int { return t.routes.Len() }
-
-// Lookup resolves the VNI for an overlay destination.
-func (t *VXLANRouteTable) Lookup(ip packet.IPv4) (uint32, bool) {
-	v, ok := t.routes.Lookup(ip)
-	return uint32(v), ok
-}
 
 func (t *VXLANRouteTable) Name() string         { return "vxlan" }
 func (t *VXLANRouteTable) SizeBytes() int       { return tableFixedBytes + t.Len()*VXLANEntryBytes }
@@ -347,16 +235,6 @@ func (t *FlagTable) Add(p Prefix) { t.prefixes = append(t.prefixes, p) }
 // Len reports the entry count.
 func (t *FlagTable) Len() int { return len(t.prefixes) }
 
-// Lookup reports whether ip matches any prefix.
-func (t *FlagTable) Lookup(ip packet.IPv4) bool {
-	for _, p := range t.prefixes {
-		if p.Contains(ip) {
-			return true
-		}
-	}
-	return false
-}
-
 func (t *FlagTable) Name() string         { return t.name }
 func (t *FlagTable) SizeBytes() int       { return tableFixedBytes + len(t.prefixes)*t.perEntry }
 func (t *FlagTable) LookupCycles() uint64 { return t.cycles }
@@ -385,16 +263,6 @@ func (t *StatsPolicyTable) Add(p Prefix, policy StatsPolicy) {
 // Len reports the entry count.
 func (t *StatsPolicyTable) Len() int { return len(t.entries) }
 
-// Lookup returns the policy for ip.
-func (t *StatsPolicyTable) Lookup(ip packet.IPv4) StatsPolicy {
-	for _, e := range t.entries {
-		if e.p.Contains(ip) {
-			return e.policy
-		}
-	}
-	return t.Default
-}
-
 func (t *StatsPolicyTable) Name() string         { return "stats" }
 func (t *StatsPolicyTable) SizeBytes() int       { return tableFixedBytes + len(t.entries)*StatsEntryBytes }
 func (t *StatsPolicyTable) LookupCycles() uint64 { return StatsCycles }
@@ -420,12 +288,6 @@ func (t *VNICServerMap) Delete(vnic uint32) { delete(t.m, vnic) }
 
 // Len reports the entry count.
 func (t *VNICServerMap) Len() int { return len(t.m) }
-
-// Lookup resolves a vNIC's server.
-func (t *VNICServerMap) Lookup(vnic uint32) (packet.IPv4, bool) {
-	s, ok := t.m[vnic]
-	return s, ok
-}
 
 func (t *VNICServerMap) Name() string         { return "vnic-server" }
 func (t *VNICServerMap) SizeBytes() int       { return tableFixedBytes + len(t.m)*VNICServerBytes }

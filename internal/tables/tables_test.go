@@ -3,7 +3,6 @@ package tables
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -57,9 +56,6 @@ func TestPortRange(t *testing.T) {
 	}
 	if r.Contains(99) || r.Contains(201) {
 		t.Fatal("out-of-range port matched")
-	}
-	if !AnyPort.Contains(0) || !AnyPort.Contains(65535) {
-		t.Fatal("AnyPort should match everything")
 	}
 }
 
@@ -496,67 +492,5 @@ func BenchmarkRuleSetLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = rs.Lookup(ft)
-	}
-}
-
-// Property: the indexed ACL lookup (built above aclIndexThreshold)
-// agrees with a plain priority-ordered linear scan.
-func TestQuickACLIndexEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		var rules []ACLRule
-		n := 20 + r.Intn(80) // force the indexed path
-		for i := 0; i < n; i++ {
-			rule := ACLRule{
-				Priority: r.Intn(50), // deliberate priority collisions
-				Verdict:  Verdict(1 + r.Intn(2)),
-			}
-			switch r.Intn(3) {
-			case 0:
-				rule.Dst = MakePrefix(packet.IPv4(r.Uint32()), uint8(8+r.Intn(25)))
-			case 1:
-				rule.Dst = MakePrefix(ip(10, 0, byte(r.Intn(4)), 0), 24)
-			}
-			if r.Intn(2) == 0 {
-				lo := uint16(r.Intn(40000))
-				rule.DstPorts = PortRange{Lo: lo, Hi: lo + uint16(r.Intn(2000))}
-			}
-			if r.Intn(3) == 0 {
-				rule.Proto = packet.ProtoTCP
-			}
-			rules = append(rules, rule)
-		}
-		indexed := NewACL(VerdictAllow)
-		for _, rule := range rules {
-			indexed.Add(rule)
-		}
-		// Reference: stable sort by priority, linear scan.
-		ref := append([]ACLRule(nil), rules...)
-		sort.SliceStable(ref, func(i, j int) bool { return ref[i].Priority < ref[j].Priority })
-		refLookup := func(ft packet.FiveTuple) Verdict {
-			for i := range ref {
-				if ref[i].matches(ft) {
-					return ref[i].Verdict
-				}
-			}
-			return VerdictAllow
-		}
-		for q := 0; q < 200; q++ {
-			ft := packet.FiveTuple{
-				SrcIP: packet.IPv4(r.Uint32()), DstIP: packet.IPv4(r.Uint32()),
-				SrcPort: uint16(r.Intn(65536)), DstPort: uint16(r.Intn(65536)),
-				Proto: packet.ProtoTCP,
-			}
-			if r.Intn(2) == 0 {
-				ft.DstIP = ip(10, 0, byte(r.Intn(4)), byte(r.Intn(256)))
-			}
-			if indexed.Lookup(ft) != refLookup(ft) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }

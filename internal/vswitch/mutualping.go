@@ -33,9 +33,7 @@ type mutualPing struct {
 // removes that FE from this BE's pools only (a link problem, not an
 // FE crash).
 func (vs *VSwitch) StartMutualPing(interval sim.Time, misses int, onDown func(fe packet.IPv4)) {
-	if vs.mutual != nil {
-		vs.mutual.ticker.Stop()
-	}
+	vs.StopMutualPing()
 	m := &mutualPing{
 		interval: interval,
 		misses:   misses,

@@ -296,8 +296,8 @@ func TestResourceConservationAcrossLifecycles(t *testing.T) {
 	w := newWorld(t, 2, nil)
 	rng := sim.NewRand(77)
 	for trial := 0; trial < 40; trial++ {
-		if w.B.RuleMemBytes() != 0 {
-			t.Fatalf("trial %d: leftover rule memory %d", trial, w.B.RuleMemBytes())
+		if w.B.mem.Used() != 0 {
+			t.Fatalf("trial %d: leftover rule memory %d", trial, w.B.mem.Used())
 		}
 		rs := serverRules()
 		for i := 0; i < rng.Intn(500); i++ {
@@ -334,7 +334,7 @@ func TestResourceConservationAcrossLifecycles(t *testing.T) {
 			t.Fatalf("trial %d: leftover session memory %d", trial, w.B.Sessions().MemBytes())
 		}
 	}
-	if w.B.RuleMemBytes() != 0 {
-		t.Fatalf("final rule memory %d, want 0", w.B.RuleMemBytes())
+	if w.B.mem.Used() != 0 {
+		t.Fatalf("final rule memory %d, want 0", w.B.mem.Used())
 	}
 }

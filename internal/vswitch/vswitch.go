@@ -30,7 +30,6 @@ package vswitch
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"nezha/internal/fabric"
 	"nezha/internal/flowcache"
@@ -376,9 +375,6 @@ func (vs *VSwitch) EnableSLO(t *slo.Tracker) {
 	}
 }
 
-// SLO returns the attached tracker (nil when disabled).
-func (vs *VSwitch) SLO() *slo.Tracker { return vs.slo }
-
 func dropCauseNames() []string {
 	names := make([]string, numDropReasons)
 	for r := DropReason(0); r < numDropReasons; r++ {
@@ -386,9 +382,6 @@ func dropCauseNames() []string {
 	}
 	return names
 }
-
-// Learner exposes the gateway cache (tests).
-func (vs *VSwitch) Learner() *fabric.Learner { return vs.learner }
 
 // SetDelivery installs the VM delivery callback.
 func (vs *VSwitch) SetDelivery(d Delivery) { vs.deliver = d }
@@ -426,9 +419,6 @@ func (vs *VSwitch) MemUsedBytes() int { return vs.mem.Used() + vs.sessions.MemBy
 func (vs *VSwitch) MemUtilization() float64 {
 	return float64(vs.MemUsedBytes()) / float64(vs.cfg.NetMemBytes)
 }
-
-// RuleMemBytes reports rule-table memory in use.
-func (vs *VSwitch) RuleMemBytes() int { return vs.mem.Used() }
 
 // MemFreeBytes reports unreserved config memory — what a new rule
 // table or pressure spike could still allocate.
@@ -642,16 +632,6 @@ func (vs *VSwitch) OffloadFinalize(vnic uint32) error {
 	})
 	vs.refreshSessionBudget()
 	return nil
-}
-
-// SetFEs replaces the FE list for an offloaded vNIC (scale-out/in,
-// failover). The unversioned form keeps the current epoch.
-func (vs *VSwitch) SetFEs(vnic uint32, fes []packet.IPv4) error {
-	vn, ok := vs.vnics[vnic]
-	if !ok {
-		return ErrUnknownVNIC
-	}
-	return vs.SetFEsEpoch(vnic, fes, vn.feEpoch)
 }
 
 // SetFEsEpoch replaces the FE list at an explicit config epoch,
@@ -910,32 +890,10 @@ func (vs *VSwitch) CanServe(vnic uint32) bool {
 	return ok && vn.rules != nil
 }
 
-// OffloadedVNICs lists resident vNICs currently in the offloaded
-// (dual-running or final) stage, in ascending order.
-func (vs *VSwitch) OffloadedVNICs() []uint32 {
-	var out []uint32
-	for id, vn := range vs.vnics {
-		if vn.offloaded {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // HostsFE reports whether this vSwitch hosts an FE for vnic.
 func (vs *VSwitch) HostsFE(vnic uint32) bool {
 	_, ok := vs.fes[vnic]
 	return ok
-}
-
-// FEVNICs lists the vNICs this vSwitch fronts.
-func (vs *VSwitch) FEVNICs() []uint32 {
-	out := make([]uint32, 0, len(vs.fes))
-	for v := range vs.fes {
-		out = append(out, v)
-	}
-	return out
 }
 
 // SetBELocation updates the BE address of a hosted FE (VM live

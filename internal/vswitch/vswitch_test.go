@@ -386,20 +386,20 @@ func TestOffloadFreesRuleMemoryGrowsSessionBudget(t *testing.T) {
 	if err := w.B.AddVNIC(srs, false); err != nil {
 		t.Fatal(err)
 	}
-	ruleBytes := w.B.RuleMemBytes()
+	ruleBytes := w.B.mem.Used()
 	budgetBefore := w.B.Sessions().MaxBytes()
 
 	w.offloadServer(t, false, true)
 
-	if w.B.RuleMemBytes() >= ruleBytes {
-		t.Fatalf("rule memory not freed: %d -> %d", ruleBytes, w.B.RuleMemBytes())
+	if w.B.mem.Used() >= ruleBytes {
+		t.Fatalf("rule memory not freed: %d -> %d", ruleBytes, w.B.mem.Used())
 	}
 	if w.B.Sessions().MaxBytes() <= budgetBefore {
 		t.Fatal("session budget did not grow after offloading rule tables")
 	}
 	// BE data (2KB) must be charged.
-	if w.B.RuleMemBytes() < BEDataBytes {
-		t.Fatalf("BE data not charged: %d", w.B.RuleMemBytes())
+	if w.B.mem.Used() < BEDataBytes {
+		t.Fatalf("BE data not charged: %d", w.B.mem.Used())
 	}
 }
 
@@ -736,8 +736,8 @@ func TestOffloadUnknownVNIC(t *testing.T) {
 	if err := w.A.OffloadFinalize(99); err != ErrUnknownVNIC {
 		t.Fatalf("OffloadFinalize: %v", err)
 	}
-	if err := w.A.SetFEs(99, nil); err != ErrUnknownVNIC {
-		t.Fatalf("SetFEs: %v", err)
+	if err := w.A.SetFEsEpoch(99, nil, 0); err != ErrUnknownVNIC {
+		t.Fatalf("SetFEsEpoch: %v", err)
 	}
 	if err := w.A.SetBELocation(99, addrB); err != ErrUnknownVNIC {
 		t.Fatalf("SetBELocation: %v", err)

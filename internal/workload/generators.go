@@ -71,15 +71,6 @@ func (g *CRR) open() {
 	g.client.Open(g.sport, g.dst, ServerPort)
 }
 
-// CompletedCPS reports completed transactions per second over the
-// elapsed window.
-func (g *CRR) CompletedCPS(elapsed sim.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(g.client.Completed) / elapsed.Seconds()
-}
-
 // FlowHolder opens persistent connections and keeps them alive with
 // periodic keepalives, probing how many concurrent flows the path can
 // sustain (the #concurrent-flows experiments).
@@ -153,20 +144,6 @@ func (h *FlowHolder) RampN(n int, window sim.Time) {
 	}
 }
 
-// KeepAlive re-touches every open flow once (call periodically to
-// defeat aging). The touches enter the vSwitch as one burst.
-func (h *FlowHolder) KeepAlive() {
-	if len(h.open) == 0 {
-		return
-	}
-	batch := make([]*packet.Packet, 0, len(h.open))
-	for _, ft := range h.open {
-		p := packet.GetStamped(int64(h.loop.Now()), h.client.nextID(), h.client.VPC, h.client.VNIC, ft, packet.DirTX, packet.FlagACK, 32)
-		batch = append(batch, p)
-	}
-	h.client.vs.FromVMBurst(batch)
-}
-
 // KeepAlivePaced spreads one keepalive per open flow evenly over the
 // window, avoiding a burst that would just hit the CPU queue bound.
 func (h *FlowHolder) KeepAlivePaced(window sim.Time) {
@@ -183,9 +160,6 @@ func (h *FlowHolder) KeepAlivePaced(window sim.Time) {
 		})
 	}
 }
-
-// Opened reports the flows opened so far.
-func (h *FlowHolder) Opened() int { return len(h.open) }
 
 // SYNFlood sends a stream of SYNs from spoofed ports that never
 // complete handshakes — the §7.3 memory-pressure attack on the BE.

@@ -252,6 +252,3 @@ func (vm *VM) clientHandle(p *packet.Packet) {
 		vm.send(reply, packet.FlagFIN|packet.FlagACK, 0, int64(c.start))
 	}
 }
-
-// InFlight reports the client connections not yet completed.
-func (vm *VM) InFlight() int { return len(vm.conns) }

@@ -132,8 +132,8 @@ func TestFlowHolderDistinctFlows(t *testing.T) {
 	h := NewFlowHolder(b.loop, b.client, ipS, sim.Second)
 	h.RampN(500, 100*sim.Millisecond)
 	b.loop.RunAll()
-	if h.Opened() != 500 {
-		t.Fatalf("opened = %d", h.Opened())
+	if len(h.open) != 500 {
+		t.Fatalf("opened = %d", len(h.open))
 	}
 	// Each flow creates a session entry at both vSwitches.
 	if got := b.swB.Sessions().Len(); got < 500 {
@@ -159,7 +159,7 @@ func TestFlowHolderKeepAliveDefeatsAging(t *testing.T) {
 	// Keepalive every 500ms for 3 s, sweeping as we go.
 	for i := 1; i <= 6; i++ {
 		b.loop.Schedule(sim.Time(i)*500*sim.Millisecond, func() {
-			h.KeepAlive()
+			h.KeepAlivePaced(100 * sim.Millisecond)
 			b.swB.SweepSessions()
 		})
 	}
@@ -238,3 +238,6 @@ func TestCRRStopHaltsOpens(t *testing.T) {
 		t.Fatalf("started = %d, want ~1000 (Stop leaked?)", started)
 	}
 }
+
+// InFlight reports the client connections not yet completed.
+func (vm *VM) InFlight() int { return len(vm.conns) }
