@@ -404,10 +404,12 @@ func (p *Publisher) PublishSnap(now sim.Time, snap *Snapshot) {
 	if p.Obs.Spans != nil {
 		done := p.Obs.Spans.Completed()
 		p.Hist.SetSpans(done)
-		if len(done) > tail {
-			done = done[len(done)-tail:]
+		// Copy the tail: a subslice would keep every completed span
+		// alive for as long as the snapshot is retained.
+		if n := min(len(done), tail); n > 0 {
+			snap.Spans = make([]Span, n)
+			copy(snap.Spans, done[len(done)-n:])
 		}
-		snap.Spans = done
 	}
 	if p.PolicyLogFn != nil {
 		p.Hist.SetPolicyLog(p.PolicyLogFn())

@@ -213,3 +213,27 @@ func TestPublisherCadence(t *testing.T) {
 		t.Errorf("latest snapshot T = %v, want 5s", got)
 	}
 }
+
+// TestPublisherSpanTailIsCopied checks a published snapshot holds only
+// its span tail: a subslice of SpanLog.Completed would keep every
+// retained span alive for as long as the snapshot is.
+func TestPublisherSpanTailIsCopied(t *testing.T) {
+	ob := obs.New(obs.Options{})
+	for i := uint32(0); i < 40; i++ {
+		ob.Spans.Begin("offload", i, 1, sim.Second)
+		ob.Spans.End("offload", i, 1, 2*sim.Second, "commit")
+	}
+	h := obs.NewHistory(obs.HistoryOptions{})
+	pub := &obs.Publisher{Obs: ob, Hist: h}
+	pub.PublishNow(3 * sim.Second)
+	spans := h.Latest().Spans
+	if len(spans) != 12 || cap(spans) > 12 {
+		t.Fatalf("snapshot spans len %d cap %d, want the 12-span tail exactly", len(spans), cap(spans))
+	}
+	if spans[0].VNIC != 28 || spans[11].VNIC != 39 {
+		t.Errorf("snapshot spans cover vNICs %d..%d, want 28..39", spans[0].VNIC, spans[11].VNIC)
+	}
+	if got := len(h.Spans()); got != 40 {
+		t.Errorf("history keeps %d spans, want all 40", got)
+	}
+}

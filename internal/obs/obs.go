@@ -2,11 +2,13 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"nezha/internal/packet"
@@ -199,22 +201,40 @@ func (f *FlowTop) Observe(ft packet.FiveTuple, bytes int) {
 }
 
 // Top returns the k busiest flows by packet count (ties broken by
-// flow string for determinism).
+// flow string for determinism); k <= 0 returns every flow. The result
+// is exactly sized, and only flows at or above the k-th count have
+// their five-tuple rendered (for the string tie-break).
 func (f *FlowTop) Top(k int) []FlowStat {
+	type row struct {
+		ft packet.FiveTuple
+		c  flowCount
+	}
 	f.mu.Lock()
-	out := make([]FlowStat, 0, len(f.counts))
+	rows := make([]row, 0, len(f.counts))
 	for ft, c := range f.counts {
-		out = append(out, FlowStat{Flow: ft.String(), Packets: c.packets, Bytes: c.bytes})
+		rows = append(rows, row{ft, *c})
 	}
 	f.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Packets != out[j].Packets {
-			return out[i].Packets > out[j].Packets
+	if k <= 0 || k > len(rows) {
+		k = len(rows)
+	}
+	slices.SortFunc(rows, func(a, b row) int { return cmp.Compare(b.c.packets, a.c.packets) })
+	n := k
+	for n < len(rows) && rows[n].c.packets == rows[k-1].c.packets {
+		n++
+	}
+	out := make([]FlowStat, n)
+	for i := range out {
+		out[i] = FlowStat{Flow: rows[i].ft.String(), Packets: rows[i].c.packets, Bytes: rows[i].c.bytes}
+	}
+	slices.SortFunc(out, func(a, b FlowStat) int {
+		if c := cmp.Compare(b.Packets, a.Packets); c != 0 {
+			return c
 		}
-		return out[i].Flow < out[j].Flow
+		return strings.Compare(a.Flow, b.Flow)
 	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+	if n > k {
+		out = append(make([]FlowStat, 0, k), out[:k]...)
 	}
 	return out
 }

@@ -18,6 +18,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/bits"
 	"os"
@@ -221,21 +222,51 @@ func (k Kind) String() string {
 	}
 }
 
-type series struct {
+// desc describes one series to Snapshot: its identity, the label map
+// every Point of it shares, and its rate window. Atomic series embed
+// theirs; func series and collector-emitted label sets get one on
+// their first snapshot, so registration allocates nothing for it.
+type desc struct {
 	name   string
 	labels Labels
-	kind   Kind
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	// key is seriesKey(name, labels); lkey is its labels.key() part (a
+	// substring of key), the second sort key of a snapshot.
+	key, lkey string
+	// m is labels.Map(), built the first time the series appears in a
+	// snapshot and shared read-only by every later Point of it.
+	m map[string]string
+	// prev is the counter value the series had in snapshot prevGen; a
+	// rate is taken only against the immediately preceding snapshot.
+	prev    float64
+	prevGen uint64
+	// seen is the last snapshot a collector emitted the series in.
+	seen uint64
+}
+
+func makeDesc(name string, labels Labels, key string) desc {
+	d := desc{name: name, labels: labels, key: key}
+	if len(key) > len(name) {
+		d.lkey = key[len(name)+1 : len(key)-1]
+	}
+	return d
+}
+
+type series struct {
+	desc
+	kind Kind
+	c    *Counter
+	g    *Gauge
+	h    *Histogram
 }
 
 type funcSeries struct {
 	name   string
 	labels Labels
+	key    string
 	kind   Kind
 	cfn    func() uint64
 	gfn    func() float64
+	d      *desc // set by the series' first snapshot
 }
 
 // Emit is handed to Collect callbacks: it publishes one point into
@@ -250,9 +281,12 @@ type Registry struct {
 	mu         sync.Mutex
 	series     map[string]*series
 	funcs      []funcSeries
-	funcKeys   map[string]bool
+	funcIdx    map[string]int // series key -> index in funcs
 	collectors []func(Emit)
+	// helps is shared with every snapshot taken since the last Help
+	// call (helpShared); Help copies it before writing.
 	helps      map[string]string
+	helpShared bool
 
 	// maxSeries caps distinct registered series (atomics + snapshot
 	// funcs) so a region-scale run cannot silently blow the registry
@@ -263,10 +297,17 @@ type Registry struct {
 	warnOnce  sync.Once
 	warnFn    func(msg string)
 
-	// Previous snapshot state for windowed rates.
+	// Snapshot state, owned by whoever holds snapMu: the snapshot
+	// generation (the rate window is gen-1 -> gen), its sim time, the
+	// descriptors of the label sets collectors emitted in the latest
+	// snapshot, the key scratch for looking them up, and the previous
+	// snapshot's point count (the next one's capacity guess).
+	snapMu  sync.Mutex
+	gen     uint64
 	prevT   sim.Time
-	prevVal map[string]float64
-	hasPrev bool
+	dyn     map[string]*desc
+	keyBuf  []byte
+	lastLen int
 }
 
 // DefaultMaxSeries is the registry's default series-cardinality cap.
@@ -276,8 +317,8 @@ const DefaultMaxSeries = 1 << 16
 func NewRegistry() *Registry {
 	return &Registry{
 		series:    make(map[string]*series),
-		funcKeys:  make(map[string]bool),
-		prevVal:   make(map[string]float64),
+		funcIdx:   make(map[string]int),
+		dyn:       make(map[string]*desc),
 		helps:     make(map[string]string),
 		maxSeries: DefaultMaxSeries,
 		warnFn: func(msg string) {
@@ -299,6 +340,10 @@ func (r *Registry) SetMaxSeries(n int) {
 func (r *Registry) Help(name, text string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.helpShared {
+		r.helps = maps.Clone(r.helps)
+		r.helpShared = false
+	}
 	r.helps[name] = text
 }
 
@@ -334,7 +379,7 @@ func (r *Registry) get(name string, labels Labels, kind Kind) *series {
 		}
 		return s
 	}
-	s := &series{name: name, labels: labels, kind: kind}
+	s := &series{desc: makeDesc(name, labels, key), kind: kind}
 	if r.maxSeries > 0 && len(r.series)+len(r.funcs) >= r.maxSeries {
 		// Past the cap: hand back a working but detached instrument so
 		// pre-bound hot-path handles stay nil-safe.
@@ -386,22 +431,20 @@ func (r *Registry) GaugeFunc(name string, labels Labels, fn func() float64) {
 }
 
 func (r *Registry) addFunc(f funcSeries) {
-	key := seriesKey(f.name, f.labels)
+	f.key = seriesKey(f.name, f.labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.funcKeys[key] {
-		for i := range r.funcs {
-			if seriesKey(r.funcs[i].name, r.funcs[i].labels) == key {
-				r.funcs[i] = f
-				return
-			}
-		}
-	}
-	if r.maxSeries > 0 && len(r.series)+len(r.funcs) >= r.maxSeries {
-		r.dropSeries(key)
+	if i, ok := r.funcIdx[f.key]; ok {
+		// Keep the descriptor: the rate window spans the replacement.
+		f.d = r.funcs[i].d
+		r.funcs[i] = f
 		return
 	}
-	r.funcKeys[key] = true
+	if r.maxSeries > 0 && len(r.series)+len(r.funcs) >= r.maxSeries {
+		r.dropSeries(f.key)
+		return
+	}
+	r.funcIdx[f.key] = len(r.funcs)
 	r.funcs = append(r.funcs, f)
 }
 
@@ -415,7 +458,10 @@ func (r *Registry) Collect(fn func(Emit)) {
 
 // Point is one series' value in a snapshot.
 type Point struct {
-	Name   string            `json:"name"`
+	Name string `json:"name"`
+	// Labels is the series' label set. The map is shared with the
+	// registry and with every other snapshot holding a point of the same
+	// series: read it, never write it.
 	Labels map[string]string `json:"labels,omitempty"`
 	Kind   string            `json:"kind"`
 	Value  float64           `json:"value"`
@@ -430,7 +476,16 @@ type Point struct {
 	P99   uint64 `json:"p99,omitempty"`
 	P999  uint64 `json:"p999,omitempty"`
 
-	labels Labels
+	d *desc // nil on points built by hand or decoded from JSON
+}
+
+// labelSet returns the point's canonical labels (nil without a
+// descriptor).
+func (p *Point) labelSet() Labels {
+	if p.d == nil {
+		return nil
+	}
+	return p.d.labels
 }
 
 // Snapshot is a consistent-enough view of all series at one sim time.
@@ -452,95 +507,160 @@ type Snapshot struct {
 	SLO *slo.View `json:"slo,omitempty"`
 
 	// help carries per-metric exposition help text for WritePrometheus;
-	// deliberately unexported so JSONL snapshots stay compact.
+	// deliberately unexported so JSONL snapshots stay compact. Shared
+	// with the registry until its next Help call.
 	help map[string]string
+}
+
+func (d *desc) point(kind Kind, v float64) Point {
+	return Point{Name: d.name, Kind: kind.String(), Value: v, d: d}
+}
+
+func (s *series) point() Point {
+	switch s.kind {
+	case KindCounter:
+		return s.desc.point(KindCounter, float64(s.c.Load()))
+	case KindGauge:
+		return s.desc.point(KindGauge, s.g.Load())
+	}
+	p := s.desc.point(KindHistogram, 0)
+	p.Count, p.Sum = s.h.Count(), s.h.Sum()
+	p.P50, p.P99, p.P999 = s.h.Quantile(0.50), s.h.Quantile(0.99), s.h.Quantile(0.999)
+	p.Value = float64(p.Count)
+	return p
+}
+
+// intern returns the descriptor of a label set a collector emitted,
+// creating it on the set's first appearance, and marks it seen in
+// snapshot gen. The lookup builds the key in scratch, so a set already
+// known allocates nothing. Caller holds snapMu.
+func (r *Registry) intern(name string, labels Labels, gen uint64) *desc {
+	b := append(r.keyBuf[:0], name...)
+	if len(labels) > 0 {
+		b = append(b, '{')
+		for i, l := range labels {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(append(append(b, l.K...), '='), l.V...)
+		}
+		b = append(b, '}')
+	}
+	r.keyBuf = b
+	d := r.dyn[string(b)]
+	if d == nil {
+		key := string(b)
+		nd := makeDesc(name, labels, key)
+		d = &nd
+		r.dyn[key] = d
+	}
+	d.seen = gen
+	return d
+}
+
+// byKey orders points by (name, labels key) through their descriptors.
+type byKey []Point
+
+func (p byKey) Len() int      { return len(p) }
+func (p byKey) Swap(i, j int) { p[i], p[j] = p[j], p[i] }
+func (p byKey) Less(i, j int) bool {
+	a, b := p[i].d, p[j].d
+	if a.name != b.name {
+		return a.name < b.name
+	}
+	return a.lkey < b.lkey
 }
 
 // Snapshot samples every series, computes windowed rates against the
 // previous snapshot, and advances the rate window. Points are sorted
 // by (name, labels) so exports are deterministic.
+//
+// A snapshot's cost follows what changed: every point of a series
+// shares the series' descriptor and label map, a counter's rate comes
+// from the value its descriptor kept, and the help map is shared until
+// the next Help call. Label sets that collectors emit are interned in a
+// table holding only the sets of the latest snapshot, so it is bounded
+// by the current cardinality, and a set missing from one snapshot has
+// no rate in the next. Snapshots are serialized.
 func (r *Registry) Snapshot(now sim.Time) *Snapshot {
+	r.snapMu.Lock()
+	defer r.snapMu.Unlock()
+	r.gen++
+	gen := r.gen
+
+	pts := make([]Point, 0, r.lastLen)
 	r.mu.Lock()
-	sers := make([]*series, 0, len(r.series))
 	for _, s := range r.series {
-		sers = append(sers, s)
+		pts = append(pts, s.point())
+	}
+	for i := range r.funcs {
+		if f := &r.funcs[i]; f.d == nil {
+			d := makeDesc(f.name, f.labels, f.key)
+			f.d = &d
+		}
 	}
 	funcs := append([]funcSeries(nil), r.funcs...)
 	collectors := append([]func(Emit){}, r.collectors...)
-	helps := make(map[string]string, len(r.helps))
-	for k, v := range r.helps {
-		helps[k] = v
-	}
+	snap := &Snapshot{T: now, help: r.helps}
+	r.helpShared = true
 	r.mu.Unlock()
 
-	snap := &Snapshot{T: now, help: helps}
-	add := func(name string, labels Labels, kind Kind, value float64) {
-		snap.Points = append(snap.Points, Point{
-			Name: name, Labels: labels.Map(), Kind: kind.String(),
-			Value: value, labels: labels,
-		})
-	}
-	for _, s := range sers {
-		switch s.kind {
-		case KindCounter:
-			add(s.name, s.labels, KindCounter, float64(s.c.Load()))
-		case KindGauge:
-			add(s.name, s.labels, KindGauge, s.g.Load())
-		case KindHistogram:
-			p := Point{
-				Name: s.name, Labels: s.labels.Map(), Kind: KindHistogram.String(),
-				Count: s.h.Count(), Sum: s.h.Sum(),
-				P50: s.h.Quantile(0.50), P99: s.h.Quantile(0.99), P999: s.h.Quantile(0.999),
-				labels: s.labels,
-			}
-			p.Value = float64(p.Count)
-			snap.Points = append(snap.Points, p)
-		}
-	}
 	for _, f := range funcs {
 		switch f.kind {
 		case KindCounter:
-			add(f.name, f.labels, KindCounter, float64(f.cfn()))
+			pts = append(pts, f.d.point(KindCounter, float64(f.cfn())))
 		case KindGauge:
-			add(f.name, f.labels, KindGauge, f.gfn())
+			pts = append(pts, f.d.point(KindGauge, f.gfn()))
 		}
 	}
+	emit := func(name string, labels Labels, kind Kind, value float64) {
+		pts = append(pts, r.intern(name, labels, gen).point(kind, value))
+	}
 	for _, c := range collectors {
-		c(add)
+		c(emit)
 	}
 	if dropped := r.dropped.Load(); dropped > 0 {
 		// Synthetic only once the cap has actually refused something, so
 		// capped-but-healthy runs emit nothing new.
-		add("obs_series_dropped_total", nil, KindCounter, float64(dropped))
+		emit("obs_series_dropped_total", nil, KindCounter, float64(dropped))
 	}
-	sort.Slice(snap.Points, func(i, j int) bool {
-		if snap.Points[i].Name != snap.Points[j].Name {
-			return snap.Points[i].Name < snap.Points[j].Name
-		}
-		return snap.Points[i].labels.key() < snap.Points[j].labels.key()
-	})
+	sort.Sort(byKey(pts))
 
-	// Windowed rates for counters.
-	r.mu.Lock()
+	// Shared label maps and windowed rates for counters. Rates read every
+	// descriptor's previous value before any is overwritten.
 	dt := float64(now-r.prevT) / float64(sim.Second)
-	newVal := make(map[string]float64, len(snap.Points))
-	for i := range snap.Points {
-		p := &snap.Points[i]
-		if p.Kind != KindCounter.String() {
-			continue
+	counter := KindCounter.String()
+	for i := range pts {
+		p := &pts[i]
+		d := p.d
+		if d.m == nil && len(d.labels) > 0 {
+			d.m = d.labels.Map()
 		}
-		key := seriesKey(p.Name, p.labels)
-		newVal[key] = p.Value
-		if r.hasPrev && dt > 0 {
-			if prev, ok := r.prevVal[key]; ok {
-				p.Rate = (p.Value - prev) / dt
-			}
+		p.Labels = d.m
+		if p.Kind == counter && dt > 0 && d.prevGen != 0 && d.prevGen == gen-1 {
+			p.Rate = (p.Value - d.prev) / dt
+		}
+	}
+	for i := range pts {
+		if p := &pts[i]; p.Kind == counter {
+			p.d.prev, p.d.prevGen = p.Value, gen
 		}
 	}
 	r.prevT = now
-	r.prevVal = newVal
-	r.hasPrev = true
-	r.mu.Unlock()
+	for k, d := range r.dyn {
+		if d.seen != gen {
+			delete(r.dyn, k)
+		}
+	}
+
+	r.lastLen = len(pts)
+	switch {
+	case len(pts) == 0:
+		pts = nil
+	case len(pts) != cap(pts):
+		pts = append(make([]Point, 0, len(pts)), pts...)
+	}
+	snap.Points = pts
 	return snap
 }
 
@@ -582,14 +702,15 @@ func (s *Snapshot) WritePrometheus(w io.Writer) error {
 			}
 			lastName = p.Name
 		}
-		lp := p.labels.promString()
+		ls := p.labelSet()
+		lp := ls.promString()
 		var err error
 		switch p.Kind {
 		case "histogram":
 			_, err = fmt.Fprintf(w, "%s%s %d\n%s%s %d\n%s%s %d\n%s_sum%s %d\n%s_count%s %d\n",
-				p.Name, withQuantile(p.labels, "0.5").promString(), p.P50,
-				p.Name, withQuantile(p.labels, "0.99").promString(), p.P99,
-				p.Name, withQuantile(p.labels, "0.999").promString(), p.P999,
+				p.Name, withQuantile(ls, "0.5").promString(), p.P50,
+				p.Name, withQuantile(ls, "0.99").promString(), p.P99,
+				p.Name, withQuantile(ls, "0.999").promString(), p.P999,
 				p.Name, lp, p.Sum,
 				p.Name, lp, p.Count)
 		default:

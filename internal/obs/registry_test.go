@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -126,6 +127,37 @@ func TestSnapshotRatesAndFuncs(t *testing.T) {
 	}
 	if p := findPoint(s2, "plain_total"); p == nil || p.Rate != 10 {
 		t.Fatalf("func counter rate: %+v", p)
+	}
+}
+
+// TestSnapshotSharesLabelMaps checks that consecutive snapshots hand
+// every series (atomic, func and collector-emitted alike) the
+// identical label map, and that the help map is shared until a Help
+// call, which leaves earlier snapshots' help untouched.
+func TestSnapshotSharesLabelMaps(t *testing.T) {
+	r := NewRegistry()
+	r.GetCounter("sent_total", L("node", "a")).Add(3)
+	r.GetHistogram("wait_ns", L("node", "a")).Observe(9)
+	r.GaugeFunc("depth", L("node", "b"), func() float64 { return 1 })
+	r.Collect(func(emit Emit) { emit("dyn_total", L("vnic", "1"), KindCounter, 2) })
+	r.Help("sent_total", "Sent.")
+	s1 := r.Snapshot(sim.Second)
+	s2 := r.Snapshot(2 * sim.Second)
+	if len(s1.Points) != 4 || len(s2.Points) != 4 {
+		t.Fatalf("points: %d then %d, want 4", len(s1.Points), len(s2.Points))
+	}
+	for i := range s1.Points {
+		a, b := s1.Points[i].Labels, s2.Points[i].Labels
+		if a == nil || reflect.ValueOf(a).UnsafePointer() != reflect.ValueOf(b).UnsafePointer() {
+			t.Errorf("%s: label maps %p and %p, want one shared map", s1.Points[i].Name, a, b)
+		}
+	}
+	if reflect.ValueOf(s1.help).UnsafePointer() != reflect.ValueOf(s2.help).UnsafePointer() {
+		t.Error("help map copied between snapshots with no Help call")
+	}
+	r.Help("sent_total", "Changed.")
+	if s1.help["sent_total"] != "Sent." || r.Snapshot(3 * sim.Second).help["sent_total"] != "Changed." {
+		t.Error("Help did not copy the help map it shared with earlier snapshots")
 	}
 }
 

@@ -1,7 +1,9 @@
 package slo
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"nezha/internal/packet"
 )
@@ -120,40 +122,51 @@ type HotFlow struct {
 }
 
 // Top returns the k highest-count candidates, deterministically
-// ordered (count desc, then vnic/vpc/flow asc). Snapshot-path only —
-// it allocates.
+// ordered (count desc, then vnic/vpc/flow asc), in an exactly sized
+// slice; k <= 0 returns nil. Candidates are ranked by count first, so
+// only those at or above the k-th count have their five-tuple rendered
+// (for the flow tie-break). Snapshot-path only — it allocates.
 func (s *Sketch) Top(k int) []HotFlow {
 	if k <= 0 {
 		return nil
 	}
-	out := make([]HotFlow, 0, k)
+	idx := make([]uint16, 0, slotCount)
 	for i := range s.slots {
-		sl := &s.slots[i]
-		if sl.count == 0 {
-			continue
+		if s.slots[i].count != 0 {
+			idx = append(idx, uint16(i))
 		}
-		out = append(out, HotFlow{
+	}
+	slices.SortFunc(idx, func(a, b uint16) int { return cmp.Compare(s.slots[b].count, s.slots[a].count) })
+	k = min(k, len(idx))
+	n := k
+	for n < len(idx) && s.slots[idx[n]].count == s.slots[idx[k-1]].count {
+		n++
+	}
+	out := make([]HotFlow, n)
+	for i := range out {
+		sl := &s.slots[idx[i]]
+		out[i] = HotFlow{
 			Flow:    sl.key.Tuple.String(),
 			VNIC:    sl.key.VNIC,
 			VPC:     sl.key.VPC,
 			Packets: sl.count,
 			Bytes:   sl.bytes,
-		})
+		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Packets != out[b].Packets {
-			return out[a].Packets > out[b].Packets
+	slices.SortFunc(out, func(a, b HotFlow) int {
+		if c := cmp.Compare(b.Packets, a.Packets); c != 0 {
+			return c
 		}
-		if out[a].VNIC != out[b].VNIC {
-			return out[a].VNIC < out[b].VNIC
+		if c := cmp.Compare(a.VNIC, b.VNIC); c != 0 {
+			return c
 		}
-		if out[a].VPC != out[b].VPC {
-			return out[a].VPC < out[b].VPC
+		if c := cmp.Compare(a.VPC, b.VPC); c != 0 {
+			return c
 		}
-		return out[a].Flow < out[b].Flow
+		return strings.Compare(a.Flow, b.Flow)
 	})
-	if len(out) > k {
-		out = out[:k]
+	if n > k {
+		out = append(make([]HotFlow, 0, k), out[:k]...)
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package slo
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"nezha/internal/packet"
@@ -124,6 +127,78 @@ func TestSketchDecay(t *testing.T) {
 	top := s.Top(2)
 	if len(top) == 0 || top[0].Flow != kNew.Tuple.String() {
 		t.Fatalf("expected current flow on top after decay, got %v", top)
+	}
+}
+
+// referenceTop is Sketch.Top written straight: render every occupied
+// slot, sort them all by (packets desc, vnic, vpc, flow asc), cut to k.
+func referenceTop(s *Sketch, k int) []HotFlow {
+	if k <= 0 {
+		return nil
+	}
+	out := make([]HotFlow, 0, k)
+	for i := range s.slots {
+		sl := &s.slots[i]
+		if sl.count == 0 {
+			continue
+		}
+		out = append(out, HotFlow{
+			Flow: sl.key.Tuple.String(), VNIC: sl.key.VNIC, VPC: sl.key.VPC,
+			Packets: sl.count, Bytes: sl.bytes,
+		})
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Packets != out[b].Packets {
+			return out[a].Packets > out[b].Packets
+		}
+		if out[a].VNIC != out[b].VNIC {
+			return out[a].VNIC < out[b].VNIC
+		}
+		if out[a].VPC != out[b].VPC {
+			return out[a].VPC < out[b].VPC
+		}
+		return out[a].Flow < out[b].Flow
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// TestTopMatchesReference compares Top with the reference on random
+// candidate tables whose (count, vnic, vpc) tie heavily, for k <= 0
+// (nil), 1, 10 and past the occupied slots, and requires an exactly
+// sized result.
+func TestTopMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		var s Sketch
+		density, maxCount := rng.Float64(), 1+rng.Intn(4)
+		occupied := 0
+		for i := range s.slots {
+			if rng.Float64() >= density {
+				continue
+			}
+			s.slots[i] = flowSlot{
+				hash: rng.Uint64(),
+				key: packet.SessionKey{VNIC: uint32(rng.Intn(3)), VPC: uint32(rng.Intn(2)), Tuple: packet.FiveTuple{
+					SrcIP: packet.IPv4(0x0a000000 + uint32(i)), SrcPort: uint16(rng.Intn(3)),
+					DstIP: packet.IPv4(0x0a800000 + rng.Uint32()%4), DstPort: 443, Proto: packet.ProtoTCP,
+				}},
+				count: uint64(1 + rng.Intn(maxCount)),
+				bytes: uint64(rng.Intn(1 << 20)),
+			}
+			occupied++
+		}
+		for _, k := range []int{-1, 0, 1, 10, occupied, occupied + 5} {
+			got, want := s.Top(k), referenceTop(&s, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (%d slots) k=%d:\n got %v\nwant %v", trial, occupied, k, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("trial %d k=%d: cap %d, len %d", trial, k, cap(got), len(got))
+			}
+		}
 	}
 }
 
