@@ -73,6 +73,19 @@ import (
 	"nezha/internal/sim"
 )
 
+// validate checks the flag combination before any campaign runs.
+func validate(campaigns int, ctrlAt string, midpush bool, listen string, obsOn bool) error {
+	switch {
+	case campaigns < 1:
+		return fmt.Errorf("-campaigns %d: need at least 1", campaigns)
+	case ctrlAt == "prepare" && midpush:
+		return fmt.Errorf("-ctrl-crash-at=prepare and -midpush both need the prepare hook; pick one")
+	case listen != "" && !obsOn:
+		return fmt.Errorf("-listen requires -obs")
+	}
+	return nil
+}
+
 func main() {
 	var (
 		seed       = flag.Int64("seed", 1, "first campaign seed (campaign i runs seed+i)")
@@ -99,6 +112,10 @@ func main() {
 		hold       = flag.Duration("hold", 0, "with -listen: keep serving this long after the last campaign ends")
 	)
 	flag.Parse()
+	if err := validate(*campaigns, *ctrlAt, *midpush, *listen, *obsOn); err != nil {
+		fmt.Fprintln(os.Stderr, "nezha-chaos:", err)
+		os.Exit(2)
+	}
 
 	crashOn := *ctrlCrash || *ctrlAt != ""
 	crashOnPrepare := *ctrlAt == "prepare"
@@ -111,10 +128,6 @@ func main() {
 			os.Exit(2)
 		}
 		crashAt = sim.Time(d)
-	}
-	if crashOnPrepare && *midpush {
-		fmt.Fprintln(os.Stderr, "nezha-chaos: -ctrl-crash-at=prepare and -midpush both need the prepare hook; pick one")
-		os.Exit(2)
 	}
 
 	dumpDir := *obsDir
@@ -139,10 +152,6 @@ func main() {
 	// and /stream always reflect the campaign currently running.
 	var srv *opsapi.Server
 	if *listen != "" {
-		if !*obsOn {
-			fmt.Fprintln(os.Stderr, "nezha-chaos: -listen requires -obs")
-			os.Exit(2)
-		}
 		srv = opsapi.New()
 		srv.SetMeta("mode", "chaos")
 		srv.SetMeta("seed", fmt.Sprint(*seed))

@@ -56,6 +56,25 @@ import (
 	"nezha/internal/workload"
 )
 
+// validate checks the flags before anything is built: the clients
+// each take a server of their own and the server VM one more, and the
+// offered load and the run length must be positive.
+func validate(servers, clients int, cps float64, duration time.Duration, usePolicy, noNezha bool) error {
+	switch {
+	case clients < 1:
+		return fmt.Errorf("-clients %d: need at least 1", clients)
+	case servers <= clients:
+		return fmt.Errorf("%d clients need %d servers, have %d", clients, clients+1, servers)
+	case !(cps > 0):
+		return fmt.Errorf("-cps %v: need a positive rate", cps)
+	case duration <= 0:
+		return fmt.Errorf("-duration %v: need a positive run length", duration)
+	case usePolicy && noNezha:
+		return fmt.Errorf("-policy needs the controller; drop -no-nezha")
+	}
+	return nil
+}
+
 func main() {
 	var (
 		servers   = flag.Int("servers", 24, "number of servers (vSwitches)")
@@ -78,6 +97,10 @@ func main() {
 		hold      = flag.Duration("hold", 0, "with -listen: keep serving this long after the run ends")
 	)
 	flag.Parse()
+	if err := validate(*servers, *nClients, *cps, *duration, *usePolicy, *noNezha); err != nil {
+		fmt.Fprintln(os.Stderr, "nezha-sim:", err)
+		os.Exit(2)
+	}
 
 	var ob *obs.Obs
 	var obsOut *os.File
@@ -107,10 +130,6 @@ func main() {
 
 	var polCfg *policy.Config
 	if *usePolicy {
-		if *noNezha {
-			fmt.Fprintln(os.Stderr, "nezha-sim: -policy needs the controller; drop -no-nezha")
-			os.Exit(2)
-		}
 		// The chaos scenario calibration matches this command's scaled
 		// 2-core / 500 MHz vSwitches; only the pool ceiling is re-derived
 		// from the topology (every server not hosting a VM is a candidate

@@ -2,10 +2,10 @@
 
 package vswitch
 
-// Tier-1 allocation guards for the scalar event path (DESIGN.md §10):
-// once a flow is established and the free lists have grown to the
-// packets in flight, a packet costs no heap allocation from FromVM to
-// deliverToVM. The benchmark's 10 % allocs_per_pkt bound cannot see a
+// Tier-1 allocation guards for a packet handed over alone, a run of
+// one (DESIGN.md §10): once a flow is established and the free lists
+// have grown to the packets in flight, a packet costs no heap
+// allocation from FromVM to deliverToVM. The benchmark's 10 % allocs_per_pkt bound cannot see a
 // stray closure; these can. (Not under -race: the race runtime makes
 // sync.Pool drop a share of the packets it is handed.)
 

@@ -1,21 +1,18 @@
 package vswitch
 
-// Burst datapath (DESIGN.md §10, §15): opt-in entry points that move
-// whole batches of packets through the vSwitch with the per-packet
-// semantics of the scalar path — identical CPU placement, admission
-// decisions, cycle charges, and egress order — while amortizing
-// everything that is per-arrival bookkeeping rather than per-packet
-// work: the vNIC lookup, the CPU scheduler events (one per completion
-// wave instead of one per packet, via nic.CPU.SubmitBurst), and the
-// fabric events (one per same-deadline group instead of one per
-// packet, via fabric.SendBurst). The per-role plan stages live in
-// datapath.go and are the same ones the scalar entry points run.
-//
-// The scalar entry points share this file's act verbs and act body
-// (runAct): a scalar packet is one planned act on a pooled stage task
-// (datapath.go) where a burst is a slice of them on one burstRun.
+// One datapath (DESIGN.md §10, §15). Every packet enters as part of a
+// run — a slice of packets that take the same role's work: FromVM and
+// HandleUnderlay are runs of one, FromVMBurst and HandleUnderlayBurst
+// split their batch into runs. A run goes through its role's plan
+// function (datapath.go) packet by packet, in arrival order, and
+// runPlan submits what the plans leave to the CPU model. What a run
+// amortizes is per-arrival bookkeeping, never per-packet work: the
+// vNIC lookup, the CPU scheduler events (one per completion wave via
+// nic.CPU.SubmitBurstTo) and the fabric events (one per same-deadline
+// group via fabric.SendBurst).
 
 import (
+	"nezha/internal/nic"
 	"nezha/internal/obs"
 	"nezha/internal/packet"
 	"nezha/internal/prof"
@@ -53,6 +50,14 @@ type pendSend struct {
 	p  *packet.Packet
 }
 
+// FromVM injects a TX packet from a local VM into the vSwitch, which
+// takes ownership: the packet terminates in a drop (released), a
+// delivery (the delivery callback owns it), or a fabric send.
+func (vs *VSwitch) FromVM(p *packet.Packet) {
+	ps := [1]*packet.Packet{p}
+	vs.fromVMRun(ps[:])
+}
+
 // FromVMBurst injects a batch of TX packets from local VMs, taking
 // ownership of each exactly as FromVM does. Packets are processed in
 // slice order; consecutive same-vNIC packets share one vNIC lookup and
@@ -78,153 +83,197 @@ func (vs *VSwitch) fromVMRun(ps []*packet.Packet) {
 		}
 	}
 	if vs.crashed {
-		for _, p := range ps {
-			vs.drop(p, DropCrashed)
-		}
+		vs.dropRun(ps, DropCrashed)
 		return
 	}
 	vn, ok := vs.vnics[ps[0].VNIC]
 	if !ok {
+		vs.dropRun(ps, DropNoRules)
+		return
+	}
+	// VM-level rate admission runs over the whole run in arrival order,
+	// before planning — the limiter is a strictly order-sensitive shared
+	// bucket.
+	admitted := ps
+	if vn.limiter != nil {
+		buf := vs.admitBuf[:0]
 		for _, p := range ps {
-			vs.drop(p, DropNoRules)
+			if vs.rateAdmit(vn, p) {
+				buf = append(buf, p)
+			}
 		}
-		return
-	}
-	// VM-level rate admission runs over the whole batch in arrival
-	// order, before planning — the limiter is a strictly
-	// order-sensitive shared bucket.
-	admitted := vs.admitBuf[:0]
-	for _, p := range ps {
-		if vs.rateAdmit(vn, p) {
-			admitted = append(admitted, p)
-		}
-	}
-	vs.admitBuf = admitted[:0]
-	if len(admitted) == 0 {
-		return
+		vs.admitBuf = buf[:0]
+		admitted = buf
 	}
 	switch {
+	case len(admitted) == 0:
 	case vn.offloaded && len(vn.fes) > 0:
-		vs.beTXBurst(vn, admitted)
+		vs.runBurstPipeline(pipeBeTX, vn, nil, admitted)
 	case vn.rules != nil:
-		vs.localTXBurst(vn, admitted)
+		vs.runBurstPipeline(pipeLocalTX, vn, nil, admitted)
 	default:
-		for _, p := range admitted {
-			vs.drop(p, DropNoRules)
-		}
+		vs.dropRun(admitted, DropNoRules)
 	}
 }
 
-// HandleUnderlayBurst receives a coalesced fabric burst. Runs of
-// consecutive packets that classify to the same batched RX pipeline
-// (hosted-FE RX, monolithic RX) move as a unit; everything else —
-// probes, pongs, control RPCs, Nezha-typed relays — takes the scalar
-// path packet by packet, in order.
+// HandleUnderlay receives a packet from the fabric and takes
+// ownership, like FromVM.
+func (vs *VSwitch) HandleUnderlay(p *packet.Packet) {
+	ps := [1]*packet.Packet{p}
+	vs.underlayRun(ps[:])
+}
+
+// HandleUnderlayBurst receives a coalesced fabric burst, taking
+// ownership of each packet. It splits the burst into runs of packets
+// the classifier cannot tell apart and dispatches the runs in order.
 func (vs *VSwitch) HandleUnderlayBurst(ps []*packet.Packet) {
-	if vs.crashed || len(ps) == 1 {
-		for _, p := range ps {
-			vs.HandleUnderlay(p)
-		}
-		return
-	}
 	for i := 0; i < len(ps); {
-		cls, vnic := vs.classifyRX(ps[i])
 		j := i + 1
-		if cls != classOther {
-			// Extending the run needs no classify map lookups: a packet
-			// with the same vNIC, no Nezha metadata, and no flow-direct
-			// port classifies identically by construction.
-			for j < len(ps) && vs.sameRXClass(ps[j], vnic) {
-				j++
-			}
+		for j < len(ps) && sameClass(ps[i], ps[j]) {
+			j++
 		}
-		run := ps[i:j]
-		if cls != classOther {
-			for _, p := range run {
-				p.CheckLive()
-			}
-			vs.Stats.FromNet += uint64(len(run))
-		}
-		switch cls {
-		case classFeRX:
-			vs.feRXBurst(vs.fes[vnic], run)
-		case classLocalRX:
-			vs.localRXBurst(vs.vnics[vnic], run)
-		default:
-			vs.HandleUnderlay(run[0])
-		}
+		vs.underlayRun(ps[i:j])
 		i = j
 	}
 }
 
-const (
-	classOther uint8 = iota // scalar HandleUnderlay handles it
-	classFeRX
-	classLocalRX
-)
-
-// classifyRX decides which batched pipeline (if any) an underlay
-// packet belongs to. It mirrors HandleUnderlay's dispatch order.
-func (vs *VSwitch) classifyRX(p *packet.Packet) (uint8, uint32) {
-	if p.Tuple.Proto == packet.ProtoUDP &&
-		(p.Tuple.DstPort == ProbePort || p.Tuple.DstPort == mutualPort || p.Tuple.DstPort == CtrlPort) {
-		return classOther, 0
-	}
-	if p.Nezha != nil && p.Nezha.Type != packet.NezhaNone {
-		return classOther, 0
-	}
-	if _, ok := vs.fes[p.VNIC]; ok {
-		return classFeRX, p.VNIC
-	}
-	if vn, ok := vs.vnics[p.VNIC]; ok && vn.rules != nil {
-		return classLocalRX, p.VNIC
-	}
-	return classOther, 0
+// flowDirect reports whether p is addressed to the vSwitch itself —
+// a health probe, a mutual pong or a control RPC — not to a vNIC.
+func flowDirect(p *packet.Packet) bool {
+	return p.Tuple.Proto == packet.ProtoUDP &&
+		(p.Tuple.DstPort == ProbePort || p.Tuple.DstPort == mutualPort || p.Tuple.DstPort == CtrlPort)
 }
 
-// sameRXClass reports whether p classifies to the same non-Other class
-// as an already-classified packet of vNIC vnic, without touching the
-// FE/vNIC maps.
-func (vs *VSwitch) sameRXClass(p *packet.Packet, vnic uint32) bool {
-	if p.VNIC != vnic {
-		return false
+// nezhaOf returns p's Nezha type and the vNIC its header names.
+func nezhaOf(p *packet.Packet) (packet.NezhaType, uint32) {
+	if p.Nezha == nil {
+		return packet.NezhaNone, 0
 	}
-	if p.Tuple.Proto == packet.ProtoUDP &&
-		(p.Tuple.DstPort == ProbePort || p.Tuple.DstPort == mutualPort || p.Tuple.DstPort == CtrlPort) {
-		return false
-	}
-	return p.Nezha == nil || p.Nezha.Type == packet.NezhaNone
+	return p.Nezha.Type, p.Nezha.VNIC
 }
 
-// The four batched pipelines: the role's plan stage per packet, in
-// arrival order, then one CPU burst.
+// sameClass reports whether b classifies as a does. underlayRun reads
+// nothing of a packet but its vNIC, its Nezha type and vNIC, and
+// whether it is flow-direct, so equal inputs classify alike; a
+// flow-direct packet is always a run of one.
+func sameClass(a, b *packet.Packet) bool {
+	if a.VNIC != b.VNIC || flowDirect(a) || flowDirect(b) {
+		return false
+	}
+	at, av := nezhaOf(a)
+	bt, bv := nezhaOf(b)
+	return at == bt && av == bv
+}
+
+// underlayRun is the underlay classifier, the one place that orders
+// the dispatch of fabric packets: crashed, then the flow-direct ports,
+// then the three Nezha types keyed by the header's vNIC, then plain
+// overlay RX for a hosted FE, a resident vNIC, a final-stage vNIC, or
+// nobody. Every packet of ps classifies alike (sameClass).
+func (vs *VSwitch) underlayRun(ps []*packet.Packet) {
+	for _, p := range ps {
+		p.CheckLive()
+	}
+	vs.Stats.FromNet += uint64(len(ps))
+	p := ps[0]
+	if vs.crashed {
+		vs.dropRun(ps, DropCrashed)
+		return
+	}
+	if flowDirect(p) {
+		switch p.Tuple.DstPort {
+		case ProbePort: // health probes (§4.4)
+			vs.handleProbe(p)
+		case mutualPort: // pongs for this BE's own FE pings (§C.1)
+			vs.handleMutualPong(p)
+		default:
+			// Control-plane RPCs go to the management agent. The packet
+			// is absorbed here; the agent's ack is a fresh packet.
+			vs.ProfCtrl(0, nic.CtrlRPCCycles)
+			vs.Stats.Absorbed++
+			if vs.ctrlHandler != nil {
+				vs.ctrlHandler(p)
+			}
+		}
+		return
+	}
+	switch typ, vnic := nezhaOf(p); typ {
+	case packet.NezhaCarryState: // TX relay arriving at an FE
+		if fe, ok := vs.fes[vnic]; ok {
+			vs.runBurstPipeline(pipeFeTX, nil, fe, ps)
+		} else {
+			// FE instance withdrawn (scale-in raced with in-flight
+			// packets); the sender re-hashes once config settles.
+			vs.dropRun(ps, DropNoRules)
+		}
+		return
+	case packet.NezhaCarryPreActions, packet.NezhaNotify: // at the BE
+		vn, ok := vs.vnics[vnic]
+		switch {
+		case !ok:
+			vs.dropRun(ps, DropNoRoute)
+		case typ == packet.NezhaNotify:
+			vs.runBurstPipeline(pipeBeNotify, vn, nil, ps)
+		default:
+			vs.runBurstPipeline(pipeBeRX, vn, nil, ps)
+		}
+		return
+	}
+	if fe, ok := vs.fes[p.VNIC]; ok {
+		vs.runBurstPipeline(pipeFeRX, nil, fe, ps)
+		return
+	}
+	vn, ok := vs.vnics[p.VNIC]
+	switch {
+	case ok && vn.rules != nil: // monolithic, incl. the dual-running stage
+		vs.runBurstPipeline(pipeLocalRX, vn, nil, ps)
+	case ok:
+		// Final offload stage: the rules are gone and a stale sender has
+		// not learned the FE location yet.
+		vs.dropRun(ps, DropNoRules)
+	default:
+		vs.dropRun(ps, DropNoRoute)
+	}
+}
+
+// dropRun drops every packet of a run for one reason.
+func (vs *VSwitch) dropRun(ps []*packet.Packet, r DropReason) {
+	for _, p := range ps {
+		vs.drop(p, r)
+	}
+}
+
+// The seven role pipelines (§3, Fig 5), one plan function each.
 const (
 	pipeLocalTX uint8 = iota
 	pipeLocalRX
 	pipeBeTX
+	pipeBeRX
+	pipeBeNotify
+	pipeFeTX
 	pipeFeRX
 )
 
-func (vs *VSwitch) localTXBurst(vn *vnicState, ps []*packet.Packet) {
-	vs.runBurstPipeline(pipeLocalTX, vn, nil, vs.profVNIC(vn), ps, false)
-}
-
-func (vs *VSwitch) beTXBurst(vn *vnicState, ps []*packet.Packet) {
-	vs.runBurstPipeline(pipeBeTX, vn, nil, vs.profVNIC(vn), ps, false)
-}
-
-func (vs *VSwitch) feRXBurst(fe *feInstance, ps []*packet.Packet) {
-	vs.runBurstPipeline(pipeFeRX, nil, fe, vs.profFE(fe), ps, true)
-}
-
-func (vs *VSwitch) localRXBurst(vn *vnicState, ps []*packet.Packet) {
-	vs.runBurstPipeline(pipeLocalRX, vn, nil, vs.profVNIC(vn), ps, false)
-}
-
-// runBurstPipeline plans a same-pipeline run of packets in arrival
-// order and submits the planned acts as one CPU burst.
-func (vs *VSwitch) runBurstPipeline(pipe uint8, vn *vnicState, fe *feInstance, vp *prof.VNICProf, ps []*packet.Packet, remote bool) {
-	acts := vs.getActs(len(ps))
+// runBurstPipeline plans a same-role run in arrival order and submits
+// the acts the plans leave. The FE roles (fe set) charge their cycles
+// to hosted-FE work, the others to the vSwitch's own vNICs.
+func (vs *VSwitch) runBurstPipeline(pipe uint8, vn *vnicState, fe *feInstance, ps []*packet.Packet) {
+	var vp *prof.VNICProf
+	if fe != nil {
+		vp = vs.profFE(fe)
+	} else {
+		vp = vs.profVNIC(vn)
+	}
+	// A run of one plans on the stack, a longer one into the plan
+	// scratch, grown to fit first so that appends never reallocate.
+	var one [1]burstAct
+	acts := one[:0]
+	if len(ps) > 1 {
+		if cap(vs.planBuf) < len(ps) {
+			vs.planBuf = make([]burstAct, 0, len(ps))
+		}
+		acts = vs.planBuf[:0]
+	}
 	var a burstAct
 	for _, p := range ps {
 		key, hash, _ := p.SessionKeyHashed()
@@ -236,6 +285,12 @@ func (vs *VSwitch) runBurstPipeline(pipe uint8, vn *vnicState, fe *feInstance, v
 			ok = vs.planLocalRX(vn, vp, p, key, hash, &a)
 		case pipeBeTX:
 			ok = vs.planBeTX(vn, vp, p, key, hash, &a)
+		case pipeBeRX:
+			ok = vs.planBeRX(vn, vp, p, key, hash, &a)
+		case pipeBeNotify:
+			ok = vs.planBeNotify(vn, vp, p, key, hash, &a)
+		case pipeFeTX:
+			ok = vs.planFeTX(fe, vp, p, key, hash, &a)
 		default:
 			ok = vs.planFeRX(fe, vp, p, key, hash, &a)
 		}
@@ -243,62 +298,99 @@ func (vs *VSwitch) runBurstPipeline(pipe uint8, vn *vnicState, fe *feInstance, v
 			acts = append(acts, a)
 		}
 	}
-	vs.runPlan(acts, remote)
+	vs.runPlan(acts, fe != nil)
 }
 
-// getActs takes a pooled act buffer. runPlan returns it to the pool
-// when the burst's last CPU completion fires — the buffer is retained
-// by the burst's sink, so multiple bursts can be in flight with their
-// own buffers.
-func (vs *VSwitch) getActs(n int) []burstAct {
-	if m := len(vs.actsFree); m > 0 {
-		a := vs.actsFree[m-1]
-		vs.actsFree = vs.actsFree[:m-1]
-		return a[:0]
-	}
-	return make([]burstAct, 0, n)
-}
-
-func (vs *VSwitch) putActs(a []burstAct) {
-	vs.actsFree = append(vs.actsFree, a)
-}
-
-// runPlan submits the planned packets to the CPU as one burst and
-// executes each act at its completion. Sends accumulate per wave and
-// leave as coalesced fabric bursts when the wave ends — the same
-// instant the scalar path would have sent them one by one. The acts
-// buffer is pooled: the completion closure owns it until the last
-// completion fires (multiple bursts can be in flight), then returns it
-// via putActs.
+// runPlan submits a run's planned acts to the CPU model; it is the one
+// place the datapath does. Each act's cycles are charged (to hosted-FE
+// work when remote), and each act executes at its CPU completion or is
+// dropped as overload. A lone act rides a pooled stage task on
+// SubmitTask and leaves by fabric.Send; more share one burst on
+// SubmitBurstTo, whose completion waves leave by fabric.SendBurst.
+// Both give the same outcomes; the split is by cost, measured on
+// crr_offload, whose runs are all one packet long: sending them
+// through waves cost 13–15 % of its host_pkts_per_s.
 func (vs *VSwitch) runPlan(acts []burstAct, remote bool) {
-	if len(acts) == 0 {
-		vs.putActs(acts)
-		return
-	}
-	costs := vs.burstCosts[:0]
 	for i := range acts {
-		costs = append(costs, acts[i].cycles)
 		if remote {
 			vs.cyclesRemote += acts[i].cycles
 		} else {
 			vs.cyclesLocal += acts[i].cycles
 		}
 	}
-	vs.burstCosts = costs
-	vs.inFlightCPU += len(acts)
-	vs.cpu.SubmitBurstTo(costs, vs.getRun(acts))
+	switch len(acts) {
+	case 0:
+	case 1:
+		t := vs.stageFree
+		if t == nil {
+			t = &stageTask{vs: vs}
+		} else {
+			vs.stageFree = t.next
+			t.next = nil
+		}
+		t.dbg.markLive("stage task")
+		delay, ok := vs.cpu.SubmitTask(acts[0].cycles, t)
+		if !ok {
+			vs.putStage(t)
+			vs.drop(acts[0].p, DropOverload)
+			return
+		}
+		t.act, t.delay = acts[0], delay
+		vs.inFlightCPU++
+	default:
+		costs := vs.burstCosts[:0]
+		for i := range acts {
+			costs = append(costs, acts[i].cycles)
+		}
+		vs.burstCosts = costs
+		vs.inFlightCPU += len(acts)
+		vs.cpu.SubmitBurstTo(costs, vs.getRun(acts))
+	}
 }
 
-// burstRun is one submitted burst's nic.BurstSink: it executes each
-// act at its CPU completion and recycles the act buffer (and itself)
-// when the burst's last item resolves. Runs are pooled on the vSwitch
-// so submitting a burst allocates nothing; several can be in flight
-// at once, each owning its act buffer.
+// stageTask is a lone act's scheduled CPU completion: the act plus the
+// delay the CPU model charged it. Tasks are free-listed per vSwitch,
+// grown on demand by the packets in flight.
+type stageTask struct {
+	vs    *VSwitch
+	act   burstAct
+	delay sim.Time
+	next  *stageTask
+	dbg   viewDebugState
+}
+
+func (vs *VSwitch) putStage(t *stageTask) {
+	t.dbg.markFree("stage task")
+	t.act = burstAct{}
+	t.next = vs.stageFree
+	vs.stageFree = t
+}
+
+// Run fires the completion. The task recycles itself first — its
+// fields are copied out — so an act that reenters the vSwitch can reuse
+// the struct.
+func (t *stageTask) Run() {
+	t.dbg.checkLive("stage task")
+	vs, a, d := t.vs, t.act, t.delay
+	vs.putStage(t)
+	vs.inFlightCPU--
+	if vs.runAct(&a, d) {
+		vs.fab.Send(vs.cfg.Addr, a.to, a.p)
+	}
+}
+
+// burstRun is one submitted burst's nic.BurstSink: it copies the
+// burst's acts into its own buffer, executes each at its CPU
+// completion, and recycles itself when the burst's last item
+// resolves. Runs are pooled on the vSwitch, buffer and all, so
+// submitting a burst allocates nothing; several can be in flight at
+// once.
 type burstRun struct {
 	vs        *VSwitch
 	acts      []burstAct
 	remaining int
 	next      *burstRun
+	dbg       viewDebugState
 }
 
 func (vs *VSwitch) getRun(acts []burstAct) *burstRun {
@@ -309,14 +401,15 @@ func (vs *VSwitch) getRun(acts []burstAct) *burstRun {
 		vs.runFree = r.next
 		r.next = nil
 	}
+	r.dbg.markLive("burst run")
 	r.vs = vs
-	r.acts = acts
+	r.acts = append(r.acts[:0], acts...)
 	r.remaining = len(acts)
 	return r
 }
 
 func (vs *VSwitch) putRun(r *burstRun) {
-	r.acts = nil
+	r.dbg.markFree("burst run")
 	r.next = vs.runFree
 	vs.runFree = r
 }
@@ -324,6 +417,7 @@ func (vs *VSwitch) putRun(r *burstRun) {
 // Complete implements nic.BurstSink: the act stage of one packet,
 // executed at CPU completion (or a synchronous overload drop).
 func (r *burstRun) Complete(i int, ok bool, d sim.Time) {
+	r.dbg.checkLive("burst run")
 	vs := r.vs
 	vs.inFlightCPU--
 	a := &r.acts[i]
@@ -334,16 +428,14 @@ func (r *burstRun) Complete(i int, ok bool, d sim.Time) {
 	}
 	r.remaining--
 	if r.remaining == 0 {
-		vs.putActs(r.acts)
 		vs.putRun(r)
 	}
 }
 
 // runAct executes one planned act at its CPU completion — the single
-// act body behind the burst sink and the scalar stage task. It reports
+// act body behind the burst sink and the stage task. It reports
 // whether a.p, now encapsulated toward a.to, is the caller's to send:
-// the burst path coalesces the wave's sends, the scalar path sends at
-// once.
+// a burst coalesces the wave's sends, a stage task sends at once.
 func (vs *VSwitch) runAct(a *burstAct, d sim.Time) (send bool) {
 	if vs.ob != nil {
 		vs.hopCPU(a.p, a.cycles, d)

@@ -12,13 +12,14 @@ import (
 	"nezha/internal/tables"
 )
 
-// These tests pin the burst pipeline's core contract: pushing the
-// same traffic through FromVMBurst / HandleUnderlayBurst produces the
-// exact same deliveries (order and latency), the same counters, and
-// the same drops as pushing it packet by packet through the scalar
-// entry points. Only the event count may differ. Both modes run the
-// same per-role plan stages, so what differs — and what these tests
-// hold — is the entry, CPU-submission and fabric-event plumbing.
+// These tests pin that run length never changes an outcome. The same
+// traffic enters once as batches through FromVMBurst, whose runs then
+// cross the fabric as bursts and split into runs again at every
+// HandleUnderlayBurst, and once packet by packet through FromVM, where
+// every run at every hop is one packet long. Deliveries (order and
+// latency), counters, drops, fabric totals, attribution and the
+// policy decisions must be identical. Only the loop's event count may
+// differ — that is what runs longer than one amortize.
 
 // burstOp is one generated packet: direction, flow, flags, size, and
 // the two deliberate misbehaviors (denied port, unrouted destination).
@@ -38,12 +39,23 @@ func genBurstBatches(rng *sim.Rand, nBatches int) [][]burstOp {
 	for b := 0; b < nBatches; b++ {
 		fromServer := rng.Intn(3) == 0
 		n := 1 + rng.Intn(8)
+		// One batch in three is a bulk burst of one packet size. Equal
+		// sizes cost equal cycles and equal wire time, so such a batch
+		// leaves in shared completion waves and fabric bursts, and the
+		// hops past the first receive runs longer than one.
+		bulk := -1
+		if rng.Intn(3) == 0 {
+			bulk = rng.Intn(1200)
+		}
 		batch := make([]burstOp, 0, n)
 		for i := 0; i < n; i++ {
 			op := burstOp{
 				fromServer: fromServer,
 				sport:      uint16(2000 + rng.Intn(6)*10),
-				payload:    rng.Intn(1200),
+				payload:    bulk,
+			}
+			if bulk < 0 {
+				op.payload = rng.Intn(1200)
 			}
 			switch rng.Intn(5) {
 			case 0:
@@ -106,6 +118,9 @@ type burstOutcome struct {
 	// attribution windows, so scalar and burst runs must produce it
 	// byte for byte.
 	policyLog []string
+	// fired counts loop events, the one thing run length may change;
+	// diffOutcomes never compares it.
+	fired uint64
 }
 
 // runBurstScenario drives the generated batches through a fresh world
@@ -228,6 +243,7 @@ func runBurstScenario(t *testing.T, batches [][]burstOp, burst, offload bool) bu
 	out.bytes = w.fab.BytesSent
 	out.samples = pr.Samples()
 	out.policyLog = append([]string(nil), eng.Log()...)
+	out.fired = w.loop.Fired()
 	return out
 }
 
@@ -287,8 +303,8 @@ func diffOutcomes(t *testing.T, name string, scalar, burst burstOutcome) {
 }
 
 // TestBurstMatchesScalarMonolithic drives random batches through two
-// monolithic vNICs: FromVMBurst on the TX side, localRXBurst via the
-// coalesced fabric delivery on the RX side.
+// monolithic vNICs: local-TX runs at the sender, local-RX runs at the
+// receiver.
 func TestBurstMatchesScalarMonolithic(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := sim.NewRand(seed)
@@ -303,9 +319,11 @@ func TestBurstMatchesScalarMonolithic(t *testing.T) {
 }
 
 // TestBurstMatchesScalarOffloaded repeats the differential run with
-// the server vNIC offloaded to two FEs, covering beTXBurst (state
-// carriage toward the FEs) and feRXBurst (stateless pre-action lookup
-// and relay toward the BE).
+// the server vNIC offloaded to two FEs, adding the BE-TX, FE-TX, FE-RX
+// and BE-RX roles. The batched world must fire fewer loop events than
+// the per-packet one, or no run longer than one formed and the
+// comparison proved nothing. (TestNezhaRunsBatch pins that the
+// Nezha-typed roles batch.)
 func TestBurstMatchesScalarOffloaded(t *testing.T) {
 	for seed := int64(10); seed <= 15; seed++ {
 		rng := sim.NewRand(seed)
@@ -316,12 +334,15 @@ func TestBurstMatchesScalarOffloaded(t *testing.T) {
 		if scalar.deliv == 0 {
 			t.Fatalf("offload/seed%d: no traffic delivered — scenario proves nothing", seed)
 		}
+		if burst.fired >= scalar.fired {
+			t.Fatalf("offload/seed%d: batched world fired %d loop events, per-packet %d — no run grew past one", seed, burst.fired, scalar.fired)
+		}
 	}
 }
 
 // TestBurstSingletonFallsBackToScalar pins the degenerate cases: a
-// one-packet burst and a burst into a crashed switch must behave
-// exactly like the scalar calls.
+// one-packet burst is a run of one, and every packet of a burst into a
+// crashed switch is dropped as crashed.
 func TestBurstSingletonFallsBackToScalar(t *testing.T) {
 	w := newWorld(t, 0, nil)
 	w.installLocal(t, false)

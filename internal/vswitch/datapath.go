@@ -11,116 +11,6 @@ import (
 	"nezha/internal/tables"
 )
 
-// FromVM injects a TX packet from a local VM into the vSwitch, which
-// takes ownership: the packet terminates in a drop (released), a
-// delivery (the delivery callback owns it), or a fabric send.
-func (vs *VSwitch) FromVM(p *packet.Packet) {
-	p.CheckLive()
-	vs.Stats.FromVM++
-	if vs.ob != nil {
-		vs.hop(p, obs.StageIngressVM)
-	}
-	if vs.crashed {
-		vs.drop(p, DropCrashed)
-		return
-	}
-	vn, ok := vs.vnics[p.VNIC]
-	if !ok {
-		vs.drop(p, DropNoRules)
-		return
-	}
-	if !vs.rateAdmit(vn, p) {
-		return
-	}
-	if vn.offloaded && len(vn.fes) > 0 {
-		vs.beTX(vn, p)
-		return
-	}
-	if vn.rules != nil {
-		vs.localTX(vn, p)
-		return
-	}
-	vs.drop(p, DropNoRules)
-}
-
-// HandleUnderlay receives a packet from the fabric and takes
-// ownership, like FromVM.
-func (vs *VSwitch) HandleUnderlay(p *packet.Packet) {
-	p.CheckLive()
-	vs.Stats.FromNet++
-	if vs.crashed {
-		vs.drop(p, DropCrashed)
-		return
-	}
-
-	// Health probes: flow-direct straight to the vSwitch (§4.4).
-	if p.Tuple.Proto == packet.ProtoUDP && p.Tuple.DstPort == ProbePort {
-		vs.handleProbe(p)
-		return
-	}
-	// Pongs for this BE's own FE connectivity pings (§C.1).
-	if p.Tuple.Proto == packet.ProtoUDP && p.Tuple.DstPort == mutualPort {
-		vs.handleMutualPong(p)
-		return
-	}
-	// Control-plane RPCs: flow-direct to the management agent. The
-	// packet is absorbed here; the agent's ack is a fresh packet.
-	if p.Tuple.Proto == packet.ProtoUDP && p.Tuple.DstPort == CtrlPort {
-		vs.ProfCtrl(0, nic.CtrlRPCCycles)
-		vs.Stats.Absorbed++
-		if vs.ctrlHandler != nil {
-			vs.ctrlHandler(p)
-		}
-		return
-	}
-
-	if p.Nezha != nil {
-		switch p.Nezha.Type {
-		case packet.NezhaCarryState: // TX packet arriving at an FE
-			if fe, ok := vs.fes[p.Nezha.VNIC]; ok {
-				vs.feTX(fe, p)
-				return
-			}
-			// FE instance withdrawn (scale-in raced with in-flight
-			// packets); the sender will re-hash after config settles.
-			vs.drop(p, DropNoRules)
-			return
-		case packet.NezhaCarryPreActions: // RX packet arriving at the BE
-			if vn, ok := vs.vnics[p.Nezha.VNIC]; ok {
-				vs.beRX(vn, p)
-				return
-			}
-			vs.drop(p, DropNoRoute)
-			return
-		case packet.NezhaNotify:
-			if vn, ok := vs.vnics[p.Nezha.VNIC]; ok {
-				vs.beNotify(vn, p)
-				return
-			}
-			vs.drop(p, DropNoRoute)
-			return
-		}
-	}
-
-	// Plain overlay packet: RX traffic for a vNIC fronted or resident
-	// here.
-	if fe, ok := vs.fes[p.VNIC]; ok {
-		vs.feRX(fe, p)
-		return
-	}
-	if vn, ok := vs.vnics[p.VNIC]; ok {
-		if vn.rules != nil {
-			vs.localRX(vn, p) // monolithic, incl. dual-running stage
-			return
-		}
-		// Final offload stage: rules are gone, packet came from a
-		// stale sender that has not learned the FE location yet.
-		vs.drop(p, DropNoRules)
-		return
-	}
-	vs.drop(p, DropNoRoute)
-}
-
 func (vs *VSwitch) handleProbe(p *packet.Packet) {
 	vs.Stats.ProbesSeen++
 	vs.Stats.Absorbed++
@@ -133,65 +23,6 @@ func (vs *VSwitch) handleProbe(p *packet.Packet) {
 
 func perByteCycles(p *packet.Packet) uint64 {
 	return uint64(p.SizeBytes) * nic.PerByteCycles
-}
-
-// submit charges a.cycles on the CPU (attributed to hosted-FE work when
-// remote); a executes when the work completes, or the packet is
-// dropped as overload. The completion rides a pooled stage task, so a
-// scalar packet schedules its CPU stage without allocating.
-func (vs *VSwitch) submit(a burstAct, remote bool) {
-	if remote {
-		vs.cyclesRemote += a.cycles
-	} else {
-		vs.cyclesLocal += a.cycles
-	}
-	t := vs.stageFree
-	if t == nil {
-		t = &stageTask{vs: vs}
-	} else {
-		vs.stageFree = t.next
-		t.next = nil
-	}
-	stageMarkLive(t)
-	delay, ok := vs.cpu.SubmitTask(a.cycles, t)
-	if !ok {
-		vs.putStage(t)
-		vs.drop(a.p, DropOverload)
-		return
-	}
-	t.act, t.delay = a, delay
-	vs.inFlightCPU++
-}
-
-// stageTask is one scalar packet's scheduled CPU completion: the
-// planned act plus the delay the CPU model charged it. Tasks are
-// free-listed per vSwitch, grown on demand by the packets in flight.
-type stageTask struct {
-	vs    *VSwitch
-	act   burstAct
-	delay sim.Time
-	next  *stageTask
-	dbg   viewDebugState
-}
-
-func (vs *VSwitch) putStage(t *stageTask) {
-	stageMarkFree(t)
-	t.act = burstAct{}
-	t.next = vs.stageFree
-	vs.stageFree = t
-}
-
-// Run fires the completion. The task recycles itself first — its
-// fields are copied out — so an act that reenters the vSwitch can reuse
-// the struct.
-func (t *stageTask) Run() {
-	stageCheckLive(t)
-	vs, a, d := t.vs, t.act, t.delay
-	vs.putStage(t)
-	vs.inFlightCPU--
-	if vs.runAct(&a, d) {
-		vs.fab.Send(vs.cfg.Addr, a.to, a.p)
-	}
 }
 
 // lookupOrSlowPath resolves the session entry and pre-actions for a
@@ -296,20 +127,12 @@ func (vs *VSwitch) applyNAT(rules *tables.RuleSet, preTX tables.PreAction, p *pa
 //
 // Each role's pre-CPU work (lookup, state, admission) is one plan
 // function writing at most one act into *a; it returns false when the
-// packet was consumed at plan time (dropped or rate-limited). The
-// scalar entry points (localTX, localRX, beTX, feRX) plan one packet
-// and submit its act on a pooled stage task; the burst pipelines
-// (burst.go) plan a run and submit the acts as one CPU burst.
+// packet was consumed at plan time (dropped or rate-limited). key and
+// hash are the packet's session key and its hash. runBurstPipeline
+// (burst.go) is the only caller: it plans a run in arrival order and
+// hands the acts to runPlan.
 
 // --- Monolithic datapath ---------------------------------------------
-
-func (vs *VSwitch) localTX(vn *vnicState, p *packet.Packet) {
-	var a burstAct
-	key, hash, _ := p.SessionKeyHashed()
-	if vs.planLocalTX(vn, vs.profVNIC(vn), p, key, hash, &a) {
-		vs.submit(a, false)
-	}
-}
 
 func (vs *VSwitch) planLocalTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if vs.ob != nil {
@@ -382,14 +205,6 @@ func (vs *VSwitch) planForwardAct(p *packet.Packet, peer uint32, staticHop packe
 	return true
 }
 
-func (vs *VSwitch) localRX(vn *vnicState, p *packet.Packet) {
-	var a burstAct
-	key, hash, _ := p.SessionKeyHashed()
-	if vs.planLocalRX(vn, vs.profVNIC(vn), p, key, hash, &a) {
-		vs.submit(a, false)
-	}
-}
-
 func (vs *VSwitch) planLocalRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if !vs.rateAdmit(vn, p) {
 		return false
@@ -451,16 +266,8 @@ func (vs *VSwitch) deliverToVM(vnic uint32, p *packet.Packet) {
 
 // --- BE datapath ------------------------------------------------------
 
-// beTX relays a TX packet to an FE, carrying the locally held state in
-// the packet header (red flow of Fig 5).
-func (vs *VSwitch) beTX(vn *vnicState, p *packet.Packet) {
-	var a burstAct
-	key, hash, _ := p.SessionKeyHashed()
-	if vs.planBeTX(vn, vs.profVNIC(vn), p, key, hash, &a) {
-		vs.submit(a, false)
-	}
-}
-
+// planBeTX relays a TX packet to an FE, carrying the locally held
+// state in the packet header (red flow of Fig 5).
 func (vs *VSwitch) planBeTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	now := int64(vs.loop.Now())
 	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
@@ -492,11 +299,11 @@ func (vs *VSwitch) planBeTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, 
 	return true
 }
 
-// beRX finishes processing an RX packet the FE forwarded with
+// planBeRX finishes processing an RX packet the FE forwarded with
 // pre-actions in the header (blue flow of Fig 5).
-func (vs *VSwitch) beRX(vn *vnicState, p *packet.Packet) {
+func (vs *VSwitch) planBeRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if !vs.rateAdmit(vn, p) {
-		return
+		return false
 	}
 	// The FE already ran the lookup for this packet; its terminal
 	// latency is accounted to the offloaded path, overriding the
@@ -506,7 +313,6 @@ func (vs *VSwitch) beRX(vn *vnicState, p *packet.Packet) {
 		vs.hop(p, obs.StageBERx)
 	}
 	now := int64(vs.loop.Now())
-	vp := vs.profVNIC(vn)
 	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
 	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
 	profCharge(vp, prof.DirRX, prof.StageStateCarry, nic.StateCarryCycles)
@@ -514,14 +320,13 @@ func (vs *VSwitch) beRX(vn *vnicState, p *packet.Packet) {
 	pre, err := nezhaPre(p.Nezha)
 	if err != nil {
 		vs.drop(p, DropMalformed)
-		return
+		return false
 	}
-	key, _ := p.SessionKey()
 	vn.cycles += cycles
-	e, cerr := vs.sessions.GetOrCreate(key, vn.id, now)
+	e, cerr := vs.sessions.GetOrCreateH(key, hash, vn.id, now)
 	if cerr != nil {
 		vs.drop(p, DropNoMemory)
-		return
+		return false
 	}
 	// Rule-table-involved state arrives in-band with RX packets
 	// (§3.2.2): install the stats policy the FE looked up without
@@ -540,37 +345,36 @@ func (vs *VSwitch) beRX(vn *vnicState, p *packet.Packet) {
 	}
 	_ = vs.sessions.TouchState(e, packet.DirRX, p.Flags, p.PayloadLen, now)
 	st := *vs.sessions.State(e)
-
 	if !FinalAllow(pre, st, packet.DirRX) {
-		vs.submit(burstAct{p: p, cycles: cycles, kind: actDropACL}, false)
-		return
+		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		return true
 	}
 	if !vs.qosAdmit(vn.id, pre.RX, p) {
-		return
+		return false
 	}
 	vs.maybeMirror(p, pre, packet.DirRX)
-	vs.submit(burstAct{p: p, cycles: cycles, kind: actDeliver, vnic: vn.id, strip: true}, false)
+	*a = burstAct{p: p, cycles: cycles, kind: actDeliver, vnic: vn.id, strip: true}
+	return true
 }
 
-// beNotify absorbs a designated notify packet updating rule-table-
+// planBeNotify absorbs a designated notify packet updating rule-table-
 // involved state (§3.2.2 TX workflow).
-func (vs *VSwitch) beNotify(vn *vnicState, p *packet.Packet) {
+func (vs *VSwitch) planBeNotify(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	vs.Stats.NotifyRecv++
-	now := int64(vs.loop.Now())
 	if _, err := nezhaState(p.Nezha); err != nil {
 		vs.drop(p, DropMalformed)
-		return
+		return false
 	}
-	key, _ := p.SessionKey()
-	if _, cerr := vs.sessions.GetOrCreate(key, vn.id, now); cerr != nil {
+	if _, cerr := vs.sessions.GetOrCreateH(key, hash, vn.id, int64(vs.loop.Now())); cerr != nil {
 		vs.drop(p, DropNoMemory)
-		return
+		return false
 	}
-	profCharge(vs.profVNIC(vn), prof.DirRX, prof.StageNotify, nic.NotifyCycles)
-	vs.submit(burstAct{p: p, cycles: nic.NotifyCycles, kind: actAbsorbNotify}, false)
+	profCharge(vp, prof.DirRX, prof.StageNotify, nic.NotifyCycles)
+	*a = burstAct{p: p, cycles: nic.NotifyCycles, kind: actAbsorbNotify}
+	return true
 }
 
-// absorbNotify is beNotify's completion: the packet is consumed and the
+// absorbNotify is planBeNotify's completion: the packet is consumed and the
 // policy it carries (validated at arrival, and still attached) lands on
 // the session if that still exists.
 func (vs *VSwitch) absorbNotify(p *packet.Packet) {
@@ -590,14 +394,13 @@ func (vs *VSwitch) absorbNotify(p *packet.Packet) {
 
 // --- FE datapath ------------------------------------------------------
 
-// feTX processes a TX packet at the frontend: cached-flow / rule
+// planFeTX processes a TX packet at the frontend: cached-flow / rule
 // lookup for pre-actions, final action against the carried state,
 // then forwarding toward the peer.
-func (vs *VSwitch) feTX(fe *feInstance, p *packet.Packet) {
+func (vs *VSwitch) planFeTX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if vs.ob != nil {
 		vs.hop(p, obs.StageFETx)
 	}
-	vp := vs.profFE(fe)
 	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
 	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
 	profCharge(vp, prof.DirTX, prof.StageStateCarry, nic.StateCarryCycles)
@@ -605,9 +408,8 @@ func (vs *VSwitch) feTX(fe *feInstance, p *packet.Packet) {
 	carried, err := nezhaState(p.Nezha)
 	if err != nil {
 		vs.drop(p, DropMalformed)
-		return
+		return false
 	}
-	key, hash, _ := p.SessionKeyHashed()
 	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, key, hash, &cycles, false, vp, prof.DirTX)
 
 	// Rule-table-involved state for TX flows: notify the BE when the
@@ -621,12 +423,11 @@ func (vs *VSwitch) feTX(fe *feInstance, p *packet.Packet) {
 	}
 
 	if !FinalAllow(pre, carried, packet.DirTX) {
-		vs.submit(burstAct{p: p, cycles: cycles, kind: actDropACL}, true)
-		return
+		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		return true
 	}
-
 	if !vs.qosAdmit(fe.vnic, pre.TX, p) {
-		return
+		return false
 	}
 	vs.maybeMirror(p, pre, packet.DirTX)
 	peer, nextHop := pre.TX.PeerVNIC, pre.TX.NextHop
@@ -640,9 +441,7 @@ func (vs *VSwitch) feTX(fe *feInstance, p *packet.Packet) {
 		}
 	}
 	vs.stripNezha(p)
-	var a burstAct
-	vs.planForwardAct(p, peer, nextHop, cycles, vp, &a)
-	vs.submit(a, true)
+	return vs.planForwardAct(p, peer, nextHop, cycles, vp, a)
 }
 
 // sendNotify emits a designated notify packet to the BE carrying the
@@ -661,17 +460,9 @@ func (vs *VSwitch) sendNotify(fe *feInstance, orig *packet.Packet, policy tables
 	vs.fab.Send(vs.cfg.Addr, fe.beAddr, n)
 }
 
-// feRX processes an RX packet at the frontend: pre-action lookup,
+// planFeRX processes an RX packet at the frontend: pre-action lookup,
 // then forward to the BE with the pre-actions (and the information
 // needed for state initialization) in the header.
-func (vs *VSwitch) feRX(fe *feInstance, p *packet.Packet) {
-	var a burstAct
-	key, hash, _ := p.SessionKeyHashed()
-	if vs.planFeRX(fe, vs.profFE(fe), p, key, hash, &a) {
-		vs.submit(a, true)
-	}
-}
-
 func (vs *VSwitch) planFeRX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
 	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles)

@@ -3,11 +3,11 @@ package vswitch
 // Attribution-profiler wiring (DESIGN.md §11). With profiling off
 // (vs.prof == nil) the datapath pays a nil check per charge site;
 // with it on, each charge is one uint64 array add on a slot pointer
-// cached at vNIC/FE install time — no maps and no allocations, so
-// the burst pipeline's wins survive. Scalar and burst paths charge
-// through the same helpers at the same code points, which is what
-// makes the burst-vs-scalar attribution differential hold by
-// construction.
+// cached at vNIC/FE install time — no maps and no allocations, so a
+// packet stays allocation-free. Every datapath charge sits in a role's
+// plan function, which runs once per packet whatever the length of
+// its run, so attribution cannot depend on batching: the run-length
+// differentials hold it equal by construction.
 
 import (
 	"nezha/internal/flowcache"

@@ -6,10 +6,8 @@ package vswitch
 // compile to nothing.
 type viewDebugState struct{}
 
-func viewMarkLive(*viewBox)  {}
-func viewMarkFree(*viewBox)  {}
-func viewCheckLive(*viewBox) {}
+func (*viewDebugState) markLive(string)  {}
+func (*viewDebugState) markFree(string)  {}
+func (*viewDebugState) checkLive(string) {}
 
-func stageMarkLive(*stageTask)  {}
-func stageMarkFree(*stageTask)  {}
-func stageCheckLive(*stageTask) {}
+func poisonBox(*viewBox) {}

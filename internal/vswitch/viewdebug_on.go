@@ -8,11 +8,14 @@ import (
 	"nezha/internal/tables"
 )
 
-// viewDebugState tracks a pooled view box's lifecycle under -tags
-// simdebug. A box read after returning to the freelist would silently
-// corrupt SizeBytes accounting (WireLen feeds StripNezha); here it
-// panics instead, and freed boxes are poisoned so a stale read cannot
-// accidentally return the old, still-plausible payload.
+// viewDebugState tracks a pooled object's lifecycle under -tags
+// simdebug: a header-view box, a stage task or a burst run is live from
+// the moment it leaves its freelist until it returns. Using one after
+// it returned would silently corrupt another packet's work — a box
+// read feeds SizeBytes accounting (WireLen feeds StripNezha), a stage
+// task fired or a burst run completed after recycling executes a
+// cleared or foreign act. Here each panics instead, as does returning
+// one twice or taking one that is still live.
 type viewDebugState struct{ st uint8 }
 
 const (
@@ -21,54 +24,32 @@ const (
 	viewStFree
 )
 
-func viewMarkLive(b *viewBox) {
-	if b.dbg.st == viewStLive {
-		panic("vswitch: view box acquired twice without release")
+func (d *viewDebugState) markLive(what string) {
+	if d.st == viewStLive {
+		panic("vswitch: " + what + " acquired while live")
 	}
-	b.dbg.st = viewStLive
+	d.st = viewStLive
 }
 
-func viewMarkFree(b *viewBox) {
-	if b.dbg.st != viewStLive {
-		panic("vswitch: view box freed while not live (double put?)")
+func (d *viewDebugState) markFree(what string) {
+	if d.st != viewStLive {
+		panic("vswitch: " + what + " freed while not live (double put?)")
 	}
-	b.dbg.st = viewStFree
-	// Poison: a use-after-recycle that dodges the panic (e.g. through a
-	// retained interface) must not see valid-looking data. The view
-	// pointers keep aiming at the box so a stale header read still
-	// funnels through viewCheckLive instead of decoding a nil blob.
+	d.st = viewStFree
+}
+
+func (d *viewDebugState) checkLive(what string) {
+	if d.st != viewStLive {
+		panic("vswitch: " + what + " used after recycle")
+	}
+}
+
+// poisonBox clears a freed box: a use-after-recycle that dodges the
+// panic (e.g. through a retained interface) must not see valid-looking
+// data. The view pointers keep aiming at the box so a stale header
+// read still funnels through checkLive instead of decoding a nil blob.
+func poisonBox(b *viewBox) {
 	b.hdr = packet.NezhaHeader{StateView: b, PreView: b}
 	b.st = state.State{}
 	b.pre = tables.PreActions{}
-}
-
-func viewCheckLive(b *viewBox) {
-	if b.dbg.st != viewStLive {
-		panic("vswitch: view box used after recycle")
-	}
-}
-
-// The scalar stage tasks carry the same tripwires: a task is live from
-// submit until its completion fires, and one that returns to the
-// freelist while still scheduled panics when its event runs (putStage
-// clears the act, so it could otherwise only fire an empty one).
-
-func stageMarkLive(t *stageTask) {
-	if t.dbg.st == viewStLive {
-		panic("vswitch: stage task acquired while scheduled")
-	}
-	t.dbg.st = viewStLive
-}
-
-func stageMarkFree(t *stageTask) {
-	if t.dbg.st != viewStLive {
-		panic("vswitch: stage task freed while not live (double put?)")
-	}
-	t.dbg.st = viewStFree
-}
-
-func stageCheckLive(t *stageTask) {
-	if t.dbg.st != viewStLive {
-		panic("vswitch: stage task fired after recycle")
-	}
 }

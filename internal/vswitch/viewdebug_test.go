@@ -77,8 +77,8 @@ func TestViewDebugLiveViewStaysUsable(t *testing.T) {
 func TestStageDebugTripwires(t *testing.T) {
 	w := newWorld(t, 0, nil)
 	task := &stageTask{vs: w.A}
-	stageMarkLive(task) // as submit does before scheduling it
-	mustPanic(t, "acquire while scheduled", func() { stageMarkLive(task) })
+	task.dbg.markLive("stage task") // as runPlan does before scheduling it
+	mustPanic(t, "acquire while scheduled", func() { task.dbg.markLive("stage task") })
 	w.A.putStage(task)
 	mustPanic(t, "fire after recycle", func() { task.Run() })
 	mustPanic(t, "double put", func() { w.A.putStage(task) })
@@ -90,6 +90,32 @@ func TestStageDebugTripwires(t *testing.T) {
 	w.loop.RunAll()
 	if len(w.deliveredB) != 1 || w.A.stageFree == nil {
 		t.Fatalf("delivered %d, stage freelist empty=%v", len(w.deliveredB), w.A.stageFree == nil)
+	}
+}
+
+// TestBurstRunDebugTripwires pins the same guards on the pooled burst
+// sinks: completing an item of a run that already returned to the
+// freelist panics, as does returning a run twice.
+func TestBurstRunDebugTripwires(t *testing.T) {
+	w := newWorld(t, 0, nil)
+	p := packet.New(1, vpcID, clientVNIC, tuple(4000), packet.DirTX, packet.FlagSYN, 0)
+	r := w.A.getRun([]burstAct{{p: p, kind: actDropACL}})
+	w.A.putRun(r)
+	mustPanic(t, "complete after recycle", func() { r.Complete(0, true, 0) })
+	mustPanic(t, "double put", func() { w.A.putRun(r) })
+
+	// Counterweight: a real two-packet burst runs clean and leaves its
+	// run on the freelist.
+	w = newWorld(t, 0, nil)
+	w.installLocal(t, false)
+	ps := []*packet.Packet{
+		packet.New(2, vpcID, clientVNIC, tuple(4001), packet.DirTX, packet.FlagSYN, 0),
+		packet.New(3, vpcID, clientVNIC, tuple(4002), packet.DirTX, packet.FlagSYN, 0),
+	}
+	w.A.FromVMBurst(ps)
+	w.loop.RunAll()
+	if len(w.deliveredB) != 2 || w.A.runFree == nil {
+		t.Fatalf("delivered %d, run freelist empty=%v", len(w.deliveredB), w.A.runFree == nil)
 	}
 }
 
@@ -144,8 +170,7 @@ func TestBurstIngressChecksLive(t *testing.T) {
 	gone.Release()
 	mustPanic(t, "FromVMBurst of a released packet", func() { w.A.FromVMBurst([]*packet.Packet{live, gone}) })
 
-	// A batched monolithic-RX run at B: both packets classify to the same
-	// pipeline, so neither takes the scalar HandleUnderlay fallback.
+	// A monolithic-RX run of two at B.
 	live = packet.New(3, vpcID, serverVNIC, tuple(2002), packet.DirRX, packet.FlagSYN, 0)
 	gone = packet.New(4, vpcID, serverVNIC, tuple(2003), packet.DirRX, packet.FlagSYN, 0)
 	gone.Release()

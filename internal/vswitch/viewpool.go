@@ -10,12 +10,12 @@ package vswitch
 // read the value directly; anything else (a blob from a wire-mode hop,
 // a foreign view) falls back to Decode.
 //
-// Lifecycle: the attach sites (beTX, feRX, sendNotify — scalar and
-// burst) take a box from the per-vSwitch freelist; the consuming
-// vSwitch hands it back to that same freelist via stripNezha (one
-// single-threaded sim world, so reaching into the sender's pool is
-// safe), which keeps every pool the size of its own switch's headers
-// in flight however lopsided the BE→FE and FE→BE flows are. Packets
+// Lifecycle: the attach sites (planBeTX, planFeRX, sendNotify) take a
+// box from the per-vSwitch freelist; the consuming vSwitch hands it
+// back to that same freelist via stripNezha (one single-threaded sim
+// world, so reaching into the sender's pool is safe), which keeps
+// every pool the size of its own switch's headers in flight however
+// lopsided the BE→FE and FE→BE flows are. Packets
 // that terminate with the header still attached (drops, wire-mode
 // sends, fabric loss) leak their box to the GC; correctness never
 // depends on recycling. The simdebug build guards use-after-recycle
@@ -41,7 +41,7 @@ type viewBox struct {
 
 // WireLen implements packet.HeaderView.
 func (b *viewBox) WireLen() int {
-	viewCheckLive(b)
+	b.dbg.checkLive("view box")
 	if b.hdr.Type == packet.NezhaCarryPreActions {
 		return b.pre.WireLen()
 	}
@@ -51,7 +51,7 @@ func (b *viewBox) WireLen() int {
 // AppendWire implements packet.HeaderView. The encoding must be
 // byte-identical to the blob Encode would have produced.
 func (b *viewBox) AppendWire(dst []byte) []byte {
-	viewCheckLive(b)
+	b.dbg.checkLive("view box")
 	if b.hdr.Type == packet.NezhaCarryPreActions {
 		return b.pre.AppendWire(dst)
 	}
@@ -66,14 +66,15 @@ func (vs *VSwitch) getBox() *viewBox {
 		vs.boxFree = b.next
 		b.next = nil
 	}
-	viewMarkLive(b)
+	b.dbg.markLive("view box")
 	return b
 }
 
 // putBox returns b to the freelist of the vSwitch that took it, not
 // the one consuming it.
 func (*VSwitch) putBox(b *viewBox) {
-	viewMarkFree(b)
+	b.dbg.markFree("view box")
+	poisonBox(b)
 	b.next = b.home.boxFree
 	b.home.boxFree = b
 }
@@ -102,7 +103,7 @@ func (vs *VSwitch) attachPreView(p *packet.Packet, vnic uint32, pre tables.PreAc
 func nezhaState(h *packet.NezhaHeader) (state.State, error) {
 	if h.StateBlob == nil && h.StateView != nil {
 		if b, ok := h.StateView.(*viewBox); ok {
-			viewCheckLive(b)
+			b.dbg.checkLive("view box")
 			return b.st, nil
 		}
 		return state.Decode(h.StateView.AppendWire(nil))
@@ -114,7 +115,7 @@ func nezhaState(h *packet.NezhaHeader) (state.State, error) {
 func nezhaPre(h *packet.NezhaHeader) (tables.PreActions, error) {
 	if h.PreActionBlob == nil && h.PreView != nil {
 		if b, ok := h.PreView.(*viewBox); ok {
-			viewCheckLive(b)
+			b.dbg.checkLive("view box")
 			return b.pre, nil
 		}
 		return tables.DecodePreActions(h.PreView.AppendWire(nil))

@@ -284,26 +284,24 @@ type VSwitch struct {
 	// the SLO layer is off and the datapath pays nothing.
 	slo *slo.Tracker
 
-	// Burst-pipeline scratch (see burst.go). The sim loop is
-	// single-threaded, so one set per vSwitch suffices: burstCosts is
-	// consumed synchronously by SubmitBurst, pend accumulates egress
-	// within one completion wave, admitBuf/sendBuf live only within
-	// one call. actsFree pools planned-act buffers, each owned by its
-	// burst's sink until the burst's last completion fires.
+	// Pipeline scratch (see burst.go). The sim loop is single-threaded,
+	// so one set per vSwitch suffices: planBuf holds a run's planned
+	// acts until runPlan submits them, burstCosts is consumed
+	// synchronously by SubmitBurstTo, pend accumulates egress within one
+	// completion wave, admitBuf/sendBuf live only within one call.
+	planBuf    []burstAct
 	burstCosts []uint64
 	pend       []pendSend
 	admitBuf   []*packet.Packet
 	sendBuf    []*packet.Packet
-	actsFree   [][]burstAct
 
-	// runFree pools burst-submission sinks (burstRun in burst.go).
-	runFree *burstRun
+	// runFree pools burst sinks and stageFree lone-act CPU tasks
+	// (burstRun and stageTask in burst.go).
+	runFree   *burstRun
+	stageFree *stageTask
 
 	// boxFree pools zero-copy header-view boxes (viewpool.go).
 	boxFree *viewBox
-
-	// stageFree pools scalar CPU-stage tasks (stageTask in datapath.go).
-	stageFree *stageTask
 
 	Stats Counters
 }
@@ -339,8 +337,6 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *VS
 	})
 	vs.refreshSessionBudget()
 	fab.Register(cfg.Addr, cfg.ToR, vs.HandleUnderlay)
-	// Coalesced deliveries (from peers using SendBurst) enter through
-	// the burst pipeline; per-packet sends still use HandleUnderlay.
 	_ = fab.SetBurstHandler(cfg.Addr, vs.HandleUnderlayBurst)
 	return vs
 }
