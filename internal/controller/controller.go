@@ -336,6 +336,7 @@ type Controller struct {
 	ticker       *sim.Ticker
 	repairTicker *sim.Ticker
 	fbTicker     *sim.Ticker
+	tickAddrs    []packet.IPv4 // tick's scratch
 
 	// journal, when attached, is the write-ahead log every control
 	// plane mutation lands on before its RPCs leave the controller.
@@ -533,12 +534,17 @@ func (c *Controller) SuggestOffload(k int) []prof.Candidate {
 // decision order never depends on map iteration (the determinism
 // contract).
 func (c *Controller) sortedNodeAddrs() []packet.IPv4 {
-	addrs := make([]packet.IPv4, 0, len(c.nodes))
+	return c.nodeAddrsInto(make([]packet.IPv4, 0, len(c.nodes)))
+}
+
+// nodeAddrsInto is sortedNodeAddrs written over buf's storage.
+func (c *Controller) nodeAddrsInto(buf []packet.IPv4) []packet.IPv4 {
+	buf = buf[:0]
 	for a := range c.nodes {
-		addrs = append(addrs, a)
+		buf = append(buf, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
+	slices.Sort(buf)
+	return buf
 }
 
 // sortedVNICs returns registered vNIC ids ascending.
@@ -556,7 +562,10 @@ func sortedIDs[T any](m map[uint32]T) []uint32 {
 
 // tick samples every node and applies the Fig 8 decision tree.
 func (c *Controller) tick() {
-	addrs := c.sortedNodeAddrs()
+	// The ticker never re-enters tick, so it keeps one scratch slice;
+	// the decisions below take their own sorted copies.
+	c.tickAddrs = c.nodeAddrsInto(c.tickAddrs)
+	addrs := c.tickAddrs
 	for _, addr := range addrs {
 		n := c.nodes[addr]
 		if n.down {

@@ -256,10 +256,11 @@ func (c *Controller) LastRecovery() (start, end sim.Time, ok bool) {
 // DupSideEffects sums duplicate side-effect applications observed by
 // every agent — journal replay must never re-run an op the dead
 // incarnation already landed, so a chaos invariant pins this at zero.
+// A sum does not depend on map order, so the walk sorts nothing.
 func (c *Controller) DupSideEffects() uint64 {
 	total := c.gwAgent.Stats.DupSideEffects
-	for _, addr := range c.sortedNodeAddrs() {
-		total += c.nodes[addr].agent.Stats.DupSideEffects
+	for _, n := range c.nodes {
+		total += n.agent.Stats.DupSideEffects
 	}
 	return total
 }

@@ -2,7 +2,7 @@ package fabric
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"nezha/internal/packet"
 	"nezha/internal/sim"
@@ -37,6 +37,7 @@ var ErrStaleEpoch = errors.New("fabric: stale config epoch")
 type Gateway struct {
 	loop  *sim.Loop
 	table map[uint32]*gwEntry
+	order []uint32 // Range's scratch; nil while a Range is running
 }
 
 type gwEntry struct {
@@ -98,19 +99,23 @@ func (g *Gateway) Lookup(vnic uint32) ([]packet.IPv4, bool) {
 
 // Range calls fn for every entry in ascending vNIC order (so callers
 // iterating the table — e.g. the chaos no-blackhole invariant — do not
-// depend on map order). Returning false stops the walk.
+// depend on map order). Returning false stops the walk. The walk
+// borrows the gateway's scratch slice, so a Range nested in fn sorts
+// into a slice of its own.
 func (g *Gateway) Range(fn func(vnic uint32, addrs []packet.IPv4, epoch uint64) bool) {
-	vnics := make([]uint32, 0, len(g.table))
+	vnics := g.order[:0]
+	g.order = nil
 	for v := range g.table {
 		vnics = append(vnics, v)
 	}
-	sort.Slice(vnics, func(i, j int) bool { return vnics[i] < vnics[j] })
+	slices.Sort(vnics)
 	for _, v := range vnics {
 		e := g.table[v]
 		if !fn(v, e.addrs, e.epoch) {
-			return
+			break
 		}
 	}
+	g.order = vnics
 }
 
 // Len reports the table size.

@@ -9,7 +9,7 @@
 package monitor
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"nezha/internal/fabric"
@@ -61,6 +61,7 @@ type Monitor struct {
 	cfg  Config
 
 	targets map[packet.IPv4]*target
+	order   []packet.IPv4 // sortedTargets' scratch
 	onDown  func(packet.IPv4)
 	onUp    func(packet.IPv4)
 	ticker  *sim.Ticker
@@ -199,13 +200,16 @@ func (m *Monitor) ClearGuard() {
 // sortedTargets returns the probe set in address order. Probe and
 // declaration order must not depend on map iteration: probe IDs and
 // onDown callbacks are assigned in this order, and the determinism
-// contract requires identical runs for identical seeds.
+// contract requires identical runs for identical seeds. The slice is
+// the monitor's scratch, valid until the next call; neither round nor
+// ClearGuard can be re-entered from the callbacks they fire.
 func (m *Monitor) sortedTargets() []packet.IPv4 {
-	addrs := make([]packet.IPv4, 0, len(m.targets))
+	addrs := m.order[:0]
 	for addr := range m.targets {
 		addrs = append(addrs, addr)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
+	m.order = addrs
 	return addrs
 }
 
@@ -261,7 +265,7 @@ func (m *Monitor) round() {
 		m.probeID++
 		t.pending = true
 		t.pendingID = m.probeID
-		probe := packet.New(m.probeID, 0, 0, packet.FiveTuple{
+		probe := packet.Get(m.probeID, 0, 0, packet.FiveTuple{
 			SrcIP: m.cfg.Addr, DstIP: addr,
 			SrcPort: 40000, DstPort: vswitch.ProbePort,
 			Proto: packet.ProtoUDP,

@@ -237,7 +237,8 @@ func (l *Loop) Every(period Time, fn func()) *Ticker {
 	return t
 }
 
-// Ticker repeatedly fires a callback until stopped.
+// Ticker repeatedly fires a callback until stopped. It schedules
+// itself as a Task, so a firing costs no allocation.
 type Ticker struct {
 	loop    *Loop
 	period  Time
@@ -246,16 +247,24 @@ type Ticker struct {
 	stopped bool
 }
 
+// tickerTask is a Ticker seen as a Task; the conversion keeps Run off
+// Ticker's exported method set.
+type tickerTask Ticker
+
 func (t *Ticker) arm() {
-	t.ref = t.loop.Schedule(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+	t.ref = t.loop.AtTask(t.loop.now+t.period, (*tickerTask)(t))
+}
+
+// Run fires the callback and re-arms unless it stopped the ticker.
+func (tt *tickerTask) Run() {
+	t := (*Ticker)(tt)
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels future firings.

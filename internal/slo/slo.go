@@ -1,7 +1,7 @@
 package slo
 
 import (
-	"sort"
+	"slices"
 
 	"nezha/internal/packet"
 )
@@ -104,6 +104,7 @@ type Tracker struct {
 
 	windowEnd  int64
 	burnEvents uint64
+	order      []uint32 // evaluate's scratch; nil while one is running
 
 	causeNames []string
 }
@@ -216,8 +217,11 @@ func (t *Tracker) maybeEvaluate(now int64) {
 }
 
 func (t *Tracker) evaluate(now int64) {
-	// Deterministic order so OnBurn event streams are reproducible.
-	vnics := t.sortedVNICs()
+	// Deterministic order so OnBurn event streams are reproducible. The
+	// walk borrows the tracker's scratch slice; an evaluation that
+	// OnBurn re-enters sorts into one of its own.
+	vnics := t.vnicsInto(t.order)
+	t.order = nil
 	for _, vnic := range vnics {
 		l := t.ledger[vnic]
 		total := l.total - l.prevTotal
@@ -249,15 +253,21 @@ func (t *Tracker) evaluate(now int64) {
 			l.burning = 0
 		}
 	}
+	t.order = vnics
 }
 
 func (t *Tracker) sortedVNICs() []uint32 {
-	vnics := make([]uint32, 0, len(t.ledger))
+	return t.vnicsInto(make([]uint32, 0, len(t.ledger)))
+}
+
+// vnicsInto is sortedVNICs written over buf's storage.
+func (t *Tracker) vnicsInto(buf []uint32) []uint32 {
+	buf = buf[:0]
 	for v := range t.ledger {
-		vnics = append(vnics, v)
+		buf = append(buf, v)
 	}
-	sort.Slice(vnics, func(a, b int) bool { return vnics[a] < vnics[b] })
-	return vnics
+	slices.Sort(buf)
+	return buf
 }
 
 // BurnEvents returns how many burning windows have closed in total.

@@ -106,10 +106,6 @@ func TestScalarPathAllocFreeOffloaded(t *testing.T) {
 	}
 }
 
-type nopTask struct{}
-
-func (nopTask) Run() {}
-
 func TestSubmitTaskAllocFree(t *testing.T) {
 	loop := sim.NewLoop(1)
 	cpu := nic.NewCPU(loop, 2, 0, 0)
@@ -123,5 +119,28 @@ func TestSubmitTaskAllocFree(t *testing.T) {
 	submit()
 	if n := testing.AllocsPerRun(200, submit); n != 0 {
 		t.Fatalf("SubmitTask allocates %v per call, want 0", n)
+	}
+}
+
+// TestOverloadDropAllocFree pins that a dropped packet returns its
+// header view's box: a BE→FE packet refused by a saturated CPU hands
+// its state view back to the BE's freelist, so the next attach reuses
+// it instead of allocating.
+func TestOverloadDropAllocFree(t *testing.T) {
+	w := overloadedBE(t)
+	w.beOverloadSend()
+	box := w.B.boxFree
+	if box == nil {
+		t.Fatal("the dropped packet's view box did not return to its home freelist")
+	}
+	drops := w.B.Stats.Drops[DropOverload]
+	if n := testing.AllocsPerRun(100, w.beOverloadSend); n != 0 {
+		t.Fatalf("an overload drop allocates %v per packet, want 0", n)
+	}
+	if got := w.B.Stats.Drops[DropOverload] - drops; got != 101 {
+		t.Fatalf("%d overload drops over 101 packets", got)
+	}
+	if w.B.boxFree != box || box.next != nil {
+		t.Fatal("drops did not keep recycling the one box")
 	}
 }

@@ -1,7 +1,7 @@
 package vswitch
 
 import (
-	"sort"
+	"slices"
 
 	"nezha/internal/packet"
 	"nezha/internal/sim"
@@ -25,6 +25,7 @@ type mutualPing struct {
 	pending  map[packet.IPv4]bool
 	missed   map[packet.IPv4]int
 	reported map[packet.IPv4]bool
+	targets  []packet.IPv4 // mutualRound's scratch
 }
 
 // StartMutualPing begins periodic pinging of every FE configured on
@@ -62,21 +63,17 @@ func (vs *VSwitch) mutualRound() {
 	// Settle the previous round. Targets are visited in address order:
 	// miss declarations and probe sends must not depend on map
 	// iteration, or the determinism contract (and the chaos trace
-	// digests) breaks.
-	seen := make(map[packet.IPv4]bool)
-	var targets []packet.IPv4
+	// digests) breaks. The round owns m.targets: onDown cannot re-enter
+	// it.
+	targets := m.targets[:0]
 	for _, vn := range vs.vnics {
-		if !vn.offloaded {
-			continue
-		}
-		for _, fe := range vn.fes {
-			if !seen[fe] {
-				seen[fe] = true
-				targets = append(targets, fe)
-			}
+		if vn.offloaded {
+			targets = append(targets, vn.fes...)
 		}
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+	slices.Sort(targets)
+	targets = slices.Compact(targets)
+	m.targets = targets
 	for _, fe := range targets {
 		if m.pending[fe] {
 			m.missed[fe]++
@@ -89,10 +86,10 @@ func (vs *VSwitch) mutualRound() {
 		}
 	}
 	// New round.
-	m.pending = make(map[packet.IPv4]bool)
+	clear(m.pending)
 	for _, fe := range targets {
 		m.pending[fe] = true
-		probe := packet.New(0, 0, 0, packet.FiveTuple{
+		probe := packet.Get(0, 0, 0, packet.FiveTuple{
 			SrcIP: packet.IPv4(vs.cfg.Addr), DstIP: packet.IPv4(fe),
 			SrcPort: mutualPort, DstPort: ProbePort, Proto: packet.ProtoUDP,
 		}, packet.DirTX, 0, 0)

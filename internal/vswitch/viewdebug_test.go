@@ -42,6 +42,19 @@ func TestViewDebugUseAfterRecycle(t *testing.T) {
 	mustPanic(t, "nezhaState after recycle", func() { _, _ = nezhaState(h) })
 }
 
+// TestViewDebugDropRecycles pins that drop, not only the consuming
+// strip, recycles a view box: after a BE→FE packet is dropped as
+// overload, reading its box panics.
+func TestViewDebugDropRecycles(t *testing.T) {
+	w := overloadedBE(t)
+	w.beOverloadSend()
+	box := w.B.boxFree
+	if box == nil || w.B.Stats.Drops[DropOverload] != 1 {
+		t.Fatalf("overload drop did not recycle the box (drops %v)", w.B.Stats.Drops)
+	}
+	mustPanic(t, "WireLen after drop", func() { box.WireLen() })
+}
+
 // TestViewDebugDoubleRecycle pins that recycling the same box twice
 // panics — a double-free would corrupt the freelist.
 func TestViewDebugDoubleRecycle(t *testing.T) {

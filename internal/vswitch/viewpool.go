@@ -15,11 +15,13 @@ package vswitch
 // back to that same freelist via stripNezha (one single-threaded sim
 // world, so reaching into the sender's pool is safe), which keeps
 // every pool the size of its own switch's headers in flight however
-// lopsided the BE→FE and FE→BE flows are. Packets
-// that terminate with the header still attached (drops, wire-mode
-// sends, fabric loss) leak their box to the GC; correctness never
-// depends on recycling. The simdebug build guards use-after-recycle
-// (see viewdebug_on.go).
+// lopsided the BE→FE and FE→BE flows are. A drop recycles the box
+// too: drop strips the header before releasing the packet. Packets
+// that leave the vSwitch with the header still attached and never
+// reach a consumer — wire-mode sends (the marshalled bytes carry the
+// payload on) and fabric loss — leak their box to the GC; correctness
+// never depends on recycling. The simdebug build guards
+// use-after-recycle (see viewdebug_on.go).
 
 import (
 	"nezha/internal/packet"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nezha/internal/nic"
 	"nezha/internal/packet"
 	"nezha/internal/state"
 	"nezha/internal/tables"
@@ -156,4 +157,32 @@ func TestViewBoxRecycles(t *testing.T) {
 	if clSt != st {
 		t.Fatalf("cloned state %+v != original %+v", clSt, st)
 	}
+}
+
+type nopTask struct{}
+
+func (nopTask) Run() {}
+
+// overloadedBE returns a world with the server vNIC offloaded (B is its
+// BE) and every core of B busy for a simulated second, so the next
+// packet B submits waits past the queueing bound and is dropped. The
+// loop must not run, or the cores free up.
+func overloadedBE(t *testing.T) *world {
+	t.Helper()
+	w := newWorld(t, 1, nil)
+	w.installLocal(t, false)
+	w.offloadServer(t, false, true)
+	for i := 0; i < w.B.cpu.Cores(); i++ {
+		if _, ok := w.B.cpu.SubmitTask(nic.DefaultCoreHz, nopTask{}); !ok {
+			t.Fatal("idle core refused work")
+		}
+	}
+	return w
+}
+
+// beOverloadSend hands B one server packet: planBeTX attaches a state
+// view for the FE, and the CPU admission drops it as overload.
+func (w *world) beOverloadSend() {
+	pktID++
+	w.B.FromVM(packet.GetStamped(int64(w.loop.Now()), pktID, vpcID, serverVNIC, tuple(1000).Reverse(), packet.DirTX, packet.FlagACK, 100))
 }

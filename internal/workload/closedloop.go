@@ -41,8 +41,12 @@ func NewClosedCRR(loop *sim.Loop, vm *VM, dst packet.IPv4, workers int, timeout 
 // Start launches the workers.
 func (g *ClosedCRR) Start() {
 	g.done = false
-	for i := 0; i < g.workers; i++ {
-		g.next()
+	ws := make([]closedWorker, g.workers)
+	for i := range ws {
+		w := &ws[i]
+		w.g = g
+		w.onDone = w.complete
+		g.next(w)
 	}
 }
 
@@ -50,7 +54,17 @@ func (g *ClosedCRR) Start() {
 // reopen.
 func (g *ClosedCRR) Stop() { g.done = true }
 
-func (g *ClosedCRR) next() {
+// closedWorker is one worker's transaction loop. The worker is its own
+// timeout task and its completion callback is bound once, so a
+// transaction schedules no closure; a completion cancels its timeout.
+type closedWorker struct {
+	g       *ClosedCRR
+	sport   uint16
+	timeout sim.EventRef
+	onDone  func()
+}
+
+func (g *ClosedCRR) next(w *closedWorker) {
 	if g.done {
 		return
 	}
@@ -58,24 +72,22 @@ func (g *ClosedCRR) next() {
 	if g.sport < 1024 {
 		g.sport = 1024
 	}
-	sport := g.sport
-	settled := false
-	g.vm.OpenCB(sport, g.dst, ServerPort, func() {
-		if settled {
-			return
-		}
-		settled = true
-		g.next()
-	})
-	g.loop.Schedule(g.timeout, func() {
-		if settled {
-			return
-		}
-		settled = true
-		g.vm.Abort(sport)
-		g.Abandoned++
-		g.next()
-	})
+	w.sport = g.sport
+	g.vm.OpenCB(w.sport, g.dst, ServerPort, w.onDone)
+	w.timeout = g.loop.AtTask(g.loop.Now()+g.timeout, w)
+}
+
+func (w *closedWorker) complete() {
+	w.timeout.Cancel()
+	w.g.next(w)
+}
+
+// Run abandons the transaction at its timeout and opens a fresh one.
+func (w *closedWorker) Run() {
+	g := w.g
+	g.vm.Abort(w.sport)
+	g.Abandoned++
+	g.next(w)
 }
 
 // Completed proxies the client VM's completed-transaction counter.

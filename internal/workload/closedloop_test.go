@@ -71,6 +71,27 @@ func TestClosedCRRTimeoutRecovers(t *testing.T) {
 	}
 }
 
+// TestClosedCRRCancelsSettledTimeouts pins that a completed
+// transaction's timeout is cancelled, not left to fire as a no-op:
+// once the stopped generator's last transactions settle, the loop
+// fires nothing more.
+func TestClosedCRRCancelsSettledTimeouts(t *testing.T) {
+	b := newBed(t, 8)
+	g := NewClosedCRR(b.loop, b.client, ipS, 4, 100*sim.Millisecond)
+	g.Start()
+	b.loop.Run(50 * sim.Millisecond)
+	g.Stop()
+	b.loop.Run(b.loop.Now() + 10*sim.Millisecond)
+	if g.Completed() == 0 || g.Abandoned != 0 {
+		t.Fatalf("completed %d, abandoned %d; want completions only", g.Completed(), g.Abandoned)
+	}
+	fired := b.loop.Fired()
+	b.loop.Run(b.loop.Now() + sim.Second)
+	if n := b.loop.Fired() - fired; n != 0 {
+		t.Fatalf("%d events fired after every transaction settled", n)
+	}
+}
+
 func TestClosedCRRWorkerFloor(t *testing.T) {
 	b := newBed(t, 8)
 	g := NewClosedCRR(b.loop, b.client, ipS, 0, 0) // clamps to 1 worker, default timeout

@@ -10,15 +10,24 @@ import (
 // request / response / close transactions at a target open rate —
 // the paper's CPS workload (§6.2.1). Arrivals are Poisson.
 type CRR struct {
-	loop   *sim.Loop
-	rng    *sim.Rand
-	client *VM
-	dst    packet.IPv4
-	rate   float64
-	sport  uint16
-	ticker sim.EventRef
-	done   bool
+	loop    *sim.Loop
+	rng     *sim.Rand
+	client  *VM
+	dst     packet.IPv4
+	rate    float64
+	sport   uint16
+	ticker  sim.EventRef
+	pending bool // an arrival or a poll is queued
+	done    bool
 }
+
+// crrArrival and crrPoll are a CRR seen as its two sim.Tasks: the next
+// Poisson arrival, and the paused generator's poll for a new rate.
+// Scheduling either allocates nothing.
+type (
+	crrArrival CRR
+	crrPoll    CRR
+)
 
 // NewCRR builds a generator opening connections from client to
 // dst:ServerPort at ratePerSec.
@@ -32,15 +41,19 @@ func (g *CRR) SetRate(r float64) { g.rate = r }
 // Rate returns the current target rate.
 func (g *CRR) Rate() float64 { return g.rate }
 
-// Start begins opening connections until Stop.
+// Start begins opening connections until Stop. Starting a running
+// generator is a no-op: it has one arrival chain, never two.
 func (g *CRR) Start() {
 	g.done = false
-	g.arm()
+	if !g.pending {
+		g.arm()
+	}
 }
 
 // Stop halts new opens; in-flight transactions drain naturally.
 func (g *CRR) Stop() {
 	g.done = true
+	g.pending = false
 	g.ticker.Cancel()
 }
 
@@ -48,19 +61,36 @@ func (g *CRR) arm() {
 	if g.done {
 		return
 	}
+	now := g.loop.Now()
+	g.pending = true
 	if g.rate <= 0 {
 		// Paused: poll for a rate change (ramp scripts may raise it).
-		g.ticker = g.loop.Schedule(10*sim.Millisecond, g.arm)
+		g.ticker = g.loop.AtTask(now+10*sim.Millisecond, (*crrPoll)(g))
 		return
 	}
 	gap := sim.Time(g.rng.ExpFloat64() / g.rate * float64(sim.Second))
 	if gap < 1 {
 		gap = 1
 	}
-	g.ticker = g.loop.Schedule(gap, func() {
-		g.open()
-		g.arm()
-	})
+	g.ticker = g.loop.AtTask(now+gap, (*crrArrival)(g))
+}
+
+// Run opens one connection and arms the next arrival.
+func (a *crrArrival) Run() {
+	g := (*CRR)(a)
+	g.pending = false
+	if g.done {
+		return
+	}
+	g.open()
+	g.arm()
+}
+
+// Run re-arms: an arrival if the rate was raised, else another poll.
+func (p *crrPoll) Run() {
+	g := (*CRR)(p)
+	g.pending = false
+	g.arm()
 }
 
 func (g *CRR) open() {
@@ -164,34 +194,42 @@ func (h *FlowHolder) KeepAlivePaced(window sim.Time) {
 // SYNFlood sends a stream of SYNs from spoofed ports that never
 // complete handshakes — the §7.3 memory-pressure attack on the BE.
 type SYNFlood struct {
-	loop   *sim.Loop
-	rng    *sim.Rand
-	vs     *vswitch.VSwitch
-	vnic   uint32
-	vpc    uint32
-	srcIP  packet.IPv4
-	dst    packet.IPv4
-	rate   float64
-	idGen  *uint64
-	ticker sim.EventRef
-	done   bool
-	Sent   uint64
+	loop    *sim.Loop
+	rng     *sim.Rand
+	vs      *vswitch.VSwitch
+	vnic    uint32
+	vpc     uint32
+	srcIP   packet.IPv4
+	dst     packet.IPv4
+	rate    float64
+	idGen   *uint64
+	ticker  sim.EventRef
+	pending bool // the next SYN is queued
+	done    bool
+	Sent    uint64
 }
+
+// floodSYN is a SYNFlood seen as the sim.Task that sends its next SYN.
+type floodSYN SYNFlood
 
 // NewSYNFlood builds a flood source injecting at the given vSwitch.
 func NewSYNFlood(loop *sim.Loop, rng *sim.Rand, vs *vswitch.VSwitch, vnic, vpc uint32, srcIP, dst packet.IPv4, rate float64, idGen *uint64) *SYNFlood {
 	return &SYNFlood{loop: loop, rng: rng, vs: vs, vnic: vnic, vpc: vpc, srcIP: srcIP, dst: dst, rate: rate, idGen: idGen}
 }
 
-// Start begins flooding until Stop.
+// Start begins flooding until Stop. Starting a running flood is a
+// no-op.
 func (f *SYNFlood) Start() {
 	f.done = false
-	f.arm()
+	if !f.pending {
+		f.arm()
+	}
 }
 
 // Stop halts the flood.
 func (f *SYNFlood) Stop() {
 	f.done = true
+	f.pending = false
 	f.ticker.Cancel()
 }
 
@@ -203,18 +241,27 @@ func (f *SYNFlood) arm() {
 	if gap < 1 {
 		gap = 1
 	}
-	f.ticker = f.loop.Schedule(gap, func() {
-		*f.idGen++
-		ft := packet.FiveTuple{
-			SrcIP: f.srcIP, DstIP: f.dst,
-			SrcPort: uint16(1024 + f.rng.Intn(60000)), DstPort: ServerPort,
-			Proto: packet.ProtoTCP,
-		}
-		p := packet.GetStamped(int64(f.loop.Now()), *f.idGen, f.vpc, f.vnic, ft, packet.DirTX, packet.FlagSYN, 0)
-		f.Sent++
-		f.vs.FromVM(p)
-		f.arm()
-	})
+	f.pending = true
+	f.ticker = f.loop.AtTask(f.loop.Now()+gap, (*floodSYN)(f))
+}
+
+// Run sends one spoofed SYN and arms the next.
+func (t *floodSYN) Run() {
+	f := (*SYNFlood)(t)
+	f.pending = false
+	if f.done {
+		return
+	}
+	*f.idGen++
+	ft := packet.FiveTuple{
+		SrcIP: f.srcIP, DstIP: f.dst,
+		SrcPort: uint16(1024 + f.rng.Intn(60000)), DstPort: ServerPort,
+		Proto: packet.ProtoTCP,
+	}
+	p := packet.GetStamped(int64(f.loop.Now()), *f.idGen, f.vpc, f.vnic, ft, packet.DirTX, packet.FlagSYN, 0)
+	f.Sent++
+	f.vs.FromVM(p)
+	f.arm()
 }
 
 // Pinger emits fixed-rate single-flow traffic for latency probing

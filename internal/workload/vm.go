@@ -37,12 +37,11 @@ func MaxCPS(vcpus int) float64 {
 	return DefaultPerCoreCPS * n / (1 + DefaultSerialFraction*(n-1))
 }
 
+// connState is one in-flight client connection, stored by value in
+// VM.conns: opening a connection allocates nothing.
 type connState struct {
-	start     sim.Time
-	dstIP     packet.IPv4
-	dstPort   uint16
-	completed bool
-	onDone    func()
+	start  sim.Time
+	onDone func()
 }
 
 // VM models a guest's network endpoint: a client/server state machine
@@ -62,7 +61,7 @@ type VM struct {
 	reqBytes  int
 	respBytes int
 
-	conns map[uint16]*connState
+	conns map[uint16]connState
 
 	taskFree *kernelTask // recycled server-side kernel completions
 
@@ -96,7 +95,7 @@ func NewVM(loop *sim.Loop, vs *vswitch.VSwitch, vnic, vpc uint32, ip packet.IPv4
 		idGen:     idGen,
 		reqBytes:  128,
 		respBytes: 512,
-		conns:     make(map[uint16]*connState),
+		conns:     make(map[uint16]connState),
 		Latency:   metrics.NewHistogramCap("conn-latency-us", 1<<18),
 	}
 	vm.pktCost = vm.connCost / 10
@@ -134,7 +133,7 @@ func (vm *VM) Open(sport uint16, dst packet.IPv4, dstPort uint16) {
 // transaction fully closes (closed-loop generators reopen from it).
 func (vm *VM) OpenCB(sport uint16, dst packet.IPv4, dstPort uint16, onDone func()) {
 	vm.Started++
-	vm.conns[sport] = &connState{start: vm.loop.Now(), dstIP: dst, dstPort: dstPort, onDone: onDone}
+	vm.conns[sport] = connState{start: vm.loop.Now(), onDone: onDone}
 	ft := packet.FiveTuple{
 		SrcIP: vm.IP, DstIP: dst,
 		SrcPort: sport, DstPort: dstPort, Proto: packet.ProtoTCP,
@@ -229,7 +228,7 @@ func (t *kernelTask) Run() {
 func (vm *VM) clientHandle(p *packet.Packet) {
 	sport := p.Tuple.DstPort
 	c, ok := vm.conns[sport]
-	if !ok || c.completed {
+	if !ok {
 		return
 	}
 	reply := p.Tuple.Reverse()
@@ -237,7 +236,6 @@ func (vm *VM) clientHandle(p *packet.Packet) {
 	case p.Flags.Has(packet.FlagSYN) && p.Flags.Has(packet.FlagACK):
 		vm.send(reply, packet.FlagACK, vm.reqBytes, int64(c.start))
 	case p.Flags.Has(packet.FlagFIN):
-		c.completed = true
 		vm.Completed++
 		lat := vm.loop.Now() - c.start
 		vm.Latency.Observe(lat.Micros())

@@ -239,5 +239,60 @@ func TestCRRStopHaltsOpens(t *testing.T) {
 	}
 }
 
+// TestGeneratorStartIsIdempotent pins that a second Start of a running
+// generator neither adds an arrival chain (the open count matches a
+// single Start) nor leaves one behind that opens after Stop, and that
+// Start after Stop resumes (measurement rigs restart between windows).
+func TestGeneratorStartIsIdempotent(t *testing.T) {
+	type run struct{ opened, afterStop, restarted uint64 }
+	crr := func(starts int) run {
+		b := newBed(t, 8)
+		g := NewCRR(b.loop, b.loop.Rand(), b.client, ipS, 5000)
+		for i := 0; i < starts; i++ {
+			g.Start()
+		}
+		b.loop.Run(200 * sim.Millisecond)
+		g.Stop()
+		opened := b.client.Started
+		b.loop.Run(b.loop.Now() + sim.Second)
+		r := run{opened, b.client.Started - opened, 0}
+		g.Start()
+		b.loop.Run(b.loop.Now() + 100*sim.Millisecond)
+		r.restarted = b.client.Started - opened - r.afterStop
+		return r
+	}
+	flood := func(starts int) run {
+		b := newBed(t, 8)
+		f := NewSYNFlood(b.loop, b.loop.Rand(), b.swA, 1, 7, ipC, ipS, 5000, &b.idGen)
+		for i := 0; i < starts; i++ {
+			f.Start()
+		}
+		b.loop.Run(200 * sim.Millisecond)
+		f.Stop()
+		sent := f.Sent
+		b.loop.Run(b.loop.Now() + sim.Second)
+		r := run{sent, f.Sent - sent, 0}
+		f.Start()
+		b.loop.Run(b.loop.Now() + 100*sim.Millisecond)
+		r.restarted = f.Sent - sent - r.afterStop
+		return r
+	}
+	for name, gen := range map[string]func(int) run{"CRR": crr, "SYNFlood": flood} {
+		once, twice := gen(1), gen(2)
+		if once.opened == 0 {
+			t.Fatalf("%s: nothing opened", name)
+		}
+		if twice.opened != once.opened {
+			t.Errorf("%s: double Start opened %d, single Start %d", name, twice.opened, once.opened)
+		}
+		if once.afterStop != 0 || twice.afterStop != 0 {
+			t.Errorf("%s: opens after Stop: single Start %d, double Start %d", name, once.afterStop, twice.afterStop)
+		}
+		if once.restarted == 0 || twice.restarted == 0 {
+			t.Errorf("%s: no opens after a restart", name)
+		}
+	}
+}
+
 // InFlight reports the client connections not yet completed.
 func (vm *VM) InFlight() int { return len(vm.conns) }
