@@ -278,7 +278,8 @@ func (idx index) sumWhere(name string, match func(l map[string]string) bool) flo
 
 // renderProf draws the attribution-profiler sections: a per-node
 // cycle/byte breakdown and the hottest still-resident vNICs by
-// relocatable work — the same signal Controller.SuggestOffload ranks.
+// relocatable work (slow-path and session-install cycles, the work an
+// offload moves to the FEs).
 func renderProf(w io.Writer, idx index, topK int, f filter) {
 	nodes := idx.labelValues("prof_cycles_total", "node")
 	var kept []string

@@ -98,7 +98,7 @@ func TestSiriusBucketMoveCountsTransfers(t *testing.T) {
 
 func TestSiriusMinimumCards(t *testing.T) {
 	loop := sim.NewLoop(4)
-	p := NewSiriusPool(loop, SiriusConfig{Cards: 1, Cores: 1, CoreHz: 1e9, ConnCycles: 10, ReplicateCycles: 10, Buckets: 4, MaxQueueDelay: sim.Millisecond})
+	p := NewSiriusPool(loop, SiriusConfig{Cards: 1, Cores: 1, CoreHz: 1e9})
 	if len(p.Cards()) != 2 {
 		t.Fatal("pool must have at least a primary/secondary pair")
 	}

@@ -19,30 +19,28 @@ type SiriusConfig struct {
 	// server SmartNIC).
 	Cores  int
 	CoreHz uint64
-	// ConnCycles is the slow-path cost of a new connection on a card.
-	ConnCycles uint64
-	// ReplicateCycles is the cost of absorbing an in-line replica of
-	// a state change on the secondary.
-	ReplicateCycles uint64
-	// Buckets is the fixed hash-bucket count flows map onto.
-	Buckets int
-	// MaxQueueDelay bounds card queueing.
-	MaxQueueDelay sim.Time
 }
 
-// DefaultSiriusConfig mirrors the scaled simulation units used by the
+// The pool's costs mirror the scaled simulation units used by the
 // benches: per-connection cost identical to an FE's slow path so the
 // comparison isolates the replication and state-placement design.
+// Cards queue at most nic.DefaultMaxQueueDelay.
+const (
+	// siriusConnCycles is the slow-path cost of a new connection on a
+	// card.
+	siriusConnCycles = 135_000
+	// siriusReplicateCycles is the cost of absorbing an in-line
+	// replica of a state change on the secondary (ping-pong: the
+	// secondary re-runs state install in-line).
+	siriusReplicateCycles = 135_000
+	// siriusBuckets is the fixed hash-bucket count flows map onto.
+	siriusBuckets = 64
+)
+
+// DefaultSiriusConfig sizes a pool of cards with the nic package's
+// calibrated cores.
 func DefaultSiriusConfig(cards int) SiriusConfig {
-	return SiriusConfig{
-		Cards:           cards,
-		Cores:           nic.DefaultCores,
-		CoreHz:          nic.DefaultCoreHz,
-		ConnCycles:      135_000,
-		ReplicateCycles: 135_000, // ping-pong: the secondary re-runs state install in-line
-		Buckets:         64,
-		MaxQueueDelay:   nic.DefaultMaxQueueDelay,
-	}
+	return SiriusConfig{Cards: cards, Cores: nic.DefaultCores, CoreHz: nic.DefaultCoreHz}
 }
 
 // SiriusPool models the Sirius datapath at connection granularity:
@@ -51,7 +49,6 @@ func DefaultSiriusConfig(cards int) SiriusConfig {
 // established — which is why "the NF capacity halves" for CPS (§1).
 type SiriusPool struct {
 	loop  *sim.Loop
-	cfg   SiriusConfig
 	cards []*nic.CPU
 	// bucket -> card index; the pair (i, i+1 mod N) is primary and
 	// secondary.
@@ -74,12 +71,11 @@ func NewSiriusPool(loop *sim.Loop, cfg SiriusConfig) *SiriusPool {
 	}
 	p := &SiriusPool{
 		loop:           loop,
-		cfg:            cfg,
-		buckets:        make([]int, cfg.Buckets),
-		flowsPerBucket: make([]int, cfg.Buckets),
+		buckets:        make([]int, siriusBuckets),
+		flowsPerBucket: make([]int, siriusBuckets),
 	}
 	for i := 0; i < cfg.Cards; i++ {
-		p.cards = append(p.cards, nic.NewCPU(loop, cfg.Cores, cfg.CoreHz, cfg.MaxQueueDelay))
+		p.cards = append(p.cards, nic.NewCPU(loop, cfg.Cores, cfg.CoreHz, nic.DefaultMaxQueueDelay))
 	}
 	for b := range p.buckets {
 		p.buckets[b] = b % cfg.Cards
@@ -99,7 +95,7 @@ func (p *SiriusPool) NewConnection(flowHash uint64, done func(ok bool)) {
 	b := int(flowHash % uint64(len(p.buckets)))
 	primary := p.cards[p.buckets[b]]
 	secondary := p.cards[(p.buckets[b]+1)%len(p.cards)]
-	primary.Submit(p.cfg.ConnCycles, func(ok bool, _ sim.Time) {
+	primary.Submit(siriusConnCycles, func(ok bool, _ sim.Time) {
 		if !ok {
 			p.Dropped++
 			if done != nil {
@@ -109,7 +105,7 @@ func (p *SiriusPool) NewConnection(flowHash uint64, done func(ok bool)) {
 		}
 		// Ping-pong the state change to the secondary in-line.
 		p.Replications++
-		secondary.SubmitPriority(p.cfg.ReplicateCycles, func(_ sim.Time) {
+		secondary.SubmitPriority(siriusReplicateCycles, func(_ sim.Time) {
 			p.Established++
 			p.flowsPerBucket[b]++
 			if done != nil {
@@ -149,7 +145,6 @@ func (p *SiriusPool) MoveBucket(bucket, newCard int) {
 type NezhaPoolView struct {
 	loop  *sim.Loop
 	cards []*nic.CPU
-	cost  uint64
 
 	Established uint64
 	Dropped     uint64
@@ -157,9 +152,9 @@ type NezhaPoolView struct {
 
 // NewNezhaPoolView builds the comparison pool with identical cards.
 func NewNezhaPoolView(loop *sim.Loop, cfg SiriusConfig) *NezhaPoolView {
-	v := &NezhaPoolView{loop: loop, cost: cfg.ConnCycles}
+	v := &NezhaPoolView{loop: loop}
 	for i := 0; i < cfg.Cards; i++ {
-		v.cards = append(v.cards, nic.NewCPU(loop, cfg.Cores, cfg.CoreHz, cfg.MaxQueueDelay))
+		v.cards = append(v.cards, nic.NewCPU(loop, cfg.Cores, cfg.CoreHz, nic.DefaultMaxQueueDelay))
 	}
 	return v
 }
@@ -167,7 +162,7 @@ func NewNezhaPoolView(loop *sim.Loop, cfg SiriusConfig) *NezhaPoolView {
 // NewConnection processes one connection setup on the hashed card.
 func (v *NezhaPoolView) NewConnection(flowHash uint64, done func(ok bool)) {
 	card := v.cards[flowHash%uint64(len(v.cards))]
-	card.Submit(v.cost, func(ok bool, _ sim.Time) {
+	card.Submit(siriusConnCycles, func(ok bool, _ sim.Time) {
 		if ok {
 			v.Established++
 		} else {

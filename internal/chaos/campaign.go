@@ -36,11 +36,6 @@ type CampaignConfig struct {
 	RatePerClient float64
 	// Events is the number of fault episodes to generate (default 12).
 	Events int
-	// CheckEvery paces invariant evaluation (default 20 ms).
-	CheckEvery sim.Time
-	// UnaccountedDrops turns on the deliberate conservation bug, for
-	// negative tests that prove the checker catches it.
-	UnaccountedDrops bool
 	// MidPushKill arms a one-shot crash-or-partition of a prepare
 	// target in the window between prepare and commit (see
 	// Engine.ArmMidPushKill), on top of the generated schedule.
@@ -74,8 +69,6 @@ type CampaignConfig struct {
 	// and blindly roll back open intents — the negative control proving
 	// the crash-recovery invariants fire when reconciliation is broken.
 	SkipReconcile bool
-	// RecoveryBound overrides the recovery-time allowance (0 = 5 s).
-	RecoveryBound sim.Time
 	// Obs enables the observability layer: labeled telemetry, sampled
 	// packet flight tracing, transaction spans, and the flight recorder
 	// whose contents are dumped on the first invariant violation.
@@ -88,7 +81,7 @@ type CampaignConfig struct {
 	// dump is written (nezha-dump-seed<N>.txt).
 	ObsDumpDir string
 	// Prof enables the cycle/byte attribution profiler on every
-	// vSwitch and the controller.
+	// vSwitch.
 	Prof bool
 	// ProfDir, when non-empty (and Prof is on), is where the
 	// pprof-encoded attribution profile is written
@@ -114,9 +107,6 @@ type CampaignConfig struct {
 	// SLOObjective overrides the per-vNIC latency objective (0 =
 	// slo.DefaultObjective, 100 ms).
 	SLOObjective sim.Time
-	// SLOBurnStreak overrides how many consecutive burning windows the
-	// invariant tolerates (0 = DefaultSLOBurnStreak).
-	SLOBurnStreak int
 }
 
 // Report is a campaign's outcome.
@@ -256,7 +246,7 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 	monCfg.ProbeInterval = 200 * sim.Millisecond
 	// Worst case: crash lands just after an answered probe wave, so
 	// declaration needs Misses+2 rounds; slack covers the controller.
-	detectWindow := monCfg.ProbeInterval*sim.Time(monCfg.Misses+2) + 500*sim.Millisecond
+	detectWindow := monCfg.ProbeInterval*(monitor.Misses+2) + 500*sim.Millisecond
 
 	// Majority quorum (instead of the default all-targets) keeps a
 	// single killed prepare target from aborting every offload the
@@ -341,19 +331,14 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 	rng := sim.NewRand(cfg.Seed ^ 0x6368616f73) // "chaos"
 	eng := NewEngine(System{
 		Loop: c.Loop, Fab: c.Fab, GW: c.GW, Switches: c.Switches, Mon: c.Mon, Ctrl: c.Ctrl,
-	}, rng, Config{
-		CheckEvery:    cfg.CheckEvery,
-		DetectWindow:  detectWindow,
-		RecoveryBound: cfg.RecoveryBound,
-	})
+	}, rng, Config{DetectWindow: detectWindow})
 	RegisterStandard(eng)
 	if tracker != nil {
-		eng.Register(SLOBurnBound(tracker, cfg.SLOBurnStreak))
+		eng.Register(SLOBurnBound(tracker))
 	}
 	if extra != nil {
 		extra(eng)
 	}
-	eng.SetUnaccountedDrops(cfg.UnaccountedDrops)
 	if ob != nil {
 		dumpPath := ""
 		if cfg.ObsDumpDir != "" {

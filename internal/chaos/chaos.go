@@ -65,16 +65,13 @@ type Config struct {
 	CheckEvery sim.Time
 	// DetectWindow is the failover-bound allowance: a crash lasting
 	// longer than this must be declared within it. Derive it from the
-	// monitor config as ProbeInterval*(Misses+2) plus slack; 0
+	// monitor config as ProbeInterval*(monitor.Misses+2) plus slack; 0
 	// disables the failover-bound expectation for crashes.
 	DetectWindow sim.Time
-	// MaxViolations caps recorded violations (default 64).
-	MaxViolations int
-	// RecoveryBound is the allowance for a revived controller to finish
-	// recovery — journal replay plus live-world reconciliation (default
-	// 5 s). Judged by the ctrl-recovery-bound invariant.
-	RecoveryBound sim.Time
 }
+
+// maxViolations caps recorded violations.
+const maxViolations = 64
 
 // Invariant is a property checked on sim-loop hooks. Check returns
 // nil while the property holds; a non-nil error records a violation
@@ -132,8 +129,10 @@ type Engine struct {
 	global linkFault
 	links  map[[2]packet.IPv4]linkFault
 
-	// unaccounted makes chaos drops bypass the ChaosLost counter —
-	// a deliberate conservation bug for negative tests.
+	// unaccounted makes chaos drops bypass the fabric's ChaosLost
+	// counter. This deliberately breaks packet conservation; tests set
+	// it to prove the invariant checker catches exactly this class of
+	// accounting bug.
 	unaccounted bool
 
 	crashes []*crashEpisode
@@ -172,12 +171,6 @@ type Engine struct {
 func NewEngine(sys System, rng *sim.Rand, cfg Config) *Engine {
 	if cfg.CheckEvery <= 0 {
 		cfg.CheckEvery = 20 * sim.Millisecond
-	}
-	if cfg.MaxViolations <= 0 {
-		cfg.MaxViolations = 64
-	}
-	if cfg.RecoveryBound <= 0 {
-		cfg.RecoveryBound = 5 * sim.Second
 	}
 	e := &Engine{
 		sys:       sys,
@@ -222,7 +215,7 @@ func (e *Engine) CheckNow() {
 }
 
 func (e *Engine) violate(name string, at sim.Time, err error) {
-	if len(e.violations) >= e.cfg.MaxViolations {
+	if len(e.violations) >= maxViolations {
 		return
 	}
 	e.violations = append(e.violations, Violation{Invariant: name, At: at, Err: err})
@@ -260,12 +253,6 @@ func (e *Engine) SetLinkFault(a, b packet.IPv4, loss float64, jitter sim.Time) {
 
 // ClearLinkFault removes a per-link override.
 func (e *Engine) ClearLinkFault(a, b packet.IPv4) { delete(e.links, linkKey(a, b)) }
-
-// SetUnaccountedDrops makes every chaos drop bypass the fabric's
-// ChaosLost counter. This deliberately breaks packet conservation; it
-// exists so tests can prove the invariant checker catches exactly
-// this class of accounting bug.
-func (e *Engine) SetUnaccountedDrops(on bool) { e.unaccounted = on }
 
 // verdict is the fabric.FaultInjector: a stateless deterministic
 // draw per (link, packet traversal) against the link's fault model.

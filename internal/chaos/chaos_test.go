@@ -80,7 +80,7 @@ func violationNames(vs []Violation) string {
 func TestUnaccountedDropsCaught(t *testing.T) {
 	for _, unaccounted := range []bool{false, true} {
 		r := buildRig(t, 42)
-		r.eng.SetUnaccountedDrops(unaccounted)
+		r.eng.unaccounted = unaccounted
 		r.eng.Apply(Schedule{{At: 100 * sim.Millisecond, Kind: ActLinkFault, Loss: 0.3, Dur: 2 * sim.Second}})
 		r.c.Start()
 		r.gen.Start()

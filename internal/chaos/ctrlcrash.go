@@ -212,18 +212,21 @@ func (c *noDuplicateReplay) Check(now sim.Time) error {
 	return nil
 }
 
+// recoveryBound is the allowance for a revived controller to finish
+// recovery: journal replay plus live-world reconciliation.
+const recoveryBound = 5 * sim.Second
+
 type ctrlRecoveryBound struct{ eng *Engine }
 
 // CtrlRecoveryBound checks that every controller revival completes its
 // recovery — journal replay, buffered-event drain, and per-vNIC
-// reconciliation — within Config.RecoveryBound of the revive, and that
+// reconciliation — within recoveryBound of the revive, and that
 // Recover itself did not error.
 func CtrlRecoveryBound(e *Engine) Invariant { return &ctrlRecoveryBound{eng: e} }
 
 func (c *ctrlRecoveryBound) Name() string { return "ctrl-recovery-bound" }
 
 func (c *ctrlRecoveryBound) Check(now sim.Time) error {
-	bound := c.eng.cfg.RecoveryBound
 	for _, o := range c.eng.ctrlOutages {
 		if o.judged {
 			continue
@@ -232,7 +235,7 @@ func (c *ctrlRecoveryBound) Check(now sim.Time) error {
 			o.judged = true
 			return fmt.Errorf("controller recovery at %v failed: %v", o.reviveAt, o.recoverErr)
 		}
-		deadline := o.reviveAt + bound
+		deadline := o.reviveAt + recoveryBound
 		if now < deadline {
 			continue
 		}
@@ -240,7 +243,7 @@ func (c *ctrlRecoveryBound) Check(now sim.Time) error {
 		_, end, ok := c.eng.sys.Ctrl.LastRecovery()
 		if !o.revived || !ok || end == 0 || end > deadline {
 			return fmt.Errorf("controller crashed at %v, revived at %v, but recovery had not completed by %v (bound %v)",
-				o.start, o.reviveAt, deadline, bound)
+				o.start, o.reviveAt, deadline, recoveryBound)
 		}
 	}
 	return nil

@@ -53,6 +53,22 @@ func (p ScenarioProfile) String() string {
 	}
 }
 
+// A scenario's rig and cadences.
+const (
+	// scenarioServers is the region size: BE + clients + FE headroom
+	// for the MaxFEs=8 peak pool.
+	scenarioServers = 16
+	// scenarioClients is the number of open-loop CRR clients.
+	scenarioClients = 3
+	// scenarioBaseCPS is the total open rate across all clients at
+	// the trough.
+	scenarioBaseCPS = 150
+	// scenarioRateEvery paces the load-shape updates.
+	scenarioRateEvery = 250 * sim.Millisecond
+	// scenarioCheckEvery paces invariant evaluation.
+	scenarioCheckEvery = 50 * sim.Millisecond
+)
+
 // ScenarioConfig parameterizes one seeded policy scenario. Everything
 // derives from Seed; the same config must produce byte-identical
 // decision logs.
@@ -61,25 +77,15 @@ type ScenarioConfig struct {
 	Profile ScenarioProfile
 	// Duration is the virtual day (default 40 s).
 	Duration sim.Time
-	// Servers is the region size (default 16: BE + clients + FE
-	// headroom for the MaxFEs=8 peak pool).
-	Servers int
-	// Clients is the number of open-loop CRR clients (default 3).
-	Clients int
-	// BaseCPS / PeakCPS are the total open rates across all clients at
-	// trough and peak (defaults 150 / 1500).
-	BaseCPS, PeakCPS float64
-	// RateEvery paces the load-shape updates (default 250 ms).
-	RateEvery sim.Time
+	// PeakCPS is the total open rate across all clients at the peak
+	// (default 1500).
+	PeakCPS float64
 	// Policy overrides the scenario-calibrated policy config.
 	Policy *policy.Config
 	// ThrashProne replaces the hysteresis knobs with a deliberately
 	// unstable configuration (overlapping bands, zero cooldown) — the
 	// negative control that must trip the policy_thrash invariant.
 	ThrashProne bool
-	// ThrashBound is the policy_thrash invariant's tolerance (default
-	// 0: any self-reported thrash event is a violation).
-	ThrashBound int
 	// Flaps injects that many link flaps across the run (satellite
 	// churn for the hysteresis property test).
 	Flaps int
@@ -90,8 +96,6 @@ type ScenarioConfig struct {
 	CtrlCrashAt sim.Time
 	// CtrlOutage is how long the controller stays dead (0 = 1 s).
 	CtrlOutage sim.Time
-	// CheckEvery paces invariant evaluation (default 50 ms).
-	CheckEvery sim.Time
 	// Hist, when non-nil, is the ops-surface history store: the rig
 	// gains an obs bundle, a per-virtual-second snapshot publisher, the
 	// policy decision log, and invariant mirroring, so an opsapi server
@@ -225,23 +229,18 @@ func thrashPronePolicyConfig() policy.Config {
 }
 
 // policyThrash is the invariant over the engine's thrash self-report:
-// more than bound offload→fallback→offload triples inside one
-// ThrashWindow means the hysteresis/cooldown stack failed.
-type policyThrash struct {
-	eng   *policy.Engine
-	bound int
-}
+// any offload→fallback→offload triple inside one ThrashWindow means
+// the hysteresis/cooldown stack failed.
+type policyThrash struct{ eng *policy.Engine }
 
 // PolicyThrash builds the invariant.
-func PolicyThrash(eng *policy.Engine, bound int) Invariant {
-	return &policyThrash{eng: eng, bound: bound}
-}
+func PolicyThrash(eng *policy.Engine) Invariant { return &policyThrash{eng: eng} }
 
 func (c *policyThrash) Name() string { return "policy_thrash" }
 
 func (c *policyThrash) Check(now sim.Time) error {
-	if ts := c.eng.ThrashEvents(); len(ts) > c.bound {
-		return fmt.Errorf("policy thrashed %d time(s) (bound %d); first: %v", len(ts), c.bound, ts[0])
+	if ts := c.eng.ThrashEvents(); len(ts) > 0 {
+		return fmt.Errorf("policy thrashed %d time(s) (bound 0); first: %v", len(ts), ts[0])
 	}
 	return nil
 }
@@ -278,32 +277,14 @@ func scenarioSlope(p ScenarioProfile, t, dur sim.Time, base, peak float64) float
 
 // RunScenario builds the rig, drives the load shape, and scores the
 // policy. The rig mirrors the chaos campaign (BE on server 0, CRR
-// clients on 1..Clients) but no offload is forced: every transition is
-// the policy loop's decision.
+// clients on 1..scenarioClients) but no offload is forced: every
+// transition is the policy loop's decision.
 func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 40 * sim.Second
 	}
-	if cfg.Servers <= 0 {
-		cfg.Servers = 16
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 3
-	}
-	if cfg.Clients > cfg.Servers-1 {
-		return ScenarioResult{}, fmt.Errorf("chaos: %d clients need %d servers, have %d", cfg.Clients, cfg.Clients+1, cfg.Servers)
-	}
-	if cfg.BaseCPS <= 0 {
-		cfg.BaseCPS = 150
-	}
 	if cfg.PeakCPS <= 0 {
 		cfg.PeakCPS = 1500
-	}
-	if cfg.RateEvery <= 0 {
-		cfg.RateEvery = 250 * sim.Millisecond
-	}
-	if cfg.CheckEvery <= 0 {
-		cfg.CheckEvery = 50 * sim.Millisecond
 	}
 
 	polCfg := ScenarioPolicyConfig()
@@ -316,7 +297,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 
 	monCfg := monitor.DefaultConfig(cluster.MonitorAddr)
 	monCfg.ProbeInterval = 200 * sim.Millisecond
-	detectWindow := monCfg.ProbeInterval*sim.Time(monCfg.Misses+2) + 500*sim.Millisecond
+	detectWindow := monCfg.ProbeInterval*(monitor.Misses+2) + 500*sim.Millisecond
 
 	ctrlCfg := controller.DefaultConfig()
 	ctrlCfg.PrepareQuorumFrac = 0.5
@@ -335,7 +316,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		tracker = slo.NewTracker(slo.Config{})
 	}
 	c := cluster.New(cluster.Options{
-		Servers: cfg.Servers,
+		Servers: scenarioServers,
 		Seed:    cfg.Seed,
 		VSwitch: func(i int, vc *vswitch.Config) {
 			vc.Cores = 2
@@ -354,14 +335,14 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		}
 	}
 
-	// Server (BE) VM on server 0, clients on 1..Clients — the campaign
-	// rig, minus the forced offload.
+	// Server (BE) VM on server 0, clients on 1..scenarioClients — the
+	// campaign rig, minus the forced offload.
 	serverNet := tables.MakePrefix(campaignServerIP(), 24)
 	_, err := c.AddVM(cluster.VMSpec{
 		Server: 0, VNIC: campaignVNIC, VPC: campaignVPC, IP: campaignServerIP(), VCPUs: 64,
 		MakeRules: func() *tables.RuleSet {
 			rs := tables.NewRuleSet(campaignVNIC, campaignVPC)
-			for i := 0; i < cfg.Clients; i++ {
+			for i := 0; i < scenarioClients; i++ {
 				rs.Route.Add(tables.MakePrefix(campaignClientIP(i), 32), packet.IPv4(uint32(i+1)))
 			}
 			return rs
@@ -374,12 +355,12 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	rampHist := metrics.NewHistogramCap("ramp-latency-us", 1<<18)
 	allHist := metrics.NewHistogramCap("all-latency-us", 1<<18)
 	inRamp := false
-	maxSlope := math.Pi * (cfg.PeakCPS - cfg.BaseCPS) / cfg.Duration.Seconds()
+	maxSlope := math.Pi * (cfg.PeakCPS - scenarioBaseCPS) / cfg.Duration.Seconds()
 
 	var clients []*workload.VM
 	var gens []*workload.CRR
-	perClient := cfg.BaseCPS / float64(cfg.Clients)
-	for i := 0; i < cfg.Clients; i++ {
+	perClient := scenarioBaseCPS / float64(scenarioClients)
+	for i := 0; i < scenarioClients; i++ {
 		vnic := uint32(i + 1)
 		vm, err := c.AddVM(cluster.VMSpec{
 			Server: i + 1, VNIC: vnic, VPC: campaignVPC, IP: campaignClientIP(i), VCPUs: 8,
@@ -400,13 +381,13 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 
 	// The load shape: retarget every generator on a fixed cadence and
 	// track whether the shape is ramping (for the p99 bucket).
-	rateTicker := c.Loop.Every(cfg.RateEvery, func() {
+	rateTicker := c.Loop.Every(scenarioRateEvery, func() {
 		now := c.Loop.Now()
-		total := scenarioRate(cfg.Profile, now, cfg.Duration, cfg.BaseCPS, cfg.PeakCPS)
+		total := scenarioRate(cfg.Profile, now, cfg.Duration, scenarioBaseCPS, cfg.PeakCPS)
 		for _, g := range gens {
-			g.SetRate(total / float64(cfg.Clients))
+			g.SetRate(total / float64(scenarioClients))
 		}
-		inRamp = math.Abs(scenarioSlope(cfg.Profile, now, cfg.Duration, cfg.BaseCPS, cfg.PeakCPS)) > 0.5*maxSlope
+		inRamp = math.Abs(scenarioSlope(cfg.Profile, now, cfg.Duration, scenarioBaseCPS, cfg.PeakCPS)) > 0.5*maxSlope
 	})
 
 	// Traces: one sample per policy interval, recorded from the same
@@ -434,11 +415,11 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	eng := NewEngine(System{
 		Loop: c.Loop, Fab: c.Fab, GW: c.GW, Switches: c.Switches, Mon: c.Mon, Ctrl: c.Ctrl,
 	}, rng, Config{
-		CheckEvery:   cfg.CheckEvery,
+		CheckEvery:   scenarioCheckEvery,
 		DetectWindow: detectWindow,
 	})
 	RegisterStandard(eng)
-	eng.Register(PolicyThrash(c.Policy.Engine(), cfg.ThrashBound))
+	eng.Register(PolicyThrash(c.Policy.Engine()))
 	if cfg.Hist != nil {
 		eng.AttachHistory(cfg.Hist)
 	}
@@ -446,9 +427,9 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	if cfg.Flaps > 0 {
 		var sched Schedule
 		for i := 0; i < cfg.Flaps; i++ {
-			a, b := rng.Intn(cfg.Servers), rng.Intn(cfg.Servers)
+			a, b := rng.Intn(scenarioServers), rng.Intn(scenarioServers)
 			if a == b {
-				b = (b + 1) % cfg.Servers
+				b = (b + 1) % scenarioServers
 			}
 			sched = append(sched, Action{
 				At:   sim.Second + sim.Time(rng.Float64()*float64(cfg.Duration-2*sim.Second)),

@@ -133,7 +133,6 @@ func TestPolicyThrashNegativeControl(t *testing.T) {
 		Seed:        1,
 		Duration:    10 * sim.Second,
 		ThrashProne: true,
-		BaseCPS:     150,
 		PeakCPS:     250,
 	})
 	if err != nil {

@@ -151,19 +151,23 @@ type GenConfig struct {
 	Events int
 	// Switches is the rig size actions index into.
 	Switches int
-	// MaxLoss caps an episode's loss probability (default 0.25).
-	MaxLoss float64
-	// MaxJitter caps an episode's jitter (default 200 µs).
-	MaxJitter sim.Time
 	// DetectWindow shapes crash durations: short blips stay under
 	// 0.6× of it, long crashes exceed it comfortably so the
 	// failover-bound invariant has something to judge.
 	DetectWindow sim.Time
-	// MaxConcurrentCrashes bounds simultaneously crashed switches so
-	// random schedules exercise failover rather than tripping the
-	// widespread-failure guard every time (default 2).
-	MaxConcurrentCrashes int
 }
+
+// The fault schedule's severity caps.
+const (
+	// maxLoss caps an episode's loss probability.
+	maxLoss = 0.25
+	// maxJitter caps an episode's jitter.
+	maxJitter = 200 * sim.Microsecond
+	// maxConcurrentCrashes bounds simultaneously crashed switches so
+	// random schedules exercise failover rather than tripping the
+	// widespread-failure guard every time.
+	maxConcurrentCrashes = 2
+)
 
 // Generate draws a random schedule from rng. The same rng state and
 // config always yield the same schedule — seeds are the reproduction
@@ -171,15 +175,6 @@ type GenConfig struct {
 func Generate(rng *sim.Rand, gc GenConfig) Schedule {
 	if gc.Events <= 0 {
 		gc.Events = 10
-	}
-	if gc.MaxLoss <= 0 {
-		gc.MaxLoss = 0.25
-	}
-	if gc.MaxJitter <= 0 {
-		gc.MaxJitter = 200 * sim.Microsecond
-	}
-	if gc.MaxConcurrentCrashes <= 0 {
-		gc.MaxConcurrentCrashes = 2
 	}
 	if gc.DetectWindow <= 0 {
 		gc.DetectWindow = 2 * sim.Second
@@ -193,8 +188,8 @@ func Generate(rng *sim.Rand, gc GenConfig) Schedule {
 		case 0: // global loss episode
 			s = append(s, Action{
 				At: at, Kind: ActLinkFault,
-				Loss:   rng.Float64() * gc.MaxLoss,
-				Jitter: sim.Time(rng.Float64() * float64(gc.MaxJitter)),
+				Loss:   rng.Float64() * maxLoss,
+				Jitter: sim.Time(rng.Float64() * float64(maxJitter)),
 				Dur:    sim.Time((0.2 + 0.8*rng.Float64()) * float64(sim.Second)),
 			})
 		case 1: // lossy/jittery single link
@@ -204,8 +199,8 @@ func Generate(rng *sim.Rand, gc GenConfig) Schedule {
 			}
 			s = append(s, Action{
 				At: at, Kind: ActPairFault, A: a, B: b,
-				Loss:   rng.Float64() * 2 * gc.MaxLoss, // single links get hit harder
-				Jitter: sim.Time(rng.Float64() * float64(gc.MaxJitter)),
+				Loss:   rng.Float64() * 2 * maxLoss, // single links get hit harder
+				Jitter: sim.Time(rng.Float64() * float64(maxJitter)),
 				Dur:    sim.Time((0.2 + 1.3*rng.Float64()) * float64(sim.Second)),
 			})
 		case 2: // link flap
@@ -241,7 +236,7 @@ func Generate(rng *sim.Rand, gc GenConfig) Schedule {
 					concurrent++
 				}
 			}
-			if concurrent >= gc.MaxConcurrentCrashes {
+			if concurrent >= maxConcurrentCrashes {
 				continue
 			}
 			crashEnd[i] = at + dur

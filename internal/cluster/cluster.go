@@ -22,6 +22,9 @@ import (
 	"nezha/internal/workload"
 )
 
+// sweepInterval paces session-table aging sweeps.
+const sweepInterval = sim.Second
+
 // Options configures a cluster.
 type Options struct {
 	// Servers is the number of vSwitch-bearing servers.
@@ -39,14 +42,12 @@ type Options struct {
 	// Monitor overrides the health-check policy (zero value =
 	// defaults).
 	Monitor monitor.Config
-	// SweepInterval paces session-table aging sweeps (default 1s).
-	SweepInterval sim.Time
 	// Obs, when non-nil, wires the observability bundle into every
 	// component (fabric, gateway, vSwitches, controller, monitor).
 	Obs *obs.Obs
 	// Prof, when non-nil, wires the cycle/byte attribution profiler
-	// into every vSwitch and the controller. When Obs is also set the
-	// profiler's series are attached to the same registry.
+	// into every vSwitch. When Obs is also set the profiler's series
+	// are attached to the same registry.
 	Prof *prof.Profiler
 	// Policy, when non-nil, hands offload/fallback/scale decisions to
 	// the self-driving policy loop (internal/policy) instead of the
@@ -100,9 +101,6 @@ func New(opts Options) *Cluster {
 	if opts.ServersPerToR <= 0 {
 		opts.ServersPerToR = 16
 	}
-	if opts.SweepInterval <= 0 {
-		opts.SweepInterval = sim.Second
-	}
 	c := &Cluster{
 		Loop: sim.NewLoop(opts.Seed),
 		Obs:  opts.Obs,
@@ -139,9 +137,6 @@ func New(opts Options) *Cluster {
 	c.Ctrl = controller.New(c.Loop, c.Fab, c.GW, ctrlCfg)
 	if c.Obs != nil {
 		c.Ctrl.EnableObs(c.Obs)
-	}
-	if c.Prof != nil {
-		c.Ctrl.EnableProf(c.Prof)
 	}
 
 	monCfg := opts.Monitor
@@ -181,7 +176,7 @@ func New(opts Options) *Cluster {
 	}
 
 	// Periodic session aging sweeps.
-	c.Loop.Every(opts.SweepInterval, func() {
+	c.Loop.Every(sweepInterval, func() {
 		for _, vs := range c.Switches {
 			vs.SweepSessions()
 		}

@@ -33,7 +33,6 @@ import (
 	"nezha/internal/nic"
 	"nezha/internal/obs"
 	"nezha/internal/packet"
-	"nezha/internal/prof"
 	"nezha/internal/sim"
 	"nezha/internal/tables"
 	"nezha/internal/vswitch"
@@ -45,67 +44,65 @@ var DefaultRPCAddr = packet.MakeIP(10, 0, 0, 253)
 // DefaultGatewayAddr is the gateway agent's fabric address.
 var DefaultGatewayAddr = packet.MakeIP(10, 0, 0, 252)
 
-// Config holds the control-plane policy knobs, defaulting to the
-// paper's production values.
+// The control-plane policy: the paper's production values.
+const (
+	// offloadThreshold triggers remote offloading of local vNICs
+	// (70 %, Fig 8).
+	offloadThreshold = 0.70
+	// scaleThreshold triggers scale-out/in of the FE pool (40 %,
+	// Fig 8).
+	scaleThreshold = 0.40
+	// safeLevel is the utilization offloading aims to get under.
+	safeLevel = 0.40
+	// idleBar is the maximum utilization for an FE candidate.
+	idleBar = 0.30
+	// reportInterval is how often vSwitches report utilization.
+	reportInterval = 500 * sim.Millisecond
+	// configPushMu/Sigma parameterize the lognormal per-FE config push
+	// delay (median ~0.58 s); completion times (Table 4) derive from
+	// the slowest push plus the learning interval.
+	configPushMu    = -0.54
+	configPushSigma = 0.40
+	// rttAllowance pads the dual-running stage beyond the learning
+	// interval before deleting BE tables ("200ms + RTT", §4.2.1).
+	rttAllowance = 5 * sim.Millisecond
+	// fallbackCheckInterval paces fallback evaluation.
+	fallbackCheckInterval = 10 * sim.Second
+	// scaleCooldown is the minimum spacing between scale-outs of one
+	// vNIC's pool, covering config pushes and the learning interval
+	// so a single pressure episode scales once (Fig 11: 4 → 8).
+	scaleCooldown = 3 * sim.Second
+	// badLinkTTL is how long a BE-FE pair reported unreachable by the
+	// mutual ping (§C.1) is kept out of FE selection for that BE —
+	// without it, replenishment happily re-picks the partitioned FE.
+	badLinkTTL = 60 * sim.Second
+	// prepareDeadline bounds the prepare phase: installs not acked by
+	// then are treated as failed and the transaction resolves.
+	prepareDeadline = 4 * sim.Second
+	// offloadRetryCooldown keeps an aborted offload fully local (and
+	// rejects retries) for this long.
+	offloadRetryCooldown = 5 * sim.Second
+	// repairInterval paces the degraded-pool repair / reconciliation
+	// loop.
+	repairInterval = 2 * sim.Second
+)
+
+// Config holds the control-plane settings callers choose, defaulting
+// to the paper's production values.
 type Config struct {
-	// OffloadThreshold triggers remote offloading of local vNICs
-	// (70%, Fig 8).
-	OffloadThreshold float64
-	// ScaleThreshold triggers scale-out/in of the FE pool (40%).
-	ScaleThreshold float64
-	// SafeLevel is the utilization offloading aims to get under.
-	SafeLevel float64
-	// IdleBar is the maximum utilization for an FE candidate.
-	IdleBar float64
 	// InitialFEs is the starting FE count (4, Appendix B.2).
 	InitialFEs int
 	// MinFEs is the floor maintained through failover (4, §4.4).
 	MinFEs int
-	// ReportInterval is how often vSwitches report utilization.
-	ReportInterval sim.Time
-	// ConfigPushMu/Sigma parameterize the lognormal per-FE config
-	// push delay; completion times (Table 4) derive from the slowest
-	// push plus the learning interval.
-	ConfigPushMu    float64
-	ConfigPushSigma float64
-	// RTTAllowance pads the dual-running stage beyond the learning
-	// interval before deleting BE tables ("200ms + RTT", §4.2.1).
-	RTTAllowance sim.Time
-	// FallbackCheckInterval paces fallback evaluation; 0 disables
-	// automatic fallback.
-	FallbackCheckInterval sim.Time
-	// ScaleCooldown is the minimum spacing between scale-outs of one
-	// vNIC's pool, covering config pushes and the learning interval
-	// so a single pressure episode scales once (Fig 11: 4 → 8).
-	ScaleCooldown sim.Time
-	// BadLinkTTL is how long a BE-FE pair reported unreachable by the
-	// mutual ping (§C.1) is kept out of FE selection for that BE —
-	// without it, replenishment happily re-picks the partitioned FE.
-	BadLinkTTL sim.Time
 
 	// RPCAddr / GatewayAddr are the fabric addresses of the
 	// controller's RPC transport and the gateway's management agent.
 	RPCAddr     packet.IPv4
 	GatewayAddr packet.IPv4
-	// RPCTimeout / RPCMaxAttempts / RPCBackoff / RPCMaxBackoff tune
-	// the acked-request transport (see ctrlrpc.Options).
-	RPCTimeout     sim.Time
-	RPCMaxAttempts int
-	RPCBackoff     sim.Time
-	RPCMaxBackoff  sim.Time
-	// PrepareDeadline bounds the prepare phase: installs not acked by
-	// then are treated as failed and the transaction resolves.
-	PrepareDeadline sim.Time
 	// PrepareQuorumFrac is the fraction of prepare targets that must
 	// ack for an offload to commit (1.0 = all). Scale-out commits with
 	// any non-empty acked subset.
 	PrepareQuorumFrac float64
-	// OffloadRetryCooldown keeps an aborted offload fully local (and
-	// rejects retries) for this long.
-	OffloadRetryCooldown sim.Time
-	// RepairInterval paces the degraded-pool repair / reconciliation
-	// loop.
-	RepairInterval sim.Time
 	// ExternalPolicy disables the controller's built-in threshold
 	// decision tree (tick-driven offload/scale/fallback): monitoring,
 	// failover, and repair keep running, but offload/fallback/scale
@@ -122,26 +119,12 @@ type Config struct {
 
 // DefaultConfig returns the production-calibrated policy.
 func DefaultConfig() Config {
-	cfg := Config{
-		OffloadThreshold:      0.70,
-		ScaleThreshold:        0.40,
-		SafeLevel:             0.40,
-		IdleBar:               0.30,
-		InitialFEs:            4,
-		MinFEs:                4,
-		ReportInterval:        500 * sim.Millisecond,
-		ConfigPushMu:          -0.54, // lognormal: median ~0.58 s
-		ConfigPushSigma:       0.40,
-		RTTAllowance:          5 * sim.Millisecond,
-		FallbackCheckInterval: 10 * sim.Second,
-		ScaleCooldown:         3 * sim.Second,
-		BadLinkTTL:            60 * sim.Second,
-	}
+	cfg := Config{InitialFEs: 4, MinFEs: 4}
 	cfg.fill()
 	return cfg
 }
 
-// fill normalizes zero-valued transport and transaction knobs, so
+// fill normalizes zero-valued addresses and the prepare quorum, so
 // configs built field-by-field keep working.
 func (cfg *Config) fill() {
 	if cfg.RPCAddr == 0 {
@@ -150,29 +133,8 @@ func (cfg *Config) fill() {
 	if cfg.GatewayAddr == 0 {
 		cfg.GatewayAddr = DefaultGatewayAddr
 	}
-	if cfg.RPCTimeout <= 0 {
-		cfg.RPCTimeout = 500 * sim.Millisecond
-	}
-	if cfg.RPCMaxAttempts <= 0 {
-		cfg.RPCMaxAttempts = 4
-	}
-	if cfg.RPCBackoff <= 0 {
-		cfg.RPCBackoff = 200 * sim.Millisecond
-	}
-	if cfg.RPCMaxBackoff <= 0 {
-		cfg.RPCMaxBackoff = sim.Second
-	}
-	if cfg.PrepareDeadline <= 0 {
-		cfg.PrepareDeadline = 4 * sim.Second
-	}
 	if cfg.PrepareQuorumFrac <= 0 {
 		cfg.PrepareQuorumFrac = 1.0
-	}
-	if cfg.OffloadRetryCooldown <= 0 {
-		cfg.OffloadRetryCooldown = 5 * sim.Second
-	}
-	if cfg.RepairInterval <= 0 {
-		cfg.RepairInterval = 2 * sim.Second
 	}
 }
 
@@ -367,15 +329,6 @@ type Controller struct {
 	// records transaction spans and lifecycle events.
 	ob *obs.Obs
 
-	// prof, when set by EnableProf, is the attribution profiler the
-	// controller consults for offload suggestions. The raw ranking is
-	// cached per drain generation: between drains the attribution
-	// snapshot cannot have changed, so neither may the ranking.
-	prof       *prof.Profiler
-	profGen    uint64
-	profRank   []prof.Candidate
-	profRanked bool
-
 	// OffloadCompletion records, per offload, the time from trigger
 	// until all traffic flows through the FEs (Table 4).
 	OffloadCompletion *metrics.Histogram
@@ -402,13 +355,7 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *Co
 		failoverAt:        make(map[packet.IPv4]sim.Time),
 		OffloadCompletion: metrics.NewHistogram("offload-completion-ms"),
 	}
-	c.rpc = ctrlrpc.NewTransport(loop, fab, sim.NewRand(int64(loop.Rand().Uint64())), ctrlrpc.Options{
-		Addr:        cfg.RPCAddr,
-		Timeout:     cfg.RPCTimeout,
-		MaxAttempts: cfg.RPCMaxAttempts,
-		Backoff:     cfg.RPCBackoff,
-		MaxBackoff:  cfg.RPCMaxBackoff,
-	})
+	c.rpc = ctrlrpc.NewTransport(loop, fab, sim.NewRand(int64(loop.Rand().Uint64())), cfg.RPCAddr)
 	c.gwAgent = ctrlrpc.NewGatewayAgent(loop, fab, c.rpc, gw, cfg.GatewayAddr)
 	return c
 }
@@ -437,10 +384,10 @@ func (c *Controller) RegisterVNIC(info VNICInfo) {
 // Start begins the periodic monitoring/decision loop and the
 // degraded-pool repair loop.
 func (c *Controller) Start() {
-	c.ticker = c.loop.Every(c.cfg.ReportInterval, c.tick)
-	c.repairTicker = c.loop.Every(c.cfg.RepairInterval, c.repairTick)
-	if c.cfg.FallbackCheckInterval > 0 && !c.cfg.ExternalPolicy {
-		c.fbTicker = c.loop.Every(c.cfg.FallbackCheckInterval, c.checkFallbacks)
+	c.ticker = c.loop.Every(reportInterval, c.tick)
+	c.repairTicker = c.loop.Every(repairInterval, c.repairTick)
+	if !c.cfg.ExternalPolicy {
+		c.fbTicker = c.loop.Every(fallbackCheckInterval, c.checkFallbacks)
 	}
 }
 
@@ -491,44 +438,6 @@ func (c *Controller) RPCAddr() packet.IPv4 { return c.rpc.Addr() }
 
 // RPCStats returns a copy of the transport's counters.
 func (c *Controller) RPCStats() ctrlrpc.Stats { return c.rpc.Stats }
-
-// EnableProf attaches the attribution profiler whose drained samples
-// back SuggestOffload rankings.
-func (c *Controller) EnableProf(p *prof.Profiler) { c.prof = p }
-
-// SuggestOffload returns the profiler's ranked offload candidates —
-// (vnic, table) pairs by relocatable cycles/bytes — filtered to vNICs
-// this controller could actually act on: registered, not already
-// offloaded, and with no transaction in flight. k bounds the result
-// (0 = all). Returns nil when no profiler is attached.
-//
-// The underlying ranking is recomputed only when the profiler's drain
-// generation has moved (a series read or obs snapshot drained fresh
-// attribution); between drains repeated calls serve the cached
-// ranking, so the answer is stable — only the liveness filter below
-// reflects current transaction state.
-func (c *Controller) SuggestOffload(k int) []prof.Candidate {
-	if c.prof == nil {
-		return nil
-	}
-	if gen := c.prof.DrainGen(); !c.profRanked || gen != c.profGen {
-		c.profRank = c.prof.SuggestOffload(0)
-		c.profGen = gen
-		c.profRanked = true
-	}
-	var out []prof.Candidate
-	for _, cand := range c.profRank {
-		v, ok := c.vnics[cand.VNIC]
-		if !ok || v.offloaded || v.inProgress {
-			continue
-		}
-		out = append(out, cand)
-		if k > 0 && len(out) == k {
-			break
-		}
-	}
-	return out
-}
 
 // sortedNodeAddrs returns registered node addresses ascending, so
 // decision order never depends on map iteration (the determinism
@@ -597,7 +506,7 @@ func (c *Controller) tick() {
 		if n.memUtil > util {
 			util = n.memUtil
 		}
-		if util <= c.cfg.ScaleThreshold {
+		if util <= scaleThreshold {
 			continue
 		}
 		if n.remoteShare > 0.5 && len(n.fronted) > 0 {
@@ -609,7 +518,7 @@ func (c *Controller) tick() {
 		if len(n.fronted) > 0 {
 			c.scaleIn(addr, n)
 		}
-		if util > c.cfg.OffloadThreshold {
+		if util > offloadThreshold {
 			c.offloadFrom(addr, n)
 		}
 	}
@@ -628,9 +537,9 @@ var ErrCoolingDown = errors.New("controller: offload cooling down after abort")
 var ErrBusy = errors.New("controller: vNIC has a transaction in flight")
 
 // offloadFrom offloads vNICs from a hot node, in descending order of
-// the triggering resource, until the projection falls to SafeLevel.
+// the triggering resource, until the projection falls to safeLevel.
 func (c *Controller) offloadFrom(addr packet.IPv4, n *nodeState) {
-	memTriggered := n.memUtil > c.cfg.OffloadThreshold && n.memUtil >= n.cpuUtil
+	memTriggered := n.memUtil > offloadThreshold && n.memUtil >= n.cpuUtil
 	loads := n.vs.VNICLoads()
 	if memTriggered {
 		sort.Slice(loads, func(i, j int) bool { return loads[i].RuleBytes > loads[j].RuleBytes })
@@ -646,7 +555,7 @@ func (c *Controller) offloadFrom(addr packet.IPv4, n *nodeState) {
 		totalCycles += l.Cycles
 	}
 	for _, l := range loads {
-		if util <= c.cfg.SafeLevel {
+		if util <= safeLevel {
 			break
 		}
 		v, ok := c.vnics[l.VNIC]
@@ -708,7 +617,7 @@ func (c *Controller) OffloadTo(vnic uint32, targets []packet.IPv4) error {
 }
 
 func (c *Controller) pushDelay() sim.Time {
-	s := c.rng.LogNormal(c.cfg.ConfigPushMu, c.cfg.ConfigPushSigma)
+	s := c.rng.LogNormal(configPushMu, configPushSigma)
 	return sim.Time(s * float64(sim.Second))
 }
 
@@ -731,14 +640,14 @@ func (c *Controller) selectFEs(home packet.IPv4, count int, exclude map[packet.I
 		if addr == home || n.down || exclude[addr] {
 			continue
 		}
-		if when, isBad := bad[addr]; isBad && c.loop.Now()-when < c.cfg.BadLinkTTL {
+		if when, isBad := bad[addr]; isBad && c.loop.Now()-when < badLinkTTL {
 			continue
 		}
 		util := n.cpuUtil
 		if n.memUtil > util {
 			util = n.memUtil
 		}
-		if util > c.cfg.IdleBar {
+		if util > idleBar {
 			continue
 		}
 		cands = append(cands, cand{addr, n.vs.ToR(), util, n.vs.NumVNICs()})
@@ -853,7 +762,7 @@ func (c *Controller) prepare(v *vnicState, kind txnKind, targets []packet.IPv4) 
 		fa := fa
 		c.call(fa, c.installReq(v, tx.epoch), func(err error) { c.prepareAck(v, tx, fa, err) })
 	}
-	tx.deadline = c.schedule(c.cfg.PrepareDeadline, func() { c.resolvePrepare(v, tx) })
+	tx.deadline = c.schedule(prepareDeadline, func() { c.resolvePrepare(v, tx) })
 }
 
 // installReq builds the InstallFE request that gives an FE v's tables.
@@ -950,7 +859,7 @@ func (c *Controller) abortOffload(v *vnicState, tx *txn, beUnknown bool) {
 	c.ob.Event(c.loop.Now(), "txn-abort", v.Home, v.VNIC, "kind=offload epoch=%d be_unknown=%v", tx.epoch, beUnknown)
 	v.txn = nil
 	v.inProgress = false
-	v.retryAt = c.loop.Now() + c.cfg.OffloadRetryCooldown
+	v.retryAt = c.loop.Now() + offloadRetryCooldown
 	c.journalResolve(v.VNIC, tx.epoch, false, nil)
 	if beUnknown {
 		v.staleFEs = append([]packet.IPv4(nil), tx.targets...)
@@ -1114,7 +1023,7 @@ func (c *Controller) finishOffload(v *vnicState, tx *txn, good []packet.IPv4, di
 // the vNIC dual-running — safe, just not reclaiming memory — and a
 // later fallback/offload cycle re-resolves it.
 func (c *Controller) finalizeLater(v *vnicState, epoch uint64) {
-	c.schedule(fabric.LearnInterval+c.cfg.RTTAllowance, func() {
+	c.schedule(fabric.LearnInterval+rttAllowance, func() {
 		c.call(v.Home, &ctrlrpc.Request{
 			Op: ctrlrpc.OpOffloadFinalize, VNIC: v.VNIC, Epoch: epoch,
 		}, nil)
@@ -1270,7 +1179,7 @@ func (c *Controller) removeFromPool(v *vnicState, fa packet.IPv4, graceful bool)
 		case graceful && !(ok && n.down):
 			// A crashed victim skips the grace: RemoveFE cannot apply,
 			// and the parked removal is retried on its revival.
-			c.schedule(fabric.LearnInterval+c.cfg.RTTAllowance, func() {
+			c.schedule(fabric.LearnInterval+rttAllowance, func() {
 				c.teardown(v, fa, epoch, gwShrunk)
 			})
 		default:
@@ -1453,7 +1362,7 @@ func (c *Controller) scaleOutOpts(v *vnicState, count int, bypassCooldown bool) 
 		return false
 	}
 	now := c.loop.Now()
-	if !bypassCooldown && v.lastScale > 0 && now-v.lastScale < c.cfg.ScaleCooldown {
+	if !bypassCooldown && v.lastScale > 0 && now-v.lastScale < scaleCooldown {
 		return false
 	}
 	exclude := map[packet.IPv4]bool{}
@@ -1693,7 +1602,7 @@ func (c *Controller) checkFallbacks() {
 			}
 			extra += fn.cpuUtil * fn.remoteShare / float64(len(fn.fronted))
 		}
-		if hn.cpuUtil+extra < c.cfg.SafeLevel && hn.memUtil < c.cfg.SafeLevel {
+		if hn.cpuUtil+extra < safeLevel && hn.memUtil < safeLevel {
 			c.startFallback(v)
 		}
 	}
@@ -1787,7 +1696,7 @@ func (c *Controller) retireFEs(v *vnicState) {
 	fes := v.fes
 	v.fes = nil
 	c.journalPlacement(v)
-	c.schedule(fabric.LearnInterval+c.cfg.RTTAllowance, func() {
+	c.schedule(fabric.LearnInterval+rttAllowance, func() {
 		c.teardownFallbackFEs(v, fes)
 		v.inProgress = false
 	})

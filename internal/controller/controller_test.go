@@ -256,7 +256,7 @@ func TestNodeDownAboveMinKeepsPoolSmaller(t *testing.T) {
 
 func TestDefaultConfigValues(t *testing.T) {
 	c := DefaultConfig()
-	if c.OffloadThreshold != 0.70 || c.ScaleThreshold != 0.40 {
+	if offloadThreshold != 0.70 || scaleThreshold != 0.40 {
 		t.Fatal("Fig 8 thresholds wrong")
 	}
 	if c.InitialFEs != 4 || c.MinFEs != 4 {
@@ -614,7 +614,7 @@ func TestDegradedPoolRepairConverges(t *testing.T) {
 	addVNIC42(t, r)
 	// Drive the repair loop the way Start would, without the
 	// threshold-decision tickers muddying the scenario.
-	r.loop.Every(r.ctrl.cfg.RepairInterval, r.ctrl.repairTick)
+	r.loop.Every(repairInterval, r.ctrl.repairTick)
 	if err := r.ctrl.ForceOffload(42); err != nil {
 		t.Fatal(err)
 	}

@@ -501,7 +501,7 @@ func (c *Controller) resolveRecovered(v *vnicState, oi *openIntent, rep *ctrlrpc
 		// Aborted offload: the BE may have applied OffloadStart before
 		// the crash, so the installs go through the unknown-BE path —
 		// parked as stale and torn down only after the BE acks an abort.
-		v.retryAt = c.loop.Now() + c.cfg.OffloadRetryCooldown
+		v.retryAt = c.loop.Now() + offloadRetryCooldown
 		v.staleFEs = mergeAddrs(v.staleFEs, oi.targets)
 		c.journalPlacement(v)
 		c.reconcileStale(v)

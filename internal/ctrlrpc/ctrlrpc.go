@@ -143,36 +143,19 @@ type Reply struct {
 	FEEpoch uint64
 }
 
-// Options tunes the client transport.
-type Options struct {
-	// Addr is the transport's own fabric address.
-	Addr packet.IPv4
-	// Timeout is the per-attempt ack deadline (default 500 ms — covers
-	// the p99 lognormal rule push plus fabric RTT).
-	Timeout sim.Time
-	// MaxAttempts bounds retransmissions (default 4).
-	MaxAttempts int
-	// Backoff is the base retransmit spacing, doubled per attempt and
-	// capped at MaxBackoff (defaults 200 ms / 1 s). Each wait is
-	// jittered uniformly in [0.5, 1.5)x to avoid retry synchronization.
-	Backoff    sim.Time
-	MaxBackoff sim.Time
-}
-
-func (o *Options) fill() {
-	if o.Timeout <= 0 {
-		o.Timeout = 500 * sim.Millisecond
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 4
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 200 * sim.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = sim.Second
-	}
-}
+// The acked-request transport's retry policy.
+const (
+	// callTimeout is the per-attempt ack deadline: it covers the p99
+	// lognormal rule push plus fabric RTT.
+	callTimeout = 500 * sim.Millisecond
+	// maxAttempts bounds retransmissions.
+	maxAttempts = 4
+	// backoff is the base retransmit spacing, doubled per attempt and
+	// capped at maxBackoff. Each wait is jittered uniformly in
+	// [0.5, 1.5)x to avoid retry synchronization.
+	backoff    = 200 * sim.Millisecond
+	maxBackoff = sim.Second
+)
 
 // Stats counts transport activity.
 type Stats struct {
@@ -201,7 +184,7 @@ type Transport struct {
 	loop *sim.Loop
 	fab  *fabric.Fabric
 	rng  *sim.Rand
-	opts Options
+	addr packet.IPv4
 
 	nextID   uint64
 	pending  map[uint64]*call
@@ -217,30 +200,29 @@ type Transport struct {
 	Stats Stats
 }
 
-// NewTransport builds a transport and registers it on the fabric. rng
-// must be a dedicated deterministic stream (backoff jitter draws from
-// it).
-func NewTransport(loop *sim.Loop, fab *fabric.Fabric, rng *sim.Rand, opts Options) *Transport {
-	opts.fill()
+// NewTransport builds a transport at fabric address addr and registers
+// it on the fabric. rng must be a dedicated deterministic stream
+// (backoff jitter draws from it).
+func NewTransport(loop *sim.Loop, fab *fabric.Fabric, rng *sim.Rand, addr packet.IPv4) *Transport {
 	t := &Transport{
 		loop:     loop,
 		fab:      fab,
 		rng:      rng,
-		opts:     opts,
+		addr:     addr,
 		pending:  make(map[uint64]*call),
 		verdicts: make(map[uint64]error),
 		replies:  make(map[uint64]*Reply),
 	}
-	fab.Register(opts.Addr, -1, t.handleAck)
+	fab.Register(addr, -1, t.handleAck)
 	return t
 }
 
 // Addr returns the transport's fabric address.
-func (t *Transport) Addr() packet.IPv4 { return t.opts.Addr }
+func (t *Transport) Addr() packet.IPv4 { return t.addr }
 
 // Call sends req to the agent at `to` and invokes done exactly once:
 // with nil when the agent acked success, with the agent's error on a
-// nack, or with ErrTimeout after MaxAttempts unacked attempts. done
+// nack, or with ErrTimeout after maxAttempts unacked attempts. done
 // may be nil for best-effort calls.
 func (t *Transport) Call(to packet.IPv4, req *Request, done func(error)) {
 	t.nextID++
@@ -293,18 +275,18 @@ func (t *Transport) attempt(cl *call, n int) {
 		t.ob.Event(t.loop.Now(), "rpc-retry", cl.to, cl.req.VNIC, "op=%v id=%d attempt=%d", cl.req.Op, cl.req.ID, n)
 	}
 	p := packet.New(cl.req.ID, 0, 0, packet.FiveTuple{
-		SrcIP: t.opts.Addr, DstIP: cl.to,
+		SrcIP: t.addr, DstIP: cl.to,
 		SrcPort: ctrlClientPort, DstPort: vswitch.CtrlPort,
 		Proto: packet.ProtoUDP,
 	}, packet.DirTX, 0, cl.req.wireBytes())
 	p.SentAt = int64(t.loop.Now())
-	p.Encap(t.opts.Addr, cl.to)
-	t.fab.Send(t.opts.Addr, cl.to, p)
-	t.loop.Schedule(t.opts.Timeout, func() {
+	p.Encap(t.addr, cl.to)
+	t.fab.Send(t.addr, cl.to, p)
+	t.loop.Schedule(callTimeout, func() {
 		if t.pending[cl.req.ID] != cl {
 			return
 		}
-		if n >= t.opts.MaxAttempts {
+		if n >= maxAttempts {
 			delete(t.pending, cl.req.ID)
 			delete(t.verdicts, cl.req.ID)
 			delete(t.replies, cl.req.ID)
@@ -318,9 +300,9 @@ func (t *Transport) attempt(cl *call, n int) {
 			}
 			return
 		}
-		back := t.opts.Backoff << uint(n-1)
-		if back > t.opts.MaxBackoff {
-			back = t.opts.MaxBackoff
+		back := backoff << uint(n-1)
+		if back > maxBackoff {
+			back = maxBackoff
 		}
 		back = sim.Time(float64(back) * (0.5 + t.rng.Float64()))
 		t.loop.Schedule(back, func() { t.attempt(cl, n+1) })
@@ -338,7 +320,7 @@ func (t *Transport) Body(id uint64) (*Request, packet.IPv4, bool) {
 	if !ok {
 		return nil, 0, false
 	}
-	return cl.req, t.opts.Addr, true
+	return cl.req, t.addr, true
 }
 
 // Verdict records the agent's apply result for a request, consumed

@@ -27,7 +27,7 @@ func newRig(t *testing.T) *rig {
 	r := &rig{loop: sim.NewLoop(7)}
 	r.fab = fabric.New(r.loop)
 	r.gw = fabric.NewGateway(r.loop)
-	r.t = NewTransport(r.loop, r.fab, sim.NewRand(11), Options{Addr: ip(10, 0, 0, 253)})
+	r.t = NewTransport(r.loop, r.fab, sim.NewRand(11), ip(10, 0, 0, 253))
 	r.vs = vswitch.New(r.loop, r.fab, r.gw, vswitch.Config{Addr: ip(10, 0, 0, 1)})
 	r.agent = NewAgent(r.loop, r.fab, r.t, r.vs)
 	return r

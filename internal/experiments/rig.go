@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nezha/internal/cluster"
-	"nezha/internal/controller"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
 	"nezha/internal/tables"
@@ -59,8 +58,6 @@ type rigOpts struct {
 	// ruleFat inflates the server vNIC's rule tables by this many ACL
 	// rules (drives the memory experiments).
 	ruleFat int
-	// ctrl optionally overrides controller policy.
-	ctrl *controller.Config
 	// variableState turns on §7.1 variable-size state slots.
 	variableState bool
 	// kernelScale scales the server VM's kernel capacity to keep the
@@ -79,15 +76,10 @@ func newRig(o rigOpts) (*rig, error) {
 		o.serverVCPU = 64
 	}
 	servers := o.nClients + 1 + o.poolSize
-	ctrlCfg := controller.DefaultConfig()
-	if o.ctrl != nil {
-		ctrlCfg = *o.ctrl
-	}
 	c := cluster.New(cluster.Options{
 		Servers:       servers,
 		ServersPerToR: servers, // one ToR: FE selection unconstrained
 		Seed:          o.seed,
-		Controller:    ctrlCfg,
 		VSwitch: func(i int, cfg *vswitch.Config) {
 			cfg.Cores = rigCores
 			cfg.CoreHz = rigCoreHz

@@ -19,30 +19,26 @@ import (
 	"nezha/internal/vswitch"
 )
 
+// Misses is how many consecutive unanswered probes declare a crash
+// (K in §4.4). At the default probe interval it yields ~1.5–2 s
+// detection, matching the paper's failover window (Fig 14).
+const Misses = 3
+
+// guardFraction suspends automatic removal when more than this
+// fraction of targets would be declared down in the same round (§C.2).
+const guardFraction = 0.5
+
 // Config tunes the monitor.
 type Config struct {
 	// Addr is the monitor's own underlay address.
 	Addr packet.IPv4
 	// ProbeInterval is the ping polling period.
 	ProbeInterval sim.Time
-	// Misses is how many consecutive unanswered probes declare a
-	// crash.
-	Misses int
-	// GuardFraction suspends automatic removal when more than this
-	// fraction of targets would be declared down in the same round
-	// (0 disables the guard).
-	GuardFraction float64
 }
 
-// DefaultConfig yields ~1.5–2 s detection, matching the paper's
-// failover window (Fig 14).
+// DefaultConfig probes every 500 ms: ~1.5–2 s detection.
 func DefaultConfig(addr packet.IPv4) Config {
-	return Config{
-		Addr:          addr,
-		ProbeInterval: 500 * sim.Millisecond,
-		Misses:        3,
-		GuardFraction: 0.5,
-	}
+	return Config{Addr: addr, ProbeInterval: 500 * sim.Millisecond}
 }
 
 type target struct {
@@ -191,7 +187,7 @@ func (m *Monitor) GuardActive() bool { return m.guardActive }
 func (m *Monitor) ClearGuard() {
 	m.guardActive = false
 	for _, addr := range m.sortedTargets() {
-		if t := m.targets[addr]; t.missed >= m.cfg.Misses && !t.down {
+		if t := m.targets[addr]; t.missed >= Misses && !t.down {
 			m.declare(addr, t)
 		}
 	}
@@ -239,15 +235,15 @@ func (m *Monitor) round() {
 			if t.missed == 1 {
 				t.firstMiss = m.loop.Now()
 			}
-			if t.missed >= m.cfg.Misses && !t.down {
+			if t.missed >= Misses && !t.down {
 				newlyDead = append(newlyDead, addr)
 			}
 		}
 	}
 	// Widespread-failure guard: if most of the fleet looks dead at
 	// once, suspend automatic removal (likely a monitoring bug).
-	if m.cfg.GuardFraction > 0 && len(m.targets) > 1 &&
-		float64(len(newlyDead)) > m.cfg.GuardFraction*float64(len(m.targets)) {
+	if len(m.targets) > 1 &&
+		float64(len(newlyDead)) > guardFraction*float64(len(m.targets)) {
 		m.GuardTrips.Add(1)
 		m.guardActive = true
 		if m.ob != nil {

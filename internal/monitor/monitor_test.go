@@ -79,7 +79,7 @@ func TestCrashDetectedWithinTwoSeconds(t *testing.T) {
 		t.Fatalf("detection took %v, want <= 2s (§4.4)", detectionDelay)
 	}
 	if detectionDelay < sim.Second {
-		t.Fatalf("detection suspiciously fast: %v (misses=%d)", detectionDelay, DefaultConfig(0).Misses)
+		t.Fatalf("detection suspiciously fast: %v (misses=%d)", detectionDelay, Misses)
 	}
 }
 

@@ -36,7 +36,7 @@ func referenceFlowTop(f *FlowTop, k int) []FlowStat {
 func TestFlowTopMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
-		f := NewFlowTop(0)
+		f := NewFlowTop()
 		n := rng.Intn(1200)
 		maxCount := 1 + rng.Intn(4)
 		for i := 0; i < n; i++ {

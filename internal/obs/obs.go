@@ -38,29 +38,18 @@ type Options struct {
 	SampleRate float64 // fraction of packets flight-traced (0 disables)
 	MaxHops    int     // retained flight-trace hops (default 8192)
 	RingSize   int     // flight-recorder events (default 4096)
-	MaxSpans   int     // retained completed spans (default 256)
-	MaxFlows   int     // flow table size (default 1024)
-	// MaxSeries caps registry cardinality (default DefaultMaxSeries;
-	// negative disables the cap). Registrations past the cap are
-	// counted in obs_series_dropped_total.
-	MaxSeries int
 }
 
 // New builds an Obs bundle.
 func New(opts Options) *Obs {
 	reg := NewRegistry()
-	if opts.MaxSeries > 0 {
-		reg.SetMaxSeries(opts.MaxSeries)
-	} else if opts.MaxSeries < 0 {
-		reg.SetMaxSeries(0)
-	}
 	reg.Help("obs_series_dropped_total", "Series registrations refused by the registry cardinality cap.")
 	return &Obs{
 		Reg:    reg,
 		Tracer: NewFlightTracer(opts.Seed, opts.SampleRate, opts.MaxHops),
-		Spans:  NewSpanLog(opts.MaxSpans),
+		Spans:  NewSpanLog(maxSpans),
 		Rec:    NewFlightRecorder(opts.RingSize),
-		Flows:  NewFlowTop(opts.MaxFlows),
+		Flows:  NewFlowTop(),
 	}
 }
 
@@ -157,13 +146,15 @@ type FlowStat struct {
 	Bytes   uint64 `json:"bytes"`
 }
 
+// maxFlows bounds a FlowTop's distinct flows.
+const maxFlows = 1024
+
 // FlowTop counts delivered packets per five-tuple for sampled
 // packets, bounded to maxFlows distinct flows (new flows beyond the
 // cap are dropped; sampling keeps the table small anyway).
 type FlowTop struct {
-	mu       sync.Mutex
-	counts   map[packet.FiveTuple]*flowCount
-	maxFlows int
+	mu     sync.Mutex
+	counts map[packet.FiveTuple]*flowCount
 }
 
 type flowCount struct {
@@ -171,13 +162,9 @@ type flowCount struct {
 	bytes   uint64
 }
 
-// NewFlowTop builds a flow table of at most maxFlows flows (default
-// 1024 when <= 0).
-func NewFlowTop(maxFlows int) *FlowTop {
-	if maxFlows <= 0 {
-		maxFlows = 1024
-	}
-	return &FlowTop{counts: make(map[packet.FiveTuple]*flowCount), maxFlows: maxFlows}
+// NewFlowTop builds a flow table of at most maxFlows flows.
+func NewFlowTop() *FlowTop {
+	return &FlowTop{counts: make(map[packet.FiveTuple]*flowCount)}
 }
 
 // Observe charges one delivered packet to its flow.
@@ -188,7 +175,7 @@ func (f *FlowTop) Observe(ft packet.FiveTuple, bytes int) {
 	f.mu.Lock()
 	c, ok := f.counts[ft]
 	if !ok {
-		if len(f.counts) >= f.maxFlows {
+		if len(f.counts) >= maxFlows {
 			f.mu.Unlock()
 			return
 		}

@@ -327,14 +327,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// SetMaxSeries reconfigures the series-cardinality cap (<= 0 disables
-// it). Already-registered series are never evicted.
-func (r *Registry) SetMaxSeries(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.maxSeries = n
-}
-
 // Help attaches exposition help text to a metric name; WritePrometheus
 // emits it as a # HELP line ahead of the # TYPE line.
 func (r *Registry) Help(name, text string) {

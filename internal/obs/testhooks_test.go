@@ -22,6 +22,14 @@ func (h *History) SubDropped() uint64 {
 	return h.subDropped
 }
 
+// SetMaxSeries reconfigures the series-cardinality cap (<= 0 disables
+// it). Already-registered series are never evicted.
+func (r *Registry) SetMaxSeries(n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.maxSeries = n
+}
+
 // SetWarnFn replaces the first-drop warning sink (default: stderr).
 func (r *Registry) SetWarnFn(fn func(msg string)) {
 	r.mu.Lock()

@@ -248,6 +248,9 @@ func (s Span) String() string {
 		s.Kind, s.VNIC, s.Epoch, s.Start, s.End, s.End-s.Start, s.Outcome)
 }
 
+// maxSpans is how many completed spans an Obs bundle's SpanLog keeps.
+const maxSpans = 256
+
 // SpanLog tracks in-flight and completed control-plane transaction
 // spans, bounded to the most recent maxDone completed spans.
 type SpanLog struct {
@@ -265,11 +268,8 @@ type spanKey struct {
 }
 
 // NewSpanLog builds a span log keeping the last maxDone completed
-// spans (default 256 when <= 0).
+// spans.
 func NewSpanLog(maxDone int) *SpanLog {
-	if maxDone <= 0 {
-		maxDone = 256
-	}
 	return &SpanLog{active: make(map[spanKey]Span), maxDone: maxDone}
 }
 

@@ -27,6 +27,7 @@ const (
 	pfDurationNanos = 10
 	pfPeriodType    = 11 // ValueType
 	pfPeriod        = 12
+	pfDefaultSample = 14 // default_sample_type (string index)
 
 	vtType = 1 // ValueType.type (string index)
 	vtUnit = 2 // ValueType.unit
@@ -47,11 +48,15 @@ const (
 	fnSystemName = 3
 	fnFilename   = 4
 
-	mpID          = 1
-	mpMemoryStart = 2
-	mpMemoryLimit = 3
-	mpFilename    = 5
+	mpID           = 1
+	mpMemoryStart  = 2
+	mpMemoryLimit  = 3
+	mpFilename     = 5
+	mpHasFunctions = 7
 )
+
+// mappingFile names the synthetic binary every location maps into.
+const mappingFile = "nezha"
 
 // protobuf wire helpers.
 
@@ -141,8 +146,9 @@ func (s *Sample) frames() []string {
 }
 
 // WriteProfile drains the profiler and writes a gzipped profile.proto
-// with two sample types (cycles, bytes) to w. now/dur stamp the
-// profile's time_nanos/duration_nanos from sim time.
+// with two sample types (cycles, bytes) to w; cycles is the default,
+// so pprof shows it unless -sample_index says otherwise. now/dur stamp
+// the profile's time_nanos/duration_nanos from sim time.
 func (p *Profiler) WriteProfile(w io.Writer, now, dur sim.Time) error {
 	raw := encodeProfile(p.Samples(), now, dur)
 	gz := gzip.NewWriter(w)
@@ -208,13 +214,15 @@ func encodeProfile(samples []Sample, now, dur sim.Time) []byte {
 	for _, msg := range sampleMsgs {
 		out = putBytesField(out, pfSample, msg)
 	}
-	// One synthetic mapping covering all locations.
+	// One synthetic mapping covering all locations. It already carries
+	// its functions, so pprof attempts no symbolization.
 	{
 		var mp []byte
 		mp = putVarintField(mp, mpID, 1)
 		mp = putVarintField(mp, mpMemoryStart, 0x1000)
 		mp = putVarintField(mp, mpMemoryLimit, 0x1000+uint64(len(funcNames)+2))
-		mp = putVarintField(mp, mpFilename, uint64(st.id("nezha-sim")))
+		mp = putVarintField(mp, mpFilename, uint64(st.id(mappingFile)))
+		mp = putVarintField(mp, mpHasFunctions, 1)
 		out = putBytesField(out, pfMapping, mp)
 	}
 	for i, name := range funcNames {
@@ -223,7 +231,7 @@ func encodeProfile(samples []Sample, now, dur sim.Time) []byte {
 		fn = putVarintField(fn, fnID, id)
 		fn = putVarintField(fn, fnName, uint64(st.id(name)))
 		fn = putVarintField(fn, fnSystemName, uint64(st.id(name)))
-		fn = putVarintField(fn, fnFilename, uint64(st.id("nezha-sim")))
+		fn = putVarintField(fn, fnFilename, uint64(st.id(mappingFile)))
 		out = putBytesField(out, pfFunction, fn)
 
 		var ln []byte
@@ -249,6 +257,7 @@ func encodeProfile(samples []Sample, now, dur sim.Time) []byte {
 		out = putBytesField(out, pfPeriodType, vt)
 	}
 	out = putVarintField(out, pfPeriod, 1)
+	out = putVarintField(out, pfDefaultSample, uint64(cyclesStr))
 	return out
 }
 
@@ -262,10 +271,12 @@ type DecodedSample struct {
 // DecodedProfile is the subset of profile.proto the simulator emits,
 // decoded back for tests and cmd/nezha-prof.
 type DecodedProfile struct {
-	SampleTypes   []string // "type/unit"
-	Samples       []DecodedSample
-	TimeNanos     int64
-	DurationNanos int64
+	SampleTypes []string // "type/unit"
+	// DefaultSampleType is the sample type pprof shows by default.
+	DefaultSampleType string
+	Samples           []DecodedSample
+	TimeNanos         int64
+	DurationNanos     int64
 }
 
 type pbReader struct {
@@ -388,6 +399,7 @@ func DecodeProfile(data []byte) (*DecodedProfile, error) {
 	var (
 		strs     []string
 		vts      []rawVT
+		defType  int64
 		rawSamps []rawSample
 		locFunc  = map[uint64]uint64{} // location id -> function id
 		funcName = map[uint64]int64{}  // function id -> name string index
@@ -554,6 +566,12 @@ func DecodeProfile(data []byte) (*DecodedProfile, error) {
 				return nil, err
 			}
 			dp.DurationNanos = int64(v)
+		case pfDefaultSample:
+			v, err := r.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			defType = int64(v)
 		default:
 			if err := r.skip(wire); err != nil {
 				return nil, err
@@ -569,6 +587,9 @@ func DecodeProfile(data []byte) (*DecodedProfile, error) {
 	}
 	for _, vt := range vts {
 		dp.SampleTypes = append(dp.SampleTypes, str(vt.typ)+"/"+str(vt.unit))
+	}
+	if defType != 0 {
+		dp.DefaultSampleType = str(defType)
 	}
 	for _, rs := range rawSamps {
 		ds := DecodedSample{Values: rs.vals}

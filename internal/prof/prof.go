@@ -318,14 +318,6 @@ func (n *NodeProf) advance(now sim.Time) {
 	}
 }
 
-// Windows returns the node's utilization windows, oldest first.
-func (n *NodeProf) Windows() []CoreWindow {
-	out := make([]CoreWindow, 0, len(n.windows))
-	out = append(out, n.windows[n.wHead:]...)
-	out = append(out, n.windows[:n.wHead]...)
-	return out
-}
-
 // Sample is one drained attribution point. Cycle samples carry
 // Cycles>0 with Cause derived from the stage; memory samples carry
 // Bytes>0 (live bytes at drain time), Dir=DirNone, and the cause's
@@ -341,16 +333,6 @@ type Sample struct {
 	Bytes  uint64
 }
 
-// Candidate is one ranked offload suggestion: the relocatable work a
-// (vnic, table) pair is costing its home node.
-type Candidate struct {
-	Node        string
-	VNIC        uint32
-	Table       string
-	RelocCycles uint64
-	RelocBytes  uint64
-}
-
 // Profiler is the region-wide attribution store: one NodeProf per
 // vSwitch. Node registration happens at wiring time (never on the
 // datapath), so the map and mutex here are off the hot path.
@@ -359,9 +341,6 @@ type Profiler struct {
 	nodes map[string]*NodeProf
 	order []*NodeProf
 	clock func() sim.Time
-	// drainGen counts drains (series reads, obs snapshots); consumers
-	// cache rankings per generation (see series.go).
-	drainGen uint64
 }
 
 // New builds an empty profiler.
@@ -468,80 +447,6 @@ func (p *Profiler) Samples() []Sample {
 	return out
 }
 
-// SuggestOffload ranks (vnic, table) pairs by relocatable work:
-// cycles the BE would shed by offloading (slow-path rule lookups and
-// session installs — the stateless work Nezha moves to FEs) and the
-// table bytes that would move with them. Only RoleLocal slots count;
-// an FE's cycles are already relocated. Returns at most k candidates,
-// ranked by cycles then bytes then (node, vnic).
-func (p *Profiler) SuggestOffload(k int) []Candidate {
-	type acc struct {
-		node                  string
-		vnic                  uint32
-		ruleCycles, sessCyc   uint64
-		ruleBytes, cacheBytes uint64
-	}
-	var accs []acc
-	find := func(node string, vnic uint32) *acc {
-		for i := range accs {
-			if accs[i].node == node && accs[i].vnic == vnic {
-				return &accs[i]
-			}
-		}
-		accs = append(accs, acc{node: node, vnic: vnic})
-		return &accs[len(accs)-1]
-	}
-	for _, s := range p.Samples() {
-		if s.Role != RoleLocal || s.VNIC == OverflowVNIC {
-			continue
-		}
-		a := find(s.Node, s.VNIC)
-		switch {
-		case s.Cycles > 0 && s.Stage == StageSlowpath:
-			a.ruleCycles += s.Cycles
-		case s.Cycles > 0 && s.Stage == StageSessionInstall:
-			a.sessCyc += s.Cycles
-		case s.Bytes > 0 && s.Cause == CauseRuleTable:
-			a.ruleBytes += s.Bytes
-		case s.Bytes > 0 && (s.Cause == CauseFlowCache || s.Cause == CauseSessionTable):
-			a.cacheBytes += s.Bytes
-		}
-	}
-	var cands []Candidate
-	for _, a := range accs {
-		cyc := a.ruleCycles + a.sessCyc
-		bytes := a.ruleBytes + a.cacheBytes
-		if cyc == 0 && bytes == 0 {
-			continue
-		}
-		table := "rule-table"
-		if a.sessCyc > a.ruleCycles || (cyc == 0 && a.cacheBytes > a.ruleBytes) {
-			table = "session-table"
-		}
-		cands = append(cands, Candidate{
-			Node: a.node, VNIC: a.vnic, Table: table,
-			RelocCycles: cyc, RelocBytes: bytes,
-		})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.RelocCycles != b.RelocCycles {
-			return a.RelocCycles > b.RelocCycles
-		}
-		if a.RelocBytes != b.RelocBytes {
-			return a.RelocBytes > b.RelocBytes
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.VNIC < b.VNIC
-	})
-	if k > 0 && len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
-}
-
 // Attach registers the profiler's drain into an obs registry: one
 // Collect closure that (at snapshot time, on the sim goroutine)
 // advances the utilization timelines and emits prof_cycles_total,
@@ -556,7 +461,6 @@ func (p *Profiler) Attach(reg *obs.Registry) {
 		if p.clock != nil {
 			p.Advance(p.clock())
 		}
-		p.noteDrain()
 		for _, s := range p.Samples() {
 			vnic := fmt.Sprintf("%d", s.VNIC)
 			if s.VNIC == OverflowVNIC {
@@ -575,12 +479,11 @@ func (p *Profiler) Attach(reg *obs.Registry) {
 			}
 		}
 		for _, n := range p.Nodes() {
-			ws := n.Windows()
+			ws := n.windowsTail()
 			if len(ws) == 0 {
 				continue
 			}
-			last := ws[len(ws)-1]
-			for core, u := range last.Util {
+			for core, u := range ws[0].Util {
 				emit("prof_core_util", obs.L(
 					"node", n.Node, "core", fmt.Sprintf("%d", core),
 				), obs.KindGauge, u)

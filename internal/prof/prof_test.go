@@ -104,40 +104,6 @@ func TestLiveWalkerEmitsBytes(t *testing.T) {
 	}
 }
 
-func TestSuggestOffloadRanking(t *testing.T) {
-	p := New()
-	n := p.Node("node", 4)
-	hot := n.Slot(10, RoleLocal)
-	hot.Charge(DirTX, StageSlowpath, 1_000_000)
-	hot.Charge(DirTX, StageSessionInstall, 500_000)
-	hot.MemAlloc(CauseRuleTable, 1<<20)
-	cold := n.Slot(11, RoleLocal)
-	cold.Charge(DirTX, StageSlowpath, 1000)
-	// FE work must not count as relocatable.
-	fe := n.Slot(12, RoleFE)
-	fe.Charge(DirRX, StageSlowpath, 1<<40)
-
-	cands := p.SuggestOffload(10)
-	if len(cands) != 2 {
-		t.Fatalf("got %d candidates, want 2: %+v", len(cands), cands)
-	}
-	if cands[0].VNIC != 10 || cands[1].VNIC != 11 {
-		t.Fatalf("ranking wrong: %+v", cands)
-	}
-	if cands[0].RelocCycles != 1_500_000 {
-		t.Errorf("hot reloc cycles = %d, want 1500000", cands[0].RelocCycles)
-	}
-	if cands[0].RelocBytes != 1<<20 {
-		t.Errorf("hot reloc bytes = %d, want %d", cands[0].RelocBytes, 1<<20)
-	}
-	if cands[0].Table != "rule-table" {
-		t.Errorf("hot table = %q, want rule-table", cands[0].Table)
-	}
-	if got := p.SuggestOffload(1); len(got) != 1 || got[0].VNIC != 10 {
-		t.Errorf("top-1 = %+v, want vnic 10 only", got)
-	}
-}
-
 func TestUtilizationTimeline(t *testing.T) {
 	p := New()
 	n := p.Node("n", 2)
@@ -150,7 +116,7 @@ func TestUtilizationTimeline(t *testing.T) {
 	p.Advance(200)
 	busy[0], busy[1] = 150, 100
 	p.Advance(300)
-	ws := n.Windows()
+	ws := n.windows // the ring has not wrapped: oldest first
 	if len(ws) != 2 {
 		t.Fatalf("got %d windows, want 2", len(ws))
 	}
@@ -162,6 +128,9 @@ func TestUtilizationTimeline(t *testing.T) {
 	}
 	if ws[1].Util[0] != 1.0 || ws[1].Util[1] != 0.0 {
 		t.Errorf("window 1 util %v, want [1.0 0.0]", ws[1].Util)
+	}
+	if tail := n.windowsTail(); len(tail) != 1 || tail[0].T1 != 300 {
+		t.Errorf("windowsTail = %+v, want the [200,300] window", tail)
 	}
 }
 
@@ -215,6 +184,79 @@ func TestPprofRoundTrip(t *testing.T) {
 	}
 	if len(wantStacks) != 0 || !memSeen {
 		t.Errorf("missing stacks: %v (mem seen: %v)", wantStacks, memSeen)
+	}
+}
+
+// TestPprofOpensAsCycles pins what go tool pprof needs to show a dump
+// as cycles with no symbolization attempt: default_sample_type names
+// cycles, and the one mapping, named nezha, says it has functions.
+func TestPprofOpensAsCycles(t *testing.T) {
+	p := New()
+	p.Node("n", 1).Slot(1, RoleLocal).Charge(DirRX, StageEncap, 77)
+	raw, err := p.ProfileBytes(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := DecodeProfile(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dp.DefaultSampleType != "cycles" {
+		t.Errorf("default sample type = %q, want cycles", dp.DefaultSampleType)
+	}
+
+	var strs []string
+	var mapping []byte
+	r := &pbReader{b: encodeProfile(p.Samples(), 0, 0)}
+	for !r.done() {
+		num, wire, err := r.field()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch num {
+		case pfMapping:
+			if mapping != nil {
+				t.Fatal("more than one mapping")
+			}
+			mapping, err = r.bytes()
+		case pfStringTable:
+			var b []byte
+			b, err = r.bytes()
+			strs = append(strs, string(b))
+		default:
+			err = r.skip(wire)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var file uint64
+	hasFunctions := false
+	mr := &pbReader{b: mapping}
+	for !mr.done() {
+		num, wire, err := mr.field()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch num {
+		case mpFilename:
+			file, err = mr.uvarint()
+		case mpHasFunctions:
+			var v uint64
+			v, err = mr.uvarint()
+			hasFunctions = v == 1
+		default:
+			err = mr.skip(wire)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !hasFunctions {
+		t.Error("mapping lacks has_functions: pprof would try to symbolize it")
+	}
+	if file >= uint64(len(strs)) || strs[file] != "nezha" {
+		t.Errorf("mapping file index %d in %q, want nezha", file, strs)
 	}
 }
 

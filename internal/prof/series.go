@@ -11,11 +11,6 @@ import (
 // drains into per-window deltas — the derivative signal a control
 // policy actually wants ("how much relocatable work per second is this
 // vNIC costing right now"), not the integral since boot.
-//
-// Every Read also bumps the profiler's drain generation. Consumers
-// that derive rankings from drained data (Controller.SuggestOffload)
-// cache per generation: between drains the attribution snapshot they
-// ranked from has not changed, so the ranking must not change either.
 
 // VNICSeries is one vNIC's attribution delta over a window, summed
 // across the roles (local + FE) the vNIC runs under on one node. The
@@ -26,16 +21,13 @@ type VNICSeries struct {
 	VNIC uint32
 	Role Role
 	// RuleCycles / SessCycles are the window's slow-path and
-	// session-install cycles — the relocatable work SuggestOffload
-	// ranks, here as a rate signal.
+	// session-install cycles: the relocatable work an offload moves,
+	// as a rate signal.
 	RuleCycles uint64
 	SessCycles uint64
 	// TableBytes is the live rule + session + flowcache residency.
 	TableBytes uint64
 }
-
-// RelocCycles is the window's total relocatable cycles.
-func (v VNICSeries) RelocCycles() uint64 { return v.RuleCycles + v.SessCycles }
 
 // NodeSeries is one node's mean core utilization over its most recent
 // utilization window.
@@ -85,8 +77,8 @@ func NewSeriesReader(p *Profiler) *SeriesReader {
 // recovered controller uses this to hand the policy loop a fresh
 // reader mid-run — the profiler survives a controller crash (it is
 // off-box telemetry), so its accumulators are far ahead of a newborn
-// reader's zero baselines. Prime does not bump the drain generation:
-// no attribution data is consumed.
+// reader's zero baselines. Prime consumes no attribution: other
+// readers' windows are unaffected.
 func (r *SeriesReader) Prime(now sim.Time) {
 	r.p.Advance(now)
 	r.lastRule = make(map[seriesKey]uint64)
@@ -107,8 +99,7 @@ func (r *SeriesReader) Prime(now sim.Time) {
 }
 
 // Read closes the window [lastRead, now]: it advances the utilization
-// timelines, drains the attribution deltas since the previous Read,
-// and bumps the profiler's drain generation.
+// timelines and drains the attribution deltas since the previous Read.
 func (r *SeriesReader) Read(now sim.Time) Window {
 	r.p.Advance(now)
 	w := Window{T0: r.lastT, T1: now}
@@ -174,7 +165,6 @@ func (r *SeriesReader) Read(now sim.Time) Window {
 		w.Nodes = append(w.Nodes, NodeSeries{Node: n.Node, Util: util})
 	}
 	r.lastT = now
-	r.p.noteDrain()
 	return w
 }
 
@@ -192,20 +182,4 @@ func (n *NodeProf) windowsTail() []CoreWindow {
 		idx = len(n.windows) - 1
 	}
 	return n.windows[idx : idx+1]
-}
-
-// DrainGen returns the profiler's drain-generation counter: it bumps
-// once per drain (a SeriesReader.Read or an obs registry snapshot),
-// never per charge. Rankings derived from drained data are stable
-// within one generation.
-func (p *Profiler) DrainGen() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.drainGen
-}
-
-func (p *Profiler) noteDrain() {
-	p.mu.Lock()
-	p.drainGen++
-	p.mu.Unlock()
 }

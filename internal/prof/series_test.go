@@ -36,8 +36,8 @@ func TestSeriesReaderWindowsAreDeltas(t *testing.T) {
 	if s.TableBytes != 4096 {
 		t.Fatalf("first window bytes %d, want 4096", s.TableBytes)
 	}
-	if s.RelocCycles() != 1250 {
-		t.Fatalf("RelocCycles %d, want 1250", s.RelocCycles())
+	if reloc := s.RuleCycles + s.SessCycles; reloc != 1250 {
+		t.Fatalf("relocatable cycles %d, want 1250", reloc)
 	}
 
 	// Second window: only the delta.
@@ -57,7 +57,7 @@ func TestSeriesReaderWindowsAreDeltas(t *testing.T) {
 	if len(w3.VNICs) != 1 {
 		t.Fatalf("idle window lost the live-bytes series: %+v", w3.VNICs)
 	}
-	if s := w3.VNICs[0]; s.RelocCycles() != 0 || s.TableBytes != 4096 {
+	if s := w3.VNICs[0]; s.RuleCycles+s.SessCycles != 0 || s.TableBytes != 4096 {
 		t.Fatalf("idle window %+v, want zero cycles and 4096 live bytes", s)
 	}
 
@@ -67,24 +67,6 @@ func TestSeriesReaderWindowsAreDeltas(t *testing.T) {
 	w4 := r.Read(2 * sim.Second)
 	if len(w4.VNICs) != 0 {
 		t.Fatalf("fully idle window still has series: %+v", w4.VNICs)
-	}
-}
-
-// TestSeriesReaderBumpsDrainGen pins the contract SuggestOffload
-// caching relies on: every Read is a drain.
-func TestSeriesReaderBumpsDrainGen(t *testing.T) {
-	p := New()
-	p.Node("n", 1).Slot(1, RoleLocal).Charge(DirTX, StageSlowpath, 10)
-	r := NewSeriesReader(p)
-	g0 := p.DrainGen()
-	r.Read(sim.Second)
-	g1 := p.DrainGen()
-	if g1 == g0 {
-		t.Fatal("Read did not bump the drain generation")
-	}
-	r.Read(2 * sim.Second)
-	if g2 := p.DrainGen(); g2 <= g1 {
-		t.Fatalf("second Read did not bump again: %d after %d", g2, g1)
 	}
 }
 
@@ -133,24 +115,23 @@ func TestSeriesReaderPrimeBaselinesMidRun(t *testing.T) {
 	}
 }
 
-// TestPrimeDoesNotDrain pins the cache contract Prime must honor: it
-// consumes no attribution, so the drain generation must not move and
-// rankings cached against the current generation stay valid until the
-// rebuilt reader's first real Read.
+// TestPrimeDoesNotDrain pins the contract Prime must honor: it
+// consumes no attribution, so a rebuilt reader priming mid-run leaves
+// every other reader's next window intact.
 func TestPrimeDoesNotDrain(t *testing.T) {
 	p := New()
-	p.Node("n", 1).Slot(1, RoleLocal).Charge(DirTX, StageSlowpath, 10)
+	v := p.Node("n", 1).Slot(1, RoleLocal)
+	v.Charge(DirTX, StageSlowpath, 10)
 	r := NewSeriesReader(p)
 	r.Read(sim.Second)
-	g := p.DrainGen()
+	v.Charge(DirTX, StageSlowpath, 20)
 	r2 := NewSeriesReader(p)
 	r2.Prime(2 * sim.Second)
-	if got := p.DrainGen(); got != g {
-		t.Fatalf("Prime moved the drain generation %d -> %d", g, got)
+	if w := r.Read(3 * sim.Second); len(w.VNICs) != 1 || w.VNICs[0].RuleCycles != 20 {
+		t.Fatalf("window after another reader's Prime %+v, want the 20 cycles charged since the last Read", w.VNICs)
 	}
-	r2.Read(3 * sim.Second)
-	if got := p.DrainGen(); got == g {
-		t.Fatal("the rebuilt reader's first Read did not drain")
+	if w := r2.Read(3 * sim.Second); len(w.VNICs) != 0 {
+		t.Fatalf("primed reader's first window %+v, want nothing charged since the prime", w.VNICs)
 	}
 }
 

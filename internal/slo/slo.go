@@ -24,8 +24,8 @@ const (
 	// virtual seconds.
 	DefaultDecayEvery = 10_000_000_000
 
-	// DefaultTopK heavy hitters reported per view.
-	DefaultTopK = 10
+	// topK heavy hitters are reported per view.
+	topK = 10
 )
 
 const (
@@ -60,8 +60,6 @@ type Config struct {
 	// DecayEvery is the sketch halving period in virtual ns (<0
 	// disables decay; 0 means default).
 	DecayEvery int64
-	// TopK is the heavy-hitter count in views.
-	TopK int
 	// OnBurn, when set, is invoked synchronously from the record path
 	// whenever a window closes burning. It must not mutate simulation
 	// state (flight-recorder events are the intended sink).
@@ -122,9 +120,6 @@ func NewTracker(cfg Config) *Tracker {
 	}
 	if cfg.DecayEvery == 0 {
 		cfg.DecayEvery = DefaultDecayEvery
-	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = DefaultTopK
 	}
 	t := &Tracker{cfg: cfg, ledger: make(map[uint32]*vnicLedger)}
 	if cfg.DecayEvery > 0 {
@@ -354,7 +349,7 @@ func (t *Tracker) View() *View {
 	v := &View{
 		ObjectiveNS: t.cfg.Objective,
 		BurnEvents:  t.burnEvents,
-		HotFlows:    t.sketch.Top(t.cfg.TopK),
+		HotFlows:    t.sketch.Top(topK),
 	}
 	for _, vnic := range t.sortedVNICs() {
 		l := t.ledger[vnic]

@@ -108,8 +108,6 @@ type Config struct {
 	Cores       int
 	CoreHz      uint64
 	NetMemBytes int
-	// MaxQueueDelay bounds CPU queueing (0 = nic default).
-	MaxQueueDelay sim.Time
 	// VariableState stores session states at encoded size (§7.1).
 	VariableState bool
 }
@@ -317,15 +315,12 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *VS
 	if cfg.NetMemBytes == 0 {
 		cfg.NetMemBytes = nic.DefaultRuleTableBytes + nic.DefaultSessionTableBytes
 	}
-	if cfg.MaxQueueDelay == 0 {
-		cfg.MaxQueueDelay = nic.DefaultMaxQueueDelay
-	}
 	vs := &VSwitch{
 		loop:    loop,
 		fab:     fab,
 		learner: fabric.NewLearner(loop, gw),
 		cfg:     cfg,
-		cpu:     nic.NewCPU(loop, cfg.Cores, cfg.CoreHz, cfg.MaxQueueDelay),
+		cpu:     nic.NewCPU(loop, cfg.Cores, cfg.CoreHz, nic.DefaultMaxQueueDelay),
 		mem:     nic.NewMemory(cfg.NetMemBytes),
 		vnics:   make(map[uint32]*vnicState),
 		fes:     make(map[uint32]*feInstance),

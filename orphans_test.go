@@ -136,7 +136,7 @@ func checkAllowList(orphans []string, declared map[string]bool, allow map[string
 		case !declared[entry]:
 			stale = append(stale, entry+" is not declared; remove the entry")
 		case !used[entry]:
-			stale = append(stale, entry+" has a caller now; remove the entry")
+			stale = append(stale, entry+" is used now; remove the entry")
 		}
 	}
 	sort.Strings(stale)
@@ -157,35 +157,7 @@ type srcFile struct {
 // "pkg.Name" or "pkg.Type.Method", pkg being the directory below
 // internal/.
 func findOrphans(root string) (orphans []string, declared map[string]bool, err error) {
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, nil, err
-	}
-	module := strings.TrimSpace(strings.TrimPrefix(strings.SplitN(string(mod), "\n", 2)[0], "module"))
-
-	fset := token.NewFileSet()
-	var files []srcFile
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, filepath.Dir(path))
-		files = append(files, srcFile{dir: filepath.ToSlash(rel), test: strings.HasSuffix(path, "_test.go"), f: f})
-		return nil
-	})
+	module, files, err := parseTree(root)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -234,20 +206,7 @@ func findOrphans(root string) (orphans []string, declared map[string]bool, err e
 	// is not a test under internal/ (method calls resolve by name).
 	named, selectors := map[string]bool{}, map[string]map[string]bool{}
 	for _, sf := range files {
-		// Local import name -> package dir below the module root, ""
-		// outside the module: pkg.Name is never a method selector.
-		imports := map[string]string{}
-		for _, is := range sf.f.Imports {
-			path := strings.Trim(is.Path.Value, `"`)
-			local := path[strings.LastIndex(path, "/")+1:]
-			if is.Name != nil {
-				local = is.Name.Name
-			}
-			imports[local] = ""
-			if strings.HasPrefix(path, module+"/") {
-				imports[local] = strings.TrimPrefix(path, module+"/")
-			}
-		}
+		imports := importDirs(sf.f, module)
 		use := func(dir, name string) {
 			if !sf.test || dir != sf.dir {
 				named[dir+"."+name] = true
@@ -301,6 +260,60 @@ func findOrphans(root string) (orphans []string, declared map[string]bool, err e
 	}
 	sort.Strings(orphans)
 	return orphans, declared, nil
+}
+
+// parseTree parses every .go file below root, skipping testdata and
+// dot directories, and returns them with the module path from
+// root/go.mod.
+func parseTree(root string) (module string, files []srcFile, err error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", nil, err
+	}
+	module = strings.TrimSpace(strings.TrimPrefix(strings.SplitN(string(mod), "\n", 2)[0], "module"))
+
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, filepath.Dir(path))
+		files = append(files, srcFile{dir: filepath.ToSlash(rel), test: strings.HasSuffix(path, "_test.go"), f: f})
+		return nil
+	})
+	return module, files, err
+}
+
+// importDirs maps each of f's local import names to the imported
+// package's directory below the module root, "" outside the module:
+// pkg.Name is never a method or field selector.
+func importDirs(f *ast.File, module string) map[string]string {
+	imports := map[string]string{}
+	for _, is := range f.Imports {
+		path := strings.Trim(is.Path.Value, `"`)
+		local := path[strings.LastIndex(path, "/")+1:]
+		if is.Name != nil {
+			local = is.Name.Name
+		}
+		imports[local] = ""
+		if strings.HasPrefix(path, module+"/") {
+			imports[local] = strings.TrimPrefix(path, module+"/")
+		}
+	}
+	return imports
 }
 
 // recvName is the base type name of a method receiver.
