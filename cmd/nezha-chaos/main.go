@@ -68,13 +68,15 @@ import (
 	"time"
 
 	"nezha/internal/chaos"
+	"nezha/internal/cluster"
 	"nezha/internal/obs"
 	"nezha/internal/opsapi"
 	"nezha/internal/sim"
 )
 
-// validate checks the flag combination before any campaign runs.
-func validate(campaigns int, ctrlAt string, midpush bool, listen string, obsOn bool) error {
+// validate checks the flag combination before any campaign runs: the
+// world must fit the address plan and the region, as in nezha-sim.
+func validate(campaigns, servers, clients int, ctrlAt string, midpush bool, listen string, obsOn bool) error {
 	switch {
 	case campaigns < 1:
 		return fmt.Errorf("-campaigns %d: need at least 1", campaigns)
@@ -83,7 +85,7 @@ func validate(campaigns int, ctrlAt string, midpush bool, listen string, obsOn b
 	case listen != "" && !obsOn:
 		return fmt.Errorf("-listen requires -obs")
 	}
-	return nil
+	return cluster.CheckSize(servers, clients)
 }
 
 func main() {
@@ -112,7 +114,7 @@ func main() {
 		hold       = flag.Duration("hold", 0, "with -listen: keep serving this long after the last campaign ends")
 	)
 	flag.Parse()
-	if err := validate(*campaigns, *ctrlAt, *midpush, *listen, *obsOn); err != nil {
+	if err := validate(*campaigns, *servers, *clients, *ctrlAt, *midpush, *listen, *obsOn); err != nil {
 		fmt.Fprintln(os.Stderr, "nezha-chaos:", err)
 		os.Exit(2)
 	}

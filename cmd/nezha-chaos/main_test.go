@@ -8,22 +8,24 @@ import (
 func TestValidate(t *testing.T) {
 	for _, c := range []struct {
 		campaigns int
+		servers   int
+		clients   int
 		ctrlAt    string
 		midpush   bool
 		listen    string
 		obs       bool
 		want      string // "" = valid; else a substring of the error
 	}{
-		{campaigns: 10, obs: true},
-		{campaigns: 1, ctrlAt: "prepare"},
-		{campaigns: 1, midpush: true, ctrlAt: "commit-gap"},
-		{campaigns: 1, listen: "127.0.0.1:0", obs: true},
-		{campaigns: 0, want: "-campaigns 0: need at least 1"},
-		{campaigns: -1, want: "-campaigns -1: need at least 1"},
-		{campaigns: 1, ctrlAt: "prepare", midpush: true, want: "pick one"},
-		{campaigns: 1, listen: "127.0.0.1:0", want: "-listen requires -obs"},
+		{campaigns: 10, servers: 8, clients: 3, obs: true},
+		{campaigns: 1, servers: 8, clients: 3, ctrlAt: "prepare"},
+		{campaigns: 1, servers: 8, clients: 3, midpush: true, ctrlAt: "commit-gap"},
+		{campaigns: 1, servers: 8, clients: 3, listen: "127.0.0.1:0", obs: true},
+		{campaigns: 0, servers: 8, clients: 3, want: "-campaigns 0: need at least 1"},
+		{campaigns: -1, servers: 8, clients: 3, want: "-campaigns -1: need at least 1"},
+		{campaigns: 1, servers: 8, clients: 3, ctrlAt: "prepare", midpush: true, want: "pick one"},
+		{campaigns: 1, servers: 8, clients: 3, listen: "127.0.0.1:0", want: "-listen requires -obs"},
 	} {
-		err := validate(c.campaigns, c.ctrlAt, c.midpush, c.listen, c.obs)
+		err := validate(c.campaigns, c.servers, c.clients, c.ctrlAt, c.midpush, c.listen, c.obs)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%+v: unexpected error %v", c, err)

@@ -4,7 +4,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nezha/internal/cluster"
 )
+
+// TestDefaultFlagsSpec pins the flags' defaults to the canonical world.
+func TestDefaultFlagsSpec(t *testing.T) {
+	if got, want := spec(), cluster.DefaultSpec(); got != want {
+		t.Fatalf("default flags build %+v, want cluster.DefaultSpec() %+v", got, want)
+	}
+}
 
 func TestValidate(t *testing.T) {
 	for _, c := range []struct {
@@ -25,6 +34,9 @@ func TestValidate(t *testing.T) {
 		{servers: 24, clients: 8, cps: 20000, duration: 0, want: "-duration 0s"},
 		{servers: 24, clients: 8, cps: 20000, duration: time.Second, policy: true, noNezha: true, want: "-policy needs the controller"},
 		{servers: 24, clients: 8, cps: 20000, duration: time.Second, policy: true},
+		{servers: 110, clients: 98, cps: 20000, duration: time.Second},
+		{servers: 110, clients: 99, cps: 20000, duration: time.Second, want: "99 clients: the address plan holds 1 to 98"},
+		{servers: 110, clients: 100, cps: 20000, duration: time.Second, want: "100 clients: the address plan holds 1 to 98"},
 	} {
 		err := validate(c.servers, c.clients, c.cps, c.duration, c.policy, c.noNezha)
 		switch {

@@ -14,75 +14,42 @@ import (
 	"strings"
 
 	"nezha/internal/cluster"
-	"nezha/internal/packet"
 	"nezha/internal/sim"
-	"nezha/internal/tables"
 	"nezha/internal/vswitch"
 	"nezha/internal/workload"
 )
 
 func main() {
-	const (
-		nClients   = 6
-		serverVNIC = 100
-		vpc        = 1
-	)
-	serverIP := packet.MakeIP(10, 0, 9, 1)
-	clientIP := func(i int) packet.IPv4 { return packet.MakeIP(10, 0, byte(1+i), 1) }
-
-	c := cluster.New(cluster.Options{
-		Servers: nClients + 1 + 8, ServersPerToR: 32, Seed: 3,
-		VSwitch: func(i int, cfg *vswitch.Config) {
-			cfg.Cores = 2
-			cfg.CoreHz = 500_000_000
-		},
+	w, err := cluster.Build(cluster.Spec{
+		Seed: 3, Servers: 6 + 1 + 8, Clients: 6, ClientVCPUs: 16, ServerVCPUs: 64,
 	})
-	serverIdx := nClients
-	if _, err := c.AddVM(cluster.VMSpec{
-		Server: serverIdx, VNIC: serverVNIC, VPC: vpc, IP: serverIP, VCPUs: 64,
-		MakeRules: func() *tables.RuleSet {
-			rs := tables.NewRuleSet(serverVNIC, vpc)
-			for i := 0; i < nClients; i++ {
-				rs.Route.Add(tables.MakePrefix(clientIP(i), 32), packet.IPv4(uint32(i+1)))
-			}
-			return rs
-		},
-	}); err != nil {
+	if err != nil {
 		panic(err)
 	}
-	serverNet := tables.MakePrefix(packet.MakeIP(10, 0, 9, 0), 24)
-	for i := 0; i < nClients; i++ {
-		vnic := uint32(i + 1)
-		vm, err := c.AddVM(cluster.VMSpec{
-			Server: i, VNIC: vnic, VPC: vpc, IP: clientIP(i), VCPUs: 16,
-			MakeRules: cluster.TwoSubnetRules(vnic, vpc, serverNet, serverVNIC),
-		})
-		if err != nil {
-			panic(err)
-		}
-		workload.NewClosedCRR(c.Loop, vm, serverIP, 8, 100*sim.Millisecond).Start()
+	for _, vm := range w.Clients {
+		workload.NewClosedCRR(w.Loop, vm, cluster.ServerIP, 8, 100*sim.Millisecond).Start()
 	}
 
-	c.Start()
-	if err := c.Ctrl.ForceOffload(serverVNIC); err != nil {
+	w.Start()
+	if err := w.Ctrl.ForceOffload(cluster.ServerVNIC); err != nil {
 		panic(err)
 	}
-	c.Loop.Run(4 * sim.Second) // offload settles
+	w.Loop.Run(4 * sim.Second) // offload settles
 
-	fmt.Printf("offloaded to %d FEs: %v\n\n", len(c.Ctrl.FEsOf(serverVNIC)), c.Ctrl.FEsOf(serverVNIC))
+	fmt.Printf("offloaded to %d FEs: %v\n\n", len(w.Ctrl.FEsOf(cluster.ServerVNIC)), w.Ctrl.FEsOf(cluster.ServerVNIC))
 	fmt.Println("time     loss-rate  (each # is 1% of packets lost in that 100ms)")
 
 	var lastLost, lastSent uint64
 	snap := func() (uint64, uint64) {
-		lost := c.Fab.Lost
-		for _, vs := range c.Switches {
+		lost := w.Fab.Lost
+		for _, vs := range w.Switches {
 			lost += vs.Stats.Drops[vswitch.DropCrashed]
 		}
-		return lost, c.Fab.Delivered + c.Fab.Lost
+		return lost, w.Fab.Delivered + w.Fab.Lost
 	}
 	lastLost, lastSent = snap()
-	t0 := c.Loop.Now()
-	c.Loop.Every(100*sim.Millisecond, func() {
+	t0 := w.Loop.Now()
+	w.Loop.Every(100*sim.Millisecond, func() {
 		lost, sent := snap()
 		dl, ds := lost-lastLost, sent-lastSent
 		lastLost, lastSent = lost, sent
@@ -91,25 +58,25 @@ func main() {
 			rate = float64(dl) / float64(ds)
 		}
 		bar := strings.Repeat("#", int(rate*100))
-		fmt.Printf("%7.1fs  %6.2f%%   %s\n", (c.Loop.Now() - t0).Seconds(), rate*100, bar)
+		fmt.Printf("%7.1fs  %6.2f%%   %s\n", (w.Loop.Now() - t0).Seconds(), rate*100, bar)
 	})
 
 	// Crash one pool-hosted FE at t0+1s.
-	c.Loop.Schedule(sim.Second, func() {
-		fes := c.Ctrl.FEsOf(serverVNIC)
+	w.Loop.Schedule(sim.Second, func() {
+		fes := w.Ctrl.FEsOf(cluster.ServerVNIC)
 		for _, a := range fes {
-			for i := serverIdx + 1; i < len(c.Switches); i++ {
-				if c.Switch(i).Addr() == a {
-					c.Switch(i).Crash()
+			for _, vs := range w.Pool() {
+				if vs.Addr() == a {
+					vs.Crash()
 					fmt.Printf("          >>> FE %v crashed <<<\n", a)
 					return
 				}
 			}
 		}
 	})
-	c.Loop.Run(t0 + 6*sim.Second)
+	w.Loop.Run(t0 + 6*sim.Second)
 
 	fmt.Printf("\nfailovers=%d, pool back to %d FEs: %v\n",
-		c.Ctrl.Stats.Failovers, len(c.Ctrl.FEsOf(serverVNIC)), c.Ctrl.FEsOf(serverVNIC))
+		w.Ctrl.Stats.Failovers, len(w.Ctrl.FEsOf(cluster.ServerVNIC)), w.Ctrl.FEsOf(cluster.ServerVNIC))
 	fmt.Println("the loss window is the 3-probe detection (~1.5s) plus config propagation — ~2s, as §6.3.4 reports")
 }

@@ -13,90 +13,44 @@ import (
 	"fmt"
 
 	"nezha/internal/cluster"
-	"nezha/internal/packet"
 	"nezha/internal/sim"
-	"nezha/internal/tables"
-	"nezha/internal/vswitch"
 	"nezha/internal/workload"
 )
 
 func main() {
-	const (
-		nClients   = 8
-		serverVNIC = 100
-		vpc        = 1
-	)
-	serverIP := packet.MakeIP(10, 0, 9, 1)
-	clientIP := func(i int) packet.IPv4 { return packet.MakeIP(10, 0, byte(1+i), 1) }
-
 	// A small region: 8 client servers, 1 hot server, 8 idle servers
 	// as the FE pool. vSwitches are scaled to ~7.4K CPS so the
 	// hotspot forms quickly.
-	c := cluster.New(cluster.Options{
-		Servers: nClients + 1 + 8, ServersPerToR: 32, Seed: 7,
-		VSwitch: func(i int, cfg *vswitch.Config) {
-			cfg.Cores = 2
-			cfg.CoreHz = 500_000_000
-		},
+	w, err := cluster.Build(cluster.Spec{
+		Seed: 7, Servers: 8 + 1 + 8, Clients: 8, ClientVCPUs: 16, ServerVCPUs: 64,
 	})
-
-	// The server VM and its vNIC (rule tables route back to clients).
-	serverIdx := nClients
-	if _, err := c.AddVM(cluster.VMSpec{
-		Server: serverIdx, VNIC: serverVNIC, VPC: vpc, IP: serverIP, VCPUs: 64,
-		MakeRules: func() *tables.RuleSet {
-			rs := tables.NewRuleSet(serverVNIC, vpc)
-			for i := 0; i < nClients; i++ {
-				rs.Route.Add(tables.MakePrefix(clientIP(i), 32), packet.IPv4(uint32(i+1)))
-			}
-			return rs
-		},
-	}); err != nil {
+	if err != nil {
 		panic(err)
 	}
 
-	// Client VMs with closed-loop connect/request/response/close
-	// workers aimed at the server.
-	serverNet := tables.MakePrefix(packet.MakeIP(10, 0, 9, 0), 24)
-	var clients []*workload.VM
-	for i := 0; i < nClients; i++ {
-		vnic := uint32(i + 1)
-		vm, err := c.AddVM(cluster.VMSpec{
-			Server: i, VNIC: vnic, VPC: vpc, IP: clientIP(i), VCPUs: 16,
-			MakeRules: cluster.TwoSubnetRules(vnic, vpc, serverNet, serverVNIC),
-		})
-		if err != nil {
-			panic(err)
-		}
-		clients = append(clients, vm)
-		workload.NewClosedCRR(c.Loop, vm, serverIP, 16, 100*sim.Millisecond).Start()
-	}
-
-	completed := func() uint64 {
-		var t uint64
-		for _, vm := range clients {
-			t += vm.Completed
-		}
-		return t
+	// Closed-loop connect/request/response/close workers on each
+	// client, aimed at the server.
+	for _, vm := range w.Clients {
+		workload.NewClosedCRR(w.Loop, vm, cluster.ServerIP, 16, 100*sim.Millisecond).Start()
 	}
 
 	// Nezha on.
-	c.Start()
+	w.Start()
 
 	fmt.Println("quickstart: 8 clients hammering one server vNIC")
 	var last uint64
 	for s := 1; s <= 12; s++ {
-		c.Loop.Run(sim.Time(s) * sim.Second)
-		done := completed()
+		w.Loop.Run(sim.Time(s) * sim.Second)
+		done := w.Completed()
 		state := "local"
-		if c.Ctrl.Offloaded(serverVNIC) {
-			state = fmt.Sprintf("offloaded to %d FEs", len(c.Ctrl.FEsOf(serverVNIC)))
+		if w.Ctrl.Offloaded(cluster.ServerVNIC) {
+			state = fmt.Sprintf("offloaded to %d FEs", len(w.Ctrl.FEsOf(cluster.ServerVNIC)))
 		}
 		fmt.Printf("  t=%2ds  cps=%6d  (%s)\n", s, done-last, state)
 		last = done
 	}
 	fmt.Printf("\ndone: %d transactions completed; offloads=%d scale-outs=%d\n",
-		completed(), c.Ctrl.Stats.Offloads, c.Ctrl.Stats.ScaleOuts)
+		w.Completed(), w.Ctrl.Stats.Offloads, w.Ctrl.Stats.ScaleOuts)
 	fmt.Println("note: CPS roughly triples once the rule-table walks run on the FEs;")
 	fmt.Println("      session state never left the server's SmartNIC (one copy, no sync).")
 }

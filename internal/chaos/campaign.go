@@ -11,13 +11,9 @@ import (
 	"nezha/internal/journal"
 	"nezha/internal/monitor"
 	"nezha/internal/obs"
-	"nezha/internal/packet"
 	"nezha/internal/prof"
 	"nezha/internal/sim"
 	"nezha/internal/slo"
-	"nezha/internal/tables"
-	"nezha/internal/vswitch"
-	"nezha/internal/workload"
 )
 
 // CampaignConfig parameterizes one seeded chaos campaign: a BE+FE
@@ -203,14 +199,27 @@ func (r Report) View() ReportView {
 	return v
 }
 
-const (
-	campaignVNIC = 100
-	campaignVPC  = 7
-)
+// chaosSpec is the world campaigns and policy scenarios run on: the
+// server VM on server 0 as the BE and 8-vCPU clients on the servers
+// after it, a 200 ms probe, and a majority prepare quorum (instead of
+// the default all-targets), which keeps a single killed prepare target
+// from aborting every offload a schedule provokes — the commit path
+// itself must stay safe.
+func chaosSpec(seed int64, servers, clients int, rate float64) cluster.Spec {
+	ctrl := controller.DefaultConfig()
+	ctrl.PrepareQuorumFrac = 0.5
+	return cluster.Spec{
+		Seed: seed, Servers: servers, Clients: clients, ClientCPS: rate,
+		ClientVCPUs: 8, ServerVCPUs: 64, ServerFirst: true,
+		Controller: ctrl, ProbeInterval: 200 * sim.Millisecond,
+	}
+}
 
-func campaignServerIP() packet.IPv4 { return packet.MakeIP(10, 0, 100, 1) }
-func campaignClientIP(i int) packet.IPv4 {
-	return packet.MakeIP(10, 0, byte(1+i), 1)
+// detectWindow bounds failure detection on a chaos world. Worst case:
+// a crash lands just after an answered probe wave, so declaration
+// needs Misses+2 rounds; the slack covers the controller.
+func detectWindow(s cluster.Spec) sim.Time {
+	return s.ProbeInterval*(monitor.Misses+2) + 500*sim.Millisecond
 }
 
 // RunCampaign builds the rig, runs the schedule, and judges the
@@ -232,9 +241,6 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 3
 	}
-	if cfg.Clients > cfg.Servers-1 {
-		return Report{}, fmt.Errorf("chaos: %d clients need %d servers, have %d", cfg.Clients, cfg.Clients+1, cfg.Servers)
-	}
 	if cfg.RatePerClient <= 0 {
 		cfg.RatePerClient = 250
 	}
@@ -242,18 +248,9 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 		cfg.Events = 12
 	}
 
-	monCfg := monitor.DefaultConfig(cluster.MonitorAddr)
-	monCfg.ProbeInterval = 200 * sim.Millisecond
-	// Worst case: crash lands just after an answered probe wave, so
-	// declaration needs Misses+2 rounds; slack covers the controller.
-	detectWindow := monCfg.ProbeInterval*(monitor.Misses+2) + 500*sim.Millisecond
-
-	// Majority quorum (instead of the default all-targets) keeps a
-	// single killed prepare target from aborting every offload the
-	// schedule provokes — the commit path itself must stay safe.
-	ctrlCfg := controller.DefaultConfig()
-	ctrlCfg.PrepareQuorumFrac = 0.5
-	ctrlCfg.UnsafeDirectCommit = cfg.BypassTwoPhase
+	spec := chaosSpec(cfg.Seed, cfg.Servers, cfg.Clients, cfg.RatePerClient)
+	spec.Controller.UnsafeDirectCommit = cfg.BypassTwoPhase
+	detect := detectWindow(spec)
 
 	var ob *obs.Obs
 	if cfg.Obs {
@@ -282,56 +279,18 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 		})
 	}
 
-	c := cluster.New(cluster.Options{
-		Servers: cfg.Servers,
-		Seed:    cfg.Seed,
-		VSwitch: func(i int, vc *vswitch.Config) {
-			vc.Cores = 2
-			vc.CoreHz = 500_000_000
-		},
-		Controller: ctrlCfg,
-		Monitor:    monCfg,
-		Obs:        ob,
-		Prof:       pr,
-		SLO:        tracker,
-	})
-
-	// Server (BE) VM on server 0.
-	serverNet := tables.MakePrefix(campaignServerIP(), 24)
-	_, err := c.AddVM(cluster.VMSpec{
-		Server: 0, VNIC: campaignVNIC, VPC: campaignVPC, IP: campaignServerIP(), VCPUs: 64,
-		MakeRules: func() *tables.RuleSet {
-			rs := tables.NewRuleSet(campaignVNIC, campaignVPC)
-			for i := 0; i < cfg.Clients; i++ {
-				rs.Route.Add(tables.MakePrefix(campaignClientIP(i), 32), packet.IPv4(uint32(i+1)))
-			}
-			return rs
-		},
-	})
+	spec.Obs, spec.Prof, spec.SLO = ob, pr, tracker
+	w, err := cluster.Build(spec)
 	if err != nil {
-		return Report{}, err
-	}
-	var clients []*workload.VM
-	var gens []*workload.CRR
-	for i := 0; i < cfg.Clients; i++ {
-		vnic := uint32(i + 1)
-		vm, err := c.AddVM(cluster.VMSpec{
-			Server: i + 1, VNIC: vnic, VPC: campaignVPC, IP: campaignClientIP(i), VCPUs: 8,
-			MakeRules: cluster.TwoSubnetRules(vnic, campaignVPC, serverNet, campaignVNIC),
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		clients = append(clients, vm)
-		gens = append(gens, workload.NewCRR(c.Loop, c.Loop.Rand(), vm, campaignServerIP(), cfg.RatePerClient))
+		return Report{}, fmt.Errorf("chaos: %w", err)
 	}
 
 	// Chaos randomness is a dedicated stream (offset so it never
 	// collides with the workload stream seeded directly from Seed).
 	rng := sim.NewRand(cfg.Seed ^ 0x6368616f73) // "chaos"
 	eng := NewEngine(System{
-		Loop: c.Loop, Fab: c.Fab, GW: c.GW, Switches: c.Switches, Mon: c.Mon, Ctrl: c.Ctrl,
-	}, rng, Config{DetectWindow: detectWindow})
+		Loop: w.Loop, Fab: w.Fab, GW: w.GW, Switches: w.Switches, Mon: w.Mon, Ctrl: w.Ctrl,
+	}, rng, Config{DetectWindow: detect})
 	RegisterStandard(eng)
 	if tracker != nil {
 		eng.Register(SLOBurnBound(tracker))
@@ -354,12 +313,12 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 			return Report{}, fmt.Errorf("chaos: CampaignConfig.Hist requires Obs")
 		}
 		eng.AttachHistory(cfg.Hist)
-		if pub := c.NewOpsPublisher(cfg.Hist, 10); pub != nil {
-			pub.Attach(c.Loop)
+		if pub := w.NewOpsPublisher(cfg.Hist, 10); pub != nil {
+			pub.Attach(w.Loop)
 		}
 	}
 	if cfg.Pace > 0 {
-		sim.AttachPacer(c.Loop, cfg.Pace)
+		sim.AttachPacer(w.Loop, cfg.Pace)
 	}
 
 	// Faults land after offload has settled and stop early enough
@@ -375,7 +334,7 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 		Horizon:      horizon,
 		Events:       cfg.Events,
 		Switches:     cfg.Servers,
-		DetectWindow: detectWindow,
+		DetectWindow: detect,
 	})
 	eng.Apply(sched)
 	if cfg.MidPushKill {
@@ -384,7 +343,7 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 	var jrn *journal.Journal
 	if cfg.CtrlCrash || cfg.CtrlCrashOnPrepare || cfg.CtrlCrashAtCommitGap {
 		jrn = journal.NewMem()
-		c.Ctrl.AttachJournal(jrn)
+		w.Ctrl.AttachJournal(jrn)
 		outage := cfg.CtrlOutage
 		if outage <= 0 {
 			outage = 1500 * sim.Millisecond
@@ -392,7 +351,7 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 		opts := controller.RecoverOpts{SkipReconcile: cfg.SkipReconcile}
 		switch {
 		case cfg.CtrlCrashAtCommitGap:
-			eng.ArmControllerCrashAtCommitGap(campaignVNIC, outage, opts)
+			eng.ArmControllerCrashAtCommitGap(cluster.ServerVNIC, outage, opts)
 		case cfg.CtrlCrashOnPrepare:
 			eng.ArmControllerCrashOnPrepare(outage, opts)
 		default:
@@ -404,34 +363,30 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 		}
 	}
 
-	c.Start()
-	if err := c.Ctrl.ForceOffload(campaignVNIC); err != nil {
+	w.Start()
+	if err := w.Ctrl.ForceOffload(cluster.ServerVNIC); err != nil {
 		return Report{}, err
 	}
-	for _, g := range gens {
-		g.Start()
-	}
-	c.Loop.Run(cfg.Duration)
-	for _, g := range gens {
-		g.Stop()
-	}
+	w.StartLoad()
+	w.Loop.Run(cfg.Duration)
+	w.StopLoad()
 	// Quiesce: stop injecting faults and let in-flight work drain so
 	// the final check sees a settled system.
 	eng.SetGlobalFault(0, 0)
-	c.Loop.Run(c.Loop.Now() + 2*sim.Second)
+	w.Loop.Run(w.Loop.Now() + 2*sim.Second)
 	eng.CheckNow()
-	eng.DumpProfileFinal(c.Loop.Now())
+	eng.DumpProfileFinal(w.Loop.Now())
 
 	rep := Report{
 		Seed:       cfg.Seed,
 		Duration:   cfg.Duration,
 		Schedule:   sched,
 		Violations: eng.Violations(),
-		Declared:   c.Mon.Declared.Load(),
-		Failovers:  c.Ctrl.Stats.Failovers,
-		Recoveries: c.Ctrl.Recoveries(),
+		Declared:   w.Mon.Declared.Load(),
+		Failovers:  w.Ctrl.Stats.Failovers,
+		Recoveries: w.Ctrl.Recoveries(),
 	}
-	if start, end, ok := c.Ctrl.LastRecovery(); ok && end != 0 {
+	if start, end, ok := w.Ctrl.LastRecovery(); ok && end != 0 {
 		// The settle time measured from the revive (start) — replay,
 		// buffered declarations, and per-vNIC reconciliation round trips.
 		rep.RecoveryMs = (end - start).Millis()
@@ -452,13 +407,11 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 			rep.SLOWorstP99 = sim.Time(p99)
 		}
 	}
-	for _, vm := range clients {
-		rep.Completed += vm.Completed
-	}
+	rep.Completed = w.Completed()
 	d := newDigest()
-	d.add(c.Loop.Fired(), uint64(c.Loop.Now()))
-	d.add(c.Fab.Sends, c.Fab.Delivered, c.Fab.Lost, c.Fab.ChaosLost, c.Fab.BytesSent)
-	for _, vs := range c.Switches {
+	d.add(w.Loop.Fired(), uint64(w.Loop.Now()))
+	d.add(w.Fab.Sends, w.Fab.Delivered, w.Fab.Lost, w.Fab.ChaosLost, w.Fab.BytesSent)
+	for _, vs := range w.Switches {
 		s := vs.Stats
 		d.add(s.FromVM, s.FromNet, s.Delivered, s.Sent, s.Absorbed,
 			s.SlowPath, s.FastPath, s.NotifySent, s.NotifyRecv,
@@ -468,18 +421,18 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 		}
 		d.add(uint64(vs.Sessions().Len()), uint64(vs.Sessions().MemBytes()))
 	}
-	d.add(c.Mon.ProbesSent.Load(), c.Mon.PongsSeen.Load(), c.Mon.StalePongs.Load(), c.Mon.Declared.Load(), c.Mon.GuardTrips.Load())
-	e := c.Ctrl.Stats
+	d.add(w.Mon.ProbesSent.Load(), w.Mon.PongsSeen.Load(), w.Mon.StalePongs.Load(), w.Mon.Declared.Load(), w.Mon.GuardTrips.Load())
+	e := w.Ctrl.Stats
 	d.add(e.Offloads, e.Fallbacks, e.ScaleOuts, e.ScaleIns, e.Failovers, e.FEsAdded)
 	d.add(e.Aborts, e.Rollbacks, e.DegradedEnters, e.DegradedExits, e.RepairRuns)
-	rs := c.Ctrl.RPCStats()
+	rs := w.Ctrl.RPCStats()
 	d.add(rs.Sent, rs.Retries, rs.Acked, rs.Nacked, rs.Expired, rs.DupAcks)
 	if jrn != nil {
 		// Folded in only when a crash was armed, so crash-free campaign
 		// digests stay bit-identical to the committed goldens.
-		d.add(c.Ctrl.Recoveries(), c.Ctrl.DupSideEffects(), uint64(jrn.SizeBytes()))
+		d.add(w.Ctrl.Recoveries(), w.Ctrl.DupSideEffects(), uint64(jrn.SizeBytes()))
 	}
-	for _, vm := range clients {
+	for _, vm := range w.Clients {
 		d.add(vm.Started, vm.Completed, vm.Accepted, vm.KernelDrops)
 	}
 	rep.Digest = d.sum

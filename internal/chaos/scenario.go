@@ -9,16 +9,11 @@ import (
 	"nezha/internal/controller"
 	"nezha/internal/journal"
 	"nezha/internal/metrics"
-	"nezha/internal/monitor"
 	"nezha/internal/obs"
-	"nezha/internal/packet"
 	"nezha/internal/policy"
 	"nezha/internal/prof"
 	"nezha/internal/sim"
 	"nezha/internal/slo"
-	"nezha/internal/tables"
-	"nezha/internal/vswitch"
-	"nezha/internal/workload"
 )
 
 // This file is the long-horizon scenario harness for the self-driving
@@ -295,14 +290,9 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		polCfg = *cfg.Policy
 	}
 
-	monCfg := monitor.DefaultConfig(cluster.MonitorAddr)
-	monCfg.ProbeInterval = 200 * sim.Millisecond
-	detectWindow := monCfg.ProbeInterval*(monitor.Misses+2) + 500*sim.Millisecond
-
-	ctrlCfg := controller.DefaultConfig()
-	ctrlCfg.PrepareQuorumFrac = 0.5
-	ctrlCfg.InitialFEs = polCfg.MinFEs
-	ctrlCfg.MinFEs = polCfg.MinFEs
+	spec := chaosSpec(cfg.Seed, scenarioServers, scenarioClients, scenarioBaseCPS/float64(scenarioClients))
+	spec.Controller.InitialFEs = polCfg.MinFEs
+	spec.Controller.MinFEs = polCfg.MinFEs
 
 	pr := prof.New()
 	var ob *obs.Obs
@@ -315,41 +305,15 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	if cfg.SLO {
 		tracker = slo.NewTracker(slo.Config{})
 	}
-	c := cluster.New(cluster.Options{
-		Servers: scenarioServers,
-		Seed:    cfg.Seed,
-		VSwitch: func(i int, vc *vswitch.Config) {
-			vc.Cores = 2
-			vc.CoreHz = 500_000_000
-		},
-		Controller: ctrlCfg,
-		Monitor:    monCfg,
-		Obs:        ob,
-		Prof:       pr,
-		Policy:     &polCfg,
-		SLO:        tracker,
-	})
-	if cfg.Hist != nil {
-		if pub := c.NewOpsPublisher(cfg.Hist, 10); pub != nil {
-			pub.Attach(c.Loop)
-		}
-	}
-
-	// Server (BE) VM on server 0, clients on 1..scenarioClients — the
-	// campaign rig, minus the forced offload.
-	serverNet := tables.MakePrefix(campaignServerIP(), 24)
-	_, err := c.AddVM(cluster.VMSpec{
-		Server: 0, VNIC: campaignVNIC, VPC: campaignVPC, IP: campaignServerIP(), VCPUs: 64,
-		MakeRules: func() *tables.RuleSet {
-			rs := tables.NewRuleSet(campaignVNIC, campaignVPC)
-			for i := 0; i < scenarioClients; i++ {
-				rs.Route.Add(tables.MakePrefix(campaignClientIP(i), 32), packet.IPv4(uint32(i+1)))
-			}
-			return rs
-		},
-	})
+	spec.Obs, spec.Prof, spec.Policy, spec.SLO = ob, pr, &polCfg, tracker
+	w, err := cluster.Build(spec)
 	if err != nil {
 		return ScenarioResult{}, err
+	}
+	if cfg.Hist != nil {
+		if pub := w.NewOpsPublisher(cfg.Hist, 10); pub != nil {
+			pub.Attach(w.Loop)
+		}
 	}
 
 	rampHist := metrics.NewHistogramCap("ramp-latency-us", 1<<18)
@@ -357,36 +321,21 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	inRamp := false
 	maxSlope := math.Pi * (cfg.PeakCPS - scenarioBaseCPS) / cfg.Duration.Seconds()
 
-	var clients []*workload.VM
-	var gens []*workload.CRR
-	perClient := scenarioBaseCPS / float64(scenarioClients)
-	for i := 0; i < scenarioClients; i++ {
-		vnic := uint32(i + 1)
-		vm, err := c.AddVM(cluster.VMSpec{
-			Server: i + 1, VNIC: vnic, VPC: campaignVPC, IP: campaignClientIP(i), VCPUs: 8,
-			MakeRules: cluster.TwoSubnetRules(vnic, campaignVPC, serverNet, campaignVNIC),
-		})
-		if err != nil {
-			return ScenarioResult{}, err
-		}
+	for _, vm := range w.Clients {
 		vm.OnComplete = func(lat sim.Time) {
 			allHist.Observe(lat.Micros())
 			if inRamp {
 				rampHist.Observe(lat.Micros())
 			}
 		}
-		clients = append(clients, vm)
-		gens = append(gens, workload.NewCRR(c.Loop, c.Loop.Rand(), vm, campaignServerIP(), perClient))
 	}
 
 	// The load shape: retarget every generator on a fixed cadence and
 	// track whether the shape is ramping (for the p99 bucket).
-	rateTicker := c.Loop.Every(scenarioRateEvery, func() {
-		now := c.Loop.Now()
+	rateTicker := w.Loop.Every(scenarioRateEvery, func() {
+		now := w.Loop.Now()
 		total := scenarioRate(cfg.Profile, now, cfg.Duration, scenarioBaseCPS, cfg.PeakCPS)
-		for _, g := range gens {
-			g.SetRate(total / float64(scenarioClients))
-		}
+		w.SetLoad(total)
 		inRamp = math.Abs(scenarioSlope(cfg.Profile, now, cfg.Duration, scenarioBaseCPS, cfg.PeakCPS)) > 0.5*maxSlope
 	})
 
@@ -394,11 +343,11 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	// windows the engine consumed.
 	var loads []float64
 	var pools []int
-	c.Policy.SetTrace(func(now sim.Time, w prof.Window, ds []policy.Decision) {
-		dt := (w.T1 - w.T0).Seconds()
+	w.Policy.SetTrace(func(now sim.Time, win prof.Window, ds []policy.Decision) {
+		dt := (win.T1 - win.T0).Seconds()
 		var cycles uint64
-		for _, v := range w.VNICs {
-			if v.VNIC == campaignVNIC {
+		for _, v := range win.VNICs {
+			if v.VNIC == cluster.ServerVNIC {
 				cycles += v.RuleCycles + v.SessCycles
 			}
 		}
@@ -407,19 +356,19 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 			load = float64(cycles) / dt
 		}
 		loads = append(loads, load)
-		pools = append(pools, c.Ctrl.PoolSize(campaignVNIC))
+		pools = append(pools, w.Ctrl.PoolSize(cluster.ServerVNIC))
 	})
 
 	// Invariants: the standard set plus the policy's own thrash judge.
 	rng := sim.NewRand(cfg.Seed ^ 0x6368616f73) // "chaos"
 	eng := NewEngine(System{
-		Loop: c.Loop, Fab: c.Fab, GW: c.GW, Switches: c.Switches, Mon: c.Mon, Ctrl: c.Ctrl,
+		Loop: w.Loop, Fab: w.Fab, GW: w.GW, Switches: w.Switches, Mon: w.Mon, Ctrl: w.Ctrl,
 	}, rng, Config{
 		CheckEvery:   scenarioCheckEvery,
-		DetectWindow: detectWindow,
+		DetectWindow: detectWindow(spec),
 	})
 	RegisterStandard(eng)
-	eng.Register(PolicyThrash(c.Policy.Engine()))
+	eng.Register(PolicyThrash(w.Policy.Engine()))
 	if cfg.Hist != nil {
 		eng.AttachHistory(cfg.Hist)
 	}
@@ -442,8 +391,8 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 
 	if cfg.CtrlCrashAt > 0 {
 		jrn := journal.NewMem()
-		c.Ctrl.AttachJournal(jrn)
-		c.Policy.SetJournal(jrn)
+		w.Ctrl.AttachJournal(jrn)
+		w.Policy.SetJournal(jrn)
 		outage := cfg.CtrlOutage
 		if outage <= 0 {
 			outage = sim.Second
@@ -455,30 +404,26 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		// its first window is an exact delta, not cumulative-since-boot.
 		eng.SetCtrlReviveHook(func(now sim.Time) {
 			if recs, err := jrn.Replay(); err == nil {
-				c.Policy.Engine().Restore(recs)
+				w.Policy.Engine().Restore(recs)
 			}
 			src := prof.NewSeriesReader(pr)
 			src.Prime(now)
-			c.Policy.SetSource(src)
+			w.Policy.SetSource(src)
 		})
 		eng.ArmControllerCrash(cfg.CtrlCrashAt, outage, controller.RecoverOpts{})
 	}
 
-	c.Start()
-	for _, g := range gens {
-		g.Start()
-	}
-	c.Loop.Run(cfg.Duration)
-	for _, g := range gens {
-		g.Stop()
-	}
+	w.Start()
+	w.StartLoad()
+	w.Loop.Run(cfg.Duration)
+	w.StopLoad()
 	rateTicker.Stop()
-	c.Policy.Stop()
+	w.Policy.Stop()
 	// Quiesce so the final check sees a settled system.
-	c.Loop.Run(c.Loop.Now() + 2*sim.Second)
+	w.Loop.Run(w.Loop.Now() + 2*sim.Second)
 	eng.CheckNow()
 
-	pe := c.Policy.Engine()
+	pe := w.Policy.Engine()
 	res := ScenarioResult{
 		Seed:        cfg.Seed,
 		Profile:     cfg.Profile,
@@ -488,12 +433,10 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		Pools:       pools,
 		ThrashCount: len(pe.ThrashEvents()),
 		Violations:  eng.Violations(),
-		Recoveries:  c.Ctrl.Recoveries(),
+		Recoveries:  w.Ctrl.Recoveries(),
 	}
-	res.PolicyBackoffs = c.Policy.Stats.Backoffs
-	for _, vm := range clients {
-		res.Completed += vm.Completed
-	}
+	res.PolicyBackoffs = w.Policy.Stats.Backoffs
+	res.Completed = w.Completed()
 	res.P99Micros = allHist.P99()
 	res.P99RampMicros = rampHist.P99()
 

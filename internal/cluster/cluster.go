@@ -257,8 +257,6 @@ type VMSpec struct {
 	// the controller for FE configuration and must return equivalent
 	// fresh copies on every call.
 	MakeRules func() *tables.RuleSet
-	// Decap enables stateful decapsulation.
-	Decap bool
 	// KernelScale scales the VM kernel capacity (0 or 1 = unscaled);
 	// scaled-down experiment rigs use it to keep the production
 	// VM-to-vSwitch capability ratio.
@@ -272,7 +270,7 @@ func (c *Cluster) AddVM(spec VMSpec) (*workload.VM, error) {
 		return nil, fmt.Errorf("cluster: server %d out of range", spec.Server)
 	}
 	vs := c.Switches[spec.Server]
-	if err := vs.AddVNIC(spec.MakeRules(), spec.Decap); err != nil {
+	if err := vs.AddVNIC(spec.MakeRules(), false); err != nil {
 		return nil, err
 	}
 	c.GW.Set(spec.VNIC, vs.Addr())
@@ -280,7 +278,6 @@ func (c *Cluster) AddVM(spec VMSpec) (*workload.VM, error) {
 		VNIC:      spec.VNIC,
 		Home:      vs.Addr(),
 		MakeRules: spec.MakeRules,
-		Decap:     spec.Decap,
 	})
 	vm := workload.NewVM(c.Loop, vs, spec.VNIC, spec.VPC, spec.IP, spec.VCPUs, &c.IDGen)
 	if spec.KernelScale > 0 && spec.KernelScale != 1 {

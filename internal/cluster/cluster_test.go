@@ -7,122 +7,48 @@ import (
 	"nezha/internal/sim"
 	"nezha/internal/tables"
 	"nezha/internal/vswitch"
-	"nezha/internal/workload"
 )
-
-// Scaled-down region: weak vSwitches (2 cores @ 500 MHz → ~7.4K CPS
-// monolithic capacity) so hotspots form at low event rates and tests
-// stay fast.
-func smallSwitch(i int, cfg *vswitch.Config) {
-	cfg.Cores = 2
-	cfg.CoreHz = 500_000_000
-}
 
 const (
-	nClients   = 8
-	serverIdx  = 8 // clients on 0..7, server VM here, pool beyond
-	serverVNIC = 100
-	vpc        = 7
+	nClients  = 8
+	serverIdx = 8 // clients on 0..7, server VM here, pool beyond
 )
 
-var serverIP = packet.MakeIP(10, 0, 100, 1)
-
-func clientIP(i int) packet.IPv4 { return packet.MakeIP(10, 0, byte(1+i), 1) }
-
-type rig struct {
-	c       *Cluster
-	clients []*workload.VM
-	server  *workload.VM
-	gens    []*workload.CRR
-}
-
-// buildRig wires nClients client VMs (one per server) aiming CRR
-// traffic at one high-demand server VM.
-func buildRig(t *testing.T, seed int64) *rig {
+// buildRig is a 16-server hotspot world on scaled vSwitches, its
+// generators at rate 0.
+func buildRig(t *testing.T, seed int64) *World {
 	t.Helper()
-	c := New(Options{Servers: 16, ServersPerToR: 16, Seed: seed, VSwitch: smallSwitch})
-	r := &rig{c: c}
-
-	serverNet := tables.MakePrefix(packet.MakeIP(10, 0, 100, 0), 24)
-	var err error
-	r.server, err = c.AddVM(VMSpec{
-		Server: serverIdx, VNIC: serverVNIC, VPC: vpc, IP: serverIP, VCPUs: 64,
-		MakeRules: func() *tables.RuleSet {
-			rs := tables.NewRuleSet(serverVNIC, vpc)
-			for i := 0; i < nClients; i++ {
-				rs.Route.Add(tables.MakePrefix(clientIP(i), 32), packet.IPv4(uint32(i+1)))
-			}
-			return rs
-		},
-	})
+	w, err := Build(Spec{Seed: seed, Servers: 16, Clients: nClients, ClientVCPUs: 8, ServerVCPUs: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < nClients; i++ {
-		vnic := uint32(i + 1)
-		vm, err := c.AddVM(VMSpec{
-			Server: i, VNIC: vnic, VPC: vpc, IP: clientIP(i), VCPUs: 8,
-			MakeRules: TwoSubnetRules(vnic, vpc, serverNet, serverVNIC),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.clients = append(r.clients, vm)
-		r.gens = append(r.gens, workload.NewCRR(c.Loop, c.Loop.Rand(), vm, serverIP, 0))
-	}
-	return r
-}
-
-func (r *rig) totalCompleted() uint64 {
-	var t uint64
-	for _, vm := range r.clients {
-		t += vm.Completed
-	}
-	return t
-}
-
-func (r *rig) setRates(perClient float64) {
-	for _, g := range r.gens {
-		g.SetRate(perClient)
-	}
-}
-
-func (r *rig) startAll() {
-	for _, g := range r.gens {
-		g.Start()
-	}
-}
-
-func (r *rig) stopAll() {
-	for _, g := range r.gens {
-		g.Stop()
-	}
+	return w
 }
 
 func TestAutoOffloadOnHotspot(t *testing.T) {
 	r := buildRig(t, 1)
-	r.c.Start()
-	r.setRates(2500) // 20K CPS aggregate >> ~7.4K monolithic capacity
-	r.startAll()
+	r.Start()
+	r.SetLoad(2500 * nClients) // 20K CPS aggregate >> ~7.4K monolithic capacity
+	r.StartLoad()
 
 	// Window 1: before offload can complete (first second).
-	r.c.Loop.Run(sim.Second)
-	before := r.totalCompleted()
+	r.Loop.Run(sim.Second)
+	before := r.Completed()
 
 	// Let the controller detect, offload, and stabilize.
-	r.c.Loop.Run(5 * sim.Second)
-	mid := r.totalCompleted()
+	r.Loop.Run(5 * sim.Second)
+	mid := r.Completed()
 
 	// Window 2: steady state with Nezha.
-	r.c.Loop.Run(8 * sim.Second)
-	after := r.totalCompleted()
-	r.stopAll()
-	r.c.Loop.Run(r.c.Loop.Now() + sim.Second)
+	r.Loop.Run(8 * sim.Second)
+	after := r.Completed()
+	r.StopLoad()
+	r.Loop.Run(r.Loop.Now() + sim.Second)
 
-	if !r.c.Ctrl.Offloaded(serverVNIC) {
-		t.Fatalf("controller never offloaded the hot vNIC (offloads=%d)", r.c.Ctrl.Stats.Offloads)
+	if !r.Ctrl.Offloaded(ServerVNIC) {
+		t.Fatalf("controller never offloaded the hot vNIC (offloads=%d)", r.Ctrl.Stats.Offloads)
 	}
-	fes := r.c.Ctrl.FEsOf(serverVNIC)
+	fes := r.Ctrl.FEsOf(ServerVNIC)
 	if len(fes) < 4 {
 		t.Fatalf("FE pool = %d, want >= 4", len(fes))
 	}
@@ -133,7 +59,7 @@ func TestAutoOffloadOnHotspot(t *testing.T) {
 			cpsAfter/cpsBefore, cpsBefore, cpsAfter)
 	}
 	// Gateway must now resolve the vNIC to FE addresses.
-	addrs, ok := r.c.GW.Lookup(serverVNIC)
+	addrs, ok := r.GW.Lookup(ServerVNIC)
 	if !ok || len(addrs) < 4 {
 		t.Fatalf("gateway not remapped: %v", addrs)
 	}
@@ -146,14 +72,14 @@ func TestAutoOffloadOnHotspot(t *testing.T) {
 
 func TestOffloadCompletionTimes(t *testing.T) {
 	r := buildRig(t, 2)
-	r.c.Start()
-	r.setRates(2500)
-	r.startAll()
-	r.c.Loop.Run(6 * sim.Second)
-	r.stopAll()
-	r.c.Loop.Run(r.c.Loop.Now() + sim.Second)
+	r.Start()
+	r.SetLoad(2500 * nClients)
+	r.StartLoad()
+	r.Loop.Run(6 * sim.Second)
+	r.StopLoad()
+	r.Loop.Run(r.Loop.Now() + sim.Second)
 
-	h := r.c.Ctrl.OffloadCompletion
+	h := r.Ctrl.OffloadCompletion
 	if h.Count() == 0 {
 		t.Fatal("no offload completions recorded")
 	}
@@ -165,35 +91,35 @@ func TestOffloadCompletionTimes(t *testing.T) {
 
 func TestFailoverAfterFECrash(t *testing.T) {
 	r := buildRig(t, 3)
-	r.c.Start()
-	r.setRates(2500)
-	r.startAll()
-	r.c.Loop.Run(5 * sim.Second) // offload completes
-	if !r.c.Ctrl.Offloaded(serverVNIC) {
+	r.Start()
+	r.SetLoad(2500 * nClients)
+	r.StartLoad()
+	r.Loop.Run(5 * sim.Second) // offload completes
+	if !r.Ctrl.Offloaded(ServerVNIC) {
 		t.Fatal("precondition: not offloaded")
 	}
-	fes := r.c.Ctrl.FEsOf(serverVNIC)
+	fes := r.Ctrl.FEsOf(ServerVNIC)
 	if len(fes) == 0 {
 		t.Fatal("no FEs")
 	}
 	// Crash the first FE's vSwitch.
 	var victim *vswitch.VSwitch
-	for _, vs := range r.c.Switches {
+	for _, vs := range r.Switches {
 		if vs.Addr() == fes[0] {
 			victim = vs
 		}
 	}
 	victim.Crash()
-	crashAt := r.c.Loop.Now()
+	crashAt := r.Loop.Now()
 
-	r.c.Loop.Run(crashAt + 10*sim.Second)
-	r.stopAll()
-	r.c.Loop.Run(r.c.Loop.Now() + sim.Second)
+	r.Loop.Run(crashAt + 10*sim.Second)
+	r.StopLoad()
+	r.Loop.Run(r.Loop.Now() + sim.Second)
 
-	if r.c.Ctrl.Stats.Failovers != 1 {
-		t.Fatalf("failovers = %d, want 1", r.c.Ctrl.Stats.Failovers)
+	if r.Ctrl.Stats.Failovers != 1 {
+		t.Fatalf("failovers = %d, want 1", r.Ctrl.Stats.Failovers)
 	}
-	after := r.c.Ctrl.FEsOf(serverVNIC)
+	after := r.Ctrl.FEsOf(ServerVNIC)
 	for _, a := range after {
 		if a == victim.Addr() {
 			t.Fatal("dead FE still in pool")
@@ -203,7 +129,7 @@ func TestFailoverAfterFECrash(t *testing.T) {
 		t.Fatalf("pool not replenished to MinFEs: %d", len(after))
 	}
 	// The gateway must agree.
-	addrs, _ := r.c.GW.Lookup(serverVNIC)
+	addrs, _ := r.GW.Lookup(ServerVNIC)
 	for _, a := range addrs {
 		if a == victim.Addr() {
 			t.Fatal("gateway still lists the dead FE")
@@ -213,52 +139,52 @@ func TestFailoverAfterFECrash(t *testing.T) {
 
 func TestFallbackWhenLoadSubsides(t *testing.T) {
 	r := buildRig(t, 4)
-	r.c.Start()
-	r.setRates(2500)
-	r.startAll()
-	r.c.Loop.Run(5 * sim.Second)
-	if !r.c.Ctrl.Offloaded(serverVNIC) {
+	r.Start()
+	r.SetLoad(2500 * nClients)
+	r.StartLoad()
+	r.Loop.Run(5 * sim.Second)
+	if !r.Ctrl.Offloaded(ServerVNIC) {
 		t.Fatal("precondition: not offloaded")
 	}
 	// Load vanishes; the fallback checker (10s cadence) must bring
 	// the vNIC home.
-	r.stopAll()
-	r.c.Loop.Run(40 * sim.Second)
-	if r.c.Ctrl.Offloaded(serverVNIC) {
-		t.Fatalf("no fallback after load subsided (fallbacks=%d)", r.c.Ctrl.Stats.Fallbacks)
+	r.StopLoad()
+	r.Loop.Run(40 * sim.Second)
+	if r.Ctrl.Offloaded(ServerVNIC) {
+		t.Fatalf("no fallback after load subsided (fallbacks=%d)", r.Ctrl.Stats.Fallbacks)
 	}
 	// Gateway points home again.
-	addrs, ok := r.c.GW.Lookup(serverVNIC)
+	addrs, ok := r.GW.Lookup(ServerVNIC)
 	if !ok || len(addrs) != 1 || addrs[0] != ServerAddr(serverIdx) {
 		t.Fatalf("gateway after fallback: %v", addrs)
 	}
 	// And traffic flows locally.
-	pre := r.totalCompleted()
-	r.setRates(500)
-	r.startAll()
-	r.c.Loop.Run(r.c.Loop.Now() + 2*sim.Second)
-	r.stopAll()
-	r.c.Loop.Run(r.c.Loop.Now() + sim.Second)
-	if r.totalCompleted() == pre {
+	pre := r.Completed()
+	r.SetLoad(500 * nClients)
+	r.StartLoad()
+	r.Loop.Run(r.Loop.Now() + 2*sim.Second)
+	r.StopLoad()
+	r.Loop.Run(r.Loop.Now() + sim.Second)
+	if r.Completed() == pre {
 		t.Fatal("no traffic after fallback")
 	}
 }
 
 func TestScaleOutUnderFEPressure(t *testing.T) {
 	r := buildRig(t, 5)
-	r.c.Start()
-	r.setRates(2500)
-	r.startAll()
-	r.c.Loop.Run(12 * sim.Second)
-	r.stopAll()
-	r.c.Loop.Run(r.c.Loop.Now() + sim.Second)
+	r.Start()
+	r.SetLoad(2500 * nClients)
+	r.StartLoad()
+	r.Loop.Run(12 * sim.Second)
+	r.StopLoad()
+	r.Loop.Run(r.Loop.Now() + sim.Second)
 	// 20K CPS over 4 weak FEs ≈ 65% each — the controller must have
 	// scaled the pool out beyond the initial 4.
-	if r.c.Ctrl.Stats.ScaleOuts == 0 {
-		t.Fatalf("no scale-outs under FE pressure (FEs=%d)", len(r.c.Ctrl.FEsOf(serverVNIC)))
+	if r.Ctrl.Stats.ScaleOuts == 0 {
+		t.Fatalf("no scale-outs under FE pressure (FEs=%d)", len(r.Ctrl.FEsOf(ServerVNIC)))
 	}
-	if len(r.c.Ctrl.FEsOf(serverVNIC)) <= 4 {
-		t.Fatalf("pool did not grow: %d", len(r.c.Ctrl.FEsOf(serverVNIC)))
+	if len(r.Ctrl.FEsOf(ServerVNIC)) <= 4 {
+		t.Fatalf("pool did not grow: %d", len(r.Ctrl.FEsOf(ServerVNIC)))
 	}
 }
 
@@ -312,23 +238,23 @@ func TestServerAddrDistinct(t *testing.T) {
 // 4-FE floor.
 func TestConvergenceAfterChaos(t *testing.T) {
 	r := buildRig(t, 9)
-	r.c.Start()
-	r.setRates(1000) // light steady traffic
-	r.startAll()
-	if err := r.c.Ctrl.ForceOffload(serverVNIC); err != nil {
+	r.Start()
+	r.SetLoad(1000 * nClients) // light steady traffic
+	r.StartLoad()
+	if err := r.Ctrl.ForceOffload(ServerVNIC); err != nil {
 		t.Fatal(err)
 	}
-	r.c.Loop.Run(4 * sim.Second)
+	r.Loop.Run(4 * sim.Second)
 
-	rng := r.c.Loop.Rand()
+	rng := r.Loop.Rand()
 	var crashed []*vswitch.VSwitch
 	for round := 0; round < 6; round++ {
-		fes := r.c.Ctrl.FEsOf(serverVNIC)
+		fes := r.Ctrl.FEsOf(ServerVNIC)
 		if len(fes) > 0 {
 			switch rng.Intn(3) {
 			case 0: // crash a random FE
 				a := fes[rng.Intn(len(fes))]
-				for _, vs := range r.c.Switches {
+				for _, vs := range r.Switches {
 					if vs.Addr() == a && !vs.Crashed() {
 						vs.Crash()
 						crashed = append(crashed, vs)
@@ -336,29 +262,29 @@ func TestConvergenceAfterChaos(t *testing.T) {
 				}
 			case 1: // partition the BE from a random FE
 				a := fes[rng.Intn(len(fes))]
-				r.c.Fab.Partition(ServerAddr(serverIdx), a)
+				r.Fab.Partition(ServerAddr(serverIdx), a)
 			case 2: // revive one crashed switch
 				if len(crashed) > 0 {
 					vs := crashed[len(crashed)-1]
 					crashed = crashed[:len(crashed)-1]
 					vs.Revive()
-					r.c.Ctrl.NodeUp(vs.Addr())
+					r.Ctrl.NodeUp(vs.Addr())
 				}
 			}
 		}
-		r.c.Loop.Run(r.c.Loop.Now() + 4*sim.Second)
+		r.Loop.Run(r.Loop.Now() + 4*sim.Second)
 	}
 	// Settle.
-	r.c.Loop.Run(r.c.Loop.Now() + 12*sim.Second)
-	r.stopAll()
-	r.c.Loop.Run(r.c.Loop.Now() + sim.Second)
+	r.Loop.Run(r.Loop.Now() + 12*sim.Second)
+	r.StopLoad()
+	r.Loop.Run(r.Loop.Now() + sim.Second)
 
-	if !r.c.Ctrl.Offloaded(serverVNIC) {
+	if !r.Ctrl.Offloaded(ServerVNIC) {
 		t.Skip("fallback engaged during chaos; nothing to check")
 	}
-	ctrlView := r.c.Ctrl.FEsOf(serverVNIC)
-	gwView, _ := r.c.GW.Lookup(serverVNIC)
-	beView := r.c.Switch(serverIdx).FEList(serverVNIC)
+	ctrlView := r.Ctrl.FEsOf(ServerVNIC)
+	gwView, _ := r.GW.Lookup(ServerVNIC)
+	beView := r.Switch(serverIdx).FEList(ServerVNIC)
 
 	asSet := func(xs []packet.IPv4) map[packet.IPv4]bool {
 		m := make(map[packet.IPv4]bool)
@@ -380,17 +306,17 @@ func TestConvergenceAfterChaos(t *testing.T) {
 		t.Fatalf("pool below the floor: %v", ctrlView)
 	}
 	for a := range cs {
-		for _, vs := range r.c.Switches {
+		for _, vs := range r.Switches {
 			if vs.Addr() != a {
 				continue
 			}
 			if vs.Crashed() {
 				t.Fatalf("crashed FE %v still in the pool", a)
 			}
-			if !vs.HostsFE(serverVNIC) {
+			if !vs.HostsFE(ServerVNIC) {
 				t.Fatalf("FE %v in views but not hosting", a)
 			}
-			if r.c.Fab.Partitioned(ServerAddr(serverIdx), a) {
+			if r.Fab.Partitioned(ServerAddr(serverIdx), a) {
 				t.Fatalf("partitioned FE %v still in the pool", a)
 			}
 		}

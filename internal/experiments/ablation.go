@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nezha/internal/baseline"
+	"nezha/internal/cluster"
 	"nezha/internal/flowcache"
 	"nezha/internal/metrics"
 	"nezha/internal/packet"
@@ -126,18 +127,15 @@ func offerConns(loop *sim.Loop, n int, fn func(uint64)) {
 // measureNotifyRate runs flows through an offloaded vNIC whose FE
 // rules install a stats policy, counting notify packets per TX packet.
 func measureNotifyRate(cfg RunConfig) (notifies, txPkts uint64) {
-	r, err := newRig(rigOpts{seed: cfg.Seed, poolSize: 4, nClients: 4})
-	if err != nil {
-		panic(err)
-	}
+	r := newRig(rigSpec(cfg.Seed, 4, 4))
 	mk := func() *tables.RuleSet {
 		rs := r.feRules()
 		rs.EnableAdvanced()
 		rs.Stats.Add(tables.MakePrefix(0, 0), tables.StatsPackets)
 		return rs
 	}
-	srv := r.serverSwitch()
-	srv.RemoveVNIC(rigServerVNIC)
+	srv := r.ServerSwitch()
+	srv.RemoveVNIC(cluster.ServerVNIC)
 	if err := srv.AddVNIC(mk(), false); err != nil {
 		panic(err)
 	}
@@ -150,24 +148,24 @@ func measureNotifyRate(cfg RunConfig) (notifies, txPkts uint64) {
 	if cfg.Quick {
 		flows = 50
 	}
-	loop := r.c.Loop
+	loop := r.Loop
 	id := uint64(0)
 	for f := 0; f < flows; f++ {
 		ft := packet.FiveTuple{
-			SrcIP: rigServerIP, DstIP: rigClientIP(f % 4),
+			SrcIP: cluster.ServerIP, DstIP: cluster.ClientIP(f % 4),
 			SrcPort: 80, DstPort: uint16(20000 + f), Proto: packet.ProtoTCP,
 		}
 		for k := 0; k < pktsPer; k++ {
 			id++
-			p := packet.New(id, rigVPC, rigServerVNIC, ft, packet.DirTX, packet.FlagACK, 64)
+			p := packet.New(id, cluster.VPC, cluster.ServerVNIC, ft, packet.DirTX, packet.FlagACK, 64)
 			delay := sim.Time(f*pktsPer+k) * 50 * sim.Microsecond
 			loop.Schedule(delay, func() { srv.FromVM(p) })
 		}
 	}
 	loop.Run(loop.Now() + 5*sim.Second)
 	var nf uint64
-	for i := 0; i < len(r.c.Switches); i++ {
-		nf += r.c.Switch(i).Stats.NotifySent
+	for i := 0; i < len(r.Switches); i++ {
+		nf += r.Switch(i).Stats.NotifySent
 	}
 	return nf, uint64(flows * pktsPer)
 }
@@ -190,18 +188,15 @@ func runOverhead(cfg RunConfig) *Result {
 		window = sim.Second
 	}
 	measure := func(k int) (bytesPerTxn float64, cps float64) {
-		r, err := newRig(rigOpts{seed: cfg.Seed, poolSize: 6, nClients: 8})
-		if err != nil {
-			panic(err)
-		}
+		r := newRig(rigSpec(cfg.Seed, 8, 6))
 		if err := r.offloadTo(k); err != nil {
 			panic(err)
 		}
-		b0 := r.c.Fab.BytesSent
-		c0 := r.totalCompleted()
+		b0 := r.Fab.BytesSent
+		c0 := r.Completed()
 		cps = r.measureClosedCPS(8, window)
-		db := r.c.Fab.BytesSent - b0
-		dc := r.totalCompleted() - c0
+		db := r.Fab.BytesSent - b0
+		dc := r.Completed() - c0
 		if dc == 0 {
 			return 0, cps
 		}

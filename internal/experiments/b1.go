@@ -6,6 +6,7 @@ import (
 	"nezha/internal/packet"
 	"nezha/internal/sim"
 	"nezha/internal/tables"
+	"nezha/internal/vswitch"
 	"nezha/internal/workload"
 )
 
@@ -47,9 +48,10 @@ func runB1(cfg RunConfig) *Result {
 		)
 		serverIP := packet.MakeIP(10, 0, 9, 1)
 		clientIP := packet.MakeIP(10, 0, 1, 1)
+		serverRules := cluster.TwoSubnetRules(vnic, vpc, tables.MakePrefix(clientIP, 32), cvnic)
 		if _, err := c.AddVM(cluster.VMSpec{
 			Server: beIdx, VNIC: vnic, VPC: vpc, IP: serverIP, VCPUs: 16,
-			MakeRules: cluster.TwoSubnetRules(vnic, vpc, tables.MakePrefix(clientIP, 32), cvnic),
+			MakeRules: serverRules,
 		}); err != nil {
 			panic(err)
 		}
@@ -64,21 +66,11 @@ func runB1(cfg RunConfig) *Result {
 
 		// Install 4 FEs at the chosen placements.
 		be := c.Switch(beIdx)
-		var feAddrs []packet.IPv4
-		for i := 0; i < 4; i++ {
-			fe := c.Switch(pick(i))
-			rs := cluster.TwoSubnetRules(vnic, vpc, tables.MakePrefix(clientIP, 32), cvnic)()
-			if err := fe.InstallFE(rs, be.Addr(), false); err != nil {
-				panic(err)
-			}
-			feAddrs = append(feAddrs, fe.Addr())
+		fes := make([]*vswitch.VSwitch, 4)
+		for i := range fes {
+			fes[i] = c.Switch(pick(i))
 		}
-		if err := be.OffloadStart(vnic, feAddrs); err != nil {
-			panic(err)
-		}
-		c.GW.Set(vnic, feAddrs...)
-		c.Loop.Run(300 * sim.Millisecond)
-		if err := be.OffloadFinalize(vnic); err != nil {
+		if err := c.OffloadStatic(vnic, be, fes, serverRules); err != nil {
 			panic(err)
 		}
 

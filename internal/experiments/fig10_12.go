@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"nezha/internal/cluster"
 	"nezha/internal/metrics"
 	"nezha/internal/nic"
 	"nezha/internal/packet"
@@ -35,13 +36,9 @@ func runFig10(cfg RunConfig) *Result {
 	var base float64
 	for _, vc := range vcpus {
 		measure := func(k int) float64 {
-			r, err := newRig(rigOpts{
-				seed: cfg.Seed, serverVCPU: vc, kernelScale: rigKernelScale,
-				poolSize: 16, nClients: 12,
-			})
-			if err != nil {
-				panic(err)
-			}
+			s := rigSpec(cfg.Seed, 12, 16)
+			s.ServerVCPUs, s.ServerKernelScale = vc, rigKernelScale
+			r := newRig(s)
 			if err := r.offloadTo(k); err != nil {
 				panic(err)
 			}
@@ -81,18 +78,17 @@ func init() {
 }
 
 func runFig11(cfg RunConfig) *Result {
-	r, err := newRig(rigOpts{seed: cfg.Seed, poolSize: 12, nClients: 12, serverVCPU: 64})
-	if err != nil {
-		panic(err)
-	}
-	r.c.Start() // controller + monitor live
-	loop := r.c.Loop
+	r := newRig(rigSpec(cfg.Seed, 12, 12))
+	r.Start() // controller + monitor live
+	loop := r.Loop
 
-	beMeter := nic.NewUtilMeter(r.serverSwitch().CPU())
-	feMeters := make(map[packet.IPv4]*nic.UtilMeter)
-	for i := len(r.clients) + 1; i < len(r.c.Switches); i++ {
-		vs := r.c.Switch(i)
-		feMeters[vs.Addr()] = nic.NewUtilMeter(vs.CPU())
+	beMeter := nic.NewUtilMeter(r.ServerSwitch().CPU())
+	// One meter per pool switch, in pool order, so the FE average
+	// sums in the same order on every run.
+	pool := r.Pool()
+	feMeters := make([]*nic.UtilMeter, len(pool))
+	for i, vs := range pool {
+		feMeters[i] = nic.NewUtilMeter(vs.CPU())
 	}
 
 	beSeries := metrics.NewSeries("fig11-be-cpu")
@@ -105,44 +101,41 @@ func runFig11(cfg RunConfig) *Result {
 		dur = 12 * sim.Second
 	}
 	// Ramp offered CPS: 10% → 300% of monolithic capacity.
-	r.setRates(0.1 * rigMonoCPS)
+	r.SetLoad(0.1 * rigMonoCPS)
 	loop.Every(sim.Second, func() {
 		frac := 0.1 + 2.9*loop.Now().Seconds()/dur.Seconds()
-		r.setRates(frac * rigMonoCPS)
+		r.SetLoad(frac * rigMonoCPS)
 	})
-	r.startAll()
+	r.StartLoad()
 
 	loop.Every(200*sim.Millisecond, func() {
 		now := loop.Now().Seconds()
 		beSeries.Record(now, beMeter.Sample()*100)
 		sum, n := 0.0, 0
-		for addr, m := range feMeters {
-			u := m.Sample()
-			for i := len(r.clients) + 1; i < len(r.c.Switches); i++ {
-				if r.c.Switch(i).Addr() == addr && r.c.Switch(i).HostsFE(rigServerVNIC) {
-					sum += u
-					n++
-				}
+		for i, m := range feMeters {
+			if u := m.Sample(); pool[i].HostsFE(cluster.ServerVNIC) {
+				sum += u
+				n++
 			}
 		}
 		if n > 0 {
 			feSeries.Record(now, sum/float64(n)*100)
 		}
-		feCount.Record(now, float64(len(r.c.Ctrl.FEsOf(rigServerVNIC))))
+		feCount.Record(now, float64(len(r.Ctrl.FEsOf(cluster.ServerVNIC))))
 		var offered float64
-		for _, g := range r.gens {
+		for _, g := range r.Gens {
 			offered += g.Rate()
 		}
 		cpsSeries.Record(now, offered)
 	})
 
 	loop.Run(dur)
-	r.stopAll()
+	r.StopLoad()
 
 	t := metrics.NewTable("event", "value")
-	t.AddRow("offloads", r.c.Ctrl.Stats.Offloads)
-	t.AddRow("scale-outs", r.c.Ctrl.Stats.ScaleOuts)
-	t.AddRow("final #FEs", len(r.c.Ctrl.FEsOf(rigServerVNIC)))
+	t.AddRow("offloads", r.Ctrl.Stats.Offloads)
+	t.AddRow("scale-outs", r.Ctrl.Stats.ScaleOuts)
+	t.AddRow("final #FEs", len(r.Ctrl.FEsOf(cluster.ServerVNIC)))
 	t.AddRow("BE peak CPU %", beSeries.MaxValue())
 	beFinal := 0.0
 	if beSeries.Len() > 0 {
@@ -197,10 +190,7 @@ func runFig12(cfg RunConfig) *Result {
 // fig12Point measures probe latency under background load frac (of
 // monolithic capacity), with or without offloading.
 func fig12Point(cfg RunConfig, frac float64, nezha bool) (latUS float64, loss float64) {
-	r, err := newRig(rigOpts{seed: cfg.Seed, poolSize: 6, nClients: 8, serverVCPU: 64})
-	if err != nil {
-		panic(err)
-	}
+	r := newRig(rigSpec(cfg.Seed, 8, 6))
 	// Offloading engages above the 70% trigger only (§4.2.1): below
 	// it, Nezha behaves identically to the baseline.
 	if nezha && frac > 0.7 {
@@ -208,17 +198,17 @@ func fig12Point(cfg RunConfig, frac float64, nezha bool) (latUS float64, loss fl
 			panic(err)
 		}
 	}
-	loop := r.c.Loop
+	loop := r.Loop
 
 	// Background load.
-	r.setRates(frac * rigMonoCPS)
-	r.startAll()
+	r.SetLoad(frac * rigMonoCPS)
+	r.StartLoad()
 
 	// Probe flow: latency recorded at the server VM delivery.
 	probe := metrics.NewHistogram("probe-lat")
 	delivered := 0
-	srv := r.serverSwitch()
-	orig := r.server
+	srv := r.ServerSwitch()
+	orig := r.Server
 	srv.SetDelivery(func(vnic uint32, p *packet.Packet, lat sim.Time) {
 		if p.Tuple.SrcPort == 5555 {
 			if p.PayloadLen > 0 {
@@ -232,14 +222,14 @@ func fig12Point(cfg RunConfig, frac float64, nezha bool) (latUS float64, loss fl
 
 	warm := sim.Second
 	loop.Run(loop.Now() + warm)
-	pg := workload.NewPinger(loop, r.clients[0], rigServerIP, 5555)
+	pg := workload.NewPinger(loop, r.Clients[0], cluster.ServerIP, 5555)
 	n := 400
 	if cfg.Quick {
 		n = 100
 	}
 	pg.Run(1000, n)
 	loop.Run(loop.Now() + sim.Time(n)*sim.Millisecond + sim.Second)
-	r.stopAll()
+	r.StopLoad()
 
 	return probe.Mean(), 1 - float64(delivered)/float64(n)
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"nezha/internal/cluster"
 	"nezha/internal/fabric"
 	"nezha/internal/flowcache"
@@ -71,10 +69,9 @@ func runFig9(cfg RunConfig) *Result {
 // no symmetric hashing), so each session costs the pool two rule
 // walks; the pool overtakes the VM bottleneck around 4–6 FEs.
 func fig9CPS(cfg RunConfig, k int) float64 {
-	r, err := newRig(rigOpts{seed: cfg.Seed, serverVCPU: 64, kernelScale: rigKernelScale, poolSize: 10, nClients: 12})
-	if err != nil {
-		panic(err)
-	}
+	s := rigSpec(cfg.Seed, 12, 10)
+	s.ServerKernelScale = rigKernelScale
+	r := newRig(s)
 	if err := r.offloadTo(k); err != nil {
 		panic(err)
 	}
@@ -105,7 +102,7 @@ func fig9VNICs(cfg RunConfig, k int) int {
 		}))
 	}
 	mkRules := func(vnic uint32) *tables.RuleSet {
-		rs := tables.NewRuleSet(vnic, rigVPC)
+		rs := tables.NewRuleSet(vnic, cluster.VPC)
 		// ~2 MB of rule tables (the paper's production minimum).
 		for i := 0; i < (2<<20)/tables.ACLRuleBytes; i++ {
 			rs.ACL.Add(tables.ACLRule{Priority: i, Verdict: tables.VerdictAllow})
@@ -131,7 +128,7 @@ func fig9VNICs(cfg RunConfig, k int) int {
 		}
 		// The BE records only BE data for an offloaded vNIC. Use the
 		// real workflow: install minimal rules, offload, finalize.
-		tiny := tables.NewRuleSet(vnic, rigVPC)
+		tiny := tables.NewRuleSet(vnic, cluster.VPC)
 		if be.AddVNIC(tiny, false) != nil {
 			fe.RemoveFE(vnic)
 			break
@@ -153,17 +150,19 @@ func fig9VNICs(cfg RunConfig, k int) int {
 // rule lookups per packet, which the paper (and this model) treats as
 // unsustainable.
 func fig9Flows(cfg RunConfig, k int) int {
-	// Budgets sized so the knee lands near 4 FEs: monolithic entries
-	// (192 B) in a small session partition; offloading frees the fat
-	// rule tables, growing BE state capacity ~4x; each FE contributes
-	// roughly a quarter of that in cached-flow space.
-	const beMem = 10 << 20
-	const feMem = 4 << 20
-	ruleFat := (6 << 20) / tables.ACLRuleBytes // ~6 MB rule tables
-	r, err := newRigFlowCap(cfg.Seed, beMem, feMem, ruleFat)
-	if err != nil {
-		panic(err)
-	}
+	// The flow-capacity rig: a tiny memory budget on the server (BE),
+	// smaller still on the pool, fat (~6 MB) rule tables on the server
+	// vNIC, and full-scale CPUs, so this experiment isolates the
+	// memory bottleneck. Budgets sized so the knee lands near 4 FEs:
+	// monolithic entries (192 B) in a small session partition;
+	// offloading frees the fat rule tables, growing BE state capacity
+	// ~4x; each FE contributes roughly a quarter of that in cached-flow
+	// space.
+	s := rigSpec(cfg.Seed, 8, 10)
+	s.FullScale = true
+	s.ServerMem, s.PoolMem = 10<<20, 4<<20
+	s.ACLPad = (6 << 20) / tables.ACLRuleBytes
+	r := newRig(s)
 	if err := r.offloadTo(k); err != nil {
 		panic(err)
 	}
@@ -173,17 +172,17 @@ func fig9Flows(cfg RunConfig, k int) int {
 		target = 30000
 		ramp = 2 * sim.Second
 	}
-	h := workload.NewFlowHolder(r.c.Loop, r.clients[0], rigServerIP, sim.Second)
+	h := workload.NewFlowHolder(r.Loop, r.Clients[0], cluster.ServerIP, sim.Second)
 	h.RampN(target, ramp)
 	// Paced keepalive sweeps defeat the 8 s established aging.
-	r.c.Loop.Schedule(ramp, func() { h.KeepAlivePaced(2 * sim.Second) })
-	r.c.Loop.Schedule(ramp+4*sim.Second, func() { h.KeepAlivePaced(2 * sim.Second) })
-	r.c.Loop.Run(r.c.Loop.Now() + ramp + 7*sim.Second)
+	r.Loop.Schedule(ramp, func() { h.KeepAlivePaced(2 * sim.Second) })
+	r.Loop.Schedule(ramp+4*sim.Second, func() { h.KeepAlivePaced(2 * sim.Second) })
+	r.Loop.Run(r.Loop.Now() + ramp + 7*sim.Second)
 
-	be := r.serverSwitch()
+	be := r.ServerSwitch()
 	states := 0
 	be.Sessions().Range(func(e *flowcache.Entry) bool {
-		if e.HasState && e.Key.VNIC == rigServerVNIC {
+		if e.HasState && e.Key.VNIC == cluster.ServerVNIC {
 			states++
 		}
 		return true
@@ -192,13 +191,13 @@ func fig9Flows(cfg RunConfig, k int) int {
 		return states
 	}
 	cached := 0
-	for i := 0; i < len(r.c.Switches); i++ {
-		vs := r.c.Switch(i)
-		if !vs.HostsFE(rigServerVNIC) {
+	for i := 0; i < len(r.Switches); i++ {
+		vs := r.Switch(i)
+		if !vs.HostsFE(cluster.ServerVNIC) {
 			continue
 		}
 		vs.Sessions().Range(func(e *flowcache.Entry) bool {
-			if e.HasPre && e.Key.VNIC == rigServerVNIC {
+			if e.HasPre && e.Key.VNIC == cluster.ServerVNIC {
 				cached++
 			}
 			return true
@@ -208,60 +207,4 @@ func fig9Flows(cfg RunConfig, k int) int {
 		return cached
 	}
 	return states
-}
-
-// newRigFlowCap builds the flow-capacity rig: a tiny memory budget on
-// the server (BE) and smaller still on the pool switches, fat rule
-// tables on the server vNIC. CPU stays at full scale — this
-// experiment isolates the memory bottleneck.
-func newRigFlowCap(seed int64, beMem, feMem, ruleFat int) (*rig, error) {
-	o := rigOpts{seed: seed, poolSize: 10, ruleFat: ruleFat, nClients: 8}
-	servers := o.nClients + 1 + o.poolSize
-	c := cluster.New(cluster.Options{
-		Servers:       servers,
-		ServersPerToR: servers,
-		Seed:          seed,
-		VSwitch: func(i int, cfg *vswitch.Config) {
-			if i == o.nClients {
-				cfg.NetMemBytes = beMem
-			} else if i > o.nClients {
-				cfg.NetMemBytes = feMem
-			}
-		},
-	})
-	r := &rig{c: c}
-	serverIdx := o.nClients
-	mkServerRules := func() *tables.RuleSet {
-		rs := tables.NewRuleSet(rigServerVNIC, rigVPC)
-		rs.Route.Add(tables.MakePrefix(packet.MakeIP(10, 0, 0, 0), 8), 0)
-		for i := 0; i < o.nClients; i++ {
-			rs.Route.Add(tables.MakePrefix(rigClientIP(i), 32), packet.IPv4(uint32(i+1)))
-		}
-		for i := 0; i < ruleFat; i++ {
-			rs.ACL.Add(tables.ACLRule{Priority: 1000 + i, Verdict: tables.VerdictAllow})
-		}
-		return rs
-	}
-	var err error
-	r.server, err = c.AddVM(cluster.VMSpec{
-		Server: serverIdx, VNIC: rigServerVNIC, VPC: rigVPC,
-		IP: rigServerIP, VCPUs: 64, MakeRules: mkServerRules,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("flow rig server: %w", err)
-	}
-	serverNet := tables.MakePrefix(packet.MakeIP(10, 0, 100, 0), 24)
-	for i := 0; i < o.nClients; i++ {
-		vnic := uint32(i + 1)
-		vm, err := c.AddVM(cluster.VMSpec{
-			Server: i, VNIC: vnic, VPC: rigVPC, IP: rigClientIP(i), VCPUs: 16,
-			MakeRules: cluster.TwoSubnetRules(vnic, rigVPC, serverNet, rigServerVNIC),
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.clients = append(r.clients, vm)
-		r.gens = append(r.gens, workload.NewCRR(c.Loop, c.Loop.Rand(), vm, rigServerIP, 0))
-	}
-	return r, nil
 }

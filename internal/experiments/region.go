@@ -45,10 +45,7 @@ func runRegionOnce(cfg RunConfig, nezha bool, dur sim.Time) regionOutcome {
 	nServers := 2*regionTenants + regionPool
 	c := cluster.New(cluster.Options{
 		Servers: nServers, ServersPerToR: nServers, Seed: cfg.Seed,
-		VSwitch: func(i int, cfg *vswitch.Config) {
-			cfg.Cores = rigCores
-			cfg.CoreHz = rigCoreHz
-		},
+		VSwitch: cluster.Scaled,
 	})
 
 	// Tenant i: client VM on server i, server VM on server

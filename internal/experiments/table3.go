@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"nezha/internal/cluster"
 	"nezha/internal/metrics"
 	"nezha/internal/sim"
 	"nezha/internal/tables"
@@ -91,17 +92,13 @@ func table3Customize(mb middleboxProfile, rs *tables.RuleSet) *tables.RuleSet {
 // profile: baseline vs 8 FEs (the post-Nezha ceiling is the VM).
 func table3CPS(cfg RunConfig, mb middleboxProfile, window sim.Time) float64 {
 	measure := func(k int) float64 {
-		r, err := newRig(rigOpts{
-			seed: cfg.Seed, serverVCPU: 64, kernelScale: rigKernelScale,
-			poolSize: 10, nClients: 12,
-		})
-		if err != nil {
-			panic(err)
-		}
+		s := rigSpec(cfg.Seed, 12, 10)
+		s.ServerKernelScale = rigKernelScale
+		r := newRig(s)
 		// Install the middlebox profile on the server vNIC's rules
 		// (both local and FE copies need it: it defines the walk).
-		srv := r.serverSwitch()
-		srv.RemoveVNIC(rigServerVNIC)
+		srv := r.ServerSwitch()
+		srv.RemoveVNIC(cluster.ServerVNIC)
 		rs := table3Customize(mb, r.feRules())
 		if err := srv.AddVNIC(rs, false); err != nil {
 			panic(err)

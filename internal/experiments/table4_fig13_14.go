@@ -172,22 +172,19 @@ func init() {
 }
 
 func runFig14(cfg RunConfig) *Result {
-	r, err := newRig(rigOpts{seed: cfg.Seed, poolSize: 8, nClients: 8, serverVCPU: 64})
-	if err != nil {
-		panic(err)
-	}
-	r.c.Start() // monitor + controller handle the failover
-	loop := r.c.Loop
+	r := newRig(rigSpec(cfg.Seed, 8, 8))
+	r.Start() // monitor + controller handle the failover
+	loop := r.Loop
 
 	// Offload through the controller so it owns the FE pool.
-	if err := r.c.Ctrl.ForceOffload(rigServerVNIC); err != nil {
+	if err := r.Ctrl.ForceOffload(cluster.ServerVNIC); err != nil {
 		panic(err)
 	}
 	loop.Run(4 * sim.Second)
 
 	// Steady moderate load.
-	r.setRates(0.5 * rigMonoCPS)
-	r.startAll()
+	r.SetLoad(0.5 * rigMonoCPS)
+	r.StartLoad()
 	loop.Run(loop.Now() + 2*sim.Second)
 
 	// Sample loss per 100 ms bin: lost = fabric losses + crashed-
@@ -195,12 +192,12 @@ func runFig14(cfg RunConfig) *Result {
 	loss := metrics.NewSeries("fig14-loss-rate")
 	var lastLost, lastSent uint64
 	snapshot := func() (lost, sent uint64) {
-		lost = r.c.Fab.Lost
-		for _, vs := range r.c.Switches {
+		lost = r.Fab.Lost
+		for _, vs := range r.Switches {
 			lost += vs.Stats.Drops[vswitch.DropCrashed]
 			lost += vs.Stats.Drops[vswitch.DropNoRules]
 		}
-		sent = r.c.Fab.Delivered + r.c.Fab.Lost
+		sent = r.Fab.Delivered + r.Fab.Lost
 		return
 	}
 	lastLost, lastSent = snapshot()
@@ -220,7 +217,7 @@ func runFig14(cfg RunConfig) *Result {
 	var victim *vswitch.VSwitch
 	crashAt := loop.Now() + 2*sim.Second
 	loop.At(crashAt, func() {
-		fes := r.c.Ctrl.FEsOf(rigServerVNIC)
+		fes := r.Ctrl.FEsOf(cluster.ServerVNIC)
 		if len(fes) == 0 {
 			return
 		}
@@ -228,8 +225,8 @@ func runFig14(cfg RunConfig) *Result {
 		// whose death would also kill that client's own traffic and
 		// muddy the loss attribution).
 		inPool := func(a packet.IPv4) bool {
-			for i := len(r.clients) + 1; i < len(r.c.Switches); i++ {
-				if r.c.Switch(i).Addr() == a {
+			for i := len(r.Clients) + 1; i < len(r.Switches); i++ {
+				if r.Switch(i).Addr() == a {
 					return true
 				}
 			}
@@ -242,7 +239,7 @@ func runFig14(cfg RunConfig) *Result {
 				break
 			}
 		}
-		for _, vs := range r.c.Switches {
+		for _, vs := range r.Switches {
 			if vs.Addr() == target {
 				victim = vs
 				vs.Crash()
@@ -251,7 +248,7 @@ func runFig14(cfg RunConfig) *Result {
 		}
 	})
 	loop.Run(crashAt + 8*sim.Second)
-	r.stopAll()
+	r.StopLoad()
 
 	// Quantify the surge window.
 	surgeStart, surgeEnd := -1.0, -1.0
@@ -274,8 +271,8 @@ func runFig14(cfg RunConfig) *Result {
 	} else {
 		t.AddRow("surge duration (s)", 0)
 	}
-	t.AddRow("failovers", fmt.Sprintf("%d", r.c.Ctrl.Stats.Failovers))
-	t.AddRow("final #FEs", len(r.c.Ctrl.FEsOf(rigServerVNIC)))
+	t.AddRow("failovers", fmt.Sprintf("%d", r.Ctrl.Stats.Failovers))
+	t.AddRow("final #FEs", len(r.Ctrl.FEsOf(cluster.ServerVNIC)))
 	return &Result{
 		ID: "fig14", Title: "FE crash loss window",
 		Tables: []*metrics.Table{t},

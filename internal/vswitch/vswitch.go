@@ -108,8 +108,6 @@ type Config struct {
 	Cores       int
 	CoreHz      uint64
 	NetMemBytes int
-	// VariableState stores session states at encoded size (§7.1).
-	VariableState bool
 }
 
 // Counters exposes the vSwitch's datapath statistics.
@@ -327,8 +325,7 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *VS
 	}
 	vs.qosBuckets = make(map[uint64]*tokenBucket)
 	vs.sessions = flowcache.New(flowcache.Config{
-		MaxBytes:      cfg.NetMemBytes,
-		VariableState: cfg.VariableState,
+		MaxBytes: cfg.NetMemBytes,
 	})
 	vs.refreshSessionBudget()
 	fab.Register(cfg.Addr, cfg.ToR, vs.HandleUnderlay)

@@ -37,7 +37,7 @@ var knobAllow = map[string]string{
 }
 
 // TestNoUnturnedKnobs fails on an exported field of an exported
-// *Config, *Options or *Opts struct under internal/ that no non-test
+// *Config, *Options, *Opts or *Spec struct under internal/ that no non-test
 // file in internal/, cmd/, examples/ or bench/ sets. The field's own
 // defaulting code does not count as a setter: a function named fill,
 // defaults or Default*, an assignment guarded by a zero test of the
@@ -77,6 +77,7 @@ func TestKnobGateControls(t *testing.T) {
 		"lib.Config.TestOnly",    // set only by a test
 		"lib.Options.Defaulted",  // set only by DefaultOptions
 		"lib.Config.NegativeCtl", // allow-listed below
+		"lib.Spec.Read",          // only read
 	} {
 		if !isUnturned[id] {
 			t.Errorf("%s is set by no caller but was not flagged", id)
@@ -85,7 +86,7 @@ func TestKnobGateControls(t *testing.T) {
 	for _, id := range []string{
 		"lib.Config.FromCmd", "lib.Config.FromFlag", "lib.Config.FromExample",
 		"lib.Config.FromBench", "lib.Config.Assigned", "lib.Config.Renamed",
-		"lib.Options.Nested",
+		"lib.Options.Nested", "lib.Spec.Sized",
 	} {
 		if !fields[id] {
 			t.Errorf("%s not declared: the control tree is out of step with this test", id)
@@ -102,8 +103,8 @@ func TestKnobGateControls(t *testing.T) {
 
 	allow := map[string]string{"lib.Config.NegativeCtl": "negative control"}
 	unlisted, stale := checkAllowList(unturned, fields, allow)
-	if len(stale) != 0 || len(unlisted) != 5 {
-		t.Errorf("allow-list check: unlisted %v, stale %v; want five unlisted, none stale", unlisted, stale)
+	if len(stale) != 0 || len(unlisted) != 6 {
+		t.Errorf("allow-list check: unlisted %v, stale %v; want six unlisted, none stale", unlisted, stale)
 	}
 	allow["lib.Config.FromCmd"] = "set by a caller now"
 	allow["lib.Config.Gone"] = "no longer exists"
@@ -117,7 +118,8 @@ func TestKnobGateControls(t *testing.T) {
 // the knob gate covers.
 func isKnobType(name string) bool {
 	return ast.IsExported(name) &&
-		(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Opts"))
+		(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") ||
+			strings.HasSuffix(name, "Opts") || strings.HasSuffix(name, "Spec"))
 }
 
 // isDefaulting reports whether a function is a config's own

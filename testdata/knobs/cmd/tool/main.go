@@ -11,4 +11,5 @@ func main() {
 	flag.IntVar(&cfg.FromFlag, "n", 0, "")
 	_ = lib.Settings{Planted: 1}
 	lib.New(lib.Config{FromCmd: 1, Passed: cfg.Passed})
+	lib.Use(lib.Spec{Sized: 1})
 }

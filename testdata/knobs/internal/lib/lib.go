@@ -22,6 +22,15 @@ type Options struct {
 	Nested    Config // set by Mirror
 }
 
+// Spec is a config struct too.
+type Spec struct {
+	Sized int  // set in a cmd/ literal
+	Read  bool // only read, never set
+}
+
+// Use reads s.
+func Use(s Spec) bool { return s.Sized > 0 && s.Read }
+
 // Settings is no config struct, though it shares a field name.
 type Settings struct{ Field, Planted int }
 
