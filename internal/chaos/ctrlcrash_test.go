@@ -173,19 +173,23 @@ func TestCrashRecoveryDecisionLogSuffix(t *testing.T) {
 // flip but before the ack reached the controller, so the journal holds
 // an open intent whose commit DID land. Recovery must adopt it — the
 // vNIC ends the run offloaded at the committed epoch — rather than
-// rolling back the prepare and stranding the gateway's route.
+// rolling back the prepare and stranding the gateway's route. In seed
+// 42 the first gateway query of the recovery times out: a timeout is
+// no answer, and the recovered intent must wait for a known one.
 func TestCommitGapCrashAdoptsIntent(t *testing.T) {
-	rep, err := RunCampaign(CampaignConfig{Seed: 1, CtrlCrashAtCommitGap: true})
-	if err != nil {
-		t.Fatalf("campaign failed to build: %v", err)
-	}
-	if rep.Recoveries != 1 {
-		t.Fatalf("recoveries = %d, want 1 (the commit gap never opened)", rep.Recoveries)
-	}
-	if rep.Failed() {
-		t.Fatalf("invariants violated: %v", rep.Violations)
-	}
-	if rep.Completed == 0 {
-		t.Fatal("no client exchange completed")
+	for _, seed := range []int64{1, 42} {
+		rep, err := RunCampaign(CampaignConfig{Seed: seed, CtrlCrashAtCommitGap: true})
+		if err != nil {
+			t.Fatalf("seed %d: campaign failed to build: %v", seed, err)
+		}
+		if rep.Recoveries != 1 {
+			t.Fatalf("seed %d: recoveries = %d, want 1 (the commit gap never opened)", seed, rep.Recoveries)
+		}
+		if rep.Failed() {
+			t.Fatalf("seed %d: invariants violated: %v", seed, rep.Violations)
+		}
+		if rep.Completed == 0 {
+			t.Fatalf("seed %d: no client exchange completed", seed)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nezha/internal/fabric"
+	"nezha/internal/journal"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
 	"nezha/internal/tables"
@@ -457,7 +458,7 @@ func TestOffloadAbortedByCrashMidPrepare(t *testing.T) {
 		t.Fatal("retry after cooldown did not commit")
 	}
 	// The parked teardown on the revived victim eventually resolves.
-	r.ctrl.repairTick()
+	r.ctrl.deliver(event{kind: evRepair})
 	r.loop.Run(r.loop.Now() + 6*sim.Second)
 	if in := r.ctrl.nodes[victim].pendingRemoval; len(in) != 0 && !r.sw[0].HostsFE(42) {
 		t.Fatalf("victim teardown never reconciled: %v", in)
@@ -479,8 +480,8 @@ func TestScaleOutWithAllCandidatesExcluded(t *testing.T) {
 	v := r.ctrl.vnics[42]
 	// A scale-out with nothing to select is a clean no-op: no dangling
 	// transaction, pool at the floor so not degraded either.
-	if r.ctrl.scaleOutOpts(v, 2, true) {
-		t.Fatal("scale-out claims to have started with zero candidates")
+	if err := r.ctrl.ScaleOut(42, 2); err != ErrNoIdleNodes {
+		t.Fatalf("scale-out with zero candidates: %v, want ErrNoIdleNodes", err)
 	}
 	if v.txn != nil {
 		t.Fatal("no-op scale-out left transaction state behind")
@@ -530,8 +531,8 @@ func TestScaleOutCommitKeepsConcurrentRemoval(t *testing.T) {
 				t.Fatalf("precondition: pool = %v", v.fes)
 			}
 			victim := v.fes[0]
-			if !r.ctrl.scaleOutOpts(v, 2, true) {
-				t.Fatal("scale-out did not start")
+			if err := r.ctrl.ScaleOut(42, 2); err != nil {
+				t.Fatalf("scale-out did not start: %v", err)
 			}
 			tx := v.txn
 			for !tc.removeAt(r, tx) && r.loop.Step() {
@@ -547,7 +548,7 @@ func TestScaleOutCommitKeepsConcurrentRemoval(t *testing.T) {
 				t.Fatalf("scale-out did not commit (txn=%v scaleouts=%d)", v.txn, r.ctrl.Stats.ScaleOuts)
 			}
 			// Land whatever re-push the race left owed.
-			r.ctrl.repairTick()
+			r.ctrl.deliver(event{kind: evRepair})
 			r.loop.Run(r.loop.Now() + 5*sim.Second)
 
 			fes := r.ctrl.FEsOf(42)
@@ -614,7 +615,7 @@ func TestDegradedPoolRepairConverges(t *testing.T) {
 	addVNIC42(t, r)
 	// Drive the repair loop the way Start would, without the
 	// threshold-decision tickers muddying the scenario.
-	r.loop.Every(repairInterval, r.ctrl.repairTick)
+	r.loop.Every(repairInterval, func() { r.ctrl.deliver(event{kind: evRepair}) })
 	if err := r.ctrl.ForceOffload(42); err != nil {
 		t.Fatal(err)
 	}
@@ -646,6 +647,28 @@ func TestDegradedPoolRepairConverges(t *testing.T) {
 	}
 	if r.ctrl.Stats.DegradedExits == 0 {
 		t.Fatal("degraded exit not counted")
+	}
+}
+
+// TestOutageQueuesDeclarations: a crashed controller refuses requests,
+// and the monitor declarations of its outage are delivered at Recover.
+func TestOutageQueuesDeclarations(t *testing.T) {
+	r := newRig(t, 6, nil)
+	addVNIC42(t, r)
+	r.ctrl.AttachJournal(journal.NewMem())
+	r.ctrl.Crash()
+	if err := r.ctrl.ForceOffload(42); err == nil {
+		t.Fatal("a crashed controller accepted a request")
+	}
+	r.ctrl.NodeDown(r.sw[1].Addr())
+	if err := r.ctrl.Recover(RecoverOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if !r.ctrl.nodes[r.sw[1].Addr()].down || r.ctrl.Stats.Failovers != 1 {
+		t.Fatal("the outage's NodeDown was not delivered at recovery")
+	}
+	if err := r.ctrl.ForceOffload(42); err != nil {
+		t.Fatalf("recovered controller refused a request: %v", err)
 	}
 }
 

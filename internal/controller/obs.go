@@ -6,14 +6,11 @@ import (
 	"nezha/internal/obs"
 )
 
-// EnableObs publishes the controller's transaction and pool state into
-// the registry and enables span/event recording at the transaction
-// lifecycle points. Counters are snapshot-time funcs over the plain
-// Stats fields (owned by the sim goroutine, which also runs
-// snapshots); the per-vNIC and per-node gauges are emitted by a
-// Collect callback so dynamic label sets (vNICs registered later,
-// nodes joining) need no pre-registration. Also wires the underlying
-// RPC transport's counters.
+// EnableObs publishes the controller's transaction and pool state (and
+// the RPC transport's counters) into the registry and records spans and
+// events at the transaction lifecycle points. Per-vNIC and per-node
+// gauges come from a Collect callback, so late label sets need no
+// pre-registration.
 func (c *Controller) EnableObs(o *obs.Obs) {
 	if o == nil {
 		return
@@ -108,7 +105,7 @@ func (c *Controller) EnableObs(o *obs.Obs) {
 			emit("controller_vnic_degraded", l, obs.KindGauge, b2f(v.degraded))
 			emit("controller_vnic_dirty", l, obs.KindGauge, b2f(v.dirty))
 		}
-		for _, addr := range c.sortedNodeAddrs() {
+		for _, addr := range c.nodeAddrsInto(nil) {
 			n := c.nodes[addr]
 			l := obs.L("node", addr.String())
 			emit("controller_node_down", l, obs.KindGauge, b2f(n.down))
@@ -118,21 +115,6 @@ func (c *Controller) EnableObs(o *obs.Obs) {
 			emit("controller_node_fronted_vnics", l, obs.KindGauge, float64(len(n.fronted)))
 		}
 	})
-}
-
-// spanBegin opens a control-plane transaction span (no-op when obs is
-// disabled).
-func (c *Controller) spanBegin(kind string, vnic uint32, epoch uint64) {
-	if c.ob != nil {
-		c.ob.Spans.Begin(kind, vnic, epoch, c.loop.Now())
-	}
-}
-
-// spanEnd closes a transaction span with its outcome.
-func (c *Controller) spanEnd(kind string, vnic uint32, epoch uint64, outcome string) {
-	if c.ob != nil {
-		c.ob.Spans.End(kind, vnic, epoch, c.loop.Now(), outcome)
-	}
 }
 
 func b2f(b bool) float64 {

@@ -1,11 +1,6 @@
 package controller
 
-import (
-	"errors"
-	"fmt"
-
-	"nezha/internal/packet"
-)
+import "errors"
 
 // This file is the controller's side of the self-driving policy loop
 // (internal/policy): the policy.Actuator implementation. Every
@@ -47,56 +42,13 @@ func (c *Controller) Offload(vnic uint32) error { return c.ForceOffload(vnic) }
 func (c *Controller) Fallback(vnic uint32) error { return c.ForceFallback(vnic) }
 
 // ScaleOut grows a vNIC's FE pool by n through the scale-out
-// transaction. The policy loop owns pacing, so the controller's own
-// scale cooldown is bypassed; all transactional safety (prepare acks,
-// quorum, rollback) still applies.
+// transaction, bypassing the scale cooldown (the policy loop paces).
 func (c *Controller) ScaleOut(vnic uint32, n int) error {
-	v, ok := c.vnics[vnic]
-	if !ok {
-		return fmt.Errorf("controller: unknown vNIC %d", vnic)
-	}
-	if !v.offloaded {
-		return ErrNotOffloaded
-	}
-	if v.txn != nil || v.inProgress {
-		return ErrBusy
-	}
-	if !c.scaleOutOpts(v, n, true) {
-		return ErrNoIdleNodes
-	}
-	return nil
+	return c.deliver(event{kind: evScaleOut, vnic: vnic, n: n})
 }
 
-// ScaleIn removes n FEs from a vNIC's pool, most recently added
-// first, never below the pool floor. Removals are graceful: the
-// gateway shrink propagates before the victims' tables are deleted
-// (the learning interval + RTT), so in-flight traffic drains.
+// ScaleIn gracefully removes n FEs from a vNIC's pool, most recently
+// added first, never below the pool floor.
 func (c *Controller) ScaleIn(vnic uint32, n int) error {
-	v, ok := c.vnics[vnic]
-	if !ok {
-		return fmt.Errorf("controller: unknown vNIC %d", vnic)
-	}
-	if !v.offloaded {
-		return ErrNotOffloaded
-	}
-	if v.txn != nil || v.inProgress {
-		return ErrBusy
-	}
-	if max := len(v.fes) - c.floorOf(v); n > max {
-		n = max
-	}
-	if n <= 0 {
-		return nil
-	}
-	victims := append([]packet.IPv4(nil), v.fes[len(v.fes)-n:]...)
-	removed := 0
-	for _, fa := range victims {
-		if c.removeFromPool(v, fa, true) {
-			removed++
-		}
-	}
-	if removed > 0 {
-		c.Stats.ScaleIns++
-	}
-	return nil
+	return c.deliver(event{kind: evScaleIn, vnic: vnic, n: n})
 }
