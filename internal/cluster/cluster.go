@@ -81,7 +81,7 @@ type Cluster struct {
 	Switches []*vswitch.VSwitch
 	IDGen    uint64
 
-	vms map[packet.IPv4]map[uint32]*workload.VM // per-switch vnic -> VM
+	vms []map[uint32]*workload.VM // per switch (by server index): vnic -> VM
 }
 
 // ServerAddr returns the underlay address of server i.
@@ -106,7 +106,6 @@ func New(opts Options) *Cluster {
 		Obs:  opts.Obs,
 		Prof: opts.Prof,
 		SLO:  opts.SLO,
-		vms:  make(map[packet.IPv4]map[uint32]*workload.VM),
 	}
 	if c.SLO != nil && c.Obs != nil {
 		c.Obs.AttachSLO(c.SLO)
@@ -160,7 +159,9 @@ func New(opts Options) *Cluster {
 			opts.VSwitch(i, &cfg)
 		}
 		vs := vswitch.New(c.Loop, c.Fab, c.GW, cfg)
-		vs.SetDelivery(c.dispatch(vs.Addr()))
+		byVNIC := make(map[uint32]*workload.VM)
+		c.vms = append(c.vms, byVNIC)
+		vs.SetDelivery(dispatch(byVNIC))
 		if c.Obs != nil {
 			vs.EnableObs(c.Obs)
 		}
@@ -237,12 +238,13 @@ func (c *Cluster) Start() {
 	}
 }
 
-func (c *Cluster) dispatch(addr packet.IPv4) vswitch.Delivery {
+// dispatch hands a switch's VM deliveries to the VM behind each vNIC
+// in byVNIC, the switch's own map (AddVM fills it); a delivery to a
+// vNIC with no VM is ignored.
+func dispatch(byVNIC map[uint32]*workload.VM) vswitch.Delivery {
 	return func(vnic uint32, p *packet.Packet, lat sim.Time) {
-		if byVNIC, ok := c.vms[addr]; ok {
-			if vm, ok := byVNIC[vnic]; ok {
-				vm.OnDeliver(vnic, p, lat)
-			}
+		if vm, ok := byVNIC[vnic]; ok {
+			vm.OnDeliver(vnic, p, lat)
 		}
 	}
 }
@@ -283,12 +285,7 @@ func (c *Cluster) AddVM(spec VMSpec) (*workload.VM, error) {
 	if spec.KernelScale > 0 && spec.KernelScale != 1 {
 		vm.ScaleKernel(spec.KernelScale)
 	}
-	byVNIC, ok := c.vms[vs.Addr()]
-	if !ok {
-		byVNIC = make(map[uint32]*workload.VM)
-		c.vms[vs.Addr()] = byVNIC
-	}
-	byVNIC[spec.VNIC] = vm
+	c.vms[spec.Server][spec.VNIC] = vm
 	return vm, nil
 }
 

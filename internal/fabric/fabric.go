@@ -197,21 +197,14 @@ func (f *Fabric) SetBurstHandler(addr packet.IPv4, h BurstHandler) error {
 	return nil
 }
 
-// SameToR reports whether two servers share a ToR.
-func (f *Fabric) SameToR(a, b packet.IPv4) bool {
-	na, oka := f.nodes[a]
-	nb, okb := f.nodes[b]
-	return oka && okb && na.tor == nb.tor
-}
-
-// Latency returns the one-way delay between two registered servers
-// for a packet of size bytes.
-func (f *Fabric) Latency(from, to packet.IPv4, size int) sim.Time {
-	prop := LatencyInterToR
-	if f.SameToR(from, to) {
-		prop = LatencySameToR
+// propTo returns the propagation delay from from to the registered
+// node dst: same-ToR when from is registered under dst's ToR,
+// inter-ToR otherwise (an unregistered source included).
+func (f *Fabric) propTo(from packet.IPv4, dst *node) sim.Time {
+	if src, ok := f.nodes[from]; ok && src.tor == dst.tor {
+		return LatencySameToR
 	}
-	return prop + f.serTime(size)
+	return LatencyInterToR
 }
 
 // serTime returns the link serialization delay for size bytes, memoized
@@ -256,13 +249,13 @@ func (f *Fabric) Send(from, to packet.IPv4, p *packet.Packet) {
 		f.lose(p, from, to)
 		return
 	}
-	lat := f.Latency(from, to, p.SizeBytes)
+	lat := f.propTo(from, dst) + f.serTime(p.SizeBytes)
 	if f.faults != nil && f.faulted(from, to, p, &lat) {
 		return
 	}
 	f.BytesSent += uint64(p.SizeBytes)
 	if f.wireMode {
-		f.deliverBurst(from, to, append(f.getGroup(), p), lat)
+		f.deliverBurst(from, to, dst, append(f.getGroup(), p), lat)
 		return
 	}
 	f.inFlight++
@@ -313,7 +306,8 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 	// change mid-call: fault injectors are pure per-send draws (the
 	// FaultInjector contract) and no events run inside one burst, so
 	// the scalar path's per-packet checks hoist to one check here.
-	if _, ok := f.nodes[to]; !ok || f.partitions[pairKey(from, to)] {
+	dst, ok := f.nodes[to]
+	if !ok || f.partitions[pairKey(from, to)] {
 		for _, p := range ps {
 			p.CheckLive()
 			f.Sends++
@@ -321,10 +315,7 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 		}
 		return
 	}
-	prop := LatencyInterToR
-	if f.SameToR(from, to) {
-		prop = LatencySameToR
-	}
+	prop := f.propTo(from, dst)
 	group := f.getGroup()
 	var groupLat sim.Time
 	for _, p := range ps {
@@ -336,27 +327,26 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 		}
 		f.BytesSent += uint64(p.SizeBytes)
 		if len(group) > 0 && lat != groupLat {
-			f.deliverBurst(from, to, group, groupLat)
+			f.deliverBurst(from, to, dst, group, groupLat)
 			group = f.getGroup()
 		}
 		groupLat = lat
 		group = append(group, p)
 	}
 	if len(group) > 0 {
-		f.deliverBurst(from, to, group, groupLat)
+		f.deliverBurst(from, to, dst, group, groupLat)
 	} else {
 		f.putGroup(group)
 	}
 }
 
 // deliverBurst schedules one delivery event for a group of packets
-// sharing a deadline. Reachability is re-checked at delivery time, as
-// in Send; in wire mode each packet is marshaled now and decoded at
-// delivery.
+// sharing a deadline, bound for the registered node dst at to.
+// Reachability is re-checked at delivery time, as in Send; in wire
+// mode each packet is marshaled now and decoded at delivery.
 // The group slice returns to the freelist once the event resolves —
 // the handlers take the packets, never the slice.
-func (f *Fabric) deliverBurst(from, to packet.IPv4, group []*packet.Packet, lat sim.Time) {
-	dst := f.nodes[to]
+func (f *Fabric) deliverBurst(from, to packet.IPv4, dst *node, group []*packet.Packet, lat sim.Time) {
 	f.inFlight += uint64(len(group))
 	if !f.wireMode {
 		t := f.getTask(from, to, dst)

@@ -18,6 +18,24 @@ func mkPkt(id uint64) *packet.Packet {
 	}, packet.DirTX, 0, 100)
 }
 
+// SameToR reports whether two servers are registered under one ToR.
+func (f *Fabric) SameToR(a, b packet.IPv4) bool {
+	na, oka := f.nodes[a]
+	nb, okb := f.nodes[b]
+	return oka && okb && na.tor == nb.tor
+}
+
+// Latency is the one-way delay between two servers for a packet of
+// size bytes, with both ends resolved by address: the reference the
+// tests hold Send's delivery times to.
+func (f *Fabric) Latency(from, to packet.IPv4, size int) sim.Time {
+	prop := LatencyInterToR
+	if f.SameToR(from, to) {
+		prop = LatencySameToR
+	}
+	return prop + f.serTime(size)
+}
+
 func TestDelivery(t *testing.T) {
 	loop := sim.NewLoop(1)
 	f := New(loop)
@@ -69,18 +87,28 @@ func TestLatencyIncludesSerialization(t *testing.T) {
 	}
 }
 
+// TestDeliveryTiming holds Send's delivery time to Latency from a
+// same-ToR, an inter-ToR and an unregistered source; the last counts
+// as inter-ToR.
 func TestDeliveryTiming(t *testing.T) {
 	loop := sim.NewLoop(1)
 	f := New(loop)
 	f.Register(ip(1, 0, 0, 1), 0, nil)
+	f.Register(ip(1, 0, 0, 3), 1, nil)
 	var at sim.Time
 	f.Register(ip(1, 0, 0, 2), 0, func(p *packet.Packet) { at = loop.Now() })
-	p := mkPkt(1)
-	want := f.Latency(ip(1, 0, 0, 1), ip(1, 0, 0, 2), p.SizeBytes)
-	f.Send(ip(1, 0, 0, 1), ip(1, 0, 0, 2), p)
-	loop.RunAll()
-	if at != want {
-		t.Fatalf("delivered at %v, want %v", at, want)
+	for _, from := range []packet.IPv4{ip(1, 0, 0, 1), ip(1, 0, 0, 3), ip(9, 9, 9, 9)} {
+		p := mkPkt(1)
+		sent := loop.Now()
+		want := f.Latency(from, ip(1, 0, 0, 2), p.SizeBytes)
+		f.Send(from, ip(1, 0, 0, 2), p)
+		loop.RunAll()
+		if at-sent != want {
+			t.Fatalf("from %v: delivered after %v, want %v", from, at-sent, want)
+		}
+	}
+	if want := f.Latency(ip(9, 9, 9, 9), ip(1, 0, 0, 2), 0); want != LatencyInterToR {
+		t.Fatalf("unregistered source: latency %v, want inter-ToR %v", want, LatencyInterToR)
 	}
 }
 

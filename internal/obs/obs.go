@@ -154,7 +154,7 @@ const maxFlows = 1024
 // cap are dropped; sampling keeps the table small anyway).
 type FlowTop struct {
 	mu     sync.Mutex
-	counts map[packet.FiveTuple]*flowCount
+	counts map[packet.FiveTuple]flowCount
 }
 
 type flowCount struct {
@@ -164,7 +164,7 @@ type flowCount struct {
 
 // NewFlowTop builds a flow table of at most maxFlows flows.
 func NewFlowTop() *FlowTop {
-	return &FlowTop{counts: make(map[packet.FiveTuple]*flowCount)}
+	return &FlowTop{counts: make(map[packet.FiveTuple]flowCount)}
 }
 
 // Observe charges one delivered packet to its flow.
@@ -174,16 +174,11 @@ func (f *FlowTop) Observe(ft packet.FiveTuple, bytes int) {
 	}
 	f.mu.Lock()
 	c, ok := f.counts[ft]
-	if !ok {
-		if len(f.counts) >= maxFlows {
-			f.mu.Unlock()
-			return
-		}
-		c = &flowCount{}
+	if ok || len(f.counts) < maxFlows {
+		c.packets++
+		c.bytes += uint64(bytes)
 		f.counts[ft] = c
 	}
-	c.packets++
-	c.bytes += uint64(bytes)
 	f.mu.Unlock()
 }
 
@@ -199,7 +194,7 @@ func (f *FlowTop) Top(k int) []FlowStat {
 	f.mu.Lock()
 	rows := make([]row, 0, len(f.counts))
 	for ft, c := range f.counts {
-		rows = append(rows, row{ft, *c})
+		rows = append(rows, row{ft, c})
 	}
 	f.mu.Unlock()
 	if k <= 0 || k > len(rows) {

@@ -2,7 +2,10 @@
 
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestTickerAllocFree pins that a firing Ticker allocates nothing: the
 // ticker is its own Task and the event struct comes off the free list,
@@ -14,14 +17,41 @@ func TestTickerAllocFree(t *testing.T) {
 	const period = 10 * Millisecond
 	fired := 0
 	l.Every(period, func() { fired++ })
-	// Warm-up: a wheel's worth of firings, so the calendar buckets the
-	// measured ones land in already own their event storage.
-	l.Run(calBuckets * period)
-	before := fired
 	if n := testing.AllocsPerRun(100, func() { l.Run(l.Now() + period) }); n != 0 {
 		t.Fatalf("a ticker firing allocates %v, want 0", n)
 	}
-	if fired-before != 101 {
-		t.Fatalf("ticker fired %d times over 101 periods", fired-before)
+	if fired != 101 {
+		t.Fatalf("ticker fired %d times over 101 periods", fired)
+	}
+}
+
+// TestFreshWheelAllocFree pins that the calendar queue owns no memory
+// per slot: on a fresh loop whose event free list is warm, one event
+// into each of the wheel's slots, then drained, allocates nothing —
+// a slot is a chain through the pooled events themselves. Every short
+// world (figures, campaigns, soaks) walks its wheel once, so a
+// per-slot allocation would be thousands per world.
+func TestFreshWheelAllocFree(t *testing.T) {
+	l := NewLoop(1)
+	fired := 0
+	fire := func() { fired++ }
+	// Warm the free list (and the draining run) in one slot.
+	for i := 0; i < calBuckets; i++ {
+		l.At(0, fire)
+	}
+	l.RunAll()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calBuckets; i++ {
+		l.At(l.Now()+Time(i)<<calSlotShift, fire)
+	}
+	l.RunAll()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("one event into each of %d fresh slots allocates %d objects, want 0", calBuckets, n)
+	}
+	if fired != 2*calBuckets {
+		t.Fatalf("fired %d events, want %d", fired, 2*calBuckets)
 	}
 }

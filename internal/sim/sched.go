@@ -45,31 +45,30 @@ const (
 
 func slotOf(at Time) int64 { return int64(at) >> calSlotShift }
 
-// calBucket holds the events of one in-window slot. Buckets are
-// appended to unsorted and sorted lazily when first drained; pushes
-// into an already-sorted bucket (delay-zero scheduling into the slot
-// being drained) insert in (at, seq) position, which is always at or
-// after the drain cursor because seq grows monotonically. Such an
-// insert shifts whichever side of its position is shorter: the events
-// after it up by one, or — when the drain has consumed a prefix — the
-// events between the cursor and it down into that prefix.
-type calBucket struct {
-	evs    []*event
-	next   int
-	sorted bool
-}
+// calSlot is one in-window slot: its events chained through
+// event.next in push order. Events come off the loop's free list, so a
+// slot owns no memory and a push allocates nothing.
+type calSlot struct{ head, tail *event }
 
 type calendarQueue struct {
-	buckets [calBuckets]calBucket
-	bitmap  [calBuckets / 64]uint64
+	slots  [calBuckets]calSlot
+	bitmap [calBuckets / 64]uint64
 	// baseSlot is the absolute slot of the window's earliest bucket;
 	// every queued wheel event lives in [baseSlot, baseSlot+calBuckets).
 	// It only advances, and only to slots whose earlier buckets have
 	// fully drained.
 	baseSlot int64
-	wheelN   int
-	far      eventQueue // min-(at,seq) heap of events beyond the window
-	size     int
+	// cur, the queue's only slice, is the base slot being drained: its
+	// chain gathered and sorted (at, seq) once, consumed from next.
+	// Pushes into the base slot while it drains insert in (at, seq)
+	// position, shifting whichever side of it is shorter: the events
+	// after it up by one, or — when the drain has consumed a prefix —
+	// the events between the cursor and it down into that prefix.
+	cur    []*event
+	next   int
+	wheelN int
+	far    eventQueue // min-(at,seq) heap of events beyond the window
+	size   int
 }
 
 func newCalendarQueue() *calendarQueue { return &calendarQueue{} }
@@ -78,13 +77,9 @@ func (c *calendarQueue) len() int { return c.size }
 
 func (c *calendarQueue) push(ev *event) {
 	c.size++
-	slot := slotOf(ev.at)
-	if slot < c.baseSlot {
-		// The window has advanced past this event's natural slot
-		// (possible after an idle jump); park it in the base bucket —
-		// the (at, seq) sort inside the bucket keeps exact order.
-		slot = c.baseSlot
-	}
+	// Past the window base (possible after an idle jump), an event
+	// parks in the base bucket; the (at, seq) sort keeps exact order.
+	slot := max(slotOf(ev.at), c.baseSlot)
 	if slot >= c.baseSlot+calBuckets {
 		heap.Push(&c.far, ev)
 		return
@@ -93,32 +88,36 @@ func (c *calendarQueue) push(ev *event) {
 }
 
 func (c *calendarQueue) bucketPush(slot int64, ev *event) {
-	idx := int(slot & calMask)
-	b := &c.buckets[idx]
-	if b.sorted {
+	c.wheelN++
+	if slot == c.baseSlot && len(c.cur) > 0 {
 		// Entries before next are consumed (nil); search the live tail.
 		// The new event carries the largest seq, so among equal
 		// deadlines it lands last — and never before the drain cursor,
 		// since consumed deadlines are <= the loop's current time.
-		i := b.next + sort.Search(len(b.evs)-b.next, func(i int) bool {
-			return b.evs[b.next+i].at > ev.at
+		i := c.next + sort.Search(len(c.cur)-c.next, func(i int) bool {
+			return c.cur[c.next+i].at > ev.at
 		})
-		if b.next > 0 && i-b.next < len(b.evs)-i {
-			// The consumed prefix is free room: shift the shorter,
-			// earlier side one slot into it instead of the tail up.
-			copy(b.evs[b.next-1:], b.evs[b.next:i])
-			b.next--
-			b.evs[i-1] = ev
+		if c.next > 0 && i-c.next < len(c.cur)-i {
+			copy(c.cur[c.next-1:], c.cur[c.next:i])
+			c.next--
+			c.cur[i-1] = ev
 		} else {
-			b.evs = append(b.evs, nil)
-			copy(b.evs[i+1:], b.evs[i:])
-			b.evs[i] = ev
+			c.cur = append(c.cur, nil)
+			copy(c.cur[i+1:], c.cur[i:])
+			c.cur[i] = ev
 		}
-	} else {
-		b.evs = append(b.evs, ev)
+		return
 	}
+	idx := int(slot & calMask)
+	s := &c.slots[idx]
+	ev.next = nil
+	if s.tail == nil {
+		s.head = ev
+	} else {
+		s.tail.next = ev
+	}
+	s.tail = ev
 	c.bitmap[idx/64] |= 1 << uint(idx%64)
-	c.wheelN++
 }
 
 // migrate moves far-heap events that now fall inside the window into
@@ -128,11 +127,7 @@ func (c *calendarQueue) migrate() {
 	end := c.baseSlot + calBuckets
 	for len(c.far) > 0 && slotOf(c.far[0].at) < end {
 		ev := heap.Pop(&c.far).(*event)
-		slot := slotOf(ev.at)
-		if slot < c.baseSlot {
-			slot = c.baseSlot
-		}
-		c.bucketPush(slot, ev)
+		c.bucketPush(max(slotOf(ev.at), c.baseSlot), ev)
 	}
 }
 
@@ -155,64 +150,65 @@ func (c *calendarQueue) popLE(max Time) *event {
 	if c.size == 0 {
 		return nil
 	}
-	if c.wheelN == 0 {
-		// Idle jump: nothing in the window; rebase it at the earliest
-		// far event instead of sweeping empty rotations.
-		c.baseSlot = slotOf(c.far[0].at)
-	}
-	c.migrate()
+	if len(c.cur) == 0 {
+		if c.wheelN == 0 {
+			// Idle jump: nothing in the window; rebase it at the
+			// earliest far event instead of sweeping empty rotations.
+			c.baseSlot = slotOf(c.far[0].at)
+		}
+		c.migrate()
 
-	// Scan the occupancy bitmap from the base slot, wrapping once.
-	start := int(c.baseSlot & calMask)
-	wi := start / 64
-	w := c.bitmap[wi] &^ (1<<uint(start%64) - 1)
-	idx := -1
-	for n := 0; ; n++ {
-		if w != 0 {
-			idx = wi*64 + bits.TrailingZeros64(w)
-			break
+		// Scan the occupancy bitmap from the base slot, wrapping once.
+		start := int(c.baseSlot & calMask)
+		wi := start / 64
+		w := c.bitmap[wi] &^ (1<<uint(start%64) - 1)
+		idx := -1
+		for n := 0; ; n++ {
+			if w != 0 {
+				idx = wi*64 + bits.TrailingZeros64(w)
+				break
+			}
+			if n == len(c.bitmap) {
+				break
+			}
+			wi++
+			if wi == len(c.bitmap) {
+				wi = 0
+			}
+			w = c.bitmap[wi]
 		}
-		if n == len(c.bitmap) {
-			break
+		if idx < 0 {
+			// wheelN > 0 guarantees a set bit; unreachable.
+			panic("sim: calendar queue occupancy out of sync")
 		}
-		wi++
-		if wi == len(c.bitmap) {
-			wi = 0
-		}
-		w = c.bitmap[wi]
-	}
-	if idx < 0 {
-		// wheelN > 0 guarantees a set bit; unreachable.
-		panic("sim: calendar queue occupancy out of sync")
-	}
-	// Advance the window to the found slot. Earlier buckets are empty,
-	// so no event is left behind; far events uncovered by the larger
-	// window migrate on the next pop, and they cannot precede this
-	// bucket's events (they were beyond the previous window end).
-	c.baseSlot += int64((idx - start + calBuckets) & calMask)
+		// Advance the window to the found slot. Earlier buckets are
+		// empty, so no event is left behind; far events uncovered by
+		// the larger window migrate on the next gather, and they cannot
+		// precede this bucket's events (they were beyond the previous
+		// window end).
+		c.baseSlot += int64((idx - start + calBuckets) & calMask)
 
-	b := &c.buckets[idx]
-	if !b.sorted {
-		// slices.SortFunc, not sort.Slice: the latter goes through
-		// reflect.Swapper and allocates on every bucket drain. The
-		// (at, seq) key is total (seq is unique), so the unstable sort
-		// is still deterministic.
-		slices.SortFunc(b.evs, cmpEvent)
-		b.sorted = true
+		// Gather the slot's chain into the draining run. slices.SortFunc,
+		// not sort.Slice, which allocates through reflect.Swapper; the
+		// (at, seq) key is total, so the unstable sort is deterministic.
+		s := &c.slots[idx]
+		for ev := s.head; ev != nil; ev = ev.next {
+			c.cur = append(c.cur, ev)
+		}
+		*s = calSlot{}
+		slices.SortFunc(c.cur, cmpEvent)
 	}
-	ev := b.evs[b.next]
+	ev := c.cur[c.next]
 	if ev.at > max {
 		return nil
 	}
-	b.evs[b.next] = nil
-	b.next++
+	c.cur[c.next] = nil
+	c.next++
 	c.wheelN--
 	c.size--
-	if b.next == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.next = 0
-		b.sorted = false
-		c.bitmap[idx/64] &^= 1 << uint(idx%64)
+	if c.next == len(c.cur) {
+		c.cur, c.next = c.cur[:0], 0
+		c.bitmap[(c.baseSlot&calMask)/64] &^= 1 << uint(c.baseSlot%64)
 	}
 	return ev
 }

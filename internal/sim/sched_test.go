@@ -211,17 +211,16 @@ func TestCalendarInsertIntoDrainingBucket(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		popBoth(i)
 	}
-	b := &cal.buckets[slotOf(base)&calMask]
-	next, n := b.next, len(b.evs)
+	next, n := cal.next, len(cal.cur)
 	push(base + 490) // the last popped deadline: lands at the cursor
 	push(base + 515) // behind three live events
-	if b.next != next-2 || len(b.evs) != n {
-		t.Fatalf("head-side inserts: cursor %d → %d, length %d → %d; want the cursor to move back 2", next, b.next, n, len(b.evs))
+	if cal.next != next-2 || len(cal.cur) != n {
+		t.Fatalf("head-side inserts: cursor %d → %d, length %d → %d; want the cursor to move back 2", next, cal.next, n, len(cal.cur))
 	}
 	push(base + 1023) // the slot's last nanosecond
 	push(base + 805)  // behind ~20 live events, ahead of ~30
-	if b.next != next-2 || len(b.evs) != n+2 {
-		t.Fatalf("tail-side inserts: cursor %d, length %d → %d; want the tail to grow by 2", b.next, n, len(b.evs))
+	if cal.next != next-2 || len(cal.cur) != n+2 {
+		t.Fatalf("tail-side inserts: cursor %d, length %d → %d; want the tail to grow by 2", cal.next, n, len(cal.cur))
 	}
 	for i := 50; oracle.len() > 0; i++ {
 		popBoth(i)

@@ -62,6 +62,7 @@ type event struct {
 	fn   func()
 	task Task
 	dead bool
+	next *event // calendar slot chain
 }
 
 // Task is a pre-built schedulable callback. Hot paths that would

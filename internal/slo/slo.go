@@ -102,7 +102,7 @@ type Tracker struct {
 
 	windowEnd  int64
 	burnEvents uint64
-	order      []uint32 // evaluate's scratch; nil while one is running
+	order      []uint32 // vNIC-order scratch; nil while evaluate runs
 
 	causeNames []string
 }
@@ -251,11 +251,8 @@ func (t *Tracker) evaluate(now int64) {
 	t.order = vnics
 }
 
-func (t *Tracker) sortedVNICs() []uint32 {
-	return t.vnicsInto(make([]uint32, 0, len(t.ledger)))
-}
-
-// vnicsInto is sortedVNICs written over buf's storage.
+// vnicsInto returns the tracked vNICs in ascending order, written over
+// buf's storage.
 func (t *Tracker) vnicsInto(buf []uint32) []uint32 {
 	buf = buf[:0]
 	for v := range t.ledger {
@@ -299,7 +296,8 @@ func (l *vnicLedger) p99() uint64 {
 // Worst returns the vNIC with the highest cumulative p99 latency (ok
 // = false when nothing was recorded). Ties break to the lowest vNIC.
 func (t *Tracker) Worst() (vnic uint32, p99 uint64, ok bool) {
-	for _, v := range t.sortedVNICs() {
+	t.order = t.vnicsInto(t.order)
+	for _, v := range t.order {
 		if q := t.ledger[v].p99(); !ok || q > p99 {
 			vnic, p99, ok = v, q, true
 		}
@@ -351,7 +349,8 @@ func (t *Tracker) View() *View {
 		BurnEvents:  t.burnEvents,
 		HotFlows:    t.sketch.Top(topK),
 	}
-	for _, vnic := range t.sortedVNICs() {
+	t.order = t.vnicsInto(t.order)
+	for _, vnic := range t.order {
 		l := t.ledger[vnic]
 		vv := VNICView{
 			VNIC:       vnic,
@@ -417,7 +416,7 @@ func itoa(n int) string {
 // Ledger accessors for exporters and tests.
 
 // VNICs returns the tracked vNICs in ascending order.
-func (t *Tracker) VNICs() []uint32 { return t.sortedVNICs() }
+func (t *Tracker) VNICs() []uint32 { return t.vnicsInto(make([]uint32, 0, len(t.ledger))) }
 
 // VNICStats returns cumulative (total, violations, drops, p99, burn)
 // for one vNIC.
