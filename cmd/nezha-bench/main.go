@@ -19,6 +19,19 @@ import (
 	"nezha/internal/experiments"
 )
 
+// validate checks the invocation before any experiment runs: flag
+// parsing stops at the first positional argument, so "nezha-bench fig9
+// -quick" would drop -quick and run every experiment at full scale.
+func validate(args []string, exp string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected arguments %q (name one experiment with -exp; flags go first)", args)
+	}
+	if _, ok := experiments.ByID(exp); !ok && exp != "all" {
+		return fmt.Errorf("unknown experiment %q; -list shows the catalogue", exp)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		exp    = flag.String("exp", "all", "experiment id (fig2..fig15, table1..table5, tablea1, figa1, b2) or 'all'")
@@ -28,6 +41,10 @@ func main() {
 		asJSON = flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	)
 	flag.Parse()
+	if err := validate(flag.Args(), *exp); err != nil {
+		fmt.Fprintln(os.Stderr, "nezha-bench:", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -59,10 +76,6 @@ func main() {
 		}
 		return
 	}
-	e, ok := experiments.ByID(*exp)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; -list shows the catalogue\n", *exp)
-		os.Exit(2)
-	}
+	e, _ := experiments.ByID(*exp)
 	run(e)
 }

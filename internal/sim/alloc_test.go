@@ -55,3 +55,25 @@ func TestFreshWheelAllocFree(t *testing.T) {
 		t.Fatalf("fired %d events, want %d", fired, 2*calBuckets)
 	}
 }
+
+// TestRunBoundaryAllocFree pins that a Run boundary costs no memory:
+// with the event free list warm, 100 000 near-future events streamed
+// after Run stopped short of a far timer allocate nothing. A window
+// base moved past the boundary would sort the whole stream into one
+// draining run and grow it to the stream's length.
+func TestRunBoundaryAllocFree(t *testing.T) {
+	l := NewLoop(1)
+	newBoundaryStream(l, 1000).start()
+	s := newBoundaryStream(l, 100000)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.start()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("100000 events across a Run boundary allocate %d objects, want 0", n)
+	}
+	if s.left != 0 {
+		t.Fatalf("%d events left unscheduled", s.left)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"math/bits"
 	"slices"
@@ -23,10 +24,13 @@ const SchedCalendar SchedulerKind = 0
 // container/heap oracle and require bit-identical firing logs from the
 // calendar queue.
 type scheduler interface {
-	push(*event)
+	// push queues ev. now is the loop's clock: ev.at and every later
+	// push's deadline are at or after it.
+	push(ev *event, now Time)
 	// popLE removes and returns the earliest event if its deadline is
-	// at most max, or nil (leaving the queue untouched) otherwise.
-	popLE(max Time) *event
+	// at most until, or nil (leaving the queue's order untouched)
+	// otherwise.
+	popLE(until Time) *event
 	len() int
 }
 
@@ -55,15 +59,19 @@ type calendarQueue struct {
 	bitmap [calBuckets / 64]uint64
 	// baseSlot is the absolute slot of the window's earliest bucket;
 	// every queued wheel event lives in [baseSlot, baseSlot+calBuckets).
-	// It only advances, and only to slots whose earlier buckets have
-	// fully drained.
+	// While events are queued it only advances, only to slots whose
+	// earlier buckets have fully drained, and never past the slot of
+	// popLE's horizon; an empty queue rebases at the clock on its next
+	// push. So baseSlot <= slotOf(now) whenever an event is queued,
+	// and a push (at >= now) lands in its own slot.
 	baseSlot int64
 	// cur, the queue's only slice, is the base slot being drained: its
-	// chain gathered and sorted (at, seq) once, consumed from next.
-	// Pushes into the base slot while it drains insert in (at, seq)
-	// position, shifting whichever side of it is shorter: the events
-	// after it up by one, or — when the drain has consumed a prefix —
-	// the events between the cursor and it down into that prefix.
+	// chain gathered and sorted (at, seq) once, consumed from next. It
+	// holds one 1.024 µs slot's events, never more. Pushes into the
+	// base slot while it drains insert in (at, seq) position, shifting
+	// whichever side of it is shorter: the events after it up by one,
+	// or — when the drain has consumed a prefix — the events between
+	// the cursor and it down into that prefix.
 	cur    []*event
 	next   int
 	wheelN int
@@ -75,11 +83,14 @@ func newCalendarQueue() *calendarQueue { return &calendarQueue{} }
 
 func (c *calendarQueue) len() int { return c.size }
 
-func (c *calendarQueue) push(ev *event) {
+func (c *calendarQueue) push(ev *event, now Time) {
+	if c.size == 0 {
+		// Popping cancelled events (RunAll, Step) advances the base
+		// but not the clock, so an empty queue may have passed it.
+		c.baseSlot = slotOf(now)
+	}
 	c.size++
-	// Past the window base (possible after an idle jump), an event
-	// parks in the base bucket; the (at, seq) sort keeps exact order.
-	slot := max(slotOf(ev.at), c.baseSlot)
+	slot := slotOf(ev.at)
 	if slot >= c.baseSlot+calBuckets {
 		heap.Push(&c.far, ev)
 		return
@@ -127,33 +138,33 @@ func (c *calendarQueue) migrate() {
 	end := c.baseSlot + calBuckets
 	for len(c.far) > 0 && slotOf(c.far[0].at) < end {
 		ev := heap.Pop(&c.far).(*event)
-		c.bucketPush(max(slotOf(ev.at), c.baseSlot), ev)
+		c.bucketPush(slotOf(ev.at), ev)
 	}
 }
 
 // cmpEvent orders events (at, seq) ascending — the scheduler contract.
 func cmpEvent(a, b *event) int {
-	switch {
-	case a.at < b.at:
-		return -1
-	case a.at > b.at:
-		return 1
-	case a.seq < b.seq:
-		return -1
-	case a.seq > b.seq:
-		return 1
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	return 0
+	return cmp.Compare(a.seq, b.seq)
 }
 
-func (c *calendarQueue) popLE(max Time) *event {
+// popLE never moves the window base past slotOf(until). Loop.Run
+// leaves its clock at until, so a base beyond that slot would put the
+// next pushes (at >= now) behind the window.
+func (c *calendarQueue) popLE(until Time) *event {
 	if c.size == 0 {
 		return nil
 	}
 	if len(c.cur) == 0 {
 		if c.wheelN == 0 {
 			// Idle jump: nothing in the window; rebase it at the
-			// earliest far event instead of sweeping empty rotations.
+			// earliest far event, if that is due by the horizon,
+			// instead of sweeping empty rotations.
+			if c.far[0].at > until {
+				return nil
+			}
 			c.baseSlot = slotOf(c.far[0].at)
 		}
 		c.migrate()
@@ -162,31 +173,25 @@ func (c *calendarQueue) popLE(max Time) *event {
 		start := int(c.baseSlot & calMask)
 		wi := start / 64
 		w := c.bitmap[wi] &^ (1<<uint(start%64) - 1)
-		idx := -1
-		for n := 0; ; n++ {
-			if w != 0 {
-				idx = wi*64 + bits.TrailingZeros64(w)
-				break
-			}
+		for n := 0; w == 0; n++ {
 			if n == len(c.bitmap) {
-				break
+				// wheelN > 0 guarantees a set bit; unreachable.
+				panic("sim: calendar queue occupancy out of sync")
 			}
-			wi++
-			if wi == len(c.bitmap) {
-				wi = 0
-			}
+			wi = (wi + 1) & (len(c.bitmap) - 1)
 			w = c.bitmap[wi]
 		}
-		if idx < 0 {
-			// wheelN > 0 guarantees a set bit; unreachable.
-			panic("sim: calendar queue occupancy out of sync")
+		idx := wi*64 + bits.TrailingZeros64(w)
+		// Advance the window to the found slot, if it is due by the
+		// horizon. Earlier buckets are empty, so no event is left
+		// behind; far events uncovered by the larger window migrate on
+		// the next gather, and they cannot precede this bucket's events
+		// (they were beyond the previous window end).
+		slot := c.baseSlot + int64((idx-start+calBuckets)&calMask)
+		if slot > slotOf(until) {
+			return nil
 		}
-		// Advance the window to the found slot. Earlier buckets are
-		// empty, so no event is left behind; far events uncovered by
-		// the larger window migrate on the next gather, and they cannot
-		// precede this bucket's events (they were beyond the previous
-		// window end).
-		c.baseSlot += int64((idx - start + calBuckets) & calMask)
+		c.baseSlot = slot
 
 		// Gather the slot's chain into the draining run. slices.SortFunc,
 		// not sort.Slice, which allocates through reflect.Swapper; the
@@ -199,7 +204,7 @@ func (c *calendarQueue) popLE(max Time) *event {
 		slices.SortFunc(c.cur, cmpEvent)
 	}
 	ev := c.cur[c.next]
-	if ev.at > max {
+	if ev.at > until {
 		return nil
 	}
 	c.cur[c.next] = nil

@@ -12,10 +12,10 @@ import (
 // fire exactly what it fires.
 type heapSched struct{ q eventQueue }
 
-func (h *heapSched) push(ev *event) { heap.Push(&h.q, ev) }
+func (h *heapSched) push(ev *event, _ Time) { heap.Push(&h.q, ev) }
 
-func (h *heapSched) popLE(max Time) *event {
-	if len(h.q) == 0 || h.q[0].at > max {
+func (h *heapSched) popLE(until Time) *event {
+	if len(h.q) == 0 || h.q[0].at > until {
 		return nil
 	}
 	return heap.Pop(&h.q).(*event)
@@ -44,8 +44,10 @@ func newTestLoop(oracle bool) *Loop {
 // returns the exact firing log. Deltas are decoded so that
 // equal-deadline collisions, in-slot inserts during a drain, far-heap
 // spills (beyond the calendar's ~4.2 ms window), and idle jumps all
-// occur routinely.
-func driveOps(oracle bool, prog []byte) []string {
+// occur routinely. After every partial Run it requires the calendar's
+// window base, if any event is queued, to be at or before the clock's
+// slot (the horizon rule).
+func driveOps(t *testing.T, oracle bool, prog []byte) []string {
 	l := newTestLoop(oracle)
 	var log []string
 	var refs []EventRef
@@ -89,8 +91,17 @@ func driveOps(oracle bool, prog []byte) []string {
 			}
 		case 4:
 			// Partial run: advances now, exercises idle jumps and
-			// pushes into already-advanced windows.
-			l.Run(l.Now() + Time(next())*37*Microsecond)
+			// pushes into already-advanced windows. 255 runs the queue
+			// dry instead, popping any cancelled tail past the clock.
+			d := next()
+			if d == 255 {
+				l.RunAll()
+				break
+			}
+			l.Run(l.Now() + Time(d)*37*Microsecond)
+			if cal, ok := l.sched.(*calendarQueue); ok && cal.len() > 0 && cal.baseSlot > slotOf(l.Now()) {
+				t.Fatalf("after Run to %v the window base is slot %d, past the clock's slot %d", l.Now(), cal.baseSlot, slotOf(l.Now()))
+			}
 		}
 	}
 	l.RunAll()
@@ -99,8 +110,8 @@ func driveOps(oracle bool, prog []byte) []string {
 
 func diffLogs(t *testing.T, prog []byte) {
 	t.Helper()
-	h := driveOps(true, prog)
-	c := driveOps(false, prog)
+	h := driveOps(t, true, prog)
+	c := driveOps(t, false, prog)
 	if len(h) != len(c) {
 		t.Fatalf("fired %d events on heap, %d on calendar", len(h), len(c))
 	}
@@ -159,17 +170,20 @@ func TestEqualDeadlineFIFO(t *testing.T) {
 	}
 }
 
-// TestCalendarIdleJumpThenEarlyPush reproduces the trickiest window
-// case: the queue idles far into the future (base slot jumps), then an
-// event lands before the jumped-to slot and must still fire first.
+// TestCalendarIdleJumpThenEarlyPush pins the horizon rule at a Run
+// boundary: with only a 100 ms event queued, Run(50ms) fires nothing
+// and must leave the window base at or before the 50 ms slot — an idle
+// jump to the 100 ms slot would put every later push behind the
+// window. Events scheduled between the two then fire first.
 func TestCalendarIdleJumpThenEarlyPush(t *testing.T) {
 	l := NewLoop(1)
+	cal := l.sched.(*calendarQueue)
 	var got []string
 	l.At(100*Millisecond, func() { got = append(got, "far") })
-	// Run to 50 ms: nothing fires, but popLE's idle jump advances the
-	// window base to the 100 ms slot.
 	l.Run(50 * Millisecond)
-	// Now schedule earlier than the jumped-to slot (but >= now).
+	if cal.baseSlot > slotOf(50*Millisecond) {
+		t.Fatalf("Run(50ms) moved the window base to slot %d, past the 50 ms slot %d", cal.baseSlot, slotOf(50*Millisecond))
+	}
 	l.At(60*Millisecond, func() { got = append(got, "early") })
 	l.At(60*Millisecond, func() { got = append(got, "early2") })
 	l.RunAll()
@@ -184,6 +198,87 @@ func TestCalendarIdleJumpThenEarlyPush(t *testing.T) {
 	}
 }
 
+// TestCalendarCancelledTailThenEarlyPush covers the one way the base
+// can pass the clock: RunAll pops a cancelled 10 ms event, which moves
+// the base to its slot but leaves the clock at 0. The next push into
+// the empty queue must rebase it, or the 1 ms and 2 ms events that
+// follow land behind the window and fire out of order.
+func TestCalendarCancelledTailThenEarlyPush(t *testing.T) {
+	l := NewLoop(1)
+	var got []string
+	l.At(10*Millisecond, func() { got = append(got, "cancelled") }).Cancel()
+	l.RunAll()
+	l.At(1*Millisecond, func() { got = append(got, "1ms") })
+	l.At(2*Millisecond, func() { got = append(got, "2ms") })
+	l.RunAll()
+	if len(got) != 2 || got[0] != "1ms" || got[1] != "2ms" {
+		t.Fatalf("fired %v, want [1ms 2ms]", got)
+	}
+}
+
+// boundaryStream is a steady stream of near-future events across a Run
+// boundary: start queues one event 100 ms out and runs the loop 50 ms
+// (nothing is due), then seeds streamLead/µs events one µs apart; each
+// firing schedules the next streamLead ahead until left runs out. It
+// records the longest draining run it sees and how many of its pushes
+// were sorted inserts into that run rather than slot-chain appends.
+type boundaryStream struct {
+	l                *Loop
+	cal              *calendarQueue
+	left             int
+	maxCur, inserted int
+}
+
+const streamLead = 10 * Microsecond
+
+func newBoundaryStream(l *Loop, n int) *boundaryStream {
+	return &boundaryStream{l: l, cal: l.sched.(*calendarQueue), left: n}
+}
+
+func (s *boundaryStream) start() {
+	t0 := s.l.Now()
+	s.l.At(t0+100*Millisecond, func() {})
+	s.l.Run(t0 + 50*Millisecond)
+	for i := Time(1); i <= streamLead/Microsecond; i++ {
+		s.schedule(s.l.Now() + i*Microsecond)
+	}
+	s.l.RunAll()
+}
+
+func (s *boundaryStream) schedule(at Time) {
+	if s.left == 0 {
+		return
+	}
+	s.left--
+	live := len(s.cal.cur) - s.cal.next
+	s.l.AtTask(at, s)
+	if len(s.cal.cur)-s.cal.next > live {
+		s.inserted++
+	}
+	s.maxCur = max(s.maxCur, len(s.cal.cur))
+}
+
+func (s *boundaryStream) Run() { s.schedule(s.l.Now() + streamLead) }
+
+// TestCalendarRunBoundaryStream pins that a Run boundary leaves the
+// window where the clock is: 100 000 events, one every µs, streamed
+// after Run stopped 50 ms short of a queued timer, each land in their
+// own slot's chain. The draining run never holds more than one slot's
+// few events and no push is a sorted insert into it — where a window
+// idle-jumped to the timer would park every event before it in one
+// run.
+func TestCalendarRunBoundaryStream(t *testing.T) {
+	l := NewLoop(1)
+	s := newBoundaryStream(l, 100000)
+	s.start()
+	if s.left != 0 || l.Fired() != 100001 {
+		t.Fatalf("fired %d events with %d left to schedule, want 100001 and 0", l.Fired(), s.left)
+	}
+	if s.maxCur > 4 || s.inserted != 0 {
+		t.Fatalf("longest draining run %d events, %d sorted inserts into it; want at most 4 and none", s.maxCur, s.inserted)
+	}
+}
+
 // TestCalendarInsertIntoDrainingBucket fills one slot, drains half of
 // it, then pushes into what is left at both ends — at the drain cursor
 // and just past it (head shifts into the consumed prefix), at the
@@ -192,10 +287,11 @@ func TestCalendarIdleJumpThenEarlyPush(t *testing.T) {
 func TestCalendarInsertIntoDrainingBucket(t *testing.T) {
 	cal, oracle := newCalendarQueue(), &heapSched{}
 	var seq uint64
+	var now Time // the last popped deadline
 	push := func(at Time) {
 		seq++
-		cal.push(&event{at: at, seq: seq})
-		oracle.push(&event{at: at, seq: seq})
+		cal.push(&event{at: at, seq: seq}, now)
+		oracle.push(&event{at: at, seq: seq}, now)
 	}
 	popBoth := func(i int) {
 		t.Helper()
@@ -203,6 +299,7 @@ func TestCalendarInsertIntoDrainingBucket(t *testing.T) {
 		if c.at != o.at || c.seq != o.seq {
 			t.Fatalf("pop %d: calendar (%d, %d), heap (%d, %d)", i, c.at, c.seq, o.at, o.seq)
 		}
+		now = c.at
 	}
 	const base = Time(64 << calSlotShift) // a slot's first nanosecond
 	for k := 0; k < 100; k++ {
@@ -255,6 +352,8 @@ func TestSchedulerCancelRecycle(t *testing.T) {
 func FuzzSchedulerOrdering(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 2, 3, 4, 4})
 	f.Add([]byte{2, 0, 2, 0, 2, 0, 9, 9, 9, 4, 255, 3, 1})
+	// A 2 s event, cancelled, run dry, then 3 ms and 4 ms pushes.
+	f.Add([]byte{0, 12, 3, 0, 4, 255, 0, 8, 0, 9})
 	rng := NewRand(42)
 	seedProg := make([]byte, 512)
 	for i := range seedProg {

@@ -207,7 +207,7 @@ func (l *Loop) At(at Time, fn func()) EventRef {
 		at = l.now
 	}
 	ev := l.newEvent(at, fn)
-	l.sched.push(ev)
+	l.sched.push(ev, l.now)
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
@@ -223,7 +223,7 @@ func (l *Loop) AtTask(at Time, t Task) EventRef {
 	}
 	ev := l.newEvent(at, nil)
 	ev.task = t
-	l.sched.push(ev)
+	l.sched.push(ev, l.now)
 	return EventRef{ev: ev, gen: ev.gen}
 }
 
