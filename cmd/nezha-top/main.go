@@ -51,6 +51,28 @@ import (
 	"nezha/internal/sim"
 )
 
+// usage is what a bad invocation prints after its error.
+const usage = "usage: nezha-top [-follow] [-interval 500ms] [-n 10] [-node a] [-vnic 7] <run.jsonl | -> | nezha-top -attach http://host:port [-once]"
+
+// validate checks the flags before anything is opened or fetched;
+// main exits 2 on its error. Go's flag stops at the first positional
+// argument, so one before a flag would silently drop that flag.
+func validate(args []string, attach string, once bool, topK int, interval time.Duration) error {
+	switch {
+	case topK < 1:
+		return fmt.Errorf("-n %d: need at least 1 flow", topK)
+	case interval <= 0:
+		return fmt.Errorf("-interval %v: need a positive poll period", interval)
+	case attach != "" && len(args) > 0:
+		return fmt.Errorf("unexpected arguments %q with -attach (it reads no file; flags go first)", args)
+	case attach == "" && once:
+		return fmt.Errorf("-once needs -attach (without -follow a file is rendered once anyway)")
+	case attach == "" && len(args) != 1:
+		return fmt.Errorf("want one input, a file or -, got %d arguments %q", len(args), args)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		follow   = flag.Bool("follow", false, "tail the file and redraw as snapshots arrive")
@@ -62,6 +84,10 @@ func main() {
 		vnicF    = flag.String("vnic", "", "only show rows for this vNIC id")
 	)
 	flag.Parse()
+	if err := validate(flag.Args(), *attach, *once, *topK, *interval); err != nil {
+		fmt.Fprintf(os.Stderr, "nezha-top: %v\n%s\n", err, usage)
+		os.Exit(2)
+	}
 	f := filter{node: *nodeF, vnic: *vnicF}
 
 	if *attach != "" {
@@ -72,10 +98,6 @@ func main() {
 		return
 	}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: nezha-top [-follow] [-interval 500ms] [-n 10] [-node a] [-vnic 7] <run.jsonl | -> | nezha-top -attach http://host:port [-once]")
-		os.Exit(2)
-	}
 	path := flag.Arg(0)
 
 	var in io.Reader

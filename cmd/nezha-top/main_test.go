@@ -5,10 +5,44 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"nezha/internal/obs"
 	"nezha/internal/prof"
 )
+
+func TestValidate(t *testing.T) {
+	const iv = 500 * time.Millisecond
+	for _, c := range []struct {
+		args     []string
+		attach   string
+		once     bool
+		n        int
+		interval time.Duration
+		want     string // "" = valid; else a substring of the error
+	}{
+		{args: []string{"run.jsonl"}, n: 10, interval: iv},
+		{args: []string{"-"}, n: 1, interval: time.Millisecond},
+		{attach: "http://127.0.0.1:8378", n: 10, interval: iv},
+		{attach: "http://127.0.0.1:8378", once: true, n: 10, interval: iv},
+		{args: []string{"run.jsonl"}, n: 0, interval: iv, want: "-n 0: need at least 1 flow"},
+		{args: []string{"run.jsonl"}, n: -3, interval: iv, want: "-n -3: need at least 1 flow"},
+		{args: []string{"run.jsonl"}, n: 10, interval: 0, want: "-interval 0s: need a positive poll period"},
+		{args: []string{"run.jsonl"}, n: 10, interval: -time.Second, want: "-interval -1s: need a positive poll period"},
+		{args: []string{"run.jsonl"}, attach: "http://127.0.0.1:8378", n: 10, interval: iv, want: `unexpected arguments ["run.jsonl"] with -attach`},
+		{args: []string{"run.jsonl"}, once: true, n: 10, interval: iv, want: "-once needs -attach"},
+		{n: 10, interval: iv, want: "want one input, a file or -, got 0 arguments"},
+		{args: []string{"run.jsonl", "-follow"}, n: 10, interval: iv, want: `got 2 arguments ["run.jsonl" "-follow"]`},
+	} {
+		err := validate(c.args, c.attach, c.once, c.n, c.interval)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v: unexpected error %v", c, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%+v: error %v, want one containing %q", c, err, c.want)
+		}
+	}
+}
 
 // TestRenderProfSections feeds render a snapshot produced by a real
 // profiler drained through a real registry — the same JSONL pipeline

@@ -27,13 +27,12 @@ func SLOBurnBound(t *slo.Tracker) Invariant { return &sloBurnBound{t: t} }
 func (c *sloBurnBound) Name() string { return "slo-burn-bound" }
 
 func (c *sloBurnBound) Check(now sim.Time) error {
-	for _, vnic := range c.t.VNICs() {
-		if s := c.t.CurrentBurnStreak(vnic); s >= sloBurnStreak {
-			_, _, _, p99, burn := c.t.VNICStats(vnic)
-			return fmt.Errorf(
-				"vnic %d burning its latency error budget for %d consecutive windows (burn=%.1f p99=%v objective=%v)",
-				vnic, s, burn, sim.Time(p99), sim.Time(c.t.Objective()))
-		}
+	vnic, s, ok := c.t.BurningAtLeast(sloBurnStreak)
+	if !ok {
+		return nil
 	}
-	return nil
+	_, _, _, p99, burn := c.t.VNICStats(vnic)
+	return fmt.Errorf(
+		"vnic %d burning its latency error budget for %d consecutive windows (burn=%.1f p99=%v objective=%v)",
+		vnic, s, burn, sim.Time(p99), sim.Time(c.t.Objective()))
 }

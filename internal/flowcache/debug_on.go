@@ -21,14 +21,14 @@ import (
 
 // poison fills a recycled entry's identity with a pattern no packet
 // produces, so a stale read that dodges checkLive cannot see a
-// plausible empty entry. alloc overwrites every poisoned field.
+// plausible empty entry. GetOrCreate overwrites every poisoned field
+// a stateless entry reads; pre, the freelist link, is left alone.
 func poison(e *Entry) {
 	e.Key = packet.SessionKey{VNIC: ^uint32(0), VPC: ^uint32(0), Tuple: packet.FiveTuple{
 		SrcIP: ^packet.IPv4(0), DstIP: ^packet.IPv4(0), SrcPort: 0xdead, DstPort: 0xdead, Proto: 0xff,
 	}}
 	e.LastSeen = -1 << 63
-	e.h, e.shard = ^uint32(0), 0xff
-	e.pre, e.st = ^uint32(0), ^uint32(0)
+	e.h, e.st = ^uint32(0), ^uint32(0)
 }
 
 // checkLive panics when the table is handed an entry it has recycled.
@@ -77,7 +77,7 @@ func checkPre(s *preSlot) {
 	if s.refs == 0 {
 		panic("flowcache: pre-actions read after their slot was released")
 	}
-	if hashPre(&s.val) != s.h {
+	if hashPre(&s.val, s.version) != s.h {
 		panic("flowcache: interned pre-actions written through Pre")
 	}
 }

@@ -17,49 +17,44 @@
 // are dropped (an overload). Aging follows the state's FSM phase
 // (short for establishing sessions, §7.3).
 //
-// Layout. The table is numShards open-addressed bucket arrays (linear
+// Layout. The table is one open-addressed bucket array (linear
 // probing, backward-shift deletion) over one slab store of entries,
 // and the storage is shaped by the roles: an entry holds only what a
 // hit and an aging check read, pre-actions are interned in a per-table
 // pool, and session state lives in a separate slab store that only
 // SetState draws from, so an FE's cached flow pays for no state.
 //
-// Shard and slot must not share hash bits. The shard is the hash's low
-// shardBits, so every key in one shard agrees on those bits; a home
-// slot taken from them too would use one slot in numShards and turn
-// linear probing into long shared runs (measured: 3.0 probes per hit
-// and 5.3 per miss at load 0.5, against 1.5 and 2.5 in theory). The
-// home slot comes from hash >> shardBits instead.
+// A bucket is 8 bytes: {h, idx}. h is uint32(hash) — the home slot in
+// its low bits, a tag above — and idx is the entry's slab index + 1 (0
+// marks an empty bucket). A probe walks the bucket array alone and
+// dereferences an entry only where h matches, so a hit touches one
+// entry and a miss none; growth and backward shift re-home buckets
+// from h without touching entries.
 //
-// A bucket is 8 bytes: {h, idx}. h is the low 32 bits of
-// hash >> shardBits — the home slot in its low bits, a tag above —
-// and idx is the entry's slab index + 1 (0 marks an empty bucket). A
-// probe walks the bucket array alone and dereferences an entry only
-// where h matches, so a hit touches one entry and a miss none; growth
-// and backward shift re-home buckets from h without touching entries.
+// An Entry is 48 bytes: the key (24), the flags, the pre-actions id,
+// LastSeen, the bucket hash h (all bulk deletion needs to find its
+// bucket) and the state slot. A recycled entry links the freelist
+// through its pre-actions id. Entries live in append-only slabs
+// addressed by index: slab sizes double from minSlab to maxSlab
+// entries and stay there (a table with a dozen flows holds two minSlab
+// slabs; a table with 10^5 wastes at most one part-filled maxSlab
+// slab, where doubling forever would strand up to half the store).
+// Deleted entries go on an index freelist threaded through the
+// entries themselves.
 //
-// An Entry is one 64-byte cache line: the key, the flags, LastSeen,
-// PreVersion, the bucket hash and shard (all bulk deletion needs to
-// find its bucket), the freelist link, and two ids — the pre-actions
-// id and the state slot. Entries live in append-only slabs addressed
-// by index: slab sizes double from minSlab to maxSlab entries and stay
-// there (a table with a dozen flows holds two minSlab slabs; a table
-// with 10^5 wastes at most one part-filled maxSlab slab, where
-// doubling forever would strand up to half the store). Deleted entries
-// go on an index freelist threaded through the entries themselves.
-//
-// Pre-actions are interned: the pool maps each distinct value to one
-// reference-counted slot, found through its own open-addressed index
-// (a shard keyed by the value's hash), so the many flows that share a
-// rule result share one copy. SetPre takes a reference, and SetPre
-// overwrite, DropPre, deletion and Clear release it; a slot whose
-// count reaches zero goes on the pool's freelist. The pool is
-// allocated on the first SetPre, so a BE's state-only table has none.
-// States live in a store of their own: full-size slabs of maxSlab
-// slots, one taken per SetState on an entry without state and returned
-// when the entry goes, with a freelist threaded through the free
-// slots. At the end of the crr_offload benchmark 89 % of live entries
-// hold no state.
+// Pre-actions are interned: the pool maps each distinct (value, rule
+// set version) pair to one reference-counted slot, found through its
+// own open-addressed index keyed by the pair's hash, so the many flows
+// that share a rule result share one copy, and the version a hit test
+// compares lives with the value (PreVersion). SetPre takes a
+// reference, and SetPre overwrite, DropPre, deletion and Clear release
+// it; a slot whose count reaches zero goes on the pool's freelist. The
+// pool is allocated on the first SetPre, so a BE's state-only table
+// has none. States live in a store of their own: full-size slabs of
+// maxSlab slots, one taken per SetState on an entry without state and
+// returned when the entry goes, with a freelist threaded through the
+// free slots. At the end of the crr_offload benchmark 89 % of live
+// entries hold no state.
 //
 // Nothing in the bucket arrays, the entry and state slabs or the pool
 // is a Go pointer, so the collector marks the table without scanning
@@ -112,10 +107,10 @@ const (
 // ErrNoMemory is returned when inserting would exceed the byte budget.
 var ErrNoMemory = errors.New("flowcache: memory budget exhausted")
 
-// Entry is one session's cached record: one 64-byte cache line with
-// no pointers (the slabs are invisible to the collector) holding
-// everything a lookup hit and an aging check read. Its pre-actions and
-// state are read through Table.Pre and Table.State.
+// Entry is one session's cached record: 48 bytes with no pointers (the
+// slabs are invisible to the collector) holding everything a lookup
+// hit and an aging check read. Its pre-actions, their version and its
+// state are read through Table.Pre, Table.PreVersion and Table.State.
 type Entry struct {
 	// Key names the session; Key.VNIC is the vNIC it belongs to.
 	Key packet.SessionKey
@@ -127,23 +122,16 @@ type Entry struct {
 	// live is set while the entry is in the table; the slab walks skip
 	// the rest, and the simdebug tripwire reads it.
 	live bool
-	// shard is the key hash's shard; with h, all bulk deletion needs
-	// to find the entry's bucket.
-	shard uint8
+	// pre is the pre-actions slot in the pool while HasPre; on a
+	// recycled entry it links the freelist (slab index + 1; 0 ends it).
+	pre uint32
 
 	// LastSeen is the last access time (ns), for aging.
 	LastSeen int64
-	// PreVersion is the RuleSet version the pre-actions were derived
-	// from; a version mismatch is treated as a miss and the entry is
-	// regenerated (rule-table change invalidation, §3.2.2).
-	PreVersion uint64
 
-	// h is the entry's bucket hash (bucketHash of the key hash).
+	// h is the entry's bucket hash, uint32 of the key hash: all bulk
+	// deletion needs to find the entry's bucket.
 	h uint32
-	// nextFree links recycled entries (slab index + 1); 0 ends the list.
-	nextFree uint32
-	// pre is the pre-actions slot in the pool while HasPre.
-	pre uint32
 	// st is the state slot while HasState.
 	st uint32
 }
@@ -180,23 +168,16 @@ type Config struct {
 	VariableState bool
 }
 
-// numShards is the shard count; a power of two, so the shard is a mask
-// of the hash's low bits (see package comment).
-const (
-	shardBits = 3
-	numShards = 1 << shardBits
-)
-
-// minShardBuckets keeps tiny shards probe-friendly.
-const minShardBuckets = 8
+// minBuckets keeps tiny indexes probe-friendly.
+const minBuckets = 8
 
 // Entry slab sizes: minSlab, minSlab again, then doubling up to
 // maxSlab and maxSlab from there on, so the slabs' total capacity
 // passes through every power of two from minSlab up and every
 // multiple of maxSlab — a table of 4096 flows holds exactly 4096
-// entries. State slabs are all maxSlab. A full-size entry slab
-// (512 × 64 B) and state slab (512 × 48 B) are each a whole number of
-// 8 KiB pages, so neither wastes any.
+// entries. State slabs are all maxSlab. A full-size entry slab and
+// state slab (512 × 48 B each) are each a whole number of 8 KiB
+// pages, so neither wastes any.
 const (
 	minSlabBits = 3
 	maxSlabBits = 9
@@ -204,14 +185,15 @@ const (
 	maxSlab     = 1 << maxSlabBits
 )
 
-// bucket is one slot of a shard; see the package comment.
+// bucket is one slot of an index; see the package comment.
 type bucket struct {
 	h   uint32
 	idx uint32
 }
 
-// shard is one open-addressed bucket array (linear probing).
-type shard struct {
+// index is one open-addressed bucket array (linear probing): the
+// table's over its entries, and the pre-actions pool's over its slots.
+type index struct {
 	buckets []bucket
 	mask    uint32
 	n       uint32
@@ -220,10 +202,10 @@ type shard struct {
 // Table is the session table. Not safe for concurrent use; the
 // simulation is single-threaded by design.
 type Table struct {
-	cfg    Config
-	shards [numShards]shard
-	count  int
-	mem    int
+	cfg   Config
+	index index
+	count int
+	mem   int
 
 	slabs [][]Entry
 	used  uint32 // indices below used are live or on the freelist
@@ -250,24 +232,15 @@ type Table struct {
 // New returns an empty table.
 func New(cfg Config) *Table {
 	t := &Table{cfg: cfg}
-	for i := range t.shards {
-		t.shards[i].init()
-	}
+	t.index.init()
 	return t
 }
 
-func (s *shard) init() {
-	s.buckets = make([]bucket, minShardBuckets)
-	s.mask = minShardBuckets - 1
+func (s *index) init() {
+	s.buckets = make([]bucket, minBuckets)
+	s.mask = minBuckets - 1
 	s.n = 0
 }
-
-// shardIndex selects the shard for a hash: its low shardBits bits.
-func shardIndex(hash uint64) uint64 { return hash & (numShards - 1) }
-
-// bucketHash is the part of the hash a bucket keeps: everything the
-// shard choice did not consume, truncated to 32 bits.
-func bucketHash(hash uint64) uint32 { return uint32(hash >> shardBits) }
 
 // entry returns the entry at slab index i.
 func (t *Table) entry(i uint32) *Entry {
@@ -298,9 +271,10 @@ func slabLen(k uint32) int {
 	return minSlab << min(k-1, maxSlabBits-minSlabBits)
 }
 
-// find probes s for key. It returns the entry and its slot, or nil and
-// the empty slot the probe ended on.
-func (t *Table) find(s *shard, key packet.SessionKey, h uint32) (*Entry, uint32) {
+// find probes the index for key. It returns the entry and its slot, or
+// nil and the empty slot the probe ended on.
+func (t *Table) find(key packet.SessionKey, h uint32) (*Entry, uint32) {
+	s := &t.index
 	i := h & s.mask
 	for {
 		b := s.buckets[i]
@@ -317,7 +291,7 @@ func (t *Table) find(s *shard, key packet.SessionKey, h uint32) (*Entry, uint32)
 }
 
 // emptyFrom returns the first empty slot at or after h's home.
-func (s *shard) emptyFrom(h uint32) uint32 {
+func (s *index) emptyFrom(h uint32) uint32 {
 	i := h & s.mask
 	for s.buckets[i].idx != 0 {
 		i = (i + 1) & s.mask
@@ -326,8 +300,8 @@ func (s *shard) emptyFrom(h uint32) uint32 {
 }
 
 // slotOf returns the slot whose bucket points at slab index idx; the
-// entry must be in the shard.
-func (s *shard) slotOf(h, idx uint32) uint32 {
+// entry must be in the index.
+func (s *index) slotOf(h, idx uint32) uint32 {
 	i := h & s.mask
 	for s.buckets[i].idx != idx+1 {
 		i = (i + 1) & s.mask
@@ -336,9 +310,9 @@ func (s *shard) slotOf(h, idx uint32) uint32 {
 }
 
 // full reports whether one more bucket would pass the 3/4 load limit.
-func (s *shard) full() bool { return (s.n+1)*4 > (s.mask+1)*3 }
+func (s *index) full() bool { return (s.n+1)*4 > (s.mask+1)*3 }
 
-func (s *shard) grow() {
+func (s *index) grow() {
 	old := s.buckets
 	s.buckets = make([]bucket, 2*len(old))
 	s.mask = uint32(len(s.buckets) - 1)
@@ -351,7 +325,7 @@ func (s *shard) grow() {
 
 // removeAt empties slot i via backward shift, keeping every remaining
 // bucket reachable from its home slot.
-func (s *shard) removeAt(i uint32) {
+func (s *index) removeAt(i uint32) {
 	s.n--
 	j := i
 	for {
@@ -376,7 +350,7 @@ func (t *Table) alloc() (uint32, *Entry) {
 	if t.free != 0 {
 		i := t.free - 1
 		e := t.entry(i)
-		t.free = e.nextFree
+		t.free, e.pre = e.pre, 0
 		return i, e
 	}
 	i := t.used
@@ -409,10 +383,9 @@ func (t *Table) Lookup(key packet.SessionKey, now int64) *Entry {
 }
 
 // LookupH is Lookup with the key hash precomputed by the caller (the
-// datapath hashes each packet's key once and reuses it for shard
-// selection and probing).
+// datapath hashes each packet's key once and reuses it for probing).
 func (t *Table) LookupH(key packet.SessionKey, hash uint64, now int64) *Entry {
-	e, slot := t.find(&t.shards[shardIndex(hash)], key, bucketHash(hash))
+	e, slot := t.find(key, uint32(hash))
 	if e == nil {
 		t.Misses++
 		t.missKey, t.missSlot, t.missOK = key, slot, true
@@ -430,7 +403,7 @@ func (t *Table) Peek(key packet.SessionKey) *Entry {
 
 // PeekH is Peek with a precomputed hash.
 func (t *Table) PeekH(key packet.SessionKey, hash uint64) *Entry {
-	e, _ := t.find(&t.shards[shardIndex(hash)], key, bucketHash(hash))
+	e, _ := t.find(key, uint32(hash))
 	return e
 }
 
@@ -444,12 +417,11 @@ func (t *Table) GetOrCreate(key packet.SessionKey, vnic uint32, now int64) (*Ent
 // GetOrCreateH is GetOrCreate with a precomputed hash.
 func (t *Table) GetOrCreateH(key packet.SessionKey, hash uint64, vnic uint32, now int64) (*Entry, error) {
 	checkVNIC(key, vnic)
-	si := shardIndex(hash)
-	s, h := &t.shards[si], bucketHash(hash)
+	s, h := &t.index, uint32(hash)
 	slot := t.missSlot
 	if !t.missOK || t.missKey != key {
 		var e *Entry
-		if e, slot = t.find(s, key, h); e != nil {
+		if e, slot = t.find(key, h); e != nil {
 			e.LastSeen = now
 			return e, nil
 		}
@@ -463,7 +435,7 @@ func (t *Table) GetOrCreateH(key packet.SessionKey, hash uint64, vnic uint32, no
 		slot = s.emptyFrom(h)
 	}
 	idx, e := t.alloc()
-	e.Key, e.LastSeen, e.h, e.shard, e.live, e.nextFree = key, now, h, uint8(si), true, 0
+	e.Key, e.LastSeen, e.h, e.live = key, now, h, true
 	s.buckets[slot] = bucket{h: h, idx: idx + 1}
 	s.n++
 	t.count++
@@ -492,7 +464,19 @@ func (t *Table) Pre(e *Entry) *tables.PreActions {
 		checkNone()
 		return &noPre
 	}
-	return t.pre.get(e.pre)
+	return &t.pre.get(e.pre).val
+}
+
+// PreVersion returns the RuleSet version e's pre-actions were derived
+// from, or 0 when it has none. A version other than the rule set's is
+// treated as a miss and the entry is regenerated (rule-table change
+// invalidation, §3.2.2).
+func (t *Table) PreVersion(e *Entry) uint64 {
+	checkLive(e)
+	if !e.HasPre {
+		return 0
+	}
+	return t.pre.get(e.pre).version
 }
 
 // State returns e's session state, or a zero (uninitialized) state
@@ -525,17 +509,15 @@ func (t *Table) stateOf(e *Entry) *state.State {
 // SetPre installs pre-actions (cached flow) on an entry.
 func (t *Table) SetPre(e *Entry, pre tables.PreActions, version uint64) error {
 	checkLive(e)
-	switch {
-	case !e.HasPre:
+	if !e.HasPre {
 		if !t.charge(PreActionsBytes) {
 			return ErrNoMemory
 		}
-		e.pre, e.HasPre = t.pre.intern(&pre), true
-	case *t.pre.get(e.pre) != pre:
+		e.pre, e.HasPre = t.pre.intern(&pre, version), true
+	} else if s := t.pre.get(e.pre); s.val != pre || s.version != version {
 		t.pre.release(e.pre)
-		e.pre = t.pre.intern(&pre)
+		e.pre = t.pre.intern(&pre, version)
 	}
-	e.PreVersion = version
 	return nil
 }
 
@@ -583,24 +565,21 @@ func (t *Table) DropPre(e *Entry) {
 	}
 	t.pre.release(e.pre)
 	e.HasPre = false
-	e.PreVersion = 0
 	t.mem -= PreActionsBytes
 }
 
 // Delete removes an entry, refunding its memory.
 func (t *Table) Delete(key packet.SessionKey) {
-	hash := key.Hash()
-	s := &t.shards[shardIndex(hash)]
-	if e, slot := t.find(s, key, bucketHash(hash)); e != nil {
-		t.remove(s, slot, s.buckets[slot].idx-1, e)
+	if e, slot := t.find(key, uint32(key.Hash())); e != nil {
+		t.remove(slot, t.index.buckets[slot].idx-1, e)
 	}
 }
 
-// remove takes entry e (slab index idx, in slot of s) out of the table
-// and recycles it with its pre-actions reference and state slot.
-// Callers must not retain e: a later insert reuses it.
-func (t *Table) remove(s *shard, slot, idx uint32, e *Entry) {
-	s.removeAt(slot)
+// remove takes entry e (slab index idx, in slot of the index) out of
+// the table and recycles it with its pre-actions reference and state
+// slot. Callers must not retain e: a later insert reuses it.
+func (t *Table) remove(slot, idx uint32, e *Entry) {
+	t.index.removeAt(slot)
 	t.mem -= t.SizeOf(e)
 	t.count--
 	t.missOK = false
@@ -610,7 +589,7 @@ func (t *Table) remove(s *shard, slot, idx uint32, e *Entry) {
 	if e.HasState {
 		t.states.release(e.st)
 	}
-	*e = Entry{nextFree: t.free}
+	*e = Entry{pre: t.free}
 	poison(e)
 	t.free = idx + 1
 }
@@ -626,8 +605,7 @@ func (t *Table) bulkDelete(fn func(*Entry) bool) int {
 		slab = slab[:min(uint32(len(slab)), t.used-idx)]
 		for i := range slab {
 			if e := &slab[i]; e.live && fn(e) {
-				s := &t.shards[e.shard]
-				t.remove(s, s.slotOf(e.h, idx), idx, e)
+				t.remove(t.index.slotOf(e.h, idx), idx, e)
 				n++
 			}
 			idx++
@@ -645,9 +623,7 @@ func (t *Table) InvalidateVNIC(vnic uint32) int {
 // Clear drops everything — slabs, state slots and the pre-actions
 // pool included: every *Entry is invalid.
 func (t *Table) Clear() {
-	for i := range t.shards {
-		t.shards[i].init()
-	}
+	t.index.init()
 	t.count = 0
 	t.mem = 0
 	t.slabs, t.used, t.free = nil, 0, 0

@@ -14,10 +14,9 @@ import (
 // the home slot to where the probe ended (the entry on a hit, the empty
 // slot on a miss), inclusive.
 func probes(t *Table, k packet.SessionKey) int {
-	hash := k.Hash()
-	s, h := &t.shards[shardIndex(hash)], bucketHash(hash)
-	_, slot := t.find(s, k, h)
-	return int((slot-h)&s.mask) + 1
+	h := uint32(k.Hash())
+	_, slot := t.find(k, h)
+	return int((slot-h)&t.index.mask) + 1
 }
 
 // TestProbeLength holds the table to linear probing's own cost. With
@@ -50,13 +49,13 @@ func TestProbeLength(t *testing.T) {
 	}
 }
 
-// TestEntryLayout pins what the role-shaped store rests on: an entry
-// that is one cache line, full entry and state slabs that are whole
-// pages, and no pointer in an entry, a state slot, a pre-actions pool
-// slot or a bucket, so the collector never scans the table.
+// TestEntryLayout pins what the role-shaped store rests on: a 48-byte
+// entry, full entry and state slabs that are whole pages, and no
+// pointer in an entry, a state slot, a pre-actions pool slot or a
+// bucket, so the collector never scans the table.
 func TestEntryLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(Entry{}); sz > 64 {
-		t.Errorf("Entry is %d bytes, want ≤ 64", sz)
+	if sz := unsafe.Sizeof(Entry{}); sz != 48 {
+		t.Errorf("Entry is %d bytes, want 48", sz)
 	}
 	if sz := maxSlab * unsafe.Sizeof(Entry{}); sz%8192 != 0 {
 		t.Errorf("a full entry slab is %d bytes, not a whole number of 8 KiB pages", sz)
@@ -124,8 +123,7 @@ func TestSlabOf(t *testing.T) {
 }
 
 // TestPointerStability: an *Entry stays the same live entry while
-// unrelated keys come and go, through bucket growth in every shard and
-// many new slabs.
+// unrelated keys come and go, through index growth and many new slabs.
 func TestPointerStability(t *testing.T) {
 	tab := New(Config{})
 	k0 := keyFor(0)
@@ -136,7 +134,7 @@ func TestPointerStability(t *testing.T) {
 	if err := tab.SetPre(e0, tables.PreActions{}, 77); err != nil {
 		t.Fatal(err)
 	}
-	slabs, buckets := len(tab.slabs), len(tab.shards[0].buckets)
+	slabs, buckets := len(tab.slabs), len(tab.index.buckets)
 	for i := 1; i <= 10000; i++ {
 		k := keyFor(i)
 		if _, err := tab.GetOrCreate(k, k.VNIC, int64(i)); err != nil {
@@ -146,13 +144,13 @@ func TestPointerStability(t *testing.T) {
 			tab.Delete(keyFor(i - 1))
 		}
 	}
-	if len(tab.slabs) <= slabs || len(tab.shards[0].buckets) <= buckets {
-		t.Fatalf("no growth: %d slabs, %d buckets in shard 0", len(tab.slabs), len(tab.shards[0].buckets))
+	if len(tab.slabs) <= slabs || len(tab.index.buckets) <= buckets {
+		t.Fatalf("no growth: %d slabs, %d buckets", len(tab.slabs), len(tab.index.buckets))
 	}
 	if got := tab.Peek(k0); got != e0 {
 		t.Fatalf("Peek returned %p, the entry was created at %p", got, e0)
 	}
-	if e0.Key != k0 || e0.LastSeen != 5 || !e0.HasPre || e0.PreVersion != 77 || !e0.live {
+	if e0.Key != k0 || e0.LastSeen != 5 || !e0.HasPre || tab.PreVersion(e0) != 77 || !e0.live {
 		t.Fatalf("entry changed under unrelated inserts: %+v", e0)
 	}
 }
@@ -216,7 +214,7 @@ func TestMissSlotReuse(t *testing.T) {
 		t.Fatal("existing key duplicated")
 	}
 
-	// A miss whose insert tips the shard over its load limit: the slot is
+	// A miss whose insert tips the index over its load limit: the slot is
 	// from the old array and must be recomputed.
 	tab = New(Config{})
 	for i := 0; tab.Len() < 2000; i++ {

@@ -6,42 +6,46 @@ import (
 )
 
 // prePool interns a table's pre-actions: one reference-counted slot
-// per distinct value, shared by every entry that caches it. The zero
-// value is an empty pool; the first intern allocates it.
+// per distinct (value, version) pair, shared by every entry that
+// caches it. The zero value is an empty pool; the first intern
+// allocates it.
 type prePool struct {
 	slots []preSlot
-	// index finds a value's slot: buckets {h: hashPre(value),
-	// idx: slot + 1}, probed and shifted like an entry shard.
-	index shard
+	// index finds a pair's slot: buckets {h: hashPre(value, version),
+	// idx: slot + 1}, probed and shifted like the table's.
+	index index
 	free  uint32 // freelist head (slot + 1); 0 = empty
 }
 
-// preSlot is one interned value.
+// preSlot is one interned value and the RuleSet version it was
+// derived from.
 type preSlot struct {
-	val tables.PreActions
-	// h is hashPre(val); on a free slot it links the freelist instead.
+	val     tables.PreActions
+	version uint64
+	// h is hashPre(val, version); on a free slot it links the freelist
+	// instead.
 	h uint32
 	// refs counts the entries holding the slot; 0 marks a free slot.
 	refs uint32
 }
 
-// get returns slot id's value; id must hold a reference.
-func (p *prePool) get(id uint32) *tables.PreActions {
+// get returns slot id; id must hold a reference.
+func (p *prePool) get(id uint32) *preSlot {
 	s := &p.slots[id]
 	checkPre(s)
-	return &s.val
+	return s
 }
 
-// intern returns the slot holding *v, taking a reference on it, and
-// fills a free slot with *v when no slot holds it yet.
-func (p *prePool) intern(v *tables.PreActions) uint32 {
+// intern returns the slot holding (*v, version), taking a reference on
+// it, and fills a free slot with the pair when no slot holds it yet.
+func (p *prePool) intern(v *tables.PreActions, version uint64) uint32 {
 	if p.index.buckets == nil {
 		p.index.init()
 	}
-	ix, h := &p.index, hashPre(v)
+	ix, h := &p.index, hashPre(v, version)
 	i := h & ix.mask
 	for b := ix.buckets[i]; b.idx != 0; b = ix.buckets[i] {
-		if s := &p.slots[b.idx-1]; b.h == h && s.val == *v {
+		if s := &p.slots[b.idx-1]; b.h == h && s.version == version && s.val == *v {
 			s.refs++
 			return b.idx - 1
 		}
@@ -59,7 +63,7 @@ func (p *prePool) intern(v *tables.PreActions) uint32 {
 		id = uint32(len(p.slots))
 		p.slots = append(p.slots, preSlot{})
 	}
-	p.slots[id] = preSlot{val: *v, h: h, refs: 1}
+	p.slots[id] = preSlot{val: *v, version: version, h: h, refs: 1}
 	ix.buckets[i] = bucket{h: h, idx: id + 1}
 	ix.n++
 	return id
@@ -79,15 +83,16 @@ func (p *prePool) release(id uint32) {
 	p.free = id + 1
 }
 
-// hashPre hashes a pre-actions value field by field (the struct has
-// padding, so its bytes are not a key): each direction packs into four
-// words, and the eight words are multiplied by distinct odd constants
-// — independent products the CPU overlaps — summed and avalanched.
-// Equal values hash equally; intern compares values, so a collision
-// costs only a probe.
-func hashPre(v *tables.PreActions) uint32 {
+// hashPre hashes a pre-actions value and its version field by field
+// (the struct has padding, so its bytes are not a key): each direction
+// packs into four words, and the nine words are multiplied by distinct
+// odd constants — independent products the CPU overlaps — summed and
+// avalanched. Equal pairs hash equally; intern compares pairs, so a
+// collision costs only a probe.
+func hashPre(v *tables.PreActions, version uint64) uint32 {
 	h := preWords(&v.TX, 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb, 0xc2b2ae3d27d4eb4f) +
-		preWords(&v.RX, 0x165667b19e3779f9, 0x27d4eb2f165667c5, 0x85ebca77c2b2ae63, 0x9fb21c651e98df25)
+		preWords(&v.RX, 0x165667b19e3779f9, 0x27d4eb2f165667c5, 0x85ebca77c2b2ae63, 0x9fb21c651e98df25) +
+		version*0xd6e8feb86659fd93
 	h ^= h >> 32
 	return uint32(h * 0x9e3779b97f4a7c15 >> 32)
 }

@@ -40,7 +40,7 @@ func prePalette() []tables.PreActions {
 // map model. After every op each live key's flags, pre-actions,
 // version, state and LastSeen must match the model, MemBytes must be
 // the model's bytes, and the pool and state store must hold exactly
-// the distinct values and states the live entries use. Once every key
+// the distinct (value, version) pairs and states the live entries use. Once every key
 // is deleted both hold no live slot: no reference leaks.
 func TestStoreModel(t *testing.T) {
 	for _, variable := range []bool{false, true} {
@@ -86,7 +86,11 @@ func runStoreModel(t *testing.T, variable bool) {
 		if tab.Len() != len(model) || tab.MemBytes() != modelMem() {
 			t.Fatalf("op %d (%s): Len %d MemBytes %d, model %d and %d", op, what, tab.Len(), tab.MemBytes(), len(model), modelMem())
 		}
-		distinct := map[tables.PreActions]bool{}
+		type pair struct {
+			pre     tables.PreActions
+			version uint64
+		}
+		distinct := map[pair]bool{}
 		states := 0
 		for k, m := range model {
 			e := tab.Peek(k)
@@ -99,9 +103,9 @@ func runStoreModel(t *testing.T, variable bool) {
 			want := tables.PreActions{}
 			if m.hasPre {
 				want = m.pre
-				distinct[m.pre] = true
-				if e.PreVersion != m.version {
-					t.Fatalf("op %d (%s): key %v: PreVersion %d, model %d", op, what, k, e.PreVersion, m.version)
+				distinct[pair{m.pre, m.version}] = true
+				if v := tab.PreVersion(e); v != m.version {
+					t.Fatalf("op %d (%s): key %v: PreVersion %d, model %d", op, what, k, v, m.version)
 				}
 			}
 			if got := *tab.Pre(e); got != want {
@@ -117,7 +121,7 @@ func runStoreModel(t *testing.T, variable bool) {
 			}
 		}
 		if int(tab.pre.index.n) != len(distinct) || int(tab.states.n) != states {
-			t.Fatalf("op %d (%s): pool holds %d values and the store %d states; live entries use %d and %d",
+			t.Fatalf("op %d (%s): pool holds %d pairs and the store %d states; live entries use %d and %d",
 				op, what, tab.pre.index.n, tab.states.n, len(distinct), states)
 		}
 	}

@@ -265,14 +265,17 @@ func (t *Tracker) vnicsInto(buf []uint32) []uint32 {
 // BurnEvents returns how many burning windows have closed in total.
 func (t *Tracker) BurnEvents() uint64 { return t.burnEvents }
 
-// CurrentBurnStreak returns how many consecutive windows vnic has
-// been burning as of the last closed window (0 when healthy or
-// untracked).
-func (t *Tracker) CurrentBurnStreak(vnic uint32) int {
-	if l := t.ledger[vnic]; l != nil {
-		return l.burning
+// BurningAtLeast returns the lowest-id vNIC that has been burning for
+// at least limit consecutive windows as of the last closed window, and
+// that streak; ok is false when none has. It allocates nothing, so an
+// invariant sweep can ask it on every check.
+func (t *Tracker) BurningAtLeast(limit int) (vnic uint32, streak int, ok bool) {
+	for v, l := range t.ledger {
+		if l.burning >= limit && (!ok || v < vnic) {
+			vnic, streak, ok = v, l.burning, true
+		}
 	}
-	return 0
+	return vnic, streak, ok
 }
 
 // aggregate folds every (path, dir) histogram of l into one bucket

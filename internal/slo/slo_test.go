@@ -55,6 +55,47 @@ func TestBurnEvaluator(t *testing.T) {
 	}
 }
 
+// BurningAtLeast reports the lowest-id vNIC whose current streak
+// reaches the limit, judging only the current streak (a healthy window
+// resets it), and allocates nothing.
+func TestBurningAtLeast(t *testing.T) {
+	tr := NewTracker(Config{Objective: 1000, BurnWindow: 1000, BurnThreshold: 2, DecayEvery: -1})
+	key, hash := testKey(0)
+	// Windows 0..3. vNICs 9 and 5 burn in windows 1-3, vNIC 2 in every
+	// window but 2; vNIC 30 is always healthy, and its record at each
+	// window's start closes the window before it.
+	burns := map[uint32][4]bool{9: {false, true, true, true}, 5: {false, true, true, true}, 2: {true, true, false, true}}
+	for w := int64(0); w <= 4; w++ {
+		now := w * 1000
+		tr.RecordDeliver(now, 30, packet.PathFast, packet.DirRX, 100, hash, key, 100)
+		if w == 4 {
+			break
+		}
+		for _, vnic := range []uint32{9, 5, 2} {
+			now++
+			if burns[vnic][w] {
+				tr.RecordDrop(now, vnic, 0)
+			} else {
+				tr.RecordDeliver(now, vnic, packet.PathFast, packet.DirRX, 100, hash, key, 100)
+			}
+		}
+	}
+	for _, c := range []struct {
+		limit  int
+		vnic   uint32
+		streak int
+		ok     bool
+	}{{1, 2, 1, true}, {2, 5, 3, true}, {3, 5, 3, true}, {4, 0, 0, false}} {
+		vnic, streak, ok := tr.BurningAtLeast(c.limit)
+		if vnic != c.vnic || streak != c.streak || ok != c.ok {
+			t.Errorf("BurningAtLeast(%d) = (%d, %d, %v), want (%d, %d, %v)", c.limit, vnic, streak, ok, c.vnic, c.streak, c.ok)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tr.BurningAtLeast(3) }); allocs != 0 {
+		t.Errorf("BurningAtLeast: %.1f allocs per call, want 0", allocs)
+	}
+}
+
 // Drops count as violations and carry their cause into the view.
 func TestDropsAreViolations(t *testing.T) {
 	tr := NewTracker(Config{DecayEvery: -1})

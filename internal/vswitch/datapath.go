@@ -38,7 +38,7 @@ func perByteCycles(p *packet.Packet) uint64 {
 func (vs *VSwitch) lookupOrSlowPath(rules *tables.RuleSet, p *packet.Packet, key packet.SessionKey, hash uint64, cycles *uint64, needEntry bool, vp *prof.VNICProf, dir prof.Dir) (e *flowcache.Entry, pre tables.PreActions, dropped bool) {
 	now := int64(vs.loop.Now())
 	e = vs.sessions.LookupH(key, hash, now)
-	if e != nil && e.HasPre && e.PreVersion == rules.Version() {
+	if e != nil && e.HasPre && vs.sessions.PreVersion(e) == rules.Version() {
 		vs.Stats.FastPath++
 		p.Path = packet.PathFast
 		if vs.ob != nil {
