@@ -29,8 +29,7 @@
 //	            [-ctrl-crash] [-ctrl-crash-at 4s|prepare|commit-gap]
 //	            [-ctrl-outage 1.5s] [-slo 100ms]
 //	            [-failfile failing-seeds.txt] [-v]
-//	            [-obs] [-obs-sample 1.0] [-obs-dir dumps/]
-//	            [-prof] [-prof-dir profiles/]
+//	            [-dump-dir dumps/] [-replay]
 //
 // With -slo, every campaign carries the always-on latency ledger: a
 // p99-vs-objective SLO per vNIC, a burn-rate evaluator whose events
@@ -39,23 +38,23 @@
 // violation). The per-seed summary and FAIL lines gain the worst
 // offender: slo[vnic=N p99=observed/objective burns=K].
 //
-// With -obs (the default), every campaign runs with the observability
-// layer attached: a violation automatically writes a flight-recorder
-// dump — the control-plane event lead-up, transaction spans, and
-// hop-by-hop packet traces — and the failure line carries both the
-// failing seed and the dump path.
+// Campaigns run with telemetry off. A failing one replays itself with
+// the observability layer and the profiler on and writes to -dump-dir
+// (default: the system temp dir) a flight-recorder dump (event lead-up,
+// transaction spans, hop-by-hop packet traces) and a pprof profile as
+// of the first violation, plus the journal in crash modes; the FAIL
+// line names them all. A replay that misses the failing run's digest is
+// an error, so a failing seed also checks determinism. -replay replays
+// clean campaigns too. Inspect a profile with `go tool pprof -top
+// <dump>` or `nezha-prof top <dump>`.
 //
-// With -prof, the cycle/byte attribution profiler runs alongside and
-// every campaign writes a pprof-encoded profile (at the moment of the
-// first violation, or at campaign end when clean). Inspect with
-// `go tool pprof -top <dump>` or `nezha-prof top <dump>`.
-//
-// With -listen (requires -obs), the process hosts the live ops API:
-// per-second registry snapshots, Prometheus /metrics, SSE streaming,
-// the chaos report, and attribution profiles, all served from a
-// ring-buffer history the running campaign publishes into. Pair with
-// -pace 1 so the campaign advances in real time and -hold 60s so the
-// server outlives the run:
+// With -listen, the process hosts the live ops API and turns on the
+// observability layer and the profiler for every campaign: per-second
+// registry snapshots, Prometheus /metrics, SSE streaming, the chaos
+// report, and attribution profiles, all served from a ring-buffer
+// history the running campaign publishes into. Pair with -pace 1 so
+// the campaign advances in real time and -hold 60s so the server
+// outlives the run:
 //
 //	nezha-chaos -campaigns 1 -pace 1 -listen 127.0.0.1:8378 -hold 60s &
 //	nezha-top -attach http://127.0.0.1:8378
@@ -76,16 +75,22 @@ import (
 
 // validate checks the flag combination before any campaign runs: the
 // world must fit the address plan and the region, as in nezha-sim.
-func validate(campaigns, servers, clients int, ctrlAt string, midpush bool, listen string, obsOn bool) error {
+func validate(campaigns, servers, clients int, ctrlAt string, midpush bool) error {
 	switch {
 	case campaigns < 1:
 		return fmt.Errorf("-campaigns %d: need at least 1", campaigns)
 	case ctrlAt == "prepare" && midpush:
 		return fmt.Errorf("-ctrl-crash-at=prepare and -midpush both need the prepare hook; pick one")
-	case listen != "" && !obsOn:
-		return fmt.Errorf("-listen requires -obs")
 	}
 	return cluster.CheckSize(servers, clients)
+}
+
+// journalCol names the replay's journal, in crash modes only.
+func journalCol(rep chaos.Report) string {
+	if rep.JournalPath == "" {
+		return ""
+	}
+	return " journal=" + rep.JournalPath
 }
 
 func main() {
@@ -103,18 +108,15 @@ func main() {
 		ctrlOutage = flag.Duration("ctrl-outage", 1500*time.Millisecond, "how long the controller stays dead before recovery")
 		failfile   = flag.String("failfile", "", "write failing seeds (one per line) to this file")
 		verbose    = flag.Bool("v", false, "print every campaign's schedule")
-		obsOn      = flag.Bool("obs", true, "attach the observability layer (flight-recorder dump on violation)")
-		obsSample  = flag.Float64("obs-sample", 1.0, "flight-trace sampling probability")
-		obsDir     = flag.String("obs-dir", "", "directory for flight-recorder dumps (default: system temp dir)")
-		profOn     = flag.Bool("prof", false, "attach the cycle/byte attribution profiler (pprof dump per campaign)")
-		profDir    = flag.String("prof-dir", "", "directory for attribution profiles (default: system temp dir)")
+		dumpDir    = flag.String("dump-dir", os.TempDir(), "directory for the replay artefacts of failing campaigns (flight-recorder dump, attribution profile, journal)")
+		replay     = flag.Bool("replay", false, "replay clean campaigns too and write their artefacts")
 		sloObj     = flag.Duration("slo", 0, "latency SLO objective (e.g. 100ms): attach the always-on latency ledger and arm the slo-burn-bound invariant (0 = off)")
-		listen     = flag.String("listen", "", "serve the live ops API on this address (host:port); requires -obs")
+		listen     = flag.String("listen", "", "serve the live ops API on this address (host:port), with obs and prof on")
 		pace       = flag.Float64("pace", 0, "throttle campaigns to this multiple of wall-clock speed (0 = unpaced; 1 with -listen for a live-feeling run)")
 		hold       = flag.Duration("hold", 0, "with -listen: keep serving this long after the last campaign ends")
 	)
 	flag.Parse()
-	if err := validate(*campaigns, *servers, *clients, *ctrlAt, *midpush, *listen, *obsOn); err != nil {
+	if err := validate(*campaigns, *servers, *clients, *ctrlAt, *midpush); err != nil {
 		fmt.Fprintln(os.Stderr, "nezha-chaos:", err)
 		os.Exit(2)
 	}
@@ -132,21 +134,12 @@ func main() {
 		crashAt = sim.Time(d)
 	}
 
-	dumpDir := *obsDir
-	if *obsOn && dumpDir == "" {
-		dumpDir = os.TempDir()
+	if *dumpDir == "" {
+		*dumpDir = os.TempDir()
 	}
-	pDir := *profDir
-	if *profOn && pDir == "" {
-		pDir = os.TempDir()
-	}
-	for _, dir := range []string{dumpDir, pDir} {
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "nezha-chaos: %v\n", err)
-				os.Exit(2)
-			}
-		}
+	if err := os.MkdirAll(*dumpDir, 0o755); err != nil {
+		fmt.Fprintf(os.Stderr, "nezha-chaos: %v\n", err)
+		os.Exit(2)
 	}
 
 	// The live ops surface: one server for the whole process; each
@@ -174,7 +167,7 @@ func main() {
 			hist = obs.NewHistory(obs.HistoryOptions{})
 			srv.SetHistory(hist)
 		}
-		rep, err := chaos.RunCampaign(chaos.CampaignConfig{
+		cfg := chaos.CampaignConfig{
 			Seed:                 s,
 			Duration:             sim.Time(*duration),
 			Servers:              *servers,
@@ -187,16 +180,18 @@ func main() {
 			CtrlOutage:           sim.Time(*ctrlOutage),
 			CtrlCrashOnPrepare:   crashOnPrepare,
 			CtrlCrashAtCommitGap: crashAtGap,
-			Obs:                  *obsOn,
-			ObsSampleRate:        *obsSample,
-			ObsDumpDir:           dumpDir,
-			Prof:                 *profOn,
-			ProfDir:              pDir,
+			Obs:                  srv != nil,
+			Prof:                 srv != nil,
+			DumpDir:              *dumpDir,
 			Hist:                 hist,
 			Pace:                 *pace,
 			SLO:                  *sloObj > 0,
 			SLOObjective:         sim.Time(*sloObj),
-		})
+		}
+		rep, err := chaos.RunCampaign(cfg)
+		if err == nil && *replay && !rep.Failed() {
+			rep, err = chaos.Replay(cfg, rep)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seed %d: %v\n", s, err)
 			os.Exit(2)
@@ -220,8 +215,8 @@ func main() {
 		}
 		fmt.Printf("seed %-4d %-22s completed=%-6d declared=%-2d failovers=%-2d recovery=%-10s digest=%016x%s\n",
 			s, verdict, rep.Completed, rep.Declared, rep.Failovers, recovery, rep.Digest, sloCol)
-		if !rep.Failed() && rep.ProfDumpPath != "" {
-			fmt.Printf("    prof: %s\n", rep.ProfDumpPath)
+		if !rep.Failed() && *replay {
+			fmt.Printf("    replay: prof=%s%s\n", rep.ProfDumpPath, journalCol(rep))
 		}
 		if *verbose || rep.Failed() {
 			for _, a := range rep.Schedule {
@@ -232,24 +227,19 @@ func main() {
 			fmt.Printf("    %v\n", v)
 		}
 		if rep.Failed() {
-			// The one-line failure handle: seed and dump together, so a
-			// CI log grep lands on everything needed to debug the run.
-			if rep.ProfDumpPath != "" {
-				fmt.Printf("FAIL seed=%d dump=%s prof=%s%s\n", s, rep.DumpPath, rep.ProfDumpPath, sloCol)
-			} else {
-				fmt.Printf("FAIL seed=%d dump=%s%s\n", s, rep.DumpPath, sloCol)
-			}
-			if rep.JournalPath != "" {
-				fmt.Printf("    journal: %s\n", rep.JournalPath)
-			}
+			// The one-line failure handle: the seed and the replay's
+			// artefacts together, so a CI log grep lands on everything
+			// needed to debug the run.
+			fmt.Printf("FAIL seed=%d dump=%s prof=%s%s%s\n", s, rep.DumpPath, rep.ProfDumpPath, journalCol(rep), sloCol)
 			repro := fmt.Sprintf("nezha-chaos -seed %d -campaigns 1 -v", s)
 			if *midpush {
 				repro += " -midpush"
 			}
 			if crashOn {
-				repro += " -ctrl-crash"
 				if *ctrlAt != "" {
 					repro += " -ctrl-crash-at=" + *ctrlAt
+				} else {
+					repro += " -ctrl-crash"
 				}
 				if *ctrlOutage != 1500*time.Millisecond {
 					repro += fmt.Sprintf(" -ctrl-outage=%v", *ctrlOutage)
@@ -258,7 +248,7 @@ func main() {
 			if *sloObj > 0 {
 				repro += fmt.Sprintf(" -slo=%v", *sloObj)
 			}
-			fmt.Printf("    reproduce: %s\n", repro)
+			fmt.Printf("    reproduce: %s -replay -dump-dir %s\n", repro, *dumpDir)
 		}
 	}
 	if *failfile != "" && len(failedSeeds) > 0 {

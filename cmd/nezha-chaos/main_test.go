@@ -12,20 +12,16 @@ func TestValidate(t *testing.T) {
 		clients   int
 		ctrlAt    string
 		midpush   bool
-		listen    string
-		obs       bool
 		want      string // "" = valid; else a substring of the error
 	}{
-		{campaigns: 10, servers: 8, clients: 3, obs: true},
+		{campaigns: 10, servers: 8, clients: 3},
 		{campaigns: 1, servers: 8, clients: 3, ctrlAt: "prepare"},
 		{campaigns: 1, servers: 8, clients: 3, midpush: true, ctrlAt: "commit-gap"},
-		{campaigns: 1, servers: 8, clients: 3, listen: "127.0.0.1:0", obs: true},
 		{campaigns: 0, servers: 8, clients: 3, want: "-campaigns 0: need at least 1"},
 		{campaigns: -1, servers: 8, clients: 3, want: "-campaigns -1: need at least 1"},
 		{campaigns: 1, servers: 8, clients: 3, ctrlAt: "prepare", midpush: true, want: "pick one"},
-		{campaigns: 1, servers: 8, clients: 3, listen: "127.0.0.1:0", want: "-listen requires -obs"},
 	} {
-		err := validate(c.campaigns, c.servers, c.clients, c.ctrlAt, c.midpush, c.listen, c.obs)
+		err := validate(c.campaigns, c.servers, c.clients, c.ctrlAt, c.midpush)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%+v: unexpected error %v", c, err)

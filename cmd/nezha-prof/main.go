@@ -1,5 +1,5 @@
 // Command nezha-prof inspects the pprof-encoded cycle/byte
-// attribution profiles that nezha-chaos -prof (and the prof package
+// attribution profiles that a nezha-chaos replay (and the prof package
 // generally) writes. The dumps are standard profile.proto, so
 // `go tool pprof -http :8080 <dump>` works too; nezha-prof covers the
 // cases that don't need the full pprof UI:

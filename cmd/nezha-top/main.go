@@ -1,7 +1,8 @@
 // Command nezha-top renders the cluster telemetry stream that
-// nezha-sim and nezha-chaos emit with -obs: per-node utilization and
-// packet rates, per-vNIC offload state, control-plane transaction and
-// RPC activity, and the top-K flows by sampled packets. Runs with the
+// nezha-sim emits with -obs (or serves with -listen, as nezha-chaos
+// does): per-node utilization and packet rates, per-vNIC offload
+// state, control-plane transaction and RPC activity, and the top-K
+// flows by sampled packets. Runs with the
 // latency SLO ledger attached (-slo) additionally get a LATENCY
 // section (per-vNIC end-to-end p99 vs objective, burn rate, per-path
 // breakdown) and a TOP FLOWS (hot) table from the count-min

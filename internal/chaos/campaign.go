@@ -3,8 +3,10 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"nezha/internal/cluster"
 	"nezha/internal/controller"
@@ -65,25 +67,18 @@ type CampaignConfig struct {
 	// and blindly roll back open intents — the negative control proving
 	// the crash-recovery invariants fire when reconciliation is broken.
 	SkipReconcile bool
-	// Obs enables the observability layer: labeled telemetry, sampled
-	// packet flight tracing, transaction spans, and the flight recorder
-	// whose contents are dumped on the first invariant violation.
+	// Obs enables the observability layer: labeled telemetry, packet
+	// flight tracing at rate 1, transaction spans, and the flight
+	// recorder.
 	Obs bool
-	// ObsSampleRate is the flight-trace sampling probability (default
-	// 1.0 when Obs is on — campaign rigs are small enough to trace
-	// every packet).
-	ObsSampleRate float64
-	// ObsDumpDir, when non-empty, is where a violation's flight-recorder
-	// dump is written (nezha-dump-seed<N>.txt).
-	ObsDumpDir string
 	// Prof enables the cycle/byte attribution profiler on every
 	// vSwitch.
 	Prof bool
-	// ProfDir, when non-empty (and Prof is on), is where the
-	// pprof-encoded attribution profile is written
-	// (nezha-prof-seed<N>.pb.gz) — at the first invariant violation,
-	// or at campaign end on a clean run.
-	ProfDir string
+	// DumpDir, when non-empty, makes a failing campaign replay itself
+	// under full telemetry and write its artefacts here (see Replay):
+	// nezha-dump-seed<N>.txt, nezha-prof-seed<N>.pb.gz and, when a
+	// controller crash was armed, nezha-journal-seed<N>.jsonl.
+	DumpDir string
 	// Hist, when non-nil, is the ops-surface history store: a publisher
 	// feeds it one registry snapshot per virtual second (plus spans and
 	// attribution profiles) and the engine mirrors invariant violations
@@ -95,10 +90,11 @@ type CampaignConfig struct {
 	// Used with Hist + -listen so a live scraper sees snapshots arrive
 	// in real time instead of the campaign finishing in milliseconds.
 	Pace float64
-	// SLO enables the latency/hot-flow SLO tracker on every vSwitch,
-	// the slo-burn-bound invariant, and slo_burn flight-recorder
-	// events (when Obs is also on). The layer is observer-effect-free:
-	// digests with SLO on must equal the same seed with it off.
+	// SLO enables the latency/hot-flow SLO tracker on every vSwitch
+	// and the slo-burn-bound invariant; with Obs on (as in every
+	// replay), burn events also land in the flight recorder. The layer
+	// is observer-effect-free: digests with SLO on must equal the same
+	// seed with it off.
 	SLO bool
 	// SLOObjective overrides the per-vNIC latency objective (0 =
 	// slo.DefaultObjective, 100 ms).
@@ -126,19 +122,20 @@ type Report struct {
 	// (zero when Obs is off). Same seed + same sample rate must yield
 	// the same digest.
 	TraceDigest uint64
-	// DumpPath is the flight-recorder dump written on the first
-	// invariant violation ("" when none was written).
+	// DumpPath is the flight-recorder dump the replay wrote at the
+	// first invariant violation ("" when none was written).
 	DumpPath string
-	// ProfDumpPath is the pprof-encoded attribution profile written at
-	// the first violation or at campaign end ("" when none).
+	// ProfDumpPath is the pprof-encoded attribution profile the replay
+	// wrote at the first violation, or at campaign end on a clean
+	// replay ("" when none).
 	ProfDumpPath string
 	// Recoveries / RecoveryMs summarize controller crash handling: how
 	// many recoveries completed and how long the last one took from
 	// revive to settled (zero when no controller crash was armed).
 	Recoveries uint64
 	RecoveryMs float64
-	// JournalPath is the journal dump written next to the flight
-	// recorder on a failing crash campaign ("" when none).
+	// JournalPath is the journal dump the replay of a crash campaign
+	// wrote at campaign end ("" when none).
 	JournalPath string
 	// SLO worst-offender summary (zero when the SLO layer was off or
 	// recorded nothing): the vNIC with the highest cumulative p99, its
@@ -225,13 +222,52 @@ func detectWindow(s cluster.Spec) sim.Time {
 // RunCampaign builds the rig, runs the schedule, and judges the
 // invariants. The rig: one high-demand server VM homed on server 0
 // (the BE), offloaded to an FE pool, with open-loop CRR clients on
-// servers 1..Clients hammering it while faults land.
+// servers 1..Clients hammering it while faults land. A failing
+// campaign with DumpDir set then replays itself (see Replay).
 func RunCampaign(cfg CampaignConfig) (Report, error) { return runCampaign(cfg, nil) }
+
+// Replay runs the campaign that produced rep again, with obs (every
+// packet traced) and prof on and no live surface, and writes to
+// cfg.DumpDir the flight-recorder dump and attribution profile at the
+// first violation (the profile at the end of a clean run) and, when a
+// controller crash was armed, the journal at the end. RunCampaign
+// replays every failing campaign; call Replay for a clean one. A
+// campaign is bit-deterministic with telemetry on or off
+// (TestTelemetryDoesNotPerturbSimulation), so a replay that misses
+// rep's digest or violations is an error naming the seed. It returns
+// rep with the artefact paths set.
+func Replay(cfg CampaignConfig, rep Report) (Report, error) { return replay(cfg, nil, rep) }
 
 // runCampaign is RunCampaign with an optional hook that sees the engine
 // once the standard invariants are registered — how tests add their own
-// (a reference implementation checked against the real one, say).
+// (a reference implementation checked against the real one, say). The
+// hook runs again in the replay.
 func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
+	rep, err := run(cfg, extra, false)
+	if err != nil || !rep.Failed() || cfg.DumpDir == "" {
+		return rep, err
+	}
+	return replay(cfg, extra, rep)
+}
+
+func replay(cfg CampaignConfig, extra func(*Engine), rep Report) (Report, error) {
+	cfg.Obs, cfg.Prof, cfg.Hist, cfg.Pace = true, true, nil, 0
+	r, err := run(cfg, extra, true)
+	if err != nil {
+		return rep, err
+	}
+	same := func(a, b Violation) bool { return a.String() == b.String() }
+	if r.Digest != rep.Digest || !slices.EqualFunc(r.Violations, rep.Violations, same) {
+		return rep, fmt.Errorf("chaos: seed %d: replay diverged: digest %#x with %d violations, want %#x with %d",
+			cfg.Seed, r.Digest, len(r.Violations), rep.Digest, len(rep.Violations))
+	}
+	rep.DumpPath, rep.ProfDumpPath, rep.JournalPath = r.DumpPath, r.ProfDumpPath, r.JournalPath
+	return rep, nil
+}
+
+// run is one execution of the campaign; record writes the replay's
+// artefacts to cfg.DumpDir.
+func run(cfg CampaignConfig, extra func(*Engine), record bool) (Report, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 8 * sim.Second
 	}
@@ -254,11 +290,8 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 
 	var ob *obs.Obs
 	if cfg.Obs {
-		rate := cfg.ObsSampleRate
-		if rate <= 0 {
-			rate = 1.0
-		}
-		ob = obs.New(obs.Options{Seed: cfg.Seed, SampleRate: rate})
+		// Campaign rigs are small enough to trace every packet.
+		ob = obs.New(obs.Options{Seed: cfg.Seed, SampleRate: 1})
 	}
 	var pr *prof.Profiler
 	if cfg.Prof {
@@ -298,15 +331,17 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 	if extra != nil {
 		extra(eng)
 	}
-	if ob != nil {
-		dumpPath := ""
-		if cfg.ObsDumpDir != "" {
-			dumpPath = filepath.Join(cfg.ObsDumpDir, fmt.Sprintf("nezha-dump-seed%d.txt", cfg.Seed))
+	eng.ob = ob
+	var dumpPath, profPath string
+	if record {
+		// At the first violation the event ring still holds its lead-up.
+		eng.firstViolation = func(v Violation) {
+			meta := fmt.Sprintf("seed=%d invariant=%q t=%v err=%v", cfg.Seed, v.Invariant, v.At, v.Err)
+			dumpPath = writeArtefact(cfg.DumpDir, "nezha-dump-seed%d.txt", cfg.Seed, func(f io.Writer) error {
+				return ob.WriteDump(f, meta)
+			})
+			profPath = writeProfile(cfg, pr, v.At)
 		}
-		eng.AttachObs(ob, dumpPath, cfg.Seed)
-	}
-	if pr != nil && cfg.ProfDir != "" {
-		eng.AttachProf(pr, filepath.Join(cfg.ProfDir, fmt.Sprintf("nezha-prof-seed%d.pb.gz", cfg.Seed)))
 	}
 	if cfg.Hist != nil {
 		if ob == nil {
@@ -375,30 +410,35 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 	eng.SetGlobalFault(0, 0)
 	w.Loop.Run(w.Loop.Now() + 2*sim.Second)
 	eng.CheckNow()
-	eng.DumpProfileFinal(w.Loop.Now())
+
+	if record && !eng.Failed() {
+		profPath = writeProfile(cfg, pr, w.Loop.Now())
+	}
 
 	rep := Report{
-		Seed:       cfg.Seed,
-		Duration:   cfg.Duration,
-		Schedule:   sched,
-		Violations: eng.Violations(),
-		Declared:   w.Mon.Declared.Load(),
-		Failovers:  w.Ctrl.Stats.Failovers,
-		Recoveries: w.Ctrl.Recoveries(),
+		Seed:         cfg.Seed,
+		Duration:     cfg.Duration,
+		Schedule:     sched,
+		Violations:   eng.Violations(),
+		Declared:     w.Mon.Declared.Load(),
+		Failovers:    w.Ctrl.Stats.Failovers,
+		Recoveries:   w.Ctrl.Recoveries(),
+		DumpPath:     dumpPath,
+		ProfDumpPath: profPath,
 	}
 	if start, end, ok := w.Ctrl.LastRecovery(); ok && end != 0 {
 		// The settle time measured from the revive (start) — replay,
 		// buffered declarations, and per-vNIC reconciliation round trips.
 		rep.RecoveryMs = (end - start).Millis()
 	}
-	if jrn != nil && eng.Failed() && cfg.ObsDumpDir != "" {
-		rep.JournalPath = dumpJournal(jrn, cfg.ObsDumpDir, cfg.Seed)
+	if record && jrn != nil {
+		rep.JournalPath = writeArtefact(cfg.DumpDir, "nezha-journal-seed%d.jsonl", cfg.Seed, func(f io.Writer) error {
+			return writeJournal(f, jrn)
+		})
 	}
 	if ob != nil {
 		rep.TraceDigest = ob.Tracer.Digest()
-		rep.DumpPath = eng.DumpPath()
 	}
-	rep.ProfDumpPath = eng.ProfDumpPath()
 	if tracker != nil {
 		rep.SLOObjective = sim.Time(tracker.Objective())
 		rep.SLOBurnEvents = tracker.BurnEvents()
@@ -442,29 +482,47 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 	return rep, nil
 }
 
-// dumpJournal writes the journal's replayable record stream as JSONL —
-// the artifact a failing crash-campaign seed uploads so the recovery
-// decision trail can be audited offline. Returns "" on any error (a
-// failing dump must not mask the violation being reported).
-func dumpJournal(j *journal.Journal, dir string, seed int64) string {
-	recs, err := j.Replay()
-	if err != nil {
-		return ""
-	}
-	path := filepath.Join(dir, fmt.Sprintf("nezha-journal-seed%d.jsonl", seed))
-	var buf []byte
-	for i := range recs {
-		line, err := json.Marshal(&recs[i])
-		if err != nil {
-			return ""
+// writeArtefact creates dir/<name with the seed> and fills it with
+// write. It returns the path, or "" after reporting the error on
+// stderr: a failing write must not mask the violation being reported.
+func writeArtefact(dir, name string, seed int64, write func(io.Writer) error) string {
+	path := filepath.Join(dir, fmt.Sprintf(name, seed))
+	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
 	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "chaos: cannot write replay artefact: %v\n", err)
 		return ""
 	}
 	return path
+}
+
+// writeProfile writes the pprof-encoded attribution profile as of at.
+func writeProfile(cfg CampaignConfig, pr *prof.Profiler, at sim.Time) string {
+	return writeArtefact(cfg.DumpDir, "nezha-prof-seed%d.pb.gz", cfg.Seed, func(f io.Writer) error {
+		// The campaign clock starts at zero, so elapsed run time == at.
+		return pr.WriteProfile(f, at, at)
+	})
+}
+
+// writeJournal writes the journal's replayable record stream as JSONL,
+// so the recovery decision trail can be audited offline.
+func writeJournal(w io.Writer, j *journal.Journal) error {
+	recs, err := j.Replay()
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(w)
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // digest is FNV-1a 64 over a stream of counters.

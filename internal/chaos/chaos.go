@@ -40,7 +40,6 @@ import (
 	"nezha/internal/monitor"
 	"nezha/internal/obs"
 	"nezha/internal/packet"
-	"nezha/internal/prof"
 	"nezha/internal/sim"
 	"nezha/internal/vswitch"
 )
@@ -146,18 +145,12 @@ type Engine struct {
 	violations []Violation
 	nextCheck  sim.Time
 
-	// ob/dumpPath, when set by AttachObs, auto-dump the flight
-	// recorder on the first invariant violation.
-	ob       *obs.Obs
-	dumpPath string
-	dumpSeed int64
-	dumped   string // path actually written, "" until a violation dumps
-
-	// prof/profDumpPath, when set by AttachProf, write a pprof-encoded
-	// attribution profile alongside the flight-recorder dump.
-	prof         *prof.Profiler
-	profDumpPath string
-	profDumped   string
+	// ob, when set, records chaos crash/revive episodes as
+	// flight-recorder events (nil-safe).
+	ob *obs.Obs
+	// firstViolation, when set, runs once, at the first violation: a
+	// replay writes its artefacts there (see Replay).
+	firstViolation func(Violation)
 
 	// hist, when set by AttachHistory, receives every invariant
 	// violation so the live ops surface can serve them.
@@ -218,10 +211,12 @@ func (e *Engine) violate(name string, at sim.Time, err error) {
 	if len(e.violations) >= maxViolations {
 		return
 	}
-	e.violations = append(e.violations, Violation{Invariant: name, At: at, Err: err})
+	v := Violation{Invariant: name, At: at, Err: err}
+	e.violations = append(e.violations, v)
 	e.hist.AddInvariant(obs.InvariantEvent{At: at, Invariant: name, Err: err.Error()})
-	e.dumpOnViolation(name, at, err)
-	e.profDumpOnViolation(at)
+	if len(e.violations) == 1 && e.firstViolation != nil {
+		e.firstViolation(v)
+	}
 }
 
 // AttachHistory mirrors every invariant violation into the ops-surface

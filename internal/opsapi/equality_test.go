@@ -72,15 +72,12 @@ func violations(vs []chaos.Violation) []string {
 // the live ops surface: same seed, with and without an active server.
 func TestCampaignDigestUnchangedByLiveServer(t *testing.T) {
 	cfg := chaos.CampaignConfig{
-		Seed:          7,
-		Duration:      6 * sim.Second,
-		Events:        10,
-		CtrlCrash:     true, // exercise ctrl series + recovery spans too
-		Obs:           true,
-		ObsSampleRate: 1.0,
-		ObsDumpDir:    t.TempDir(),
-		Prof:          true,
-		ProfDir:       t.TempDir(),
+		Seed:      7,
+		Duration:  6 * sim.Second,
+		Events:    10,
+		CtrlCrash: true, // exercise ctrl series + recovery spans too
+		Obs:       true,
+		Prof:      true,
 	}
 
 	base, err := chaos.RunCampaign(cfg)
@@ -92,8 +89,6 @@ func TestCampaignDigestUnchangedByLiveServer(t *testing.T) {
 	// scraper and an SSE subscriber active for the whole run. Pace the
 	// campaign to ~1s wall so the observers demonstrably overlap it.
 	live := cfg
-	live.ObsDumpDir = t.TempDir()
-	live.ProfDir = t.TempDir()
 	live.Hist = obs.NewHistory(obs.HistoryOptions{})
 	live.Pace = float64(cfg.Duration) / float64(sim.Second) // 1s wall
 
