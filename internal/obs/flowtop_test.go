@@ -60,3 +60,22 @@ func TestFlowTopMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowTopTiedAllocs bounds Top(10) over 1 024 flows tied at one
+// count: ranking them renders into reused scratch, so the call
+// allocates the result and its ten strings, nothing per tied flow.
+func TestFlowTopTiedAllocs(t *testing.T) {
+	f := NewFlowTop()
+	for i := 0; i < maxFlows; i++ {
+		f.Observe(packet.FiveTuple{
+			SrcIP: packet.IPv4(0x0a000000 + uint32(i)), SrcPort: uint16(1000 + i),
+			DstIP: packet.MakeIP(10, 0, 0, 1), DstPort: 80, Proto: packet.ProtoTCP,
+		}, 64)
+	}
+	if got := len(f.Top(10)); got != 10 {
+		t.Fatalf("Top(10) returned %d flows", got)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { f.Top(10) }); allocs > 11 {
+		t.Errorf("Top(10) over %d tied flows: %v allocations, want at most 11 (the result and its ten strings)", maxFlows, allocs)
+	}
+}

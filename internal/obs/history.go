@@ -9,7 +9,8 @@ package obs
 // Everything is written from the sim goroutine by a Publisher and
 // read from HTTP handler goroutines under the History mutex, so the
 // ops service never touches loop-owned state: the HTTP side sees only
-// immutable *Snapshot values and copies of the side stores. The
+// immutable retained values, snapshots built from them, and copies of
+// the side stores. The
 // Publisher attaches as a sim.Loop observer — it schedules no events,
 // draws no randomness, and mutates no component state — which is what
 // makes an attached scraper + streamer provably observer-effect-free
@@ -67,7 +68,7 @@ type History struct {
 	opt HistoryOptions
 
 	// Snapshot ring: buf[head] is the oldest of n retained snapshots.
-	buf  []*Snapshot
+	buf  []*retained
 	head int
 	n    int
 
@@ -93,27 +94,104 @@ func NewHistory(opt HistoryOptions) *History {
 	opt.defaults()
 	return &History{
 		opt:  opt,
-		buf:  make([]*Snapshot, opt.Snapshots),
+		buf:  make([]*retained, opt.Snapshots),
 		subs: make(map[uint64]chan *Snapshot),
 	}
 }
 
-// Publish appends one snapshot to the ring (evicting the oldest past
-// capacity) and fans it out to subscribers. Slow subscribers never
-// block the sim goroutine: a full subscriber channel drops the event
-// and bumps the drop counter instead.
+// retained is one retained snapshot: its values column by column against
+// a schema that consecutive snapshots share, and everything else the
+// snapshot held. A counter or gauge costs 16 bytes (value and rate), a
+// histogram 40 more; reads build the rows.
+type retained struct {
+	head   Snapshot // the snapshot without Points and schema
+	sc     *schema  // nil when the snapshot's Points were nil
+	values []float64
+	rates  []float64
+	hist   []histExtras // one per hist column, in column order
+}
+
+type histExtras struct{ count, sum, p50, p99, p999 uint64 }
+
+func retain(s *Snapshot) *retained {
+	r := &retained{head: *s}
+	r.head.Points, r.head.schema = nil, nil
+	if s.Points == nil {
+		return r
+	}
+	r.sc = s.schema
+	if !r.sc.matches(s.Points) {
+		r.sc = handSchema(s.Points)
+	}
+	n := len(s.Points)
+	vals := make([]float64, 2*n)
+	r.values, r.rates = vals[:n:n], vals[n:]
+	if r.sc.hists > 0 {
+		r.hist = make([]histExtras, 0, r.sc.hists)
+	}
+	for i := range s.Points {
+		p := &s.Points[i]
+		r.values[i], r.rates[i] = p.Value, p.Rate
+		if r.sc.hist(i) {
+			r.hist = append(r.hist, histExtras{p.Count, p.Sum, p.P50, p.P99, p.P999})
+		}
+	}
+	return r
+}
+
+// snapshot builds the retained snapshot. With want set it holds only
+// the points of those series names, and only T besides.
+func (r *retained) snapshot(want map[string]bool) *Snapshot {
+	var s *Snapshot
+	if want != nil {
+		s = &Snapshot{T: r.head.T}
+	} else {
+		s = new(Snapshot)
+		*s = r.head
+		if r.sc != nil {
+			s.Points = make([]Point, 0, len(r.sc.cols))
+		}
+	}
+	if r.sc == nil {
+		return s
+	}
+	h := 0
+	for i := range r.sc.cols {
+		c := &r.sc.cols[i]
+		hist := r.sc.hist(i)
+		if hist {
+			h++
+		}
+		if want != nil && !want[c.d.name] {
+			continue
+		}
+		p := Point{Name: c.d.name, Labels: c.d.m, Kind: c.kind, Value: r.values[i], Rate: r.rates[i], d: c.d}
+		if hist {
+			x := &r.hist[h-1]
+			p.Count, p.Sum, p.P50, p.P99, p.P999 = x.count, x.sum, x.p50, x.p99, x.p999
+		}
+		s.Points = append(s.Points, p)
+	}
+	return s
+}
+
+// Publish retains one snapshot in the ring (evicting the oldest past
+// capacity) and fans it out to subscribers, which receive s itself.
+// Slow subscribers never block the sim goroutine: a full subscriber
+// channel drops the event and bumps the drop counter instead.
 func (h *History) Publish(s *Snapshot) {
 	if h == nil || s == nil {
 		return
 	}
+	rec := retain(s)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.n == len(h.buf) {
-		h.buf[h.head] = s
+		h.buf[h.head] = rec
 		h.head = (h.head + 1) % len(h.buf)
 		h.evicted++
 	} else {
-		h.buf[(h.head+h.n)%len(h.buf)] = s
+		h.buf[(h.head+h.n)%len(h.buf)] = rec
 		h.n++
 	}
 	h.published++
@@ -126,15 +204,17 @@ func (h *History) Publish(s *Snapshot) {
 	}
 }
 
-// Latest returns the most recent snapshot (nil before the first
-// publish).
+// Latest returns a copy of the most recent snapshot (nil before the
+// first publish).
 func (h *History) Latest() *Snapshot {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.n == 0 {
+		h.mu.Unlock()
 		return nil
 	}
-	return h.buf[(h.head+h.n-1)%len(h.buf)]
+	rec := h.buf[(h.head+h.n-1)%len(h.buf)]
+	h.mu.Unlock()
+	return rec.snapshot(nil)
 }
 
 // Len reports how many snapshots the ring currently retains.
@@ -158,56 +238,76 @@ func (h *History) Evicted() uint64 {
 	return h.evicted
 }
 
-// Query returns the retained snapshots with from <= T <= to in
-// chronological order. to <= 0 means "no upper bound". When series
-// names are given, each returned snapshot is a filtered copy holding
-// only points whose name is in the set (flows are dropped); with no
-// series filter the retained snapshots are returned as-is (they are
-// immutable once published).
+// Query returns copies of the retained snapshots with from <= T <= to
+// in chronological order. to <= 0 means "no upper bound". When series
+// names are given, each copy holds only the points whose name is in the
+// set, and nothing else but T.
 func (h *History) Query(from, to sim.Time, series []string) []*Snapshot {
+	out := []*Snapshot{}
+	h.Scan(from, to, series, func(s *Snapshot) error {
+		out = append(out, s)
+		return nil
+	})
+	return out
+}
+
+// Scan is Query one snapshot at a time: it hands fn each copy in turn,
+// building the next only after fn returns, and stops at fn's first
+// error.
+func (h *History) Scan(from, to sim.Time, series []string, fn func(*Snapshot) error) error {
+	want := wantSet(series)
+	for _, rec := range h.window(from, to) {
+		if err := fn(rec.snapshot(want)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// window returns the retained snapshots with from <= T <= to, oldest
+// first.
+func (h *History) window(from, to sim.Time) []*retained {
 	if to <= 0 {
 		to = sim.MaxTime
 	}
 	h.mu.Lock()
-	out := make([]*Snapshot, 0, h.n)
+	defer h.mu.Unlock()
+	out := make([]*retained, 0, h.n)
 	for i := 0; i < h.n; i++ {
-		s := h.buf[(h.head+i)%len(h.buf)]
-		if s.T < from || s.T > to {
-			continue
+		rec := h.buf[(h.head+i)%len(h.buf)]
+		if rec.head.T >= from && rec.head.T <= to {
+			out = append(out, rec)
 		}
-		out = append(out, s)
 	}
-	h.mu.Unlock()
+	return out
+}
+
+func wantSet(series []string) map[string]bool {
 	if len(series) == 0 {
-		return out
+		return nil
 	}
 	want := make(map[string]bool, len(series))
 	for _, name := range series {
 		want[name] = true
 	}
-	filtered := make([]*Snapshot, 0, len(out))
-	for _, s := range out {
-		fs := &Snapshot{T: s.T}
-		for i := range s.Points {
-			if want[s.Points[i].Name] {
-				fs.Points = append(fs.Points, s.Points[i])
-			}
-		}
-		filtered = append(filtered, fs)
-	}
-	return filtered
+	return want
 }
 
-// Tail returns the most recent k snapshots in chronological order.
+// Tail returns copies of the most recent k snapshots in chronological
+// order.
 func (h *History) Tail(k int) []*Snapshot {
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	if k <= 0 || k > h.n {
 		k = h.n
 	}
-	out := make([]*Snapshot, 0, k)
+	recs := make([]*retained, 0, k)
 	for i := h.n - k; i < h.n; i++ {
-		out = append(out, h.buf[(h.head+i)%len(h.buf)])
+		recs = append(recs, h.buf[(h.head+i)%len(h.buf)])
+	}
+	h.mu.Unlock()
+	out := make([]*Snapshot, len(recs))
+	for i, rec := range recs {
+		out[i] = rec.snapshot(nil)
 	}
 	return out
 }

@@ -1,9 +1,14 @@
 package obs_test
 
 import (
+	"bytes"
+	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 
 	"nezha/internal/obs"
+	"nezha/internal/packet"
 	"nezha/internal/sim"
 )
 
@@ -235,5 +240,142 @@ func TestPublisherSpanTailIsCopied(t *testing.T) {
 	}
 	if got := len(h.Spans()); got != 40 {
 		t.Errorf("history keeps %d spans, want all 40", got)
+	}
+}
+
+// render is a snapshot's JSON line and Prometheus text.
+func render(t *testing.T, s *obs.Snapshot) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := s.WriteJSONLine(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// filtered is s cut to the points of the named series, as Query with a
+// series filter returns it: T and those points only.
+func filtered(s *obs.Snapshot, names ...string) *obs.Snapshot {
+	out := &obs.Snapshot{T: s.T}
+	for _, p := range s.Points {
+		if slices.Contains(names, p.Name) {
+			out.Points = append(out.Points, p)
+		}
+	}
+	return out
+}
+
+// TestHistoryRoundTrip checks that every snapshot Latest, Tail and
+// Query build renders the JSON and Prometheus bytes of the snapshot that
+// was published, as a subscriber received it. The registry grows a
+// series midway and its collector's label sets vanish and come back,
+// so the ring holds snapshots of several schemas; it evicts, and it
+// ends on snapshots built by hand.
+func TestHistoryRoundTrip(t *testing.T) {
+	ob := obs.New(obs.Options{})
+	r := ob.Reg
+	c := r.GetCounter("pkts_total", obs.L("node", "a", "role", "BE"))
+	r.GetHistogram("wait_ns", obs.L("node", "a")).Observe(300)
+	r.GaugeFunc("depth", obs.L("node", "b"), func() float64 { return float64(c.Load()) / 4 })
+	r.Help("pkts_total", "Packets.")
+	r.Collect(func(emit obs.Emit) {
+		n := c.Load()
+		for v := n % 3; v < 6; v += 2 {
+			l := obs.L("vnic", strconv.FormatUint(v, 10))
+			emit("dyn_total", l, obs.KindCounter, float64(n*v))
+			emit("dyn_flip", l, obs.Kind(n&1), float64(n))
+		}
+	})
+	h := obs.NewHistory(obs.HistoryOptions{Snapshots: 5})
+	ch, cancel := h.Subscribe(64)
+	defer cancel()
+
+	var pubs []*obs.Snapshot
+	publish := func(s *obs.Snapshot) {
+		h.Publish(s)
+		pubs = append(pubs, <-ch)
+		if got, want := render(t, h.Latest()), render(t, pubs[len(pubs)-1]); got != want {
+			t.Fatalf("Latest after publish %d:\n%s\nwant\n%s", len(pubs), got, want)
+		}
+	}
+	for i := 1; i <= 9; i++ {
+		c.Add(uint64(i))
+		if i == 4 {
+			r.GetCounter("late_total", nil).Add(9)
+			r.Help("late_total", "Registered \"late\".")
+		}
+		ob.Flows.Observe(packet.FiveTuple{SrcIP: packet.IPv4(i), DstIP: 2, Proto: packet.ProtoUDP}, 64)
+		publish(ob.Snap(sim.Time(i)*sim.Second, 10))
+	}
+	if h.Len() != 5 || h.Evicted() != 4 {
+		t.Fatalf("Len %d, Evicted %d, want 5 and 4", h.Len(), h.Evicted())
+	}
+	check := func(what string, got, want []*obs.Snapshot) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d snapshots, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if g, w := render(t, got[i]), render(t, want[i]); g != w {
+				t.Fatalf("%s[%d]:\n%s\nwant\n%s", what, i, g, w)
+			}
+		}
+	}
+	check("Tail(0)", h.Tail(0), pubs[4:])
+	check("Tail(2)", h.Tail(2), pubs[7:])
+	check("Query(all)", h.Query(0, 0, nil), pubs[4:])
+	check("Query(6s,8s)", h.Query(6*sim.Second, 8*sim.Second, nil), pubs[5:8])
+	var want []*obs.Snapshot
+	for _, s := range pubs[4:] {
+		want = append(want, filtered(s, "dyn_total", "wait_ns", "late_total"))
+	}
+	check("Query(series)", h.Query(0, 0, []string{"dyn_total", "wait_ns", "late_total"}), want)
+	var scanned []*obs.Snapshot
+	h.Scan(0, 0, nil, func(s *obs.Snapshot) error { scanned = append(scanned, s); return nil })
+	check("Scan", scanned, pubs[4:])
+
+	// Snapshots built by hand keep every field, the points' label maps
+	// and kinds as given, and nil Points apart from empty ones.
+	hand := &obs.Snapshot{T: 20 * sim.Second, Points: []obs.Point{
+		{Name: "b_total", Labels: map[string]string{"node": "x"}, Kind: "counter", Value: 3, Rate: 1.5},
+		{Name: "a_hist", Kind: "histogram", Value: 2, Count: 2, Sum: 9, P50: 4, P99: 5, P999: 5},
+		{Name: "odd", Kind: "summary", Value: 1, Count: 7},
+	}, Flows: []obs.FlowStat{{Flow: "f", Packets: 1}}, Spans: []obs.Span{{Kind: "offload"}}}
+	publish(hand)
+	publish(&obs.Snapshot{T: 21 * sim.Second, Points: []obs.Point{}})
+	publish(&obs.Snapshot{T: 22 * sim.Second})
+	check("Tail(3)", h.Tail(3), pubs[9:])
+	check("Query(series) of hand-built", h.Query(20*sim.Second, 20*sim.Second, []string{"odd"}), []*obs.Snapshot{filtered(hand, "odd")})
+}
+
+// TestHistoryRetention bounds what the ring keeps per point: 64
+// campaign-sized snapshots in a 64-slot ring cost at most 24 bytes a
+// point, everything they carry included.
+func TestHistoryRetention(t *testing.T) {
+	ob := campaignObs()
+	ob.Snap(0, 10) // the registry's own first-snapshot state is not the ring's
+	h := obs.NewHistory(obs.HistoryOptions{Snapshots: 64})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	points := 0
+	for i := 1; i <= 64; i++ {
+		s := ob.Snap(sim.Time(i)*sim.Second, 10)
+		points += len(s.Points)
+		h.Publish(s)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perPoint := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(points)
+	runtime.KeepAlive(ob)
+	if h.Len() != 64 {
+		t.Fatalf("ring holds %d snapshots, want 64", h.Len())
+	}
+	t.Logf("%d points retained at %.1f B a point", points, perPoint)
+	if perPoint > 24 {
+		t.Errorf("history retains %.1f B a point, want at most 24", perPoint)
 	}
 }

@@ -2,13 +2,13 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"nezha/internal/packet"
@@ -155,11 +155,22 @@ const maxFlows = 1024
 type FlowTop struct {
 	mu     sync.Mutex
 	counts map[packet.FiveTuple]flowCount
+	// rows and text are Top's scratch, reused across calls: the flows
+	// it ranks and their rendered five-tuples.
+	rows []flowRow
+	text []byte
 }
 
 type flowCount struct {
 	packets uint64
 	bytes   uint64
+}
+
+// flowRow is one flow as Top ranks it; text[off:end] is its rendering.
+type flowRow struct {
+	ft       packet.FiveTuple
+	c        flowCount
+	off, end int
 }
 
 // NewFlowTop builds a flow table of at most maxFlows flows.
@@ -184,39 +195,43 @@ func (f *FlowTop) Observe(ft packet.FiveTuple, bytes int) {
 
 // Top returns the k busiest flows by packet count (ties broken by
 // flow string for determinism); k <= 0 returns every flow. The result
-// is exactly sized, and only flows at or above the k-th count have
-// their five-tuple rendered (for the string tie-break).
+// is exactly sized. Only flows at or above the k-th count are rendered,
+// into one reused buffer for the string tie-break, and only the k
+// returned get a string of their own.
 func (f *FlowTop) Top(k int) []FlowStat {
-	type row struct {
-		ft packet.FiveTuple
-		c  flowCount
-	}
 	f.mu.Lock()
-	rows := make([]row, 0, len(f.counts))
+	defer f.mu.Unlock()
+	rows := f.rows[:0]
 	for ft, c := range f.counts {
-		rows = append(rows, row{ft, c})
+		rows = append(rows, flowRow{ft: ft, c: c})
 	}
-	f.mu.Unlock()
+	f.rows = rows
 	if k <= 0 || k > len(rows) {
 		k = len(rows)
 	}
-	slices.SortFunc(rows, func(a, b row) int { return cmp.Compare(b.c.packets, a.c.packets) })
+	slices.SortFunc(rows, func(a, b flowRow) int { return cmp.Compare(b.c.packets, a.c.packets) })
 	n := k
 	for n < len(rows) && rows[n].c.packets == rows[k-1].c.packets {
 		n++
 	}
-	out := make([]FlowStat, n)
-	for i := range out {
-		out[i] = FlowStat{Flow: rows[i].ft.String(), Packets: rows[i].c.packets, Bytes: rows[i].c.bytes}
+	rows = rows[:n]
+	text := f.text[:0]
+	for i := range rows {
+		rows[i].off = len(text)
+		text = rows[i].ft.AppendTo(text)
+		rows[i].end = len(text)
 	}
-	slices.SortFunc(out, func(a, b FlowStat) int {
-		if c := cmp.Compare(b.Packets, a.Packets); c != 0 {
+	f.text = text
+	slices.SortFunc(rows, func(a, b flowRow) int {
+		if c := cmp.Compare(b.c.packets, a.c.packets); c != 0 {
 			return c
 		}
-		return strings.Compare(a.Flow, b.Flow)
+		return bytes.Compare(text[a.off:a.end], text[b.off:b.end])
 	})
-	if n > k {
-		out = append(make([]FlowStat, 0, k), out[:k]...)
+	out := make([]FlowStat, k)
+	for i := range out {
+		r := &rows[i]
+		out[i] = FlowStat{Flow: string(text[r.off:r.end]), Packets: r.c.packets, Bytes: r.c.bytes}
 	}
 	return out
 }

@@ -16,12 +16,14 @@
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"maps"
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,9 +51,11 @@ func L(kv ...string) Labels {
 	for i := 0; i < len(kv); i += 2 {
 		ls = append(ls, Label{K: kv[i], V: kv[i+1]})
 	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i].K < ls[j].K })
+	slices.SortFunc(ls, byLabelKey)
 	return ls
 }
+
+func byLabelKey(a, b Label) int { return strings.Compare(a.K, b.K) }
 
 // key returns the canonical series-map key suffix.
 func (ls Labels) key() string {
@@ -232,8 +236,8 @@ type desc struct {
 	// key is seriesKey(name, labels); lkey is its labels.key() part (a
 	// substring of key), the second sort key of a snapshot.
 	key, lkey string
-	// m is labels.Map(), built the first time the series appears in a
-	// snapshot and shared read-only by every later Point of it.
+	// m is the interned map of labels, set when the series first enters
+	// a schema and read-only from then on.
 	m map[string]string
 	// prev is the counter value the series had in snapshot prevGen; a
 	// rate is taken only against the immediately preceding snapshot.
@@ -308,6 +312,10 @@ type Registry struct {
 	dyn     map[string]*desc
 	keyBuf  []byte
 	lastLen int
+	// schema is the latest snapshot's; labels interns the label maps
+	// of its label sets (see internLabels).
+	schema *schema
+	labels map[string]*labelMap
 }
 
 // DefaultMaxSeries is the registry's default series-cardinality cap.
@@ -319,6 +327,7 @@ func NewRegistry() *Registry {
 		series:    make(map[string]*series),
 		funcIdx:   make(map[string]int),
 		dyn:       make(map[string]*desc),
+		labels:    make(map[string]*labelMap),
 		helps:     make(map[string]string),
 		maxSeries: DefaultMaxSeries,
 		warnFn: func(msg string) {
@@ -452,8 +461,8 @@ func (r *Registry) Collect(fn func(Emit)) {
 type Point struct {
 	Name string `json:"name"`
 	// Labels is the series' label set. The map is shared with the
-	// registry and with every other snapshot holding a point of the same
-	// series: read it, never write it.
+	// registry and with every point, in any snapshot, of the same label
+	// set: read it, never write it.
 	Labels map[string]string `json:"labels,omitempty"`
 	Kind   string            `json:"kind"`
 	Value  float64           `json:"value"`
@@ -502,6 +511,63 @@ type Snapshot struct {
 	// deliberately unexported so JSONL snapshots stay compact. Shared
 	// with the registry until its next Help call.
 	help map[string]string
+	// schema describes Points column by column (nil on snapshots built
+	// by hand); History keeps it in place of the rows.
+	schema *schema
+}
+
+// column is one series of a schema: its descriptor and its kind.
+type column struct {
+	d    *desc
+	kind string
+}
+
+// schema is the series of a snapshot in export order, everything its
+// Points hold but their values. It is immutable: consecutive snapshots
+// emitting the same series of the same kinds share one.
+type schema struct {
+	cols  []column
+	hists int // columns carrying histogram extras
+	// hand marks the schema of points built by hand: its descriptors
+	// hold only each point's name, label set and label map, and every
+	// column carries histogram extras.
+	hand bool
+}
+
+// hist reports whether column i carries histogram extras.
+func (sc *schema) hist(i int) bool {
+	return sc.hand || sc.cols[i].kind == KindHistogram.String()
+}
+
+// handSchema describes points built by hand, or decoded, as they stand.
+func handSchema(pts []Point) *schema {
+	sc := &schema{cols: make([]column, len(pts)), hists: len(pts), hand: true}
+	for i := range pts {
+		p := &pts[i]
+		sc.cols[i] = column{d: &desc{name: p.Name, labels: p.labelSet(), m: p.Labels}, kind: p.Kind}
+	}
+	return sc
+}
+
+// matches reports whether pts are the registry series sc describes, in
+// its order and of its kinds.
+func (sc *schema) matches(pts []Point) bool {
+	if sc == nil || sc.hand || len(sc.cols) != len(pts) {
+		return false
+	}
+	for i := range pts {
+		if c := &sc.cols[i]; c.d != pts[i].d || c.kind != pts[i].Kind {
+			return false
+		}
+	}
+	return true
+}
+
+// labelMap is one interned label map and the snapshot generation whose
+// schema last used it.
+type labelMap struct {
+	m   map[string]string
+	gen uint64
 }
 
 func (d *desc) point(kind Kind, v float64) Point {
@@ -568,10 +634,11 @@ func (p byKey) Less(i, j int) bool {
 // by (name, labels) so exports are deterministic.
 //
 // A snapshot's cost follows what changed: every point of a series
-// shares the series' descriptor and label map, a counter's rate comes
-// from the value its descriptor kept, and the help map is shared until
-// the next Help call. Label sets that collectors emit are interned in a
-// table holding only the sets of the latest snapshot, so it is bounded
+// shares the series' descriptor, every point of a label set one label
+// map, a counter's rate comes from the value its descriptor kept, the
+// help map is shared until the next Help call, and the schema until the
+// set of series changes. Label sets that collectors emit are interned in
+// a table holding only the sets of the latest snapshot, so it is bounded
 // by the current cardinality, and a set missing from one snapshot has
 // no rate in the next. Snapshots are serialized.
 func (r *Registry) Snapshot(now sim.Time) *Snapshot {
@@ -617,6 +684,7 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 		emit("obs_series_dropped_total", nil, KindCounter, float64(dropped))
 	}
 	sort.Sort(byKey(pts))
+	sc := r.schemaFor(pts)
 
 	// Shared label maps and windowed rates for counters. Rates read every
 	// descriptor's previous value before any is overwritten.
@@ -625,9 +693,6 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 	for i := range pts {
 		p := &pts[i]
 		d := p.d
-		if d.m == nil && len(d.labels) > 0 {
-			d.m = d.labels.Map()
-		}
 		p.Labels = d.m
 		if p.Kind == counter && dt > 0 && d.prevGen != 0 && d.prevGen == gen-1 {
 			p.Rate = (p.Value - d.prev) / dt
@@ -652,8 +717,65 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 	case len(pts) != cap(pts):
 		pts = append(make([]Point, 0, len(pts)), pts...)
 	}
-	snap.Points = pts
+	snap.Points, snap.schema = pts, sc
 	return snap
+}
+
+// schemaFor returns the schema of pts, a snapshot's sorted points: the
+// previous snapshot's when pts hold the same series of the same kinds,
+// so a steady registry builds none. A new schema takes every label map
+// from the intern table, which then keeps only the label sets of that
+// schema: it is bounded by the series the registry currently emits.
+// Caller holds snapMu.
+func (r *Registry) schemaFor(pts []Point) *schema {
+	if r.schema.matches(pts) {
+		return r.schema
+	}
+	sc := &schema{cols: make([]column, len(pts))}
+	for i := range pts {
+		p := &pts[i]
+		// Only a series new to this schema takes its map: one already in
+		// a schema was in every one since, so its label set is still
+		// interned to the map it holds, which readers may be reading.
+		if m := r.internLabels(p.d.labels); p.d.m == nil && m != nil {
+			p.d.m = m
+		}
+		sc.cols[i] = column{d: p.d, kind: p.Kind}
+		if sc.hist(i) {
+			sc.hists++
+		}
+	}
+	for k, lm := range r.labels {
+		if lm.gen != r.gen {
+			delete(r.labels, k)
+		}
+	}
+	r.schema = sc
+	return sc
+}
+
+// internLabels returns the shared map of label set ls (nil when empty).
+// The key length-prefixes every name and value, so no two label sets
+// share one.
+func (r *Registry) internLabels(ls Labels) map[string]string {
+	if len(ls) == 0 {
+		return nil
+	}
+	b := r.keyBuf[:0]
+	for _, l := range ls {
+		b = binary.AppendUvarint(b, uint64(len(l.K)))
+		b = append(b, l.K...)
+		b = binary.AppendUvarint(b, uint64(len(l.V)))
+		b = append(b, l.V...)
+	}
+	r.keyBuf = b
+	lm := r.labels[string(b)]
+	if lm == nil {
+		lm = &labelMap{m: ls.Map()}
+		r.labels[string(b)] = lm
+	}
+	lm.gen = r.gen
+	return lm.m
 }
 
 // escapeHelp escapes backslashes and newlines per the exposition
@@ -667,7 +789,7 @@ func escapeHelp(s string) string {
 // (sorted) order.
 func withQuantile(base Labels, q string) Labels {
 	ls := append(append(Labels(nil), base...), Label{K: "quantile", V: q})
-	sort.Slice(ls, func(i, j int) bool { return ls[i].K < ls[j].K })
+	slices.SortFunc(ls, byLabelKey)
 	return ls
 }
 

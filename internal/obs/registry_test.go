@@ -2,6 +2,7 @@ package obs
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -158,6 +159,51 @@ func TestSnapshotSharesLabelMaps(t *testing.T) {
 	r.Help("sent_total", "Changed.")
 	if s1.help["sent_total"] != "Sent." || r.Snapshot(3 * sim.Second).help["sent_total"] != "Changed." {
 		t.Error("Help did not copy the help map it shared with earlier snapshots")
+	}
+}
+
+// TestLabelMapsInternedAndBounded runs the churning collector of
+// opsapi's TestSharedLabelsReadOnly for 10 000 snapshots. Every point
+// of one label set, of any series, shares one map, and the intern
+// table holds exactly the label sets of the latest snapshot: it never
+// outgrows what the registry currently emits.
+func TestLabelMapsInternedAndBounded(t *testing.T) {
+	r := NewRegistry()
+	ticks := r.GetCounter("ticks_total", L("node", "a"))
+	r.GetHistogram("wait_ns", L("node", "a")).Observe(1)
+	r.CounterFunc("ticks_func_total", L("node", "b"), ticks.Load)
+	r.Collect(func(emit Emit) {
+		n := ticks.Load()
+		for v := n % 7; v < 12; v += 2 {
+			l := L("vnic", strconv.FormatUint(v, 10))
+			emit("dyn_total", l, KindCounter, float64(n))
+			emit("dyn_gauge", l, KindGauge, float64(n))
+		}
+		emit("node_b_dyn", L("node", "b"), KindGauge, 1)
+	})
+	maps := map[string]map[string]string{}
+	for i := 1; i <= 10000; i++ {
+		ticks.Inc()
+		s := r.Snapshot(sim.Time(i) * sim.Millisecond)
+		sets := map[string]bool{}
+		for j := range s.Points {
+			p := &s.Points[j]
+			k := p.labelSet().key()
+			sets[k] = true
+			if m, ok := maps[k]; ok && reflect.ValueOf(m).UnsafePointer() != reflect.ValueOf(p.Labels).UnsafePointer() {
+				t.Fatalf("snapshot %d: %s{%s} has its own label map", i, p.Name, k)
+			}
+			maps[k] = p.Labels
+		}
+		for k := range maps {
+			if !sets[k] {
+				delete(maps, k) // a label set that vanished may come back with a new map
+			}
+		}
+		delete(sets, "")
+		if len(r.labels) != len(sets) {
+			t.Fatalf("snapshot %d: intern table holds %d label sets, the snapshot %d", i, len(r.labels), len(sets))
+		}
 	}
 }
 

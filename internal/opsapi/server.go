@@ -16,6 +16,8 @@
 package opsapi
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -178,7 +180,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseSimTime accepts a Go duration ("3s", "1.5s") or bare seconds
-// ("3", "3.5") and returns virtual time.
+// ("3", "3.5") and returns virtual time. Seconds must be finite and
+// within ±sim.MaxTime, so the conversion to sim.Time is exact.
 func parseSimTime(s string) (sim.Time, error) {
 	if s == "" {
 		return 0, nil
@@ -190,11 +193,18 @@ func parseSimTime(s string) (sim.Time, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad time %q (want duration like 3s or seconds like 3.5)", s)
 	}
-	return sim.Time(f * float64(sim.Second)), nil
+	// float64(sim.MaxTime) is 2^63, the first value past the range; NaN
+	// fails both comparisons.
+	ns := f * float64(sim.Second)
+	if !(ns > -float64(sim.MaxTime) && ns < float64(sim.MaxTime)) {
+		return 0, fmt.Errorf("time %q out of range (want finite seconds within ±%v)", s, sim.MaxTime)
+	}
+	return sim.Time(ns), nil
 }
 
 // historyResponse is the /api/v1/history payload: matching snapshots
-// plus the retained completed transaction spans.
+// plus the retained completed transaction spans. handleHistory writes
+// it field by field, one snapshot at a time; tests decode it.
 type historyResponse struct {
 	Snapshots []*obs.Snapshot `json:"snapshots"`
 	Spans     []obs.Span      `json:"spans,omitempty"`
@@ -228,13 +238,45 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, historyResponse{
-		Snapshots: h.Query(from, to, series),
-		Spans:     h.Spans(),
-		Retained:  h.Len(),
-		Published: h.Published(),
-		Evicted:   h.Evicted(),
+	w.Header().Set("Content-Type", "application/json")
+	// Each snapshot is built, encoded and dropped before the next, so
+	// the response holds one snapshot's rows at a time. The bytes are
+	// those of writeJSON(historyResponse{...}): Encode's trailing
+	// newline is dropped from every value but the last. A value JSON
+	// cannot encode (a NaN) ends the response where it stands.
+	bw := bufio.NewWriter(w)
+	var buf bytes.Buffer
+	val := json.NewEncoder(&buf)
+	val.SetEscapeHTML(false)
+	encode := func(v any) error {
+		buf.Reset()
+		if err := val.Encode(v); err != nil {
+			return err
+		}
+		_, err := bw.Write(bytes.TrimSuffix(buf.Bytes(), []byte{'\n'}))
+		return err
+	}
+	bw.WriteString(`{"snapshots":[`)
+	first := true
+	err = h.Scan(from, to, series, func(snap *obs.Snapshot) error {
+		if !first {
+			bw.WriteByte(',')
+		}
+		first = false
+		return encode(snap)
 	})
+	if err != nil {
+		return
+	}
+	bw.WriteByte(']')
+	if spans := h.Spans(); len(spans) > 0 {
+		bw.WriteString(`,"spans":`)
+		if encode(spans) != nil {
+			return
+		}
+	}
+	fmt.Fprintf(bw, `,"retained":%d,"published":%d,"evicted":%d}`+"\n", h.Len(), h.Published(), h.Evicted())
+	bw.Flush()
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {

@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"nezha/internal/obs"
+	"nezha/internal/packet"
 	"nezha/internal/sim"
 )
 
@@ -186,9 +188,67 @@ func TestHistoryEndpoint(t *testing.T) {
 	if _, hr := fetch(""); len(hr.Spans) != 1 || hr.Spans[0].Kind != "offload" {
 		t.Errorf("history spans = %+v, want the offload span", hr.Spans)
 	}
-	for _, q := range []string{"?from=banana", "?to=1x"} {
+	// Seconds must be finite and inside sim.Time's range: past it, the
+	// float-to-integer conversion is implementation-defined in Go.
+	for _, q := range []string{"?from=banana", "?to=1x", "?from=1e300", "?from=NaN", "?to=Inf",
+		"?from=-Inf", "?to=9223372037", "?from=-9223372037", "?to=2562048h"} {
 		if code, _ := fetch(q); code != http.StatusBadRequest {
 			t.Errorf("history%s: code=%d, want 400", q, code)
+		}
+	}
+	if code, hr := fetch("?from=-9223372036&to=9223372036"); code != 200 || len(hr.Snapshots) != 4 {
+		t.Errorf("history over the whole sim.Time range: code=%d snaps=%d, want 200 and 4", code, len(hr.Snapshots))
+	}
+}
+
+// TestHistoryStreamMatchesWriteJSON checks that the streamed
+// /api/v1/history body is byte for byte what encoding the whole
+// response at once writes, for registry snapshots carrying labels JSON
+// would HTML-escape, flows, spans and help, with and without a series
+// filter and a window.
+func TestHistoryStreamMatchesWriteJSON(t *testing.T) {
+	ob := obs.New(obs.Options{})
+	c := ob.Reg.GetCounter("pkts_total", obs.L("node", "<a&b>"))
+	ob.Reg.GetHistogram("wait_ns", obs.L("node", "a")).Observe(700)
+	ob.Reg.Help("pkts_total", "Packets <sent> & counted.")
+	ob.Reg.Collect(func(emit obs.Emit) {
+		emit("dyn", obs.L("vnic", strconv.FormatUint(c.Load()%3, 10)), obs.KindGauge, 0.5)
+	})
+	ob.Flows.Observe(packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP}, 100)
+	h := obs.NewHistory(obs.HistoryOptions{Snapshots: 6})
+	pub := &obs.Publisher{Obs: ob, Hist: h}
+	for i := 1; i <= 9; i++ {
+		ob.Spans.Begin("offload", uint32(i), 1, sim.Time(i)*sim.Second)
+		ob.Spans.End("offload", uint32(i), 1, sim.Time(i)*sim.Second, "commit")
+		c.Add(uint64(i))
+		pub.PublishNow(sim.Time(i) * sim.Second)
+	}
+	srv := New()
+	srv.SetHistory(h)
+	for _, q := range []string{"", "?series=pkts_total,wait_ns", "?from=5s&to=7", "?from=100", "?series=nope"} {
+		req := httptest.NewRequest("GET", "/api/v1/history"+q, nil)
+		got := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(got, req)
+
+		from, _ := parseSimTime(req.URL.Query().Get("from"))
+		to, _ := parseSimTime(req.URL.Query().Get("to"))
+		var series []string
+		if raw := req.URL.Query().Get("series"); raw != "" {
+			series = strings.Split(raw, ",")
+		}
+		want := httptest.NewRecorder()
+		writeJSON(want, historyResponse{
+			Snapshots: h.Query(from, to, series),
+			Spans:     h.Spans(),
+			Retained:  h.Len(),
+			Published: h.Published(),
+			Evicted:   h.Evicted(),
+		})
+		if got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Errorf("history%s streamed:\n%d %s\nwant:\n%d %s", q, got.Code, got.Body, want.Code, want.Body)
+		}
+		if ct := got.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("history%s content-type = %q", q, ct)
 		}
 	}
 }

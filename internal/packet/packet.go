@@ -185,7 +185,17 @@ func fnv1a(b []byte) uint64 {
 }
 
 func (ft FiveTuple) String() string {
-	return fmt.Sprintf("%s:%d->%s:%d/%s", ft.SrcIP, ft.SrcPort, ft.DstIP, ft.DstPort, ft.Proto)
+	var b [len("255.255.255.255:65535->255.255.255.255:65535/proto(255)")]byte
+	return string(ft.AppendTo(b[:0]))
+}
+
+// AppendTo appends ft's String form, src:port->dst:port/proto, to b.
+func (ft FiveTuple) AppendTo(b []byte) []byte {
+	b = append(ft.SrcIP.AppendTo(b), ':')
+	b = append(strconv.AppendUint(b, uint64(ft.SrcPort), 10), "->"...)
+	b = append(ft.DstIP.AppendTo(b), ':')
+	b = append(strconv.AppendUint(b, uint64(ft.DstPort), 10), '/')
+	return append(b, ft.Proto.String()...)
 }
 
 // SessionKey identifies a session table entry: the vNIC whose

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -18,6 +19,33 @@ func TestMakeIPString(t *testing.T) {
 	ip := MakeIP(192, 168, 1, 200)
 	if ip.String() != "192.168.1.200" {
 		t.Fatalf("got %s", ip.String())
+	}
+}
+
+// TestFiveTupleString checks String and AppendTo against the format
+// they implement, on random tuples with the extreme addresses, ports
+// and an unnamed protocol mixed in.
+func TestFiveTupleString(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ips := []IPv4{0, 0xffffffff, MakeIP(10, 0, 0, 1)}
+	ports := []uint16{0, 65535, 80}
+	protos := []Proto{ProtoTCP, ProtoUDP, ProtoICMP, 0, 255}
+	for i := 0; i < 1000; i++ {
+		ft := FiveTuple{
+			SrcIP: IPv4(rng.Uint32()), DstIP: ips[rng.Intn(len(ips))],
+			SrcPort: uint16(rng.Intn(1 << 16)), DstPort: ports[rng.Intn(len(ports))],
+			Proto: protos[rng.Intn(len(protos))],
+		}
+		if i%2 == 0 {
+			ft.SrcIP, ft.DstIP, ft.SrcPort, ft.DstPort = ft.DstIP, ft.SrcIP, ft.DstPort, ft.SrcPort
+		}
+		want := fmt.Sprintf("%s:%d->%s:%d/%s", ft.SrcIP, ft.SrcPort, ft.DstIP, ft.DstPort, ft.Proto)
+		if got := ft.String(); got != want {
+			t.Fatalf("String = %q, want %q", got, want)
+		}
+		if got := string(ft.AppendTo([]byte("x "))); got != "x "+want {
+			t.Fatalf("AppendTo = %q, want %q", got, "x "+want)
+		}
 	}
 }
 
