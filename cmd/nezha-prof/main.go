@@ -30,6 +30,26 @@ func usage() {
 	os.Exit(2)
 }
 
+// dumpArgs is each subcommand's number of dump arguments.
+var dumpArgs = map[string]int{"top": 1, "diff": 2, "folded": 1}
+
+// validate checks the subcommand and its parsed flags and arguments
+// before any file is read.
+func validate(cmd string, args []string, topN int, sample string) error {
+	want, ok := dumpArgs[cmd]
+	switch {
+	case !ok:
+		return fmt.Errorf("unknown subcommand %q: want top, diff or folded", cmd)
+	case len(args) != want:
+		return fmt.Errorf("%s wants %d dump argument(s), got %d %q (flags go before the dumps)", cmd, want, len(args), args)
+	case topN < 1:
+		return fmt.Errorf("-n %d: need at least 1 row", topN)
+	case sample != "cycles" && sample != "bytes":
+		return fmt.Errorf("-sample %q: want cycles or bytes", sample)
+	}
+	return nil
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -39,12 +59,13 @@ func main() {
 	topN := fs.Int("n", 20, "rows to show")
 	sample := fs.String("sample", "cycles", "sample type: cycles or bytes")
 	fs.Parse(os.Args[2:])
+	if err := validate(cmd, fs.Args(), *topN, *sample); err != nil {
+		fmt.Fprintf(os.Stderr, "nezha-prof: %v\n", err)
+		usage()
+	}
 
 	switch cmd {
 	case "top":
-		if fs.NArg() != 1 {
-			usage()
-		}
 		dp := load(fs.Arg(0))
 		vi := sampleIndex(dp, *sample)
 		rows := keyTotals(dp, vi)
@@ -65,9 +86,6 @@ func main() {
 			fmt.Printf("%16d %5.1f%%  %s\n", r.v, pct, r.key)
 		}
 	case "diff":
-		if fs.NArg() != 2 {
-			usage()
-		}
 		a, b := load(fs.Arg(0)), load(fs.Arg(1))
 		vi := sampleIndex(a, *sample)
 		deltas := map[string]int64{}
@@ -107,16 +125,11 @@ func main() {
 			fmt.Println("no per-key differences")
 		}
 	case "folded":
-		if fs.NArg() != 1 {
-			usage()
-		}
 		dp := load(fs.Arg(0))
 		if err := dp.Folded(os.Stdout, sampleIndex(dp, *sample)); err != nil {
 			fmt.Fprintf(os.Stderr, "nezha-prof: %v\n", err)
 			os.Exit(1)
 		}
-	default:
-		usage()
 	}
 }
 

@@ -53,3 +53,36 @@ func TestSampleIndexNames(t *testing.T) {
 		t.Fatalf("bytes index = %d, want 1", i)
 	}
 }
+
+func TestValidate(t *testing.T) {
+	for _, c := range []struct {
+		cmd    string
+		args   []string
+		n      int
+		sample string
+		want   string // "" = valid; else a substring of the error
+	}{
+		{cmd: "top", args: []string{"a.pb.gz"}, n: 20, sample: "cycles"},
+		{cmd: "top", args: []string{"a.pb.gz"}, n: 1, sample: "bytes"},
+		{cmd: "diff", args: []string{"a.pb.gz", "b.pb.gz"}, n: 20, sample: "cycles"},
+		{cmd: "folded", args: []string{"a.pb.gz"}, n: 20, sample: "bytes"},
+		{cmd: "flame", args: []string{"a.pb.gz"}, n: 20, sample: "cycles", want: `unknown subcommand "flame"`},
+		{cmd: "-n", args: []string{"a.pb.gz"}, n: 20, sample: "cycles", want: `unknown subcommand "-n"`},
+		{cmd: "top", n: 20, sample: "cycles", want: "top wants 1 dump argument(s), got 0"},
+		{cmd: "top", args: []string{"a.pb.gz", "-n", "5"}, n: 20, sample: "cycles", want: `got 3 ["a.pb.gz" "-n" "5"] (flags go before the dumps)`},
+		{cmd: "diff", args: []string{"a.pb.gz"}, n: 20, sample: "cycles", want: "diff wants 2 dump argument(s), got 1"},
+		{cmd: "folded", args: []string{"a.pb.gz", "b.pb.gz"}, n: 20, sample: "cycles", want: "folded wants 1 dump argument(s), got 2"},
+		{cmd: "top", args: []string{"a.pb.gz"}, n: 0, sample: "cycles", want: "-n 0: need at least 1 row"},
+		{cmd: "diff", args: []string{"a.pb.gz", "b.pb.gz"}, n: -1, sample: "cycles", want: "-n -1: need at least 1 row"},
+		{cmd: "top", args: []string{"a.pb.gz"}, n: 20, sample: "cpu", want: `-sample "cpu": want cycles or bytes`},
+		{cmd: "folded", args: []string{"a.pb.gz"}, n: 20, sample: "", want: `-sample "": want cycles or bytes`},
+	} {
+		err := validate(c.cmd, c.args, c.n, c.sample)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v: unexpected error %v", c, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%+v: error %v, want one containing %q", c, err, c.want)
+		}
+	}
+}

@@ -70,7 +70,7 @@ func (c *packetConservation) Check(now sim.Time) error {
 type stateResidency struct {
 	sys System
 	// holders is the cross-switch key → first-holder map, kept between
-	// sweeps and consulted only for multiply-resident vNICs.
+	// walks and consulted only for multiply-resident vNICs.
 	holders map[packet.SessionKey]packet.IPv4
 }
 
@@ -81,13 +81,15 @@ type stateResidency struct {
 // a frontend — would mean Nezha silently became a state-replicating
 // system.
 //
-// The sweep runs after every event, so it avoids a per-session map: a
-// session key names its vNIC (a flowcache entry belongs to its key's
-// vNIC, which the simdebug build checks at creation), and state off
-// the vNIC's home is already the first error, so two copies of one key
-// can only both get past that check when the vNIC is resident on two
-// switches. Only such vNICs — none, in a healthy world — have their
-// keys tracked across switches.
+// The check runs every CheckEvery, so it reads each table's per-vNIC
+// count of stateful entries (flowcache.Table.StateCounts) instead of
+// its entries: a session key names its vNIC (a flowcache entry belongs
+// to its key's vNIC, which the simdebug build checks at creation), so
+// a violation needs state for a vNIC on a switch where it is not
+// resident, or state for one vNIC on two switches. Only when the counts
+// show one of those — never, in a healthy world — does it walk the
+// entries, and the walk alone decides the verdict and names the first
+// offending session.
 func StateResidency(sys System) Invariant {
 	return &stateResidency{sys: sys, holders: make(map[packet.SessionKey]packet.IPv4)}
 }
@@ -95,6 +97,35 @@ func StateResidency(sys System) Invariant {
 func (c *stateResidency) Name() string { return "single-copy-state-residency" }
 
 func (c *stateResidency) Check(now sim.Time) error {
+	for _, vs := range c.sys.Switches {
+		for _, n := range vs.Sessions().StateCounts() {
+			if !vs.HasVNIC(n.VNIC) || c.statefulElsewhere(vs, n.VNIC) {
+				return c.walk()
+			}
+		}
+	}
+	return nil
+}
+
+// statefulElsewhere reports whether vnic has state on a switch other
+// than home.
+func (c *stateResidency) statefulElsewhere(home *vswitch.VSwitch, vnic uint32) bool {
+	for _, vs := range c.sys.Switches {
+		if vs == home {
+			continue
+		}
+		for _, n := range vs.Sessions().StateCounts() {
+			if n.VNIC == vnic {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// walk finds the first violating session in sweep order: switches in
+// order, each table's entries in slab order.
+func (c *stateResidency) walk() error {
 	clear(c.holders)
 	for _, vs := range c.sys.Switches {
 		var err error

@@ -47,17 +47,17 @@ func (c *Controller) EnableObs(o *obs.Obs) {
 	r.Help("controller_node_mem_util", "Last reported session-memory utilization, 0..1.")
 	r.Help("controller_node_remote_share", "Fraction of node cycles spent on remote (FE) traffic.")
 	r.Help("controller_node_fronted_vnics", "Remote vNICs this node fronts as an FE.")
-	r.CounterFunc("controller_offloads_total", nil, func() uint64 { return c.Stats.Offloads })
-	r.CounterFunc("controller_fallbacks_total", nil, func() uint64 { return c.Stats.Fallbacks })
-	r.CounterFunc("controller_scaleouts_total", nil, func() uint64 { return c.Stats.ScaleOuts })
-	r.CounterFunc("controller_scaleins_total", nil, func() uint64 { return c.Stats.ScaleIns })
-	r.CounterFunc("controller_failovers_total", nil, func() uint64 { return c.Stats.Failovers })
-	r.CounterFunc("controller_fes_added_total", nil, func() uint64 { return c.Stats.FEsAdded })
-	r.CounterFunc("controller_aborts_total", nil, func() uint64 { return c.Stats.Aborts })
-	r.CounterFunc("controller_rollbacks_total", nil, func() uint64 { return c.Stats.Rollbacks })
-	r.CounterFunc("controller_degraded_enters_total", nil, func() uint64 { return c.Stats.DegradedEnters })
-	r.CounterFunc("controller_degraded_exits_total", nil, func() uint64 { return c.Stats.DegradedExits })
-	r.CounterFunc("controller_repair_runs_total", nil, func() uint64 { return c.Stats.RepairRuns })
+	r.CounterVar("controller_offloads_total", nil, &c.Stats.Offloads)
+	r.CounterVar("controller_fallbacks_total", nil, &c.Stats.Fallbacks)
+	r.CounterVar("controller_scaleouts_total", nil, &c.Stats.ScaleOuts)
+	r.CounterVar("controller_scaleins_total", nil, &c.Stats.ScaleIns)
+	r.CounterVar("controller_failovers_total", nil, &c.Stats.Failovers)
+	r.CounterVar("controller_fes_added_total", nil, &c.Stats.FEsAdded)
+	r.CounterVar("controller_aborts_total", nil, &c.Stats.Aborts)
+	r.CounterVar("controller_rollbacks_total", nil, &c.Stats.Rollbacks)
+	r.CounterVar("controller_degraded_enters_total", nil, &c.Stats.DegradedEnters)
+	r.CounterVar("controller_degraded_exits_total", nil, &c.Stats.DegradedExits)
+	r.CounterVar("controller_repair_runs_total", nil, &c.Stats.RepairRuns)
 	r.GaugeFunc("ctrl_up", nil, func() float64 { return b2f(!c.down) })
 	r.CounterFunc("ctrl_recoveries_total", nil, func() uint64 { return c.Recoveries() })
 	r.GaugeFunc("ctrl_recovery_ms", nil, func() float64 {

@@ -22,11 +22,11 @@ func (t *Transport) EnableObs(o *obs.Obs) {
 	r.Help("ctrlrpc_timeouts_total", "RPCs that exhausted retries and expired.")
 	r.Help("ctrlrpc_dup_acks_total", "Duplicate acknowledgements discarded.")
 	r.Help("ctrlrpc_pending", "RPCs awaiting acknowledgement.")
-	r.CounterFunc("ctrlrpc_attempts_total", nil, func() uint64 { return t.Stats.Sent })
-	r.CounterFunc("ctrlrpc_retries_total", nil, func() uint64 { return t.Stats.Retries })
-	r.CounterFunc("ctrlrpc_acked_total", nil, func() uint64 { return t.Stats.Acked })
-	r.CounterFunc("ctrlrpc_nacked_total", nil, func() uint64 { return t.Stats.Nacked })
-	r.CounterFunc("ctrlrpc_timeouts_total", nil, func() uint64 { return t.Stats.Expired })
-	r.CounterFunc("ctrlrpc_dup_acks_total", nil, func() uint64 { return t.Stats.DupAcks })
+	r.CounterVar("ctrlrpc_attempts_total", nil, &t.Stats.Sent)
+	r.CounterVar("ctrlrpc_retries_total", nil, &t.Stats.Retries)
+	r.CounterVar("ctrlrpc_acked_total", nil, &t.Stats.Acked)
+	r.CounterVar("ctrlrpc_nacked_total", nil, &t.Stats.Nacked)
+	r.CounterVar("ctrlrpc_timeouts_total", nil, &t.Stats.Expired)
+	r.CounterVar("ctrlrpc_dup_acks_total", nil, &t.Stats.DupAcks)
 	r.GaugeFunc("ctrlrpc_pending", nil, func() float64 { return float64(len(t.pending)) })
 }

@@ -25,11 +25,11 @@ func (f *Fabric) EnableObs(o *obs.Obs) {
 	r.Help("fabric_inflight", "Packets currently in flight on the wire.")
 	r.Help("fabric_nodes", "Nodes attached to the fabric.")
 	r.Help("fabric_partitions", "Active partition pairs.")
-	r.CounterFunc("fabric_sends_total", nil, func() uint64 { return f.Sends })
-	r.CounterFunc("fabric_delivered_total", nil, func() uint64 { return f.Delivered })
-	r.CounterFunc("fabric_lost_total", nil, func() uint64 { return f.Lost })
-	r.CounterFunc("fabric_chaos_lost_total", nil, func() uint64 { return f.ChaosLost })
-	r.CounterFunc("fabric_bytes_total", nil, func() uint64 { return f.BytesSent })
+	r.CounterVar("fabric_sends_total", nil, &f.Sends)
+	r.CounterVar("fabric_delivered_total", nil, &f.Delivered)
+	r.CounterVar("fabric_lost_total", nil, &f.Lost)
+	r.CounterVar("fabric_chaos_lost_total", nil, &f.ChaosLost)
+	r.CounterVar("fabric_bytes_total", nil, &f.BytesSent)
 	r.GaugeFunc("fabric_inflight", nil, func() float64 { return float64(f.inFlight) })
 	r.GaugeFunc("fabric_nodes", nil, func() float64 { return float64(len(f.nodes)) })
 	r.GaugeFunc("fabric_partitions", nil, func() float64 { return float64(len(f.partitions)) })

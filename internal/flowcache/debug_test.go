@@ -65,13 +65,13 @@ func TestReleasedSlotPoison(t *testing.T) {
 	mustPanic(t, "read of a released pre-actions slot", func() { tab.pre.get(preID) })
 	mustPanic(t, "second release of a pre-actions slot", func() { tab.pre.release(preID) })
 	mustPanic(t, "read of a released state slot", func() { checkState(tab.states.at(stID)) })
-	mustPanic(t, "second release of a state slot", func() { tab.states.release(stID) })
+	mustPanic(t, "second release of a state slot", func() { tab.states.release(stID, gone.Key.VNIC) })
 
 	// A live entry whose slots were released under it.
 	e := held[1]
 	tab.pre.release(e.pre)
 	mustPanic(t, "Pre through a released id", func() { tab.Pre(e) })
-	tab.states.release(e.st)
+	tab.states.release(e.st, e.Key.VNIC)
 	mustPanic(t, "State through a released slot", func() { tab.State(e) })
 	mustPanic(t, "TouchState through a released slot", func() { _ = tab.TouchState(e, packet.DirTX, packet.FlagACK, 0, 1) })
 

@@ -534,7 +534,7 @@ func (t *Table) SetState(e *Entry, s state.State) error {
 		return ErrNoMemory
 	}
 	if !e.HasState {
-		e.st, e.HasState = t.states.alloc(), true
+		e.st, e.HasState = t.states.alloc(e.Key.VNIC), true
 	}
 	*t.states.at(e.st) = s
 	return nil
@@ -587,7 +587,7 @@ func (t *Table) remove(slot, idx uint32, e *Entry) {
 		t.pre.release(e.pre)
 	}
 	if e.HasState {
-		t.states.release(e.st)
+		t.states.release(e.st, e.Key.VNIC)
 	}
 	*e = Entry{pre: t.free}
 	poison(e)
@@ -648,6 +648,13 @@ func (t *Table) Sweep(now int64) int {
 	t.Evictions += uint64(n)
 	return n
 }
+
+// StateCounts returns how many entries hold state, per vNIC with any:
+// kept at the two sites a state slot is taken and released, so reading
+// it costs one element per such vNIC, not a walk of the entries. The
+// order is deterministic for a given operation history. The slice is
+// read-only and valid until the next call that changes the table.
+func (t *Table) StateCounts() []VNICStates { return t.states.vnics }
 
 // Range iterates entries; fn returning false stops early. Iteration
 // order is slab index order — deterministic for a given operation

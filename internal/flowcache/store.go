@@ -124,6 +124,35 @@ type stateStore struct {
 	// the free slots' Pkts.
 	free uint32
 	n    uint32 // live slots
+	// vnics counts the live slots per vNIC, one element per vNIC holding
+	// any; a vNIC's element goes when its count reaches zero. memo is
+	// the element last touched: a table's sessions belong to a few
+	// vNICs, mostly in runs, so the upkeep is a compare and an add per
+	// session.
+	vnics []VNICStates
+	memo  int
+}
+
+// VNICStates is one vNIC's count of entries holding state in a table.
+type VNICStates struct {
+	VNIC uint32
+	N    uint32
+}
+
+// count returns vnic's element of vnics, adding it at zero if absent.
+func (s *stateStore) count(vnic uint32) *VNICStates {
+	if s.memo < len(s.vnics) && s.vnics[s.memo].VNIC == vnic {
+		return &s.vnics[s.memo]
+	}
+	for i := range s.vnics {
+		if s.vnics[i].VNIC == vnic {
+			s.memo = i
+			return &s.vnics[i]
+		}
+	}
+	s.memo = len(s.vnics)
+	s.vnics = append(s.vnics, VNICStates{VNIC: vnic})
+	return &s.vnics[s.memo]
 }
 
 // at returns slot i.
@@ -131,10 +160,11 @@ func (s *stateStore) at(i uint32) *state.State {
 	return &s.slabs[i>>maxSlabBits][i&(maxSlab-1)]
 }
 
-// alloc hands out a slot, reusing the freelist before extending the
-// slabs. The caller overwrites it.
-func (s *stateStore) alloc() uint32 {
+// alloc hands out a slot for a session of vnic, reusing the freelist
+// before extending the slabs. The caller overwrites it.
+func (s *stateStore) alloc(vnic uint32) uint32 {
 	s.n++
+	s.count(vnic).N++
 	if s.free != 0 {
 		i := s.free - 1
 		s.free = uint32(s.at(i).Pkts)
@@ -147,12 +177,18 @@ func (s *stateStore) alloc() uint32 {
 	return s.used - 1
 }
 
-// release returns slot i to the freelist.
-func (s *stateStore) release(i uint32) {
+// release returns slot i, held by a session of vnic, to the freelist.
+func (s *stateStore) release(i, vnic uint32) {
 	st := s.at(i)
 	checkState(st)
 	*st = state.State{Pkts: uint64(s.free)}
 	poisonState(st)
 	s.free = i + 1
 	s.n--
+	c := s.count(vnic)
+	if c.N--; c.N == 0 {
+		last := len(s.vnics) - 1
+		s.vnics[s.memo] = s.vnics[last]
+		s.vnics = s.vnics[:last]
+	}
 }

@@ -334,3 +334,67 @@ func TestPoolInterning(t *testing.T) {
 		t.Fatalf("freed slot not reused: %d live of %d", tab.pre.index.n, len(tab.pre.slots))
 	}
 }
+
+// rangeStateCounts is StateCounts by walking every entry: the oracle
+// the per-vNIC counts kept at the two state sites are checked against.
+func rangeStateCounts(tab *Table) map[uint32]uint32 {
+	want := map[uint32]uint32{}
+	tab.Range(func(e *Entry) bool {
+		if e.HasState {
+			want[e.Key.VNIC]++
+		}
+		return true
+	})
+	return want
+}
+
+// TestStateCountsMatchWalk drives a table through a random history of
+// every operation that takes or releases a state slot — SetState on a
+// fresh and a stateful entry, Delete, InvalidateVNIC, Sweep, Clear —
+// over keys of five vNICs, and after each requires StateCounts to equal
+// the count a full walk finds, with one element per vNIC that holds
+// state and none for a vNIC that holds none.
+func TestStateCountsMatchWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tab := New(Config{})
+	var st state.State
+	st.InitFirst(packet.DirTX, 0)
+	now := int64(0)
+	for op := 0; op < 20000; op++ {
+		now += rng.Int63n(state.AgingSyn / 50)
+		k := keyIn(uint32(1+rng.Intn(5)), uint16(rng.Intn(400)))
+		switch r := rng.Intn(40); {
+		case r < 20:
+			e, err := tab.GetOrCreate(k, k.VNIC, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r < 14 {
+				st.LastSeen = now
+				if err := tab.SetState(e, st); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := tab.SetPre(e, tables.PreActions{}, 1); err != nil {
+				t.Fatal(err)
+			}
+		case r < 34:
+			tab.Delete(k)
+		case r == 34:
+			tab.InvalidateVNIC(k.VNIC)
+		case r == 35:
+			tab.Sweep(now)
+		case r == 36 && rng.Intn(20) == 0:
+			tab.Clear()
+		}
+		want := rangeStateCounts(tab)
+		got := tab.StateCounts()
+		if len(got) != len(want) {
+			t.Fatalf("op %d: %d vNICs counted, the walk finds %d (%v vs %v)", op, len(got), len(want), got, want)
+		}
+		for _, c := range got {
+			if c.N == 0 || want[c.VNIC] != c.N {
+				t.Fatalf("op %d: vNIC %d counted %d stateful entries, the walk finds %d", op, c.VNIC, c.N, want[c.VNIC])
+			}
+		}
+	}
+}

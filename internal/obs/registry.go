@@ -57,23 +57,6 @@ func L(kv ...string) Labels {
 
 func byLabelKey(a, b Label) int { return strings.Compare(a.K, b.K) }
 
-// key returns the canonical series-map key suffix.
-func (ls Labels) key() string {
-	if len(ls) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.K)
-		b.WriteByte('=')
-		b.WriteString(l.V)
-	}
-	return b.String()
-}
-
 // Map returns the labels as a plain map (for JSON export).
 func (ls Labels) Map() map[string]string {
 	if len(ls) == 0 {
@@ -233,8 +216,8 @@ func (k Kind) String() string {
 type desc struct {
 	name   string
 	labels Labels
-	// key is seriesKey(name, labels); lkey is its labels.key() part (a
-	// substring of key), the second sort key of a snapshot.
+	// key is seriesKey(name, labels); lkey is its k=v,... part between
+	// the braces (a substring of key), the second sort key of a snapshot.
 	key, lkey string
 	// m is the interned map of labels, set when the series first enters
 	// a schema and read-only from then on.
@@ -269,8 +252,17 @@ type funcSeries struct {
 	key    string
 	kind   Kind
 	cfn    func() uint64
+	cv     *uint64 // a CounterVar's field, read instead of cfn
 	gfn    func() float64
 	d      *desc // set by the series' first snapshot
+}
+
+// counter reads a counter func series.
+func (f *funcSeries) counter() uint64 {
+	if f.cv != nil {
+		return *f.cv
+	}
+	return f.cfn()
 }
 
 // Emit is handed to Collect callbacks: it publishes one point into
@@ -362,12 +354,31 @@ func (r *Registry) dropSeries(key string) {
 	}
 }
 
+// seriesKey returns the series-map key name{k=v,...}, or name alone
+// for an empty label set, built in one allocation: the buffer is sized
+// before anything is written.
 func seriesKey(name string, labels Labels) string {
-	lk := labels.key()
-	if lk == "" {
+	if len(labels) == 0 {
 		return name
 	}
-	return name + "{" + lk + "}"
+	n := len(name) + len(labels) + 1 // the braces and the commas between labels
+	for _, l := range labels {
+		n += len(l.K) + 1 + len(l.V)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(name)
+	b.WriteByte('{')
+	for i, l := range labels {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(l.K)
+		b.WriteByte('=')
+		b.WriteString(l.V)
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 func (r *Registry) get(name string, labels Labels, kind Kind) *series {
@@ -424,6 +435,12 @@ func (r *Registry) GetHistogram(name string, labels Labels) *Histogram {
 // Re-registering the same name+labels replaces the closure.
 func (r *Registry) CounterFunc(name string, labels Labels, fn func() uint64) {
 	r.addFunc(funcSeries{name: name, labels: labels, kind: KindCounter, cfn: fn})
+}
+
+// CounterVar is CounterFunc for a counter that is a plain field: the
+// snapshot reads *v, with no closure to allocate per series.
+func (r *Registry) CounterVar(name string, labels Labels, v *uint64) {
+	r.addFunc(funcSeries{name: name, labels: labels, kind: KindCounter, cv: v})
 }
 
 // GaugeFunc registers a snapshot-time gauge sampled from fn.
@@ -667,7 +684,7 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 	for _, f := range funcs {
 		switch f.kind {
 		case KindCounter:
-			pts = append(pts, f.d.point(KindCounter, float64(f.cfn())))
+			pts = append(pts, f.d.point(KindCounter, float64(f.counter())))
 		case KindGauge:
 			pts = append(pts, f.d.point(KindGauge, f.gfn()))
 		}

@@ -309,6 +309,26 @@ type HeaderView interface {
 	AppendWire(dst []byte) []byte
 }
 
+// PooledView is a HeaderView its owner recycles. The header holding it
+// belongs to one packet (Clone materializes blobs), so when the header
+// leaves that packet — StripNezha, or Release on any terminal path
+// (drop, fabric loss, chaos drop, the wire-mode original) — the packet
+// hands the view back through Recycle. The view must not be read
+// afterwards.
+type PooledView interface {
+	HeaderView
+	Recycle()
+}
+
+// recycle returns h's pooled view, if it holds one, to its owner.
+func (h *NezhaHeader) recycle() {
+	if v, ok := h.StateView.(PooledView); ok {
+		v.Recycle()
+	} else if v, ok := h.PreView.(PooledView); ok {
+		v.Recycle()
+	}
+}
+
 // NezhaHeader is the NSH-like metadata header Nezha adds between the
 // underlay and the overlay packet. State and pre-actions travel as
 // opaque blobs — or, on same-process hops, as zero-copy views; the
@@ -472,10 +492,17 @@ func (p *Packet) AttachNezha(h *NezhaHeader) {
 	p.SizeBytes += h.WireSize()
 }
 
-// StripNezha removes the Nezha header, adjusting the wire size.
+// StripNezha removes the Nezha header, adjusting the wire size, and
+// returns its pooled view, if any, to the view's owner. The size is
+// read first, through the view, which is still live then.
 func (p *Packet) StripNezha() {
-	p.SizeBytes -= p.Nezha.WireSize()
+	h := p.Nezha
+	if h == nil {
+		return
+	}
+	p.SizeBytes -= h.WireSize()
 	p.Nezha = nil
+	h.recycle()
 }
 
 // SessionKey returns the packet's session key and whether its tuple

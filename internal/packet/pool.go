@@ -68,10 +68,14 @@ func getBlank() *Packet {
 func (p *Packet) Release() {
 	poolCheckRelease(p)
 	poolMarkFree(p)
-	// The pool is process-wide and outlives any one simulation: a parked
-	// packet must not keep its header — and through a pooled header view,
-	// the vSwitch and world that view belongs to — reachable.
-	p.Nezha = nil
+	// A header still attached ends with its packet: its pooled view goes
+	// home. And the pool is process-wide and outlives any one simulation,
+	// so a parked packet must not keep its header — and through a pooled
+	// view, the vSwitch and world that view belongs to — reachable.
+	if h := p.Nezha; h != nil {
+		p.Nezha = nil
+		h.recycle()
+	}
 	pktPool.Put(p)
 }
 

@@ -125,8 +125,8 @@ func (pl *Loop) EnableObs(ob *obs.Obs) {
 	ob.Reg.CounterFunc("policy_thrash_total", nil, func() uint64 {
 		return uint64(len(pl.eng.thrash))
 	})
-	ob.Reg.CounterFunc("policy_steps_total", nil, func() uint64 { return pl.Stats.Steps })
-	ob.Reg.CounterFunc("policy_rejected_total", nil, func() uint64 { return pl.Stats.Rejected })
+	ob.Reg.CounterVar("policy_steps_total", nil, &pl.Stats.Steps)
+	ob.Reg.CounterVar("policy_rejected_total", nil, &pl.Stats.Rejected)
 }
 
 // Start begins stepping every Config.Interval.

@@ -10,8 +10,10 @@ package vswitch
 // sync.Pool drop a share of the packets it is handed.)
 
 import (
+	"runtime"
 	"testing"
 
+	"nezha/internal/fabric"
 	"nezha/internal/nic"
 	"nezha/internal/obs"
 	"nezha/internal/packet"
@@ -142,5 +144,102 @@ func TestOverloadDropAllocFree(t *testing.T) {
 	}
 	if w.B.boxFree != box || box.next != nil {
 		t.Fatal("drops did not keep recycling the one box")
+	}
+}
+
+// TestViewBoxLossAllocFree pins that a packet lost on the fabric with
+// its header view still attached sends the box home: with every BE→FE
+// packet dropped — by a chaos-style injector verdict, or by link loss
+// (a partition) — the BE's offloaded send reuses one box instead of
+// allocating a new one per packet.
+func TestViewBoxLossAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cut  func(w *world)
+	}{
+		{"injector", func(w *world) {
+			w.fab.SetFaultInjector(func(from, to packet.IPv4, _ *packet.Packet) fabric.FaultVerdict {
+				return fabric.FaultVerdict{Drop: from == addrB && to != addrA}
+			})
+		}},
+		{"link-loss", func(w *world) {
+			for _, fe := range w.fes {
+				w.fab.Partition(addrB, fe.Addr())
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := allocWorld(t, 2)
+			w.installLocal(t, false)
+			w.offloadServer(t, false, true)
+			w.establish(t)
+			tc.cut(w)
+			lost := w.fab.Lost + w.fab.ChaosLost
+			send := func() { w.pooledSend(w.B, serverVNIC, tuple(1000).Reverse()) }
+			send()
+			if w.B.boxFree == nil {
+				t.Fatal("the lost packet's view box did not return to the BE's freelist")
+			}
+			if n := testing.AllocsPerRun(100, send); n != 0 {
+				t.Fatalf("a lost offloaded BE send allocates %v per packet, want 0", n)
+			}
+			// One send, then AllocsPerRun's warm-up run and 100 measured.
+			if got := w.fab.Lost + w.fab.ChaosLost - lost; got != 102 {
+				t.Fatalf("fabric lost %d of 102 BE→FE packets", got)
+			}
+		})
+	}
+}
+
+// TestViewBoxWireModeRecycles pins the wire-mode half: the marshalled
+// bytes carry the header on, and releasing the original sends its box
+// home, both for a bare Marshal-then-Release and through a wire-mode
+// fabric's offloaded round.
+func TestViewBoxWireModeRecycles(t *testing.T) {
+	w := allocWorld(t, 2)
+	p := packet.Get(1, vpcID, clientVNIC, tuple(4242), packet.DirTX, packet.FlagACK, 128)
+	w.A.attachStateView(p, clientVNIC, packet.DirTX, viewTestState())
+	box := p.Nezha.StateView.(*viewBox)
+	packet.PutBuf(p.Marshal())
+	p.Release()
+	if w.A.boxFree != box {
+		t.Fatal("releasing a marshalled packet did not return its box to the home freelist")
+	}
+
+	w.fab.SetWireMode(true)
+	w.installLocal(t, false)
+	w.offloadServer(t, false, true)
+	w.establish(t)
+	box = w.B.boxFree
+	if box == nil {
+		t.Fatal("wire-mode offloaded rounds left no box on the BE's freelist")
+	}
+	w.roundTrip()
+	if w.B.boxFree != box || box.next != nil {
+		t.Fatal("a wire-mode offloaded round did not send the BE's one box home")
+	}
+}
+
+// TestEnableObsAllocs bounds what publishing one vSwitch's series costs
+// on a fresh registry: a chaos campaign enables obs on every switch of
+// every world, so the allocations per series key and per shared label
+// set add up across thousands of campaigns.
+func TestEnableObsAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w := newWorld(t, 0, nil)
+	const runs = 10
+	var total uint64
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		o := obs.New(obs.Options{Seed: 1})
+		runtime.ReadMemStats(&before)
+		w.A.EnableObs(o)
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+	}
+	n := total / runs
+	t.Logf("EnableObs allocates %d times", n)
+	if n > 100 {
+		t.Fatalf("EnableObs allocates %d times on a fresh registry, want ≤ 100", n)
 	}
 }

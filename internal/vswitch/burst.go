@@ -451,7 +451,7 @@ func (vs *VSwitch) runAct(a *burstAct, d sim.Time) (send bool) {
 		return true
 	case actDeliver:
 		if a.strip {
-			vs.stripNezha(a.p)
+			a.p.StripNezha()
 		}
 		vs.deliverToVM(a.vnic, a.p)
 	case actDropACL:

@@ -381,7 +381,6 @@ func (vs *VSwitch) absorbNotify(p *packet.Packet) {
 	vs.Stats.Absorbed++
 	carried, _ := nezhaState(p.Nezha)
 	key, _ := p.SessionKey()
-	vs.stripNezha(p)
 	p.Release()
 	cur := vs.sessions.Peek(key)
 	if cur == nil {
@@ -440,7 +439,7 @@ func (vs *VSwitch) planFeTX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet,
 			peer, nextHop = dp, dnh
 		}
 	}
-	vs.stripNezha(p)
+	p.StripNezha()
 	return vs.planForwardAct(p, peer, nextHop, cycles, vp, a)
 }
 

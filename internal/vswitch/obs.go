@@ -66,9 +66,7 @@ func (vs *VSwitch) EnableObs(o *obs.Obs) {
 	r.Help("vswitch_fes_hosted", "FE shards this vSwitch hosts for remote vNICs.")
 	r.Help("vswitch_vnics_offloaded", "Homed vNICs currently offloaded to an FE pool.")
 	r.Help("vswitch_crashed", "1 while the vSwitch is crashed, else 0.")
-	mirror := func(name string, f *uint64) {
-		r.CounterFunc(name, lbl, func() uint64 { return *f })
-	}
+	mirror := func(name string, f *uint64) { r.CounterVar(name, lbl, f) }
 	mirror("vswitch_from_vm_total", &vs.Stats.FromVM)
 	mirror("vswitch_from_net_total", &vs.Stats.FromNet)
 	mirror("vswitch_delivered_total", &vs.Stats.Delivered)
@@ -84,10 +82,12 @@ func (vs *VSwitch) EnableObs(o *obs.Obs) {
 	mirror("vswitch_nat_rewrites_total", &vs.Stats.NATRewrites)
 	mirror("vswitch_cycles_local_total", &vs.cyclesLocal)
 	mirror("vswitch_cycles_remote_total", &vs.cyclesRemote)
+	// The drop-reason label sets, {node, reason} in canonical order,
+	// share one allocation.
+	drops := new([numDropReasons][2]obs.Label)
 	for reason := DropReason(0); reason < numDropReasons; reason++ {
-		f := &vs.Stats.Drops[reason]
-		r.CounterFunc("vswitch_drops_total", obs.L("node", node, "reason", reason.String()),
-			func() uint64 { return *f })
+		drops[reason] = [2]obs.Label{{K: "node", V: node}, {K: "reason", V: reason.String()}}
+		r.CounterVar("vswitch_drops_total", drops[reason][:], &vs.Stats.Drops[reason])
 	}
 	r.GaugeFunc("vswitch_sessions", lbl, func() float64 { return float64(vs.sessions.Len()) })
 	r.GaugeFunc("vswitch_mem_util", lbl, func() float64 { return vs.MemUtilization() })

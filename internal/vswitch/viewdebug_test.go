@@ -35,7 +35,7 @@ func TestViewDebugUseAfterRecycle(t *testing.T) {
 	w.A.attachStateView(p, clientVNIC, packet.DirTX, st)
 	h := p.Nezha
 	box := h.StateView.(*viewBox)
-	w.A.stripNezha(p)
+	p.StripNezha()
 
 	mustPanic(t, "WireLen after recycle", func() { box.WireLen() })
 	mustPanic(t, "AppendWire after recycle", func() { box.AppendWire(nil) })
@@ -62,8 +62,8 @@ func TestViewDebugDoubleRecycle(t *testing.T) {
 	p := viewTestPacket(2)
 	w.A.attachStateView(p, clientVNIC, packet.DirTX, viewTestState())
 	box := p.Nezha.StateView.(*viewBox)
-	w.A.stripNezha(p)
-	mustPanic(t, "double recycle", func() { w.A.putBox(box) })
+	p.StripNezha()
+	mustPanic(t, "double recycle", func() { box.Recycle() })
 }
 
 // TestViewDebugLiveViewStaysUsable is the counterweight: a live view
@@ -80,7 +80,7 @@ func TestViewDebugLiveViewStaysUsable(t *testing.T) {
 	if p.Nezha.WireSize() <= 0 {
 		t.Fatal("live view WireSize must be positive")
 	}
-	w.A.stripNezha(p)
+	p.StripNezha()
 }
 
 // TestStageDebugTripwires pins the same guards on the scalar path's
@@ -188,4 +188,30 @@ func TestBurstIngressChecksLive(t *testing.T) {
 	gone = packet.New(4, vpcID, serverVNIC, tuple(2003), packet.DirRX, packet.FlagSYN, 0)
 	gone.Release()
 	mustPanic(t, "HandleUnderlayBurst of a released packet", func() { w.B.HandleUnderlayBurst([]*packet.Packet{live, gone}) })
+}
+
+// TestViewDebugReleaseAfterStrip pins that Release recycles only a
+// header still attached: a packet whose header was stripped (its box
+// already home) releases without a second put, which the double-put
+// guard would turn into a panic, and the box sits on the freelist once.
+// A packet still holding a header whose box went home behind its back
+// is the bug that guard exists for: releasing it panics.
+func TestViewDebugReleaseAfterStrip(t *testing.T) {
+	w := newWorld(t, 0, nil)
+	p := packet.Get(1, vpcID, clientVNIC, tuple(4242), packet.DirTX, packet.FlagACK, 128)
+	w.A.attachStateView(p, clientVNIC, packet.DirTX, viewTestState())
+	box := p.Nezha.StateView.(*viewBox)
+	p.StripNezha()
+	p.Release()
+	if w.A.boxFree != box || box.next != nil {
+		t.Fatal("strip then release did not leave the box on its freelist exactly once")
+	}
+
+	q := packet.Get(2, vpcID, clientVNIC, tuple(4242), packet.DirTX, packet.FlagACK, 128)
+	w.A.attachStateView(q, clientVNIC, packet.DirTX, viewTestState())
+	if q.Nezha.StateView.(*viewBox) != box {
+		t.Fatal("freelist did not reuse the recycled box")
+	}
+	box.Recycle()
+	mustPanic(t, "release after recycle", q.Release)
 }

@@ -11,17 +11,17 @@ package vswitch
 // a foreign view) falls back to Decode.
 //
 // Lifecycle: the attach sites (planBeTX, planFeRX, sendNotify) take a
-// box from the per-vSwitch freelist; the consuming vSwitch hands it
-// back to that same freelist via stripNezha (one single-threaded sim
-// world, so reaching into the sender's pool is safe), which keeps
-// every pool the size of its own switch's headers in flight however
-// lopsided the BE→FE and FE→BE flows are. A drop recycles the box
-// too: drop strips the header before releasing the packet. Packets
-// that leave the vSwitch with the header still attached and never
-// reach a consumer — wire-mode sends (the marshalled bytes carry the
-// payload on) and fabric loss — leak their box to the GC; correctness
-// never depends on recycling. The simdebug build guards
-// use-after-recycle (see viewdebug_on.go).
+// box from the per-vSwitch freelist. The box goes back to that same
+// freelist (one single-threaded sim world, so reaching into the
+// sender's pool is safe) whenever its header leaves the packet, through
+// packet.PooledView: the consumer's StripNezha on a live path, and
+// Release on every terminal one — a vSwitch drop, fabric loss, a chaos
+// drop, the original of a wire-mode send once its marshalled copy is
+// decoded. So each pool is bounded by its own switch's headers in
+// flight, however lopsided the BE→FE and FE→BE flows are. A packet
+// never released (a raw handler keeping it) leaves its box to the GC;
+// correctness never depends on recycling. The simdebug build guards
+// use-after-recycle and a second return (see viewdebug_on.go).
 
 import (
 	"nezha/internal/packet"
@@ -72,9 +72,9 @@ func (vs *VSwitch) getBox() *viewBox {
 	return b
 }
 
-// putBox returns b to the freelist of the vSwitch that took it, not
-// the one consuming it.
-func (*VSwitch) putBox(b *viewBox) {
+// Recycle implements packet.PooledView: b returns to the freelist of
+// the vSwitch that took it, not the one consuming it.
+func (b *viewBox) Recycle() {
 	b.dbg.markFree("view box")
 	poisonBox(b)
 	b.next = b.home.boxFree
@@ -123,25 +123,4 @@ func nezhaPre(h *packet.NezhaHeader) (tables.PreActions, error) {
 		return tables.DecodePreActions(h.PreView.AppendWire(nil))
 	}
 	return tables.DecodePreActions(h.PreActionBlob)
-}
-
-// stripNezha removes p's Nezha header and recycles its view box, if
-// any. The strip happens first: StripNezha reads the header's wire
-// size through the view, which must still be live at that point.
-func (vs *VSwitch) stripNezha(p *packet.Packet) {
-	h := p.Nezha
-	if h == nil {
-		p.StripNezha()
-		return
-	}
-	var b *viewBox
-	if sb, ok := h.StateView.(*viewBox); ok {
-		b = sb
-	} else if pb, ok := h.PreView.(*viewBox); ok {
-		b = pb
-	}
-	p.StripNezha()
-	if b != nil {
-		vs.putBox(b)
-	}
 }

@@ -123,7 +123,7 @@ func TestViewSnapshotSemantics(t *testing.T) {
 	}
 }
 
-// TestViewBoxRecycles pins the pool mechanics: stripNezha returns the
+// TestViewBoxRecycles pins the pool mechanics: StripNezha returns the
 // box to the freelist and the next attach reuses it, and a Clone made
 // while the view is attached materializes an independent blob that
 // survives the recycle.
@@ -135,9 +135,9 @@ func TestViewBoxRecycles(t *testing.T) {
 	w.A.attachStateView(p, clientVNIC, packet.DirTX, st)
 	box := p.Nezha.StateView.(*viewBox)
 	cl := p.Clone()
-	w.A.stripNezha(p)
+	p.StripNezha()
 	if p.Nezha != nil {
-		t.Fatal("stripNezha left the header attached")
+		t.Fatal("StripNezha left the header attached")
 	}
 
 	q := viewTestPacket(5)

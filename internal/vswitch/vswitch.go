@@ -910,8 +910,6 @@ func (vs *VSwitch) drop(p *packet.Packet, r DropReason) {
 	if vs.slo != nil {
 		vs.slo.RecordDrop(int64(vs.loop.Now()), p.VNIC, uint8(r))
 	}
-	// A dropped packet is its header view's last holder (Clone
-	// materialises blobs), so the box goes home with it.
-	vs.stripNezha(p)
+	// Release sends a still-attached header view's box home.
 	p.Release()
 }
