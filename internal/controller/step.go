@@ -252,12 +252,18 @@ func (c *Controller) tick(samples []sample) {
 // the triggering resource, until the projection falls to safeLevel.
 func (c *Controller) offloadFrom(addr packet.IPv4, n *nodeState) {
 	memTriggered := n.memUtil > offloadThreshold && n.memUtil >= n.cpuUtil
+	// VNICLoads comes in map order; ties go to the lower vNIC id.
 	loads := n.view.VNICLoads()
-	if memTriggered {
-		sort.Slice(loads, func(i, j int) bool { return loads[i].RuleBytes > loads[j].RuleBytes })
-	} else {
-		sort.Slice(loads, func(i, j int) bool { return loads[i].Cycles > loads[j].Cycles })
-	}
+	sort.Slice(loads, func(i, j int) bool {
+		a, b := loads[i], loads[j]
+		switch {
+		case memTriggered && a.RuleBytes != b.RuleBytes:
+			return a.RuleBytes > b.RuleBytes
+		case !memTriggered && a.Cycles != b.Cycles:
+			return a.Cycles > b.Cycles
+		}
+		return a.VNIC < b.VNIC
+	})
 	util := n.cpuUtil
 	if memTriggered {
 		util = n.memUtil

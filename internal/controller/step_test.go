@@ -164,6 +164,56 @@ func (w *world) offload() {
 
 var errNack = fmt.Errorf("nack")
 
+// loadedSwitch is a hot vSwitch as step sees it: its VNICLoads, in
+// the order given.
+type loadedSwitch struct{ loads []vswitch.VNICLoad }
+
+func (loadedSwitch) ToR() int                        { return 0 }
+func (s loadedSwitch) NumVNICs() int                 { return len(s.loads) }
+func (s loadedSwitch) VNICLoads() []vswitch.VNICLoad { return slices.Clone(s.loads) }
+
+// TestOffloadOrderBreaksTiesByVNIC gives a hot node three vNICs tied
+// on the triggering resource, listed in two orders: the offloads the
+// tick starts, and their order, must not depend on the listing. Each
+// started vNIC's projected relief leaves room for exactly two.
+func TestOffloadOrderBreaksTiesByVNIC(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cpu, mem float64
+		load     vswitch.VNICLoad
+	}{
+		{"cpu", 0.9, 0.1, vswitch.VNICLoad{Cycles: 1000, RuleBytes: 1 << 20}},
+		{"memory", 0.1, 0.9, vswitch.VNICLoad{Cycles: 1000, RuleBytes: 1 << 28}},
+	} {
+		var first []uint32
+		for _, ids := range [][]uint32{{41, 42, 43}, {43, 42, 41}} {
+			w := newWorld(t, 7, Config{})
+			var loads []vswitch.VNICLoad
+			for _, id := range ids {
+				l := tc.load
+				l.VNIC = id
+				loads = append(loads, l)
+				w.c.vnics[id] = &vnicState{VNICInfo: VNICInfo{VNIC: id, Home: home, MakeRules: mkRules(id)}}
+			}
+			w.c.nodes[home].view = loadedSwitch{loads}
+			w.do(event{kind: evTick, samples: []sample{{addr: home, cpu: tc.cpu, mem: tc.mem}}})
+			var started []uint32
+			for _, req := range w.sent(ctrlrpc.OpInstallFE, 0) {
+				if !slices.Contains(started, req.VNIC) {
+					started = append(started, req.VNIC)
+				}
+			}
+			if !slices.Equal(started, []uint32{41, 42}) {
+				t.Errorf("%s trigger, loads listed %v: started offloads of %v, want [41 42]", tc.name, ids, started)
+			}
+			if first != nil && !slices.Equal(started, first) {
+				t.Errorf("%s trigger: listing %v started %v, the first listing %v", tc.name, ids, started, first)
+			}
+			first = started
+		}
+	}
+}
+
 // TestStepTable drives each §8 teardown rule, the transaction closes and
 // the three recovery answers as event sequences through step.
 func TestStepTable(t *testing.T) {

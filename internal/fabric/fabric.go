@@ -348,68 +348,31 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 // the handlers take the packets, never the slice.
 func (f *Fabric) deliverBurst(from, to packet.IPv4, dst *node, group []*packet.Packet, lat sim.Time) {
 	f.inFlight += uint64(len(group))
-	if !f.wireMode {
-		t := f.getTask(from, to, dst)
-		t.group = group
-		f.loop.AtTask(f.loop.Now()+lat, t)
-		return
+	t := f.getTask(from, to, dst)
+	t.group = group
+	if f.wireMode {
+		// A debugging mode, so the wire slice per group stays acceptable.
+		t.wires = make([][]byte, len(group))
+		for i, p := range group {
+			t.wires[i] = p.Marshal()
+		}
 	}
-	// Wire mode: marshal now, decode at delivery; each original is
-	// released once its copy is decoded (or it is lost). It is a
-	// debugging mode, so the closure-per-group cost stays acceptable.
-	wires := make([][]byte, len(group))
-	for i, p := range group {
-		wires[i] = p.Marshal()
-	}
-	f.loop.Schedule(lat, func() {
-		f.inFlight -= uint64(len(group))
-		cur, ok := f.nodes[to]
-		if !ok || cur != dst || (cur.handler == nil && cur.burst == nil) || f.partitions[pairKey(from, to)] {
-			for i, p := range group {
-				packet.PutBuf(wires[i])
-				f.lose(p, from, to)
-			}
-			f.putGroup(group)
-			return
-		}
-		deliver := group[:0]
-		for i, w := range wires {
-			p := group[i]
-			q, err := packet.Unmarshal(w)
-			packet.PutBuf(w)
-			if err != nil {
-				f.lose(p, from, to)
-				continue
-			}
-			p.Release()
-			deliver = append(deliver, q)
-		}
-		for _, q := range deliver {
-			q.Hops++
-			f.Delivered++
-			f.traceHop(q.ID, from, obs.StageWire, to)
-		}
-		if cur.burst != nil {
-			cur.burst(deliver)
-		} else {
-			for _, q := range deliver {
-				cur.handler(q)
-			}
-		}
-		f.putGroup(group)
-	})
+	f.loop.AtTask(f.loop.Now()+lat, t)
 }
 
-// deliverTask is one scheduled non-wire delivery, pooled on the fabric
-// and scheduled via sim.Loop.AtTask so a delivery event allocates
-// nothing: SendBurst's same-deadline group, or Send's single packet
-// (one), which needs no group slice and goes to the per-packet handler.
+// deliverTask is one scheduled delivery, pooled on the fabric and
+// scheduled via sim.Loop.AtTask so a delivery event allocates nothing:
+// SendBurst's same-deadline group, or Send's single packet (one),
+// which needs no group slice and goes to the per-packet handler. In
+// wire mode, wires holds the group's encodings, decoded at delivery;
+// each original is released once its copy is decoded (or it is lost).
 // It re-checks reachability at delivery time.
 type deliverTask struct {
 	f        *Fabric
 	from, to packet.IPv4
 	dst      *node
 	group    []*packet.Packet
+	wires    [][]byte
 	one      *packet.Packet
 	next     *deliverTask
 }
@@ -430,8 +393,8 @@ func (f *Fabric) getTask(from, to packet.IPv4, dst *node) *deliverTask {
 // fabric — fields are copied out first, so handlers that reenter
 // Send or SendBurst can reuse the struct safely.
 func (t *deliverTask) Run() {
-	f, from, to, dst, group, one := t.f, t.from, t.to, t.dst, t.group, t.one
-	t.dst, t.group, t.one = nil, nil, nil
+	f, from, to, dst, group, wires, one := t.f, t.from, t.to, t.dst, t.group, t.wires, t.one
+	t.dst, t.group, t.wires, t.one = nil, nil, nil, nil
 	t.next = f.taskFree
 	f.taskFree = t
 	// The destination may have crashed or been replaced (dst.gone), or
@@ -451,11 +414,29 @@ func (t *deliverTask) Run() {
 	}
 	f.inFlight -= uint64(len(group))
 	if !ok || (dst.handler == nil && dst.burst == nil) {
-		for _, p := range group {
+		for i, p := range group {
+			if wires != nil {
+				packet.PutBuf(wires[i])
+			}
 			f.lose(p, from, to)
 		}
 		f.putGroup(group)
 		return
+	}
+	if wires != nil {
+		decoded := group[:0]
+		for i, w := range wires {
+			p := group[i]
+			q, err := packet.Unmarshal(w)
+			packet.PutBuf(w)
+			if err != nil {
+				f.lose(p, from, to)
+				continue
+			}
+			p.Release()
+			decoded = append(decoded, q)
+		}
+		group = decoded
 	}
 	for _, q := range group {
 		q.Hops++

@@ -3,9 +3,9 @@
 // Every cycle the datapath charges to a NIC CPU and every byte the
 // vSwitch allocates from NIC memory is tagged with an attribution key
 // (node, vnic, direction, stage, cause) and accumulated into
-// per-vSwitch fixed-size arrays: no maps, no allocations, and no
-// atomics on the hot path — a charge is one array add behind a nil
-// check, cheap enough to leave on during the burst pipeline. The
+// per-vSwitch slots claimed at install: no maps, no allocations, and
+// no atomics on the hot path — a charge is one array add, cheap
+// enough that every vSwitch keeps its ledger always. The
 // arrays are drained at snapshot time into the obs registry, into
 // pprof-encoded profiles (attribution keys become synthetic stack
 // frames so `go tool pprof` and flamegraph tooling work unchanged),
@@ -18,6 +18,7 @@ package prof
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -162,10 +163,9 @@ func (r Role) String() string {
 // more than maxSlots distinct (vnic, role) pairs appear.
 const OverflowVNIC = ^uint32(0)
 
-// maxSlots bounds the per-node slot array. Slots are claimed on vNIC
-// install (never per packet), so the bound only matters for very
-// dense nodes; charges beyond it spill into one overflow slot rather
-// than allocating.
+// maxSlots bounds a node's slots. Slots are claimed on vNIC install
+// (never per packet), so the bound only matters for very dense nodes;
+// charges beyond it spill into one overflow slot.
 const maxSlots = 64
 
 // VNICProf is one (vnic, role) attribution accumulator. All fields
@@ -230,17 +230,16 @@ type CoreWindow struct {
 // timelineCap bounds the per-node window ring.
 const timelineCap = 512
 
-// NodeProf holds one node's (vSwitch's) attribution state: a fixed
-// slot array indexed by (vnic, role), an overflow slot, the per-core
-// busy sampler for timelines, and an optional live-bytes walker for
-// tables whose residency is cheaper to measure at drain time than to
-// track per operation.
+// NodeProf holds one node's (vSwitch's) attribution state: a slot per
+// (vnic, role), each allocated when claimed, an overflow slot, the
+// per-core busy sampler for timelines, and an optional live-bytes
+// walker for tables whose residency is cheaper to measure at drain
+// time than to track per operation.
 type NodeProf struct {
 	Node  string
 	Cores int
 
-	used     int
-	slots    [maxSlots]VNICProf
+	slots    []*VNICProf
 	overflow VNICProf
 
 	// busyFn samples cumulative per-core busy time (sim-time units);
@@ -257,20 +256,26 @@ type NodeProf struct {
 	wHead    int // ring start when len(windows) == timelineCap
 }
 
+// NewNode builds a node's attribution state, registered with no
+// profiler. A vSwitch owns one from construction and charges it
+// whether or not a profiler ever exports it.
+func NewNode(name string, cores int) *NodeProf {
+	return &NodeProf{Node: name, Cores: cores}
+}
+
 // Slot returns the accumulator for (vnic, role), claiming a fresh
-// slot on first use and the shared overflow slot when the array is
-// full. Called on install paths only — datapath code caches the
+// slot on first use and the shared overflow slot once maxSlots are
+// claimed. Called on install paths only — datapath code caches the
 // returned pointer.
 func (n *NodeProf) Slot(vnic uint32, role Role) *VNICProf {
-	for i := 0; i < n.used; i++ {
-		if n.slots[i].VNIC == vnic && n.slots[i].Role == role {
-			return &n.slots[i]
+	for _, s := range n.slots {
+		if s.VNIC == vnic && s.Role == role {
+			return s
 		}
 	}
-	if n.used < maxSlots {
-		s := &n.slots[n.used]
-		n.used++
-		*s = VNICProf{VNIC: vnic, Role: role}
+	if len(n.slots) < maxSlots {
+		s := &VNICProf{VNIC: vnic, Role: role}
+		n.slots = append(n.slots, s)
 		return s
 	}
 	n.overflow.VNIC = OverflowVNIC
@@ -359,11 +364,28 @@ func (p *Profiler) Node(name string, cores int) *NodeProf {
 	if n, ok := p.nodes[name]; ok {
 		return n
 	}
-	n := &NodeProf{Node: name, Cores: cores}
-	p.nodes[name] = n
+	n := NewNode(name, cores)
+	p.add(n)
+	return n
+}
+
+// Register exports an existing node's accumulators through this
+// profiler, replacing any node registered under the same name.
+func (p *Profiler) Register(n *NodeProf) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if old, ok := p.nodes[n.Node]; ok {
+		p.order[slices.Index(p.order, old)] = n
+		p.nodes[n.Node] = n
+		return
+	}
+	p.add(n)
+}
+
+func (p *Profiler) add(n *NodeProf) {
+	p.nodes[n.Node] = n
 	p.order = append(p.order, n)
 	sort.Slice(p.order, func(i, j int) bool { return p.order[i].Node < p.order[j].Node })
-	return n
 }
 
 // Nodes returns the registered nodes sorted by name.
@@ -407,8 +429,8 @@ func (p *Profiler) Samples() []Sample {
 				}
 			}
 		}
-		for i := 0; i < n.used; i++ {
-			emitSlot(&n.slots[i])
+		for _, v := range n.slots {
+			emitSlot(v)
 		}
 		if !n.overflow.zero() {
 			emitSlot(&n.overflow)

@@ -255,14 +255,18 @@ const (
 )
 
 // runBurstPipeline plans a same-role run in arrival order and submits
-// the acts the plans leave. The FE roles (fe set) charge their cycles
-// to hosted-FE work, the others to the vSwitch's own vNICs.
+// the acts the plans leave. Each packet is priced on the run's slot in
+// the role's direction; the FE roles (fe set) charge hosted-FE work,
+// the others the vSwitch's own vNICs.
 func (vs *VSwitch) runBurstPipeline(pipe uint8, vn *vnicState, fe *feInstance, ps []*packet.Packet) {
-	var vp *prof.VNICProf
+	c := cost{dir: prof.DirRX}
 	if fe != nil {
-		vp = vs.profFE(fe)
+		c.slot = fe.slot
 	} else {
-		vp = vs.profVNIC(vn)
+		c.slot = vn.slot
+	}
+	if pipe == pipeLocalTX || pipe == pipeBeTX || pipe == pipeFeTX {
+		c.dir = prof.DirTX
 	}
 	// A run of one plans on the stack, a longer one into the plan
 	// scratch, grown to fit first so that appends never reallocate.
@@ -277,22 +281,23 @@ func (vs *VSwitch) runBurstPipeline(pipe uint8, vn *vnicState, fe *feInstance, p
 	var a burstAct
 	for _, p := range ps {
 		key, hash, _ := p.SessionKeyHashed()
+		c.cycles = 0
 		var ok bool
 		switch pipe {
 		case pipeLocalTX:
-			ok = vs.planLocalTX(vn, vp, p, key, hash, &a)
+			ok = vs.planLocalTX(vn, &c, p, key, hash, &a)
 		case pipeLocalRX:
-			ok = vs.planLocalRX(vn, vp, p, key, hash, &a)
+			ok = vs.planLocalRX(vn, &c, p, key, hash, &a)
 		case pipeBeTX:
-			ok = vs.planBeTX(vn, vp, p, key, hash, &a)
+			ok = vs.planBeTX(vn, &c, p, key, hash, &a)
 		case pipeBeRX:
-			ok = vs.planBeRX(vn, vp, p, key, hash, &a)
+			ok = vs.planBeRX(vn, &c, p, key, hash, &a)
 		case pipeBeNotify:
-			ok = vs.planBeNotify(vn, vp, p, key, hash, &a)
+			ok = vs.planBeNotify(vn, &c, p, key, hash, &a)
 		case pipeFeTX:
-			ok = vs.planFeTX(fe, vp, p, key, hash, &a)
+			ok = vs.planFeTX(fe, &c, p, key, hash, &a)
 		default:
-			ok = vs.planFeRX(fe, vp, p, key, hash, &a)
+			ok = vs.planFeRX(fe, &c, p, key, hash, &a)
 		}
 		if ok {
 			acts = append(acts, a)

@@ -35,7 +35,7 @@ func perByteCycles(p *packet.Packet) uint64 {
 // (dropped=true, the #concurrent-flows overload); an FE caller
 // (needEntry=false) is stateless and simply processes the packet from
 // the slow-path result without caching when memory is tight.
-func (vs *VSwitch) lookupOrSlowPath(rules *tables.RuleSet, p *packet.Packet, key packet.SessionKey, hash uint64, cycles *uint64, needEntry bool, vp *prof.VNICProf, dir prof.Dir) (e *flowcache.Entry, pre tables.PreActions, dropped bool) {
+func (vs *VSwitch) lookupOrSlowPath(rules *tables.RuleSet, p *packet.Packet, key packet.SessionKey, hash uint64, c *cost, needEntry bool) (e *flowcache.Entry, pre tables.PreActions, dropped bool) {
 	now := int64(vs.loop.Now())
 	e = vs.sessions.LookupH(key, hash, now)
 	if e != nil && e.HasPre && vs.sessions.PreVersion(e) == rules.Version() {
@@ -56,9 +56,8 @@ func (vs *VSwitch) lookupOrSlowPath(rules *tables.RuleSet, p *packet.Packet, key
 		txTuple = txTuple.Reverse()
 	}
 	res := rules.Lookup(txTuple)
-	*cycles += res.Cycles + nic.SessionInstallCycles
-	profCharge(vp, dir, prof.StageSlowpath, res.Cycles)
-	profCharge(vp, dir, prof.StageSessionInstall, nic.SessionInstallCycles)
+	c.add(prof.StageSlowpath, res.Cycles)
+	c.add(prof.StageSessionInstall, nic.SessionInstallCycles)
 	if e == nil {
 		// Nothing between the LookupH miss above and here touches the
 		// session table, so the insert takes the slot that miss ended on
@@ -105,7 +104,7 @@ func (vs *VSwitch) maybeMirror(p *packet.Packet, pre tables.PreActions, dir pack
 
 // applyNAT rewrites the TX destination per the pre-action and
 // re-resolves the peer for the translated address.
-func (vs *VSwitch) applyNAT(rules *tables.RuleSet, preTX tables.PreAction, p *packet.Packet, peer *uint32, nextHop *packet.IPv4, cycles *uint64, vp *prof.VNICProf) {
+func (vs *VSwitch) applyNAT(rules *tables.RuleSet, preTX tables.PreAction, p *packet.Packet, peer *uint32, nextHop *packet.IPv4, c *cost) {
 	if !preTX.NAT {
 		return
 	}
@@ -115,9 +114,14 @@ func (vs *VSwitch) applyNAT(rules *tables.RuleSet, preTX tables.PreAction, p *pa
 		p.Tuple.DstPort = preTX.NATPort
 	}
 	p.InvalidateHashes()
-	dp, dnh, c := rules.ResolvePeer(preTX.NATIP)
-	*cycles += c
-	profCharge(vp, prof.DirTX, prof.StageSlowpath, c)
+	reroute(rules, preTX.NATIP, peer, nextHop, c)
+}
+
+// reroute resolves the peer for dst, charging the route lookup as
+// slow-path work, and keeps the current peer when dst resolves to none.
+func reroute(rules *tables.RuleSet, dst packet.IPv4, peer *uint32, nextHop *packet.IPv4, c *cost) {
+	dp, dnh, n := rules.ResolvePeer(dst)
+	c.add(prof.StageSlowpath, n)
 	if dp != 0 {
 		*peer, *nextHop = dp, dnh
 	}
@@ -128,21 +132,21 @@ func (vs *VSwitch) applyNAT(rules *tables.RuleSet, preTX tables.PreAction, p *pa
 // Each role's pre-CPU work (lookup, state, admission) is one plan
 // function writing at most one act into *a; it returns false when the
 // packet was consumed at plan time (dropped or rate-limited). key and
-// hash are the packet's session key and its hash. runBurstPipeline
+// hash are the packet's session key and its hash; c prices the packet
+// (prof.go), and the act carries c's cycles. runBurstPipeline
 // (burst.go) is the only caller: it plans a run in arrival order and
 // hands the acts to runPlan.
 
 // --- Monolithic datapath ---------------------------------------------
 
-func (vs *VSwitch) planLocalTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+func (vs *VSwitch) planLocalTX(vn *vnicState, c *cost, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if vs.ob != nil {
 		vs.hop(p, obs.StageLocalTx)
 	}
-	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
-	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
-	cycles := perByteCycles(p) + nic.FastPathCycles + nic.ProcessPktCycles
-	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, key, hash, &cycles, true, vp, prof.DirTX)
-	vn.cycles += cycles
+	c.add(prof.StagePerByte, perByteCycles(p))
+	c.add(prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
+	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, key, hash, c, true)
+	vn.cycles += c.cycles
 	if dropped {
 		return false
 	}
@@ -157,7 +161,7 @@ func (vs *VSwitch) planLocalTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packe
 	_ = vs.sessions.TouchState(e, packet.DirTX, p.Flags, p.PayloadLen, int64(vs.loop.Now()))
 	st := *vs.sessions.State(e)
 	if !FinalAllow(pre, st, packet.DirTX) {
-		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		*a = burstAct{p: p, cycles: c.cycles, kind: actDropACL}
 		return true
 	}
 	if !vs.qosAdmit(vn.id, pre.TX, p) {
@@ -165,27 +169,22 @@ func (vs *VSwitch) planLocalTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packe
 	}
 	vs.maybeMirror(p, pre, packet.DirTX)
 	peer, nextHop := pre.TX.PeerVNIC, pre.TX.NextHop
-	vs.applyNAT(vn.rules, pre.TX, p, &peer, &nextHop, &cycles, vp)
+	vs.applyNAT(vn.rules, pre.TX, p, &peer, &nextHop, c)
 	if st.DecapIP != 0 {
 		// Stateful decap: route the response to the recorded LB
 		// address, not the packet's own destination (§5.2).
-		dp, dnh, c := vn.rules.ResolvePeer(st.DecapIP)
-		cycles += c
-		profCharge(vp, prof.DirTX, prof.StageSlowpath, c)
-		if dp != 0 {
-			peer, nextHop = dp, dnh
-		}
+		reroute(vn.rules, st.DecapIP, &peer, &nextHop, c)
 	}
-	return vs.planForwardAct(p, peer, nextHop, cycles, vp, a)
+	return vs.planForwardAct(p, peer, nextHop, c, a)
 }
 
 // planForwardAct resolves the peer's location now and records the
 // forward (or the no-route drop) for execution at CPU completion — the
 // forwarding tail of the monolithic and FE TX stages. It always fills
 // *a.
-func (vs *VSwitch) planForwardAct(p *packet.Packet, peer uint32, staticHop packet.IPv4, cycles uint64, vp *prof.VNICProf, a *burstAct) bool {
+func (vs *VSwitch) planForwardAct(p *packet.Packet, peer uint32, staticHop packet.IPv4, c *cost, a *burstAct) bool {
 	if peer == 0 && staticHop == 0 {
-		*a = burstAct{p: p, cycles: cycles, kind: actDropNoRoute}
+		*a = burstAct{p: p, cycles: c.cycles, kind: actDropNoRoute}
 		return true
 	}
 	addr, ok := vs.learner.Pick(peer, p.TupleHash())
@@ -193,30 +192,28 @@ func (vs *VSwitch) planForwardAct(p *packet.Packet, peer uint32, staticHop packe
 		addr = staticHop
 	}
 	if addr == 0 {
-		*a = burstAct{p: p, cycles: cycles, kind: actDropNoRoute}
+		*a = burstAct{p: p, cycles: c.cycles, kind: actDropNoRoute}
 		return true
 	}
 	if vs.ob != nil {
 		vs.hopPick(p, addr)
 	}
-	cycles += nic.EncapCycles
-	profCharge(vp, prof.DirTX, prof.StageEncap, nic.EncapCycles)
-	*a = burstAct{p: p, cycles: cycles, kind: actForward, to: addr, peer: peer}
+	c.add(prof.StageEncap, nic.EncapCycles)
+	*a = burstAct{p: p, cycles: c.cycles, kind: actForward, to: addr, peer: peer}
 	return true
 }
 
-func (vs *VSwitch) planLocalRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+func (vs *VSwitch) planLocalRX(vn *vnicState, c *cost, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if !vs.rateAdmit(vn, p) {
 		return false
 	}
 	if vs.ob != nil {
 		vs.hop(p, obs.StageLocalRx)
 	}
-	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
-	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
-	cycles := perByteCycles(p) + nic.FastPathCycles + nic.ProcessPktCycles
-	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, key, hash, &cycles, true, vp, prof.DirRX)
-	vn.cycles += cycles
+	c.add(prof.StagePerByte, perByteCycles(p))
+	c.add(prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
+	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, key, hash, c, true)
+	vn.cycles += c.cycles
 	if dropped {
 		return false
 	}
@@ -233,14 +230,14 @@ func (vs *VSwitch) planLocalRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packe
 	_ = vs.sessions.TouchState(e, packet.DirRX, p.Flags, p.PayloadLen, int64(vs.loop.Now()))
 	st := *vs.sessions.State(e)
 	if !FinalAllow(pre, st, packet.DirRX) {
-		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		*a = burstAct{p: p, cycles: c.cycles, kind: actDropACL}
 		return true
 	}
 	if !vs.qosAdmit(vn.id, pre.RX, p) {
 		return false
 	}
 	vs.maybeMirror(p, pre, packet.DirRX)
-	*a = burstAct{p: p, cycles: cycles, kind: actDeliver, vnic: p.VNIC}
+	*a = burstAct{p: p, cycles: c.cycles, kind: actDeliver, vnic: p.VNIC}
 	return true
 }
 
@@ -268,14 +265,13 @@ func (vs *VSwitch) deliverToVM(vnic uint32, p *packet.Packet) {
 
 // planBeTX relays a TX packet to an FE, carrying the locally held
 // state in the packet header (red flow of Fig 5).
-func (vs *VSwitch) planBeTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+func (vs *VSwitch) planBeTX(vn *vnicState, c *cost, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	now := int64(vs.loop.Now())
-	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
-	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles)
-	profCharge(vp, prof.DirTX, prof.StageStateCarry, nic.StateCarryCycles)
-	profCharge(vp, prof.DirTX, prof.StageEncap, nic.EncapCycles)
-	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.EncapCycles
-	vn.cycles += cycles
+	c.add(prof.StagePerByte, perByteCycles(p))
+	c.add(prof.StageFastpath, nic.FastPathCycles)
+	c.add(prof.StageStateCarry, nic.StateCarryCycles)
+	c.add(prof.StageEncap, nic.EncapCycles)
+	vn.cycles += c.cycles
 	e, err := vs.sessions.GetOrCreateH(key, hash, vn.id, now)
 	if err != nil {
 		vs.drop(p, DropNoMemory)
@@ -295,13 +291,13 @@ func (vs *VSwitch) planBeTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, 
 	if vs.ob != nil {
 		vs.hopEncap(p, obs.StageBETx, p.Nezha.WireSize())
 	}
-	*a = burstAct{p: p, cycles: cycles, kind: actRelay, to: fe}
+	*a = burstAct{p: p, cycles: c.cycles, kind: actRelay, to: fe}
 	return true
 }
 
 // planBeRX finishes processing an RX packet the FE forwarded with
 // pre-actions in the header (blue flow of Fig 5).
-func (vs *VSwitch) planBeRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+func (vs *VSwitch) planBeRX(vn *vnicState, c *cost, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if !vs.rateAdmit(vn, p) {
 		return false
 	}
@@ -313,16 +309,15 @@ func (vs *VSwitch) planBeRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, 
 		vs.hop(p, obs.StageBERx)
 	}
 	now := int64(vs.loop.Now())
-	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
-	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
-	profCharge(vp, prof.DirRX, prof.StageStateCarry, nic.StateCarryCycles)
-	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.ProcessPktCycles
+	c.add(prof.StagePerByte, perByteCycles(p))
+	c.add(prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
+	c.add(prof.StageStateCarry, nic.StateCarryCycles)
 	pre, err := nezhaPre(p.Nezha)
 	if err != nil {
 		vs.drop(p, DropMalformed)
 		return false
 	}
-	vn.cycles += cycles
+	vn.cycles += c.cycles
 	e, cerr := vs.sessions.GetOrCreateH(key, hash, vn.id, now)
 	if cerr != nil {
 		vs.drop(p, DropNoMemory)
@@ -346,20 +341,20 @@ func (vs *VSwitch) planBeRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, 
 	_ = vs.sessions.TouchState(e, packet.DirRX, p.Flags, p.PayloadLen, now)
 	st := *vs.sessions.State(e)
 	if !FinalAllow(pre, st, packet.DirRX) {
-		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		*a = burstAct{p: p, cycles: c.cycles, kind: actDropACL}
 		return true
 	}
 	if !vs.qosAdmit(vn.id, pre.RX, p) {
 		return false
 	}
 	vs.maybeMirror(p, pre, packet.DirRX)
-	*a = burstAct{p: p, cycles: cycles, kind: actDeliver, vnic: vn.id, strip: true}
+	*a = burstAct{p: p, cycles: c.cycles, kind: actDeliver, vnic: vn.id, strip: true}
 	return true
 }
 
 // planBeNotify absorbs a designated notify packet updating rule-table-
 // involved state (§3.2.2 TX workflow).
-func (vs *VSwitch) planBeNotify(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+func (vs *VSwitch) planBeNotify(vn *vnicState, c *cost, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	vs.Stats.NotifyRecv++
 	if _, err := nezhaState(p.Nezha); err != nil {
 		vs.drop(p, DropMalformed)
@@ -369,8 +364,8 @@ func (vs *VSwitch) planBeNotify(vn *vnicState, vp *prof.VNICProf, p *packet.Pack
 		vs.drop(p, DropNoMemory)
 		return false
 	}
-	profCharge(vp, prof.DirRX, prof.StageNotify, nic.NotifyCycles)
-	*a = burstAct{p: p, cycles: nic.NotifyCycles, kind: actAbsorbNotify}
+	c.add(prof.StageNotify, nic.NotifyCycles)
+	*a = burstAct{p: p, cycles: c.cycles, kind: actAbsorbNotify}
 	return true
 }
 
@@ -396,20 +391,19 @@ func (vs *VSwitch) absorbNotify(p *packet.Packet) {
 // planFeTX processes a TX packet at the frontend: cached-flow / rule
 // lookup for pre-actions, final action against the carried state,
 // then forwarding toward the peer.
-func (vs *VSwitch) planFeTX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+func (vs *VSwitch) planFeTX(fe *feInstance, c *cost, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if vs.ob != nil {
 		vs.hop(p, obs.StageFETx)
 	}
-	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
-	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
-	profCharge(vp, prof.DirTX, prof.StageStateCarry, nic.StateCarryCycles)
-	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.ProcessPktCycles
+	c.add(prof.StagePerByte, perByteCycles(p))
+	c.add(prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
+	c.add(prof.StageStateCarry, nic.StateCarryCycles)
 	carried, err := nezhaState(p.Nezha)
 	if err != nil {
 		vs.drop(p, DropMalformed)
 		return false
 	}
-	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, key, hash, &cycles, false, vp, prof.DirTX)
+	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, key, hash, c, false)
 
 	// Rule-table-involved state for TX flows: notify the BE when the
 	// freshly looked-up policy differs from what the packet carried
@@ -417,12 +411,11 @@ func (vs *VSwitch) planFeTX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet,
 	// this mismatch).
 	if pre.TX.Stats != carried.Policy {
 		vs.sendNotify(fe, p, pre.TX.Stats)
-		cycles += nic.NotifyCycles
-		profCharge(vp, prof.DirTX, prof.StageNotify, nic.NotifyCycles)
+		c.add(prof.StageNotify, nic.NotifyCycles)
 	}
 
 	if !FinalAllow(pre, carried, packet.DirTX) {
-		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		*a = burstAct{p: p, cycles: c.cycles, kind: actDropACL}
 		return true
 	}
 	if !vs.qosAdmit(fe.vnic, pre.TX, p) {
@@ -430,17 +423,12 @@ func (vs *VSwitch) planFeTX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet,
 	}
 	vs.maybeMirror(p, pre, packet.DirTX)
 	peer, nextHop := pre.TX.PeerVNIC, pre.TX.NextHop
-	vs.applyNAT(fe.rules, pre.TX, p, &peer, &nextHop, &cycles, vp)
+	vs.applyNAT(fe.rules, pre.TX, p, &peer, &nextHop, c)
 	if carried.DecapIP != 0 {
-		dp, dnh, c := fe.rules.ResolvePeer(carried.DecapIP)
-		cycles += c
-		profCharge(vp, prof.DirTX, prof.StageSlowpath, c)
-		if dp != 0 {
-			peer, nextHop = dp, dnh
-		}
+		reroute(fe.rules, carried.DecapIP, &peer, &nextHop, c)
 	}
 	p.StripNezha()
-	return vs.planForwardAct(p, peer, nextHop, cycles, vp, a)
+	return vs.planForwardAct(p, peer, nextHop, c, a)
 }
 
 // sendNotify emits a designated notify packet to the BE carrying the
@@ -462,19 +450,18 @@ func (vs *VSwitch) sendNotify(fe *feInstance, orig *packet.Packet, policy tables
 // planFeRX processes an RX packet at the frontend: pre-action lookup,
 // then forward to the BE with the pre-actions (and the information
 // needed for state initialization) in the header.
-func (vs *VSwitch) planFeRX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
-	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
-	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles)
-	profCharge(vp, prof.DirRX, prof.StageStateCarry, nic.StateCarryCycles)
-	profCharge(vp, prof.DirRX, prof.StageEncap, nic.EncapCycles)
-	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.EncapCycles
-	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, key, hash, &cycles, false, vp, prof.DirRX)
+func (vs *VSwitch) planFeRX(fe *feInstance, c *cost, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+	c.add(prof.StagePerByte, perByteCycles(p))
+	c.add(prof.StageFastpath, nic.FastPathCycles)
+	c.add(prof.StageStateCarry, nic.StateCarryCycles)
+	c.add(prof.StageEncap, nic.EncapCycles)
+	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, key, hash, c, false)
 	// The relay replaces the outer source with the FE's own (§3.2.2) —
 	// the original is preserved in the Nezha header.
 	vs.attachPreView(p, fe.vnic, pre, p.OuterSrc)
 	if vs.ob != nil {
 		vs.hopEncap(p, obs.StageFERx, p.Nezha.WireSize())
 	}
-	*a = burstAct{p: p, cycles: cycles, kind: actRelay, to: fe.beAddr}
+	*a = burstAct{p: p, cycles: c.cycles, kind: actRelay, to: fe.beAddr}
 	return true
 }

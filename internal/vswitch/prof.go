@@ -1,88 +1,64 @@
 package vswitch
 
-// Attribution-profiler wiring (DESIGN.md §11). With profiling off
-// (vs.prof == nil) the datapath pays a nil check per charge site;
-// with it on, each charge is one uint64 array add on a slot pointer
-// cached at vNIC/FE install time — no maps and no allocations, so a
-// packet stays allocation-free. Every datapath charge sits in a role's
-// plan function, which runs once per packet whatever the length of
-// its run, so attribution cannot depend on batching: the run-length
-// differentials hold it equal by construction.
+// The work ledger (DESIGN.md §11). Each vSwitch owns one
+// prof.NodeProf from New and keeps it always: a packet's cycles go
+// through a cost accumulator, each reserved byte of NIC memory through
+// reserve/release, so every charge is added once, by one call. Slots
+// are claimed at install and cached on vnicState/feInstance, so a
+// charge is one array add — no maps and no allocations. Every datapath
+// charge sits in a role's plan function, which runs once per packet
+// whatever the length of its run, so attribution cannot depend on
+// batching: the run-length differentials hold it equal by
+// construction. EnableProf only exports the ledger.
 
 import (
 	"nezha/internal/flowcache"
 	"nezha/internal/prof"
 )
 
-// vsProf holds the vSwitch's profiler bindings.
-type vsProf struct {
-	p    *prof.Profiler
-	node *prof.NodeProf
-	// ctrl accumulates control-plane work not tied to a tenant vNIC
-	// (RPC dispatch, memory-pressure reservations).
-	ctrl *prof.VNICProf
+// cost prices one packet: add sums the cycles its act submits to the
+// CPU model and charges them to the packet's (vNIC, role) slot, so the
+// two cannot disagree.
+type cost struct {
+	cycles uint64
+	slot   *prof.VNICProf
+	dir    prof.Dir
 }
 
-// EnableProf wires this vSwitch into the attribution profiler: a
-// NodeProf keyed by underlay address, the per-core busy sampler for
-// utilization timelines, a drain-time session/flowcache residency
-// walker, and cached slot pointers on every installed vNIC and FE
-// instance.
+// add charges n cycles of stage s.
+func (c *cost) add(s prof.Stage, n uint64) {
+	c.cycles += n
+	c.slot.Charge(c.dir, s, n)
+}
+
+// reserve takes n bytes of rule-table memory for slot's cause c. It
+// charges nothing and reports false when the budget cannot fit them.
+func (vs *VSwitch) reserve(slot *prof.VNICProf, c prof.Cause, n int) bool {
+	if !vs.mem.Alloc(n) {
+		return false
+	}
+	slot.MemAlloc(c, uint64(n))
+	return true
+}
+
+// release refunds n bytes reserve took for slot's cause c.
+func (vs *VSwitch) release(slot *prof.VNICProf, c prof.Cause, n int) {
+	vs.mem.Free(n)
+	slot.MemFree(c, uint64(n))
+}
+
+// EnableProf exports this vSwitch's ledger through the attribution
+// profiler: it registers the NodeProf, keyed by underlay address, with
+// the per-core busy sampler for utilization timelines and a drain-time
+// session/flowcache residency walker. The ledger is kept from New, so
+// the export covers the switch's whole history.
 func (vs *VSwitch) EnableProf(p *prof.Profiler) {
 	if p == nil {
 		return
 	}
-	node := p.Node(vs.cfg.Addr.String(), vs.cfg.Cores)
-	node.SetCoreBusy(vs.cpu.CoreBusyTimes)
-	node.SetLive(vs.profLive)
-	vs.prof = &vsProf{p: p, node: node, ctrl: node.Slot(0, prof.RoleCtrl)}
-	for _, vn := range vs.vnics {
-		vn.prof = node.Slot(vn.id, prof.RoleLocal)
-		if vn.ruleBytes > 0 {
-			vn.prof.MemAlloc(prof.CauseRuleTable, uint64(vn.ruleBytes))
-		}
-		if vn.beCharged {
-			vn.prof.MemAlloc(prof.CauseBEData, BEDataBytes)
-		}
-	}
-	for _, fe := range vs.fes {
-		fe.prof = node.Slot(fe.vnic, prof.RoleFE)
-		if fe.ruleBytes > 0 {
-			fe.prof.MemAlloc(prof.CauseRuleTable, uint64(fe.ruleBytes))
-		}
-	}
-}
-
-// profCharge attributes cycles when profiling is on. vp is the cached
-// slot pointer (nil whenever profiling is off), so the off cost is
-// one branch.
-func profCharge(vp *prof.VNICProf, d prof.Dir, s prof.Stage, cycles uint64) {
-	if vp != nil {
-		vp.Charge(d, s, cycles)
-	}
-}
-
-// profVNIC returns the vNIC's local-role slot (nil with profiling
-// off), claiming it if the vNIC predates EnableProf.
-func (vs *VSwitch) profVNIC(vn *vnicState) *prof.VNICProf {
-	if vs.prof == nil {
-		return nil
-	}
-	if vn.prof == nil {
-		vn.prof = vs.prof.node.Slot(vn.id, prof.RoleLocal)
-	}
-	return vn.prof
-}
-
-// profFE is profVNIC for hosted FE instances.
-func (vs *VSwitch) profFE(fe *feInstance) *prof.VNICProf {
-	if vs.prof == nil {
-		return nil
-	}
-	if fe.prof == nil {
-		fe.prof = vs.prof.node.Slot(fe.vnic, prof.RoleFE)
-	}
-	return fe.prof
+	vs.node.SetCoreBusy(vs.cpu.CoreBusyTimes)
+	vs.node.SetLive(vs.profLive)
+	p.Register(vs.node)
 }
 
 // ProfCtrl attributes control-plane cycles (RPC dispatch, config
@@ -91,26 +67,11 @@ func (vs *VSwitch) profFE(fe *feInstance) *prof.VNICProf {
 // timing, or any digested counter. vnic 0 charges the node-level
 // ctrl slot.
 func (vs *VSwitch) ProfCtrl(vnic uint32, cycles uint64) {
-	if vs.prof == nil {
-		return
-	}
-	slot := vs.prof.ctrl
+	slot := vs.ctrl
 	if vnic != 0 {
-		slot = vs.prof.node.Slot(vnic, prof.RoleCtrl)
+		slot = vs.node.Slot(vnic, prof.RoleCtrl)
 	}
 	slot.Charge(prof.DirNone, prof.StageCtrl, cycles)
-}
-
-// profMemCtrl attributes node-level (non-vNIC) memory traffic.
-func (vs *VSwitch) profMemCtrl(cause prof.Cause, alloc bool, n int) {
-	if vs.prof == nil || n <= 0 {
-		return
-	}
-	if alloc {
-		vs.prof.ctrl.MemAlloc(cause, uint64(n))
-	} else {
-		vs.prof.ctrl.MemFree(cause, uint64(n))
-	}
 }
 
 // profLive walks the session table at drain time and reports live

@@ -6,6 +6,7 @@ import (
 	"nezha/internal/packet"
 	"nezha/internal/prof"
 	"nezha/internal/sim"
+	"nezha/internal/tables"
 )
 
 // profSlot fetches the (vnic, role) accumulator a vSwitch charges.
@@ -165,5 +166,96 @@ func TestProfCtrlPacketCharged(t *testing.T) {
 	ctrl := profSlot(pr, w.A, 0, prof.RoleCtrl)
 	if ctrl.Cycles(prof.DirNone, prof.StageCtrl) == 0 {
 		t.Fatal("ctrl RPC packet charged no ctrl-stage cycles")
+	}
+}
+
+// TestLedgerReconcilesWithCycleCounters runs all seven role pipelines,
+// notify included, with no plan-time drop, and only then exports the
+// ledgers. On every switch the local-role slots must sum to
+// CyclesLocal and the FE-role slots to CyclesRemote: each packet's
+// cycles reach the CPU model and its slot through one charge.
+func TestLedgerReconcilesWithCycleCounters(t *testing.T) {
+	w := newWorld(t, 1, nil)
+	w.installLocal(t, false)
+	// A stats policy on the FE's copy makes the FE notify the BE.
+	rs := serverRules()
+	rs.EnableAdvanced()
+	rs.Stats.Add(tables.MakePrefix(packet.MakeIP(10, 0, 1, 0), 24), tables.StatsBytesOut|tables.StatsPackets)
+	fe := w.fes[0]
+	if err := fe.InstallFE(rs, addrB, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.B.OffloadStart(serverVNIC, []packet.IPv4{fe.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	w.gw.Set(serverVNIC, fe.Addr())
+	if err := w.B.OffloadFinalize(serverVNIC); err != nil {
+		t.Fatal(err)
+	}
+	// Client-opened flows: A local TX, FE RX, B BE RX, and back through
+	// B BE TX, FE TX and A local RX.
+	for sport := uint16(1000); sport < 1004; sport++ {
+		w.clientSend(sport, packet.FlagSYN)
+		w.loop.RunAll()
+		w.serverSend(sport, packet.FlagSYN|packet.FlagACK)
+		w.loop.RunAll()
+	}
+	// Server-opened flows carry no policy yet, so the FE's TX lookup
+	// notifies the BE.
+	for sport := uint16(2000); sport < 2004; sport++ {
+		w.serverSend(sport, packet.FlagSYN)
+		w.loop.RunAll()
+		w.clientSend(sport, packet.FlagSYN|packet.FlagACK)
+		w.loop.RunAll()
+	}
+
+	pr := prof.New()
+	for _, vs := range []*VSwitch{w.A, w.B, fe} {
+		if d := vs.Stats.TotalDrops(); d != 0 {
+			t.Fatalf("%v dropped %d packets (%v): the ledgers differ by design on plan-time drops", vs.Addr(), d, vs.Stats.Drops)
+		}
+		vs.EnableProf(pr)
+	}
+	for _, c := range []struct {
+		name string
+		vs   *VSwitch
+		vnic uint32
+		role prof.Role
+		dir  prof.Dir
+		s    prof.Stage
+	}{
+		{"local TX", w.A, clientVNIC, prof.RoleLocal, prof.DirTX, prof.StageFastpath},
+		{"local RX", w.A, clientVNIC, prof.RoleLocal, prof.DirRX, prof.StageFastpath},
+		{"BE TX", w.B, serverVNIC, prof.RoleLocal, prof.DirTX, prof.StageStateCarry},
+		{"BE RX", w.B, serverVNIC, prof.RoleLocal, prof.DirRX, prof.StageStateCarry},
+		{"BE notify", w.B, serverVNIC, prof.RoleLocal, prof.DirRX, prof.StageNotify},
+		{"FE TX", fe, serverVNIC, prof.RoleFE, prof.DirTX, prof.StageStateCarry},
+		{"FE RX", fe, serverVNIC, prof.RoleFE, prof.DirRX, prof.StageStateCarry},
+	} {
+		if profSlot(pr, c.vs, c.vnic, c.role).Cycles(c.dir, c.s) == 0 {
+			t.Errorf("%s pipeline did not run: no %v/%v cycles", c.name, c.dir, c.s)
+		}
+	}
+
+	for _, vs := range []*VSwitch{w.A, w.B, fe} {
+		var local, remote uint64
+		for _, s := range pr.Samples() {
+			if s.Node != vs.Addr().String() {
+				continue
+			}
+			switch s.Role {
+			case prof.RoleLocal:
+				local += s.Cycles
+			case prof.RoleFE:
+				remote += s.Cycles
+			}
+		}
+		if local != vs.CyclesLocal() || remote != vs.CyclesRemote() {
+			t.Errorf("%v: slots local %d remote %d, counters CyclesLocal %d CyclesRemote %d",
+				vs.Addr(), local, remote, vs.CyclesLocal(), vs.CyclesRemote())
+		}
+		if vs.CyclesLocal()+vs.CyclesRemote() == 0 {
+			t.Errorf("%v charged no cycles: the reconciliation proves nothing", vs.Addr())
+		}
 	}
 }

@@ -172,8 +172,8 @@ type vnicState struct {
 	// cards (§2.3.3).
 	limiter *tokenBucket
 
-	// prof is the cached attribution slot (nil with profiling off).
-	prof *prof.VNICProf
+	// slot is the vNIC's local-role ledger slot, claimed at install.
+	slot *prof.VNICProf
 }
 
 // tokenBucket is a byte-rate limiter on virtual time.
@@ -220,8 +220,8 @@ type feInstance struct {
 	// straggling rollback never removes a newer install.
 	epoch uint64
 
-	// prof is the cached attribution slot (nil with profiling off).
-	prof *prof.VNICProf
+	// slot is the instance's FE-role ledger slot, claimed at install.
+	slot *prof.VNICProf
 }
 
 // VSwitch is one SmartNIC's virtual switch.
@@ -271,9 +271,10 @@ type VSwitch struct {
 	// nil means observability is off and the datapath pays nothing.
 	ob *vsObs
 
-	// prof, when set by EnableProf, holds the attribution-profiler
-	// bindings; nil means profiling is off.
-	prof *vsProf
+	// node is the work ledger (prof.go), kept from New whether or not
+	// EnableProf exports it; ctrl is its node-level control-plane slot.
+	node *prof.NodeProf
+	ctrl *prof.VNICProf
 
 	// slo, when set by EnableSLO, receives per-packet latency and drop
 	// accounting at the terminal points (deliverToVM, drop); nil means
@@ -322,7 +323,9 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *VS
 		mem:     nic.NewMemory(cfg.NetMemBytes),
 		vnics:   make(map[uint32]*vnicState),
 		fes:     make(map[uint32]*feInstance),
+		node:    prof.NewNode(cfg.Addr.String(), cfg.Cores),
 	}
+	vs.ctrl = vs.node.Slot(0, prof.RoleCtrl)
 	vs.qosBuckets = make(map[uint64]*tokenBucket)
 	vs.sessions = flowcache.New(flowcache.Config{
 		MaxBytes: cfg.NetMemBytes,
@@ -419,14 +422,12 @@ func (vs *VSwitch) MemFreeBytes() int { return vs.mem.Total() - vs.mem.Used() }
 // spike. Chaos schedules use this to drive the memory-triggered
 // offload and DropNoMemory paths.
 func (vs *VSwitch) InjectMemPressure(bytes int) (release func(), ok bool) {
-	if bytes <= 0 || !vs.mem.Alloc(bytes) {
+	if bytes <= 0 || !vs.reserve(vs.ctrl, prof.CausePressure, bytes) {
 		return nil, false
 	}
-	vs.profMemCtrl(prof.CausePressure, true, bytes)
 	vs.refreshSessionBudget()
 	return func() {
-		vs.mem.Free(bytes)
-		vs.profMemCtrl(prof.CausePressure, false, bytes)
+		vs.release(vs.ctrl, prof.CausePressure, bytes)
 		vs.refreshSessionBudget()
 	}, true
 }
@@ -463,15 +464,12 @@ func (vs *VSwitch) AddVNIC(rules *tables.RuleSet, decap bool) error {
 		return ErrExists
 	}
 	sz := rules.SizeBytes()
-	if !vs.mem.Alloc(sz) {
+	slot := vs.node.Slot(rules.VNIC, prof.RoleLocal)
+	if !vs.reserve(slot, prof.CauseRuleTable, sz) {
 		return ErrNoRuleMemory
 	}
-	vn := &vnicState{
-		id: rules.VNIC, vpc: rules.VPC, rules: rules, ruleBytes: sz, decap: decap,
-	}
-	vs.vnics[rules.VNIC] = vn
-	if vp := vs.profVNIC(vn); vp != nil {
-		vp.MemAlloc(prof.CauseRuleTable, uint64(sz))
+	vs.vnics[rules.VNIC] = &vnicState{
+		id: rules.VNIC, vpc: rules.VPC, rules: rules, ruleBytes: sz, decap: decap, slot: slot,
 	}
 	vs.refreshSessionBudget()
 	return nil
@@ -483,15 +481,9 @@ func (vs *VSwitch) RemoveVNIC(vnic uint32) {
 	if !ok {
 		return
 	}
-	vs.mem.Free(vn.ruleBytes)
+	vs.release(vn.slot, prof.CauseRuleTable, vn.ruleBytes)
 	if vn.beCharged {
-		vs.mem.Free(BEDataBytes)
-	}
-	if vp := vs.profVNIC(vn); vp != nil {
-		vp.MemFree(prof.CauseRuleTable, uint64(vn.ruleBytes))
-		if vn.beCharged {
-			vp.MemFree(prof.CauseBEData, BEDataBytes)
-		}
+		vs.release(vn.slot, prof.CauseBEData, BEDataBytes)
 	}
 	delete(vs.vnics, vnic)
 	vs.sessions.InvalidateVNIC(vnic)
@@ -553,13 +545,10 @@ func (vs *VSwitch) OffloadStartEpoch(vnic uint32, fes []packet.IPv4, epoch uint6
 		return ErrStaleEpoch
 	}
 	if !vn.beCharged {
-		if !vs.mem.Alloc(BEDataBytes) {
+		if !vs.reserve(vn.slot, prof.CauseBEData, BEDataBytes) {
 			return ErrNoRuleMemory
 		}
 		vn.beCharged = true
-		if vp := vs.profVNIC(vn); vp != nil {
-			vp.MemAlloc(prof.CauseBEData, BEDataBytes)
-		}
 	}
 	vn.offloaded = true
 	vn.fes = append([]packet.IPv4(nil), fes...)
@@ -581,11 +570,8 @@ func (vs *VSwitch) OffloadAbort(vnic uint32) error {
 	vn.offloaded = false
 	vn.fes = nil
 	if vn.beCharged {
-		vs.mem.Free(BEDataBytes)
+		vs.release(vn.slot, prof.CauseBEData, BEDataBytes)
 		vn.beCharged = false
-		if vp := vs.profVNIC(vn); vp != nil {
-			vp.MemFree(prof.CauseBEData, BEDataBytes)
-		}
 	}
 	vs.refreshSessionBudget()
 	return nil
@@ -604,10 +590,7 @@ func (vs *VSwitch) OffloadFinalize(vnic uint32) error {
 		return fmt.Errorf("vswitch: vNIC %d not offloaded", vnic)
 	}
 	if vn.rules != nil {
-		vs.mem.Free(vn.ruleBytes)
-		if vp := vs.profVNIC(vn); vp != nil {
-			vp.MemFree(prof.CauseRuleTable, uint64(vn.ruleBytes))
-		}
+		vs.release(vn.slot, prof.CauseRuleTable, vn.ruleBytes)
 		vn.rules = nil
 		vn.ruleBytes = 0
 	}
@@ -751,14 +734,11 @@ func (vs *VSwitch) FallbackStart(vnic uint32, rules *tables.RuleSet) error {
 	}
 	if vn.rules == nil {
 		sz := rules.SizeBytes()
-		if !vs.mem.Alloc(sz) {
+		if !vs.reserve(vn.slot, prof.CauseRuleTable, sz) {
 			return ErrNoRuleMemory
 		}
 		vn.rules = rules
 		vn.ruleBytes = sz
-		if vp := vs.profVNIC(vn); vp != nil {
-			vp.MemAlloc(prof.CauseRuleTable, uint64(sz))
-		}
 	}
 	// TX switches back to local processing immediately.
 	vn.offloaded = false
@@ -776,11 +756,8 @@ func (vs *VSwitch) FallbackFinalize(vnic uint32) error {
 	vn.offloaded = false
 	vn.fes = nil
 	if vn.beCharged {
-		vs.mem.Free(BEDataBytes)
+		vs.release(vn.slot, prof.CauseBEData, BEDataBytes)
 		vn.beCharged = false
-		if vp := vs.profVNIC(vn); vp != nil {
-			vp.MemFree(prof.CauseBEData, BEDataBytes)
-		}
 	}
 	vs.refreshSessionBudget()
 	return nil
@@ -818,16 +795,13 @@ func (vs *VSwitch) InstallFEEpoch(rules *tables.RuleSet, beAddr packet.IPv4, dec
 		return nil
 	}
 	sz := rules.SizeBytes()
-	if !vs.mem.Alloc(sz) {
+	slot := vs.node.Slot(rules.VNIC, prof.RoleFE)
+	if !vs.reserve(slot, prof.CauseRuleTable, sz) {
 		return ErrNoRuleMemory
 	}
-	fe := &feInstance{
+	vs.fes[rules.VNIC] = &feInstance{
 		vnic: rules.VNIC, vpc: rules.VPC, rules: rules, ruleBytes: sz,
-		beAddr: beAddr, decap: decap, epoch: epoch,
-	}
-	vs.fes[rules.VNIC] = fe
-	if vp := vs.profFE(fe); vp != nil {
-		vp.MemAlloc(prof.CauseRuleTable, uint64(sz))
+		beAddr: beAddr, decap: decap, epoch: epoch, slot: slot,
 	}
 	vs.refreshSessionBudget()
 	return nil
@@ -847,10 +821,7 @@ func (vs *VSwitch) RemoveFEEpoch(vnic uint32, epoch uint64) {
 	if !ok || fe.epoch > epoch {
 		return
 	}
-	vs.mem.Free(fe.ruleBytes)
-	if vp := vs.profFE(fe); vp != nil {
-		vp.MemFree(prof.CauseRuleTable, uint64(fe.ruleBytes))
-	}
+	vs.release(fe.slot, prof.CauseRuleTable, fe.ruleBytes)
 	delete(vs.fes, vnic)
 	vs.sessions.InvalidateVNIC(vnic)
 	vs.refreshSessionBudget()
