@@ -26,6 +26,10 @@
 // combined with -obs the prof_* series appear in the snapshots and
 // nezha-top's PROF section.
 //
+// nezha-sim exits 2 on a bad flag value, before building anything,
+// and 1 when it cannot create or write an output or serve -listen.
+// The output files are created before the run starts.
+//
 // -policy replaces the controller's built-in offload trigger with the
 // autonomous policy loop (internal/policy): trend-extrapolated
 // offload / fallback / scale-out / scale-in decisions driven from the
@@ -35,6 +39,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -123,29 +128,83 @@ func spec() cluster.Spec {
 	return s
 }
 
+// outputs are the files the flags name, created before the run so a
+// path that cannot be written fails at once, not after the simulation.
+type outputs struct {
+	obs, prom, prof *os.File // nil when the flag is unset
+}
+
+// openOutputs creates the -obs, -obs-prom and -prof files ('-' for
+// -obs is stdout). Two flags naming one file would interleave their
+// writes, so that is refused. On an error it closes what it opened.
+func openOutputs(obsPath, promPath, profPath string) (o outputs, err error) {
+	if promPath != "" && (promPath == obsPath || promPath == profPath) || profPath != "" && profPath == obsPath {
+		return outputs{}, fmt.Errorf("-obs, -obs-prom and -prof name one file twice (%q, %q, %q)", obsPath, promPath, profPath)
+	}
+	create := func(path string) *os.File {
+		if path == "" || err != nil {
+			return nil
+		}
+		f, cerr := os.Create(path)
+		err = cerr
+		return f
+	}
+	if obsPath == "-" {
+		o.obs = os.Stdout
+	} else {
+		o.obs = create(obsPath)
+	}
+	o.prom = create(promPath)
+	o.prof = create(profPath)
+	if err != nil {
+		o.close()
+		return outputs{}, err
+	}
+	return o, nil
+}
+
+// close closes every file output and joins their errors: a close can
+// report a write that failed late.
+func (o outputs) close() error {
+	var errs []error
+	for _, f := range []*os.File{o.obs, o.prom, o.prof} {
+		if f != nil && f != os.Stdout {
+			errs = append(errs, f.Close())
+		}
+	}
+	return errors.Join(errs...)
+}
+
 func main() {
 	flag.Parse()
 	if err := validate(*servers, *nClients, *cps, *duration, *usePolicy, *noNezha); err != nil {
 		fmt.Fprintln(os.Stderr, "nezha-sim:", err)
 		os.Exit(2)
 	}
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "nezha-sim:", err)
+		os.Exit(1)
+	}
+}
+
+// run builds the world the flags describe, runs it and prints what
+// happened. It returns the first error creating or writing an output
+// or serving the ops API.
+func run() (err error) {
+	out, err := openOutputs(*obsPath, *obsProm, *profPath)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := out.close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	s := spec()
-	var obsOut *os.File
-	if *obsPath == "-" {
-		obsOut = os.Stdout
-	} else if *obsPath != "" {
-		f, err := os.Create(*obsPath)
-		if err != nil {
-			panic(err)
-		}
-		defer f.Close()
-		obsOut = f
-	}
-
 	w, err := cluster.Build(s)
 	if err != nil {
-		panic(err)
+		return err
 	}
 
 	// The live ops surface: a history store fed by the same per-second
@@ -163,8 +222,9 @@ func main() {
 		srv.SetMeta("seed", fmt.Sprint(*seed))
 		addr, err := srv.Listen(*listen)
 		if err != nil {
-			panic(err)
+			return err
 		}
+		defer srv.Close()
 		fmt.Printf("ops: serving http://%s (metrics, snapshot, history, stream, prof, health)\n", addr)
 	}
 	if *pace > 0 {
@@ -185,6 +245,7 @@ func main() {
 	fmt.Printf("%8s %12s %10s %8s %6s %s\n", "t", "completed", "cps", "srv-cpu%", "#FEs", "state")
 
 	var lastDone uint64
+	var snapErr error
 	w.Loop.Every(sim.Second, func() {
 		done := w.Completed()
 		state := "local"
@@ -195,15 +256,15 @@ func main() {
 			w.Loop.Now(), done, done-lastDone,
 			meter.Sample()*100, len(w.Ctrl.FEsOf(cluster.ServerVNIC)), state)
 		lastDone = done
-		if obsOut != nil || pub != nil {
+		if out.obs != nil || pub != nil {
 			snap := s.Obs.Snap(w.Loop.Now(), 10)
 			if pub != nil {
 				pub.PublishSnap(w.Loop.Now(), snap)
 			}
-			if obsOut != nil {
-				if err := snap.WriteJSONLine(obsOut); err != nil {
-					panic(err)
-				}
+			// The loop cannot be stopped from here: a failed write
+			// ends the stream and fails the run when it returns.
+			if out.obs != nil && snapErr == nil {
+				snapErr = snap.WriteJSONLine(out.obs)
 			}
 		}
 	})
@@ -240,6 +301,9 @@ func main() {
 
 	w.Loop.Run(sim.Duration(*duration))
 	w.StopLoad()
+	if snapErr != nil {
+		return snapErr
+	}
 
 	fmt.Printf("\nsummary:\n")
 	fmt.Printf("  completed transactions: %d\n", w.Completed())
@@ -283,33 +347,21 @@ func main() {
 		}
 	}
 
-	if *obsProm != "" {
-		f, err := os.Create(*obsProm)
-		if err != nil {
-			panic(err)
+	if out.prom != nil {
+		if err := s.Obs.Snap(w.Loop.Now(), 10).WritePrometheus(out.prom); err != nil {
+			return err
 		}
-		if err := s.Obs.Snap(w.Loop.Now(), 10).WritePrometheus(f); err != nil {
-			panic(err)
-		}
-		f.Close()
 		fmt.Printf("  wrote Prometheus export: %s\n", *obsProm)
 	}
-	if *profPath != "" {
-		f, err := os.Create(*profPath)
-		if err != nil {
-			panic(err)
+	if out.prof != nil {
+		if err := s.Prof.WriteProfile(out.prof, w.Loop.Now(), w.Loop.Now()); err != nil {
+			return err
 		}
-		if err := s.Prof.WriteProfile(f, w.Loop.Now(), w.Loop.Now()); err != nil {
-			panic(err)
-		}
-		f.Close()
 		fmt.Printf("  wrote attribution profile: %s\n", *profPath)
 	}
-	if srv != nil {
-		if *hold > 0 {
-			fmt.Printf("ops: holding the server up for %v (attach with nezha-top -attach)\n", *hold)
-			time.Sleep(*hold)
-		}
-		srv.Close()
+	if srv != nil && *hold > 0 {
+		fmt.Printf("ops: holding the server up for %v (attach with nezha-top -attach)\n", *hold)
+		time.Sleep(*hold)
 	}
+	return nil
 }

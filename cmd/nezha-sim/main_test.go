@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -45,5 +50,56 @@ func TestValidate(t *testing.T) {
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("%+v: error %v, want one containing %q", c, err, c.want)
 		}
+	}
+}
+
+// TestMain lets a test run the command itself: with NEZHA_SIM_MAIN=1
+// the test binary is nezha-sim, its arguments the command's flags.
+func TestMain(m *testing.M) {
+	if os.Getenv("NEZHA_SIM_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestUncreatableOutputExits runs the command with each output flag
+// pointed into a missing directory, and with two flags naming one
+// file. It must exit 1 with one "nezha-sim: " error line naming the
+// path and no stack trace, having printed nothing: the outputs are
+// created before the world is built.
+func TestUncreatableOutputExits(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "missing", "out")
+	twice := filepath.Join(dir, "out")
+	for _, args := range [][]string{
+		{"-obs", bad},
+		{"-obs-prom", bad},
+		{"-prof", bad},
+		{"-obs-prom", twice, "-prof", twice},
+	} {
+		var flags []string
+		for i := 0; i < len(args); i += 2 {
+			flags = append(flags, args[i])
+		}
+		t.Run(strings.Join(flags, " "), func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], args...)
+			cmd.Env = append(os.Environ(), "NEZHA_SIM_MAIN=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("exit: %v, want status 1; stderr:\n%s", err, stderr.String())
+			}
+			msg := stderr.String()
+			if !strings.HasPrefix(msg, "nezha-sim: ") || !strings.Contains(msg, args[1]) ||
+				strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") {
+				t.Errorf("stderr %q, want one \"nezha-sim: \" line naming %s", msg, args[1])
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("printed %d bytes before failing: the run started", stdout.Len())
+			}
+		})
 	}
 }

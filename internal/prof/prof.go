@@ -159,13 +159,13 @@ func (r Role) String() string {
 	}
 }
 
-// OverflowVNIC labels the shared spill slot a node falls back to when
-// more than maxSlots distinct (vnic, role) pairs appear.
+// OverflowVNIC labels the per-role spill slots a node falls back to
+// when more than maxSlots distinct (vnic, role) pairs appear.
 const OverflowVNIC = ^uint32(0)
 
 // maxSlots bounds a node's slots. Slots are claimed on vNIC install
 // (never per packet), so the bound only matters for very dense nodes;
-// charges beyond it spill into one overflow slot.
+// charges beyond it spill into their role's overflow slot.
 const maxSlots = 64
 
 // VNICProf is one (vnic, role) attribution accumulator. All fields
@@ -194,28 +194,23 @@ func (v *VNICProf) MemFree(c Cause, n uint64) { v.memFree[c] += n }
 // Cycles returns the accumulated cycles for (dir, stage).
 func (v *VNICProf) Cycles(d Dir, s Stage) uint64 { return v.cycles[d][s] }
 
+// Total returns the slot's cycles over every direction and stage.
+func (v *VNICProf) Total() uint64 {
+	var t uint64
+	for d := range v.cycles {
+		for _, c := range v.cycles[d] {
+			t += c
+		}
+	}
+	return t
+}
+
 // LiveBytes returns alloc-free for cause c, clamped at zero.
 func (v *VNICProf) LiveBytes(c Cause) uint64 {
 	if v.memFree[c] >= v.memAlloc[c] {
 		return 0
 	}
 	return v.memAlloc[c] - v.memFree[c]
-}
-
-func (v *VNICProf) zero() bool {
-	for d := Dir(0); d < NumDirs; d++ {
-		for s := Stage(0); s < NumStages; s++ {
-			if v.cycles[d][s] != 0 {
-				return false
-			}
-		}
-	}
-	for c := Cause(0); c < NumCauses; c++ {
-		if v.memAlloc[c] != 0 || v.memFree[c] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // CoreWindow is one per-core utilization window: the fraction of each
@@ -231,16 +226,15 @@ type CoreWindow struct {
 const timelineCap = 512
 
 // NodeProf holds one node's (vSwitch's) attribution state: a slot per
-// (vnic, role), each allocated when claimed, an overflow slot, the
-// per-core busy sampler for timelines, and an optional live-bytes
-// walker for tables whose residency is cheaper to measure at drain
-// time than to track per operation.
+// (vnic, role) and, past maxSlots, an overflow slot per role, each
+// allocated when claimed; the per-core busy sampler for timelines; and
+// an optional live-bytes walker for tables whose residency is cheaper
+// to measure at drain time than to track per operation.
 type NodeProf struct {
 	Node  string
 	Cores int
 
-	slots    []*VNICProf
-	overflow VNICProf
+	slots []*VNICProf
 
 	// busyFn samples cumulative per-core busy time (sim-time units);
 	// set by the component owning the CPU model.
@@ -264,23 +258,44 @@ func NewNode(name string, cores int) *NodeProf {
 }
 
 // Slot returns the accumulator for (vnic, role), claiming a fresh
-// slot on first use and the shared overflow slot once maxSlots are
-// claimed. Called on install paths only — datapath code caches the
-// returned pointer.
+// slot on first use and the role's overflow slot once maxSlots are
+// claimed, so spilled work keeps its role. Called on install paths
+// only — datapath code caches the returned pointer.
 func (n *NodeProf) Slot(vnic uint32, role Role) *VNICProf {
+	if s := n.find(vnic, role); s != nil {
+		return s
+	}
+	if len(n.slots) >= maxSlots {
+		if s := n.find(OverflowVNIC, role); s != nil {
+			return s
+		}
+		vnic = OverflowVNIC
+	}
+	s := &VNICProf{VNIC: vnic, Role: role}
+	n.slots = append(n.slots, s)
+	return s
+}
+
+// find returns the claimed slot for (vnic, role), or nil.
+func (n *NodeProf) find(vnic uint32, role Role) *VNICProf {
 	for _, s := range n.slots {
 		if s.VNIC == vnic && s.Role == role {
 			return s
 		}
 	}
-	if len(n.slots) < maxSlots {
-		s := &VNICProf{VNIC: vnic, Role: role}
-		n.slots = append(n.slots, s)
-		return s
+	return nil
+}
+
+// RoleCycles returns the node's cycles charged under role: every
+// slot of that role, its overflow slot included.
+func (n *NodeProf) RoleCycles(role Role) uint64 {
+	var t uint64
+	for _, s := range n.slots {
+		if s.Role == role {
+			t += s.Total()
+		}
 	}
-	n.overflow.VNIC = OverflowVNIC
-	n.overflow.Role = role
-	return &n.overflow
+	return t
 }
 
 // SetCoreBusy installs the cumulative per-core busy sampler used to
@@ -431,9 +446,6 @@ func (p *Profiler) Samples() []Sample {
 		}
 		for _, v := range n.slots {
 			emitSlot(v)
-		}
-		if !n.overflow.zero() {
-			emitSlot(&n.overflow)
 		}
 		if n.liveFn != nil {
 			n.liveFn(func(vnic uint32, role Role, cause Cause, bytes uint64) {

@@ -38,6 +38,40 @@ func TestSlotClaimAndOverflow(t *testing.T) {
 	}
 }
 
+// TestOverflowSlotKeepsRoles fills a node's slots, then spills one
+// local and one FE claim: each role's work must stay its own, in the
+// role sums the controller reads and in the drained samples.
+func TestOverflowSlotKeepsRoles(t *testing.T) {
+	p := New()
+	n := p.Node("10.1.0.1", 4)
+	for i := 0; i < maxSlots; i++ {
+		n.Slot(uint32(1+i), RoleLocal)
+	}
+	local := n.Slot(500, RoleLocal)
+	fe := n.Slot(501, RoleFE)
+	if local.VNIC != OverflowVNIC || fe.VNIC != OverflowVNIC {
+		t.Fatalf("claims past %d slots got vnics %d and %d, want overflow", maxSlots, local.VNIC, fe.VNIC)
+	}
+	local.Charge(DirTX, StageFastpath, 100)
+	fe.Charge(DirRX, StageSlowpath, 7)
+
+	if got := n.RoleCycles(RoleLocal); got != 100 {
+		t.Errorf("RoleCycles(local) = %d, want 100", got)
+	}
+	if got := n.RoleCycles(RoleFE); got != 7 {
+		t.Errorf("RoleCycles(fe) = %d, want 7", got)
+	}
+	byRole := map[Role]uint64{}
+	for _, s := range p.Samples() {
+		if s.VNIC == OverflowVNIC {
+			byRole[s.Role] += s.Cycles
+		}
+	}
+	if byRole[RoleLocal] != 100 || byRole[RoleFE] != 7 || len(byRole) != 2 {
+		t.Errorf("overflow samples by role = %v, want local 100 and fe 7", byRole)
+	}
+}
+
 func TestSamplesCauseDerivationAndOrder(t *testing.T) {
 	p := New()
 	n := p.Node("nodeB", 2)

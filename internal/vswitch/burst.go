@@ -303,26 +303,18 @@ func (vs *VSwitch) runBurstPipeline(pipe uint8, vn *vnicState, fe *feInstance, p
 			acts = append(acts, a)
 		}
 	}
-	vs.runPlan(acts, fe != nil)
+	vs.runPlan(acts)
 }
 
 // runPlan submits a run's planned acts to the CPU model; it is the one
-// place the datapath does. Each act's cycles are charged (to hosted-FE
-// work when remote), and each act executes at its CPU completion or is
-// dropped as overload. A lone act rides a pooled stage task on
+// place the datapath does. Each act executes at its CPU completion or
+// is dropped as overload. A lone act rides a pooled stage task on
 // SubmitTask and leaves by fabric.Send; more share one burst on
 // SubmitBurstTo, whose completion waves leave by fabric.SendBurst.
 // Both give the same outcomes; the split is by cost, measured on
 // crr_offload, whose runs are all one packet long: sending them
 // through waves cost 13–15 % of its host_pkts_per_s.
-func (vs *VSwitch) runPlan(acts []burstAct, remote bool) {
-	for i := range acts {
-		if remote {
-			vs.cyclesRemote += acts[i].cycles
-		} else {
-			vs.cyclesLocal += acts[i].cycles
-		}
-	}
+func (vs *VSwitch) runPlan(acts []burstAct) {
 	switch len(acts) {
 	case 0:
 	case 1:

@@ -146,7 +146,6 @@ func (vs *VSwitch) planLocalTX(vn *vnicState, c *cost, p *packet.Packet, key pac
 	c.add(prof.StagePerByte, perByteCycles(p))
 	c.add(prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
 	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, key, hash, c, true)
-	vn.cycles += c.cycles
 	if dropped {
 		return false
 	}
@@ -213,7 +212,6 @@ func (vs *VSwitch) planLocalRX(vn *vnicState, c *cost, p *packet.Packet, key pac
 	c.add(prof.StagePerByte, perByteCycles(p))
 	c.add(prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
 	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, key, hash, c, true)
-	vn.cycles += c.cycles
 	if dropped {
 		return false
 	}
@@ -271,7 +269,6 @@ func (vs *VSwitch) planBeTX(vn *vnicState, c *cost, p *packet.Packet, key packet
 	c.add(prof.StageFastpath, nic.FastPathCycles)
 	c.add(prof.StageStateCarry, nic.StateCarryCycles)
 	c.add(prof.StageEncap, nic.EncapCycles)
-	vn.cycles += c.cycles
 	e, err := vs.sessions.GetOrCreateH(key, hash, vn.id, now)
 	if err != nil {
 		vs.drop(p, DropNoMemory)
@@ -317,7 +314,6 @@ func (vs *VSwitch) planBeRX(vn *vnicState, c *cost, p *packet.Packet, key packet
 		vs.drop(p, DropMalformed)
 		return false
 	}
-	vn.cycles += c.cycles
 	e, cerr := vs.sessions.GetOrCreateH(key, hash, vn.id, now)
 	if cerr != nil {
 		vs.drop(p, DropNoMemory)

@@ -80,8 +80,8 @@ func (vs *VSwitch) EnableObs(o *obs.Obs) {
 	mirror("vswitch_mirrored_total", &vs.Stats.Mirrored)
 	mirror("vswitch_flow_logged_total", &vs.Stats.FlowLogged)
 	mirror("vswitch_nat_rewrites_total", &vs.Stats.NATRewrites)
-	mirror("vswitch_cycles_local_total", &vs.cyclesLocal)
-	mirror("vswitch_cycles_remote_total", &vs.cyclesRemote)
+	r.CounterFunc("vswitch_cycles_local_total", lbl, vs.CyclesLocal)
+	r.CounterFunc("vswitch_cycles_remote_total", lbl, vs.CyclesRemote)
 	// The drop-reason label sets, {node, reason} in canonical order,
 	// share one allocation.
 	drops := new([numDropReasons][2]obs.Label)

@@ -170,12 +170,13 @@ func TestProfCtrlPacketCharged(t *testing.T) {
 }
 
 // TestLedgerReconcilesWithCycleCounters runs all seven role pipelines,
-// notify included, with no plan-time drop, and only then exports the
-// ledgers. On every switch the local-role slots must sum to
-// CyclesLocal and the FE-role slots to CyclesRemote: each packet's
-// cycles reach the CPU model and its slot through one charge.
+// notify included, with no drop, and only then exports the ledgers. On
+// 1 GHz cores a cycle is a nanosecond of service, so on every switch
+// the local-role plus FE-role slots must sum to the CPU model's busy
+// time: each packet's cycles reach the CPU model and its slot through
+// one charge. Each vNIC's load is its local-role slot.
 func TestLedgerReconcilesWithCycleCounters(t *testing.T) {
-	w := newWorld(t, 1, nil)
+	w := newWorld(t, 1, func(c *Config) { c.CoreHz = 1_000_000_000 })
 	w.installLocal(t, false)
 	// A stats policy on the FE's copy makes the FE notify the BE.
 	rs := serverRules()
@@ -212,7 +213,7 @@ func TestLedgerReconcilesWithCycleCounters(t *testing.T) {
 	pr := prof.New()
 	for _, vs := range []*VSwitch{w.A, w.B, fe} {
 		if d := vs.Stats.TotalDrops(); d != 0 {
-			t.Fatalf("%v dropped %d packets (%v): the ledgers differ by design on plan-time drops", vs.Addr(), d, vs.Stats.Drops)
+			t.Fatalf("%v dropped %d packets (%v): a dropped packet's cycles are priced but never served", vs.Addr(), d, vs.Stats.Drops)
 		}
 		vs.EnableProf(pr)
 	}
@@ -250,12 +251,17 @@ func TestLedgerReconcilesWithCycleCounters(t *testing.T) {
 				remote += s.Cycles
 			}
 		}
-		if local != vs.CyclesLocal() || remote != vs.CyclesRemote() {
-			t.Errorf("%v: slots local %d remote %d, counters CyclesLocal %d CyclesRemote %d",
-				vs.Addr(), local, remote, vs.CyclesLocal(), vs.CyclesRemote())
+		if busy := uint64(vs.CPU().BusyTime()); local+remote != busy {
+			t.Errorf("%v: slots local %d + fe %d = %d cycles, CPU busy %d ns at 1 GHz",
+				vs.Addr(), local, remote, local+remote, busy)
 		}
-		if vs.CyclesLocal()+vs.CyclesRemote() == 0 {
+		if local+remote == 0 {
 			t.Errorf("%v charged no cycles: the reconciliation proves nothing", vs.Addr())
+		}
+		for _, l := range vs.VNICLoads() {
+			if want := profSlot(pr, vs, l.VNIC, prof.RoleLocal).Total(); l.Cycles != want {
+				t.Errorf("%v vNIC %d: VNICLoads cycles %d, local slot %d", vs.Addr(), l.VNIC, l.Cycles, want)
+			}
 		}
 	}
 }

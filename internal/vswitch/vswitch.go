@@ -161,7 +161,6 @@ type vnicState struct {
 	// RPC can never regress newer state.
 	feEpoch   uint64
 	beCharged bool
-	cycles    uint64 // cumulative CPU consumption, for offload selection
 	// pinned overrides the 5-tuple hash for specific sessions —
 	// elephant flows steered to a dedicated FE (§7.5).
 	pinned map[packet.SessionKey]packet.IPv4
@@ -261,12 +260,6 @@ type VSwitch struct {
 	// keyed by (vNIC, class).
 	qosBuckets map[uint64]*tokenBucket
 
-	// cyclesLocal / cyclesRemote attribute CPU work to the vSwitch's
-	// own vNIC traffic vs hosted-FE traffic — the controller's Fig 8
-	// scale-out / scale-in decision reads the split.
-	cyclesLocal  uint64
-	cyclesRemote uint64
-
 	// ob, when set by EnableObs, holds pre-bound telemetry handles;
 	// nil means observability is off and the datapath pays nothing.
 	ob *vsObs
@@ -345,11 +338,13 @@ func (vs *VSwitch) ToR() int { return vs.cfg.ToR }
 // CPU exposes the CPU model (for meters).
 func (vs *VSwitch) CPU() *nic.CPU { return vs.cpu }
 
-// CyclesLocal returns cumulative cycles charged to local-vNIC work.
-func (vs *VSwitch) CyclesLocal() uint64 { return vs.cyclesLocal }
+// CyclesLocal returns the ledger's cumulative cycles for local-vNIC
+// work: the local-role slots' sum.
+func (vs *VSwitch) CyclesLocal() uint64 { return vs.node.RoleCycles(prof.RoleLocal) }
 
-// CyclesRemote returns cumulative cycles charged to hosted-FE work.
-func (vs *VSwitch) CyclesRemote() uint64 { return vs.cyclesRemote }
+// CyclesRemote returns the ledger's cumulative cycles for hosted-FE
+// work: the FE-role slots' sum.
+func (vs *VSwitch) CyclesRemote() uint64 { return vs.node.RoleCycles(prof.RoleFE) }
 
 // Sessions exposes the session table (read-mostly, for experiments).
 func (vs *VSwitch) Sessions() *flowcache.Table { return vs.sessions }
@@ -508,12 +503,14 @@ func (vs *VSwitch) VNICRuleBytes(vnic uint32) int {
 	return 0
 }
 
-// VNICLoads reports every resident vNIC's consumption.
+// VNICLoads reports every resident vNIC's consumption. Cycles is the
+// vNIC's local-role ledger slot: every cycle its plans priced on this
+// node, since the vNIC was first installed here.
 func (vs *VSwitch) VNICLoads() []VNICLoad {
 	out := make([]VNICLoad, 0, len(vs.vnics))
 	for _, vn := range vs.vnics {
 		out = append(out, VNICLoad{
-			VNIC: vn.id, Cycles: vn.cycles, RuleBytes: vn.ruleBytes,
+			VNIC: vn.id, Cycles: vn.slot.Total(), RuleBytes: vn.ruleBytes,
 			Offloaded: vn.offloaded,
 		})
 	}

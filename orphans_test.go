@@ -146,6 +146,7 @@ func checkAllowList(orphans []string, declared map[string]bool, allow map[string
 // srcFile is one parsed file with the package directory it lives in.
 type srcFile struct {
 	dir  string // slash path relative to the scan root
+	name string // base file name
 	test bool
 	f    *ast.File
 }
@@ -291,7 +292,9 @@ func parseTree(root string) (module string, files []srcFile, err error) {
 			return err
 		}
 		rel, _ := filepath.Rel(root, filepath.Dir(path))
-		files = append(files, srcFile{dir: filepath.ToSlash(rel), test: strings.HasSuffix(path, "_test.go"), f: f})
+		files = append(files, srcFile{
+			dir: filepath.ToSlash(rel), name: d.Name(), test: strings.HasSuffix(path, "_test.go"), f: f,
+		})
 		return nil
 	})
 	return module, files, err
