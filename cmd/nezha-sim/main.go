@@ -136,8 +136,12 @@ type outputs struct {
 
 // openOutputs creates the -obs, -obs-prom and -prof files ('-' for
 // -obs is stdout). Two flags naming one file would interleave their
-// writes, so that is refused. On an error it closes what it opened.
+// writes, and so would the export or profile with the run's report on
+// stdout, so both are refused. On an error it closes what it opened.
 func openOutputs(obsPath, promPath, profPath string) (o outputs, err error) {
+	if promPath == "-" || profPath == "-" {
+		return outputs{}, fmt.Errorf("-obs-prom %q, -prof %q: only -obs writes to stdout ('-'); name a file", promPath, profPath)
+	}
 	if promPath != "" && (promPath == obsPath || promPath == profPath) || profPath != "" && profPath == obsPath {
 		return outputs{}, fmt.Errorf("-obs, -obs-prom and -prof name one file twice (%q, %q, %q)", obsPath, promPath, profPath)
 	}
@@ -261,10 +265,12 @@ func run() (err error) {
 			if pub != nil {
 				pub.PublishSnap(w.Loop.Now(), snap)
 			}
-			// The loop cannot be stopped from here: a failed write
-			// ends the stream and fails the run when it returns.
+			// A failed write ends the run at this instant; it fails
+			// when Run returns.
 			if out.obs != nil && snapErr == nil {
-				snapErr = snap.WriteJSONLine(out.obs)
+				if snapErr = snap.WriteJSONLine(out.obs); snapErr != nil {
+					w.Loop.Stop()
+				}
 			}
 		}
 	})

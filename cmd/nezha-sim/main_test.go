@@ -77,6 +77,8 @@ func TestUncreatableOutputExits(t *testing.T) {
 		{"-obs-prom", bad},
 		{"-prof", bad},
 		{"-obs-prom", twice, "-prof", twice},
+		{"-obs-prom", "-"},
+		{"-prof", "-"},
 	} {
 		var flags []string
 		for i := 0; i < len(args); i += 2 {
@@ -101,5 +103,29 @@ func TestUncreatableOutputExits(t *testing.T) {
 				t.Errorf("printed %d bytes before failing: the run started", stdout.Len())
 			}
 		})
+	}
+}
+
+// TestFailedObsWriteStops runs a 60 s scenario whose -obs stream cannot
+// be written: the run must stop at the first failed snapshot and exit 1
+// naming the error, not simulate the remaining minute first.
+func TestFailedObsWriteStops(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	cmd := exec.Command(os.Args[0], "-duration", "60s", "-obs", "/dev/full")
+	cmd.Env = append(os.Environ(), "NEZHA_SIM_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit: %v, want status 1; stderr:\n%s", err, stderr.String())
+	}
+	if msg := stderr.String(); !strings.HasPrefix(msg, "nezha-sim: ") || !strings.Contains(msg, "no space left") {
+		t.Errorf("stderr %q, want one \"nezha-sim: \" line naming the write error", msg)
+	}
+	if rows := strings.Count(stdout.String(), " local\n") + strings.Count(stdout.String(), " offloaded\n"); rows != 1 || strings.Contains(stdout.String(), "summary") {
+		t.Errorf("printed %d per-second rows and a summary: %v; the run went on after the failed write:\n%s", rows, strings.Contains(stdout.String(), "summary"), stdout.String())
 	}
 }

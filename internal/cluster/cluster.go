@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"nezha/internal/controller"
+	"nezha/internal/dense"
 	"nezha/internal/fabric"
 	"nezha/internal/monitor"
 	"nezha/internal/obs"
@@ -81,7 +82,9 @@ type Cluster struct {
 	Switches []*vswitch.VSwitch
 	IDGen    uint64
 
-	vms []map[uint32]*workload.VM // per switch (by server index): vnic -> VM
+	// vms is each switch's VM table (by server index), indexed by the
+	// gateway's vNIC index.
+	vms []*dense.Table[workload.VM]
 }
 
 // ServerAddr returns the underlay address of server i.
@@ -159,9 +162,9 @@ func New(opts Options) *Cluster {
 			opts.VSwitch(i, &cfg)
 		}
 		vs := vswitch.New(c.Loop, c.Fab, c.GW, cfg)
-		byVNIC := make(map[uint32]*workload.VM)
-		c.vms = append(c.vms, byVNIC)
-		vs.SetDelivery(dispatch(byVNIC))
+		vms := &dense.Table[workload.VM]{}
+		c.vms = append(c.vms, vms)
+		vs.SetDelivery(dispatch(c.GW, vms))
 		if c.Obs != nil {
 			vs.EnableObs(c.Obs)
 		}
@@ -239,13 +242,17 @@ func (c *Cluster) Start() {
 }
 
 // dispatch hands a switch's VM deliveries to the VM behind each vNIC
-// in byVNIC, the switch's own map (AddVM fills it); a delivery to a
-// vNIC with no VM is ignored.
-func dispatch(byVNIC map[uint32]*workload.VM) vswitch.Delivery {
+// in vms, the switch's own table (AddVM fills it); a delivery to a vNIC
+// with no VM ends here, released.
+func dispatch(gw *fabric.Gateway, vms *dense.Table[workload.VM]) vswitch.Delivery {
 	return func(vnic uint32, p *packet.Packet, lat sim.Time) {
-		if vm, ok := byVNIC[vnic]; ok {
-			vm.OnDeliver(vnic, p, lat)
+		if i, ok := gw.Index(vnic); ok {
+			if vm := vms.At(i); vm != nil {
+				vm.OnDeliver(vnic, p, lat)
+				return
+			}
 		}
+		p.Release()
 	}
 }
 
@@ -285,7 +292,7 @@ func (c *Cluster) AddVM(spec VMSpec) (*workload.VM, error) {
 	if spec.KernelScale > 0 && spec.KernelScale != 1 {
 		vm.ScaleKernel(spec.KernelScale)
 	}
-	c.vms[spec.Server][spec.VNIC] = vm
+	c.vms[spec.Server].Set(c.GW.Intern(spec.VNIC), vm)
 	return vm, nil
 }
 

@@ -162,9 +162,9 @@ func (a *Agent) apply(req *Request) error {
 }
 
 // ack sends the reply packet. Like the vSwitch's probe pongs, it is a
-// fresh packet accounted by the fabric ledger.
+// fresh pooled packet accounted by the fabric ledger.
 func (a *Agent) ack(to packet.IPv4, id uint64) {
-	p := packet.New(id, 0, 0, packet.FiveTuple{
+	p := packet.Get(id, 0, 0, packet.FiveTuple{
 		SrcIP: a.vs.Addr(), DstIP: to,
 		SrcPort: vswitch.CtrlPort, DstPort: ctrlClientPort,
 		Proto: packet.ProtoUDP,
@@ -204,6 +204,7 @@ func (ga *GatewayAgent) Addr() packet.IPv4 { return ga.addr }
 
 func (ga *GatewayAgent) handle(p *packet.Packet) {
 	id := p.ID
+	p.Release() // a fabric handler: the agent is the request's terminal consumer
 	if st, ok := ga.seen[id]; ok {
 		ga.Stats.Duplicates++
 		if st.done {
@@ -244,7 +245,7 @@ func (ga *GatewayAgent) handle(p *packet.Packet) {
 }
 
 func (ga *GatewayAgent) ack(to packet.IPv4, id uint64) {
-	p := packet.New(id, 0, 0, packet.FiveTuple{
+	p := packet.Get(id, 0, 0, packet.FiveTuple{
 		SrcIP: ga.addr, DstIP: to,
 		SrcPort: vswitch.CtrlPort, DstPort: ctrlClientPort,
 		Proto: packet.ProtoUDP,

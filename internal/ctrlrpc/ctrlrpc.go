@@ -274,7 +274,7 @@ func (t *Transport) attempt(cl *call, n int) {
 		t.Stats.Retries++
 		t.ob.Event(t.loop.Now(), "rpc-retry", cl.to, cl.req.VNIC, "op=%v id=%d attempt=%d", cl.req.Op, cl.req.ID, n)
 	}
-	p := packet.New(cl.req.ID, 0, 0, packet.FiveTuple{
+	p := packet.Get(cl.req.ID, 0, 0, packet.FiveTuple{
 		SrcIP: t.addr, DstIP: cl.to,
 		SrcPort: ctrlClientPort, DstPort: vswitch.CtrlPort,
 		Proto: packet.ProtoUDP,
@@ -340,21 +340,25 @@ func (t *Transport) SetReply(id uint64, rep *Reply) {
 }
 
 // handleAck completes the pending call an arriving ack packet names.
+// The transport is the ack's terminal consumer: it releases the packet
+// once it has read the request ID.
 func (t *Transport) handleAck(p *packet.Packet) {
+	id := p.ID
+	p.Release()
 	if t.down {
 		t.Stats.DownDrops++
 		return
 	}
-	cl, ok := t.pending[p.ID]
+	cl, ok := t.pending[id]
 	if !ok {
 		t.Stats.DupAcks++
 		return
 	}
-	res := t.verdicts[p.ID]
-	rep := t.replies[p.ID]
-	delete(t.pending, p.ID)
-	delete(t.verdicts, p.ID)
-	delete(t.replies, p.ID)
+	res := t.verdicts[id]
+	rep := t.replies[id]
+	delete(t.pending, id)
+	delete(t.verdicts, id)
+	delete(t.replies, id)
 	if res == nil {
 		t.Stats.Acked++
 	} else {

@@ -12,9 +12,11 @@ package fabric
 import (
 	"fmt"
 
+	"nezha/internal/dense"
 	"nezha/internal/obs"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
+	"nezha/internal/slab"
 )
 
 // Link latencies: one-way delay between two servers. Values follow
@@ -66,8 +68,11 @@ type node struct {
 
 // Fabric is the underlay network.
 type Fabric struct {
-	loop  *sim.Loop
-	nodes map[packet.IPv4]*node
+	loop *sim.Loop
+	// ids indexes the addresses registered (package dense); nodes is
+	// the node table under it. An address is resolved once per send.
+	ids   dense.Index
+	nodes dense.Table[node]
 	// partitions holds failed server pairs (normalized low,high):
 	// rare in practice thanks to fast-failover groups, but exactly
 	// the case the FE–BE mutual ping exists for (Appendix C.1).
@@ -90,15 +95,10 @@ type Fabric struct {
 	// not yet resolved (delivered or lost).
 	inFlight uint64
 
-	// groupFree recycles same-deadline delivery groups. Each group is
-	// retained by its delivery closure until the event fires, so this
-	// must be a freelist — several groups are in flight at once.
-	groupFree [][]*packet.Packet
-
-	// taskFree recycles delivery events (deliverTask) the same way, so
-	// the non-wire burst path schedules deliveries without allocating a
-	// closure per group.
-	taskFree *deliverTask
+	// tasks recycles delivery events (deliverTask), each with its
+	// same-deadline group buffer, so a delivery is scheduled without
+	// allocating a closure or a group slice.
+	tasks slab.Pool[deliverTask]
 
 	// serMemo caches the serialization-delay computation for the last
 	// size seen: burst traffic is near-uniform, so the float math runs
@@ -124,11 +124,21 @@ type Fabric struct {
 
 // New builds an empty fabric on loop.
 func New(loop *sim.Loop) *Fabric {
-	return &Fabric{
-		loop:       loop,
-		nodes:      make(map[packet.IPv4]*node),
-		partitions: make(map[[2]packet.IPv4]bool),
+	return &Fabric{loop: loop, partitions: make(map[[2]packet.IPv4]bool)}
+}
+
+// node returns the node registered at addr, or nil.
+func (f *Fabric) node(addr packet.IPv4) *node {
+	if i, ok := f.ids.Lookup(uint32(addr)); ok {
+		return f.nodes.At(i)
 	}
+	return nil
+}
+
+// partitioned is Partitioned without the map probe while no pair is
+// severed, as on every send of a healthy run.
+func (f *Fabric) partitioned(a, b packet.IPv4) bool {
+	return len(f.partitions) != 0 && f.partitions[pairKey(a, b)]
 }
 
 func pairKey(a, b packet.IPv4) [2]packet.IPv4 {
@@ -159,26 +169,30 @@ func (f *Fabric) SetFaultInjector(fn FaultInjector) { f.faults = fn }
 func (f *Fabric) InFlight() uint64 { return f.inFlight }
 
 // Register attaches a server at addr under ToR tor with a delivery
-// handler. Re-registering an address replaces its handler.
+// handler. Re-registering an address replaces its handler; the address
+// keeps its index.
 func (f *Fabric) Register(addr packet.IPv4, tor int, h Handler) {
-	if old, ok := f.nodes[addr]; ok {
+	i := f.ids.Intern(uint32(addr))
+	if old := f.nodes.At(i); old != nil {
 		old.gone = true
 	}
-	f.nodes[addr] = &node{addr: addr, tor: tor, handler: h}
+	f.nodes.Set(i, &node{addr: addr, tor: tor, handler: h})
 }
 
 // Unregister detaches a server (a crashed SmartNIC stops receiving).
 func (f *Fabric) Unregister(addr packet.IPv4) {
-	if n, ok := f.nodes[addr]; ok {
-		n.gone = true
-		delete(f.nodes, addr)
+	if i, ok := f.ids.Lookup(uint32(addr)); ok {
+		if n := f.nodes.At(i); n != nil {
+			n.gone = true
+			f.nodes.Set(i, nil)
+		}
 	}
 }
 
 // SetHandler swaps a node's handler in place.
 func (f *Fabric) SetHandler(addr packet.IPv4, h Handler) error {
-	n, ok := f.nodes[addr]
-	if !ok {
+	n := f.node(addr)
+	if n == nil {
 		return fmt.Errorf("fabric: no node at %v", addr)
 	}
 	n.handler = h
@@ -189,8 +203,8 @@ func (f *Fabric) SetHandler(addr packet.IPv4, h Handler) error {
 // SendBurst hands it whole same-instant bursts; per-packet Send still
 // goes through the plain Handler.
 func (f *Fabric) SetBurstHandler(addr packet.IPv4, h BurstHandler) error {
-	n, ok := f.nodes[addr]
-	if !ok {
+	n := f.node(addr)
+	if n == nil {
 		return fmt.Errorf("fabric: no node at %v", addr)
 	}
 	n.burst = h
@@ -201,7 +215,7 @@ func (f *Fabric) SetBurstHandler(addr packet.IPv4, h BurstHandler) error {
 // node dst: same-ToR when from is registered under dst's ToR,
 // inter-ToR otherwise (an unregistered source included).
 func (f *Fabric) propTo(from packet.IPv4, dst *node) sim.Time {
-	if src, ok := f.nodes[from]; ok && src.tor == dst.tor {
+	if src := f.node(from); src != nil && src.tor == dst.tor {
 		return LatencySameToR
 	}
 	return LatencyInterToR
@@ -215,19 +229,6 @@ func (f *Fabric) serTime(size int) sim.Time {
 		f.serMemoVal = sim.Time(float64(size) / LinkBandwidth * float64(sim.Second))
 	}
 	return f.serMemoVal
-}
-
-func (f *Fabric) getGroup() []*packet.Packet {
-	if n := len(f.groupFree); n > 0 {
-		g := f.groupFree[n-1]
-		f.groupFree = f.groupFree[:n-1]
-		return g
-	}
-	return make([]*packet.Packet, 0, 32)
-}
-
-func (f *Fabric) putGroup(g []*packet.Packet) {
-	f.groupFree = append(f.groupFree, g[:0])
 }
 
 // Send delivers p from one server to another after the link latency
@@ -244,8 +245,8 @@ func (f *Fabric) putGroup(g []*packet.Packet) {
 func (f *Fabric) Send(from, to packet.IPv4, p *packet.Packet) {
 	p.CheckLive()
 	f.Sends++
-	dst, ok := f.nodes[to]
-	if !ok || f.partitions[pairKey(from, to)] {
+	dst := f.node(to)
+	if dst == nil || f.partitioned(from, to) {
 		f.lose(p, from, to)
 		return
 	}
@@ -254,12 +255,13 @@ func (f *Fabric) Send(from, to packet.IPv4, p *packet.Packet) {
 		return
 	}
 	f.BytesSent += uint64(p.SizeBytes)
+	t := f.getTask(from, to, dst)
 	if f.wireMode {
-		f.deliverBurst(from, to, dst, append(f.getGroup(), p), lat)
+		t.group = append(t.group, p)
+		f.deliverBurst(t, lat)
 		return
 	}
 	f.inFlight++
-	t := f.getTask(from, to, dst)
 	t.one = p
 	f.loop.AtTask(f.loop.Now()+lat, t)
 }
@@ -306,8 +308,8 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 	// change mid-call: fault injectors are pure per-send draws (the
 	// FaultInjector contract) and no events run inside one burst, so
 	// the scalar path's per-packet checks hoist to one check here.
-	dst, ok := f.nodes[to]
-	if !ok || f.partitions[pairKey(from, to)] {
+	dst := f.node(to)
+	if dst == nil || f.partitioned(from, to) {
 		for _, p := range ps {
 			p.CheckLive()
 			f.Sends++
@@ -316,7 +318,7 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 		return
 	}
 	prop := f.propTo(from, dst)
-	group := f.getGroup()
+	t := f.getTask(from, to, dst)
 	var groupLat sim.Time
 	for _, p := range ps {
 		p.CheckLive()
@@ -326,34 +328,31 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 			continue
 		}
 		f.BytesSent += uint64(p.SizeBytes)
-		if len(group) > 0 && lat != groupLat {
-			f.deliverBurst(from, to, dst, group, groupLat)
-			group = f.getGroup()
+		if len(t.group) > 0 && lat != groupLat {
+			f.deliverBurst(t, groupLat)
+			t = f.getTask(from, to, dst)
 		}
 		groupLat = lat
-		group = append(group, p)
+		t.group = append(t.group, p)
 	}
-	if len(group) > 0 {
-		f.deliverBurst(from, to, dst, group, groupLat)
+	if len(t.group) > 0 {
+		f.deliverBurst(t, groupLat)
 	} else {
-		f.putGroup(group)
+		f.tasks.Put(t)
 	}
 }
 
-// deliverBurst schedules one delivery event for a group of packets
-// sharing a deadline, bound for the registered node dst at to.
-// Reachability is re-checked at delivery time, as in Send; in wire
-// mode each packet is marshaled now and decoded at delivery.
-// The group slice returns to the freelist once the event resolves —
-// the handlers take the packets, never the slice.
-func (f *Fabric) deliverBurst(from, to packet.IPv4, dst *node, group []*packet.Packet, lat sim.Time) {
-	f.inFlight += uint64(len(group))
-	t := f.getTask(from, to, dst)
-	t.group = group
+// deliverBurst schedules t's group of packets, which share a deadline,
+// for delivery. Reachability is re-checked at delivery time, as in
+// Send; in wire mode each packet is marshaled now and decoded at
+// delivery. The group buffer stays with the task — the handlers take
+// the packets, never the slice.
+func (f *Fabric) deliverBurst(t *deliverTask, lat sim.Time) {
+	f.inFlight += uint64(len(t.group))
 	if f.wireMode {
 		// A debugging mode, so the wire slice per group stays acceptable.
-		t.wires = make([][]byte, len(group))
-		for i, p := range group {
+		t.wires = make([][]byte, len(t.group))
+		for i, p := range t.group {
 			t.wires[i] = p.Marshal()
 		}
 	}
@@ -374,33 +373,26 @@ type deliverTask struct {
 	group    []*packet.Packet
 	wires    [][]byte
 	one      *packet.Packet
-	next     *deliverTask
 }
 
 func (f *Fabric) getTask(from, to packet.IPv4, dst *node) *deliverTask {
-	t := f.taskFree
-	if t == nil {
-		t = &deliverTask{f: f}
-	} else {
-		f.taskFree = t.next
-		t.next = nil
-	}
-	t.from, t.to, t.dst = from, to, dst
+	t := f.tasks.Get()
+	t.f, t.from, t.to, t.dst, t.group = f, from, to, dst, t.group[:0]
 	return t
 }
 
-// Run fires the delivery. The task recycles itself before touching the
-// fabric — fields are copied out first, so handlers that reenter
-// Send or SendBurst can reuse the struct safely.
+// Run fires the delivery. A lone packet's task recycles itself before
+// the handler runs — fields are copied out first, so a handler that
+// reenters Send can reuse the struct; a group's task recycles once the
+// handlers are done with its buffer.
 func (t *deliverTask) Run() {
 	f, from, to, dst, group, wires, one := t.f, t.from, t.to, t.dst, t.group, t.wires, t.one
-	t.dst, t.group, t.wires, t.one = nil, nil, nil, nil
-	t.next = f.taskFree
-	f.taskFree = t
+	t.dst, t.wires, t.one = nil, nil, nil
 	// The destination may have crashed or been replaced (dst.gone), or
 	// the pair partitioned, while in flight.
-	ok := !dst.gone && !f.partitions[pairKey(from, to)]
+	ok := !dst.gone && !f.partitioned(from, to)
 	if one != nil {
+		f.tasks.Put(t)
 		f.inFlight--
 		if !ok || dst.handler == nil {
 			f.lose(one, from, to)
@@ -420,7 +412,7 @@ func (t *deliverTask) Run() {
 			}
 			f.lose(p, from, to)
 		}
-		f.putGroup(group)
+		f.tasks.Put(t)
 		return
 	}
 	if wires != nil {
@@ -450,5 +442,5 @@ func (t *deliverTask) Run() {
 			dst.handler(q)
 		}
 	}
-	f.putGroup(group)
+	f.tasks.Put(t)
 }

@@ -20,9 +20,8 @@ func mkPkt(id uint64) *packet.Packet {
 
 // SameToR reports whether two servers are registered under one ToR.
 func (f *Fabric) SameToR(a, b packet.IPv4) bool {
-	na, oka := f.nodes[a]
-	nb, okb := f.nodes[b]
-	return oka && okb && na.tor == nb.tor
+	na, nb := f.node(a), f.node(b)
+	return na != nil && nb != nil && na.tor == nb.tor
 }
 
 // Latency is the one-way delay between two servers for a packet of
@@ -604,11 +603,9 @@ func TestSkipAccountingBreaksLedger(t *testing.T) {
 	}
 }
 
-// Nodes returns the registered addresses (order unspecified).
+// Nodes returns the registered addresses in index order.
 func (f *Fabric) Nodes() []packet.IPv4 {
-	out := make([]packet.IPv4, 0, len(f.nodes))
-	for a := range f.nodes {
-		out = append(out, a)
-	}
+	out := make([]packet.IPv4, 0, f.nodes.Len())
+	f.nodes.Each(func(n *node) { out = append(out, n.addr) })
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 
+	"nezha/internal/dense"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
 )
@@ -35,20 +36,33 @@ var ErrStaleEpoch = errors.New("fabric: stale config epoch")
 // unversioned mutators bump the epoch themselves, preserving the
 // single-writer ordering for callers that drive the gateway directly.
 type Gateway struct {
-	loop  *sim.Loop
-	table map[uint32]*gwEntry
-	order []uint32 // Range's scratch; nil while a Range is running
+	loop *sim.Loop
+	// ids is the region's vNIC index (package dense): every per-vNIC
+	// table — entries here, each learner's cache, the vSwitches' vNIC
+	// and FE tables, the cluster's VM dispatch — is indexed by it.
+	ids     dense.Index
+	entries []gwEntry // by vNIC index
+	n       int       // entries set
+	order   []uint32  // Range's scratch; nil while a Range is running
 }
 
 type gwEntry struct {
 	addrs []packet.IPv4
 	epoch uint64
+	set   bool
 }
 
 // NewGateway builds an empty gateway.
 func NewGateway(loop *sim.Loop) *Gateway {
-	return &Gateway{loop: loop, table: make(map[uint32]*gwEntry)}
+	return &Gateway{loop: loop}
 }
+
+// Index resolves a vNIC ID to its dense index, if it has one.
+func (g *Gateway) Index(vnic uint32) (int, bool) { return g.ids.Lookup(vnic) }
+
+// Intern returns a vNIC ID's dense index, assigning the next one if the
+// region has not named the vNIC before.
+func (g *Gateway) Intern(vnic uint32) int { return g.ids.Intern(vnic) }
 
 // Set installs or replaces a vNIC's location list (controller action),
 // bumping the entry's epoch.
@@ -73,44 +87,57 @@ func (g *Gateway) SetEpoch(vnic uint32, epoch uint64, servers ...packet.IPv4) er
 
 // Epoch reports the config epoch of a vNIC's entry (0 if absent).
 func (g *Gateway) Epoch(vnic uint32) uint64 {
-	if e, ok := g.table[vnic]; ok {
+	if e := g.lookup(vnic); e != nil {
 		return e.epoch
 	}
 	return 0
 }
 
 func (g *Gateway) entry(vnic uint32) *gwEntry {
-	e, ok := g.table[vnic]
-	if !ok {
-		e = &gwEntry{}
-		g.table[vnic] = e
+	i := g.ids.Intern(vnic)
+	if i >= len(g.entries) {
+		g.entries = append(g.entries, make([]gwEntry, i+1-len(g.entries))...)
+	}
+	e := &g.entries[i]
+	if !e.set {
+		e.set = true
+		g.n++
 	}
 	return e
 }
 
+// lookup returns a vNIC's entry, or nil.
+func (g *Gateway) lookup(vnic uint32) *gwEntry {
+	if i, ok := g.ids.Lookup(vnic); ok && i < len(g.entries) && g.entries[i].set {
+		return &g.entries[i]
+	}
+	return nil
+}
+
 // Lookup resolves a vNIC's current locations.
 func (g *Gateway) Lookup(vnic uint32) ([]packet.IPv4, bool) {
-	e, ok := g.table[vnic]
-	if !ok {
-		return nil, false
+	if e := g.lookup(vnic); e != nil {
+		return e.addrs, true
 	}
-	return e.addrs, true
+	return nil, false
 }
 
 // Range calls fn for every entry in ascending vNIC order (so callers
 // iterating the table — e.g. the chaos no-blackhole invariant — do not
-// depend on map order). Returning false stops the walk. The walk
-// borrows the gateway's scratch slice, so a Range nested in fn sorts
-// into a slice of its own.
+// depend on registration order). Returning false stops the walk. The
+// walk borrows the gateway's scratch slice, so a Range nested in fn
+// sorts into a slice of its own.
 func (g *Gateway) Range(fn func(vnic uint32, addrs []packet.IPv4, epoch uint64) bool) {
 	vnics := g.order[:0]
 	g.order = nil
-	for v := range g.table {
-		vnics = append(vnics, v)
+	for i := range g.entries {
+		if g.entries[i].set {
+			vnics = append(vnics, g.ids.Key(i))
+		}
 	}
 	slices.Sort(vnics)
 	for _, v := range vnics {
-		e := g.table[v]
+		e := g.lookup(v)
 		if !fn(v, e.addrs, e.epoch) {
 			break
 		}
@@ -119,50 +146,43 @@ func (g *Gateway) Range(fn func(vnic uint32, addrs []packet.IPv4, epoch uint64) 
 }
 
 // Len reports the table size.
-func (g *Gateway) Len() int { return len(g.table) }
+func (g *Gateway) Len() int { return g.n }
 
 // Learner is a vSwitch's on-demand cache over the gateway table.
 // Entries are served from cache until LearnInterval elapses, then
-// refreshed — reproducing the ≤200 ms staleness window.
+// refreshed — reproducing the ≤200 ms staleness window. The cache is
+// indexed by the gateway's vNIC index, which a lookup assigns to a vNIC
+// the gateway does not know yet, so a miss is cached like a hit.
 type Learner struct {
 	loop    *sim.Loop
 	gateway *Gateway
-	cache   map[uint32]learned
-
-	// One-entry memo over the cache map: burst traffic resolves the
-	// same peer vNIC for every packet of a run, so the common Lookup
-	// is a field compare instead of a map probe. The memo mirrors a
-	// cache entry exactly (same addrs, ok, at), so it expires on the
-	// same LearnInterval boundary.
-	memoVNIC uint32
-	memoHas  bool
-	memo     learned
+	cache   []learned // by vNIC index
 }
 
 type learned struct {
-	addrs []packet.IPv4
-	ok    bool
-	at    sim.Time
+	addrs  []packet.IPv4
+	ok     bool
+	cached bool
+	at     sim.Time
 }
 
 // NewLearner builds a learner over gw.
 func NewLearner(loop *sim.Loop, gw *Gateway) *Learner {
-	return &Learner{loop: loop, gateway: gw, cache: make(map[uint32]learned)}
+	return &Learner{loop: loop, gateway: gw}
 }
 
 // Lookup resolves a vNIC's server list, consulting the cache first.
 func (l *Learner) Lookup(vnic uint32) ([]packet.IPv4, bool) {
 	now := l.loop.Now()
-	if l.memoHas && l.memoVNIC == vnic && now-l.memo.at < LearnInterval {
-		return l.memo.addrs, l.memo.ok
+	i := l.gateway.Intern(vnic)
+	if i >= len(l.cache) {
+		l.cache = append(l.cache, make([]learned, i+1-len(l.cache))...)
 	}
-	e, hit := l.cache[vnic]
-	if !hit || now-e.at >= LearnInterval {
-		e = learned{at: now}
+	e := &l.cache[i]
+	if !e.cached || now-e.at >= LearnInterval {
+		*e = learned{cached: true, at: now}
 		e.addrs, e.ok = l.gateway.Lookup(vnic)
-		l.cache[vnic] = e
 	}
-	l.memoVNIC, l.memoHas, l.memo = vnic, true, e
 	return e.addrs, e.ok
 }
 

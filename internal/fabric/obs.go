@@ -31,7 +31,7 @@ func (f *Fabric) EnableObs(o *obs.Obs) {
 	r.CounterVar("fabric_chaos_lost_total", nil, &f.ChaosLost)
 	r.CounterVar("fabric_bytes_total", nil, &f.BytesSent)
 	r.GaugeFunc("fabric_inflight", nil, func() float64 { return float64(f.inFlight) })
-	r.GaugeFunc("fabric_nodes", nil, func() float64 { return float64(len(f.nodes)) })
+	r.GaugeFunc("fabric_nodes", nil, func() float64 { return float64(f.nodes.Len()) })
 	r.GaugeFunc("fabric_partitions", nil, func() float64 { return float64(len(f.partitions)) })
 }
 
@@ -41,7 +41,7 @@ func (g *Gateway) EnableObs(o *obs.Obs) {
 		return
 	}
 	o.Reg.Help("gateway_table_size", "vNIC-to-node entries in the gateway forwarding table.")
-	o.Reg.GaugeFunc("gateway_table_size", nil, func() float64 { return float64(len(g.table)) })
+	o.Reg.GaugeFunc("gateway_table_size", nil, func() float64 { return float64(g.Len()) })
 }
 
 // traceHop records a wire-stage hop toward to for sampled packets.

@@ -278,14 +278,17 @@ func (m *Monitor) round() {
 // round N's wave must not vouch for round N (a target that answered
 // once just before dying could otherwise stay "healthy" an extra
 // round per queued pong, stretching crash detection past its bound).
+// The monitor is the pong's terminal consumer (DESIGN.md §10): it reads
+// the source and probe ID, then releases the packet.
 func (m *Monitor) handlePong(p *packet.Packet) {
 	m.PongsSeen.Add(1)
-	addr := p.OuterSrc
+	addr, id := p.OuterSrc, p.ID
+	p.Release()
 	t, ok := m.targets[addr]
 	if !ok {
 		return
 	}
-	if !t.pending || p.ID != t.pendingID {
+	if !t.pending || id != t.pendingID {
 		m.StalePongs.Add(1)
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"nezha/internal/sim"
+	"nezha/internal/slab"
 )
 
 // CPU is a multi-core queueing server on the simulation loop. Work is
@@ -33,8 +34,7 @@ type CPU struct {
 	order      []int64
 	orderShift uint
 
-	waveFree [][]int32 // recycled wave-member buffers for SubmitBurst
-	taskFree *waveTask // recycled wave events for SubmitBurstTo
+	waves slab.Pool[waveTask] // recycled wave events for SubmitBurstTo
 }
 
 // pickCore returns the earliest-free core. Ties resolve to the LOWEST
@@ -222,7 +222,7 @@ type BurstSink interface {
 // one scheduled event — a "wave" — instead of one event each.
 func (c *CPU) SubmitBurstTo(costs []uint64, sink BurstSink) {
 	now := c.loop.Now()
-	wave := c.getWave()
+	wave := c.newWave(sink)
 	var waveAt sim.Time
 	for i, cycles := range costs {
 		best := c.pickCore()
@@ -243,77 +243,52 @@ func (c *CPU) SubmitBurstTo(costs []uint64, sink BurstSink) {
 		c.busy += st
 		c.coreBusy[best] += st
 		c.processed++
-		if len(wave) > 0 && end != waveAt {
-			c.scheduleWave(sink, wave, waveAt-now)
-			wave = c.getWave()
+		if len(wave.members) > 0 && end != waveAt {
+			c.scheduleWave(wave, waveAt-now)
+			wave = c.newWave(sink)
 		}
 		waveAt = end
-		wave = append(wave, int32(i))
+		wave.members = append(wave.members, int32(i))
 	}
-	if len(wave) > 0 {
-		c.scheduleWave(sink, wave, waveAt-now)
+	if len(wave.members) > 0 {
+		c.scheduleWave(wave, waveAt-now)
 	} else {
-		c.putWave(wave)
+		c.waves.Put(wave)
 	}
 }
 
-// waveTask is one completion wave's scheduled event payload. Tasks are
-// pooled on the CPU and scheduled via sim.Loop.AtTask, so a wave costs
-// no closure and no event allocation.
+// waveTask is one completion wave's scheduled event payload, members
+// buffer included. Tasks are pooled on the CPU and scheduled via
+// sim.Loop.AtTask, so a wave costs no closure, no event and no buffer
+// allocation.
 type waveTask struct {
 	cpu     *CPU
 	sink    BurstSink
 	members []int32
 	total   sim.Time
-	next    *waveTask
 }
 
-func (c *CPU) scheduleWave(sink BurstSink, members []int32, total sim.Time) {
-	t := c.taskFree
-	if t == nil {
-		t = &waveTask{cpu: c}
-	} else {
-		c.taskFree = t.next
-		t.next = nil
-	}
-	t.sink, t.members, t.total = sink, members, total
+func (c *CPU) newWave(sink BurstSink) *waveTask {
+	t := c.waves.Get()
+	t.cpu, t.sink, t.members = c, sink, t.members[:0]
+	return t
+}
+
+func (c *CPU) scheduleWave(t *waveTask, total sim.Time) {
+	t.total = total
 	c.loop.AtTask(c.loop.Now()+total, t)
 }
 
 // Run fires the wave: per-item completions, then the wave-end flush.
-// The task recycles itself before invoking the sink — its fields are
-// copied out first, so a reentrant burst submission from a completion
-// callback can safely reuse the struct.
+// The task returns to the pool only after the sink is done with its
+// members; a burst the sink submits meanwhile takes another task.
 func (t *waveTask) Run() {
-	c, sink, members, total := t.cpu, t.sink, t.members, t.total
-	t.sink, t.members = nil, nil
-	t.next = c.taskFree
-	c.taskFree = t
-	for _, i := range members {
-		sink.Complete(int(i), true, total)
+	for _, i := range t.members {
+		t.sink.Complete(int(i), true, t.total)
 	}
-	sink.WaveEnd(members)
-	c.putWave(members)
-}
-
-// getWave pops a recycled wave-member buffer (or returns nil; append
-// grows it on first use). putWave returns a buffer once its scheduled
-// event has fired — completion events run strictly after SubmitBurst
-// itself, so a buffer is never live in two waves at once.
-func (c *CPU) getWave() []int32 {
-	if n := len(c.waveFree); n > 0 {
-		w := c.waveFree[n-1]
-		c.waveFree = c.waveFree[:n-1]
-		return w[:0]
-	}
-	return nil
-}
-
-func (c *CPU) putWave(w []int32) {
-	if cap(w) == 0 {
-		return
-	}
-	c.waveFree = append(c.waveFree, w)
+	t.sink.WaveEnd(t.members)
+	t.sink = nil
+	t.cpu.waves.Put(t)
 }
 
 // SubmitPriority enqueues cycles of work that is never dropped at

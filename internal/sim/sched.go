@@ -50,7 +50,7 @@ const (
 func slotOf(at Time) int64 { return int64(at) >> calSlotShift }
 
 // calSlot is one in-window slot: its events chained through
-// event.next in push order. Events come off the loop's free list, so a
+// event.next in push order. Events come off the loop's slab pool, so a
 // slot owns no memory and a push allocates nothing.
 type calSlot struct{ head, tail *event }
 

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"nezha/internal/slab"
 )
 
 // Time is a virtual timestamp measured in nanoseconds since the start
@@ -51,7 +53,7 @@ func (t Time) String() string {
 
 // Event is a scheduled callback. Events with equal deadlines fire in
 // scheduling order (FIFO), which keeps runs deterministic. Event
-// structs are recycled through a per-loop free list; gen distinguishes
+// structs are recycled through the loop's slab pool; gen distinguishes
 // incarnations so a stale EventRef cannot cancel a reused event.
 // An event carries either a bare func (At/Schedule) or a Task
 // (AtTask); exactly one is set.
@@ -115,7 +117,8 @@ type Loop struct {
 	rng       *Rand
 	nfired    uint64
 	observers []Observer
-	free      []*event // recycled event structs
+	events    slab.Pool[event]
+	horizon   Time // the running Run's until, which Stop clamps
 }
 
 // Observer receives control after every executed event, at the
@@ -153,26 +156,19 @@ func NewLoop(seed int64) *Loop {
 func NewLoopSched(seed int64, _ SchedulerKind) *Loop { return NewLoop(seed) }
 
 func (l *Loop) newEvent(at Time, fn func()) *event {
-	var ev *event
-	if n := len(l.free); n > 0 {
-		ev = l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-	} else {
-		ev = &event{}
-	}
+	ev := l.events.Get()
 	ev.at, ev.seq, ev.fn, ev.dead = at, l.seq, fn, false
 	l.seq++
 	return ev
 }
 
-// recycle returns a popped event to the free list. The generation bump
+// recycle returns a popped event to the pool. The generation bump
 // invalidates every outstanding EventRef to this incarnation.
 func (l *Loop) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.task = nil
-	l.free = append(l.free, ev)
+	l.events.Put(ev)
 }
 
 // Now returns the current virtual time.
@@ -278,8 +274,9 @@ func (t *Ticker) Stop() {
 // until, whichever comes first. It returns the time of the last event
 // executed (or the current time if none ran).
 func (l *Loop) Run(until Time) Time {
+	l.horizon = until
 	for {
-		ev := l.sched.popLE(until)
+		ev := l.sched.popLE(l.horizon)
 		if ev == nil {
 			break
 		}
@@ -298,11 +295,16 @@ func (l *Loop) Run(until Time) Time {
 		}
 		l.notify()
 	}
-	if until != MaxTime && l.now < until {
-		l.now = until
+	if l.horizon != MaxTime && l.now < l.horizon {
+		l.now = l.horizon
 	}
 	return l.now
 }
+
+// Stop ends the running Run once the events already due at the current
+// instant have fired; the clock stays there, and the next Run starts
+// afresh. It clamps Run's horizon instead of adding a check per event.
+func (l *Loop) Stop() { l.horizon = l.now }
 
 // RunAll executes events until the queue drains.
 func (l *Loop) RunAll() Time { return l.Run(MaxTime) }

@@ -348,3 +348,21 @@ func BenchmarkRandUint64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestStopEndsRun pins Loop.Stop: events due at the stopping instant
+// still fire, later ones stay queued, the clock stays at the stop
+// instead of jumping to the horizon, and the next Run carries on.
+func TestStopEndsRun(t *testing.T) {
+	l := NewLoop(1)
+	var fired []Time
+	for _, at := range []Time{10, 20, 20, 30} {
+		l.At(at, func() { fired = append(fired, l.Now()) })
+	}
+	l.At(20, l.Stop)
+	if now := l.Run(100); now != 20 || len(fired) != 3 || l.Pending() != 1 {
+		t.Fatalf("stopped run ended at %v after %v with %d pending, want 20, [10 20 20], 1", now, fired, l.Pending())
+	}
+	if now := l.Run(100); now != 100 || len(fired) != 4 {
+		t.Fatalf("the next run ended at %v after %v, want 100 and all four", now, fired)
+	}
+}

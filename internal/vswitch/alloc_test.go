@@ -131,7 +131,7 @@ func TestSubmitTaskAllocFree(t *testing.T) {
 func TestOverloadDropAllocFree(t *testing.T) {
 	w := overloadedBE(t)
 	w.beOverloadSend()
-	box := w.B.boxFree
+	box := w.B.boxes.Top()
 	if box == nil {
 		t.Fatal("the dropped packet's view box did not return to its home freelist")
 	}
@@ -142,7 +142,7 @@ func TestOverloadDropAllocFree(t *testing.T) {
 	if got := w.B.Stats.Drops[DropOverload] - drops; got != 101 {
 		t.Fatalf("%d overload drops over 101 packets", got)
 	}
-	if w.B.boxFree != box || box.next != nil {
+	if w.B.boxes.Top() != box || w.B.boxes.Idle() != 1 {
 		t.Fatal("drops did not keep recycling the one box")
 	}
 }
@@ -177,7 +177,7 @@ func TestViewBoxLossAllocFree(t *testing.T) {
 			lost := w.fab.Lost + w.fab.ChaosLost
 			send := func() { w.pooledSend(w.B, serverVNIC, tuple(1000).Reverse()) }
 			send()
-			if w.B.boxFree == nil {
+			if w.B.boxes.Top() == nil {
 				t.Fatal("the lost packet's view box did not return to the BE's freelist")
 			}
 			if n := testing.AllocsPerRun(100, send); n != 0 {
@@ -202,7 +202,7 @@ func TestViewBoxWireModeRecycles(t *testing.T) {
 	box := p.Nezha.StateView.(*viewBox)
 	packet.PutBuf(p.Marshal())
 	p.Release()
-	if w.A.boxFree != box {
+	if w.A.boxes.Top() != box {
 		t.Fatal("releasing a marshalled packet did not return its box to the home freelist")
 	}
 
@@ -210,12 +210,12 @@ func TestViewBoxWireModeRecycles(t *testing.T) {
 	w.installLocal(t, false)
 	w.offloadServer(t, false, true)
 	w.establish(t)
-	box = w.B.boxFree
+	box = w.B.boxes.Top()
 	if box == nil {
 		t.Fatal("wire-mode offloaded rounds left no box on the BE's freelist")
 	}
 	w.roundTrip()
-	if w.B.boxFree != box || box.next != nil {
+	if w.B.boxes.Top() != box || w.B.boxes.Idle() != 1 {
 		t.Fatal("a wire-mode offloaded round did not send the BE's one box home")
 	}
 }

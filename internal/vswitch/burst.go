@@ -86,7 +86,7 @@ func (vs *VSwitch) fromVMRun(ps []*packet.Packet) {
 		vs.dropRun(ps, DropCrashed)
 		return
 	}
-	vn, ok := vs.vnics[ps[0].VNIC]
+	vn, ok := vs.vnic(ps[0].VNIC)
 	if !ok {
 		vs.dropRun(ps, DropNoRules)
 		return
@@ -188,18 +188,20 @@ func (vs *VSwitch) underlayRun(ps []*packet.Packet) {
 			vs.handleMutualPong(p)
 		default:
 			// Control-plane RPCs go to the management agent. The packet
-			// is absorbed here; the agent's ack is a fresh packet.
+			// is absorbed here, so it is released once the agent has read
+			// it; the agent's ack is a fresh packet.
 			vs.ProfCtrl(0, nic.CtrlRPCCycles)
 			vs.Stats.Absorbed++
 			if vs.ctrlHandler != nil {
 				vs.ctrlHandler(p)
 			}
+			p.Release()
 		}
 		return
 	}
 	switch typ, vnic := nezhaOf(p); typ {
 	case packet.NezhaCarryState: // TX relay arriving at an FE
-		if fe, ok := vs.fes[vnic]; ok {
+		if fe, ok := vs.fe(vnic); ok {
 			vs.runBurstPipeline(pipeFeTX, nil, fe, ps)
 		} else {
 			// FE instance withdrawn (scale-in raced with in-flight
@@ -208,7 +210,7 @@ func (vs *VSwitch) underlayRun(ps []*packet.Packet) {
 		}
 		return
 	case packet.NezhaCarryPreActions, packet.NezhaNotify: // at the BE
-		vn, ok := vs.vnics[vnic]
+		vn, ok := vs.vnic(vnic)
 		switch {
 		case !ok:
 			vs.dropRun(ps, DropNoRoute)
@@ -219,15 +221,13 @@ func (vs *VSwitch) underlayRun(ps []*packet.Packet) {
 		}
 		return
 	}
-	if fe, ok := vs.fes[p.VNIC]; ok {
-		vs.runBurstPipeline(pipeFeRX, nil, fe, ps)
-		return
-	}
-	vn, ok := vs.vnics[p.VNIC]
+	vn, fe := vs.resolve(p.VNIC)
 	switch {
-	case ok && vn.rules != nil: // monolithic, incl. the dual-running stage
+	case fe != nil:
+		vs.runBurstPipeline(pipeFeRX, nil, fe, ps)
+	case vn != nil && vn.rules != nil: // monolithic, incl. the dual-running stage
 		vs.runBurstPipeline(pipeLocalRX, vn, nil, ps)
-	case ok:
+	case vn != nil:
 		// Final offload stage: the rules are gone and a stale sender has
 		// not learned the FE location yet.
 		vs.dropRun(ps, DropNoRules)
@@ -318,13 +318,8 @@ func (vs *VSwitch) runPlan(acts []burstAct) {
 	switch len(acts) {
 	case 0:
 	case 1:
-		t := vs.stageFree
-		if t == nil {
-			t = &stageTask{vs: vs}
-		} else {
-			vs.stageFree = t.next
-			t.next = nil
-		}
+		t := vs.stages.Get()
+		t.vs = vs
 		t.dbg.markLive("stage task")
 		delay, ok := vs.cpu.SubmitTask(acts[0].cycles, t)
 		if !ok {
@@ -346,21 +341,19 @@ func (vs *VSwitch) runPlan(acts []burstAct) {
 }
 
 // stageTask is a lone act's scheduled CPU completion: the act plus the
-// delay the CPU model charged it. Tasks are free-listed per vSwitch,
-// grown on demand by the packets in flight.
+// delay the CPU model charged it. Tasks are pooled per vSwitch, grown
+// on demand by the packets in flight.
 type stageTask struct {
 	vs    *VSwitch
 	act   burstAct
 	delay sim.Time
-	next  *stageTask
 	dbg   viewDebugState
 }
 
 func (vs *VSwitch) putStage(t *stageTask) {
 	t.dbg.markFree("stage task")
 	t.act = burstAct{}
-	t.next = vs.stageFree
-	vs.stageFree = t
+	vs.stages.Put(t)
 }
 
 // Run fires the completion. The task recycles itself first — its
@@ -386,18 +379,11 @@ type burstRun struct {
 	vs        *VSwitch
 	acts      []burstAct
 	remaining int
-	next      *burstRun
 	dbg       viewDebugState
 }
 
 func (vs *VSwitch) getRun(acts []burstAct) *burstRun {
-	r := vs.runFree
-	if r == nil {
-		r = &burstRun{}
-	} else {
-		vs.runFree = r.next
-		r.next = nil
-	}
+	r := vs.runs.Get()
 	r.dbg.markLive("burst run")
 	r.vs = vs
 	r.acts = append(r.acts[:0], acts...)
@@ -407,8 +393,7 @@ func (vs *VSwitch) getRun(acts []burstAct) *burstRun {
 
 func (vs *VSwitch) putRun(r *burstRun) {
 	r.dbg.markFree("burst run")
-	r.next = vs.runFree
-	vs.runFree = r
+	vs.runs.Put(r)
 }
 
 // Complete implements nic.BurstSink: the act stage of one packet,

@@ -184,7 +184,7 @@ func TestNezhaRunsBatch(t *testing.T) {
 			}
 			w.loop.RunAll()
 			fired[i] = w.loop.Fired()
-			if burst && vs.runFree == nil {
+			if burst && vs.runs.Idle() == 0 {
 				t.Errorf("%s: a burst of three submitted no CPU burst", r.name)
 			}
 		}

@@ -66,11 +66,11 @@ func (vs *VSwitch) mutualRound() {
 	// digests) breaks. The round owns m.targets: onDown cannot re-enter
 	// it.
 	targets := m.targets[:0]
-	for _, vn := range vs.vnics {
+	vs.vnics.Each(func(vn *vnicState) {
 		if vn.offloaded {
 			targets = append(targets, vn.fes...)
 		}
-	}
+	})
 	slices.Sort(targets)
 	targets = slices.Compact(targets)
 	m.targets = targets

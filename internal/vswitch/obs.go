@@ -93,15 +93,15 @@ func (vs *VSwitch) EnableObs(o *obs.Obs) {
 	r.GaugeFunc("vswitch_mem_util", lbl, func() float64 { return vs.MemUtilization() })
 	r.GaugeFunc("vswitch_cpu_util", lbl, func() float64 { return vs.ob.util.Sample() })
 	r.GaugeFunc("vswitch_inflight_cpu", lbl, func() float64 { return float64(vs.inFlightCPU) })
-	r.GaugeFunc("vswitch_vnics", lbl, func() float64 { return float64(len(vs.vnics)) })
-	r.GaugeFunc("vswitch_fes_hosted", lbl, func() float64 { return float64(len(vs.fes)) })
+	r.GaugeFunc("vswitch_vnics", lbl, func() float64 { return float64(vs.vnics.Len()) })
+	r.GaugeFunc("vswitch_fes_hosted", lbl, func() float64 { return float64(vs.fes.Len()) })
 	r.GaugeFunc("vswitch_vnics_offloaded", lbl, func() float64 {
 		n := 0
-		for _, vn := range vs.vnics {
+		vs.vnics.Each(func(vn *vnicState) {
 			if vn.offloaded {
 				n++
 			}
-		}
+		})
 		return float64(n)
 	})
 	r.GaugeFunc("vswitch_crashed", lbl, func() float64 {

@@ -87,7 +87,7 @@ func (vs *VSwitch) profLive(emit func(vnic uint32, role prof.Role, cause prof.Ca
 	var accs []liveAcc
 	vs.sessions.Range(func(e *flowcache.Entry) bool {
 		role := prof.RoleLocal
-		if _, hosted := vs.fes[e.Key.VNIC]; hosted {
+		if _, hosted := vs.fe(e.Key.VNIC); hosted {
 			role = prof.RoleFE
 		}
 		var a *liveAcc

@@ -152,7 +152,7 @@ func TestProfCtrlPacketCharged(t *testing.T) {
 	w := newWorld(t, 0, nil)
 	pr := prof.New()
 	w.A.EnableProf(pr)
-	w.A.SetControlHandler(func(p *packet.Packet) { p.Release() })
+	w.A.SetControlHandler(func(*packet.Packet) {}) // the vSwitch releases what it absorbs
 
 	pktID++
 	ft := packet.FiveTuple{

@@ -48,7 +48,7 @@ func TestViewDebugUseAfterRecycle(t *testing.T) {
 func TestViewDebugDropRecycles(t *testing.T) {
 	w := overloadedBE(t)
 	w.beOverloadSend()
-	box := w.B.boxFree
+	box := w.B.boxes.Top()
 	if box == nil || w.B.Stats.Drops[DropOverload] != 1 {
 		t.Fatalf("overload drop did not recycle the box (drops %v)", w.B.Stats.Drops)
 	}
@@ -101,8 +101,8 @@ func TestStageDebugTripwires(t *testing.T) {
 	w.installLocal(t, false)
 	w.clientSend(1000, packet.FlagSYN)
 	w.loop.RunAll()
-	if len(w.deliveredB) != 1 || w.A.stageFree == nil {
-		t.Fatalf("delivered %d, stage freelist empty=%v", len(w.deliveredB), w.A.stageFree == nil)
+	if len(w.deliveredB) != 1 || w.A.stages.Idle() == 0 {
+		t.Fatalf("delivered %d, stage freelist empty=%v", len(w.deliveredB), w.A.stages.Idle() == 0)
 	}
 }
 
@@ -127,8 +127,8 @@ func TestBurstRunDebugTripwires(t *testing.T) {
 	}
 	w.A.FromVMBurst(ps)
 	w.loop.RunAll()
-	if len(w.deliveredB) != 2 || w.A.runFree == nil {
-		t.Fatalf("delivered %d, run freelist empty=%v", len(w.deliveredB), w.A.runFree == nil)
+	if len(w.deliveredB) != 2 || w.A.runs.Idle() == 0 {
+		t.Fatalf("delivered %d, run freelist empty=%v", len(w.deliveredB), w.A.runs.Idle() == 0)
 	}
 }
 
@@ -203,7 +203,7 @@ func TestViewDebugReleaseAfterStrip(t *testing.T) {
 	box := p.Nezha.StateView.(*viewBox)
 	p.StripNezha()
 	p.Release()
-	if w.A.boxFree != box || box.next != nil {
+	if w.A.boxes.Top() != box || w.A.boxes.Idle() != 1 {
 		t.Fatal("strip then release did not leave the box on its freelist exactly once")
 	}
 

@@ -11,16 +11,16 @@ package vswitch
 // a foreign view) falls back to Decode.
 //
 // Lifecycle: the attach sites (planBeTX, planFeRX, sendNotify) take a
-// box from the per-vSwitch freelist. The box goes back to that same
-// freelist (one single-threaded sim world, so reaching into the
-// sender's pool is safe) whenever its header leaves the packet, through
+// box from the per-vSwitch pool. The box goes back to that same pool
+// (one single-threaded sim world, so reaching into the sender's pool
+// is safe) whenever its header leaves the packet, through
 // packet.PooledView: the consumer's StripNezha on a live path, and
 // Release on every terminal one — a vSwitch drop, fabric loss, a chaos
 // drop, the original of a wire-mode send once its marshalled copy is
 // decoded. So each pool is bounded by its own switch's headers in
 // flight, however lopsided the BE→FE and FE→BE flows are. A packet
-// never released (a raw handler keeping it) leaves its box to the GC;
-// correctness never depends on recycling. The simdebug build guards
+// never released (a raw handler keeping it) keeps its box out of the
+// pool for good; correctness never depends on recycling. The simdebug build guards
 // use-after-recycle and a second return (see viewdebug_on.go).
 
 import (
@@ -36,8 +36,7 @@ type viewBox struct {
 	hdr  packet.NezhaHeader
 	st   state.State
 	pre  tables.PreActions
-	home *VSwitch // whose freelist the box returns to
-	next *viewBox
+	home *VSwitch // whose pool the box returns to
 	dbg  viewDebugState
 }
 
@@ -61,24 +60,18 @@ func (b *viewBox) AppendWire(dst []byte) []byte {
 }
 
 func (vs *VSwitch) getBox() *viewBox {
-	b := vs.boxFree
-	if b == nil {
-		b = &viewBox{home: vs}
-	} else {
-		vs.boxFree = b.next
-		b.next = nil
-	}
+	b := vs.boxes.Get()
+	b.home = vs
 	b.dbg.markLive("view box")
 	return b
 }
 
-// Recycle implements packet.PooledView: b returns to the freelist of
-// the vSwitch that took it, not the one consuming it.
+// Recycle implements packet.PooledView: b returns to the pool of the
+// vSwitch that took it, not the one consuming it.
 func (b *viewBox) Recycle() {
 	b.dbg.markFree("view box")
 	poisonBox(b)
-	b.next = b.home.boxFree
-	b.home.boxFree = b
+	b.home.boxes.Put(b)
 }
 
 // attachStateView attaches a CarryState header holding a snapshot of

@@ -31,12 +31,14 @@ import (
 	"errors"
 	"fmt"
 
+	"nezha/internal/dense"
 	"nezha/internal/fabric"
 	"nezha/internal/flowcache"
 	"nezha/internal/nic"
 	"nezha/internal/packet"
 	"nezha/internal/prof"
 	"nezha/internal/sim"
+	"nezha/internal/slab"
 	"nezha/internal/slo"
 	"nezha/internal/tables"
 )
@@ -234,8 +236,11 @@ type VSwitch struct {
 	mem      *nic.Memory // rule-table memory; sessions get the rest
 	sessions *flowcache.Table
 
-	vnics map[uint32]*vnicState
-	fes   map[uint32]*feInstance
+	// vnics and fes are the resident-vNIC and hosted-FE tables, indexed
+	// by the gateway's vNIC index (package dense); gw resolves it.
+	gw    *fabric.Gateway
+	vnics dense.Table[vnicState]
+	fes   dense.Table[feInstance]
 
 	deliver    Delivery
 	deliverObs Delivery // observer invoked alongside deliver (chaos)
@@ -285,13 +290,12 @@ type VSwitch struct {
 	admitBuf   []*packet.Packet
 	sendBuf    []*packet.Packet
 
-	// runFree pools burst sinks and stageFree lone-act CPU tasks
-	// (burstRun and stageTask in burst.go).
-	runFree   *burstRun
-	stageFree *stageTask
-
-	// boxFree pools zero-copy header-view boxes (viewpool.go).
-	boxFree *viewBox
+	// runs pools burst sinks and stages lone-act CPU tasks (burstRun
+	// and stageTask in burst.go); boxes pools zero-copy header-view
+	// boxes (viewpool.go).
+	runs   slab.Pool[burstRun]
+	stages slab.Pool[stageTask]
+	boxes  slab.Pool[viewBox]
 
 	Stats Counters
 }
@@ -314,8 +318,7 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *VS
 		cfg:     cfg,
 		cpu:     nic.NewCPU(loop, cfg.Cores, cfg.CoreHz, nic.DefaultMaxQueueDelay),
 		mem:     nic.NewMemory(cfg.NetMemBytes),
-		vnics:   make(map[uint32]*vnicState),
-		fes:     make(map[uint32]*feInstance),
+		gw:      gw,
 		node:    prof.NewNode(cfg.Addr.String(), cfg.Cores),
 	}
 	vs.ctrl = vs.node.Slot(0, prof.RoleCtrl)
@@ -327,6 +330,29 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *VS
 	fab.Register(cfg.Addr, cfg.ToR, vs.HandleUnderlay)
 	_ = fab.SetBurstHandler(cfg.Addr, vs.HandleUnderlayBurst)
 	return vs
+}
+
+// resolve looks a vNIC ID up once in the gateway's vNIC index and
+// returns the resident vNIC and the hosted FE instance this switch
+// holds for it; either may be nil.
+func (vs *VSwitch) resolve(id uint32) (*vnicState, *feInstance) {
+	i, ok := vs.gw.Index(id)
+	if !ok {
+		return nil, nil
+	}
+	return vs.vnics.At(i), vs.fes.At(i)
+}
+
+// vnic resolves a resident vNIC by ID.
+func (vs *VSwitch) vnic(id uint32) (*vnicState, bool) {
+	vn, _ := vs.resolve(id)
+	return vn, vn != nil
+}
+
+// fe resolves a hosted FE instance by its vNIC's ID.
+func (vs *VSwitch) fe(id uint32) (*feInstance, bool) {
+	_, fe := vs.resolve(id)
+	return fe, fe != nil
 }
 
 // Addr returns the vSwitch's underlay address.
@@ -386,6 +412,8 @@ func (vs *VSwitch) SetMirrorSink(addr packet.IPv4) { vs.mirrorSink = addr }
 
 // SetControlHandler installs the receiver for control-plane RPC
 // packets addressed to CtrlPort (the ctrlrpc agent). Nil removes it.
+// The vSwitch releases each packet when h returns, so h must not keep
+// it.
 func (vs *VSwitch) SetControlHandler(h func(*packet.Packet)) { vs.ctrlHandler = h }
 
 // Crash simulates a vSwitch software crash: all packets (including
@@ -455,7 +483,7 @@ var ErrStaleEpoch = errors.New("vswitch: stale config epoch")
 // AddVNIC installs a resident vNIC with its rule tables. decap
 // enables stateful decapsulation for it (§5.2).
 func (vs *VSwitch) AddVNIC(rules *tables.RuleSet, decap bool) error {
-	if _, dup := vs.vnics[rules.VNIC]; dup {
+	if _, dup := vs.vnic(rules.VNIC); dup {
 		return ErrExists
 	}
 	sz := rules.SizeBytes()
@@ -463,16 +491,16 @@ func (vs *VSwitch) AddVNIC(rules *tables.RuleSet, decap bool) error {
 	if !vs.reserve(slot, prof.CauseRuleTable, sz) {
 		return ErrNoRuleMemory
 	}
-	vs.vnics[rules.VNIC] = &vnicState{
+	vs.vnics.Set(vs.gw.Intern(rules.VNIC), &vnicState{
 		id: rules.VNIC, vpc: rules.VPC, rules: rules, ruleBytes: sz, decap: decap, slot: slot,
-	}
+	})
 	vs.refreshSessionBudget()
 	return nil
 }
 
 // RemoveVNIC uninstalls a resident vNIC and its sessions.
 func (vs *VSwitch) RemoveVNIC(vnic uint32) {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	if !ok {
 		return
 	}
@@ -480,24 +508,24 @@ func (vs *VSwitch) RemoveVNIC(vnic uint32) {
 	if vn.beCharged {
 		vs.release(vn.slot, prof.CauseBEData, BEDataBytes)
 	}
-	delete(vs.vnics, vnic)
+	vs.vnics.Set(vs.gw.Intern(vnic), nil)
 	vs.sessions.InvalidateVNIC(vnic)
 	vs.refreshSessionBudget()
 }
 
 // NumVNICs reports how many vNICs are resident here.
-func (vs *VSwitch) NumVNICs() int { return len(vs.vnics) }
+func (vs *VSwitch) NumVNICs() int { return vs.vnics.Len() }
 
 // HasVNIC reports whether vnic is resident here.
 func (vs *VSwitch) HasVNIC(vnic uint32) bool {
-	_, ok := vs.vnics[vnic]
+	_, ok := vs.vnic(vnic)
 	return ok
 }
 
 // VNICRuleBytes reports a resident vNIC's rule memory (0 if offloaded
 // past the final stage).
 func (vs *VSwitch) VNICRuleBytes(vnic uint32) int {
-	if vn, ok := vs.vnics[vnic]; ok {
+	if vn, ok := vs.vnic(vnic); ok {
 		return vn.ruleBytes
 	}
 	return 0
@@ -507,13 +535,13 @@ func (vs *VSwitch) VNICRuleBytes(vnic uint32) int {
 // vNIC's local-role ledger slot: every cycle its plans priced on this
 // node, since the vNIC was first installed here.
 func (vs *VSwitch) VNICLoads() []VNICLoad {
-	out := make([]VNICLoad, 0, len(vs.vnics))
-	for _, vn := range vs.vnics {
+	out := make([]VNICLoad, 0, vs.vnics.Len())
+	vs.vnics.Each(func(vn *vnicState) {
 		out = append(out, VNICLoad{
 			VNIC: vn.id, Cycles: vn.slot.Total(), RuleBytes: vn.ruleBytes,
 			Offloaded: vn.offloaded,
 		})
-	}
+	})
 	return out
 }
 
@@ -524,7 +552,7 @@ func (vs *VSwitch) VNICLoads() []VNICLoad {
 // are retained for stale direct senders (§4.2.1). The unversioned
 // form keeps the current FE-set epoch.
 func (vs *VSwitch) OffloadStart(vnic uint32, fes []packet.IPv4) error {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	if !ok {
 		return ErrUnknownVNIC
 	}
@@ -534,7 +562,7 @@ func (vs *VSwitch) OffloadStart(vnic uint32, fes []packet.IPv4) error {
 // OffloadStartEpoch is OffloadStart with an explicit config epoch:
 // pushes older than the installed FE-set config are rejected.
 func (vs *VSwitch) OffloadStartEpoch(vnic uint32, fes []packet.IPv4, epoch uint64) error {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	if !ok {
 		return ErrUnknownVNIC
 	}
@@ -560,7 +588,7 @@ func (vs *VSwitch) OffloadStartEpoch(vnic uint32, fes []packet.IPv4, epoch uint6
 // The two-phase controller uses this to roll back a commit whose
 // gateway flip failed.
 func (vs *VSwitch) OffloadAbort(vnic uint32) error {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	if !ok {
 		return ErrUnknownVNIC
 	}
@@ -579,7 +607,7 @@ func (vs *VSwitch) OffloadAbort(vnic uint32) error {
 // data). Stale senders hitting the BE directly after this are
 // dropped with DropNoRules.
 func (vs *VSwitch) OffloadFinalize(vnic uint32) error {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	if !ok {
 		return ErrUnknownVNIC
 	}
@@ -605,7 +633,7 @@ func (vs *VSwitch) OffloadFinalize(vnic uint32) error {
 // SetFEsEpoch replaces the FE list at an explicit config epoch,
 // rejecting pushes older than the installed config.
 func (vs *VSwitch) SetFEsEpoch(vnic uint32, fes []packet.IPv4, epoch uint64) error {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	if !ok {
 		return ErrUnknownVNIC
 	}
@@ -619,7 +647,7 @@ func (vs *VSwitch) SetFEsEpoch(vnic uint32, fes []packet.IPv4, epoch uint64) err
 
 // FESetEpoch reports the config epoch of the BE's FE-set for vnic.
 func (vs *VSwitch) FESetEpoch(vnic uint32) uint64 {
-	if vn, ok := vs.vnics[vnic]; ok {
+	if vn, ok := vs.vnic(vnic); ok {
 		return vn.feEpoch
 	}
 	return 0
@@ -627,7 +655,7 @@ func (vs *VSwitch) FESetEpoch(vnic uint32) uint64 {
 
 // FEList returns the BE's current FE list for vnic.
 func (vs *VSwitch) FEList(vnic uint32) []packet.IPv4 {
-	if vn, ok := vs.vnics[vnic]; ok {
+	if vn, ok := vs.vnic(vnic); ok {
 		return append([]packet.IPv4(nil), vn.fes...)
 	}
 	return nil
@@ -638,7 +666,7 @@ func (vs *VSwitch) FEList(vnic uint32) []packet.IPv4 {
 // directions. Under Nezha the BE remains the single enforcement
 // point since every packet of the vNIC still traverses it.
 func (vs *VSwitch) SetRateLimit(vnic uint32, bytesPerSec float64) error {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	if !ok {
 		return ErrUnknownVNIC
 	}
@@ -699,7 +727,7 @@ func (vs *VSwitch) rateAdmit(vn *vnicState, p *packet.Packet) bool {
 // overriding the 5-tuple hash — the §7.5 elephant-flow isolation.
 // The FE address need not be in the vNIC's regular pool.
 func (vs *VSwitch) PinFlow(vnic uint32, ft packet.FiveTuple, fe packet.IPv4) error {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	if !ok {
 		return ErrUnknownVNIC
 	}
@@ -713,7 +741,7 @@ func (vs *VSwitch) PinFlow(vnic uint32, ft packet.FiveTuple, fe packet.IPv4) err
 
 // UnpinFlow removes an elephant-flow pin.
 func (vs *VSwitch) UnpinFlow(vnic uint32, ft packet.FiveTuple) {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	if !ok {
 		return
 	}
@@ -725,7 +753,7 @@ func (vs *VSwitch) UnpinFlow(vnic uint32, ft packet.FiveTuple) {
 // rule tables are reinstalled locally while FEs are still configured
 // (§4.2.2).
 func (vs *VSwitch) FallbackStart(vnic uint32, rules *tables.RuleSet) error {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	if !ok {
 		return ErrUnknownVNIC
 	}
@@ -746,7 +774,7 @@ func (vs *VSwitch) FallbackStart(vnic uint32, rules *tables.RuleSet) error {
 // FallbackFinalize completes fallback: FE config and BE data are
 // released.
 func (vs *VSwitch) FallbackFinalize(vnic uint32) error {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	if !ok {
 		return ErrUnknownVNIC
 	}
@@ -762,7 +790,7 @@ func (vs *VSwitch) FallbackFinalize(vnic uint32) error {
 
 // Offloaded reports whether a resident vNIC is currently offloaded.
 func (vs *VSwitch) Offloaded(vnic uint32) bool {
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	return ok && vn.offloaded
 }
 
@@ -771,7 +799,7 @@ func (vs *VSwitch) Offloaded(vnic uint32) bool {
 // InstallFE installs an FE instance for a remote vNIC: a copy of its
 // stateless rule tables plus the BE location.
 func (vs *VSwitch) InstallFE(rules *tables.RuleSet, beAddr packet.IPv4, decap bool) error {
-	if _, dup := vs.fes[rules.VNIC]; dup {
+	if _, dup := vs.fe(rules.VNIC); dup {
 		return ErrExists
 	}
 	return vs.InstallFEEpoch(rules, beAddr, decap, 0)
@@ -782,7 +810,7 @@ func (vs *VSwitch) InstallFE(rules *tables.RuleSet, beAddr packet.IPv4, decap bo
 // instance and succeeds (idempotent RPC retry); an older push is
 // rejected with ErrStaleEpoch.
 func (vs *VSwitch) InstallFEEpoch(rules *tables.RuleSet, beAddr packet.IPv4, decap bool, epoch uint64) error {
-	if fe, dup := vs.fes[rules.VNIC]; dup {
+	if fe, dup := vs.fe(rules.VNIC); dup {
 		if epoch < fe.epoch {
 			return ErrStaleEpoch
 		}
@@ -796,10 +824,10 @@ func (vs *VSwitch) InstallFEEpoch(rules *tables.RuleSet, beAddr packet.IPv4, dec
 	if !vs.reserve(slot, prof.CauseRuleTable, sz) {
 		return ErrNoRuleMemory
 	}
-	vs.fes[rules.VNIC] = &feInstance{
+	vs.fes.Set(vs.gw.Intern(rules.VNIC), &feInstance{
 		vnic: rules.VNIC, vpc: rules.VPC, rules: rules, ruleBytes: sz,
 		beAddr: beAddr, decap: decap, epoch: epoch, slot: slot,
-	}
+	})
 	vs.refreshSessionBudget()
 	return nil
 }
@@ -814,12 +842,12 @@ func (vs *VSwitch) RemoveFE(vnic uint32) {
 // transaction must not tear down the instance a later, committed
 // transaction installed. Removing an absent instance is a no-op.
 func (vs *VSwitch) RemoveFEEpoch(vnic uint32, epoch uint64) {
-	fe, ok := vs.fes[vnic]
+	fe, ok := vs.fe(vnic)
 	if !ok || fe.epoch > epoch {
 		return
 	}
 	vs.release(fe.slot, prof.CauseRuleTable, fe.ruleBytes)
-	delete(vs.fes, vnic)
+	vs.fes.Set(vs.gw.Intern(vnic), nil)
 	vs.sessions.InvalidateVNIC(vnic)
 	vs.refreshSessionBudget()
 }
@@ -827,7 +855,7 @@ func (vs *VSwitch) RemoveFEEpoch(vnic uint32, epoch uint64) {
 // FEEpoch reports the config epoch of a hosted FE instance. ok is
 // false when no instance exists.
 func (vs *VSwitch) FEEpoch(vnic uint32) (uint64, bool) {
-	if fe, ok := vs.fes[vnic]; ok {
+	if fe, ok := vs.fe(vnic); ok {
 		return fe.epoch, true
 	}
 	return 0, false
@@ -839,23 +867,23 @@ func (vs *VSwitch) FEEpoch(vnic uint32) (uint64, bool) {
 // dual-running). The chaos no-blackhole invariant checks this for
 // every address the gateway routes a vNIC at.
 func (vs *VSwitch) CanServe(vnic uint32) bool {
-	if _, ok := vs.fes[vnic]; ok {
+	if _, ok := vs.fe(vnic); ok {
 		return true
 	}
-	vn, ok := vs.vnics[vnic]
+	vn, ok := vs.vnic(vnic)
 	return ok && vn.rules != nil
 }
 
 // HostsFE reports whether this vSwitch hosts an FE for vnic.
 func (vs *VSwitch) HostsFE(vnic uint32) bool {
-	_, ok := vs.fes[vnic]
+	_, ok := vs.fe(vnic)
 	return ok
 }
 
 // SetBELocation updates the BE address of a hosted FE (VM live
 // migration redirection, §7.2).
 func (vs *VSwitch) SetBELocation(vnic uint32, beAddr packet.IPv4) error {
-	fe, ok := vs.fes[vnic]
+	fe, ok := vs.fe(vnic)
 	if !ok {
 		return ErrUnknownVNIC
 	}

@@ -6,8 +6,8 @@ import "testing"
 
 // TestCRRConnectionAllocFree pins that a CRR connection costs no heap
 // allocation once the free lists are warm: the arrival is the
-// generator's pooled task, the client's connection record is a map
-// value, and every packet of the open → SYNACK → request → response →
+// generator's pooled task, the client's connection record is a slot of
+// its port table, and every packet of the open → SYNACK → request → response →
 // FIN → complete lifecycle is pooled. (Not under -race: the race
 // runtime makes sync.Pool drop a share of the packets it is handed.)
 func TestCRRConnectionAllocFree(t *testing.T) {
@@ -38,5 +38,24 @@ func TestCRRConnectionAllocFree(t *testing.T) {
 	}
 	if b.client.InFlight() != 0 || b.server.KernelDrops != 0 {
 		t.Fatalf("in flight %d, kernel drops %d: lifecycles overlapped or failed", b.client.InFlight(), b.server.KernelDrops)
+	}
+}
+
+// TestPortTableAllocs pins the port table's growth: opening every
+// generator port in turn, from 1024, allocates one table per doubling,
+// seven in all up to maxPorts, and nothing per connection. The runtime
+// counts a table above 32 KiB as two mallocs, so the bound is 14.
+func TestPortTableAllocs(t *testing.T) {
+	vm := &VM{}
+	n := testing.AllocsPerRun(1, func() {
+		vm.starts = nil
+		for i := 1024; i < maxPorts; i++ {
+			if i >= len(vm.starts) {
+				vm.growPorts(i)
+			}
+		}
+	})
+	if n > 14 || len(vm.starts) != maxPorts {
+		t.Fatalf("filling the port table allocated %v times to %d slots, want 7 doublings (at most 14 mallocs) to %d", n, len(vm.starts), maxPorts)
 	}
 }

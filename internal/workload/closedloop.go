@@ -20,6 +20,8 @@ type ClosedCRR struct {
 	timeout sim.Time
 	sport   uint16
 	done    bool
+	// ws is the worker table: a completed port finds its worker here.
+	ws []*closedWorker
 
 	// Abandoned counts transactions given up after the timeout.
 	Abandoned uint64
@@ -38,14 +40,23 @@ func NewClosedCRR(loop *sim.Loop, vm *VM, dst packet.IPv4, workers int, timeout 
 	return &ClosedCRR{loop: loop, vm: vm, dst: dst, workers: workers, timeout: timeout, sport: 1024}
 }
 
-// Start launches the workers.
+// Start launches the workers. The generator takes the VM's completion
+// hook, so one VM drives one ClosedCRR. A restart reuses idle workers
+// and adds new ones beside any whose transaction is still settling, so
+// the worker table is bounded by the most workers ever busy at once.
 func (g *ClosedCRR) Start() {
 	g.done = false
-	ws := make([]closedWorker, g.workers)
-	for i := range ws {
-		w := &ws[i]
-		w.g = g
-		w.onDone = w.complete
+	g.vm.onClosed = g.closed
+	n := g.workers
+	for _, w := range g.ws {
+		if n > 0 && w.sport == 0 {
+			g.next(w)
+			n--
+		}
+	}
+	for ; n > 0; n-- {
+		w := &closedWorker{g: g}
+		g.ws = append(g.ws, w)
 		g.next(w)
 	}
 }
@@ -55,17 +66,17 @@ func (g *ClosedCRR) Start() {
 func (g *ClosedCRR) Stop() { g.done = true }
 
 // closedWorker is one worker's transaction loop. The worker is its own
-// timeout task and its completion callback is bound once, so a
-// transaction schedules no closure; a completion cancels its timeout.
+// timeout task, so a transaction schedules no closure; a completion
+// cancels its timeout.
 type closedWorker struct {
 	g       *ClosedCRR
 	sport   uint16
 	timeout sim.EventRef
-	onDone  func()
 }
 
 func (g *ClosedCRR) next(w *closedWorker) {
 	if g.done {
+		w.sport = 0 // idle: generators open ports from 1024 up
 		return
 	}
 	g.sport++
@@ -73,13 +84,20 @@ func (g *ClosedCRR) next(w *closedWorker) {
 		g.sport = 1024
 	}
 	w.sport = g.sport
-	g.vm.OpenCB(w.sport, g.dst, ServerPort, w.onDone)
+	g.vm.Open(w.sport, g.dst, ServerPort)
 	w.timeout = g.loop.AtTask(g.loop.Now()+g.timeout, w)
 }
 
-func (w *closedWorker) complete() {
-	w.timeout.Cancel()
-	w.g.next(w)
+// closed is the VM's completion hook: the worker whose transaction
+// ran on sport cancels its timeout and opens the next one.
+func (g *ClosedCRR) closed(sport uint16) {
+	for _, w := range g.ws {
+		if w.sport == sport {
+			w.timeout.Cancel()
+			g.next(w)
+			return
+		}
+	}
 }
 
 // Run abandons the transaction at its timeout and opens a fresh one.

@@ -11,6 +11,7 @@ import (
 	"nezha/internal/nic"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
+	"nezha/internal/slab"
 	"nezha/internal/vswitch"
 )
 
@@ -37,12 +38,13 @@ func MaxCPS(vcpus int) float64 {
 	return DefaultPerCoreCPS * n / (1 + DefaultSerialFraction*(n-1))
 }
 
-// connState is one in-flight client connection, stored by value in
-// VM.conns: opening a connection allocates nothing.
-type connState struct {
-	start  sim.Time
-	onDone func()
-}
+// The VM's port table holds one slot per client source port, grown
+// lazily to the highest port opened, so it is bounded by maxPorts
+// slots (512 KiB); noConn marks a slot with no connection open.
+const (
+	maxPorts          = 1 << 16
+	noConn   sim.Time = -1
+)
 
 // VM models a guest's network endpoint: a client/server state machine
 // over the simulated TCP handshake plus a kernel-capacity model.
@@ -61,9 +63,15 @@ type VM struct {
 	reqBytes  int
 	respBytes int
 
-	conns map[uint16]connState
+	// starts is the port table: the start time of the client connection
+	// open on each source port, or noConn. open counts the ports holding
+	// one. onClosed, when set (by ClosedCRR), hears each
+	// completed connection's port.
+	starts   []sim.Time
+	open     int
+	onClosed func(sport uint16)
 
-	taskFree *kernelTask // recycled server-side kernel completions
+	tasks slab.Pool[kernelTask] // recycled server-side kernel completions
 
 	// Counters.
 	Started     uint64 // client connections initiated
@@ -95,7 +103,6 @@ func NewVM(loop *sim.Loop, vs *vswitch.VSwitch, vnic, vpc uint32, ip packet.IPv4
 		idGen:     idGen,
 		reqBytes:  128,
 		respBytes: 512,
-		conns:     make(map[uint16]connState),
 		Latency:   metrics.NewHistogramCap("conn-latency-us", 1<<18),
 	}
 	vm.pktCost = vm.connCost / 10
@@ -124,16 +131,17 @@ func (vm *VM) send(ft packet.FiveTuple, flags packet.TCPFlags, payload int, sent
 }
 
 // Open initiates one client connection to dst:dstPort from the given
-// source port. Each in-flight connection needs a distinct sport.
+// source port. Each in-flight connection needs a distinct sport;
+// opening on a port still in flight replaces its connection.
 func (vm *VM) Open(sport uint16, dst packet.IPv4, dstPort uint16) {
-	vm.OpenCB(sport, dst, dstPort, nil)
-}
-
-// OpenCB is Open with a completion callback, fired when the
-// transaction fully closes (closed-loop generators reopen from it).
-func (vm *VM) OpenCB(sport uint16, dst packet.IPv4, dstPort uint16, onDone func()) {
 	vm.Started++
-	vm.conns[sport] = connState{start: vm.loop.Now(), onDone: onDone}
+	if int(sport) >= len(vm.starts) {
+		vm.growPorts(int(sport))
+	}
+	if vm.starts[sport] == noConn {
+		vm.open++
+	}
+	vm.starts[sport] = vm.loop.Now()
 	ft := packet.FiveTuple{
 		SrcIP: vm.IP, DstIP: dst,
 		SrcPort: sport, DstPort: dstPort, Proto: packet.ProtoTCP,
@@ -141,10 +149,35 @@ func (vm *VM) OpenCB(sport uint16, dst packet.IPv4, dstPort uint16, onDone func(
 	vm.send(ft, packet.FlagSYN, 0, int64(vm.loop.Now()))
 }
 
+// growPorts extends the port table to hold slot i: doubling, capped at
+// maxPorts, new slots empty.
+func (vm *VM) growPorts(i int) {
+	n := min(max(2*len(vm.starts), i+1), maxPorts)
+	grown := make([]sim.Time, n)
+	copy(grown, vm.starts)
+	for j := len(vm.starts); j < n; j++ {
+		grown[j] = noConn
+	}
+	vm.starts = grown
+}
+
+// start returns the start time of the connection open on sport, or
+// noConn.
+func (vm *VM) start(sport uint16) sim.Time {
+	if int(sport) < len(vm.starts) {
+		return vm.starts[sport]
+	}
+	return noConn
+}
+
 // Abort abandons an in-flight client connection (timeout); any
-// residual vSwitch state ages out on its own.
+// residual vSwitch state ages out on its own. Aborting a port with no
+// connection is a no-op.
 func (vm *VM) Abort(sport uint16) {
-	delete(vm.conns, sport)
+	if vm.start(sport) != noConn {
+		vm.starts[sport] = noConn
+		vm.open--
+	}
 }
 
 // OnDeliver is the vSwitch delivery callback target. The VM is the
@@ -181,8 +214,8 @@ func (vm *VM) serverHandle(p *packet.Packet) {
 }
 
 // kernelTask is one server-side kernel completion: the reply to send
-// once the kernel has spent the packet's cycles. Tasks are free-listed
-// per VM, so the server side of a connection allocates nothing.
+// once the kernel has spent the packet's cycles. Tasks are pooled per
+// VM, so the server side of a connection allocates nothing.
 type kernelTask struct {
 	vm      *VM
 	reply   packet.FiveTuple
@@ -190,22 +223,16 @@ type kernelTask struct {
 	payload int
 	sentAt  int64
 	accept  bool // the reply accepts a new connection
-	next    *kernelTask
 }
 
 // kernelReply charges cost cycles on the VM's kernel and sends the
 // reply when they complete. A kernel over its backlog bound drops the
 // work; for a new connection (accept) that is a counted kernel drop.
 func (vm *VM) kernelReply(cost uint64, reply packet.FiveTuple, flags packet.TCPFlags, payload int, sentAt int64, accept bool) {
-	t := vm.taskFree
-	if t == nil {
-		t = &kernelTask{vm: vm}
-	} else {
-		vm.taskFree = t.next
-	}
-	t.reply, t.flags, t.payload, t.sentAt, t.accept = reply, flags, payload, sentAt, accept
+	t := vm.tasks.Get()
+	t.vm, t.reply, t.flags, t.payload, t.sentAt, t.accept = vm, reply, flags, payload, sentAt, accept
 	if _, ok := vm.kernel.SubmitTask(cost, t); !ok {
-		t.next, vm.taskFree = vm.taskFree, t
+		vm.tasks.Put(t)
 		if accept {
 			vm.KernelDrops++
 		}
@@ -216,7 +243,7 @@ func (vm *VM) kernelReply(cost uint64, reply packet.FiveTuple, flags packet.TCPF
 // send can reenter the VM.
 func (t *kernelTask) Run() {
 	vm, reply, flags, payload, sentAt, accept := t.vm, t.reply, t.flags, t.payload, t.sentAt, t.accept
-	t.next, vm.taskFree = vm.taskFree, t
+	vm.tasks.Put(t)
 	if accept {
 		vm.Accepted++
 	}
@@ -227,26 +254,26 @@ func (t *kernelTask) Run() {
 // machine: SYNACK → request, response → FIN, FINACK → complete.
 func (vm *VM) clientHandle(p *packet.Packet) {
 	sport := p.Tuple.DstPort
-	c, ok := vm.conns[sport]
-	if !ok {
+	start := vm.start(sport)
+	if start == noConn {
 		return
 	}
 	reply := p.Tuple.Reverse()
 	switch {
 	case p.Flags.Has(packet.FlagSYN) && p.Flags.Has(packet.FlagACK):
-		vm.send(reply, packet.FlagACK, vm.reqBytes, int64(c.start))
+		vm.send(reply, packet.FlagACK, vm.reqBytes, int64(start))
 	case p.Flags.Has(packet.FlagFIN):
 		vm.Completed++
-		lat := vm.loop.Now() - c.start
+		lat := vm.loop.Now() - start
 		vm.Latency.Observe(lat.Micros())
 		if vm.OnComplete != nil {
 			vm.OnComplete(lat)
 		}
-		delete(vm.conns, sport)
-		if c.onDone != nil {
-			c.onDone()
+		vm.Abort(sport)
+		if vm.onClosed != nil {
+			vm.onClosed(sport)
 		}
 	case p.PayloadLen > 0:
-		vm.send(reply, packet.FlagFIN|packet.FlagACK, 0, int64(c.start))
+		vm.send(reply, packet.FlagFIN|packet.FlagACK, 0, int64(start))
 	}
 }

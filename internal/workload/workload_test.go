@@ -295,4 +295,4 @@ func TestGeneratorStartIsIdempotent(t *testing.T) {
 }
 
 // InFlight reports the client connections not yet completed.
-func (vm *VM) InFlight() int { return len(vm.conns) }
+func (vm *VM) InFlight() int { return vm.open }
