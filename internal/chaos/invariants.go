@@ -81,15 +81,15 @@ type stateResidency struct {
 // a frontend — would mean Nezha silently became a state-replicating
 // system.
 //
-// The check runs every CheckEvery, so it reads each table's per-vNIC
-// count of stateful entries (flowcache.Table.StateCounts) instead of
-// its entries: a session key names its vNIC (a flowcache entry belongs
-// to its key's vNIC, which the simdebug build checks at creation), so
-// a violation needs state for a vNIC on a switch where it is not
-// resident, or state for one vNIC on two switches. Only when the counts
-// show one of those — never, in a healthy world — does it walk the
-// entries, and the walk alone decides the verdict and names the first
-// offending session.
+// The check runs every CheckEvery, so it reads each table's count of
+// stateful entries per (vNIC, VPC) scope (flowcache.Table.StateCounts)
+// instead of its entries: a session key names its vNIC (a flowcache
+// entry belongs to its key's vNIC, which the simdebug build checks at
+// creation), so a violation needs state for a vNIC on a switch where
+// it is not resident, or state for one vNIC on two switches. Only when
+// the counts show one of those — never, in a healthy world — does it
+// walk the entries, and the walk alone decides the verdict and names
+// the first offending session.
 func StateResidency(sys System) Invariant {
 	return &stateResidency{sys: sys, holders: make(map[packet.SessionKey]packet.IPv4)}
 }
@@ -98,10 +98,13 @@ func (c *stateResidency) Name() string { return "single-copy-state-residency" }
 
 func (c *stateResidency) Check(now sim.Time) error {
 	for _, vs := range c.sys.Switches {
-		for _, n := range vs.Sessions().StateCounts() {
-			if !vs.HasVNIC(n.VNIC) || c.statefulElsewhere(vs, n.VNIC) {
-				return c.walk()
-			}
+		suspect := false
+		vs.Sessions().StateCounts(func(vnic, _ uint32) bool {
+			suspect = !vs.HasVNIC(vnic) || c.statefulElsewhere(vs, vnic)
+			return !suspect
+		})
+		if suspect {
+			return c.walk()
 		}
 	}
 	return nil
@@ -114,10 +117,13 @@ func (c *stateResidency) statefulElsewhere(home *vswitch.VSwitch, vnic uint32) b
 		if vs == home {
 			continue
 		}
-		for _, n := range vs.Sessions().StateCounts() {
-			if n.VNIC == vnic {
-				return true
-			}
+		found := false
+		vs.Sessions().StateCounts(func(v, _ uint32) bool {
+			found = v == vnic
+			return !found
+		})
+		if found {
+			return true
 		}
 	}
 	return false
@@ -136,28 +142,30 @@ func (c *stateResidency) walk() error {
 			valid           bool
 			resident, multi bool
 		}
-		vs.Sessions().Range(func(e *flowcache.Entry) bool {
-			if !e.HasState {
+		tab := vs.Sessions()
+		tab.Range(func(e *flowcache.Entry) bool {
+			if !e.HasState() {
 				return true
 			}
-			if !memo.valid || memo.vnic != e.Key.VNIC {
-				memo.vnic, memo.valid = e.Key.VNIC, true
-				memo.resident = vs.HasVNIC(e.Key.VNIC)
-				memo.multi = memo.resident && c.residentElsewhere(vs, e.Key.VNIC)
+			key := tab.Key(e)
+			if !memo.valid || memo.vnic != key.VNIC {
+				memo.vnic, memo.valid = key.VNIC, true
+				memo.resident = vs.HasVNIC(key.VNIC)
+				memo.multi = memo.resident && c.residentElsewhere(vs, key.VNIC)
 			}
 			if !memo.resident {
 				err = fmt.Errorf("session state for vNIC %d held at %v, where the vNIC is not resident (FE holding state)",
-					e.Key.VNIC, vs.Addr())
+					key.VNIC, vs.Addr())
 				return false
 			}
 			if !memo.multi {
 				return true
 			}
-			if first, dup := c.holders[e.Key]; dup {
-				err = fmt.Errorf("session state for vNIC %d duplicated: copies at %v and %v", e.Key.VNIC, first, vs.Addr())
+			if first, dup := c.holders[key]; dup {
+				err = fmt.Errorf("session state for vNIC %d duplicated: copies at %v and %v", key.VNIC, first, vs.Addr())
 				return false
 			}
-			c.holders[e.Key] = vs.Addr()
+			c.holders[key] = vs.Addr()
 			return true
 		})
 		if err != nil {

@@ -22,20 +22,22 @@ func referenceResidency(sys System) error {
 	holders := make(map[packet.SessionKey]packet.IPv4)
 	for _, vs := range sys.Switches {
 		var err error
-		vs.Sessions().Range(func(e *flowcache.Entry) bool {
-			if !e.HasState {
+		tab := vs.Sessions()
+		tab.Range(func(e *flowcache.Entry) bool {
+			if !e.HasState() {
 				return true
 			}
-			if !vs.HasVNIC(e.Key.VNIC) {
+			key := tab.Key(e)
+			if !vs.HasVNIC(key.VNIC) {
 				err = fmt.Errorf("session state for vNIC %d held at %v, where the vNIC is not resident (FE holding state)",
-					e.Key.VNIC, vs.Addr())
+					key.VNIC, vs.Addr())
 				return false
 			}
-			if first, dup := holders[e.Key]; dup {
-				err = fmt.Errorf("session state for vNIC %d duplicated: copies at %v and %v", e.Key.VNIC, first, vs.Addr())
+			if first, dup := holders[key]; dup {
+				err = fmt.Errorf("session state for vNIC %d duplicated: copies at %v and %v", key.VNIC, first, vs.Addr())
 				return false
 			}
-			holders[e.Key] = vs.Addr()
+			holders[key] = vs.Addr()
 			return true
 		})
 		if err != nil {

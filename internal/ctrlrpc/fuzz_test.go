@@ -1,8 +1,11 @@
 package ctrlrpc
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
+	"nezha/internal/fabric"
 	"nezha/internal/packet"
 )
 
@@ -163,6 +166,111 @@ func FuzzAgentOps(f *testing.F) {
 					t.Fatalf("after %s: Offloaded(%d) %v, model %+v", opName(op), v, r.vs.Offloaded(v), *m)
 				case r.vs.CanServe(v) != (m.hasFE || m.resident && m.rules):
 					t.Fatalf("after %s: CanServe(%d) %v, model %+v", opName(op), v, r.vs.CanServe(v), *m)
+				}
+			}
+		}
+	})
+}
+
+// gatewayModel is the reference the gateway's entry for one vNIC must
+// match: whether it is set, its epoch and its FE set.
+type gatewayModel struct {
+	set   bool
+	epoch uint64
+	fes   []packet.IPv4
+}
+
+// opUnknown is an op no agent defines; the gateway must refuse it.
+const opUnknown = Op(250)
+
+// FuzzGatewayOps drives a gateway agent through random sequences of
+// OpGatewaySet pushes on four vNICs — at a fresh epoch, the entry's own
+// epoch (a retry) or a stale one, each with some subset of three FE
+// addresses — interleaved with OpQueryGateway queries and pushes of ops
+// the gateway does not apply. It requires no panic, every push applied
+// or refused as a per-vNIC (epoch, FE set) model predicts, every query
+// reply equal to the model, and the gateway's table equal to the model
+// after every op.
+func FuzzGatewayOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 28, 2, 0}) // a push one epoch stale, then a query
+	f.Add([]byte{0, 1, 1, 1, 0, 13, 1, 13, 2, 2, 0, 6})
+	f.Add([]byte{0, 0, 0, 0x19, 0, 0x3d, 1, 1, 0, 0x2a, 1, 2, 2, 3, 1, 3})
+	f.Add([]byte{0, 0x41, 0, 0xc1, 1, 1, 0, 0xe5, 1, 1, 0, 0x09, 1, 1})
+	fes := []packet.IPv4{ip(10, 0, 1, 1), ip(10, 0, 1, 2), ip(10, 0, 1, 3)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := newRig(t)
+		ga := NewGatewayAgent(r.loop, r.fab, r.t, r.gw, ip(10, 0, 0, 252))
+		var models [5]gatewayModel // by vNIC ID; 0 unused
+		var epoch uint64
+		// wait steps the loop until the op's callback has fired.
+		wait := func(op Op, vnic uint32, done *bool) {
+			for !*done {
+				if !r.loop.Step() {
+					t.Fatalf("%v on vNIC %d never completed", op, vnic)
+				}
+			}
+		}
+		for len(data) >= 2 {
+			b0, b1 := data[0], data[1]
+			data = data[2:]
+			vnic := uint32(1 + b1%4)
+			m := &models[vnic]
+			op := []Op{OpGatewaySet, OpGatewaySet, OpQueryGateway, opUnknown}[b0%4]
+			// Most pushes carry the next epoch; some retry the entry's
+			// own, and some replay an older one, as a reordered push does.
+			epoch++
+			e := epoch
+			switch b1 >> 2 % 4 {
+			case 2:
+				e = m.epoch
+			case 3:
+				e -= uint64(1 + b1>>4)
+				if e > epoch {
+					e = 0
+				}
+			}
+			var set []packet.IPv4
+			for i, a := range fes {
+				if b0>>(2+i)&1 != 0 {
+					set = append(set, a)
+				}
+			}
+
+			done := false
+			switch op {
+			case OpQueryGateway:
+				var rep *Reply
+				var err error
+				r.t.Query(ga.Addr(), &Request{Op: op, VNIC: vnic}, func(got *Reply, e error) { done, rep, err = true, got, e })
+				wait(op, vnic, &done)
+				if err != nil || rep == nil {
+					t.Fatalf("query vNIC %d: reply %+v, err %v", vnic, rep, err)
+				}
+				if rep.Resident != m.set || rep.Epoch != m.epoch || !slices.Equal(rep.Addrs, m.fes) {
+					t.Fatalf("query vNIC %d: reply resident %v epoch %d FEs %v, model %+v", vnic, rep.Resident, rep.Epoch, rep.Addrs, *m)
+				}
+			default:
+				var err error
+				r.t.Call(ga.Addr(), &Request{Op: op, VNIC: vnic, Epoch: e, FEs: set}, func(e error) { done, err = true, e })
+				wait(op, vnic, &done)
+				refused := op == opUnknown || m.set && e < m.epoch
+				if (err != nil) != refused {
+					t.Fatalf("%v vNIC %d epoch %d: err %v, model refuses %v (%+v)", op, vnic, e, err, refused, *m)
+				}
+				if op == OpGatewaySet && refused && !errors.Is(err, fabric.ErrStaleEpoch) {
+					t.Fatalf("stale push on vNIC %d at epoch %d: err %v, want ErrStaleEpoch", vnic, e, err)
+				}
+				if !refused {
+					*m = gatewayModel{set: true, epoch: e, fes: set}
+				}
+			}
+
+			for v := uint32(1); v <= 4; v++ {
+				m := &models[v]
+				addrs, ok := r.gw.Lookup(v)
+				if ok != m.set || r.gw.Epoch(v) != m.epoch || !slices.Equal(addrs, m.fes) {
+					t.Fatalf("after %v on vNIC %d: vNIC %d entry %v at epoch %d (set %v), model %+v",
+						op, vnic, v, addrs, r.gw.Epoch(v), ok, *m)
 				}
 			}
 		}

@@ -182,7 +182,7 @@ func fig9Flows(cfg RunConfig, k int) int {
 	be := r.ServerSwitch()
 	states := 0
 	be.Sessions().Range(func(e *flowcache.Entry) bool {
-		if e.HasState && e.Key.VNIC == cluster.ServerVNIC {
+		if e.HasState() && be.Sessions().Key(e).VNIC == cluster.ServerVNIC {
 			states++
 		}
 		return true
@@ -197,7 +197,7 @@ func fig9Flows(cfg RunConfig, k int) int {
 			continue
 		}
 		vs.Sessions().Range(func(e *flowcache.Entry) bool {
-			if e.HasPre && e.Key.VNIC == cluster.ServerVNIC {
+			if e.HasPre() && vs.Sessions().Key(e).VNIC == cluster.ServerVNIC {
 				cached++
 			}
 			return true

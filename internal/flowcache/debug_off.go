@@ -10,11 +10,11 @@ import (
 // The lifecycle hooks compile to nothing in normal builds; -tags
 // simdebug arms them.
 
-func poison(*Entry)                       {}
-func checkLive(*Entry)                    {}
-func checkVNIC(packet.SessionKey, uint32) {}
-func poisonState(*state.State)            {}
-func checkState(*state.State)             {}
-func poisonPre(*preSlot)                  {}
-func checkPre(*preSlot)                   {}
-func checkNone()                          {}
+func poison(*Entry)                               {}
+func checkLive(*Entry)                            {}
+func checkKey(*packet.SessionKey, uint64, uint32) {}
+func poisonState(*state.State)                    {}
+func checkState(*state.State)                     {}
+func poisonPre(*preSlot)                          {}
+func checkPre(*preSlot)                           {}
+func checkNone()                                  {}

@@ -20,30 +20,34 @@ import (
 // poisoned, and reading it panics.
 
 // poison fills a recycled entry's identity with a pattern no packet
-// produces, so a stale read that dodges checkLive cannot see a
-// plausible empty entry. GetOrCreate overwrites every poisoned field
-// a stateless entry reads; pre, the freelist link, is left alone.
+// produces and a scope id no scope has, so a stale read that dodges
+// checkLive cannot see a plausible empty entry. GetOrCreate overwrites
+// every poisoned field a stateless entry reads; pre, the freelist
+// link, is left alone.
 func poison(e *Entry) {
-	e.Key = packet.SessionKey{VNIC: ^uint32(0), VPC: ^uint32(0), Tuple: packet.FiveTuple{
-		SrcIP: ^packet.IPv4(0), DstIP: ^packet.IPv4(0), SrcPort: 0xdead, DstPort: 0xdead, Proto: 0xff,
-	}}
+	e.src, e.dst, e.sport, e.dport, e.proto = ^packet.IPv4(0), ^packet.IPv4(0), 0xdead, 0xdead, 0xff
+	e.scope = noScope
 	e.LastSeen = -1 << 63
-	e.h, e.st = ^uint32(0), ^uint32(0)
+	e.st = ^uint32(0)
 }
 
 // checkLive panics when the table is handed an entry it has recycled.
 func checkLive(e *Entry) {
-	if !e.live {
+	if !e.live() {
 		panic("flowcache: entry used after delete")
 	}
 }
 
-// checkVNIC panics when an entry would be created under a vNIC other
-// than its key's: the table, the residency invariant and the profiler
-// read an entry's vNIC from its key.
-func checkVNIC(key packet.SessionKey, vnic uint32) {
+// checkKey panics when an entry would be created under a vNIC other
+// than its key's — the table, the residency invariant and the profiler
+// read an entry's vNIC from its key — or with a hash other than its
+// key's: bulk deletion rehashes the key to find the entry's bucket.
+func checkKey(key *packet.SessionKey, hash uint64, vnic uint32) {
 	if vnic != key.VNIC {
 		panic(fmt.Sprintf("flowcache: entry for key of vNIC %d created under vNIC %d", key.VNIC, vnic))
+	}
+	if hash != key.Hash() {
+		panic(fmt.Sprintf("flowcache: entry for key %v created with hash %#x, not its own", *key, hash))
 	}
 }
 

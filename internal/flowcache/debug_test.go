@@ -21,12 +21,14 @@ func mustPanic(t *testing.T, what string, f func()) {
 
 // TestGetOrCreateVNICMismatchPanics pins the entry-vNIC rule: an entry
 // belongs to its key's vNIC, so creating one under another vNIC panics
-// and leaves the table as it was.
+// and leaves the table as it was. So does creating one with a hash
+// other than its key's, which bulk deletion could not find again.
 func TestGetOrCreateVNICMismatchPanics(t *testing.T) {
 	tab := New(Config{})
 	k := keyFor(0)
 	mustPanic(t, "GetOrCreate", func() { _, _ = tab.GetOrCreate(k, k.VNIC+1, 0) })
 	mustPanic(t, "GetOrCreateH", func() { _, _ = tab.GetOrCreateH(k, k.Hash(), k.VNIC+1, 0) })
+	mustPanic(t, "GetOrCreateH with another hash", func() { _, _ = tab.GetOrCreateH(k, k.Hash()+1, k.VNIC, 0) })
 	if tab.Len() != 0 || tab.MemBytes() != 0 {
 		t.Fatalf("refused creates left %d entries, %d bytes", tab.Len(), tab.MemBytes())
 	}
@@ -58,20 +60,20 @@ func TestReleasedSlotPoison(t *testing.T) {
 	// A deleted entry: the entry check fires first.
 	gone := held[0]
 	preID, stID := gone.pre, gone.st
-	tab.Delete(gone.Key)
+	tab.Delete(tab.Key(gone))
 	mustPanic(t, "Pre after delete", func() { tab.Pre(gone) })
 	mustPanic(t, "State after delete", func() { tab.State(gone) })
 	// Its slots are poisoned in their own right.
 	mustPanic(t, "read of a released pre-actions slot", func() { tab.pre.get(preID) })
 	mustPanic(t, "second release of a pre-actions slot", func() { tab.pre.release(preID) })
 	mustPanic(t, "read of a released state slot", func() { checkState(tab.states.at(stID)) })
-	mustPanic(t, "second release of a state slot", func() { tab.states.release(stID, gone.Key.VNIC) })
+	mustPanic(t, "second release of a state slot", func() { tab.states.release(stID) })
 
 	// A live entry whose slots were released under it.
 	e := held[1]
 	tab.pre.release(e.pre)
 	mustPanic(t, "Pre through a released id", func() { tab.Pre(e) })
-	tab.states.release(e.st, e.Key.VNIC)
+	tab.states.release(e.st)
 	mustPanic(t, "State through a released slot", func() { tab.State(e) })
 	mustPanic(t, "TouchState through a released slot", func() { _ = tab.TouchState(e, packet.DirTX, packet.FlagACK, 0, 1) })
 

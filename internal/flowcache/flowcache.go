@@ -20,9 +20,10 @@
 // Layout. The table is one open-addressed bucket array (linear
 // probing, backward-shift deletion) over one slab store of entries,
 // and the storage is shaped by the roles: an entry holds only what a
-// hit and an aging check read, pre-actions are interned in a per-table
-// pool, and session state lives in a separate slab store that only
-// SetState draws from, so an FE's cached flow pays for no state.
+// hit and an aging check read, its (vNIC, VPC) pair and its
+// pre-actions are interned in per-table stores, and session state
+// lives in a separate slab store that only SetState draws from, so an
+// FE's cached flow pays for no state.
 //
 // A bucket is 8 bytes: {h, idx}. h is uint32(hash) — the home slot in
 // its low bits, a tag above — and idx is the entry's slab index + 1 (0
@@ -31,15 +32,22 @@
 // entry and a miss none; growth and backward shift re-home buckets
 // from h without touching entries.
 //
-// An Entry is 48 bytes: the key (24), the flags, the pre-actions id,
-// LastSeen, the bucket hash h (all bulk deletion needs to find its
-// bucket) and the state slot. A recycled entry links the freelist
-// through its pre-actions id. Entries live in append-only slabs
-// addressed by index: slab sizes double from minSlab to maxSlab
-// entries and stay there (a table with a dozen flows holds two minSlab
-// slabs; a table with 10^5 wastes at most one part-filled maxSlab
-// slab, where doubling forever would strand up to half the store).
-// Deleted entries go on an index freelist threaded through the
+// An Entry is 32 bytes, half a cache line, so none straddles two. Its
+// first 16 bytes are the key: the 13-byte normalized tuple, the flags
+// byte and a 16-bit scope id. A table interns the (vNIC, VPC) pairs of
+// its keys into scopes, found through an index of the table's own kind
+// and reference-counted by their entries, so an entry names its pair in
+// 2 bytes, not 8; a probe whose tag and tuple match compares the
+// scope's pair, and Table.Key rebuilds the whole key. The other 16
+// bytes are the pre-actions id, the state slot and LastSeen. The entry
+// keeps no copy of its bucket hash: bulk deletion rehashes the key to
+// find the bucket, the only place that needs it. A recycled entry
+// links the freelist through its pre-actions id. Entries live in
+// append-only slabs addressed by index: slab sizes double from minSlab
+// to maxSlab entries and stay there (a table with a dozen flows holds
+// two minSlab slabs; a table with 10^5 wastes at most one part-filled
+// maxSlab slab, where doubling forever would strand up to half the
+// store). Deleted entries go on an index freelist threaded through the
 // entries themselves.
 //
 // Pre-actions are interned: the pool maps each distinct (value, rule
@@ -51,17 +59,18 @@
 // it; a slot whose count reaches zero goes on the pool's freelist. The
 // pool is allocated on the first SetPre, so a BE's state-only table
 // has none. States live in a store of their own: full-size slabs of
-// maxSlab slots, one taken per SetState on an entry without state and
-// returned when the entry goes, with a freelist threaded through the
-// free slots. At the end of the crr_offload benchmark 89 % of live
-// entries hold no state.
+// maxSlab 40-byte slots, one taken per SetState on an entry without
+// state and returned when the entry goes, with a freelist threaded
+// through the free slots. At the end of the crr_offload benchmark
+// 89 % of live entries hold no state. A scope counts its entries and
+// those holding state, which is all StateCounts reads.
 //
-// Nothing in the bucket arrays, the entry and state slabs or the pool
-// is a Go pointer, so the collector marks the table without scanning
-// it. The simulated byte model (EntryOverheadBytes, PreActionsBytes,
-// state.FixedSizeBytes, MemBytes, Rejects) charges every entry for its
-// own pre-actions and state as before; it has nothing to do with how
-// Go stores them.
+// Nothing in the bucket arrays, the entry and state slabs, the scopes
+// or the pool is a Go pointer, so the collector marks the table
+// without scanning it. The simulated byte model (EntryOverheadBytes,
+// PreActionsBytes, state.FixedSizeBytes, MemBytes, Rejects) charges
+// every entry for its own pre-actions and state as before; it has
+// nothing to do with how Go stores them.
 //
 // Pointer stability: entry slabs are never moved or freed while the
 // table lives, so an *Entry stays valid — the same live entry — until
@@ -80,7 +89,13 @@
 // was written through.
 //
 // An entry's vNIC is its key's: GetOrCreate's vnic argument must equal
-// key.VNIC, which the simdebug build checks.
+// key.VNIC, and the hash passed to an *H variant must be key.Hash();
+// the simdebug build checks both.
+//
+// A table holds at most maxScopes (65 535) distinct (vNIC, VPC) pairs
+// at once; an insert needing one more is refused with ErrNoMemory and
+// counted in Rejects, like one past the budget, and the table accepts
+// new pairs again once the last entry of some pair is deleted.
 //
 // The *H method variants accept the caller's precomputed key hash so
 // the datapath hashes each packet's key once.
@@ -107,33 +122,71 @@ const (
 // ErrNoMemory is returned when inserting would exceed the byte budget.
 var ErrNoMemory = errors.New("flowcache: memory budget exhausted")
 
-// Entry is one session's cached record: 48 bytes with no pointers (the
+// Entry is one session's cached record: 32 bytes with no pointers (the
 // slabs are invisible to the collector) holding everything a lookup
-// hit and an aging check read. Its pre-actions, their version and its
-// state are read through Table.Pre, Table.PreVersion and Table.State.
+// hit and an aging check read. Its key is read through Table.Key, and
+// its pre-actions, their version and its state through Table.Pre,
+// Table.PreVersion and Table.State.
 type Entry struct {
-	// Key names the session; Key.VNIC is the vNIC it belongs to.
-	Key packet.SessionKey
+	// The key: the normalized tuple field by field, so that the flags
+	// and the scope id fill what would be its padding, and the scope —
+	// the key's (vNIC, VPC) pair, interned in the table.
+	src, dst     packet.IPv4
+	sport, dport uint16
+	proto        packet.Proto
+	flags        uint8
+	scope        uint16
 
-	// HasPre marks cached pre-actions (fast-path rules result).
-	HasPre bool
-	// HasState marks locally maintained session state.
-	HasState bool
-	// live is set while the entry is in the table; the slab walks skip
-	// the rest, and the simdebug tripwire reads it.
-	live bool
 	// pre is the pre-actions slot in the pool while HasPre; on a
 	// recycled entry it links the freelist (slab index + 1; 0 ends it).
 	pre uint32
+	// st is the state slot while HasState.
+	st uint32
 
 	// LastSeen is the last access time (ns), for aging.
 	LastSeen int64
+}
 
-	// h is the entry's bucket hash, uint32 of the key hash: all bulk
-	// deletion needs to find the entry's bucket.
-	h uint32
-	// st is the state slot while HasState.
-	st uint32
+// Entry flags.
+const (
+	// flagPre marks cached pre-actions (fast-path rules result).
+	flagPre uint8 = 1 << iota
+	// flagState marks locally maintained session state.
+	flagState
+	// flagLive is set while the entry is in the table; the slab walks
+	// skip the rest, and the simdebug tripwire reads it.
+	flagLive
+)
+
+// HasPre reports whether e caches pre-actions (a fast-path rules
+// result).
+func (e *Entry) HasPre() bool { return e.flags&flagPre != 0 }
+
+// HasState reports whether e holds locally maintained session state.
+func (e *Entry) HasState() bool { return e.flags&flagState != 0 }
+
+func (e *Entry) live() bool { return e.flags&flagLive != 0 }
+
+// matches reports whether e is key's entry: its tuple, then its
+// scope's pair. A table holds a few scopes, so their records stay in
+// cache, and a probe needs no scope id up front.
+func (t *Table) matches(e *Entry, key *packet.SessionKey) bool {
+	ft := &key.Tuple
+	if e.src != ft.SrcIP || e.dst != ft.DstIP || e.sport != ft.SrcPort || e.dport != ft.DstPort || e.proto != ft.Proto {
+		return false
+	}
+	sc := &t.scopes.recs[e.scope]
+	return sc.vnic == key.VNIC && sc.vpc == key.VPC
+}
+
+// Key returns the session key e was created under; its VNIC is the
+// vNIC e belongs to.
+func (t *Table) Key(e *Entry) packet.SessionKey {
+	checkLive(e)
+	sc := &t.scopes.recs[e.scope]
+	return packet.SessionKey{VNIC: sc.vnic, VPC: sc.vpc, Tuple: packet.FiveTuple{
+		SrcIP: e.src, DstIP: e.dst, SrcPort: e.sport, DstPort: e.dport, Proto: e.proto,
+	}}
 }
 
 // SizeOf reports the bytes e occupies under this table's layout — the
@@ -141,10 +194,10 @@ type Entry struct {
 // per vNIC at drain time.
 func (t *Table) SizeOf(e *Entry) int {
 	n := EntryOverheadBytes
-	if e.HasPre {
+	if e.HasPre() {
 		n += PreActionsBytes
 	}
-	if e.HasState {
+	if e.HasState() {
 		n += t.stateBytes(t.stateOf(e))
 	}
 	return n
@@ -175,9 +228,9 @@ const minBuckets = 8
 // maxSlab and maxSlab from there on, so the slabs' total capacity
 // passes through every power of two from minSlab up and every
 // multiple of maxSlab — a table of 4096 flows holds exactly 4096
-// entries. State slabs are all maxSlab. A full-size entry slab and
-// state slab (512 × 48 B each) are each a whole number of 8 KiB
-// pages, so neither wastes any.
+// entries. State slabs are all maxSlab. Every entry slab (8 to
+// 512 × 32 B) and a state slab (512 × 40 B = 20 480 B) is exactly one
+// of the Go allocator's size classes, so none wastes a class's tail.
 const (
 	minSlabBits = 3
 	maxSlabBits = 9
@@ -192,7 +245,8 @@ type bucket struct {
 }
 
 // index is one open-addressed bucket array (linear probing): the
-// table's over its entries, and the pre-actions pool's over its slots.
+// table's over its entries, and the scope set's and the pre-actions
+// pool's over their records.
 type index struct {
 	buckets []bucket
 	mask    uint32
@@ -211,6 +265,7 @@ type Table struct {
 	used  uint32 // indices below used are live or on the freelist
 	free  uint32 // freelist head (slab index + 1); 0 = empty
 
+	scopes scopeSet
 	pre    prePool
 	states stateStore
 
@@ -273,7 +328,7 @@ func slabLen(k uint32) int {
 
 // find probes the index for key. It returns the entry and its slot, or
 // nil and the empty slot the probe ended on.
-func (t *Table) find(key packet.SessionKey, h uint32) (*Entry, uint32) {
+func (t *Table) find(key *packet.SessionKey, h uint32) (*Entry, uint32) {
 	s := &t.index
 	i := h & s.mask
 	for {
@@ -282,7 +337,7 @@ func (t *Table) find(key packet.SessionKey, h uint32) (*Entry, uint32) {
 			return nil, i
 		}
 		if b.h == h {
-			if e := t.entry(b.idx - 1); e.Key == key {
+			if e := t.entry(b.idx - 1); t.matches(e, key) {
 				return e, i
 			}
 		}
@@ -385,7 +440,7 @@ func (t *Table) Lookup(key packet.SessionKey, now int64) *Entry {
 // LookupH is Lookup with the key hash precomputed by the caller (the
 // datapath hashes each packet's key once and reuses it for probing).
 func (t *Table) LookupH(key packet.SessionKey, hash uint64, now int64) *Entry {
-	e, slot := t.find(key, uint32(hash))
+	e, slot := t.find(&key, uint32(hash))
 	if e == nil {
 		t.Misses++
 		t.missKey, t.missSlot, t.missOK = key, slot, true
@@ -403,39 +458,51 @@ func (t *Table) Peek(key packet.SessionKey) *Entry {
 
 // PeekH is Peek with a precomputed hash.
 func (t *Table) PeekH(key packet.SessionKey, hash uint64) *Entry {
-	e, _ := t.find(key, uint32(hash))
+	e, _ := t.find(&key, uint32(hash))
 	return e
 }
 
 // GetOrCreate returns the existing entry or inserts an empty one,
 // charging its overhead. It returns ErrNoMemory when the budget
-// cannot fit a new entry. vnic must be key.VNIC.
+// cannot fit a new entry, or when the key's (vNIC, VPC) pair is new
+// and the table already holds maxScopes pairs. vnic must be key.VNIC.
 func (t *Table) GetOrCreate(key packet.SessionKey, vnic uint32, now int64) (*Entry, error) {
 	return t.GetOrCreateH(key, key.Hash(), vnic, now)
 }
 
 // GetOrCreateH is GetOrCreate with a precomputed hash.
 func (t *Table) GetOrCreateH(key packet.SessionKey, hash uint64, vnic uint32, now int64) (*Entry, error) {
-	checkVNIC(key, vnic)
+	checkKey(&key, hash, vnic)
 	s, h := &t.index, uint32(hash)
 	slot := t.missSlot
 	if !t.missOK || t.missKey != key {
 		var e *Entry
-		if e, slot = t.find(key, h); e != nil {
+		if e, slot = t.find(&key, h); e != nil {
 			e.LastSeen = now
 			return e, nil
 		}
+	}
+	sc := t.scopes.find(key.VNIC, key.VPC)
+	if sc == noScope && t.scopes.full() {
+		t.Rejects++
+		return nil, ErrNoMemory
 	}
 	// A fresh entry has neither pre nor state.
 	if !t.charge(EntryOverheadBytes) {
 		return nil, ErrNoMemory
 	}
+	if sc == noScope {
+		sc = t.scopes.intern(key.VNIC, key.VPC)
+	}
+	t.scopes.recs[sc].entries++
 	if s.full() {
 		s.grow()
 		slot = s.emptyFrom(h)
 	}
 	idx, e := t.alloc()
-	e.Key, e.LastSeen, e.h, e.live = key, now, h, true
+	ft := &key.Tuple
+	e.src, e.dst, e.sport, e.dport, e.proto = ft.SrcIP, ft.DstIP, ft.SrcPort, ft.DstPort, ft.Proto
+	e.scope, e.flags, e.LastSeen = sc, flagLive, now
 	s.buckets[slot] = bucket{h: h, idx: idx + 1}
 	s.n++
 	t.count++
@@ -460,7 +527,7 @@ func (t *Table) charge(n int) bool {
 // table; SetPre and DropPre change an entry's pre-actions.
 func (t *Table) Pre(e *Entry) *tables.PreActions {
 	checkLive(e)
-	if !e.HasPre {
+	if !e.HasPre() {
 		checkNone()
 		return &noPre
 	}
@@ -473,7 +540,7 @@ func (t *Table) Pre(e *Entry) *tables.PreActions {
 // invalidation, §3.2.2).
 func (t *Table) PreVersion(e *Entry) uint64 {
 	checkLive(e)
-	if !e.HasPre {
+	if !e.HasPre() {
 		return 0
 	}
 	return t.pre.get(e.pre).version
@@ -485,7 +552,7 @@ func (t *Table) PreVersion(e *Entry) uint64 {
 // change an entry's state.
 func (t *Table) State(e *Entry) *state.State {
 	checkLive(e)
-	if !e.HasState {
+	if !e.HasState() {
 		checkNone()
 		return &noState
 	}
@@ -509,11 +576,12 @@ func (t *Table) stateOf(e *Entry) *state.State {
 // SetPre installs pre-actions (cached flow) on an entry.
 func (t *Table) SetPre(e *Entry, pre tables.PreActions, version uint64) error {
 	checkLive(e)
-	if !e.HasPre {
+	if !e.HasPre() {
 		if !t.charge(PreActionsBytes) {
 			return ErrNoMemory
 		}
-		e.pre, e.HasPre = t.pre.intern(&pre, version), true
+		e.pre = t.pre.intern(&pre, version)
+		e.flags |= flagPre
 	} else if s := t.pre.get(e.pre); s.val != pre || s.version != version {
 		t.pre.release(e.pre)
 		e.pre = t.pre.intern(&pre, version)
@@ -525,7 +593,7 @@ func (t *Table) SetPre(e *Entry, pre tables.PreActions, version uint64) error {
 func (t *Table) SetState(e *Entry, s state.State) error {
 	checkLive(e)
 	delta := t.stateBytes(&s)
-	if e.HasState {
+	if e.HasState() {
 		// Under the fixed layout a slot is 64 B whatever it holds, so a
 		// replacement charges nothing.
 		delta -= t.stateBytes(t.stateOf(e))
@@ -533,8 +601,10 @@ func (t *Table) SetState(e *Entry, s state.State) error {
 	if !t.charge(delta) {
 		return ErrNoMemory
 	}
-	if !e.HasState {
-		e.st, e.HasState = t.states.alloc(e.Key.VNIC), true
+	if !e.HasState() {
+		e.st = t.states.alloc()
+		e.flags |= flagState
+		t.scopes.recs[e.scope].states++
 	}
 	*t.states.at(e.st) = s
 	return nil
@@ -544,7 +614,7 @@ func (t *Table) SetState(e *Entry, s state.State) error {
 // re-charging variable-size growth.
 func (t *Table) TouchState(e *Entry, dir packet.Direction, flags packet.TCPFlags, payloadLen int, now int64) error {
 	checkLive(e)
-	if e.HasState && !t.cfg.VariableState {
+	if e.HasState() && !t.cfg.VariableState {
 		// Hot path: under the fixed layout the charge cannot move, so
 		// the FSM advances in place with no copy and no budget check.
 		t.stateOf(e).Touch(dir, flags, payloadLen, now)
@@ -560,17 +630,17 @@ func (t *Table) TouchState(e *Entry, dir packet.Direction, flags packet.TCPFlags
 // offload stage while keeping the states (§4.2.1).
 func (t *Table) DropPre(e *Entry) {
 	checkLive(e)
-	if !e.HasPre {
+	if !e.HasPre() {
 		return
 	}
 	t.pre.release(e.pre)
-	e.HasPre = false
+	e.flags &^= flagPre
 	t.mem -= PreActionsBytes
 }
 
 // Delete removes an entry, refunding its memory.
 func (t *Table) Delete(key packet.SessionKey) {
-	if e, slot := t.find(key, uint32(key.Hash())); e != nil {
+	if e, slot := t.find(&key, uint32(key.Hash())); e != nil {
 		t.remove(slot, t.index.buckets[slot].idx-1, e)
 	}
 }
@@ -583,11 +653,16 @@ func (t *Table) remove(slot, idx uint32, e *Entry) {
 	t.mem -= t.SizeOf(e)
 	t.count--
 	t.missOK = false
-	if e.HasPre {
+	if e.HasPre() {
 		t.pre.release(e.pre)
 	}
-	if e.HasState {
-		t.states.release(e.st, e.Key.VNIC)
+	sc := &t.scopes.recs[e.scope]
+	if e.HasState() {
+		t.states.release(e.st)
+		sc.states--
+	}
+	if sc.entries--; sc.entries == 0 {
+		t.scopes.release(e.scope)
 	}
 	*e = Entry{pre: t.free}
 	poison(e)
@@ -597,15 +672,16 @@ func (t *Table) remove(slot, idx uint32, e *Entry) {
 // bulkDelete removes every entry fn selects and returns how many. It
 // walks the slabs in index order — sequential memory, not hash order —
 // and deletes in place: removing an entry shifts buckets, never
-// entries, so the walk is undisturbed.
+// entries, so the walk is undisturbed. A selected entry's key is
+// rehashed to find its bucket.
 func (t *Table) bulkDelete(fn func(*Entry) bool) int {
 	n := 0
 	idx := uint32(0)
 	for _, slab := range t.slabs {
 		slab = slab[:min(uint32(len(slab)), t.used-idx)]
 		for i := range slab {
-			if e := &slab[i]; e.live && fn(e) {
-				t.remove(t.index.slotOf(e.h, idx), idx, e)
+			if e := &slab[i]; e.live() && fn(e) {
+				t.remove(t.index.slotOf(uint32(t.Key(e).Hash()), idx), idx, e)
 				n++
 			}
 			idx++
@@ -617,7 +693,7 @@ func (t *Table) bulkDelete(fn func(*Entry) bool) int {
 // InvalidateVNIC drops every entry belonging to vnic — used when a
 // vNIC's rule tables are withdrawn from a node.
 func (t *Table) InvalidateVNIC(vnic uint32) int {
-	return t.bulkDelete(func(e *Entry) bool { return e.Key.VNIC == vnic })
+	return t.bulkDelete(func(e *Entry) bool { return t.scopes.recs[e.scope].vnic == vnic })
 }
 
 // Clear drops everything — slabs, state slots and the pre-actions
@@ -627,7 +703,7 @@ func (t *Table) Clear() {
 	t.count = 0
 	t.mem = 0
 	t.slabs, t.used, t.free = nil, 0, 0
-	t.pre, t.states = prePool{}, stateStore{}
+	t.scopes, t.pre, t.states = scopeSet{}, prePool{}, stateStore{}
 	t.missOK = false
 }
 
@@ -640,7 +716,7 @@ const idleAging = state.AgingEstablished
 // (short SYN aging, §7.3); stateless cached flows use the idle aging.
 func (t *Table) Sweep(now int64) int {
 	n := t.bulkDelete(func(e *Entry) bool {
-		if e.HasState {
+		if e.HasState() {
 			return t.stateOf(e).Expired(now)
 		}
 		return now-e.LastSeen > idleAging
@@ -649,12 +725,20 @@ func (t *Table) Sweep(now int64) int {
 	return n
 }
 
-// StateCounts returns how many entries hold state, per vNIC with any:
-// kept at the two sites a state slot is taken and released, so reading
-// it costs one element per such vNIC, not a walk of the entries. The
-// order is deterministic for a given operation history. The slice is
-// read-only and valid until the next call that changes the table.
-func (t *Table) StateCounts() []VNICStates { return t.states.vnics }
+// StateCounts calls fn with the vNIC and the count of entries holding
+// state of each scope — each (vNIC, VPC) pair — with any, until fn
+// returns false. The counts are kept at the two sites a state slot is
+// taken and released, so reading them costs one step per scope, not a
+// walk of the entries; a vNIC seen under two VPCs is visited once per
+// VPC. The order is deterministic for a given operation history; fn
+// must not change the table.
+func (t *Table) StateCounts(fn func(vnic, n uint32) bool) {
+	for i := range t.scopes.recs {
+		if sc := &t.scopes.recs[i]; sc.states > 0 && !fn(sc.vnic, sc.states) {
+			return
+		}
+	}
+}
 
 // Range iterates entries; fn returning false stops early. Iteration
 // order is slab index order — deterministic for a given operation
@@ -665,7 +749,7 @@ func (t *Table) Range(fn func(*Entry) bool) {
 		slab = slab[:min(uint32(len(slab)), left)]
 		left -= uint32(len(slab))
 		for i := range slab {
-			if e := &slab[i]; e.live && !fn(e) {
+			if e := &slab[i]; e.live() && !fn(e) {
 				return
 			}
 		}

@@ -28,7 +28,7 @@ func TestGetOrCreateAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Key.VNIC != 3 || e.LastSeen != 100 {
+	if tb.Key(e).VNIC != 3 || e.LastSeen != 100 {
 		t.Fatalf("entry fields: %+v", e)
 	}
 	if tb.Len() != 1 {
@@ -127,7 +127,7 @@ func TestBudgetRejectsInsert(t *testing.T) {
 	if err := tb.SetPre(e, tables.PreActions{}, 1); err != ErrNoMemory {
 		t.Fatalf("SetPre should hit budget, got %v", err)
 	}
-	if e.HasPre {
+	if e.HasPre() {
 		t.Fatal("failed SetPre mutated entry")
 	}
 	if tb.MemBytes() != EntryOverheadBytes {
@@ -149,7 +149,7 @@ func TestTouchState(t *testing.T) {
 	if err := tb.TouchState(e, packet.DirTX, packet.FlagSYN, 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	if st := tb.State(e); !e.HasState || st.TCP != state.TCPSynSent {
+	if st := tb.State(e); !e.HasState() || st.TCP != state.TCPSynSent {
 		t.Fatalf("state not advanced: %+v", *st)
 	}
 	if tb.MemBytes() != EntryOverheadBytes+state.FixedSizeBytes {

@@ -12,7 +12,8 @@ import (
 // chain. Filling a fresh table with 100 000 keys, each with
 // pre-actions, allocates its entry slabs and, beyond them, one bucket
 // array per doubling, the slab slice's append growth, the Table and the
-// pool's index and slot slice — nothing per key, and no second chain.
+// pool's index and slot slice, and the scope set's index and record
+// slice growth — nothing per key, and no second chain.
 // The count is process-wide, and the runtime now and then allocates on
 // its own during a fill, so the fewest of three fills is the table's.
 func TestTableGrowthAllocs(t *testing.T) {
@@ -36,8 +37,9 @@ func TestTableGrowthAllocs(t *testing.T) {
 		}))
 	}
 	doublings := bits.TrailingZeros(uint(len(tab.index.buckets) / minBuckets))
-	slabSlice := bits.Len(uint(cap(tab.slabs))) // caps 1, 2, 4, … cap(slabs)
-	want := (doublings + 1) + slabSlice + 3     // + the Table, the pool's index and its slots
+	slabSlice := bits.Len(uint(cap(tab.slabs)))        // caps 1, 2, 4, … cap(slabs)
+	scopes := 1 + bits.Len(uint(cap(tab.scopes.recs))) // the scope index, records of caps 1, 2, 4, …
+	want := (doublings + 1) + slabSlice + scopes + 3   // + the Table, the pool's index and its slots
 	got := int(allocs) - len(tab.slabs)
 	t.Logf("%.0f allocations for %d slabs: %d index arrays, %d slab-slice growths", allocs, len(tab.slabs), doublings+1, slabSlice)
 	if got > want {

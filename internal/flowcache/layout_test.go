@@ -15,7 +15,7 @@ import (
 // slot on a miss), inclusive.
 func probes(t *Table, k packet.SessionKey) int {
 	h := uint32(k.Hash())
-	_, slot := t.find(k, h)
+	_, slot := t.find(&k, h)
 	return int((slot-h)&t.index.mask) + 1
 }
 
@@ -49,22 +49,42 @@ func TestProbeLength(t *testing.T) {
 	}
 }
 
-// TestEntryLayout pins what the role-shaped store rests on: a 48-byte
-// entry, full entry and state slabs that are whole pages, and no
-// pointer in an entry, a state slot, a pre-actions pool slot or a
-// bucket, so the collector never scans the table.
+// sizeClass is the bytes the Go allocator hands out for an n-byte
+// pointer-free object: append rounds a fresh slice's capacity up to
+// its size class.
+func sizeClass(n uintptr) uintptr {
+	return uintptr(cap(append([]byte(nil), make([]byte, n)...)))
+}
+
+// TestEntryLayout pins what the role-shaped store rests on: a 32-byte
+// entry (half a cache line, so none straddles two), a 40-byte state
+// slot and an 8-byte bucket; entry and state slabs that are exactly a
+// size class, so none wastes a class's tail; and no pointer in an
+// entry, a state slot, a scope, a pre-actions pool slot or a bucket, so
+// the collector never scans the table.
 func TestEntryLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(Entry{}); sz != 48 {
-		t.Errorf("Entry is %d bytes, want 48", sz)
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+	}{
+		{"Entry", unsafe.Sizeof(Entry{}), 32},
+		{"state.State", unsafe.Sizeof(state.State{}), 40},
+		{"bucket", unsafe.Sizeof(bucket{}), 8},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.what, c.got, c.want)
+		}
 	}
-	if sz := maxSlab * unsafe.Sizeof(Entry{}); sz%8192 != 0 {
-		t.Errorf("a full entry slab is %d bytes, not a whole number of 8 KiB pages", sz)
+	if 64%unsafe.Sizeof(Entry{}) != 0 {
+		t.Errorf("a %d-byte entry straddles cache lines", unsafe.Sizeof(Entry{}))
 	}
-	if sz := maxSlab * unsafe.Sizeof(state.State{}); sz%8192 != 0 {
-		t.Errorf("a full state slab is %d bytes, not a whole number of 8 KiB pages", sz)
+	for k := uint32(0); k <= maxSlabBits-minSlabBits+1; k++ {
+		if sz := uintptr(slabLen(k)) * unsafe.Sizeof(Entry{}); sizeClass(sz) != sz {
+			t.Errorf("entry slab %d is %d bytes, in a %d-byte size class", k, sz, sizeClass(sz))
+		}
 	}
-	if sz := unsafe.Sizeof(bucket{}); sz != 8 {
-		t.Errorf("bucket is %d bytes, want 8", sz)
+	if sz := maxSlab * unsafe.Sizeof(state.State{}); sizeClass(sz) != sz {
+		t.Errorf("a state slab is %d bytes, in a %d-byte size class", sz, sizeClass(sz))
 	}
 	var pointerFree func(path string, typ reflect.Type)
 	pointerFree = func(path string, typ reflect.Type) {
@@ -82,6 +102,7 @@ func TestEntryLayout(t *testing.T) {
 	}
 	pointerFree("Entry", reflect.TypeOf(Entry{}))
 	pointerFree("state slot", reflect.TypeOf(state.State{}))
+	pointerFree("scope", reflect.TypeOf(scope{}))
 	pointerFree("preSlot", reflect.TypeOf(preSlot{}))
 	pointerFree("bucket", reflect.TypeOf(bucket{}))
 }
@@ -150,7 +171,7 @@ func TestPointerStability(t *testing.T) {
 	if got := tab.Peek(k0); got != e0 {
 		t.Fatalf("Peek returned %p, the entry was created at %p", got, e0)
 	}
-	if e0.Key != k0 || e0.LastSeen != 5 || !e0.HasPre || tab.PreVersion(e0) != 77 || !e0.live {
+	if tab.Key(e0) != k0 || e0.LastSeen != 5 || !e0.HasPre() || tab.PreVersion(e0) != 77 || !e0.live() {
 		t.Fatalf("entry changed under unrelated inserts: %+v", e0)
 	}
 }
@@ -169,8 +190,8 @@ func TestMissSlotReuse(t *testing.T) {
 		n := 0
 		tab.Range(func(e *Entry) bool {
 			n++
-			if tab.Peek(e.Key) != e {
-				t.Fatalf("%s: key %v not reachable", what, e.Key)
+			if tab.Peek(tab.Key(e)) != e {
+				t.Fatalf("%s: key %v not reachable", what, tab.Key(e))
 			}
 			return true
 		})

@@ -19,13 +19,46 @@ func keyFor(i int) packet.SessionKey {
 	}
 }
 
+// keyVNICs and keyVPCs are the scopes scopedKey spreads each 5-tuple
+// over. For any one tuple, the bucket hashes of (1, 7) and
+// (249789, 10115) are equal, and so are those of (1, 10115) and
+// (249789, 7): their vNIC and VPC mixes agree in the low 32 bits. Only
+// the scope id tells those entries apart, so a table that confused
+// scopes would hand one key's entry to another.
+var (
+	keyVNICs = [3]uint32{1, 2, 249789}
+	keyVPCs  = [2]uint32{7, 10115}
+)
+
+// scopedKey is the i-th key of a space in which each 5-tuple recurs
+// under the three keyVNICs, each in the two keyVPCs: six keys, six
+// scopes, one tuple.
+func scopedKey(i int) packet.SessionKey {
+	j := i / 6
+	return packet.SessionKey{
+		VNIC: keyVNICs[i%3],
+		VPC:  keyVPCs[i/3%2],
+		Tuple: packet.FiveTuple{
+			SrcIP: packet.IPv4(0x0a000000 + uint32(j)), DstIP: 0x0a000100 + packet.IPv4(j%5),
+			SrcPort: uint16(1000 + j), DstPort: 80, Proto: packet.ProtoTCP,
+		},
+	}
+}
+
 // TestOpenAddrModel drives the open-addressed table against a plain
 // map model through a long random op sequence: insert, delete,
 // lookup, bulk deletes by vNIC, aging sweeps at a random clock, and
-// clear. Backward-shift deletion must never strand an entry, the slab
-// walks must select exactly the set the model does, and a key's *Entry
-// must not change while the key is in the table.
+// clear, over keys whose 5-tuples recur under six scopes, two pairs of
+// which share bucket hashes (scopedKey). Backward-shift deletion must
+// never strand an entry, the slab walks must select exactly the set the
+// model does, a lookup must find its own key's entry and no other, and
+// a key's *Entry must not change while the key is in the table.
 func TestOpenAddrModel(t *testing.T) {
+	for i := 0; i < 6*16; i += 6 {
+		if a, b := scopedKey(i), scopedKey(i+5); uint32(a.Hash()) != uint32(b.Hash()) {
+			t.Fatalf("keys %v and %v no longer share a bucket hash: the model tests no scope", a, b)
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
 	tab := New(Config{})
 	type rec struct {
@@ -41,15 +74,14 @@ func TestOpenAddrModel(t *testing.T) {
 	now := int64(0)
 	for op := 0; op < 40000; op++ {
 		now += rng.Int63n(idleAging / 2000) // the idle aging is ~4000 ops
-		i := rng.Intn(keySpace)
-		k := keyFor(i)
+		k := scopedKey(rng.Intn(keySpace))
 		switch rng.Intn(20) {
 		case 0, 1, 2, 3, 4, 5, 6, 7, 8, 9: // insert
 			e, err := tab.GetOrCreate(k, k.VNIC, now)
 			if err != nil {
 				t.Fatalf("op %d: GetOrCreate: %v", op, err)
 			}
-			if e.Key != k {
+			if tab.Key(e) != k {
 				t.Fatalf("op %d: wrong entry returned", op)
 			}
 			if old, ok := model[k]; ok && old.e != e {
@@ -63,7 +95,7 @@ func TestOpenAddrModel(t *testing.T) {
 			if rng.Intn(100) != 0 {
 				break
 			}
-			vnic := uint32(1 + rng.Intn(3))
+			vnic := keyVNICs[rng.Intn(3)]
 			n := tab.InvalidateVNIC(vnic)
 			want := 0
 			for mk, mv := range model {
@@ -101,7 +133,7 @@ func TestOpenAddrModel(t *testing.T) {
 			if want := model[k].e; got != want {
 				t.Fatalf("op %d: Peek(%v) = %p, model has %p", op, k, got, want)
 			}
-			if got != nil && got.Key != k {
+			if got != nil && tab.Key(got) != k {
 				t.Fatalf("op %d: Peek returned wrong key", op)
 			}
 		}
@@ -123,8 +155,8 @@ func TestOpenAddrModel(t *testing.T) {
 	// Range must visit exactly the model set.
 	seen := 0
 	tab.Range(func(e *Entry) bool {
-		if _, ok := model[e.Key]; !ok {
-			t.Fatalf("Range visited deleted key %v", e.Key)
+		if _, ok := model[tab.Key(e)]; !ok {
+			t.Fatalf("Range visited deleted key %v", tab.Key(e))
 		}
 		seen++
 		return true
@@ -172,7 +204,7 @@ func TestEntryRecycling(t *testing.T) {
 	if e2 != e1 {
 		t.Fatal("expected freelist reuse")
 	}
-	if e2.HasState || e2.HasPre || e2.Key != k2 || *tab.State(e2) != (state.State{}) {
+	if e2.HasState() || e2.HasPre() || tab.Key(e2) != k2 || *tab.State(e2) != (state.State{}) {
 		t.Fatalf("recycled entry not reset: %+v", e2)
 	}
 	if tab.MemBytes() != EntryOverheadBytes {

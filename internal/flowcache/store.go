@@ -113,10 +113,10 @@ func bit(b bool) uint64 {
 }
 
 // stateStore holds a table's session states in full-size slabs of
-// maxSlab slots (a whole number of pages; a table's first SetState
-// allocates one), so finding a slot is one shift and one mask. Only
-// SetState takes a slot, so entries without state — an FE's cached
-// flows — occupy none.
+// maxSlab slots (one size class; a table's first SetState allocates
+// one), so finding a slot is one shift and one mask. Only SetState
+// takes a slot, so entries without state — an FE's cached flows —
+// occupy none.
 type stateStore struct {
 	slabs []*[maxSlab]state.State
 	used  uint32 // slots below used are live or on the freelist
@@ -124,35 +124,6 @@ type stateStore struct {
 	// the free slots' Pkts.
 	free uint32
 	n    uint32 // live slots
-	// vnics counts the live slots per vNIC, one element per vNIC holding
-	// any; a vNIC's element goes when its count reaches zero. memo is
-	// the element last touched: a table's sessions belong to a few
-	// vNICs, mostly in runs, so the upkeep is a compare and an add per
-	// session.
-	vnics []VNICStates
-	memo  int
-}
-
-// VNICStates is one vNIC's count of entries holding state in a table.
-type VNICStates struct {
-	VNIC uint32
-	N    uint32
-}
-
-// count returns vnic's element of vnics, adding it at zero if absent.
-func (s *stateStore) count(vnic uint32) *VNICStates {
-	if s.memo < len(s.vnics) && s.vnics[s.memo].VNIC == vnic {
-		return &s.vnics[s.memo]
-	}
-	for i := range s.vnics {
-		if s.vnics[i].VNIC == vnic {
-			s.memo = i
-			return &s.vnics[i]
-		}
-	}
-	s.memo = len(s.vnics)
-	s.vnics = append(s.vnics, VNICStates{VNIC: vnic})
-	return &s.vnics[s.memo]
 }
 
 // at returns slot i.
@@ -160,11 +131,10 @@ func (s *stateStore) at(i uint32) *state.State {
 	return &s.slabs[i>>maxSlabBits][i&(maxSlab-1)]
 }
 
-// alloc hands out a slot for a session of vnic, reusing the freelist
-// before extending the slabs. The caller overwrites it.
-func (s *stateStore) alloc(vnic uint32) uint32 {
+// alloc hands out a slot, reusing the freelist before extending the
+// slabs. The caller overwrites it.
+func (s *stateStore) alloc() uint32 {
 	s.n++
-	s.count(vnic).N++
 	if s.free != 0 {
 		i := s.free - 1
 		s.free = uint32(s.at(i).Pkts)
@@ -177,18 +147,100 @@ func (s *stateStore) alloc(vnic uint32) uint32 {
 	return s.used - 1
 }
 
-// release returns slot i, held by a session of vnic, to the freelist.
-func (s *stateStore) release(i, vnic uint32) {
+// release returns slot i to the freelist.
+func (s *stateStore) release(i uint32) {
 	st := s.at(i)
 	checkState(st)
 	*st = state.State{Pkts: uint64(s.free)}
 	poisonState(st)
 	s.free = i + 1
 	s.n--
-	c := s.count(vnic)
-	if c.N--; c.N == 0 {
-		last := len(s.vnics) - 1
-		s.vnics[s.memo] = s.vnics[last]
-		s.vnics = s.vnics[:last]
+}
+
+// maxScopes bounds a table's live scopes: ids run from 0 to
+// maxScopes-1, and noScope, the one id left, names no scope.
+const (
+	maxScopes = 1<<16 - 1
+	noScope   = uint16(maxScopes)
+)
+
+// scopeSet interns a table's (vNIC, VPC) pairs into 16-bit scope ids:
+// one record per pair any live entry holds, counting those entries and
+// the ones among them with state, freed with the last entry. The zero
+// value is an empty set; the first intern allocates it.
+type scopeSet struct {
+	recs []scope
+	// index finds a pair's record: buckets {h: hashScope(vnic, vpc),
+	// idx: id + 1}, probed and shifted like the table's.
+	index index
+	free  uint32 // freelist head (id + 1); 0 = empty
+}
+
+// scope is one interned (vNIC, VPC) pair.
+type scope struct {
+	vnic, vpc uint32
+	// h is hashScope(vnic, vpc); on a free record it links the freelist
+	// instead.
+	h uint32
+	// entries counts the live entries in the scope; 0 marks a free
+	// record. states counts those holding state.
+	entries, states uint32
+}
+
+// hashScope hashes a (vNIC, VPC) pair for the scope index.
+func hashScope(vnic, vpc uint32) uint32 {
+	return uint32((uint64(vnic)<<32 | uint64(vpc)) * 0x9e3779b97f4a7c15 >> 32)
+}
+
+// find returns the id of the pair's scope, or noScope when the set
+// holds none. Only an insert asks: a lookup compares the pair of the
+// entry it probes (Table.matches).
+func (s *scopeSet) find(vnic, vpc uint32) uint16 {
+	if s.index.buckets == nil {
+		return noScope
 	}
+	h := hashScope(vnic, vpc)
+	ix := &s.index
+	for i, b := h&ix.mask, ix.buckets[h&ix.mask]; b.idx != 0; b = ix.buckets[i] {
+		if r := &s.recs[b.idx-1]; b.h == h && r.vnic == vnic && r.vpc == vpc {
+			return uint16(b.idx - 1)
+		}
+		i = (i + 1) & ix.mask
+	}
+	return noScope
+}
+
+// full reports whether the set holds maxScopes live scopes.
+func (s *scopeSet) full() bool { return s.index.n == maxScopes }
+
+// intern adds a scope for a pair the set does not hold and returns its
+// id; the set must not be full. The caller counts its first entry.
+func (s *scopeSet) intern(vnic, vpc uint32) uint16 {
+	if s.index.buckets == nil {
+		s.index.init()
+	}
+	ix, h := &s.index, hashScope(vnic, vpc)
+	if ix.full() {
+		ix.grow()
+	}
+	var id uint32
+	if s.free != 0 {
+		id = s.free - 1
+		s.free = s.recs[id].h
+	} else {
+		id = uint32(len(s.recs))
+		s.recs = append(s.recs, scope{})
+	}
+	s.recs[id] = scope{vnic: vnic, vpc: vpc, h: h}
+	ix.buckets[ix.emptyFrom(h)] = bucket{h: h, idx: id + 1}
+	ix.n++
+	return uint16(id)
+}
+
+// release frees scope id, whose last entry has gone.
+func (s *scopeSet) release(id uint16) {
+	r := &s.recs[id]
+	s.index.removeAt(s.index.slotOf(r.h, uint32(id)))
+	*r = scope{h: s.free}
+	s.free = uint32(id) + 1
 }

@@ -77,12 +77,13 @@ type State struct {
 	FirstDir packet.Direction
 	// TCP is the connection FSM phase.
 	TCP TCPState
+	// Policy is the installed statistics policy — the rule-table-
+	// involved state of §3.2.2. It sits beside the FSM bytes, so the
+	// four fill one word and a State is 40 bytes.
+	Policy tables.StatsPolicy
 	// DecapIP is the recorded overlay source for stateful decap
 	// (§5.2); zero when not in use.
 	DecapIP packet.IPv4
-	// Policy is the installed statistics policy — the rule-table-
-	// involved state of §3.2.2.
-	Policy tables.StatsPolicy
 	// BytesIn / BytesOut / Pkts are the flow-level statistics, only
 	// maintained as Policy directs.
 	BytesIn  uint64

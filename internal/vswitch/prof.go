@@ -86,23 +86,24 @@ func (vs *VSwitch) profLive(emit func(vnic uint32, role prof.Role, cause prof.Ca
 	}
 	var accs []liveAcc
 	vs.sessions.Range(func(e *flowcache.Entry) bool {
+		vnic := vs.sessions.Key(e).VNIC
 		role := prof.RoleLocal
-		if _, hosted := vs.fe(e.Key.VNIC); hosted {
+		if _, hosted := vs.fe(vnic); hosted {
 			role = prof.RoleFE
 		}
 		var a *liveAcc
 		for i := range accs {
-			if accs[i].vnic == e.Key.VNIC && accs[i].role == role {
+			if accs[i].vnic == vnic && accs[i].role == role {
 				a = &accs[i]
 				break
 			}
 		}
 		if a == nil {
-			accs = append(accs, liveAcc{vnic: e.Key.VNIC, role: role})
+			accs = append(accs, liveAcc{vnic: vnic, role: role})
 			a = &accs[len(accs)-1]
 		}
 		total := uint64(vs.sessions.SizeOf(e))
-		if e.HasPre {
+		if e.HasPre() {
 			a.cache += flowcache.PreActionsBytes
 			total -= flowcache.PreActionsBytes
 		}

@@ -621,7 +621,7 @@ func (vs *VSwitch) OffloadFinalize(vnic uint32) error {
 	}
 	// Drop cached pre-actions; keep states.
 	vs.sessions.Range(func(e *flowcache.Entry) bool {
-		if e.Key.VNIC == vnic {
+		if vs.sessions.Key(e).VNIC == vnic {
 			vs.sessions.DropPre(e)
 		}
 		return true

@@ -7,7 +7,6 @@
 package workload
 
 import (
-	"nezha/internal/metrics"
 	"nezha/internal/nic"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
@@ -78,11 +77,10 @@ type VM struct {
 	Completed   uint64 // client connections fully closed
 	Accepted    uint64 // server connections accepted
 	KernelDrops uint64 // connections dropped by the kernel backlog
-	Latency     *metrics.Histogram
 	// OnComplete, when set, observes every completed client
 	// connection's latency — scenario harnesses use it to bucket
-	// latencies by phase (e.g. p99 during load ramps) without a second
-	// histogram inside the VM.
+	// latencies by phase (e.g. p99 during load ramps); the VM keeps no
+	// latency samples of its own.
 	OnComplete func(lat sim.Time)
 }
 
@@ -103,7 +101,6 @@ func NewVM(loop *sim.Loop, vs *vswitch.VSwitch, vnic, vpc uint32, ip packet.IPv4
 		idGen:     idGen,
 		reqBytes:  128,
 		respBytes: 512,
-		Latency:   metrics.NewHistogramCap("conn-latency-us", 1<<18),
 	}
 	vm.pktCost = vm.connCost / 10
 	return vm
@@ -264,10 +261,8 @@ func (vm *VM) clientHandle(p *packet.Packet) {
 		vm.send(reply, packet.FlagACK, vm.reqBytes, int64(start))
 	case p.Flags.Has(packet.FlagFIN):
 		vm.Completed++
-		lat := vm.loop.Now() - start
-		vm.Latency.Observe(lat.Micros())
 		if vm.OnComplete != nil {
-			vm.OnComplete(lat)
+			vm.OnComplete(vm.loop.Now() - start)
 		}
 		vm.Abort(sport)
 		if vm.onClosed != nil {

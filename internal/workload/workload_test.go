@@ -77,6 +77,8 @@ func TestMaxCPSShape(t *testing.T) {
 
 func TestCRRTransactionCompletes(t *testing.T) {
 	b := newBed(t, 8)
+	var lat sim.Time
+	b.client.OnComplete = func(l sim.Time) { lat = l }
 	b.client.Open(2000, ipS, ServerPort)
 	b.loop.RunAll()
 	if b.client.Completed != 1 {
@@ -86,14 +88,10 @@ func TestCRRTransactionCompletes(t *testing.T) {
 	if b.client.InFlight() != 0 {
 		t.Fatal("connection state leaked")
 	}
-	if b.client.Latency.Count() != 1 {
-		t.Fatal("latency not recorded")
-	}
 	// 6 packets, 1 hop each, ~5 µs/hop + processing: latency must be
 	// tens of microseconds.
-	lat := b.client.Latency.Mean()
-	if lat < 10 || lat > 1000 {
-		t.Fatalf("transaction latency = %v µs, want tens of µs", lat)
+	if us := lat.Micros(); us < 10 || us > 1000 {
+		t.Fatalf("transaction latency = %v µs, want tens of µs", us)
 	}
 }
 

@@ -35,7 +35,7 @@ var panicAllow = map[string]string{
 	"internal/flowcache/debug_on.go:checkNone":                  "simdebug tripwire: the zero pre-actions or state written through Pre or State",
 	"internal/flowcache/debug_on.go:checkPre":                   "simdebug tripwire: pre-actions read after release, or interned ones written",
 	"internal/flowcache/debug_on.go:checkState":                 "simdebug tripwire: session state read after its slot was released",
-	"internal/flowcache/debug_on.go:checkVNIC":                  "simdebug tripwire: an entry created under another vNIC than its key's",
+	"internal/flowcache/debug_on.go:checkKey":                   "simdebug tripwire: an entry created under another vNIC or hash than its key's",
 	"internal/packet/pooldebug_on.go:poolCheckGet":              "simdebug tripwire: a free-list entry not marked free",
 	"internal/packet/pooldebug_on.go:poolCheckLive":             "simdebug tripwire: a packet used after release",
 	"internal/packet/pooldebug_on.go:poolCheckRelease":          "simdebug tripwire: a packet released twice",
