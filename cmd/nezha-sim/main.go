@@ -30,11 +30,11 @@
 // and 1 when it cannot create or write an output or serve -listen.
 // The output files are created before the run starts.
 //
-// -policy replaces the controller's built-in offload trigger with the
-// autonomous policy loop (internal/policy): trend-extrapolated
-// offload / fallback / scale-out / scale-in decisions driven from the
-// attribution profiler, every decision routed through the same
-// two-phase transactions. The summary prints the full decision log;
+// -policy replaces the controller's Fig 8 thresholds with the policy
+// engine (internal/policy), which the controller steps on its own
+// tick: trend-extrapolated offload / fallback / scale-out / scale-in
+// decisions read from the vSwitches' work ledgers, every decision
+// routed through the same two-phase transactions. The summary prints the full decision log;
 // with -obs the policy_* series appear in nezha-top's POLICY section.
 package main
 
@@ -68,7 +68,7 @@ var (
 	partition = flag.Bool("partition", false, "sever the BE-FE link to one FE mid-run (§C.1 mutual ping path)")
 	wire      = flag.Bool("wire", false, "serialize every packet through the real wire format")
 	noNezha   = flag.Bool("no-nezha", false, "disable the controller (baseline)")
-	usePolicy = flag.Bool("policy", false, "let the autonomous policy loop drive offload/fallback/scaling (implies -prof attachment)")
+	usePolicy = flag.Bool("policy", false, "let the policy engine decide offload/fallback/scaling on the controller's tick, in place of the Fig 8 thresholds")
 	seed      = flag.Int64("seed", def.Seed, "random seed")
 	obsPath   = flag.String("obs", "", "write per-second JSON telemetry snapshots here ('-' = stdout); view with nezha-top")
 	obsSample = flag.Float64("obs-sample", 0.01, "flight-trace sampling probability when -obs is set")
@@ -108,7 +108,7 @@ func spec() cluster.Spec {
 	if *obsPath != "" || *obsProm != "" || *listen != "" {
 		s.Obs = obs.New(obs.Options{Seed: *seed, SampleRate: *obsSample})
 	}
-	if *profPath != "" || *usePolicy {
+	if *profPath != "" {
 		s.Prof = prof.New()
 	}
 	if *sloObj > 0 {
@@ -344,11 +344,11 @@ func run() (err error) {
 		}
 	}
 
-	if w.Policy != nil {
-		st := w.Policy.Stats
+	if eng := w.Ctrl.Policy(); eng != nil {
+		st := eng.Stats
 		fmt.Printf("\npolicy: steps=%d applied=%d rejected=%d thrash=%d\n",
-			st.Steps, st.Applied, st.Rejected, len(w.Policy.Engine().ThrashEvents()))
-		for _, line := range w.Policy.Engine().Log() {
+			st.Steps, st.Applied, st.Rejected, len(eng.ThrashEvents()))
+		for _, line := range eng.Log() {
 			fmt.Printf("  %s\n", line)
 		}
 	}

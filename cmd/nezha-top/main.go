@@ -578,8 +578,8 @@ func render(w io.Writer, s *obs.Snapshot, topK int, f filter) {
 			idx.total("ctrl_dup_side_effects_total"))
 	}
 
-	// The POLICY line appears only when the autonomous policy loop is
-	// attached (nezha-sim -policy / chaos campaigns with Options.Policy).
+	// The POLICY line appears only when the policy engine decides
+	// (nezha-sim -policy, policy scenarios: cluster Options.Policy).
 	if idx.total("policy_steps_total") > 0 {
 		fmt.Fprintf(w, "POLICY  steps=%.0f offloads=%.0f fallbacks=%.0f scale-outs=%.0f scale-ins=%.0f rejected=%.0f thrash=%.0f\n\n",
 			idx.total("policy_steps_total"),

@@ -2,7 +2,7 @@ package baseline
 
 import "math"
 
-// This file scores the self-driving policy loop (internal/policy)
+// This file scores the policy engine (internal/policy)
 // against two reference points:
 //
 //   - the offline oracle: given the full load trace in hindsight, the

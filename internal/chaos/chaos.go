@@ -136,10 +136,8 @@ type Engine struct {
 
 	crashes []*crashEpisode
 
-	// ctrlOutages are controller crash/revive episodes; ctrlReviveHook
-	// runs just before each Recover (see ctrlcrash.go).
-	ctrlOutages    []*ctrlOutage
-	ctrlReviveHook func(now sim.Time)
+	// ctrlOutages are controller crash/revive episodes (ctrlcrash.go).
+	ctrlOutages []*ctrlOutage
 
 	invariants []Invariant
 	violations []Violation

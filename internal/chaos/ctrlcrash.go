@@ -30,13 +30,6 @@ type ctrlOutage struct {
 	judged bool
 }
 
-// SetCtrlReviveHook installs a callback run at revive time, immediately
-// before Controller.Recover. The scenario harness uses it to rebuild
-// the policy loop's half of the crashed process: restore the engine's
-// cooldown state from the journal and hand the loop a freshly primed
-// attribution reader.
-func (e *Engine) SetCtrlReviveHook(fn func(now sim.Time)) { e.ctrlReviveHook = fn }
-
 // ArmControllerCrash schedules one controller crash at time at, with
 // revive-and-recover after outage. opts passes through to Recover —
 // campaigns set SkipReconcile for the negative control that must trip
@@ -124,9 +117,6 @@ func (e *Engine) crashCtrl(outage sim.Time, opts controller.RecoverOpts) {
 	o := &ctrlOutage{start: now, reviveAt: now + outage}
 	e.ctrlOutages = append(e.ctrlOutages, o)
 	e.sys.Loop.Schedule(outage, func() {
-		if e.ctrlReviveHook != nil {
-			e.ctrlReviveHook(e.sys.Loop.Now())
-		}
 		o.recoverErr = ctrl.Recover(opts)
 		o.revived = true
 	})

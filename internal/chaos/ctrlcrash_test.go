@@ -105,66 +105,97 @@ func TestSkipReconcileNegativeControl(t *testing.T) {
 }
 
 // TestCrashRecoveryDecisionLogSuffix pins the strongest recovery
-// property the deterministic rig affords: a controller that crashes
-// and recovers from its journal must go on to make byte-for-byte the
-// decisions a crash-free control run makes. Controller RPC traffic
-// never touches the data path (pure latency fabric, flow-directed
-// control packets, RoleCtrl profiler charges excluded from policy
-// windows), so the workload the policy observes is identical in both
-// runs; the crash is placed in the ramp before the first decision
-// (control decides first at t=13.5s) so the single misaligned
-// post-revive window — the rebuilt reader is primed at the revive
-// instant, off a tick boundary — rolls out of the 6-window history
-// (by ~13.1s) before any decision consumes it. The post-recovery
-// suffix that must match is therefore the ENTIRE log; any divergence
-// means recovery rehydrated the policy engine or the attribution
-// reader incorrectly.
+// property the deterministic rig affords, and the engine's cadence
+// rule. Controller RPC traffic never touches the data path (pure
+// latency fabric, flow-directed control packets, control-plane ledger
+// slots excluded from the engine's loads), so the workload the policy
+// observes is the same with and without the crash. The engine steps
+// on the controller's tick, which Recover restarts at the revive
+// instant, and the replay re-baselines its counters there.
+//
+//   - Revive on a tick boundary (crash 8.5 s, revive 9.5 s): the
+//     recovered ticks fall where the crash-free run's do, and the
+//     observation history the crash dropped refills (6 windows, by
+//     12.5 s) before the control's first decision at 13.5 s, so the
+//     ENTIRE decision log must match the control's. Any divergence
+//     means recovery restored the engine or its baselines wrongly.
+//   - Revive off a boundary (9.6 s): every post-revive decision lands
+//     at revive + k·500 ms — the engine has no cadence of its own.
+//
+// Either way the outage skips steps: the crashed run steps the engine
+// fewer times than the control.
 func TestCrashRecoveryDecisionLogSuffix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("scenario pair takes a while; skipped in -short")
+		t.Skip("scenario runs take a while; skipped in -short")
 	}
 	const (
-		seed = int64(1)
-		// Revive at 9.6s, between ticks, so the revive event and a policy
-		// tick never race at the same instant.
+		seed    = int64(1)
 		crashAt = 8500 * sim.Millisecond
-		outage  = 1100 * sim.Millisecond
+		tick    = 500 * sim.Millisecond
 	)
 	control, err := RunScenario(ScenarioConfig{Seed: seed, Profile: ProfileFestival})
 	if err != nil {
 		t.Fatalf("control scenario: %v", err)
 	}
-	crashed, err := RunScenario(ScenarioConfig{
-		Seed: seed, Profile: ProfileFestival,
-		CtrlCrashAt: crashAt, CtrlOutage: outage,
-	})
-	if err != nil {
-		t.Fatalf("crashed scenario: %v", err)
-	}
 	if control.Failed() {
 		t.Fatalf("control run violated invariants: %v", control.Violations)
-	}
-	if crashed.Failed() {
-		t.Fatalf("crashed run violated invariants: %v", crashed.Violations)
-	}
-	if crashed.Recoveries != 1 {
-		t.Fatalf("crashed run recoveries = %d, want 1", crashed.Recoveries)
-	}
-	if crashed.PolicyBackoffs == 0 {
-		t.Error("policy loop never backed off during the outage; the crash window exercised nothing")
 	}
 	if len(control.DecisionLog) == 0 {
 		t.Fatal("control run made no decisions; the comparison is vacuous")
 	}
-	if len(crashed.DecisionLog) != len(control.DecisionLog) {
-		t.Fatalf("decision count diverged: control=%d crashed=%d\ncontrol: %v\ncrashed: %v",
-			len(control.DecisionLog), len(crashed.DecisionLog), control.DecisionLog, crashed.DecisionLog)
-	}
-	for i := range control.DecisionLog {
-		if control.DecisionLog[i] != crashed.DecisionLog[i] {
-			t.Errorf("decision %d diverged:\n  control: %s\n  crashed: %s",
-				i, control.DecisionLog[i], crashed.DecisionLog[i])
-		}
+	for _, tc := range []struct {
+		name   string
+		outage sim.Time
+	}{
+		{"revive on a tick", 1000 * sim.Millisecond},
+		{"revive off a tick", 1100 * sim.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			crashed, err := RunScenario(ScenarioConfig{
+				Seed: seed, Profile: ProfileFestival,
+				CtrlCrashAt: crashAt, CtrlOutage: tc.outage,
+			})
+			if err != nil {
+				t.Fatalf("crashed scenario: %v", err)
+			}
+			if crashed.Failed() {
+				t.Fatalf("crashed run violated invariants: %v", crashed.Violations)
+			}
+			if crashed.Recoveries != 1 {
+				t.Fatalf("crashed run recoveries = %d, want 1", crashed.Recoveries)
+			}
+			if crashed.PolicySteps >= control.PolicySteps {
+				t.Errorf("crashed run stepped the engine %d times, control %d: the outage skipped nothing",
+					crashed.PolicySteps, control.PolicySteps)
+			}
+			revive := crashAt + tc.outage
+			if revive%tick != 0 {
+				after := 0
+				for _, d := range crashed.Decisions {
+					if d.At < revive {
+						continue
+					}
+					after++
+					if (d.At-revive)%tick != 0 {
+						t.Errorf("decision off the recovered tick (revive %v + k·%v): %v", revive, tick, d)
+					}
+				}
+				if after == 0 {
+					t.Fatal("no decision after the revive; the cadence check is vacuous")
+				}
+				return
+			}
+			if len(crashed.DecisionLog) != len(control.DecisionLog) {
+				t.Fatalf("decision count diverged: control=%d crashed=%d\ncontrol: %v\ncrashed: %v",
+					len(control.DecisionLog), len(crashed.DecisionLog), control.DecisionLog, crashed.DecisionLog)
+			}
+			for i := range control.DecisionLog {
+				if control.DecisionLog[i] != crashed.DecisionLog[i] {
+					t.Errorf("decision %d diverged:\n  control: %s\n  crashed: %s",
+						i, control.DecisionLog[i], crashed.DecisionLog[i])
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,10 @@
 package chaos
 
-import "testing"
+import (
+	"slices"
+	"sync"
+	"testing"
+)
 
 // TestCampaignDeterminism is the regression guard for the repo's
 // determinism contract under chaos: the same seed and config must
@@ -44,5 +48,36 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 	}
 	if a.Digest == b.Digest {
 		t.Errorf("seeds 5 and 6 produced identical digests (%#x); digest is not sensitive to the run", a.Digest)
+	}
+}
+
+// TestConcurrentCampaignsAgree runs two identical campaigns at once,
+// one per goroutine. Campaigns share no state, so both must reach the
+// same digest and the same violations; under -race (CI's
+// `go test -race ./internal/...`) a package-level variable either run
+// writes shows up as a data race.
+func TestConcurrentCampaignsAgree(t *testing.T) {
+	var reps [2]Report
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = RunCampaign(CampaignConfig{Seed: 1})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("campaign %d: %v", i, err)
+		}
+	}
+	a, b := reps[0], reps[1]
+	if a.Digest != b.Digest {
+		t.Errorf("concurrent identical campaigns diverged: digest %#x vs %#x", a.Digest, b.Digest)
+	}
+	if !slices.EqualFunc(a.Violations, b.Violations, func(x, y Violation) bool { return x.String() == y.String() }) {
+		t.Errorf("concurrent identical campaigns diverged: violations %v vs %v", a.Violations, b.Violations)
 	}
 }

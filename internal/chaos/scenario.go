@@ -16,8 +16,8 @@ import (
 	"nezha/internal/slo"
 )
 
-// This file is the long-horizon scenario harness for the self-driving
-// policy loop: deterministic diurnal and shopping-festival load shapes
+// This file is the long-horizon scenario harness for the policy
+// engine: deterministic diurnal and shopping-festival load shapes
 // driven through a policy-operated cluster, scored against the offline
 // oracle (full-trace hindsight pool plan) and a Sirius-style static
 // pool, with the standard chaos invariants plus a policy_thrash
@@ -85,9 +85,9 @@ type ScenarioConfig struct {
 	// churn for the hysteresis property test).
 	Flaps int
 	// CtrlCrashAt, when positive, crashes the controller at that time
-	// and recovers it after CtrlOutage (default 1 s). The policy loop
-	// backs off during the outage and resumes from journal-rehydrated
-	// cooldown state with a freshly primed attribution reader.
+	// and recovers it after CtrlOutage (default 1 s). The engine stops
+	// with the controller's tick and resumes, on the tick Recover
+	// restarts, from the cooldown state its journal replay restores.
 	CtrlCrashAt sim.Time
 	// CtrlOutage is how long the controller stays dead (0 = 1 s).
 	CtrlOutage sim.Time
@@ -131,10 +131,10 @@ type ScenarioResult struct {
 	ThrashCount int
 	Violations  []Violation
 	Completed   uint64
-	// Recoveries / PolicyBackoffs summarize a controller-crash episode:
-	// completed recoveries and policy ticks skipped during the outage.
-	Recoveries     uint64
-	PolicyBackoffs uint64
+	// Recoveries counts completed controller recoveries; PolicySteps
+	// counts engine steps, which a controller outage skips.
+	Recoveries  uint64
+	PolicySteps uint64
 	// P99RampMicros is the p99 connection latency restricted to ramp
 	// phases (|load slope| above half its theoretical max), where an
 	// under-provisioned pool shows up first.
@@ -190,7 +190,6 @@ func (r ScenarioResult) View() ScenarioView {
 // wants a 9-FE pool at 40% target utilization.
 func ScenarioPolicyConfig() policy.Config {
 	cfg := policy.Config{
-		Interval:       500 * sim.Millisecond,
 		Windows:        6,
 		Horizon:        sim.Second,
 		BECapacityHz:   150e6,
@@ -273,7 +272,7 @@ func scenarioSlope(p ScenarioProfile, t, dur sim.Time, base, peak float64) float
 // RunScenario builds the rig, drives the load shape, and scores the
 // policy. The rig mirrors the chaos campaign (BE on server 0, CRR
 // clients on 1..scenarioClients) but no offload is forced: every
-// transition is the policy loop's decision.
+// transition is the policy engine's decision.
 func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 40 * sim.Second
@@ -294,12 +293,14 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	spec.Controller.InitialFEs = polCfg.MinFEs
 	spec.Controller.MinFEs = polCfg.MinFEs
 
-	pr := prof.New()
 	var ob *obs.Obs
+	var pr *prof.Profiler
 	if cfg.Hist != nil {
 		// Tracing stays off (SampleRate 0): the ops surface needs the
-		// registry, spans, and flows — not per-packet flights.
+		// registry, spans, flows and the attribution profile — not
+		// per-packet flights.
 		ob = obs.New(obs.Options{Seed: cfg.Seed})
+		pr = prof.New()
 	}
 	var tracker *slo.Tracker
 	if cfg.SLO {
@@ -339,24 +340,14 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		inRamp = math.Abs(scenarioSlope(cfg.Profile, now, cfg.Duration, scenarioBaseCPS, cfg.PeakCPS)) > 0.5*maxSlope
 	})
 
-	// Traces: one sample per policy interval, recorded from the same
-	// windows the engine consumed.
+	// Traces: one sample per engine step, the load it observed and the
+	// pool after its decisions.
+	pe := w.Ctrl.Policy()
 	var loads []float64
 	var pools []int
-	w.Policy.SetTrace(func(now sim.Time, win prof.Window, ds []policy.Decision) {
-		dt := (win.T1 - win.T0).Seconds()
-		var cycles uint64
-		for _, v := range win.VNICs {
-			if v.VNIC == cluster.ServerVNIC {
-				cycles += v.RuleCycles + v.SessCycles
-			}
-		}
-		load := 0.0
-		if dt > 0 {
-			load = float64(cycles) / dt
-		}
-		loads = append(loads, load)
-		pools = append(pools, w.Ctrl.PoolSize(cluster.ServerVNIC))
+	w.Ctrl.SetTickHook(func() {
+		loads = append(loads, pe.LastLoad(cluster.ServerVNIC))
+		pools = append(pools, len(w.Ctrl.FEsOf(cluster.ServerVNIC)))
 	})
 
 	// Invariants: the standard set plus the policy's own thrash judge.
@@ -368,7 +359,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		DetectWindow: detectWindow(spec),
 	})
 	RegisterStandard(eng)
-	eng.Register(PolicyThrash(w.Policy.Engine()))
+	eng.Register(PolicyThrash(pe))
 	if cfg.Hist != nil {
 		eng.AttachHistory(cfg.Hist)
 	}
@@ -390,26 +381,11 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 
 	if cfg.CtrlCrashAt > 0 {
-		jrn := journal.NewMem()
-		w.Ctrl.AttachJournal(jrn)
-		w.Policy.SetJournal(jrn)
+		w.Ctrl.AttachJournal(journal.NewMem())
 		outage := cfg.CtrlOutage
 		if outage <= 0 {
 			outage = sim.Second
 		}
-		// At revive, rebuild the policy half of the crashed process:
-		// cooldown state rehydrated from the journal (observation history
-		// is deliberately dropped — the engine re-observes before acting)
-		// and a fresh attribution reader primed at the revive instant so
-		// its first window is an exact delta, not cumulative-since-boot.
-		eng.SetCtrlReviveHook(func(now sim.Time) {
-			if recs, err := jrn.Replay(); err == nil {
-				w.Policy.Engine().Restore(recs)
-			}
-			src := prof.NewSeriesReader(pr)
-			src.Prime(now)
-			w.Policy.SetSource(src)
-		})
 		eng.ArmControllerCrash(cfg.CtrlCrashAt, outage, controller.RecoverOpts{})
 	}
 
@@ -418,12 +394,11 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	w.Loop.Run(cfg.Duration)
 	w.StopLoad()
 	rateTicker.Stop()
-	w.Policy.Stop()
+	w.Ctrl.Stop()
 	// Quiesce so the final check sees a settled system.
 	w.Loop.Run(w.Loop.Now() + 2*sim.Second)
 	eng.CheckNow()
 
-	pe := w.Policy.Engine()
 	res := ScenarioResult{
 		Seed:        cfg.Seed,
 		Profile:     cfg.Profile,
@@ -435,7 +410,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		Violations:  eng.Violations(),
 		Recoveries:  w.Ctrl.Recoveries(),
 	}
-	res.PolicyBackoffs = w.Policy.Stats.Backoffs
+	res.PolicySteps = pe.Stats.Steps
 	res.Completed = w.Completed()
 	res.P99Micros = allHist.P99()
 	res.P99RampMicros = rampHist.P99()

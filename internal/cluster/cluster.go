@@ -51,11 +51,9 @@ type Options struct {
 	// are attached to the same registry.
 	Prof *prof.Profiler
 	// Policy, when non-nil, hands offload/fallback/scale decisions to
-	// the self-driving policy loop (internal/policy) instead of the
-	// controller's built-in threshold tree: the controller runs with
-	// ExternalPolicy set and the loop drives it through the Actuator
-	// interface. Requires Prof (the loop consumes attribution windows);
-	// New panics otherwise.
+	// the policy engine (internal/policy) instead of the controller's
+	// Fig 8 tree: the controller steps it on every tick
+	// (controller.SetPolicy).
 	Policy *policy.Config
 	// SLO, when non-nil, wires the latency/hot-flow SLO tracker into
 	// every vSwitch's terminal points and, when Obs is also set,
@@ -72,9 +70,6 @@ type Cluster struct {
 	Mon  *monitor.Monitor
 	Obs  *obs.Obs
 	Prof *prof.Profiler
-	// Policy is the running policy loop when Options.Policy was set
-	// (nil otherwise).
-	Policy *policy.Loop
 	// SLO is the latency tracker when Options.SLO was set (nil
 	// otherwise).
 	SLO *slo.Tracker
@@ -130,13 +125,10 @@ func New(opts Options) *Cluster {
 	if ctrlCfg.InitialFEs == 0 {
 		ctrlCfg = controller.DefaultConfig()
 	}
-	if opts.Policy != nil {
-		if opts.Prof == nil {
-			panic("cluster: Options.Policy requires Options.Prof (the loop consumes attribution windows)")
-		}
-		ctrlCfg.ExternalPolicy = true
-	}
 	c.Ctrl = controller.New(c.Loop, c.Fab, c.GW, ctrlCfg)
+	if opts.Policy != nil {
+		c.Ctrl.SetPolicy(*opts.Policy)
+	}
 	if c.Obs != nil {
 		c.Ctrl.EnableObs(c.Obs)
 	}
@@ -185,21 +177,12 @@ func New(opts Options) *Cluster {
 			vs.SweepSessions()
 		}
 	})
-
-	if opts.Policy != nil {
-		eng := policy.New(*opts.Policy)
-		src := prof.NewSeriesReader(c.Prof)
-		c.Policy = policy.NewLoop(c.Loop, eng, src, c.Ctrl)
-		if c.Obs != nil {
-			c.Policy.EnableObs(c.Obs)
-		}
-	}
 	return c
 }
 
 // NewOpsPublisher builds a history publisher wired to this cluster's
 // observability stack: registry snapshots on the publisher's cadence,
-// the policy decision log when the policy loop is running, and a
+// the policy decision log when the policy engine decides, and a
 // pprof-encoded attribution profile per publish when the profiler is
 // attached. The caller attaches it to c.Loop (and may override Every,
 // TopK, or OnSnap first). Returns nil when the cluster has no Obs
@@ -218,8 +201,8 @@ func (c *Cluster) NewOpsPublisher(h *obs.History, topK int) *obs.Publisher {
 			return b
 		}
 	}
-	if c.Policy != nil {
-		p.PolicyLogFn = func() []string { return c.Policy.Engine().Log() }
+	if eng := c.Ctrl.Policy(); eng != nil {
+		p.PolicyLogFn = eng.Log
 	}
 	return p
 }
@@ -230,9 +213,6 @@ func (c *Cluster) NewOpsPublisher(h *obs.History, topK int) *obs.Publisher {
 func (c *Cluster) Start() {
 	c.Ctrl.Start()
 	c.Mon.Start()
-	if c.Policy != nil {
-		c.Policy.Start()
-	}
 	for _, vs := range c.Switches {
 		vs := vs
 		vs.StartMutualPing(2*sim.Second, 3, func(fe packet.IPv4) {

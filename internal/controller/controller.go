@@ -28,6 +28,7 @@ import (
 	"nezha/internal/nic"
 	"nezha/internal/obs"
 	"nezha/internal/packet"
+	"nezha/internal/policy"
 	"nezha/internal/sim"
 	"nezha/internal/tables"
 	"nezha/internal/vswitch"
@@ -98,12 +99,6 @@ type Config struct {
 	// ack for an offload to commit (1.0 = all). Scale-out commits with
 	// any non-empty acked subset.
 	PrepareQuorumFrac float64
-	// ExternalPolicy disables the controller's built-in threshold
-	// decision tree (tick-driven offload/scale/fallback): monitoring,
-	// failover, and repair keep running, but offload/fallback/scale
-	// decisions are expected from an external driver — the
-	// internal/policy loop — through the Actuator methods.
-	ExternalPolicy bool
 	// UnsafeDirectCommit restores the pre-transactional behavior:
 	// fire-and-forget installs with the gateway flipped immediately,
 	// before any FE has acked its tables. It exists as a negative
@@ -151,6 +146,7 @@ type facts interface {
 	ToR() int
 	NumVNICs() int
 	VNICLoads() []vswitch.VNICLoad
+	Relocatable(fn func(vnic uint32, rule, sess uint64))
 }
 
 type nodeState struct {
@@ -291,9 +287,10 @@ type Controller struct {
 	// badLinks[home][fe] records when the BE at home last reported fe
 	// unreachable (§C.1).
 	badLinks    map[packet.IPv4]map[packet.IPv4]sim.Time
-	wal         bool     // a journal is attached: emit records
-	recoverWait int      // vNICs still reconciling after a recovery
-	fx          []effect // the current step's effects
+	wal         bool           // a journal is attached: emit records
+	policy      *policy.Engine // when set, decides on each tick in place of the Fig 8 tree
+	recoverWait int            // vNICs still reconciling after a recovery
+	fx          []effect       // the current step's effects
 
 	// failoverAt records when NodeDown last ran for an address; it and
 	// the recovery stamps are read off the sim goroutine, so statMu
@@ -319,7 +316,9 @@ type Controller struct {
 	ports   map[packet.IPv4]port
 	// prepareHook observes prepare-phase starts (vNIC, targets) — the
 	// chaos engine uses it to kill or partition an FE mid-push.
-	prepareHook                  func(uint32, []packet.IPv4)
+	prepareHook func(uint32, []packet.IPv4)
+	// tickHook observes each tick once its effects are carried out.
+	tickHook                     func()
 	ticker, repairTicker, fbTick *sim.Ticker
 	// deadlines holds each vNIC's armed prepare-deadline timer.
 	deadlines map[uint32]sim.EventRef
@@ -395,6 +394,9 @@ var ErrCoolingDown = errors.New("controller: offload cooling down after abort")
 // the same vNIC is in flight.
 var ErrBusy = errors.New("controller: vNIC has a transaction in flight")
 
+// ErrNotOffloaded reports a pool resize on a vNIC with no pool.
+var ErrNotOffloaded = errors.New("controller: vNIC is not offloaded")
+
 // errDown refuses requests while the controller process is dead.
 var errDown = errors.New("controller: down")
 
@@ -422,9 +424,4 @@ func (c *Controller) ForceOffload(vnic uint32) error {
 // fault recovery, without migrating the VM.
 func (c *Controller) OffloadTo(vnic uint32, targets []packet.IPv4) error {
 	return c.deliver(event{kind: evOffloadTo, vnic: vnic, addrs: targets})
-}
-
-// ForceFallback triggers fallback for one vNIC regardless of load.
-func (c *Controller) ForceFallback(vnic uint32) error {
-	return c.deliver(event{kind: evForceFallback, vnic: vnic})
 }

@@ -169,7 +169,7 @@ func TestForceFallbackRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.loop.Run(5 * sim.Second)
-	if err := r.ctrl.ForceFallback(42); err != nil {
+	if err := r.ctrl.deliver(event{kind: evForceFallback, vnic: 42}); err != nil {
 		t.Fatal(err)
 	}
 	r.loop.Run(10 * sim.Second)
@@ -374,7 +374,7 @@ func TestOffloadToOperatorTargets(t *testing.T) {
 	if err := r.ctrl.OffloadTo(99, targets); err == nil {
 		t.Fatal("unknown vNIC accepted")
 	}
-	if err := r.ctrl.ForceFallback(42); err != nil {
+	if err := r.ctrl.deliver(event{kind: evForceFallback, vnic: 42}); err != nil {
 		t.Fatal(err)
 	}
 	r.loop.Run(r.loop.Now() + 10*sim.Second)
@@ -480,7 +480,7 @@ func TestScaleOutWithAllCandidatesExcluded(t *testing.T) {
 	v := r.ctrl.vnics[42]
 	// A scale-out with nothing to select is a clean no-op: no dangling
 	// transaction, pool at the floor so not degraded either.
-	if err := r.ctrl.ScaleOut(42, 2); err != ErrNoIdleNodes {
+	if err := r.ctrl.deliver(event{kind: evScaleOut, vnic: 42, n: 2}); err != ErrNoIdleNodes {
 		t.Fatalf("scale-out with zero candidates: %v, want ErrNoIdleNodes", err)
 	}
 	if v.txn != nil {
@@ -531,7 +531,7 @@ func TestScaleOutCommitKeepsConcurrentRemoval(t *testing.T) {
 				t.Fatalf("precondition: pool = %v", v.fes)
 			}
 			victim := v.fes[0]
-			if err := r.ctrl.ScaleOut(42, 2); err != nil {
+			if err := r.ctrl.deliver(event{kind: evScaleOut, vnic: 42, n: 2}); err != nil {
 				t.Fatalf("scale-out did not start: %v", err)
 			}
 			tx := v.txn
@@ -583,7 +583,7 @@ func TestFallbackAbortsWhenBEPushFails(t *testing.T) {
 	if !ok {
 		t.Fatalf("could not inject %d bytes of pressure", free-8)
 	}
-	if err := r.ctrl.ForceFallback(42); err != nil {
+	if err := r.ctrl.deliver(event{kind: evForceFallback, vnic: 42}); err != nil {
 		t.Fatal(err)
 	}
 	r.loop.Run(r.loop.Now() + 5*sim.Second)
@@ -598,7 +598,7 @@ func TestFallbackAbortsWhenBEPushFails(t *testing.T) {
 	}
 	// Releasing the pressure makes the retry succeed.
 	release()
-	if err := r.ctrl.ForceFallback(42); err != nil {
+	if err := r.ctrl.deliver(event{kind: evForceFallback, vnic: 42}); err != nil {
 		t.Fatal(err)
 	}
 	r.loop.Run(r.loop.Now() + 10*sim.Second)

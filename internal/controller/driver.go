@@ -9,6 +9,7 @@ import (
 	"nezha/internal/journal"
 	"nezha/internal/nic"
 	"nezha/internal/packet"
+	"nezha/internal/policy"
 	"nezha/internal/sim"
 	"nezha/internal/vswitch"
 )
@@ -191,12 +192,26 @@ func (c *Controller) RegisterVNIC(info VNICInfo) {
 	c.flush()
 }
 
+// SetPolicy hands the offload, fallback and scaling decisions to a
+// policy engine built from cfg, which the tick steps every report
+// interval in place of the Fig 8 tree and its fallback check. Call it
+// before EnableObs and Start.
+func (c *Controller) SetPolicy(cfg policy.Config) { c.policy = policy.New(cfg) }
+
+// Policy returns the policy engine SetPolicy installed, or nil.
+func (c *Controller) Policy() *policy.Engine { return c.policy }
+
 // Start begins the periodic monitoring/decision loop and the
 // degraded-pool repair loop.
 func (c *Controller) Start() {
-	c.ticker = c.loop.Every(reportInterval, func() { c.deliver(event{kind: evTick, samples: c.sample(false)}) })
+	c.ticker = c.loop.Every(reportInterval, func() {
+		c.deliver(event{kind: evTick, samples: c.sample(false)})
+		if c.tickHook != nil {
+			c.tickHook()
+		}
+	})
 	c.repairTicker = c.loop.Every(repairInterval, func() { c.deliver(event{kind: evRepair}) })
-	if !c.cfg.ExternalPolicy {
+	if c.policy == nil {
 		c.fbTick = c.loop.Every(fallbackCheckInterval, func() { c.deliver(event{kind: evFallbackCheck}) })
 	}
 }
@@ -209,6 +224,11 @@ func (c *Controller) Stop() {
 		}
 	}
 }
+
+// SetTickHook installs an observer run after each tick's step, once
+// its effects are carried out. The policy scenario harness records its
+// load and pool traces through it.
+func (c *Controller) SetTickHook(fn func()) { c.tickHook = fn }
 
 // SetPrepareHook installs an observer fired when a prepare phase
 // starts, with the vNIC and its target FEs. The chaos engine uses it
@@ -293,8 +313,8 @@ func (c *Controller) Recover(opts RecoverOpts) error {
 	return nil
 }
 
-// ControllerUp reports process liveness; the policy loop backs its
-// ticks off while this is false.
+// ControllerUp reports process liveness: false from Crash until
+// Recover.
 func (c *Controller) ControllerUp() bool { return !c.down }
 
 // Recoveries counts completed Recover calls.

@@ -17,6 +17,9 @@ func (c *Controller) EnableObs(o *obs.Obs) {
 	}
 	c.ob = o
 	c.rpc.EnableObs(o)
+	if c.policy != nil {
+		c.policy.EnableObs(o)
+	}
 	r := o.Reg
 	r.Help("controller_offloads_total", "Offload transactions committed.")
 	r.Help("controller_fallbacks_total", "Fallback transactions committed.")

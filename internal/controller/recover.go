@@ -100,14 +100,20 @@ func (c *Controller) exportState() []journal.Record {
 			out = append(out, journal.Record{Kind: journal.KindRemoval, Node: addr, VNIC: id, Epoch: n.pendingRemoval[id]})
 		}
 	}
+	if c.policy != nil {
+		out = append(out, c.policy.Export()...)
+	}
 	return out
 }
 
 // --- Crash and replay ------------------------------------------------------
 
 // wipe forgets everything a crash loses: placements, transactions,
-// node health and meters, bad links.
+// node health and meters, bad links, the policy engine's tracks.
 func (c *Controller) wipe() {
+	if c.policy != nil {
+		c.policy.Forget()
+	}
 	for id, v := range c.vnics {
 		c.vnics[id] = &vnicState{VNICInfo: v.VNICInfo}
 	}
@@ -121,8 +127,8 @@ func (c *Controller) wipe() {
 // replay folds one journal record into the wiped world. Records that
 // cannot describe this world are ignored: an intent or placement for
 // an unknown vNIC or naming an unknown node, a node or removal record
-// for an unknown node, a placement whose epoch regresses the vNIC's.
-// KindPolicy records belong to the policy engine's Restore.
+// for an unknown node, a placement whose epoch regresses the vNIC's, a
+// policy record when no policy engine is set.
 func (c *Controller) replay(r *journal.Record) {
 	v := c.vnics[r.VNIC]
 	if v != nil && !(c.known(r.FEs) && c.known(r.Stale)) {
@@ -170,6 +176,10 @@ func (c *Controller) replay(r *journal.Record) {
 		case n.pendingRemoval[r.VNIC] <= r.Epoch:
 			delete(n.pendingRemoval, r.VNIC)
 		}
+	case journal.KindPolicy:
+		if v != nil && c.policy != nil {
+			c.policy.Restore(r)
+		}
 	}
 }
 
@@ -184,8 +194,9 @@ func (c *Controller) known(addrs []packet.IPv4) bool {
 }
 
 // replayed derives what the journal does not hold: fronted maps from
-// the pools, and a re-baseline of the cycle counters so the first tick
-// does not read the whole pre-crash history as one window.
+// the pools, and a re-baseline of the cycle counters — the nodes' and
+// the policy engine's — so the first tick does not read the whole
+// pre-crash history as one window.
 func (c *Controller) replayed(samples []sample) {
 	for _, id := range c.sortedVNICs() {
 		v := c.vnics[id]
@@ -207,6 +218,9 @@ func (c *Controller) replayed(samples []sample) {
 		if n, ok := c.nodes[s.addr]; ok {
 			n.lastLocal, n.lastRemote = s.local, s.remote
 		}
+	}
+	if c.policy != nil {
+		c.policy.Rebase(c.now, c.loads())
 	}
 }
 

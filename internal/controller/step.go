@@ -11,6 +11,7 @@ import (
 	"nezha/internal/fabric"
 	"nezha/internal/journal"
 	"nezha/internal/packet"
+	"nezha/internal/policy"
 	"nezha/internal/sim"
 )
 
@@ -104,18 +105,10 @@ func (c *Controller) step(ev event) ([]effect, error) {
 		c.replayed(ev.samples)
 	case evReconcile:
 		c.reconcile(ev.flag)
-	case evForceOffload:
-		if !v.offloaded && !v.inProgress {
-			err = c.startOffload(v, nil)
-		}
+	case evForceOffload, evForceFallback, evScaleOut, evScaleIn:
+		err = c.request(v, ev.kind, ev.n)
 	case evOffloadTo:
 		err = c.offloadTo(v, ev.addrs)
-	case evForceFallback:
-		if v.offloaded && !v.inProgress && v.txn == nil {
-			c.startFallback(v)
-		}
-	case evScaleOut, evScaleIn:
-		err = c.resize(v, ev.kind == evScaleOut, ev.n)
 	case evDeadline:
 		if tx := v.txnAt(ev.epoch); tx != nil {
 			c.resolvePrepare(v, tx)
@@ -210,8 +203,27 @@ func sortedIDs[T any](m map[uint32]T) []uint32 {
 	return ids
 }
 
+// request runs an operator or policy request of kind on v: the
+// offload, fallback and resize transactions.
+func (c *Controller) request(v *vnicState, kind evKind, n int) error {
+	switch kind {
+	case evForceOffload:
+		if !v.offloaded && !v.inProgress {
+			return c.startOffload(v, nil)
+		}
+	case evForceFallback:
+		if v.offloaded && !v.inProgress && v.txn == nil {
+			c.startFallback(v)
+		}
+	case evScaleOut, evScaleIn:
+		return c.resize(v, kind == evScaleOut, n)
+	}
+	return nil
+}
+
 // tick folds the samples (every live node, ascending) into the node
-// table and applies the Fig 8 decision tree.
+// table and decides: the policy engine when one is set, else the
+// Fig 8 decision tree.
 func (c *Controller) tick(samples []sample) {
 	for _, s := range samples {
 		n := c.nodes[s.addr]
@@ -223,8 +235,9 @@ func (c *Controller) tick(samples []sample) {
 			n.remoteShare = float64(dr) / float64(dl+dr)
 		}
 	}
-	if c.cfg.ExternalPolicy {
-		return // the decision tree belongs to the policy loop
+	if c.policy != nil {
+		c.decide()
+		return
 	}
 	for _, s := range samples {
 		n := c.nodes[s.addr]
@@ -291,6 +304,72 @@ func (c *Controller) offloadFrom(addr packet.IPv4, n *nodeState) {
 			util -= n.cpuUtil * float64(l.Cycles) / float64(totalCycles) * 0.85
 		}
 	}
+}
+
+// decide steps the policy engine and runs each decision as the
+// request it names; the decided vNICs' cooldowns are journaled after.
+func (c *Controller) decide() {
+	eng := c.policy
+	ds := eng.Step(c.now, c.loads(), true)
+	for _, d := range ds {
+		err := c.request(c.vnics[d.VNIC], policyRequest[d.Action], d.Delta)
+		if err != nil {
+			eng.Stats.Rejected++
+		} else {
+			eng.Stats.Applied++
+		}
+		c.note("policy", 0, d.VNIC, "%s err=%v", d.String(), err)
+	}
+	if c.wal {
+		for _, d := range ds {
+			if r, ok := eng.Record(d.VNIC); ok {
+				c.journalRecord(r)
+			}
+		}
+	}
+}
+
+// policyRequest is the request each policy action runs.
+var policyRequest = [...]evKind{
+	policy.ActOffload:  evForceOffload,
+	policy.ActFallback: evForceFallback,
+	policy.ActScaleOut: evScaleOut,
+	policy.ActScaleIn:  evScaleIn,
+}
+
+// loads is the policy engine's input, ascending by vNIC: each
+// registered vNIC's relocatable cycles summed over every node's ledger,
+// and its pool with the mean utilization its live FEs sampled.
+func (c *Controller) loads() []policy.Load {
+	ids := c.sortedVNICs()
+	out := make([]policy.Load, len(ids))
+	at := make(map[uint32]*policy.Load, len(ids))
+	for i, id := range ids {
+		v := c.vnics[id]
+		l := &out[i]
+		l.VNIC, l.Offloaded, l.Pool, l.PoolUtil = id, v.offloaded, len(v.fes), -1
+		var sum float64
+		var live int
+		for _, fa := range v.fes {
+			if n, ok := c.nodes[fa]; ok && !n.down {
+				sum += n.cpuUtil
+				live++
+			}
+		}
+		if live > 0 {
+			l.PoolUtil = sum / float64(live)
+		}
+		at[id] = l
+	}
+	for _, n := range c.nodes {
+		n.view.Relocatable(func(vnic uint32, rule, sess uint64) {
+			if l := at[vnic]; l != nil {
+				l.Rule += rule
+				l.Sess += sess
+			}
+		})
+	}
+	return out
 }
 
 // offloadTo validates an operator-chosen FE set (§7.2) and offloads
@@ -1046,9 +1125,9 @@ func (c *Controller) evictFEHost(addr packet.IPv4, n *nodeState, immediate bool)
 	}
 }
 
-// resize is the policy loop's ScaleOut / ScaleIn. The policy loop owns
-// pacing, so a scale-out bypasses the cooldown; a scale-in removes the
-// most recently added FEs, never below the floor, gracefully.
+// resize is the ScaleOut / ScaleIn request. Its caller owns pacing, so
+// a scale-out bypasses the cooldown; a scale-in removes the most
+// recently added FEs, never below the floor, gracefully.
 func (c *Controller) resize(v *vnicState, grow bool, n int) error {
 	if !v.offloaded {
 		return ErrNotOffloaded

@@ -12,6 +12,7 @@ import (
 	"nezha/internal/ctrlrpc"
 	"nezha/internal/journal"
 	"nezha/internal/packet"
+	"nezha/internal/policy"
 	"nezha/internal/sim"
 	"nezha/internal/vswitch"
 )
@@ -23,9 +24,10 @@ import (
 // idleSwitch is a vSwitch as step sees it: same ToR, nothing resident.
 type idleSwitch struct{}
 
-func (idleSwitch) ToR() int                      { return 0 }
-func (idleSwitch) NumVNICs() int                 { return 0 }
-func (idleSwitch) VNICLoads() []vswitch.VNICLoad { return nil }
+func (idleSwitch) ToR() int                                 { return 0 }
+func (idleSwitch) NumVNICs() int                            { return 0 }
+func (idleSwitch) VNICLoads() []vswitch.VNICLoad            { return nil }
+func (idleSwitch) Relocatable(func(uint32, uint64, uint64)) {}
 
 // world is a step-only controller and the effects it asked for that
 // the test has not answered yet.
@@ -33,8 +35,9 @@ type world struct {
 	t       *testing.T
 	c       *Controller
 	now     sim.Time
-	out     []effect // the last step's effects
-	pending []effect // unanswered calls, queries and timers
+	out     []effect         // the last step's effects
+	pending []effect         // unanswered calls, queries and timers
+	wal     []journal.Record // every record journaled, in order
 }
 
 // home is vNIC 42's BE; the FE candidates are 10.0.0.2 and up, picked
@@ -64,6 +67,8 @@ func (w *world) do(ev event) error {
 	w.c.fx = w.c.fx[:0]
 	for _, e := range w.out {
 		switch {
+		case e.kind == fxJournal:
+			w.wal = append(w.wal, e.rec)
 		case e.kind == fxCancel:
 			w.pending = slices.DeleteFunc(w.pending, func(p effect) bool {
 				return p.kind == fxTimer && p.then.kind == evDeadline && p.then.vnic == e.vnic
@@ -164,13 +169,59 @@ func (w *world) offload() {
 
 var errNack = fmt.Errorf("nack")
 
+// ledgerSwitch is an idle vSwitch whose ledger has charged vNIC 42
+// *rule slow-path cycles.
+type ledgerSwitch struct {
+	idleSwitch
+	rule *uint64
+}
+
+func (s ledgerSwitch) Relocatable(fn func(uint32, uint64, uint64)) { fn(42, *s.rule, 0) }
+
+// hot and cold are a 500 ms window's slow-path cycles at 1.0 and 0.02
+// of withPolicy's 1 MHz BE budget.
+const hot, cold = 500_000, 10_000
+
+// withPolicy hands the world's decisions to an engine on a 1 MHz BE
+// budget: offload at 0.7, fallback at 0.2, each sustained two windows,
+// flips 5 s apart. It returns vNIC 42's ledger counter.
+func (w *world) withPolicy() *uint64 {
+	w.c.SetPolicy(policy.Config{
+		Windows: 4, BECapacityHz: 1e6, FECapacityHz: 1e6, TargetUtil: 0.5,
+		OffloadHigh: 0.7, FallbackLow: 0.2, MinFEs: 4, MaxFEs: 4,
+		SustainWindows: 2, FlipCooldown: 5 * sim.Second, ScaleCooldown: sim.Second,
+	})
+	rule := new(uint64)
+	w.c.nodes[home].view = ledgerSwitch{rule: rule}
+	return rule
+}
+
+// policyTick closes a 500 ms window in which vNIC 42 burned cycles.
+func (w *world) policyTick(rule *uint64, cycles uint64) {
+	w.now += 500 * sim.Millisecond
+	*rule += cycles
+	w.do(event{kind: evTick})
+}
+
+// decided returns the engine's decisions of action a.
+func (w *world) decided(a policy.Action) []policy.Decision {
+	var out []policy.Decision
+	for _, d := range w.c.Policy().Decisions() {
+		if d.Action == a {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // loadedSwitch is a hot vSwitch as step sees it: its VNICLoads, in
 // the order given.
 type loadedSwitch struct{ loads []vswitch.VNICLoad }
 
-func (loadedSwitch) ToR() int                        { return 0 }
-func (s loadedSwitch) NumVNICs() int                 { return len(s.loads) }
-func (s loadedSwitch) VNICLoads() []vswitch.VNICLoad { return slices.Clone(s.loads) }
+func (loadedSwitch) ToR() int                                 { return 0 }
+func (s loadedSwitch) NumVNICs() int                          { return len(s.loads) }
+func (s loadedSwitch) VNICLoads() []vswitch.VNICLoad          { return slices.Clone(s.loads) }
+func (loadedSwitch) Relocatable(func(uint32, uint64, uint64)) {}
 
 // TestOffloadOrderBreaksTiesByVNIC gives a hot node three vNICs tied
 // on the triggering resource, listed in two orders: the offloads the
@@ -386,6 +437,81 @@ func TestStepTable(t *testing.T) {
 			w.answer(ctrlrpc.OpQueryGateway, &ctrlrpc.Reply{Epoch: 2, Addrs: []packet.IPv4{fe(1)}}, nil)
 			if !v.offloaded {
 				t.Fatal("re-asked query's known answer not applied")
+			}
+		}},
+		{"policy: a sustained hot load offloads", 7, Config{}, func(t *testing.T, w *world) {
+			rule := w.withPolicy()
+			w.policyTick(rule, hot)
+			if got := w.sent(ctrlrpc.OpInstallFE, 0); len(got) != 0 || w.v().txn != nil {
+				t.Fatalf("one hot window started an offload: %v", got)
+			}
+			w.policyTick(rule, hot)
+			if got := w.sent(ctrlrpc.OpInstallFE, 0); len(got) != 4 || w.v().txn == nil || w.v().txn.kind != txnOffload {
+				t.Fatalf("installs %v txn %+v, want the offload transaction preparing 4 FEs", got, w.v().txn)
+			}
+			if st := w.c.Policy().Stats; st.Steps != 2 || st.Applied != 1 || st.Rejected != 0 {
+				t.Fatalf("engine stats %+v, want 2 steps and 1 applied decision", st)
+			}
+			// The intent is journaled before the installs leave, the
+			// decision is noted, and the engine's cooldown follows.
+			kinds := []string{}
+			for _, e := range w.out {
+				switch {
+				case e.kind == fxJournal:
+					kinds = append(kinds, e.rec.Kind.String())
+				case e.kind == fxCall && e.req.Op == ctrlrpc.OpInstallFE && !slices.Contains(kinds, "install"):
+					kinds = append(kinds, "install")
+				case e.kind == fxEvent && e.name == "policy":
+					kinds = append(kinds, "note")
+				}
+			}
+			if want := []string{"intent", "install", "note", "policy"}; !slices.Equal(kinds, want) {
+				t.Fatalf("effects %v, want %v", kinds, want)
+			}
+			w.ackAll(ctrlrpc.OpInstallFE)
+			w.ack(ctrlrpc.OpOffloadStart, home, nil)
+			w.ack(ctrlrpc.OpGatewaySet, 0, nil)
+			if !w.v().offloaded || len(w.v().fes) != 4 {
+				t.Fatalf("policy offload did not commit: fes %v", w.v().fes)
+			}
+		}},
+		{"policy: a flip cooldown survives a crash", 7, Config{}, func(t *testing.T, w *world) {
+			// crashCold offloads through the policy at 1 s, crashes and
+			// replays the journal — without its policy records unless
+			// keep — then feeds cold windows from 1.5 s to 4 s, inside the
+			// flip cooldown, and returns the fallbacks decided.
+			crashCold := func(w *world, keep bool) (*uint64, []policy.Decision) {
+				rule := w.withPolicy()
+				w.policyTick(rule, hot)
+				w.policyTick(rule, hot)
+				w.ackAll(ctrlrpc.OpInstallFE)
+				w.ack(ctrlrpc.OpOffloadStart, home, nil)
+				w.ack(ctrlrpc.OpGatewaySet, 0, nil)
+				recs := slices.DeleteFunc(slices.Clone(w.wal), func(r journal.Record) bool {
+					return !keep && r.Kind == journal.KindPolicy
+				})
+				w.c.wipe()
+				for i := range recs {
+					w.do(event{kind: evRecord, rec: &recs[i]})
+				}
+				w.do(event{kind: evReplayed})
+				for range 6 {
+					w.policyTick(rule, cold)
+				}
+				return rule, w.decided(policy.ActFallback)
+			}
+			if _, fell := crashCold(newWorld(t, 7, w.c.cfg), false); len(fell) == 0 {
+				t.Fatal("without its policy records the recovered engine also held: the check is vacuous")
+			}
+			rule, fell := crashCold(w, true)
+			if len(fell) != 0 {
+				t.Fatalf("fallback at %v, inside the replayed flip cooldown (until 6 s)", fell[0].At)
+			}
+			for range 4 { // past the cooldown the sustained cold trigger lands
+				w.policyTick(rule, cold)
+			}
+			if fell = w.decided(policy.ActFallback); len(fell) != 1 || fell[0].At < 6*sim.Second {
+				t.Fatalf("fallbacks %v, want one once the cooldown ends at 6 s", fell)
 			}
 		}},
 		{"two unknown-BE aborts keep both stale sets", 10, Config{}, func(t *testing.T, w *world) {

@@ -71,6 +71,10 @@ const (
 	opRemoveVNIC = Op(201)
 )
 
+// agentDraws is every op FuzzAgentOps draws from: the control ops, the
+// direct vNIC table changes, and the OpQueryVNIC recovery reads.
+var agentDraws = append(slices.Clone(agentOps), opAddVNIC, opRemoveVNIC, OpQueryVNIC)
+
 func opName(op Op) string {
 	switch op {
 	case opAddVNIC:
@@ -84,14 +88,18 @@ func opName(op Op) string {
 // FuzzAgentOps drives one agent and its vSwitch through random
 // sequences of control ops on four vNICs, each sent through the
 // transport at a fresh or a stale epoch, with resident vNICs installed
-// and removed between them. It requires no panic, every op's outcome
-// (applied or refused) as the reference model predicts, and the
+// and removed between them and OpQueryVNIC reads among them. It
+// requires no panic, every op's outcome (applied or refused) as the
+// reference model predicts, every query's reply (resident, offloaded,
+// FE-set epoch, hosted FE and its epoch) equal to the model, and the
 // vSwitch's HasVNIC, FESetEpoch, FEEpoch, Offloaded and CanServe to
 // agree with the model after every op — so epochs never regress.
 func FuzzAgentOps(f *testing.F) {
 	f.Add([]byte{8, 1, 0, 1, 3, 1, 5, 1, 9, 1, 6, 1})
 	f.Add([]byte{0, 2, 0, 6, 1, 2, 1, 6, 0, 2, 8, 3, 2, 7, 3, 3})
 	f.Add([]byte{8, 4, 3, 8, 2, 11, 9, 4, 8, 4, 2, 4, 4, 4, 7, 4})
+	// Add, push, offload, query; host an FE, query; a stale push, query.
+	f.Add([]byte{8, 1, 2, 1, 3, 1, 10, 1, 0, 2, 10, 2, 2, 13, 10, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := newRig(t)
 		var models [5]agentModel // by vNIC ID; 0 unused
@@ -101,15 +109,7 @@ func FuzzAgentOps(f *testing.F) {
 			data = data[2:]
 			vnic := uint32(1 + b1%4)
 			m := &models[vnic]
-			var op Op
-			switch k := int(b0) % (len(agentOps) + 2); k {
-			case len(agentOps):
-				op = opAddVNIC
-			case len(agentOps) + 1:
-				op = opRemoveVNIC
-			default:
-				op = agentOps[k]
-			}
+			op := agentDraws[int(b0)%len(agentDraws)]
 			// Most pushes carry the next epoch; one in four replays an
 			// older one, as a retried or reordered push does.
 			epoch++
@@ -132,6 +132,25 @@ func FuzzAgentOps(f *testing.F) {
 			case opRemoveVNIC:
 				r.vs.RemoveVNIC(vnic)
 				*m = agentModel{hasFE: m.hasFE, feEpoch: m.feEpoch}
+			case OpQueryVNIC:
+				done := false
+				var rep *Reply
+				var err error
+				r.t.Query(r.vs.Addr(), &Request{Op: op, VNIC: vnic}, func(got *Reply, e error) { done, rep, err = true, got, e })
+				for !done {
+					if !r.loop.Step() {
+						t.Fatalf("query on vNIC %d never completed", vnic)
+					}
+				}
+				switch {
+				case err != nil || rep == nil:
+					t.Fatalf("query vNIC %d: reply %+v, err %v", vnic, rep, err)
+				case rep.Resident != m.resident || rep.Offloaded != (m.resident && m.offloaded) || rep.Epoch != m.feSetEpoch:
+					t.Fatalf("query vNIC %d: resident %v offloaded %v FE-set epoch %d, model %+v",
+						vnic, rep.Resident, rep.Offloaded, rep.Epoch, *m)
+				case rep.HasFE != m.hasFE || rep.FEEpoch != m.feEpoch:
+					t.Fatalf("query vNIC %d: FE %v at epoch %d, model %+v", vnic, rep.HasFE, rep.FEEpoch, *m)
+				}
 			default:
 				req := &Request{Op: op, VNIC: vnic, Epoch: e, BE: ip(10, 0, 0, 2),
 					FEs: []packet.IPv4{ip(10, 0, 0, 3)}}

@@ -58,8 +58,8 @@ const (
 	// removal is deferred (learner horizon, unreachable FE), Done=true
 	// when the RemoveFE finally acked. Replay rebuilds the retry set.
 	KindRemoval
-	// KindPolicy is the policy engine's per-vNIC cooldown/sustain
-	// state, appended after every actuated decision so a recovered
+	// KindPolicy is the policy engine's per-vNIC cooldown stamps and
+	// pool model, appended after each decision so a recovered
 	// controller resumes hysteresis where the dead one left off.
 	KindPolicy
 )
@@ -175,8 +175,8 @@ func NewMem() *Journal { return New(NewMemStore(), 0) }
 // AddCompactor registers a provider of current-state records. At
 // snapshot time the journal concatenates every compactor's output (in
 // registration order) into the new snapshot. The controller registers
-// one for placements/intents/nodes/removals; the policy loop registers
-// one for its cooldown tracks.
+// one for placements, intents, nodes, removals and the policy engine's
+// cooldown tracks.
 func (j *Journal) AddCompactor(fn func() []Record) {
 	j.compactors = append(j.compactors, fn)
 }

@@ -1,17 +1,16 @@
-// Package policy closes the loop from attribution to action: a
-// deterministic decision engine that consumes the profiler's windowed
-// series (per-vNIC slow-path + session-install cycles, table bytes,
-// per-node core utilization), extrapolates each vNIC's relocatable
-// load a short horizon ahead, and issues offload / fallback /
-// scale-out / scale-in decisions.
+// Package policy is the opt-in offload decision engine: it extrapolates
+// each vNIC's relocatable load (slow-path + session-install cycles) a
+// short horizon ahead and issues offload / fallback / scale-out /
+// scale-in decisions.
 //
 // The engine is pure decision logic: it holds no references to the
-// controller or the cluster, takes one prof.Window per step, and
-// returns the decisions as data. Actuation is the Loop's business
-// (loop.go), which routes every decision through the controller's
-// two-phase transaction machinery — the engine can never bypass the
-// prepare/commit protocol, so no-blackhole holds under policy churn
-// exactly as it does under operator-driven churn.
+// controller or the cluster, takes one set of per-vNIC loads per step,
+// and returns the decisions as data. The controller steps it inside its
+// own tick, reading the loads from each vSwitch's work ledger, and runs
+// every decision through the same two-phase transactions an operator
+// request takes — the engine can never bypass the prepare/commit
+// protocol, so no-blackhole holds under policy churn exactly as it does
+// under operator-driven churn.
 //
 // Stability comes from three mechanisms, each a config knob:
 //
@@ -35,11 +34,11 @@ package policy
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"nezha/internal/journal"
 	"nezha/internal/nic"
-	"nezha/internal/prof"
+	"nezha/internal/obs"
 	"nezha/internal/sim"
 )
 
@@ -70,8 +69,8 @@ func (a Action) String() string {
 }
 
 // Decision is one policy output. All fields derive deterministically
-// from the drained attribution windows and the engine's own state, so
-// two runs that drain identical windows log identical decisions.
+// from the loads and the engine's own state, so two runs that feed
+// identical loads log identical decisions.
 type Decision struct {
 	Seq    int
 	At     sim.Time
@@ -113,8 +112,6 @@ func (t ThrashEvent) String() string {
 
 // Config tunes the decision engine.
 type Config struct {
-	// Interval is the decision cadence the Loop runs Step at.
-	Interval sim.Time
 	// Windows is how many past windows feed the trend fit.
 	Windows int
 	// Horizon is how far ahead the linear trend is extrapolated.
@@ -158,14 +155,11 @@ type Config struct {
 
 // fill normalizes zero values so configs built field-by-field work.
 func (cfg *Config) fill() {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 500 * sim.Millisecond
-	}
 	if cfg.Windows <= 0 {
 		cfg.Windows = 6
 	}
 	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2 * cfg.Interval
+		cfg.Horizon = sim.Second
 	}
 	if cfg.BECapacityHz <= 0 {
 		cfg.BECapacityHz = float64(nic.DefaultCores) * float64(nic.DefaultCoreHz)
@@ -204,17 +198,33 @@ func (cfg *Config) fill() {
 	// thrash-prone negative control); no normalization.
 }
 
-// View is the engine's read-only window into actuated state. A nil
-// view puts the engine in dry-run mode: it tracks a virtual pool of
-// its own, applying each decision to that model immediately.
-type View interface {
-	// Offloaded reports whether the vNIC currently runs on an FE pool.
-	Offloaded(vnic uint32) bool
-	// PoolSize is the vNIC's current FE count (0 when not offloaded).
-	PoolSize(vnic uint32) int
-	// PoolNodes names the pool's FE nodes (prof node names), for the
-	// scale-in utilization bar.
-	PoolNodes(vnic uint32) []string
+// Load is one vNIC's input to a step. Rule and Sess are cumulative:
+// the slow-path and session-install cycles every node's ledger has
+// charged the vNIC under its local and FE roles — the work an offload
+// moves. Summing both roles keeps the signal continuous across offload
+// transitions; the engine differences it against the previous step.
+// The pool fields describe actuated state and are read in live mode
+// only.
+type Load struct {
+	VNIC       uint32
+	Rule, Sess uint64
+
+	Offloaded bool
+	Pool      int
+	// PoolUtil is the pool's mean FE CPU utilization, negative when
+	// unknown; it gates scale-in (ScaleInUtilBar).
+	PoolUtil float64
+}
+
+// Stats counts the engine's steps and what became of its decisions:
+// the controller counts a decision applied when the request it names
+// was accepted, rejected otherwise (a transaction in flight, no idle
+// FE, …). A rejected decision is not retried; the next step decides
+// afresh.
+type Stats struct {
+	Steps    uint64
+	Applied  uint64
+	Rejected uint64
 }
 
 // point is one (time, cycles/sec) observation.
@@ -231,12 +241,13 @@ type flip struct {
 
 // track is the engine's per-vNIC state.
 type track struct {
-	node  string
-	table string
-	hist  []point
+	// rule, sess are the cumulative counters the next step differences
+	// against.
+	rule, sess uint64
+	hist       []point
 
 	// Virtual pool model (authoritative in dry-run mode; synced from
-	// the View each step in live mode).
+	// the loads each step in live mode).
 	offloaded bool
 	pool      int
 
@@ -255,12 +266,15 @@ type track struct {
 type Engine struct {
 	cfg    Config
 	tracks map[uint32]*track
-	order  []uint32
+	// at is the previous step's (or rebase's) time: the window start.
+	at sim.Time
 
 	seq       int
 	decisions []Decision
 	log       []string
 	thrash    []ThrashEvent
+
+	Stats Stats
 }
 
 // New builds an engine.
@@ -279,21 +293,64 @@ func (e *Engine) Log() []string { return e.log }
 // triples (empty under a sane cooldown).
 func (e *Engine) ThrashEvents() []ThrashEvent { return e.thrash }
 
-// Export emits one KindPolicy record per tracked vNIC — the cooldown
-// and virtual-pool state a recovered controller needs to resume
-// hysteresis where the dead incarnation left off. Registered as a
-// journal compactor by Loop.SetJournal.
+// LastLoad reports the relocatable cycles/s the latest step observed
+// for vnic (0 when it has none).
+func (e *Engine) LastLoad(vnic uint32) float64 {
+	if tr := e.tracks[vnic]; tr != nil && len(tr.hist) > 0 {
+		return tr.hist[len(tr.hist)-1].load
+	}
+	return 0
+}
+
+// EnableObs publishes the engine's policy_* series into the bundle's
+// registry: decisions per action, thrash events, steps and rejected
+// decisions.
+func (e *Engine) EnableObs(ob *obs.Obs) {
+	if ob == nil || ob.Reg == nil {
+		return
+	}
+	ob.Reg.Help("policy_decisions_total", "Policy decisions applied, by action.")
+	ob.Reg.Help("policy_thrash_total", "Self-reported offload/fallback thrash events.")
+	ob.Reg.Help("policy_steps_total", "Policy engine steps executed.")
+	ob.Reg.Help("policy_rejected_total", "Decisions the controller rejected.")
+	for _, a := range []Action{ActOffload, ActFallback, ActScaleOut, ActScaleIn} {
+		ob.Reg.CounterFunc("policy_decisions_total", obs.L("action", a.String()), func() uint64 {
+			var n uint64
+			for _, d := range e.decisions {
+				if d.Action == a {
+					n++
+				}
+			}
+			return n
+		})
+	}
+	ob.Reg.CounterFunc("policy_thrash_total", nil, func() uint64 {
+		return uint64(len(e.thrash))
+	})
+	ob.Reg.CounterVar("policy_steps_total", nil, &e.Stats.Steps)
+	ob.Reg.CounterVar("policy_rejected_total", nil, &e.Stats.Rejected)
+}
+
+// Export emits one KindPolicy record per tracked vNIC, ascending: the
+// controller's journal compactor appends them to its own state.
 func (e *Engine) Export() []journal.Record {
-	out := make([]journal.Record, 0, len(e.order))
-	for _, vnic := range e.order {
-		if r, ok := e.exportVNIC(vnic); ok {
-			out = append(out, r)
-		}
+	ids := make([]uint32, 0, len(e.tracks))
+	for id := range e.tracks {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	out := make([]journal.Record, 0, len(ids))
+	for _, id := range ids {
+		r, _ := e.Record(id)
+		out = append(out, r)
 	}
 	return out
 }
 
-func (e *Engine) exportVNIC(vnic uint32) (journal.Record, bool) {
+// Record is vnic's KindPolicy record — the cooldown and virtual-pool
+// state a recovered controller needs to resume hysteresis where the
+// dead incarnation left off. ok is false for an untracked vNIC.
+func (e *Engine) Record(vnic uint32) (r journal.Record, ok bool) {
 	tr := e.tracks[vnic]
 	if tr == nil {
 		return journal.Record{}, false
@@ -306,34 +363,45 @@ func (e *Engine) exportVNIC(vnic uint32) (journal.Record, bool) {
 	}, true
 }
 
-// Restore rehydrates cooldown state from replayed journal records
-// (non-policy kinds are skipped). Load history, sustain runs, and the
-// thrash judge's flip triple reset — a recovered engine re-observes
-// load before acting — but flip and scale cooldown stamps survive, so
-// recovery can never cause a flip the dead engine's cooldowns would
-// have suppressed.
-func (e *Engine) Restore(recs []journal.Record) {
-	for _, tr := range e.tracks {
-		tr.hist = nil
-		tr.hotRuns, tr.coldRuns = 0, 0
-		tr.flips = nil
+// Forget drops every track, as a controller crash loses them. The
+// decision log, the thrash record and Stats are telemetry and stay.
+func (e *Engine) Forget() {
+	clear(e.tracks)
+	e.at = 0
+}
+
+// Restore folds one replayed KindPolicy record back in. Load history,
+// sustain runs and the thrash judge's flip triple start empty — a
+// recovered engine re-observes load before acting — but flip and scale
+// cooldown stamps survive, so recovery can never cause a flip the dead
+// engine's cooldowns would have suppressed.
+func (e *Engine) Restore(r *journal.Record) {
+	tr := e.track(r.VNIC)
+	tr.offloaded = r.Offloaded
+	tr.pool = r.Pool
+	tr.lastFlip, tr.flipped = sim.Time(r.LastFlip), r.Flipped
+	tr.lastScale, tr.scaled = sim.Time(r.LastScale), r.Scaled
+}
+
+// Rebase makes now the start of the next step's window, with loads'
+// counters as its baselines: a recovered controller calls it so its
+// first step does not read the whole pre-crash history as one window.
+func (e *Engine) Rebase(now sim.Time, loads []Load) {
+	for _, l := range loads {
+		tr := e.track(l.VNIC)
+		tr.rule, tr.sess = l.Rule, l.Sess
 	}
-	for _, r := range recs {
-		if r.Kind != journal.KindPolicy {
-			continue
-		}
-		tr := e.tracks[r.VNIC]
-		if tr == nil {
-			tr = &track{table: "rule-table"}
-			e.tracks[r.VNIC] = tr
-			e.order = append(e.order, r.VNIC)
-			sort.Slice(e.order, func(i, j int) bool { return e.order[i] < e.order[j] })
-		}
-		tr.offloaded = r.Offloaded
-		tr.pool = r.Pool
-		tr.lastFlip, tr.flipped = sim.Time(r.LastFlip), r.Flipped
-		tr.lastScale, tr.scaled = sim.Time(r.LastScale), r.Scaled
+	e.at = now
+}
+
+// track returns vnic's track, creating it on first sight.
+func (e *Engine) track(vnic uint32) *track {
+	tr := e.tracks[vnic]
+	if tr == nil {
+		tr = &track{}
+		e.tracks[vnic] = tr
 	}
+	return tr
 }
 
 // trend fits least-squares cycles/sec over the history and evaluates
@@ -398,7 +466,7 @@ func (e *Engine) emit(d Decision) Decision {
 // three flips on one track always alternate direction, so a triple
 // ending in ActOffload inside ThrashWindow is exactly the
 // offload→fallback→offload pattern.
-func (e *Engine) noteFlip(vnic uint32, tr *track, now sim.Time, to Action) {
+func (e *Engine) noteFlip(vnic uint32, table string, tr *track, now sim.Time, to Action) {
 	tr.lastFlip, tr.flipped = now, true
 	tr.flips = append(tr.flips, flip{at: now, to: to})
 	if len(tr.flips) > 3 {
@@ -410,105 +478,40 @@ func (e *Engine) noteFlip(vnic uint32, tr *track, now sim.Time, to Action) {
 	first, last := tr.flips[0], tr.flips[2]
 	if last.to == ActOffload && first.to == ActOffload && last.at-first.at <= e.cfg.ThrashWindow {
 		e.thrash = append(e.thrash, ThrashEvent{
-			VNIC: vnic, Table: tr.table, At: now, Span: last.at - first.at,
+			VNIC: vnic, Table: table, At: now, Span: last.at - first.at,
 		})
 	}
 }
 
-// Step consumes one drained window and returns the decisions for it.
-// view == nil runs the engine against its virtual pool model (dry
-// run); otherwise actuated state is re-synced from the view first, so
-// external churn (failover shrinking a pool, repair growing it) is
-// folded in before deciding.
-func (e *Engine) Step(now sim.Time, w prof.Window, view View) []Decision {
-	dt := (w.T1 - w.T0).Seconds()
+// Step closes the window since the previous step (or Rebase) and
+// returns the decisions for it, in the order of loads. Live mode takes
+// each vNIC's pool from its Load, so external churn (failover
+// shrinking a pool, repair growing it) is folded in before deciding;
+// a dry run (live false) applies each decision to the engine's own
+// virtual pool model instead.
+func (e *Engine) Step(now sim.Time, loads []Load, live bool) []Decision {
+	dt := (now - e.at).Seconds()
 	if dt <= 0 {
 		return nil
 	}
-	// Fold the window into per-vNIC load points. Roles are summed:
-	// before offload the relocatable work is charged at the BE
-	// (RoleLocal), after offload the slow path runs at the FEs
-	// (RoleFE) — the sum is the continuous "what this vNIC costs"
-	// signal across transitions.
-	type obsLoad struct {
-		node       string
-		ruleCycles uint64
-		sessCycles uint64
-	}
-	seen := make(map[uint32]*obsLoad)
-	for _, v := range w.VNICs {
-		o := seen[v.VNIC]
-		if o == nil {
-			o = &obsLoad{node: v.Node}
-			seen[v.VNIC] = o
-		}
-		if v.Role == prof.RoleLocal {
-			o.node = v.Node // the home node names the track
-		}
-		o.ruleCycles += v.RuleCycles
-		o.sessCycles += v.SessCycles
-	}
-	for vnic, o := range seen {
-		tr := e.tracks[vnic]
-		if tr == nil {
-			tr = &track{node: o.node, table: "rule-table"}
-			e.tracks[vnic] = tr
-			e.order = append(e.order, vnic)
-			sort.Slice(e.order, func(i, j int) bool { return e.order[i] < e.order[j] })
-		}
-		if o.sessCycles > o.ruleCycles {
-			tr.table = "session-table"
-		} else {
-			tr.table = "rule-table"
-		}
-		tr.hist = append(tr.hist, point{t: now, load: float64(o.ruleCycles+o.sessCycles) / dt})
-		if len(tr.hist) > e.cfg.Windows {
-			tr.hist = tr.hist[len(tr.hist)-e.cfg.Windows:]
-		}
-	}
-	// Tracked vNICs absent from this window decay toward zero load.
-	for _, vnic := range e.order {
-		if _, ok := seen[vnic]; ok {
-			continue
-		}
-		tr := e.tracks[vnic]
-		tr.hist = append(tr.hist, point{t: now, load: 0})
-		if len(tr.hist) > e.cfg.Windows {
-			tr.hist = tr.hist[len(tr.hist)-e.cfg.Windows:]
-		}
-	}
-
-	poolUtil := func(vnic uint32) float64 {
-		if view == nil {
-			return -1
-		}
-		nodes := view.PoolNodes(vnic)
-		if len(nodes) == 0 {
-			return -1
-		}
-		var sum float64
-		var n int
-		for _, name := range nodes {
-			for _, ns := range w.Nodes {
-				if ns.Node == name {
-					sum += ns.Util
-					n++
-					break
-				}
-			}
-		}
-		if n == 0 {
-			return -1
-		}
-		return sum / float64(n)
-	}
-
+	e.at = now
+	e.Stats.Steps++
 	var out []Decision
-	for _, vnic := range e.order {
-		tr := e.tracks[vnic]
-		if view != nil {
-			tr.offloaded = view.Offloaded(vnic)
-			tr.pool = view.PoolSize(vnic)
+	for _, l := range loads {
+		tr := e.track(l.VNIC)
+		rule, sess := l.Rule-tr.rule, l.Sess-tr.sess
+		tr.rule, tr.sess = l.Rule, l.Sess
+		table := "rule-table"
+		if sess > rule {
+			table = "session-table"
+		}
+		tr.hist = append(tr.hist, point{t: now, load: float64(rule+sess) / dt})
+		if len(tr.hist) > e.cfg.Windows {
+			tr.hist = tr.hist[len(tr.hist)-e.cfg.Windows:]
+		}
+		poolUtil := -1.0
+		if live {
+			tr.offloaded, tr.pool, poolUtil = l.Offloaded, l.Pool, l.PoolUtil
 		}
 		cur := tr.hist[len(tr.hist)-1].load
 		pred := trend(tr.hist, e.cfg.Horizon)
@@ -517,6 +520,14 @@ func (e *Engine) Step(now sim.Time, w prof.Window, view View) []Decision {
 
 		flipOK := !tr.flipped || now-tr.lastFlip >= e.cfg.FlipCooldown
 		scaleOK := !tr.scaled || now-tr.lastScale >= e.cfg.ScaleCooldown
+		decide := func(a Action, delta int) Decision {
+			d := e.emit(Decision{
+				At: now, VNIC: l.VNIC, Table: table, Action: a,
+				Delta: delta, Load: load, Pred: predU, Pool: tr.pool,
+			})
+			out = append(out, d)
+			return d
+		}
 
 		if !tr.offloaded {
 			if predU >= e.cfg.OffloadHigh {
@@ -525,14 +536,10 @@ func (e *Engine) Step(now sim.Time, w prof.Window, view View) []Decision {
 				tr.hotRuns = 0
 			}
 			if tr.hotRuns >= e.cfg.SustainWindows && flipOK {
-				d := e.emit(Decision{
-					At: now, VNIC: vnic, Table: tr.table, Action: ActOffload,
-					Delta: e.desiredPool(pred), Load: load, Pred: predU, Pool: tr.pool,
-				})
-				out = append(out, d)
-				e.noteFlip(vnic, tr, now, ActOffload)
+				d := decide(ActOffload, e.desiredPool(pred))
+				e.noteFlip(l.VNIC, table, tr, now, ActOffload)
 				tr.hotRuns, tr.coldRuns = 0, 0
-				if view == nil {
+				if !live {
 					tr.offloaded, tr.pool = true, d.Delta
 				}
 			}
@@ -546,14 +553,10 @@ func (e *Engine) Step(now sim.Time, w prof.Window, view View) []Decision {
 			tr.coldRuns = 0
 		}
 		if tr.coldRuns >= e.cfg.SustainWindows && flipOK {
-			d := e.emit(Decision{
-				At: now, VNIC: vnic, Table: tr.table, Action: ActFallback,
-				Delta: -tr.pool, Load: load, Pred: predU, Pool: tr.pool,
-			})
-			out = append(out, d)
-			e.noteFlip(vnic, tr, now, ActFallback)
+			decide(ActFallback, -tr.pool)
+			e.noteFlip(l.VNIC, table, tr, now, ActFallback)
 			tr.hotRuns, tr.coldRuns = 0, 0
-			if view == nil {
+			if !live {
 				tr.offloaded, tr.pool = false, 0
 			}
 			continue
@@ -561,28 +564,18 @@ func (e *Engine) Step(now sim.Time, w prof.Window, view View) []Decision {
 		desired := e.desiredPool(pred)
 		switch {
 		case desired > tr.pool && tr.pool > 0 && scaleOK:
-			d := e.emit(Decision{
-				At: now, VNIC: vnic, Table: tr.table, Action: ActScaleOut,
-				Delta: desired - tr.pool, Load: load, Pred: predU, Pool: tr.pool,
-			})
-			out = append(out, d)
-			tr.lastScale, tr.scaled = now, true
-			if view == nil {
-				tr.pool = desired
-			}
+			decide(ActScaleOut, desired-tr.pool)
 		case desired < tr.pool-e.cfg.ScaleInSlack && scaleOK:
-			if u := poolUtil(vnic); u >= 0 && u > e.cfg.ScaleInUtilBar {
-				break // pool still hot despite the prediction: hold
+			if poolUtil > e.cfg.ScaleInUtilBar {
+				continue // pool still hot despite the prediction: hold
 			}
-			d := e.emit(Decision{
-				At: now, VNIC: vnic, Table: tr.table, Action: ActScaleIn,
-				Delta: tr.pool - desired, Load: load, Pred: predU, Pool: tr.pool,
-			})
-			out = append(out, d)
-			tr.lastScale, tr.scaled = now, true
-			if view == nil {
-				tr.pool = desired
-			}
+			decide(ActScaleIn, tr.pool-desired)
+		default:
+			continue
+		}
+		tr.lastScale, tr.scaled = now, true
+		if !live {
+			tr.pool = desired
 		}
 	}
 	return out

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"nezha/internal/prof"
 	"nezha/internal/sim"
 )
 
@@ -12,7 +11,6 @@ import (
 // BE budget 1 MHz, FEs sized so desiredPool = ceil(pred/0.5MHz).
 func testConfig() Config {
 	return Config{
-		Interval:       500 * sim.Millisecond,
 		Windows:        4,
 		Horizon:        sim.Second,
 		BECapacityHz:   1e6,
@@ -30,22 +28,34 @@ func testConfig() Config {
 	}
 }
 
-// win builds a window [t-500ms, t] where vNIC 1 burned the given
-// cycles on its home node.
-func win(t sim.Time, cycles uint64) prof.Window {
-	return prof.Window{
-		T0: t - 500*sim.Millisecond, T1: t,
-		VNICs: []prof.VNICSeries{{Node: "be", VNIC: 1, Role: prof.RoleLocal, RuleCycles: cycles}},
+// feed drives a dry-run engine with vNIC 1's slow-path cycles, one
+// 500 ms window per step.
+type feed struct {
+	*Engine
+	rule uint64 // vNIC 1's cumulative counter
+}
+
+func newFeed(cfg Config) *feed { return &feed{Engine: New(cfg)} }
+
+// step closes the window [t-500ms, t] in which vNIC 1 burned cycles;
+// live, when non-nil, is the pool the controller reports.
+func (f *feed) step(t sim.Time, cycles uint64, live *Load) []Decision {
+	f.Rebase(t-500*sim.Millisecond, nil)
+	f.rule += cycles
+	l := Load{VNIC: 1, Rule: f.rule}
+	if live != nil {
+		l.Offloaded, l.Pool, l.PoolUtil = live.Offloaded, live.Pool, live.PoolUtil
 	}
+	return f.Step(t, []Load{l}, live != nil)
 }
 
 // stepN feeds n identical windows at 500 ms cadence starting at start,
 // returning all decisions.
-func stepN(e *Engine, start sim.Time, n int, cycles uint64) []Decision {
+func (f *feed) stepN(start sim.Time, n int, cycles uint64) []Decision {
 	var out []Decision
 	for i := 0; i < n; i++ {
 		t := start + sim.Time(i)*500*sim.Millisecond
-		out = append(out, e.Step(t, win(t, cycles), nil)...)
+		out = append(out, f.step(t, cycles, nil)...)
 	}
 	return out
 }
@@ -76,21 +86,21 @@ func TestTrendExtrapolatesLinearGrowth(t *testing.T) {
 // TestOffloadNeedsSustainedTrigger: one hot window must not offload;
 // SustainWindows consecutive ones must.
 func TestOffloadNeedsSustainedTrigger(t *testing.T) {
-	e := New(testConfig())
+	e := newFeed(testConfig())
 	// 500k cycles / 0.5 s = 1 MHz = 1.0 of BE capacity ≥ OffloadHigh.
 	hot := uint64(500_000)
-	if ds := stepN(e, sim.Second, 1, hot); len(ds) != 0 {
+	if ds := e.stepN(sim.Second, 1, hot); len(ds) != 0 {
 		t.Fatalf("single hot window already decided: %+v", ds)
 	}
 	// One cold window resets the run; another lone hot one stays quiet.
-	if ds := stepN(e, 1500*sim.Millisecond, 1, 10_000); len(ds) != 0 {
+	if ds := e.stepN(1500*sim.Millisecond, 1, 10_000); len(ds) != 0 {
 		t.Fatalf("cold window decided: %+v", ds)
 	}
-	if ds := stepN(e, 2*sim.Second, 1, hot); len(ds) != 0 {
+	if ds := e.stepN(2*sim.Second, 1, hot); len(ds) != 0 {
 		t.Fatalf("hot-after-reset window decided: %+v", ds)
 	}
 	// Two consecutive hot windows: offload fires once.
-	ds := stepN(e, 2500*sim.Millisecond, 2, hot)
+	ds := e.stepN(2500*sim.Millisecond, 2, hot)
 	if len(ds) != 1 || ds[0].Action != ActOffload {
 		t.Fatalf("sustained trigger produced %+v, want one offload", ds)
 	}
@@ -102,22 +112,22 @@ func TestOffloadNeedsSustainedTrigger(t *testing.T) {
 // TestFallbackRespectsCooldown: after an offload, a cold stretch
 // inside the flip cooldown must not fall back; after it, it must.
 func TestFallbackRespectsCooldown(t *testing.T) {
-	e := New(testConfig())
+	e := newFeed(testConfig())
 	hot, cold := uint64(500_000), uint64(10_000)
-	if ds := stepN(e, sim.Second, 2, hot); len(ds) != 1 || ds[0].Action != ActOffload {
+	if ds := e.stepN(sim.Second, 2, hot); len(ds) != 1 || ds[0].Action != ActOffload {
 		t.Fatalf("setup offload: %+v", ds)
 	}
 	// Cold from t=2s. Cooldown runs until 1.5s+5s = 6.5s; sustained
 	// cold triggers long before that but must be held, with no
 	// scale-ins sneaking in below MinFEs either.
-	ds := stepN(e, 2*sim.Second, 8, cold) // t = 2 .. 5.5s
+	ds := e.stepN(2*sim.Second, 8, cold) // t = 2 .. 5.5s
 	for _, d := range ds {
 		if d.Action == ActFallback {
 			t.Fatalf("fallback inside flip cooldown at t=%v", d.At)
 		}
 	}
 	// Past the cooldown the sustained cold trigger finally lands.
-	ds = stepN(e, 7*sim.Second, 2, cold)
+	ds = e.stepN(7*sim.Second, 2, cold)
 	found := false
 	for _, d := range ds {
 		if d.Action == ActFallback {
@@ -137,13 +147,13 @@ func TestFallbackRespectsCooldown(t *testing.T) {
 func TestScalePoolTracksLoad(t *testing.T) {
 	cfg := testConfig()
 	cfg.ScaleCooldown = 0
-	e := New(cfg)
+	e := newFeed(cfg)
 	// Offload at 1.0 of BE capacity → pool = ceil(1MHz/0.5MHz) = 2.
-	if ds := stepN(e, sim.Second, 2, 500_000); len(ds) != 1 || ds[0].Delta != 2 {
+	if ds := e.stepN(sim.Second, 2, 500_000); len(ds) != 1 || ds[0].Delta != 2 {
 		t.Fatalf("setup offload: %+v", ds)
 	}
 	// Load doubles: desired 4, pool 2 → scale-out +2.
-	ds := stepN(e, 10*sim.Second, 2, 1_000_000)
+	ds := e.stepN(10*sim.Second, 2, 1_000_000)
 	var scaleOut *Decision
 	for i := range ds {
 		if ds[i].Action == ActScaleOut {
@@ -159,7 +169,7 @@ func TestScalePoolTracksLoad(t *testing.T) {
 	var scaleIn *Decision
 	for i, c := range []uint64{800_000, 700_000, 600_000, 500_000, 450_000, 400_000} {
 		tt := 20*sim.Second + sim.Time(i)*500*sim.Millisecond
-		for _, d := range e.Step(tt, win(tt, c), nil) {
+		for _, d := range e.step(tt, c, nil) {
 			if d.Action == ActFallback {
 				t.Fatalf("fell back at mid load: %+v", d)
 			}
@@ -176,7 +186,7 @@ func TestScalePoolTracksLoad(t *testing.T) {
 
 // TestDesiredPoolClamps pins the clamp edges.
 func TestDesiredPoolClamps(t *testing.T) {
-	e := New(testConfig())
+	e := newFeed(testConfig())
 	if got := e.desiredPool(0); got != 1 {
 		t.Fatalf("desiredPool(0) = %d, want MinFEs", got)
 	}
@@ -198,9 +208,9 @@ func TestThrashJudge(t *testing.T) {
 	cfg.SustainWindows = 1
 	cfg.FlipCooldown = 0
 	cfg.ThrashWindow = 10 * sim.Second
-	e := New(cfg)
+	e := newFeed(cfg)
 	mid := uint64(100_000) // 0.2 MHz = 0.2 of BE capacity, inside the overlap
-	stepN(e, sim.Second, 6, mid)
+	e.stepN(sim.Second, 6, mid)
 	if len(e.ThrashEvents()) == 0 {
 		t.Fatal("overlapping bands with zero cooldown never convicted themselves")
 	}
@@ -211,14 +221,14 @@ func TestThrashJudge(t *testing.T) {
 
 	// Sane config: same load shape (alternating around the bands),
 	// zero thrash events thanks to the cooldown.
-	sane := New(testConfig())
+	sane := newFeed(testConfig())
 	for i := 0; i < 20; i++ {
 		t := sim.Second + sim.Time(i)*500*sim.Millisecond
 		load := uint64(500_000) // hot
 		if i%2 == 1 {
 			load = 10_000 // cold
 		}
-		sane.Step(t, win(t, load), nil)
+		sane.step(t, load, nil)
 	}
 	if n := len(sane.ThrashEvents()); n != 0 {
 		t.Fatalf("sane config self-reported %d thrash events", n)
@@ -229,11 +239,11 @@ func TestThrashJudge(t *testing.T) {
 // byte-identical logs.
 func TestDryRunDeterminism(t *testing.T) {
 	run := func() string {
-		e := New(testConfig())
+		e := newFeed(testConfig())
 		loads := []uint64{100_000, 400_000, 500_000, 600_000, 900_000, 1_000_000, 700_000, 300_000, 150_000, 50_000}
 		for i, c := range loads {
 			tt := sim.Second + sim.Time(i)*500*sim.Millisecond
-			e.Step(tt, win(tt, c), nil)
+			e.step(tt, c, nil)
 		}
 		return strings.Join(e.Log(), "\n")
 	}
@@ -246,34 +256,17 @@ func TestDryRunDeterminism(t *testing.T) {
 	}
 }
 
-// liveView is a scripted View for live-mode tests.
-type liveView struct {
-	offloaded bool
-	pool      int
-	nodes     []string
-}
-
-func (v *liveView) Offloaded(uint32) bool     { return v.offloaded }
-func (v *liveView) PoolSize(uint32) int       { return v.pool }
-func (v *liveView) PoolNodes(uint32) []string { return v.nodes }
-
 // TestScaleInUtilBarHoldsHotPool: in live mode, a pool whose measured
 // FE utilization is above the bar must not scale in even when the
 // prediction says it could.
 func TestScaleInUtilBarHoldsHotPool(t *testing.T) {
 	cfg := testConfig()
 	cfg.ScaleCooldown = 0
-	e := New(cfg)
-	view := &liveView{offloaded: true, pool: 4, nodes: []string{"fe1", "fe2"}}
-	mkw := func(t sim.Time, cycles uint64, util float64) prof.Window {
-		w := win(t, cycles)
-		w.Nodes = []prof.NodeSeries{{Node: "fe1", Util: util}, {Node: "fe2", Util: util}}
-		return w
-	}
+	e := newFeed(cfg)
 	// Low load (desired 1 < pool 4) but hot FEs: hold.
 	for i := 0; i < 4; i++ {
 		tt := sim.Second + sim.Time(i)*500*sim.Millisecond
-		for _, d := range e.Step(tt, mkw(tt, 150_000, 0.9), view) {
+		for _, d := range e.step(tt, 150_000, &Load{Offloaded: true, Pool: 4, PoolUtil: 0.9}) {
 			if d.Action == ActScaleIn {
 				t.Fatalf("scaled in a pool measured at 90%% util: %+v", d)
 			}
@@ -283,7 +276,7 @@ func TestScaleInUtilBarHoldsHotPool(t *testing.T) {
 	found := false
 	for i := 4; i < 8 && !found; i++ {
 		tt := sim.Second + sim.Time(i)*500*sim.Millisecond
-		for _, d := range e.Step(tt, mkw(tt, 150_000, 0.2), view) {
+		for _, d := range e.step(tt, 150_000, &Load{Offloaded: true, Pool: 4, PoolUtil: 0.2}) {
 			if d.Action == ActScaleIn {
 				found = true
 			}
@@ -291,5 +284,30 @@ func TestScaleInUtilBarHoldsHotPool(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("cool pool never scaled in")
+	}
+}
+
+// TestRebaseBaselinesCumulativeLoads: the engine differences the
+// cumulative counters it is fed, both roles' cycles alike, against its
+// previous step, and Rebase — a recovered controller's first read —
+// moves that baseline, so the next step sees only what was charged
+// since, over the time since.
+func TestRebaseBaselinesCumulativeLoads(t *testing.T) {
+	e := New(testConfig())
+	e.Step(500*sim.Millisecond, []Load{{VNIC: 1, Rule: 400_000, Sess: 100_000}}, false)
+	if got := e.LastLoad(1); got != 1e6 {
+		t.Fatalf("first window load %.0f cycles/s, want 1e6 (500k cycles since 0 over 0.5 s)", got)
+	}
+	e.Step(sim.Second, []Load{{VNIC: 1, Rule: 450_000, Sess: 100_000}}, false)
+	if got := e.LastLoad(1); got != 1e5 {
+		t.Fatalf("second window load %.0f cycles/s, want 1e5 (the 50k-cycle delta)", got)
+	}
+	// A crash loses the baselines; the recovered controller rebases at
+	// 3.2 s, after 9M cycles were charged unobserved.
+	e.Forget()
+	e.Rebase(3200*sim.Millisecond, []Load{{VNIC: 1, Rule: 9_450_000, Sess: 100_000}})
+	e.Step(3700*sim.Millisecond, []Load{{VNIC: 1, Rule: 9_500_000, Sess: 100_000}}, false)
+	if got := e.LastLoad(1); got != 1e5 {
+		t.Fatalf("first recovered window load %.0f cycles/s, want 1e5: the unobserved history leaked in", got)
 	}
 }

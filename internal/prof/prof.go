@@ -298,6 +298,24 @@ func (n *NodeProf) RoleCycles(role Role) uint64 {
 	return t
 }
 
+// Relocatable calls fn once per claimed tenant slot with its
+// slow-path and session-install cycles over every direction — the
+// work an offload moves. Overflow and control-plane slots are skipped:
+// they name no vNIC the controller can relocate.
+func (n *NodeProf) Relocatable(fn func(vnic uint32, rule, sess uint64)) {
+	for _, s := range n.slots {
+		if s.VNIC == OverflowVNIC || s.Role == RoleCtrl {
+			continue
+		}
+		var rule, sess uint64
+		for d := range s.cycles {
+			rule += s.cycles[d][StageSlowpath]
+			sess += s.cycles[d][StageSessionInstall]
+		}
+		fn(s.VNIC, rule, sess)
+	}
+}
+
 // SetCoreBusy installs the cumulative per-core busy sampler used to
 // derive utilization timelines.
 func (n *NodeProf) SetCoreBusy(fn func(out []sim.Time) []sim.Time) { n.busyFn = fn }
@@ -336,6 +354,22 @@ func (n *NodeProf) advance(now sim.Time) {
 		n.windows[n.wHead] = w
 		n.wHead = (n.wHead + 1) % timelineCap
 	}
+}
+
+// windowsTail returns the most recent utilization window without
+// copying the whole ring.
+func (n *NodeProf) windowsTail() []CoreWindow {
+	if len(n.windows) == 0 {
+		return nil
+	}
+	idx := n.wHead - 1
+	if idx < 0 {
+		idx = len(n.windows) - 1
+	}
+	if len(n.windows) < timelineCap {
+		idx = len(n.windows) - 1
+	}
+	return n.windows[idx : idx+1]
 }
 
 // Sample is one drained attribution point. Cycle samples carry

@@ -72,6 +72,33 @@ func TestOverflowSlotKeepsRoles(t *testing.T) {
 	}
 }
 
+// TestRelocatableSumsTenantSlots: Relocatable reports each tenant
+// slot's slow-path and session-install cycles over both directions,
+// nothing else they were charged, and skips control-plane and overflow
+// slots, which name no vNIC an offload can move.
+func TestRelocatableSumsTenantSlots(t *testing.T) {
+	n := NewNode("10.1.0.1", 2)
+	be, fe := n.Slot(7, RoleLocal), n.Slot(7, RoleFE)
+	be.Charge(DirTX, StageSlowpath, 100)
+	be.Charge(DirRX, StageSlowpath, 20)
+	be.Charge(DirTX, StageSessionInstall, 5)
+	be.Charge(DirTX, StageFastpath, 1000)
+	fe.Charge(DirRX, StageSessionInstall, 3)
+	n.Slot(7, RoleCtrl).Charge(DirNone, StageCtrl, 9)
+	n.Slot(OverflowVNIC, RoleLocal).Charge(DirTX, StageSlowpath, 11)
+
+	type got struct {
+		vnic       uint32
+		rule, sess uint64
+	}
+	var out []got
+	n.Relocatable(func(vnic uint32, rule, sess uint64) { out = append(out, got{vnic, rule, sess}) })
+	want := []got{{7, 120, 5}, {7, 0, 3}}
+	if len(out) != len(want) || out[0] != want[0] || out[1] != want[1] {
+		t.Fatalf("Relocatable reported %+v, want %+v", out, want)
+	}
+}
+
 func TestSamplesCauseDerivationAndOrder(t *testing.T) {
 	p := New()
 	n := p.Node("nodeB", 2)

@@ -114,9 +114,9 @@ type burstOutcome struct {
 	bytes    uint64
 	samples  []prof.Sample // full attribution drain, per-key totals
 	// policyLog is a dry-run policy engine's decision log, driven from
-	// the same profiler: the decision stream derives purely from drained
-	// attribution windows, so scalar and burst runs must produce it
-	// byte for byte.
+	// the switches' ledgers: the decision stream derives purely from the
+	// relocatable cycles charged, so scalar and burst runs must produce
+	// it byte for byte.
 	policyLog []string
 	// fired counts loop events, the one thing run length may change;
 	// diffOutcomes never compares it.
@@ -182,15 +182,14 @@ func runBurstScenario(t *testing.T, batches [][]burstOp, burst, offload bool) bu
 		}
 	}
 
-	// A dry-run policy engine observes the run through windowed series
-	// reads. Tiny capacities so the generated traffic crosses the
+	// A dry-run policy engine reads the switches' ledgers every 500 µs.
+	// Tiny capacities so the generated traffic crosses the
 	// hysteresis bands, and SustainWindows 1 because the traffic is
 	// front-loaded: the session caches warm inside the first window, so
 	// the trend fit falls off a cliff right after it and a two-window
 	// sustain would never arm. One hot window triggers the offload, the
 	// silence after the batches drain triggers the fallback.
 	eng := policy.New(policy.Config{
-		Interval:       500 * sim.Microsecond,
 		Windows:        4,
 		Horizon:        sim.Millisecond,
 		BECapacityHz:   2e6,
@@ -204,10 +203,20 @@ func runBurstScenario(t *testing.T, batches [][]burstOp, burst, offload bool) bu
 		FlipCooldown:   5 * sim.Millisecond,
 		ScaleCooldown:  2 * sim.Millisecond,
 	})
-	reader := prof.NewSeriesReader(pr)
+	switches := append([]*VSwitch{w.A, w.B}, w.fes...)
 	w.loop.Every(500*sim.Microsecond, func() {
-		now := w.loop.Now()
-		eng.Step(now, reader.Read(now), nil)
+		loads := []policy.Load{{VNIC: clientVNIC}, {VNIC: serverVNIC}}
+		for _, vs := range switches {
+			vs.Relocatable(func(vnic uint32, rule, sess uint64) {
+				for i := range loads {
+					if loads[i].VNIC == vnic {
+						loads[i].Rule += rule
+						loads[i].Sess += sess
+					}
+				}
+			})
+		}
+		eng.Step(w.loop.Now(), loads, false)
 	})
 
 	var id uint64 = 1 << 20 // private ID space, identical across runs

@@ -372,6 +372,13 @@ func (vs *VSwitch) CyclesLocal() uint64 { return vs.node.RoleCycles(prof.RoleLoc
 // work: the FE-role slots' sum.
 func (vs *VSwitch) CyclesRemote() uint64 { return vs.node.RoleCycles(prof.RoleFE) }
 
+// Relocatable reports the ledger's cumulative relocatable cycles per
+// tenant slot, local and FE roles alike (prof.NodeProf.Relocatable):
+// the policy engine's input.
+func (vs *VSwitch) Relocatable(fn func(vnic uint32, rule, sess uint64)) {
+	vs.node.Relocatable(fn)
+}
+
 // Sessions exposes the session table (read-mostly, for experiments).
 func (vs *VSwitch) Sessions() *flowcache.Table { return vs.sessions }
 

@@ -21,7 +21,6 @@ import (
 // entry that stops naming a panic fails TestNoUnlistedPanics, so the
 // list cannot rot.
 var panicAllow = map[string]string{
-	"internal/cluster/cluster.go:New":                           "programmer-error guard: Options.Policy without Options.Prof; the policy loop reads attribution windows",
 	"internal/obs/registry.go:L":                                "programmer-error guard: an odd count of label strings",
 	"internal/obs/registry.go:Registry.get":                     "programmer-error guard: one series registered under two kinds",
 	"internal/sim/rand.go:NewZipf":                              "programmer-error guard: a Zipf sampler over no ranks",
