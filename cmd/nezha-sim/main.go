@@ -84,8 +84,10 @@ var (
 // plan must hold the clients, each client takes a server of its own
 // and the server VM one more, and the offered load and the run length
 // must be positive.
-func validate(servers, clients int, cps float64, duration time.Duration, usePolicy, noNezha bool) error {
+func validate(servers, clients int, cps float64, duration time.Duration, sample float64, usePolicy, noNezha bool) error {
 	switch {
+	case !(sample >= 0 && sample <= 1):
+		return fmt.Errorf("-obs-sample %v: need a probability in [0, 1]", sample)
 	case clients < 1:
 		return fmt.Errorf("-clients %d: need at least 1", clients)
 	case !(cps > 0):
@@ -181,7 +183,7 @@ func (o outputs) close() error {
 
 func main() {
 	flag.Parse()
-	if err := validate(*servers, *nClients, *cps, *duration, *usePolicy, *noNezha); err != nil {
+	if err := validate(*servers, *nClients, *cps, *duration, *obsSample, *usePolicy, *noNezha); err != nil {
 		fmt.Fprintln(os.Stderr, "nezha-sim:", err)
 		os.Exit(2)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -25,6 +26,7 @@ func TestValidate(t *testing.T) {
 		servers, clients int
 		cps              float64
 		duration         time.Duration
+		sample           float64
 		policy, noNezha  bool
 		want             string // "" = valid; else a substring of the error
 	}{
@@ -42,8 +44,15 @@ func TestValidate(t *testing.T) {
 		{servers: 110, clients: 98, cps: 20000, duration: time.Second},
 		{servers: 110, clients: 99, cps: 20000, duration: time.Second, want: "99 clients: the address plan holds 1 to 98"},
 		{servers: 110, clients: 100, cps: 20000, duration: time.Second, want: "100 clients: the address plan holds 1 to 98"},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, sample: 1},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, sample: 0.01},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, sample: math.NaN(), want: "-obs-sample NaN"},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, sample: -3, want: "-obs-sample -3"},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, sample: 1.5, want: "-obs-sample 1.5"},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, sample: math.Inf(1), want: "-obs-sample +Inf"},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, sample: math.Inf(-1), want: "-obs-sample -Inf"},
 	} {
-		err := validate(c.servers, c.clients, c.cps, c.duration, c.policy, c.noNezha)
+		err := validate(c.servers, c.clients, c.cps, c.duration, c.sample, c.policy, c.noNezha)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%+v: unexpected error %v", c, err)

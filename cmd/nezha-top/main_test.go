@@ -100,6 +100,15 @@ func TestRenderWithoutProfSeries(t *testing.T) {
 	}
 }
 
+// constant registers one series that reads *v.
+func constant(reg *obs.Registry, name string, labels obs.Labels, kind obs.Kind, v *float64) {
+	obs.Register(reg, v, labels, &obs.Table[float64]{Series: []obs.Series[float64]{
+		{Name: name, Kind: kind, Value: func(v *float64) float64 { return *v }},
+	}})
+}
+
+func ptr(v float64) *float64 { return &v }
+
 // TestRenderCtrlLine round-trips the controller liveness series
 // through the registry → JSON → snapshot pipeline and checks the CTRL
 // line surfaces recovery and journal state; a snapshot taken during an
@@ -107,13 +116,13 @@ func TestRenderWithoutProfSeries(t *testing.T) {
 func TestRenderCtrlLine(t *testing.T) {
 	up := 1.0
 	reg := obs.NewRegistry()
-	reg.GaugeFunc("ctrl_up", nil, func() float64 { return up })
-	reg.CounterFunc("ctrl_recoveries_total", nil, func() uint64 { return 2 })
-	reg.GaugeFunc("ctrl_recovery_ms", nil, func() float64 { return 3.5 })
-	reg.GaugeFunc("journal_bytes", nil, func() float64 { return 2048 })
-	reg.CounterFunc("journal_appends_total", nil, func() uint64 { return 42 })
-	reg.CounterFunc("journal_snapshots_total", nil, func() uint64 { return 1 })
-	reg.CounterFunc("ctrl_dup_side_effects_total", nil, func() uint64 { return 0 })
+	constant(reg, "ctrl_up", nil, obs.KindGauge, &up)
+	constant(reg, "ctrl_recoveries_total", nil, obs.KindCounter, ptr(2))
+	constant(reg, "ctrl_recovery_ms", nil, obs.KindGauge, ptr(3.5))
+	constant(reg, "journal_bytes", nil, obs.KindGauge, ptr(2048))
+	constant(reg, "journal_appends_total", nil, obs.KindCounter, ptr(42))
+	constant(reg, "journal_snapshots_total", nil, obs.KindCounter, ptr(1))
+	constant(reg, "ctrl_dup_side_effects_total", nil, obs.KindCounter, ptr(0))
 
 	roundTrip := func() string {
 		raw, err := json.Marshal(reg.Snapshot(0))
@@ -165,13 +174,13 @@ func TestRenderNodeVNICFilters(t *testing.T) {
 	reg := obs.NewRegistry()
 	for _, n := range []string{"10.1.0.1", "10.1.0.2"} {
 		lbl := obs.L("node", n)
-		reg.GaugeFunc("vswitch_cpu_util", lbl, func() float64 { return 0.5 })
-		reg.GaugeFunc("vswitch_sessions", lbl, func() float64 { return 7 })
+		constant(reg, "vswitch_cpu_util", lbl, obs.KindGauge, ptr(0.5))
+		constant(reg, "vswitch_sessions", lbl, obs.KindGauge, ptr(7))
 	}
 	for _, v := range []string{"100", "200"} {
 		lbl := obs.L("vnic", v)
-		reg.GaugeFunc("controller_vnic_offloaded", lbl, func() float64 { return 1 })
-		reg.GaugeFunc("controller_vnic_fes", lbl, func() float64 { return 2 })
+		constant(reg, "controller_vnic_offloaded", lbl, obs.KindGauge, ptr(1))
+		constant(reg, "controller_vnic_fes", lbl, obs.KindGauge, ptr(2))
 	}
 	pr := prof.New()
 	pr.Node("10.1.0.1", 2).Slot(100, prof.RoleLocal).Charge(prof.DirTX, prof.StageSlowpath, 500_000)

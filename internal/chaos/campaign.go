@@ -251,6 +251,7 @@ func runCampaign(cfg CampaignConfig, extra func(*Engine)) (Report, error) {
 }
 
 func replay(cfg CampaignConfig, extra func(*Engine), rep Report) (Report, error) {
+	traced := cfg.Obs
 	cfg.Obs, cfg.Prof, cfg.Hist, cfg.Pace = true, true, nil, 0
 	r, err := run(cfg, extra, true)
 	if err != nil {
@@ -261,9 +262,22 @@ func replay(cfg CampaignConfig, extra func(*Engine), rep Report) (Report, error)
 		return rep, fmt.Errorf("chaos: seed %d: replay diverged: digest %#x with %d violations, want %#x with %d",
 			cfg.Seed, r.Digest, len(r.Violations), rep.Digest, len(rep.Violations))
 	}
+	// The replay's tracer retains hops for the dump and the original's
+	// did not, so equal trace digests also pin that retaining a hop
+	// does not change how it is folded.
+	if traced && r.TraceDigest != rep.TraceDigest {
+		return rep, fmt.Errorf("chaos: seed %d: replay diverged: trace digest %#x, want %#x", cfg.Seed, r.TraceDigest, rep.TraceDigest)
+	}
 	rep.DumpPath, rep.ProfDumpPath, rep.JournalPath = r.DumpPath, r.ProfDumpPath, r.JournalPath
 	return rep, nil
 }
+
+// A replay's dump holds the last dumpHops flight-trace hops, about 512
+// offloaded flights of 16 hops, and the last dumpEvents recorder events.
+const (
+	dumpHops   = 512 * 16
+	dumpEvents = 4096
+)
 
 // run is one execution of the campaign; record writes the replay's
 // artefacts to cfg.DumpDir.
@@ -290,8 +304,14 @@ func run(cfg CampaignConfig, extra func(*Engine), record bool) (Report, error) {
 
 	var ob *obs.Obs
 	if cfg.Obs {
-		// Campaign rigs are small enough to trace every packet.
-		ob = obs.New(obs.Options{Seed: cfg.Seed, SampleRate: 1})
+		// Campaign rigs are small enough to trace every packet. Only the
+		// recording replay writes a dump, so only it keeps the hops and
+		// events a dump shows.
+		opts := obs.Options{Seed: cfg.Seed, SampleRate: 1}
+		if record {
+			opts.MaxHops, opts.RingSize = dumpHops, dumpEvents
+		}
+		ob = obs.New(opts)
 	}
 	var pr *prof.Profiler
 	if cfg.Prof {

@@ -157,6 +157,28 @@ func TestReplayDivergenceIsAnError(t *testing.T) {
 	}
 }
 
+// TestReplayMatchesTraceDigest replays a traced campaign, whose tracer
+// kept no hops, with the dump-sized tracer: the two must fold the same
+// trace digest, and a report whose trace digest differs must not
+// replay.
+func TestReplayMatchesTraceDigest(t *testing.T) {
+	cfg := CampaignConfig{Seed: 2, Duration: 2 * sim.Second, Obs: true, DumpDir: t.TempDir()}
+	rep, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TraceDigest == 0 {
+		t.Fatal("traced campaign folded no hops")
+	}
+	if _, err := Replay(cfg, rep); err != nil {
+		t.Fatalf("replay of a traced campaign: %v", err)
+	}
+	rep.TraceDigest ^= 1
+	if _, err := Replay(cfg, rep); err == nil || !strings.Contains(err.Error(), "trace digest") {
+		t.Fatalf("replay against a wrong trace digest returned %v, want a trace-digest divergence", err)
+	}
+}
+
 // TestProfDumpOnCleanRun checks the -replay path: a clean campaign
 // writes nothing by itself, and its replay writes the final profile, so
 // an engineer can feed any run to `go tool pprof`.

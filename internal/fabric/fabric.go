@@ -275,7 +275,7 @@ func (f *Fabric) faulted(from, to packet.IPv4, p *packet.Packet, lat *sim.Time) 
 		if !v.SkipAccounting {
 			f.ChaosLost++
 		}
-		f.traceHop(p.ID, from, obs.StageChaosLost, to)
+		f.traceHop(p, from, obs.StageChaosLost, to)
 		p.Release()
 		return true
 	}
@@ -288,7 +288,7 @@ func (f *Fabric) faulted(from, to packet.IPv4, p *packet.Packet, lat *sim.Time) 
 // lose accounts p as lost on the from→to link and releases it.
 func (f *Fabric) lose(p *packet.Packet, from, to packet.IPv4) {
 	f.Lost++
-	f.traceHop(p.ID, from, obs.StageWireLost, to)
+	f.traceHop(p, from, obs.StageWireLost, to)
 	p.Release()
 }
 
@@ -400,7 +400,7 @@ func (t *deliverTask) Run() {
 		}
 		one.Hops++
 		f.Delivered++
-		f.traceHop(one.ID, from, obs.StageWire, to)
+		f.traceHop(one, from, obs.StageWire, to)
 		dst.handler(one)
 		return
 	}
@@ -433,7 +433,7 @@ func (t *deliverTask) Run() {
 	for _, q := range group {
 		q.Hops++
 		f.Delivered++
-		f.traceHop(q.ID, from, obs.StageWire, to)
+		f.traceHop(q, from, obs.StageWire, to)
 	}
 	if dst.burst != nil {
 		dst.burst(group)

@@ -107,38 +107,41 @@ func (m *Monitor) EnableObs(o *obs.Obs) {
 	}
 	m.ob = o
 	m.declareLat = o.Reg.GetHistogram("monitor_declare_latency_ns", nil)
-	r := o.Reg
-	r.Help("monitor_declare_latency_ns", "First missed probe to node-down declaration, nanoseconds.")
-	r.Help("monitor_probes_sent_total", "Health probes sent.")
-	r.Help("monitor_pongs_seen_total", "Probe responses received.")
-	r.Help("monitor_stale_pongs_total", "Responses arriving after their round closed.")
-	r.Help("monitor_declared_total", "Node-down declarations issued.")
-	r.Help("monitor_guard_trips_total", "Mass-declaration guard activations.")
-	r.Help("monitor_targets", "vSwitches under health monitoring.")
-	r.Help("monitor_targets_down", "Targets currently declared down.")
-	r.Help("monitor_guard_active", "1 while the mass-declaration guard is holding declarations.")
-	r.CounterFunc("monitor_probes_sent_total", nil, m.ProbesSent.Load)
-	r.CounterFunc("monitor_pongs_seen_total", nil, m.PongsSeen.Load)
-	r.CounterFunc("monitor_stale_pongs_total", nil, m.StalePongs.Load)
-	r.CounterFunc("monitor_declared_total", nil, m.Declared.Load)
-	r.CounterFunc("monitor_guard_trips_total", nil, m.GuardTrips.Load)
-	r.GaugeFunc("monitor_targets", nil, func() float64 { return float64(len(m.targets)) })
-	r.GaugeFunc("monitor_targets_down", nil, func() float64 {
-		n := 0
-		for _, t := range m.targets {
-			if t.down {
-				n++
-			}
-		}
-		return float64(n)
-	})
-	r.GaugeFunc("monitor_guard_active", nil, func() float64 {
-		if m.guardActive {
-			return 1
-		}
-		return 0
-	})
+	obs.Register(o.Reg, m, nil, &monitorTable)
 }
+
+func counter(name, help string, c func(*Monitor) *atomic.Uint64) obs.Series[Monitor] {
+	return obs.Series[Monitor]{Name: name, Help: help, Kind: obs.KindCounter,
+		Value: func(m *Monitor) float64 { return float64(c(m).Load()) }}
+}
+
+var monitorTable = obs.Table[Monitor]{Series: []obs.Series[Monitor]{
+	{Name: "monitor_declare_latency_ns", Help: "First missed probe to node-down declaration, nanoseconds."},
+	counter("monitor_probes_sent_total", "Health probes sent.", func(m *Monitor) *atomic.Uint64 { return &m.ProbesSent }),
+	counter("monitor_pongs_seen_total", "Probe responses received.", func(m *Monitor) *atomic.Uint64 { return &m.PongsSeen }),
+	counter("monitor_stale_pongs_total", "Responses arriving after their round closed.", func(m *Monitor) *atomic.Uint64 { return &m.StalePongs }),
+	counter("monitor_declared_total", "Node-down declarations issued.", func(m *Monitor) *atomic.Uint64 { return &m.Declared }),
+	counter("monitor_guard_trips_total", "Mass-declaration guard activations.", func(m *Monitor) *atomic.Uint64 { return &m.GuardTrips }),
+	{Name: "monitor_targets", Help: "vSwitches under health monitoring.", Kind: obs.KindGauge,
+		Value: func(m *Monitor) float64 { return float64(len(m.targets)) }},
+	{Name: "monitor_targets_down", Help: "Targets currently declared down.", Kind: obs.KindGauge,
+		Value: func(m *Monitor) float64 {
+			n := 0
+			for _, t := range m.targets {
+				if t.down {
+					n++
+				}
+			}
+			return float64(n)
+		}},
+	{Name: "monitor_guard_active", Help: "1 while the mass-declaration guard is holding declarations.", Kind: obs.KindGauge,
+		Value: func(m *Monitor) float64 {
+			if m.guardActive {
+				return 1
+			}
+			return 0
+		}},
+}}
 
 // Watch adds a vSwitch to the probe set.
 func (m *Monitor) Watch(addr packet.IPv4) {

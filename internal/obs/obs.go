@@ -32,20 +32,21 @@ type Obs struct {
 	SLO *slo.Tracker
 }
 
-// Options tunes an Obs bundle. Zero values select defaults.
+// Options tunes an Obs bundle. The flight tracer and the flight
+// recorder retain hops and events only for a bundle that asks, because
+// only WriteDump reads them; by default a hop costs its digest fold and
+// an event nothing.
 type Options struct {
 	Seed       int64   // trace-sampling seed (usually the campaign seed)
 	SampleRate float64 // fraction of packets flight-traced (0 disables)
-	MaxHops    int     // retained flight-trace hops (default 8192)
-	RingSize   int     // flight-recorder events (default 4096)
+	MaxHops    int     // flight-trace hops retained for WriteDump (0: none)
+	RingSize   int     // flight-recorder events retained for WriteDump (0: none)
 }
 
 // New builds an Obs bundle.
 func New(opts Options) *Obs {
-	reg := NewRegistry()
-	reg.Help("obs_series_dropped_total", "Series registrations refused by the registry cardinality cap.")
 	return &Obs{
-		Reg:    reg,
+		Reg:    NewRegistry(),
 		Tracer: NewFlightTracer(opts.Seed, opts.SampleRate, opts.MaxHops),
 		Spans:  NewSpanLog(maxSpans),
 		Rec:    NewFlightRecorder(opts.RingSize),
@@ -53,9 +54,10 @@ func New(opts Options) *Obs {
 	}
 }
 
-// Event records a flight-recorder event. Safe on a nil *Obs.
+// Event records a flight-recorder event, formatting it only when the
+// recorder retains events. Safe on a nil *Obs.
 func (o *Obs) Event(at sim.Time, kind string, node packet.IPv4, vnic uint32, format string, args ...any) {
-	if o == nil {
+	if o == nil || !o.Rec.retains() {
 		return
 	}
 	msg := format
@@ -68,22 +70,28 @@ func (o *Obs) Event(at sim.Time, kind string, node packet.IPv4, vnic uint32, for
 // AttachSLO wires a latency/hot-flow SLO tracker into the bundle:
 // Snap embeds its view in every snapshot, and per-vNIC slo_* series
 // (dynamic label sets — one row per tracked vNIC) are exported at
-// snapshot time through a Collect callback, so the record path is
+// snapshot time by the tracker's table, so the record path is
 // untouched.
 func (o *Obs) AttachSLO(t *slo.Tracker) {
 	o.SLO = t
-	if t == nil {
-		return
+	if t != nil {
+		Register(o.Reg, t, nil, &sloTable)
 	}
-	r := o.Reg
-	r.Help("slo_packets_total", "Packets accounted by the SLO ledger (deliveries + drops), per vNIC.")
-	r.Help("slo_violations_total", "SLO violations (deliveries over the latency objective, plus all drops), per vNIC.")
-	r.Help("slo_drops_total", "Drops accounted as SLO violations, per vNIC.")
-	r.Help("slo_p99_ns", "Cumulative p99 end-to-end delivery latency per vNIC, nanoseconds (log-linear bucket upper edge).")
-	r.Help("slo_burn", "Error-budget burn rate over the last closed window per vNIC (1.0 = exactly on budget).")
-	r.Help("slo_burn_events_total", "Burn windows closed at or above the burn threshold, all vNICs.")
-	r.Help("slo_objective_ns", "Configured per-vNIC latency objective, nanoseconds.")
-	r.Collect(func(emit Emit) {
+}
+
+var sloTable = Table[slo.Tracker]{
+	Series: []Series[slo.Tracker]{
+		{Name: "slo_packets_total", Help: "Packets accounted by the SLO ledger (deliveries + drops), per vNIC."},
+		{Name: "slo_violations_total", Help: "SLO violations (deliveries over the latency objective, plus all drops), per vNIC."},
+		{Name: "slo_drops_total", Help: "Drops accounted as SLO violations, per vNIC."},
+		{Name: "slo_p99_ns", Help: "Cumulative p99 end-to-end delivery latency per vNIC, nanoseconds (log-linear bucket upper edge)."},
+		{Name: "slo_burn", Help: "Error-budget burn rate over the last closed window per vNIC (1.0 = exactly on budget)."},
+		{Name: "slo_burn_events_total", Help: "Burn windows closed at or above the burn threshold, all vNICs.", Kind: KindCounter,
+			Value: func(t *slo.Tracker) float64 { return float64(t.BurnEvents()) }},
+		{Name: "slo_objective_ns", Help: "Configured per-vNIC latency objective, nanoseconds.", Kind: KindGauge,
+			Value: func(t *slo.Tracker) float64 { return float64(t.Objective()) }},
+	},
+	Collect: func(t *slo.Tracker, emit Emit) {
 		for _, vnic := range t.VNICs() {
 			total, viol, drops, p99, burn := t.VNICStats(vnic)
 			lbl := L("vnic", strconv.FormatUint(uint64(vnic), 10))
@@ -93,9 +101,7 @@ func (o *Obs) AttachSLO(t *slo.Tracker) {
 			emit("slo_p99_ns", lbl, KindGauge, float64(p99))
 			emit("slo_burn", lbl, KindGauge, burn)
 		}
-		emit("slo_burn_events_total", nil, KindCounter, float64(t.BurnEvents()))
-		emit("slo_objective_ns", nil, KindGauge, float64(t.Objective()))
-	})
+	},
 }
 
 // Snap takes a registry snapshot at now and attaches the current

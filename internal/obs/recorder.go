@@ -33,10 +33,11 @@ func (e Event) String() string {
 	return s
 }
 
-// FlightRecorder is a bounded ring of recent events. Writers pay one
-// mutex'd slot store; the ring never grows. The chaos engine dumps it
-// (alongside spans and sampled flights) the moment an invariant
-// violation is recorded.
+// FlightRecorder is a bounded ring of recent events, allocated when it
+// is built. The chaos engine dumps it (alongside spans and sampled
+// flights) the moment an invariant violation is recorded; a recorder
+// with no ring, which is what every bundle that writes no dump holds,
+// drops every event.
 type FlightRecorder struct {
 	mu    sync.Mutex
 	buf   []Event
@@ -45,18 +46,19 @@ type FlightRecorder struct {
 	total uint64
 }
 
-// NewFlightRecorder builds a ring holding the last n events (default
-// 4096 when n <= 0).
+// NewFlightRecorder builds a ring holding the last n events; n <= 0
+// builds one with no ring.
 func NewFlightRecorder(n int) *FlightRecorder {
-	if n <= 0 {
-		n = 4096
-	}
-	return &FlightRecorder{buf: make([]Event, n)}
+	return &FlightRecorder{buf: make([]Event, max(n, 0))}
 }
+
+// retains reports whether the recorder keeps events. Safe on a nil
+// recorder.
+func (r *FlightRecorder) retains() bool { return r != nil && len(r.buf) > 0 }
 
 // Add appends an event, evicting the oldest once the ring is full.
 func (r *FlightRecorder) Add(e Event) {
-	if r == nil {
+	if !r.retains() {
 		return
 	}
 	r.mu.Lock()

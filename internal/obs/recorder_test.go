@@ -35,7 +35,7 @@ func TestRecorderPartial(t *testing.T) {
 }
 
 func TestWriteDump(t *testing.T) {
-	o := New(Options{Seed: 1, SampleRate: 1, RingSize: 16})
+	o := New(Options{Seed: 1, SampleRate: 1, MaxHops: 16, RingSize: 16})
 	o.Spans.Begin("offload", 5, 2, sim.Second)
 	o.Spans.End("offload", 5, 2, 2*sim.Second, "commit")
 	o.Event(sim.Second, "txn-prepare", packet.MakeIP(10, 0, 0, 1), 5, "targets=%d", 3)
@@ -71,7 +71,7 @@ func TestNilObsSafe(t *testing.T) {
 	var o *Obs
 	o.Event(1, "x", 0, 0, "ignored") // must not panic
 	var tr *FlightTracer
-	if tr.Sampled(1) {
+	if tr.Sampled(&packet.Packet{ID: 1}) {
 		t.Fatal("nil tracer sampled")
 	}
 	var fr *FlightRecorder

@@ -7,10 +7,9 @@
 //
 // Instrumentation is designed to be cheap enough to leave on: hot
 // paths pre-bind series handles and bump atomics; components whose
-// counters already exist as plain fields register CounterFunc /
-// GaugeFunc / Collect closures instead, which cost nothing until a
-// snapshot is taken (snapshots run on the sim goroutine, where those
-// fields are owned). Flight tracing is sampled by a deterministic
+// counters already exist as plain fields register a table of them
+// instead, which costs nothing until a snapshot reads it (snapshots run
+// on the sim goroutine, where those fields are owned). Flight tracing is sampled by a deterministic
 // per-packet hash so the same seed and rate always trace the same
 // packets.
 package obs
@@ -246,48 +245,120 @@ type series struct {
 	h    *Histogram
 }
 
-type funcSeries struct {
-	name   string
-	labels Labels
-	key    string
-	kind   Kind
-	cfn    func() uint64
-	cv     *uint64 // a CounterVar's field, read instead of cfn
-	gfn    func() float64
-	d      *desc // set by the series' first snapshot
-}
-
-// counter reads a counter func series.
-func (f *funcSeries) counter() uint64 {
-	if f.cv != nil {
-		return *f.cv
-	}
-	return f.cfn()
-}
-
-// Emit is handed to Collect callbacks: it publishes one point into
-// the snapshot under construction.
+// Emit is handed to a table's Collect: it publishes one point into the
+// snapshot under construction.
 type Emit func(name string, labels Labels, kind Kind, value float64)
 
-// Registry holds labeled series. Hot paths call GetCounter / GetGauge
-// / GetHistogram once to pre-bind a handle and then bump atomics;
-// CounterFunc / GaugeFunc / Collect register snapshot-time closures
-// for values that already live in component-owned fields.
+// Series is one row of a component's registration table: a series that
+// every instance of T exports. Value reads it from the instance at
+// snapshot time, on the goroutine that owns the instance (in the sim,
+// the loop goroutine). A row without Value only names a series exported
+// another way, by the table's Collect or through an instrument bound
+// with GetHistogram, and carries its help text.
+type Series[T any] struct {
+	Name, Help string
+	Kind       Kind
+	// Labels are added to the instance's own (a drop reason, say).
+	Labels Labels
+	Value  func(x *T) float64
+}
+
+// Table is everything one component type exports: the series each
+// instance has, and Collect for the series whose label sets are only
+// known at snapshot time (one per live vNIC, say). A table is a
+// package-level value that every instance shares.
+type Table[T any] struct {
+	Series  []Series[T]
+	Collect func(x *T, emit Emit)
+}
+
+// Register publishes t's series for instance x, each labelled with
+// labels (in canonical order, as L builds them) plus its row's own. It
+// allocates once: the first snapshot after it builds the series' keys,
+// descriptors and label sets, and keeps them. The valued rows count
+// against the series cap here, in table order. Register does not look
+// for duplicates, so an instance must be registered once.
+func Register[T any](r *Registry, x *T, labels Labels, t *Table[T]) {
+	r.register(&instance[T]{x: x, t: t}, labels)
+}
+
+// instance is one Register call's instance and table.
+type instance[T any] struct {
+	x *T
+	t *Table[T]
+}
+
+// group is an instance with its type erased.
+type group interface {
+	rows() int
+	row(i int) row
+	value(i int) float64
+	collect(emit Emit)
+}
+
+// row is what the registry reads of a table row.
+type row struct {
+	name, help string
+	kind       Kind
+	labels     Labels
+	valued     bool
+}
+
+func (g *instance[T]) rows() int { return len(g.t.Series) }
+
+func (g *instance[T]) row(i int) row {
+	s := &g.t.Series[i]
+	return row{name: s.Name, help: s.Help, kind: s.Kind, labels: s.Labels, valued: s.Value != nil}
+}
+
+func (g *instance[T]) value(i int) float64 { return g.t.Series[i].Value(g.x) }
+
+func (g *instance[T]) collect(emit Emit) {
+	if g.t.Collect != nil {
+		g.t.Collect(g.x, emit)
+	}
+}
+
+// registration is one Register call: its group, its label set, and how
+// many valued rows the series cap admitted (a prefix, in table order).
+// From its first snapshot on, cols holds each admitted row's
+// descriptor and refs its row and kind. Snapshots keep pointers into
+// cols alone, so what a published snapshot retains is descriptors.
+type registration struct {
+	g      group
+	labels Labels
+	admit  int
+	built  bool
+	cols   []desc
+	refs   []rowRef
+}
+
+// rowRef is the table row an admitted series reads, and its kind.
+type rowRef struct {
+	row  int
+	kind Kind
+}
+
+// Registry holds labeled series. Hot paths call GetCounter /
+// GetHistogram once to pre-bind a handle and then bump atomics;
+// components whose values already live in their own fields Register a
+// table of them, which costs nothing until a snapshot reads it.
 type Registry struct {
-	mu         sync.Mutex
-	series     map[string]*series
-	funcs      []funcSeries
-	funcIdx    map[string]int // series key -> index in funcs
-	collectors []func(Emit)
-	// helps is shared with every snapshot taken since the last Help
-	// call (helpShared); Help copies it before writing.
+	mu     sync.Mutex
+	series map[string]*series
+	regs   []registration
+	// static counts the admitted valued rows of regs.
+	static int
+	// helps is shared with every snapshot taken since it last changed
+	// (helpShared); setHelp copies it before writing.
 	helps      map[string]string
 	helpShared bool
 
-	// maxSeries caps distinct registered series (atomics + snapshot
-	// funcs) so a region-scale run cannot silently blow the registry
-	// up; past the cap new registrations are counted in dropped and
-	// handed detached (unexported) instruments. 0 disables the cap.
+	// maxSeries caps distinct registered series (atomics + table rows)
+	// so a region-scale run cannot silently blow the registry up; past
+	// the cap new registrations are counted in dropped, and GetCounter
+	// and GetHistogram hand out detached (unexported) instruments. 0
+	// disables the cap.
 	maxSeries int
 	dropped   atomic.Uint64
 	warnOnce  sync.Once
@@ -313,14 +384,16 @@ type Registry struct {
 // DefaultMaxSeries is the registry's default series-cardinality cap.
 const DefaultMaxSeries = 1 << 16
 
+// droppedName counts the registrations the series cap refused.
+const droppedName = "obs_series_dropped_total"
+
 // NewRegistry builds an empty registry with the default series cap.
 func NewRegistry() *Registry {
 	return &Registry{
 		series:    make(map[string]*series),
-		funcIdx:   make(map[string]int),
 		dyn:       make(map[string]*desc),
 		labels:    make(map[string]*labelMap),
-		helps:     make(map[string]string),
+		helps:     map[string]string{droppedName: "Series registrations refused by the registry cardinality cap."},
 		maxSeries: DefaultMaxSeries,
 		warnFn: func(msg string) {
 			fmt.Fprintln(os.Stderr, msg)
@@ -328,11 +401,10 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Help attaches exposition help text to a metric name; WritePrometheus
-// emits it as a # HELP line ahead of the # TYPE line.
-func (r *Registry) Help(name, text string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// setHelp attaches exposition help text to a metric name;
+// WritePrometheus emits it as a # HELP line ahead of the # TYPE line.
+// Caller holds r.mu.
+func (r *Registry) setHelp(name, text string) {
 	if r.helpShared {
 		r.helps = maps.Clone(r.helps)
 		r.helpShared = false
@@ -340,34 +412,33 @@ func (r *Registry) Help(name, text string) {
 	r.helps[name] = text
 }
 
+// full reports whether the series cap refuses a new series. Caller
+// holds r.mu.
+func (r *Registry) full() bool {
+	return r.maxSeries > 0 && len(r.series)+r.static >= r.maxSeries
+}
+
 // dropSeries counts one refused registration, warning once. Caller
 // holds r.mu.
-func (r *Registry) dropSeries(key string) {
+func (r *Registry) dropSeries(name string, labels Labels) {
 	if r.dropped.Add(1) == 1 {
 		warn := r.warnFn
 		max := r.maxSeries
 		r.warnOnce.Do(func() {
 			if warn != nil {
-				warn(fmt.Sprintf("obs: series cap %d reached dropping %q; further new series are dropped silently (obs_series_dropped_total counts them)", max, key))
+				warn(fmt.Sprintf("obs: series cap %d reached dropping %q; further new series are dropped silently (%s counts them)", max, seriesKey(name, labels), droppedName))
 			}
 		})
 	}
 }
 
-// seriesKey returns the series-map key name{k=v,...}, or name alone
-// for an empty label set, built in one allocation: the buffer is sized
-// before anything is written.
-func seriesKey(name string, labels Labels) string {
-	if len(labels) == 0 {
-		return name
-	}
-	n := len(name) + len(labels) + 1 // the braces and the commas between labels
-	for _, l := range labels {
-		n += len(l.K) + 1 + len(l.V)
-	}
-	var b strings.Builder
-	b.Grow(n)
+// writeKey writes the series key name{k=v,...}, or name alone for an
+// empty label set.
+func writeKey(b *strings.Builder, name string, labels Labels) {
 	b.WriteString(name)
+	if len(labels) == 0 {
+		return
+	}
 	b.WriteByte('{')
 	for i, l := range labels {
 		if i > 0 {
@@ -378,6 +449,30 @@ func seriesKey(name string, labels Labels) string {
 		b.WriteString(l.V)
 	}
 	b.WriteByte('}')
+}
+
+// keyLen is the length of name's series key with labels.
+func keyLen(name string, labels Labels) int {
+	if len(labels) == 0 {
+		return len(name)
+	}
+	n := len(name) + len(labels) + 1 // the braces and the commas between labels
+	for _, l := range labels {
+		n += len(l.K) + 1 + len(l.V)
+	}
+	return n
+}
+
+// seriesKey returns the series-map key name{k=v,...}, or name alone
+// for an empty label set, built in one allocation: the buffer is sized
+// before anything is written.
+func seriesKey(name string, labels Labels) string {
+	if len(labels) == 0 {
+		return name
+	}
+	var b strings.Builder
+	b.Grow(keyLen(name, labels))
+	writeKey(&b, name, labels)
 	return b.String()
 }
 
@@ -392,20 +487,6 @@ func (r *Registry) get(name string, labels Labels, kind Kind) *series {
 		return s
 	}
 	s := &series{desc: makeDesc(name, labels, key), kind: kind}
-	if r.maxSeries > 0 && len(r.series)+len(r.funcs) >= r.maxSeries {
-		// Past the cap: hand back a working but detached instrument so
-		// pre-bound hot-path handles stay nil-safe.
-		r.dropSeries(key)
-		switch kind {
-		case KindCounter:
-			s.c = &Counter{}
-		case KindGauge:
-			s.g = &Gauge{}
-		case KindHistogram:
-			s.h = &Histogram{}
-		}
-		return s
-	}
 	switch kind {
 	case KindCounter:
 		s.c = &Counter{}
@@ -413,6 +494,12 @@ func (r *Registry) get(name string, labels Labels, kind Kind) *series {
 		s.g = &Gauge{}
 	case KindHistogram:
 		s.h = &Histogram{}
+	}
+	if r.full() {
+		// Past the cap: hand back a working but detached instrument so
+		// pre-bound hot-path handles stay nil-safe.
+		r.dropSeries(name, labels)
+		return s
 	}
 	r.series[key] = s
 	return s
@@ -429,49 +516,79 @@ func (r *Registry) GetHistogram(name string, labels Labels) *Histogram {
 	return r.get(name, labels, KindHistogram).h
 }
 
-// CounterFunc registers a snapshot-time counter sampled from fn. The
-// closure runs on whatever goroutine calls Snapshot — in the sim that
-// is the loop goroutine, which owns the plain fields fn reads.
-// Re-registering the same name+labels replaces the closure.
-func (r *Registry) CounterFunc(name string, labels Labels, fn func() uint64) {
-	r.addFunc(funcSeries{name: name, labels: labels, kind: KindCounter, cfn: fn})
-}
-
-// CounterVar is CounterFunc for a counter that is a plain field: the
-// snapshot reads *v, with no closure to allocate per series.
-func (r *Registry) CounterVar(name string, labels Labels, v *uint64) {
-	r.addFunc(funcSeries{name: name, labels: labels, kind: KindCounter, cv: v})
-}
-
-// GaugeFunc registers a snapshot-time gauge sampled from fn.
-func (r *Registry) GaugeFunc(name string, labels Labels, fn func() float64) {
-	r.addFunc(funcSeries{name: name, labels: labels, kind: KindGauge, gfn: fn})
-}
-
-func (r *Registry) addFunc(f funcSeries) {
-	f.key = seriesKey(f.name, f.labels)
+// register admits g's valued rows while the series cap allows.
+func (r *Registry) register(g group, labels Labels) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if i, ok := r.funcIdx[f.key]; ok {
-		// Keep the descriptor: the rate window spans the replacement.
-		f.d = r.funcs[i].d
-		r.funcs[i] = f
-		return
+	reg := registration{g: g, labels: labels}
+	for i, n := 0, g.rows(); i < n; i++ {
+		switch row := g.row(i); {
+		case !row.valued:
+		case r.full():
+			r.dropSeries(row.name, merge(nil, labels, row.labels))
+		default:
+			reg.admit++
+			r.static++
+		}
 	}
-	if r.maxSeries > 0 && len(r.series)+len(r.funcs) >= r.maxSeries {
-		r.dropSeries(f.key)
-		return
-	}
-	r.funcIdx[f.key] = len(r.funcs)
-	r.funcs = append(r.funcs, f)
+	r.regs = append(r.regs, reg)
 }
 
-// Collect registers a callback that emits points with dynamic label
-// sets (e.g. one gauge per currently-known vNIC) at snapshot time.
-func (r *Registry) Collect(fn func(Emit)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.collectors = append(r.collectors, fn)
+// merge appends base and extra to dst and returns the appended label
+// set, sorted into canonical order.
+func merge(dst, base, extra Labels) Labels {
+	at := len(dst)
+	dst = append(append(dst, base...), extra...)
+	ls := dst[at:len(dst):len(dst)]
+	slices.SortFunc(ls, byLabelKey)
+	return ls
+}
+
+// build publishes reg's help text and describes its admitted rows: the
+// merged label sets share one array and the keys one string. Caller
+// holds r.mu.
+func (r *Registry) build(reg *registration) {
+	reg.built = true
+	g := reg.g
+	extra := 0
+	for i := 0; i < g.rows(); i++ {
+		if row := g.row(i); row.valued && len(row.labels) > 0 {
+			extra += len(reg.labels) + len(row.labels)
+		}
+	}
+	reg.cols = make([]desc, 0, reg.admit)
+	reg.refs = make([]rowRef, 0, reg.admit)
+	merged := make(Labels, 0, extra)
+	size := 0
+	for i := 0; i < g.rows(); i++ {
+		row := g.row(i)
+		if row.help != "" {
+			r.setHelp(row.name, row.help)
+		}
+		if !row.valued || len(reg.cols) == reg.admit {
+			continue
+		}
+		ls := reg.labels
+		if len(row.labels) > 0 {
+			ls = merge(merged, reg.labels, row.labels)
+			merged = merged[:len(merged)+len(ls)]
+		}
+		size += keyLen(row.name, ls)
+		reg.cols = append(reg.cols, desc{name: row.name, labels: ls})
+		reg.refs = append(reg.refs, rowRef{row: i, kind: row.kind})
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i := range reg.cols {
+		writeKey(&b, reg.cols[i].name, reg.cols[i].labels)
+	}
+	keys, off := b.String(), 0
+	for i := range reg.cols {
+		c := &reg.cols[i]
+		end := off + keyLen(c.name, c.labels)
+		*c = makeDesc(c.name, c.labels, keys[off:end])
+		off = end
+	}
 }
 
 // Point is one series' value in a snapshot.
@@ -526,7 +643,7 @@ type Snapshot struct {
 
 	// help carries per-metric exposition help text for WritePrometheus;
 	// deliberately unexported so JSONL snapshots stay compact. Shared
-	// with the registry until its next Help call.
+	// with the registry until its help text next changes.
 	help map[string]string
 	// schema describes Points column by column (nil on snapshots built
 	// by hand); History keeps it in place of the rows.
@@ -653,7 +770,7 @@ func (p byKey) Less(i, j int) bool {
 // A snapshot's cost follows what changed: every point of a series
 // shares the series' descriptor, every point of a label set one label
 // map, a counter's rate comes from the value its descriptor kept, the
-// help map is shared until the next Help call, and the schema until the
+// help map is shared until the help text changes, and the schema until the
 // set of series changes. Label sets that collectors emit are interned in
 // a table holding only the sets of the latest snapshot, so it is bounded
 // by the current cardinality, and a set missing from one snapshot has
@@ -669,36 +786,34 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 	for _, s := range r.series {
 		pts = append(pts, s.point())
 	}
-	for i := range r.funcs {
-		if f := &r.funcs[i]; f.d == nil {
-			d := makeDesc(f.name, f.labels, f.key)
-			f.d = &d
+	for i := range r.regs {
+		if !r.regs[i].built {
+			r.build(&r.regs[i])
 		}
 	}
-	funcs := append([]funcSeries(nil), r.funcs...)
-	collectors := append([]func(Emit){}, r.collectors...)
+	// Register only appends, and only snapshots write what is built, so
+	// the entries seen here stay as they are once the lock is released.
+	regs := r.regs[:len(r.regs):len(r.regs)]
 	snap := &Snapshot{T: now, help: r.helps}
 	r.helpShared = true
 	r.mu.Unlock()
 
-	for _, f := range funcs {
-		switch f.kind {
-		case KindCounter:
-			pts = append(pts, f.d.point(KindCounter, float64(f.counter())))
-		case KindGauge:
-			pts = append(pts, f.d.point(KindGauge, f.gfn()))
+	for i := range regs {
+		reg := &regs[i]
+		for j, ref := range reg.refs {
+			pts = append(pts, reg.cols[j].point(ref.kind, reg.g.value(ref.row)))
 		}
 	}
 	emit := func(name string, labels Labels, kind Kind, value float64) {
 		pts = append(pts, r.intern(name, labels, gen).point(kind, value))
 	}
-	for _, c := range collectors {
-		c(emit)
+	for i := range regs {
+		regs[i].g.collect(emit)
 	}
 	if dropped := r.dropped.Load(); dropped > 0 {
 		// Synthetic only once the cap has actually refused something, so
 		// capped-but-healthy runs emit nothing new.
-		emit("obs_series_dropped_total", nil, KindCounter, float64(dropped))
+		emit(droppedName, nil, KindCounter, float64(dropped))
 	}
 	sort.Sort(byKey(pts))
 	sc := r.schemaFor(pts)

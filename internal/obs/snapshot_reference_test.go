@@ -32,8 +32,7 @@ func (st *referenceRates) snapshot(r *Registry, now sim.Time) *Snapshot {
 	for _, s := range r.series {
 		sers = append(sers, s)
 	}
-	funcs := append([]funcSeries(nil), r.funcs...)
-	collectors := append([]func(Emit){}, r.collectors...)
+	regs := append([]registration(nil), r.regs...)
 	helps := make(map[string]string, len(r.helps))
 	for k, v := range r.helps {
 		helps[k] = v
@@ -64,16 +63,19 @@ func (st *referenceRates) snapshot(r *Registry, now sim.Time) *Snapshot {
 			snap.Points = append(snap.Points, p)
 		}
 	}
-	for _, f := range funcs {
-		switch f.kind {
-		case KindCounter:
-			add(f.name, f.labels, KindCounter, float64(f.cfn()))
-		case KindGauge:
-			add(f.name, f.labels, KindGauge, f.gfn())
+	for _, reg := range regs {
+		admitted := 0
+		for i := 0; i < reg.g.rows() && admitted < reg.admit; i++ {
+			if row := reg.g.row(i); row.valued {
+				admitted++
+				ls := append(append(Labels(nil), reg.labels...), row.labels...)
+				sort.Slice(ls, func(a, b int) bool { return ls[a].K < ls[b].K })
+				add(row.name, ls, row.kind, reg.g.value(i))
+			}
 		}
 	}
-	for _, c := range collectors {
-		c(add)
+	for _, reg := range regs {
+		reg.g.collect(add)
 	}
 	if dropped := r.dropped.Load(); dropped > 0 {
 		add("obs_series_dropped_total", nil, KindCounter, float64(dropped))
@@ -116,7 +118,7 @@ var (
 	progGauges   = []string{"depth", "depth_x", "util"}
 	progHists    = []string{"wait_ns", "wait_ns_b"}
 	progCFuncs   = []string{"fc", "fc_total", "a_c"}
-	progGFuncs   = []string{"fg", "fg_util", "fc"} // "fc" flips a func series' kind
+	progGFuncs   = []string{"fg", "fg_util", "fc"} // "fc" is a counter func's name too
 	progLabels   = []Labels{
 		nil,
 		L("node", "a"),
@@ -148,6 +150,9 @@ type snapProgram struct {
 	present    [4]uint16 // label sets collector k emits, as a progLabels bitmask
 	collectors int
 	now        sim.Time
+	// funcs holds the keys of the func series registered so far: a
+	// series is registered once.
+	funcs map[string]bool
 }
 
 func (p *snapProgram) u8() byte {
@@ -160,6 +165,17 @@ func (p *snapProgram) u8() byte {
 }
 
 func (p *snapProgram) labels() Labels { return progLabels[int(p.u8())%len(progLabels)] }
+
+// once reports whether name+labels is a new func series, and marks it
+// registered.
+func (p *snapProgram) once(name string, ls Labels) bool {
+	k := seriesKey(name, ls)
+	if p.funcs[k] {
+		return false
+	}
+	p.funcs[k] = true
+	return true
+}
 
 func pick(names []string, c byte) string { return names[int(c)%len(names)] }
 
@@ -197,12 +213,15 @@ func (p *snapProgram) step() bool {
 	case 2:
 		p.r.GetHistogram(pick(progHists, p.u8()), p.labels()).Observe(uint64(p.u8()) << (p.u8() % 40))
 	case 3:
-		// Re-registering a name+labels replaces the closure.
 		i, off := int(p.u8())%len(p.vals), uint64(p.u8())
-		p.r.CounterFunc(pick(progCFuncs, p.u8()), p.labels(), func() uint64 { return p.vals[i] + off })
+		if name, ls := pick(progCFuncs, p.u8()), p.labels(); p.once(name, ls) {
+			p.r.CounterFunc(name, ls, func() uint64 { return p.vals[i] + off })
+		}
 	case 4:
 		i, off := int(p.u8())%len(p.vals), float64(p.u8())
-		p.r.GaugeFunc(pick(progGFuncs, p.u8()), p.labels(), func() float64 { return float64(p.vals[i])/2 - off })
+		if name, ls := pick(progGFuncs, p.u8()), p.labels(); p.once(name, ls) {
+			p.r.GaugeFunc(name, ls, func() float64 { return float64(p.vals[i])/2 - off })
+		}
 	case 5:
 		if p.collectors < len(p.present) {
 			p.r.Collect(p.collector(p.collectors))
@@ -260,7 +279,7 @@ func comparePoints(t *testing.T, n int, got, want []Point) {
 // again: later Help calls and snapshots must not have changed them.
 func checkSnapshotProgram(t *testing.T, prog []byte) {
 	t.Helper()
-	p := &snapProgram{b: prog, r: NewRegistry()}
+	p := &snapProgram{b: prog, r: NewRegistry(), funcs: map[string]bool{}}
 	p.r.SetWarnFn(nil)
 	var ref referenceRates
 	type taken struct {

@@ -47,3 +47,37 @@ func (h *Histogram) Max() uint64 { return h.max.Load() }
 
 // Dropped reports how many registrations the cardinality cap refused.
 func (r *Registry) Dropped() uint64 { return r.dropped.Load() }
+
+// Help attaches exposition help text to a metric name.
+func (r *Registry) Help(name, text string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.setHelp(name, text)
+}
+
+// CounterFunc registers a one-row table: a counter sampled from fn.
+func (r *Registry) CounterFunc(name string, labels Labels, fn func() uint64) {
+	Register(r, &fn, labels, &Table[func() uint64]{Series: []Series[func() uint64]{{
+		Name: name, Kind: KindCounter, Value: func(fn *func() uint64) float64 { return float64((*fn)()) },
+	}}})
+}
+
+// CounterVar registers a one-row table: a counter read from *v.
+func (r *Registry) CounterVar(name string, labels Labels, v *uint64) {
+	Register(r, v, labels, &Table[uint64]{Series: []Series[uint64]{{
+		Name: name, Kind: KindCounter, Value: func(v *uint64) float64 { return float64(*v) },
+	}}})
+}
+
+// GaugeFunc registers a one-row table: a gauge sampled from fn.
+func (r *Registry) GaugeFunc(name string, labels Labels, fn func() float64) {
+	Register(r, &fn, labels, &Table[func() float64]{Series: []Series[func() float64]{{
+		Name: name, Kind: KindGauge, Value: func(fn *func() float64) float64 { return (*fn)() },
+	}}})
+}
+
+// Collect registers a table with only a Collect: fn emits its points
+// at snapshot time.
+func (r *Registry) Collect(fn func(Emit)) {
+	Register(r, &fn, nil, &Table[func(Emit)]{Collect: func(fn *func(Emit), emit Emit) { (*fn)(emit) }})
+}

@@ -118,9 +118,6 @@ type record struct {
 	Hop
 }
 
-// defaultMaxHops retains about 512 offloaded flights of 16 hops.
-const defaultMaxHops = 512 * 16
-
 // FlightTracer records sampled per-packet hop sequences. Sampling is
 // a deterministic hash of (seed, packet ID), so the same seed and
 // rate always trace the same packets, and the running digest over all
@@ -131,10 +128,11 @@ const defaultMaxHops = 512 * 16
 // sites, Digest, HopCount and the violation dump all run on the loop.
 // Other goroutines read telemetry through obs.History, never here.
 //
-// Retained hops live in one flat log of the last maxHops records, a
-// power-of-two ring that doubles up to maxHops and then wraps, so a
-// full-size log records a hop without allocating. Flights are the log
-// grouped by packet ID; the oldest may have lost hops to the wrap.
+// Only a tracer built to feed a dump retains hops: in one flat log of
+// the last maxHops records, a power-of-two ring that doubles up to
+// maxHops and then wraps. Flights are the log grouped by packet ID;
+// the oldest may have lost hops to the wrap. Any other tracer keeps
+// the digest and the hop count alone.
 type FlightTracer struct {
 	seed uint64
 	rate float64
@@ -142,47 +140,50 @@ type FlightTracer struct {
 	digest  uint64
 	hops    uint64   // hops recorded; the next one goes to log[hops%len(log)]
 	log     []record // grows by doubling to maxHops, then wraps
-	maxHops int
+	maxHops int      // 0: retain nothing
 }
 
 // NewFlightTracer samples packets at rate (0..1) keyed on seed,
-// retaining the last maxHops hops (rounded up to a power of two; <= 0
-// selects 8192). Digest and hop count keep accumulating past the cap.
+// retaining the last maxHops hops (rounded up to a power of two) for
+// the dump; maxHops <= 0 retains none. Digest and hop count cover
+// every hop either way.
 func NewFlightTracer(seed int64, rate float64, maxHops int) *FlightTracer {
-	if maxHops <= 0 {
-		maxHops = defaultMaxHops
+	t := &FlightTracer{seed: uint64(seed), rate: rate}
+	if maxHops > 0 {
+		t.maxHops = 1 << bits.Len(uint(maxHops-1))
 	}
-	return &FlightTracer{
-		seed:    uint64(seed),
-		rate:    rate,
-		maxHops: 1 << bits.Len(uint(maxHops-1)),
-	}
+	return t
 }
 
-// Sampled reports whether packet id is traced. Deterministic in
-// (seed, id); cheap enough to call on every packet.
-func (t *FlightTracer) Sampled(id uint64) bool {
+// Sampled reports whether packet p is traced. Deterministic in
+// (seed, p.ID); below rate 1 the verdict is hashed once per packet and
+// then served from p's memo, so every hop site can ask.
+func (t *FlightTracer) Sampled(p *packet.Packet) bool {
 	if t == nil || t.rate <= 0 {
 		return false
 	}
 	if t.rate >= 1 {
 		return true
 	}
-	return float64(obsMix(t.seed, id)>>11)/(1<<53) < t.rate // the hash mapped to [0,1)
+	if s, ok := p.SampleMemo(); ok {
+		return s
+	}
+	s := float64(obsMix(t.seed, p.ID)>>11)/(1<<53) < t.rate // the hash mapped to [0,1)
+	p.SetSampleMemo(s)
+	return s
 }
 
-// Hop records one hop for packet id if it is sampled: the record's
-// words are folded into the running digest and the record is stored
-// in the log.
+// Hop records one hop of packet id, which the caller found Sampled:
+// the record's words are folded into the running digest and, when the
+// tracer retains hops, the record is stored in the log.
 func (t *FlightTracer) Hop(id uint64, h Hop) {
-	if !t.Sampled(id) {
-		return
-	}
 	t.digest = foldHop(t.digest, id, &h)
-	if t.hops == uint64(len(t.log)) && len(t.log) < t.maxHops {
-		t.grow()
+	if t.maxHops > 0 {
+		if t.hops == uint64(len(t.log)) && len(t.log) < t.maxHops {
+			t.grow()
+		}
+		t.log[t.hops&uint64(len(t.log)-1)] = record{id, h}
 	}
-	t.log[t.hops&uint64(len(t.log)-1)] = record{id, h}
 	t.hops++
 }
 
@@ -197,6 +198,9 @@ func (t *FlightTracer) grow() {
 
 // retained returns the retained records, oldest first.
 func (t *FlightTracer) retained() []record {
+	if len(t.log) == 0 {
+		return nil
+	}
 	if t.hops <= uint64(len(t.log)) {
 		return t.log[:t.hops]
 	}

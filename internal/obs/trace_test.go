@@ -15,19 +15,22 @@ import (
 	"nezha/internal/sim"
 )
 
+// pkt is a fresh packet of id, its sampling memo unset.
+func pkt(id uint64) *packet.Packet { return &packet.Packet{ID: id} }
+
 func TestSamplingDeterministicInSeed(t *testing.T) {
 	a := NewFlightTracer(42, 0.1, 0)
 	b := NewFlightTracer(42, 0.1, 0)
 	c := NewFlightTracer(43, 0.1, 0)
 	sampled, differs := 0, false
 	for id := uint64(0); id < 10000; id++ {
-		if a.Sampled(id) != b.Sampled(id) {
+		if a.Sampled(pkt(id)) != b.Sampled(pkt(id)) {
 			t.Fatalf("same seed disagrees on id %d", id)
 		}
-		if a.Sampled(id) {
+		if a.Sampled(pkt(id)) {
 			sampled++
 		}
-		if a.Sampled(id) != c.Sampled(id) {
+		if a.Sampled(pkt(id)) != c.Sampled(pkt(id)) {
 			differs = true
 		}
 	}
@@ -38,11 +41,43 @@ func TestSamplingDeterministicInSeed(t *testing.T) {
 	if !differs {
 		t.Fatal("different seeds sampled identically")
 	}
-	if NewFlightTracer(1, 0, 0).Sampled(7) {
+	if NewFlightTracer(1, 0, 0).Sampled(pkt(7)) {
 		t.Fatal("rate 0 sampled a packet")
 	}
-	if !NewFlightTracer(1, 1, 0).Sampled(7) {
+	if !NewFlightTracer(1, 1, 0).Sampled(pkt(7)) {
 		t.Fatal("rate 1 skipped a packet")
+	}
+}
+
+// TestSamplingMemo checks that below rate 1 a packet's verdict is
+// hashed once and then read from its memo, which a tuple rewrite keeps
+// and the pool's Get clears.
+func TestSamplingMemo(t *testing.T) {
+	tr := NewFlightTracer(42, 0.5, 0)
+	var in, out uint64
+	for id := uint64(0); in == 0 || out == 0; id++ {
+		if tr.Sampled(pkt(id)) {
+			in = id
+		} else {
+			out = id
+		}
+	}
+	p := pkt(in)
+	if !tr.Sampled(p) {
+		t.Fatal("sampled id not sampled")
+	}
+	if s, ok := p.SampleMemo(); !s || !ok {
+		t.Fatalf("memo after the verdict: sampled=%v set=%v", s, ok)
+	}
+	p.ID = out // the memo, not the hash, answers now
+	p.InvalidateHashes()
+	if !tr.Sampled(p) {
+		t.Fatal("verdict re-hashed after a tuple rewrite")
+	}
+	q := packet.Get(out, 1, 1, packet.FiveTuple{}, packet.DirTX, 0, 0)
+	defer q.Release()
+	if _, ok := q.SampleMemo(); ok || tr.Sampled(q) {
+		t.Fatal("a packet from Get carries a verdict")
 	}
 }
 
@@ -183,9 +218,9 @@ type referenceTracer struct {
 }
 
 func newReferenceTracer(maxHops int) *referenceTracer {
-	n := 1
+	n := 0
 	for n < maxHops {
-		n *= 2
+		n = max(2*n, 1)
 	}
 	return &referenceTracer{maxHops: n}
 }
@@ -382,11 +417,12 @@ func checkAgainstReference(t *testing.T, prog []byte, maxHops int, start uint64,
 }
 
 // TestTracerMatchesReference drives the tracer and the reference with
-// random hop streams; log sizes 1 and 2 wrap on almost every hop, 3
-// rounds up to 4, 512 grows by doubling, fills and wraps, and the
-// default 8192 is still doubling when the stream ends.
+// random hop streams; log size 0 retains nothing, 1 and 2 wrap on
+// almost every hop, 3 rounds up to 4, 512 grows by doubling, fills and
+// wraps, and the dump-sized 8192 is still doubling when the stream
+// ends.
 func TestTracerMatchesReference(t *testing.T) {
-	for _, maxHops := range []int{1, 2, 3, 512, defaultMaxHops} {
+	for _, maxHops := range []int{0, 1, 2, 3, 512, 8192} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			prog := make([]byte, 1<<16)
@@ -430,7 +466,7 @@ func TestTracerZeroMidHopMatchesReference(t *testing.T) {
 }
 
 // FuzzTracerMatchesReference fuzzes hop streams against the reference.
-// The first byte picks the log size (1, 2 or 512).
+// The first byte picks the log size (1, 2, 512 or none).
 func FuzzTracerMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 0x40, 4, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 3, 0x6e, 8, 1, 0, 0, 0, 0, 0, 0, 255, 0, 0, 0, 0, 0, 1, 1, 7, 2, 9, 9, 9, 9})
@@ -442,7 +478,7 @@ func FuzzTracerMatchesReference(f *testing.F) {
 		if len(prog) == 0 || len(prog) > 1<<16 {
 			t.Skip()
 		}
-		maxHops := []int{1, 2, 512}[int(prog[0])%3]
+		maxHops := []int{1, 2, 512, 0}[int(prog[0])%4]
 		checkAgainstReference(t, prog[1:], maxHops, 0)
 	})
 }
@@ -479,11 +515,11 @@ func campaignHops() []idHop {
 	return stream
 }
 
-// BenchmarkFlightTracerHop records campaignHops with the default-size
-// log full, so every hop overwrites the oldest. One op is one hop.
+// BenchmarkFlightTracerHop records campaignHops with a dump-sized log
+// full, so every hop overwrites the oldest. One op is one hop.
 func BenchmarkFlightTracerHop(b *testing.B) {
 	stream := campaignHops()
-	tr := NewFlightTracer(1, 1, 0)
+	tr := NewFlightTracer(1, 1, 8192)
 	for _, r := range stream { // grow the log to full size
 		tr.Hop(r.id, r.h)
 	}

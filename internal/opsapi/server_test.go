@@ -210,9 +210,11 @@ func TestHistoryStreamMatchesWriteJSON(t *testing.T) {
 	ob := obs.New(obs.Options{})
 	c := ob.Reg.GetCounter("pkts_total", obs.L("node", "<a&b>"))
 	ob.Reg.GetHistogram("wait_ns", obs.L("node", "a")).Observe(700)
-	ob.Reg.Help("pkts_total", "Packets <sent> & counted.")
-	ob.Reg.Collect(func(emit obs.Emit) {
-		emit("dyn", obs.L("vnic", strconv.FormatUint(c.Load()%3, 10)), obs.KindGauge, 0.5)
+	obs.Register(ob.Reg, c, nil, &obs.Table[obs.Counter]{
+		Series: []obs.Series[obs.Counter]{{Name: "pkts_total", Help: "Packets <sent> & counted."}},
+		Collect: func(c *obs.Counter, emit obs.Emit) {
+			emit("dyn", obs.L("vnic", strconv.FormatUint(c.Load()%3, 10)), obs.KindGauge, 0.5)
+		},
 	})
 	ob.Flows.Observe(packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP}, 100)
 	h := obs.NewHistory(obs.HistoryOptions{Snapshots: 6})

@@ -22,12 +22,15 @@ func TestSharedLabelsReadOnly(t *testing.T) {
 	loop := sim.NewLoop(1)
 	ob := obs.New(obs.Options{})
 	ticks := ob.Reg.GetCounter("ticks_total", obs.L("node", "a"))
-	ob.Reg.CounterFunc("ticks_func_total", obs.L("node", "b"), ticks.Load)
-	ob.Reg.Collect(func(emit obs.Emit) {
-		n := ticks.Load()
-		for v := n % 7; v < 12; v += 2 {
-			emit("dyn_total", obs.L("vnic", strconv.FormatUint(v, 10)), obs.KindCounter, float64(n))
-		}
+	obs.Register(ob.Reg, ticks, obs.L("node", "b"), &obs.Table[obs.Counter]{
+		Series: []obs.Series[obs.Counter]{{Name: "ticks_func_total", Kind: obs.KindCounter,
+			Value: func(c *obs.Counter) float64 { return float64(c.Load()) }}},
+		Collect: func(c *obs.Counter, emit obs.Emit) {
+			n := c.Load()
+			for v := n % 7; v < 12; v += 2 {
+				emit("dyn_total", obs.L("vnic", strconv.FormatUint(v, 10)), obs.KindCounter, float64(n))
+			}
+		},
 	})
 	loop.Every(10*sim.Millisecond, ticks.Inc)
 	h := obs.NewHistory(obs.HistoryOptions{Snapshots: 32})

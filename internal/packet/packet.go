@@ -446,7 +446,8 @@ type Packet struct {
 	// direction-sensitive and normalized-tuple hashes are computed once
 	// and served from here. Any write to Tuple after construction must
 	// call InvalidateHashes; getBlank's full zeroing resets the memos
-	// along with everything else.
+	// along with everything else. memoHash also holds the flight
+	// tracer's verdict on the packet's ID (see SampleMemo).
 	memoTupleHash uint64
 	memoNormHash  uint64
 	memoHash      uint8
@@ -455,6 +456,8 @@ type Packet struct {
 const (
 	memoTupleValid uint8 = 1 << iota
 	memoNormValid
+	memoSampleKnown
+	memoSampled
 )
 
 // Header sizes used for SizeBytes accounting.
@@ -547,7 +550,22 @@ func (p *Packet) SessionKeyHashed() (SessionKey, uint64, bool) {
 
 // InvalidateHashes drops the hash memos. Every mutation of Tuple on a
 // live packet (e.g. the NAT rewrite) must call it.
-func (p *Packet) InvalidateHashes() { p.memoHash = 0 }
+func (p *Packet) InvalidateHashes() { p.memoHash &^= memoTupleValid | memoNormValid }
+
+// SampleMemo returns the sampling verdict SetSampleMemo stored, and
+// whether one is stored. The verdict is a function of the packet's ID,
+// which no rewrite changes.
+func (p *Packet) SampleMemo() (sampled, ok bool) {
+	return p.memoHash&memoSampled != 0, p.memoHash&memoSampleKnown != 0
+}
+
+// SetSampleMemo stores the packet's sampling verdict.
+func (p *Packet) SetSampleMemo(sampled bool) {
+	p.memoHash |= memoSampleKnown
+	if sampled {
+		p.memoHash |= memoSampled
+	}
+}
 
 // Clone returns a pooled deep copy (blobs included). Notify packets
 // are generated by cloning headers off a transit packet, which must

@@ -306,29 +306,36 @@ func (e *Engine) LastLoad(vnic uint32) float64 {
 // registry: decisions per action, thrash events, steps and rejected
 // decisions.
 func (e *Engine) EnableObs(ob *obs.Obs) {
-	if ob == nil || ob.Reg == nil {
-		return
+	if ob != nil && ob.Reg != nil {
+		obs.Register(ob.Reg, e, nil, &engineTable)
 	}
-	ob.Reg.Help("policy_decisions_total", "Policy decisions applied, by action.")
-	ob.Reg.Help("policy_thrash_total", "Self-reported offload/fallback thrash events.")
-	ob.Reg.Help("policy_steps_total", "Policy engine steps executed.")
-	ob.Reg.Help("policy_rejected_total", "Decisions the controller rejected.")
-	for _, a := range []Action{ActOffload, ActFallback, ActScaleOut, ActScaleIn} {
-		ob.Reg.CounterFunc("policy_decisions_total", obs.L("action", a.String()), func() uint64 {
+}
+
+var engineTable = obs.Table[Engine]{Series: []obs.Series[Engine]{
+	decisions(ActOffload), decisions(ActFallback), decisions(ActScaleOut), decisions(ActScaleIn),
+	{Name: "policy_thrash_total", Help: "Self-reported offload/fallback thrash events.", Kind: obs.KindCounter,
+		Value: func(e *Engine) float64 { return float64(len(e.thrash)) }},
+	{Name: "policy_steps_total", Help: "Policy engine steps executed.", Kind: obs.KindCounter,
+		Value: func(e *Engine) float64 { return float64(e.Stats.Steps) }},
+	{Name: "policy_rejected_total", Help: "Decisions the controller rejected.", Kind: obs.KindCounter,
+		Value: func(e *Engine) float64 { return float64(e.Stats.Rejected) }},
+}}
+
+// decisions is the policy_decisions_total row of action a.
+func decisions(a Action) obs.Series[Engine] {
+	return obs.Series[Engine]{
+		Name: "policy_decisions_total", Help: "Policy decisions applied, by action.", Kind: obs.KindCounter,
+		Labels: obs.L("action", a.String()),
+		Value: func(e *Engine) float64 {
 			var n uint64
 			for _, d := range e.decisions {
 				if d.Action == a {
 					n++
 				}
 			}
-			return n
-		})
+			return float64(n)
+		},
 	}
-	ob.Reg.CounterFunc("policy_thrash_total", nil, func() uint64 {
-		return uint64(len(e.thrash))
-	})
-	ob.Reg.CounterVar("policy_steps_total", nil, &e.Stats.Steps)
-	ob.Reg.CounterVar("policy_rejected_total", nil, &e.Stats.Rejected)
 }
 
 // Export emits one KindPolicy record per tracked vNIC, ascending: the

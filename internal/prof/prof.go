@@ -12,7 +12,7 @@
 // and into a ranked offload-candidate report for the controller.
 //
 // All charging happens on the sim-loop goroutine (the same ownership
-// rule the obs CounterFunc mirrors rely on); draining also runs there
+// rule the obs registration tables rely on); draining also runs there
 // in the sim, so plain uint64 adds are safe.
 package prof
 
@@ -515,47 +515,53 @@ func (p *Profiler) Samples() []Sample {
 	return out
 }
 
-// Attach registers the profiler's drain into an obs registry: one
-// Collect closure that (at snapshot time, on the sim goroutine)
-// advances the utilization timelines and emits prof_cycles_total,
+// Attach registers the profiler's drain into an obs registry: its
+// table's Collect (at snapshot time, on the sim goroutine) advances the
+// utilization timelines and emits prof_cycles_total,
 // prof_mem_live_bytes, and prof_core_util series. No loop events are
 // scheduled and no counters outside the registry are touched, so
 // chaos digests are unchanged by attaching.
-func (p *Profiler) Attach(reg *obs.Registry) {
-	reg.Help("prof_cycles_total", "Attributed CPU cycles by node/vnic/role/dir/stage/cause.")
-	reg.Help("prof_mem_live_bytes", "Attributed live session memory by node/vnic/role/cause.")
-	reg.Help("prof_core_util", "Per-core datapath utilization in the last attribution window, 0..1.")
-	reg.Collect(func(emit obs.Emit) {
-		if p.clock != nil {
-			p.Advance(p.clock())
+func (p *Profiler) Attach(reg *obs.Registry) { obs.Register(reg, p, nil, &profTable) }
+
+var profTable = obs.Table[Profiler]{
+	Series: []obs.Series[Profiler]{
+		{Name: "prof_cycles_total", Help: "Attributed CPU cycles by node/vnic/role/dir/stage/cause."},
+		{Name: "prof_mem_live_bytes", Help: "Attributed live session memory by node/vnic/role/cause."},
+		{Name: "prof_core_util", Help: "Per-core datapath utilization in the last attribution window, 0..1."},
+	},
+	Collect: (*Profiler).collect,
+}
+
+func (p *Profiler) collect(emit obs.Emit) {
+	if p.clock != nil {
+		p.Advance(p.clock())
+	}
+	for _, s := range p.Samples() {
+		vnic := fmt.Sprintf("%d", s.VNIC)
+		if s.VNIC == OverflowVNIC {
+			vnic = "overflow"
 		}
-		for _, s := range p.Samples() {
-			vnic := fmt.Sprintf("%d", s.VNIC)
-			if s.VNIC == OverflowVNIC {
-				vnic = "overflow"
-			}
-			if s.Cycles > 0 {
-				emit("prof_cycles_total", obs.L(
-					"node", s.Node, "vnic", vnic, "role", s.Role.String(),
-					"dir", s.Dir.String(), "stage", s.Stage.String(), "cause", s.Cause.String(),
-				), obs.KindCounter, float64(s.Cycles))
-			} else {
-				emit("prof_mem_live_bytes", obs.L(
-					"node", s.Node, "vnic", vnic, "role", s.Role.String(),
-					"cause", s.Cause.String(),
-				), obs.KindGauge, float64(s.Bytes))
-			}
+		if s.Cycles > 0 {
+			emit("prof_cycles_total", obs.L(
+				"node", s.Node, "vnic", vnic, "role", s.Role.String(),
+				"dir", s.Dir.String(), "stage", s.Stage.String(), "cause", s.Cause.String(),
+			), obs.KindCounter, float64(s.Cycles))
+		} else {
+			emit("prof_mem_live_bytes", obs.L(
+				"node", s.Node, "vnic", vnic, "role", s.Role.String(),
+				"cause", s.Cause.String(),
+			), obs.KindGauge, float64(s.Bytes))
 		}
-		for _, n := range p.Nodes() {
-			ws := n.windowsTail()
-			if len(ws) == 0 {
-				continue
-			}
-			for core, u := range ws[0].Util {
-				emit("prof_core_util", obs.L(
-					"node", n.Node, "core", fmt.Sprintf("%d", core),
-				), obs.KindGauge, u)
-			}
+	}
+	for _, n := range p.Nodes() {
+		ws := n.windowsTail()
+		if len(ws) == 0 {
+			continue
 		}
-	})
+		for core, u := range ws[0].Util {
+			emit("prof_core_util", obs.L(
+				"node", n.Node, "core", fmt.Sprintf("%d", core),
+			), obs.KindGauge, u)
+		}
+	}
 }

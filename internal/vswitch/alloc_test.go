@@ -222,8 +222,9 @@ func TestViewBoxWireModeRecycles(t *testing.T) {
 
 // TestEnableObsAllocs bounds what publishing one vSwitch's series costs
 // on a fresh registry: a chaos campaign enables obs on every switch of
-// every world, so the allocations per series key and per shared label
-// set add up across thousands of campaigns.
+// every world. The bound does not grow with the series count: the
+// table is registered in one allocation, and its keys and label sets
+// wait for the first snapshot.
 func TestEnableObsAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w := newWorld(t, 0, nil)
@@ -239,7 +240,7 @@ func TestEnableObsAllocs(t *testing.T) {
 	}
 	n := total / runs
 	t.Logf("EnableObs allocates %d times", n)
-	if n > 100 {
-		t.Fatalf("EnableObs allocates %d times on a fresh registry, want ≤ 100", n)
+	if n > 8 {
+		t.Fatalf("EnableObs allocates %d times on a fresh registry, want ≤ 8", n)
 	}
 }

@@ -1,6 +1,8 @@
 package vswitch
 
 import (
+	"slices"
+
 	"nezha/internal/nic"
 	"nezha/internal/obs"
 	"nezha/internal/packet"
@@ -16,86 +18,77 @@ type vsObs struct {
 	tr        *obs.FlightTracer
 	flows     *obs.FlowTop
 	queueWait *obs.Histogram // CPU queueing+service delay, ns
-	util      *nic.UtilMeter
+	util      nic.UtilMeter
 }
 
 // The flight tracer renders drop hops with DropReason names.
 func init() { obs.SetDropNames(dropCauseNames()) }
 
 // EnableObs publishes this vSwitch's datapath statistics into the
-// registry and turns on flight tracing for sampled packets. Counter
-// mirrors are snapshot-time funcs over the plain Stats fields (owned
-// by the sim goroutine, where snapshots run); only the queue-wait
-// histogram and sampled hops touch the hot path.
+// registry and turns on flight tracing for sampled packets. The
+// counters are rows of vsTable, read from the plain Stats fields at
+// snapshot time (on the sim goroutine, which owns them); only the
+// queue-wait histogram and sampled hops touch the hot path.
 func (vs *VSwitch) EnableObs(o *obs.Obs) {
 	if o == nil {
 		return
 	}
-	node := vs.cfg.Addr.String()
-	lbl := obs.L("node", node)
+	lbl := obs.L("node", vs.node.Node) // the ledger's node name is the address
 	vs.ob = &vsObs{
 		bundle:    o,
 		tr:        o.Tracer,
 		flows:     o.Flows,
 		queueWait: o.Reg.GetHistogram("vswitch_queue_wait_ns", lbl),
-		util:      nic.NewUtilMeter(vs.cpu),
+		util:      *nic.NewUtilMeter(vs.cpu),
 	}
-	r := o.Reg
-	r.Help("vswitch_queue_wait_ns", "CPU queueing plus service delay per packet, nanoseconds.")
-	r.Help("vswitch_from_vm_total", "Packets received from local VMs.")
-	r.Help("vswitch_from_net_total", "Packets received from the fabric.")
-	r.Help("vswitch_delivered_total", "Packets delivered to local VMs.")
-	r.Help("vswitch_sent_total", "Packets sent onto the fabric.")
-	r.Help("vswitch_absorbed_total", "Packets absorbed locally (probes, control).")
-	r.Help("vswitch_fastpath_total", "Packets served by the offloaded fast path.")
-	r.Help("vswitch_slowpath_total", "Packets that took the slow path (rule evaluation).")
-	r.Help("vswitch_notify_sent_total", "Session-notify messages sent to peers.")
-	r.Help("vswitch_notify_recv_total", "Session-notify messages received.")
-	r.Help("vswitch_probes_seen_total", "Health probes answered.")
-	r.Help("vswitch_mirrored_total", "Packets mirrored by rule action.")
-	r.Help("vswitch_flow_logged_total", "Packets flow-logged by rule action.")
-	r.Help("vswitch_nat_rewrites_total", "NAT header rewrites performed.")
-	r.Help("vswitch_cycles_local_total", "CPU cycles spent on this node's own vNIC traffic.")
-	r.Help("vswitch_cycles_remote_total", "CPU cycles spent serving offloaded (FE) traffic.")
-	r.Help("vswitch_drops_total", "Packets dropped, by reason.")
-	r.Help("vswitch_sessions", "Entries in the session table.")
-	r.Help("vswitch_mem_util", "Session-table memory utilization, 0..1.")
-	r.Help("vswitch_cpu_util", "Datapath CPU utilization sample, 0..1.")
-	r.Help("vswitch_inflight_cpu", "Packets queued or executing on datapath cores.")
-	r.Help("vswitch_vnics", "vNICs homed on this vSwitch.")
-	r.Help("vswitch_fes_hosted", "FE shards this vSwitch hosts for remote vNICs.")
-	r.Help("vswitch_vnics_offloaded", "Homed vNICs currently offloaded to an FE pool.")
-	r.Help("vswitch_crashed", "1 while the vSwitch is crashed, else 0.")
-	mirror := func(name string, f *uint64) { r.CounterVar(name, lbl, f) }
-	mirror("vswitch_from_vm_total", &vs.Stats.FromVM)
-	mirror("vswitch_from_net_total", &vs.Stats.FromNet)
-	mirror("vswitch_delivered_total", &vs.Stats.Delivered)
-	mirror("vswitch_sent_total", &vs.Stats.Sent)
-	mirror("vswitch_absorbed_total", &vs.Stats.Absorbed)
-	mirror("vswitch_fastpath_total", &vs.Stats.FastPath)
-	mirror("vswitch_slowpath_total", &vs.Stats.SlowPath)
-	mirror("vswitch_notify_sent_total", &vs.Stats.NotifySent)
-	mirror("vswitch_notify_recv_total", &vs.Stats.NotifyRecv)
-	mirror("vswitch_probes_seen_total", &vs.Stats.ProbesSeen)
-	mirror("vswitch_mirrored_total", &vs.Stats.Mirrored)
-	mirror("vswitch_flow_logged_total", &vs.Stats.FlowLogged)
-	mirror("vswitch_nat_rewrites_total", &vs.Stats.NATRewrites)
-	r.CounterFunc("vswitch_cycles_local_total", lbl, vs.CyclesLocal)
-	r.CounterFunc("vswitch_cycles_remote_total", lbl, vs.CyclesRemote)
-	// The drop-reason label sets, {node, reason} in canonical order,
-	// share one allocation.
-	drops := new([numDropReasons][2]obs.Label)
-	for reason := DropReason(0); reason < numDropReasons; reason++ {
-		drops[reason] = [2]obs.Label{{K: "node", V: node}, {K: "reason", V: reason.String()}}
-		r.CounterVar("vswitch_drops_total", drops[reason][:], &vs.Stats.Drops[reason])
+	obs.Register(o.Reg, vs, lbl, &vsTable)
+}
+
+// stat is a vsTable row that reads a Stats field.
+func stat(name, help string, field func(*Counters) *uint64) obs.Series[VSwitch] {
+	return obs.Series[VSwitch]{Name: name, Help: help, Kind: obs.KindCounter,
+		Value: func(vs *VSwitch) float64 { return float64(*field(&vs.Stats)) }}
+}
+
+func gauge(name, help string, value func(vs *VSwitch) float64) obs.Series[VSwitch] {
+	return obs.Series[VSwitch]{Name: name, Help: help, Kind: obs.KindGauge, Value: value}
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
 	}
-	r.GaugeFunc("vswitch_sessions", lbl, func() float64 { return float64(vs.sessions.Len()) })
-	r.GaugeFunc("vswitch_mem_util", lbl, func() float64 { return vs.MemUtilization() })
-	r.GaugeFunc("vswitch_cpu_util", lbl, func() float64 { return vs.ob.util.Sample() })
-	r.GaugeFunc("vswitch_inflight_cpu", lbl, func() float64 { return float64(vs.inFlightCPU) })
-	r.GaugeFunc("vswitch_vnics", lbl, func() float64 { return float64(vs.vnics.Len()) })
-	r.GaugeFunc("vswitch_fes_hosted", lbl, func() float64 { return float64(vs.fes.Len()) })
-	r.GaugeFunc("vswitch_vnics_offloaded", lbl, func() float64 {
+	return 0
+}
+
+// vsTable is every series a vSwitch exports.
+var vsTable = obs.Table[VSwitch]{Series: slices.Concat([]obs.Series[VSwitch]{
+	{Name: "vswitch_queue_wait_ns", Help: "CPU queueing plus service delay per packet, nanoseconds."},
+	stat("vswitch_from_vm_total", "Packets received from local VMs.", func(s *Counters) *uint64 { return &s.FromVM }),
+	stat("vswitch_from_net_total", "Packets received from the fabric.", func(s *Counters) *uint64 { return &s.FromNet }),
+	stat("vswitch_delivered_total", "Packets delivered to local VMs.", func(s *Counters) *uint64 { return &s.Delivered }),
+	stat("vswitch_sent_total", "Packets sent onto the fabric.", func(s *Counters) *uint64 { return &s.Sent }),
+	stat("vswitch_absorbed_total", "Packets absorbed locally (probes, control).", func(s *Counters) *uint64 { return &s.Absorbed }),
+	stat("vswitch_fastpath_total", "Packets served by the offloaded fast path.", func(s *Counters) *uint64 { return &s.FastPath }),
+	stat("vswitch_slowpath_total", "Packets that took the slow path (rule evaluation).", func(s *Counters) *uint64 { return &s.SlowPath }),
+	stat("vswitch_notify_sent_total", "Session-notify messages sent to peers.", func(s *Counters) *uint64 { return &s.NotifySent }),
+	stat("vswitch_notify_recv_total", "Session-notify messages received.", func(s *Counters) *uint64 { return &s.NotifyRecv }),
+	stat("vswitch_probes_seen_total", "Health probes answered.", func(s *Counters) *uint64 { return &s.ProbesSeen }),
+	stat("vswitch_mirrored_total", "Packets mirrored by rule action.", func(s *Counters) *uint64 { return &s.Mirrored }),
+	stat("vswitch_flow_logged_total", "Packets flow-logged by rule action.", func(s *Counters) *uint64 { return &s.FlowLogged }),
+	stat("vswitch_nat_rewrites_total", "NAT header rewrites performed.", func(s *Counters) *uint64 { return &s.NATRewrites }),
+	{Name: "vswitch_cycles_local_total", Help: "CPU cycles spent on this node's own vNIC traffic.", Kind: obs.KindCounter,
+		Value: func(vs *VSwitch) float64 { return float64(vs.CyclesLocal()) }},
+	{Name: "vswitch_cycles_remote_total", Help: "CPU cycles spent serving offloaded (FE) traffic.", Kind: obs.KindCounter,
+		Value: func(vs *VSwitch) float64 { return float64(vs.CyclesRemote()) }},
+}, dropSeries(), []obs.Series[VSwitch]{
+	gauge("vswitch_sessions", "Entries in the session table.", func(vs *VSwitch) float64 { return float64(vs.sessions.Len()) }),
+	gauge("vswitch_mem_util", "Session-table memory utilization, 0..1.", (*VSwitch).MemUtilization),
+	gauge("vswitch_cpu_util", "Datapath CPU utilization sample, 0..1.", func(vs *VSwitch) float64 { return vs.ob.util.Sample() }),
+	gauge("vswitch_inflight_cpu", "Packets queued or executing on datapath cores.", func(vs *VSwitch) float64 { return float64(vs.inFlightCPU) }),
+	gauge("vswitch_vnics", "vNICs homed on this vSwitch.", func(vs *VSwitch) float64 { return float64(vs.vnics.Len()) }),
+	gauge("vswitch_fes_hosted", "FE shards this vSwitch hosts for remote vNICs.", func(vs *VSwitch) float64 { return float64(vs.fes.Len()) }),
+	gauge("vswitch_vnics_offloaded", "Homed vNICs currently offloaded to an FE pool.", func(vs *VSwitch) float64 {
 		n := 0
 		vs.vnics.Each(func(vn *vnicState) {
 			if vn.offloaded {
@@ -103,18 +96,26 @@ func (vs *VSwitch) EnableObs(o *obs.Obs) {
 			}
 		})
 		return float64(n)
-	})
-	r.GaugeFunc("vswitch_crashed", lbl, func() float64 {
-		if vs.crashed {
-			return 1
+	}),
+	gauge("vswitch_crashed", "1 while the vSwitch is crashed, else 0.", func(vs *VSwitch) float64 { return b2f(vs.crashed) }),
+})}
+
+// dropSeries is one vswitch_drops_total row per DropReason.
+func dropSeries() []obs.Series[VSwitch] {
+	rows := make([]obs.Series[VSwitch], numDropReasons)
+	for reason := range rows {
+		rows[reason] = obs.Series[VSwitch]{
+			Name: "vswitch_drops_total", Help: "Packets dropped, by reason.", Kind: obs.KindCounter,
+			Labels: obs.Labels{{K: "reason", V: DropReason(reason).String()}},
+			Value:  func(vs *VSwitch) float64 { return float64(vs.Stats.Drops[reason]) },
 		}
-		return 0
-	})
+	}
+	return rows
 }
 
 // hop records a simple stage hop for a sampled packet.
 func (vs *VSwitch) hop(p *packet.Packet, stage obs.Stage) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
+	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
 		return
 	}
 	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: stage})
@@ -122,7 +123,7 @@ func (vs *VSwitch) hop(p *packet.Packet, stage obs.Stage) {
 
 // hopEncap records a hop that added encapsulation bytes.
 func (vs *VSwitch) hopEncap(p *packet.Packet, stage obs.Stage, encapBytes int) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
+	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
 		return
 	}
 	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: stage, EncapBytes: uint32(encapBytes)})
@@ -130,7 +131,7 @@ func (vs *VSwitch) hopEncap(p *packet.Packet, stage obs.Stage, encapBytes int) {
 
 // hopLookup records the session-table verdict.
 func (vs *VSwitch) hopLookup(p *packet.Packet, hit bool) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
+	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
 		return
 	}
 	var f obs.HopFlags
@@ -144,7 +145,7 @@ func (vs *VSwitch) hopLookup(p *packet.Packet, hit bool) {
 // wait actually experienced, and feeds the queue-wait histogram.
 func (vs *VSwitch) hopCPU(p *packet.Packet, cycles uint64, wait sim.Time) {
 	vs.ob.queueWait.Observe(uint64(wait))
-	if !vs.ob.tr.Sampled(p.ID) {
+	if !vs.ob.tr.Sampled(p) {
 		return
 	}
 	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageCPU, Cycles: cycles, QueueWait: wait})
@@ -152,7 +153,7 @@ func (vs *VSwitch) hopCPU(p *packet.Packet, cycles uint64, wait sim.Time) {
 
 // hopPick records the gateway-learner pick that chose the next hop.
 func (vs *VSwitch) hopPick(p *packet.Packet, addr packet.IPv4) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
+	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
 		return
 	}
 	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageGWPick, Flags: obs.HasTo, To: addr})
@@ -160,7 +161,7 @@ func (vs *VSwitch) hopPick(p *packet.Packet, addr packet.IPv4) {
 
 // hopDrop records the packet's terminal drop with its reason.
 func (vs *VSwitch) hopDrop(p *packet.Packet, r DropReason) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
+	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
 		return
 	}
 	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageDrop, Drop: uint8(r)})
@@ -168,7 +169,7 @@ func (vs *VSwitch) hopDrop(p *packet.Packet, r DropReason) {
 
 // hopDeliver records final VM delivery and charges the flow table.
 func (vs *VSwitch) hopDeliver(p *packet.Packet) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p.ID) {
+	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
 		return
 	}
 	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageDeliver})

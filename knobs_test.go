@@ -29,8 +29,6 @@ var knobAllow = map[string]string{
 	"controller.Config.GatewayAddr":        "an address: the gateway agent's fabric address",
 	"obs.HistoryOptions.PolicyLines":       "TestHistorySideStores shrinks the decision-log tail to 2",
 	"obs.HistoryOptions.Invariants":        "TestHistorySideStores shrinks the invariant tail to 2",
-	"obs.Options.MaxHops":                  "TestScalarPathAllocFreeWithObs shrinks the flight-trace ring to 8 hops",
-	"obs.Options.RingSize":                 "TestWriteDump shrinks the flight recorder to 16 events",
 	"slo.Config.BurnWindow":                "TestBurnEvaluator shrinks the burn window to 1000 ns",
 	"slo.Config.BurnThreshold":             "TestBurnEvaluator lowers the burn threshold",
 	"slo.Config.DecayEvery":                "TestBurnEvaluator, TestDropsAreViolations and TestWorst turn sketch decay off",
