@@ -63,6 +63,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -73,16 +74,41 @@ import (
 	"nezha/internal/sim"
 )
 
-// validate checks the flag combination before any campaign runs: the
-// world must fit the address plan and the region, as in nezha-sim.
-func validate(campaigns, servers, clients int, ctrlAt string, midpush bool) error {
+// flagValues is what validate checks of the flags.
+type flagValues struct {
+	campaigns, servers, clients, events int
+	cps, pace                           float64
+	duration, ctrlOutage, slo, hold     time.Duration
+	ctrlAt                              string
+	midpush                             bool
+}
+
+// validate checks the flags before any campaign runs: the world must
+// fit the address plan and the region, as in nezha-sim, and a number
+// the campaign would otherwise replace by its default — a rate, a
+// length or a count that is not positive, a NaN — is refused instead.
+func validate(f flagValues) error {
 	switch {
-	case campaigns < 1:
-		return fmt.Errorf("-campaigns %d: need at least 1", campaigns)
-	case ctrlAt == "prepare" && midpush:
+	case f.campaigns < 1:
+		return fmt.Errorf("-campaigns %d: need at least 1", f.campaigns)
+	case !(f.cps > 0) || math.IsInf(f.cps, 1):
+		return fmt.Errorf("-cps %v: need a positive finite rate", f.cps)
+	case f.duration <= 0:
+		return fmt.Errorf("-duration %v: need a positive run length", f.duration)
+	case f.events < 1:
+		return fmt.Errorf("-events %d: need at least 1", f.events)
+	case f.ctrlOutage <= 0:
+		return fmt.Errorf("-ctrl-outage %v: need a positive outage", f.ctrlOutage)
+	case !(f.pace >= 0) || math.IsInf(f.pace, 1):
+		return fmt.Errorf("-pace %v: need a finite multiple of wall-clock speed, 0 or more", f.pace)
+	case f.slo < 0:
+		return fmt.Errorf("-slo %v: need an objective, 0 or more", f.slo)
+	case f.hold < 0:
+		return fmt.Errorf("-hold %v: need a duration, 0 or more", f.hold)
+	case f.ctrlAt == "prepare" && f.midpush:
 		return fmt.Errorf("-ctrl-crash-at=prepare and -midpush both need the prepare hook; pick one")
 	}
-	return cluster.CheckSize(servers, clients)
+	return cluster.CheckSize(f.servers, f.clients)
 }
 
 // journalCol names the replay's journal, in crash modes only.
@@ -116,7 +142,11 @@ func main() {
 		hold       = flag.Duration("hold", 0, "with -listen: keep serving this long after the last campaign ends")
 	)
 	flag.Parse()
-	if err := validate(*campaigns, *servers, *clients, *ctrlAt, *midpush); err != nil {
+	if err := validate(flagValues{
+		campaigns: *campaigns, servers: *servers, clients: *clients, events: *events,
+		cps: *cps, pace: *pace, duration: *duration, ctrlOutage: *ctrlOutage, slo: *sloObj, hold: *hold,
+		ctrlAt: *ctrlAt, midpush: *midpush,
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "nezha-chaos:", err)
 		os.Exit(2)
 	}

@@ -42,6 +42,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -80,24 +81,39 @@ var (
 	hold      = flag.Duration("hold", 0, "with -listen: keep serving this long after the run ends")
 )
 
+// flagValues is what validate checks of the flags.
+type flagValues struct {
+	servers, clients    int
+	cps, sample, pace   float64
+	duration, slo, hold time.Duration
+	usePolicy, noNezha  bool
+}
+
 // validate checks the flags before anything is built: the address
 // plan must hold the clients, each client takes a server of its own
-// and the server VM one more, and the offered load and the run length
-// must be positive.
-func validate(servers, clients int, cps float64, duration time.Duration, sample float64, usePolicy, noNezha bool) error {
+// and the server VM one more, the offered load must be a positive
+// finite rate and the run length positive, and no duration or pace
+// may be negative or NaN.
+func validate(f flagValues) error {
 	switch {
-	case !(sample >= 0 && sample <= 1):
-		return fmt.Errorf("-obs-sample %v: need a probability in [0, 1]", sample)
-	case clients < 1:
-		return fmt.Errorf("-clients %d: need at least 1", clients)
-	case !(cps > 0):
-		return fmt.Errorf("-cps %v: need a positive rate", cps)
-	case duration <= 0:
-		return fmt.Errorf("-duration %v: need a positive run length", duration)
-	case usePolicy && noNezha:
+	case !(f.sample >= 0 && f.sample <= 1):
+		return fmt.Errorf("-obs-sample %v: need a probability in [0, 1]", f.sample)
+	case f.clients < 1:
+		return fmt.Errorf("-clients %d: need at least 1", f.clients)
+	case !(f.cps > 0) || math.IsInf(f.cps, 1):
+		return fmt.Errorf("-cps %v: need a positive finite rate", f.cps)
+	case f.duration <= 0:
+		return fmt.Errorf("-duration %v: need a positive run length", f.duration)
+	case !(f.pace >= 0) || math.IsInf(f.pace, 1):
+		return fmt.Errorf("-pace %v: need a finite multiple of wall-clock speed, 0 or more", f.pace)
+	case f.slo < 0:
+		return fmt.Errorf("-slo %v: need an objective, 0 or more", f.slo)
+	case f.hold < 0:
+		return fmt.Errorf("-hold %v: need a duration, 0 or more", f.hold)
+	case f.usePolicy && f.noNezha:
 		return fmt.Errorf("-policy needs the controller; drop -no-nezha")
 	}
-	return cluster.CheckSize(servers, clients)
+	return cluster.CheckSize(f.servers, f.clients)
 }
 
 // spec builds the world the flags describe, with the telemetry they
@@ -183,7 +199,10 @@ func (o outputs) close() error {
 
 func main() {
 	flag.Parse()
-	if err := validate(*servers, *nClients, *cps, *duration, *obsSample, *usePolicy, *noNezha); err != nil {
+	if err := validate(flagValues{
+		servers: *servers, clients: *nClients, cps: *cps, sample: *obsSample, pace: *pace,
+		duration: *duration, slo: *sloObj, hold: *hold, usePolicy: *usePolicy, noNezha: *noNezha,
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "nezha-sim:", err)
 		os.Exit(2)
 	}

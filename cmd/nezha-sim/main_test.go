@@ -23,12 +23,11 @@ func TestDefaultFlagsSpec(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	for _, c := range []struct {
-		servers, clients int
-		cps              float64
-		duration         time.Duration
-		sample           float64
-		policy, noNezha  bool
-		want             string // "" = valid; else a substring of the error
+		servers, clients    int
+		cps, sample, pace   float64
+		duration, slo, hold time.Duration
+		policy, noNezha     bool
+		want                string // "" = valid; else a substring of the error
 	}{
 		{servers: 24, clients: 8, cps: 20000, duration: 20 * time.Second},
 		{servers: 4, clients: 3, cps: 1, duration: time.Nanosecond},
@@ -51,8 +50,21 @@ func TestValidate(t *testing.T) {
 		{servers: 24, clients: 8, cps: 20000, duration: time.Second, sample: 1.5, want: "-obs-sample 1.5"},
 		{servers: 24, clients: 8, cps: 20000, duration: time.Second, sample: math.Inf(1), want: "-obs-sample +Inf"},
 		{servers: 24, clients: 8, cps: 20000, duration: time.Second, sample: math.Inf(-1), want: "-obs-sample -Inf"},
+		{servers: 24, clients: 8, cps: math.Inf(1), duration: time.Second, want: "-cps +Inf"},
+		{servers: 24, clients: 8, cps: math.NaN(), duration: time.Second, want: "-cps NaN"},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, pace: 1},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, pace: math.NaN(), want: "-pace NaN"},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, pace: -2, want: "-pace -2"},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, pace: math.Inf(1), want: "-pace +Inf"},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, slo: 2 * time.Millisecond},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, slo: -5 * time.Millisecond, want: "-slo -5ms"},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, hold: time.Second},
+		{servers: 24, clients: 8, cps: 20000, duration: time.Second, hold: -time.Second, want: "-hold -1s"},
 	} {
-		err := validate(c.servers, c.clients, c.cps, c.duration, c.sample, c.policy, c.noNezha)
+		err := validate(flagValues{
+			servers: c.servers, clients: c.clients, cps: c.cps, sample: c.sample, pace: c.pace,
+			duration: c.duration, slo: c.slo, hold: c.hold, usePolicy: c.policy, noNezha: c.noNezha,
+		})
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%+v: unexpected error %v", c, err)

@@ -291,7 +291,7 @@ func run(cfg CampaignConfig, extra func(*Engine), record bool) (Report, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 3
 	}
-	if cfg.RatePerClient <= 0 {
+	if cfg.RatePerClient == 0 {
 		cfg.RatePerClient = 250
 	}
 	if cfg.Events <= 0 {

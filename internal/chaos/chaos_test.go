@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -243,4 +244,16 @@ func TestScheduleApplyIgnoresOutOfRange(t *testing.T) {
 	e := NewEngine(System{Loop: loop, Fab: fab}, sim.NewRand(1), Config{})
 	e.Apply(Schedule{{At: sim.Second, Kind: ActCrash, A: 5, Dur: sim.Second}})
 	loop.Run(2 * sim.Second)
+}
+
+// TestRunCampaignRejectsRatesThatNeverAdvance: a rate the campaign's
+// zero-means-default rule does not cover is an error before any world
+// is built.
+func TestRunCampaignRejectsRatesThatNeverAdvance(t *testing.T) {
+	for _, r := range []float64{math.NaN(), math.Inf(1), -5} {
+		if _, err := RunCampaign(CampaignConfig{Seed: 1, Duration: sim.Millisecond, RatePerClient: r}); err == nil ||
+			!strings.Contains(err.Error(), "client rate") {
+			t.Errorf("RatePerClient %v: error %v, want a client-rate error", r, err)
+		}
+	}
 }

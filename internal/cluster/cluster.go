@@ -79,7 +79,7 @@ type Cluster struct {
 
 	// vms is each switch's VM table (by server index), indexed by the
 	// gateway's vNIC index.
-	vms []*dense.Table[workload.VM]
+	vms []dense.Table[workload.VM]
 }
 
 // ServerAddr returns the underlay address of server i.
@@ -145,8 +145,11 @@ func New(opts Options) *Cluster {
 		c.Mon.EnableObs(c.Obs)
 	}
 
+	c.Switches = make([]*vswitch.VSwitch, 0, opts.Servers)
+	c.vms = make([]dense.Table[workload.VM], opts.Servers)
+	var cfg vswitch.Config // one escape to opts.VSwitch, not one per server
 	for i := 0; i < opts.Servers; i++ {
-		cfg := vswitch.Config{
+		cfg = vswitch.Config{
 			Addr: ServerAddr(i),
 			ToR:  i / opts.ServersPerToR,
 		}
@@ -154,9 +157,7 @@ func New(opts Options) *Cluster {
 			opts.VSwitch(i, &cfg)
 		}
 		vs := vswitch.New(c.Loop, c.Fab, c.GW, cfg)
-		vms := &dense.Table[workload.VM]{}
-		c.vms = append(c.vms, vms)
-		vs.SetDelivery(dispatch(c.GW, vms))
+		vs.SetDelivery(dispatch(c.GW, &c.vms[i]))
 		if c.Obs != nil {
 			vs.EnableObs(c.Obs)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"nezha/internal/controller"
 	"nezha/internal/monitor"
@@ -141,6 +142,10 @@ type World struct {
 func Build(s Spec) (*World, error) {
 	if err := CheckSize(s.Servers, s.Clients); err != nil {
 		return nil, err
+	}
+	if r := s.ClientCPS; !(r >= 0) || math.IsInf(r, 1) {
+		// NaN or +Inf would schedule every connection at one instant.
+		return nil, fmt.Errorf("cluster: client rate %v: need a finite rate, 0 or more", r)
 	}
 	srv := s.serverIndex()
 	opts := Options{

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -19,6 +20,19 @@ func TestBuildRejectsSizesThePlanCannotHold(t *testing.T) {
 		s.Servers, s.Clients = c.servers, c.clients
 		if _, err := Build(s); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%d servers, %d clients: error %v, want one containing %q", c.servers, c.clients, err, c.want)
+		}
+	}
+}
+
+// TestBuildRejectsRatesThatNeverAdvance: a NaN, infinite or negative
+// client rate is an error, not a generator that fires every connection
+// at one instant.
+func TestBuildRejectsRatesThatNeverAdvance(t *testing.T) {
+	for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
+		s := DefaultSpec()
+		s.ClientCPS = r
+		if _, err := Build(s); err == nil || !strings.Contains(err.Error(), "client rate") {
+			t.Errorf("ClientCPS %v: error %v, want a client-rate error", r, err)
 		}
 	}
 }

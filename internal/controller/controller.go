@@ -157,17 +157,22 @@ type nodeState struct {
 	memUtil               float64
 	remoteShare           float64
 
-	fronted map[uint32]bool // vNICs this node serves as FE
+	// fronted holds the vNICs this node serves as FE; front makes it.
+	fronted map[uint32]bool
 	down    bool
 	// pendingRemoval tracks FE teardowns this node has not acked yet
-	// (vNIC → epoch of the removal). The repair loop retries them so a
-	// node that was unreachable during cleanup does not keep tables
-	// forever.
+	// (vNIC → epoch of the removal); park makes it. The repair loop
+	// retries them so a node that was unreachable during cleanup does
+	// not keep tables forever.
 	pendingRemoval map[uint32]uint64
 }
 
-func newNode(view facts) *nodeState {
-	return &nodeState{view: view, fronted: make(map[uint32]bool), pendingRemoval: make(map[uint32]uint64)}
+// front records that the node serves vnic as an FE.
+func (n *nodeState) front(vnic uint32) {
+	if n.fronted == nil {
+		n.fronted = make(map[uint32]bool)
+	}
+	n.fronted[vnic] = true
 }
 
 // txnKind classifies a two-phase transaction.

@@ -7,7 +7,6 @@ import (
 	"nezha/internal/ctrlrpc"
 	"nezha/internal/fabric"
 	"nezha/internal/journal"
-	"nezha/internal/nic"
 	"nezha/internal/packet"
 	"nezha/internal/policy"
 	"nezha/internal/sim"
@@ -175,12 +174,10 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *Co
 // RegisterNode adds a vSwitch to the managed fleet and attaches its
 // control-RPC agent.
 func (c *Controller) RegisterNode(vs *vswitch.VSwitch) {
-	c.nodes[vs.Addr()] = newNode(vs)
-	c.ports[vs.Addr()] = port{
-		vs:    vs,
-		agent: ctrlrpc.NewAgent(c.loop, c.fab, c.rpc, vs),
-		meter: nic.NewUtilMeter(vs.CPU()),
-	}
+	c.nodes[vs.Addr()] = &nodeState{view: vs}
+	meter := vs.UtilMeter()
+	meter.Start(vs.CPU()) // the first sample's window opens now
+	c.ports[vs.Addr()] = port{vs: vs, agent: ctrlrpc.NewAgent(c.loop, c.fab, c.rpc, vs), meter: meter}
 }
 
 // RegisterVNIC makes a vNIC manageable (installed at its home and in

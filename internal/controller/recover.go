@@ -118,7 +118,7 @@ func (c *Controller) wipe() {
 		c.vnics[id] = &vnicState{VNICInfo: v.VNICInfo}
 	}
 	for _, n := range c.nodes {
-		*n = *newNode(n.view)
+		*n = nodeState{view: n.view}
 	}
 	c.badLinks = make(map[packet.IPv4]map[packet.IPv4]sim.Time)
 	c.recoverWait = 0
@@ -203,7 +203,7 @@ func (c *Controller) replayed(samples []sample) {
 		if v.offloaded {
 			for _, fa := range v.fes {
 				if n, ok := c.nodes[fa]; ok {
-					n.fronted[id] = true
+					n.front(id)
 				}
 			}
 		} else if len(v.fes) > 0 {

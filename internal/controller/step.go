@@ -766,7 +766,7 @@ func (c *Controller) adopt(v *vnicState, kind txnKind, epoch uint64, base, fes [
 	c.journalPlacement(v)
 	for _, fa := range fes {
 		if n, ok := c.nodes[fa]; ok {
-			n.fronted[v.VNIC] = true
+			n.front(v.VNIC)
 			if ep, ok := n.pendingRemoval[v.VNIC]; ok {
 				delete(n.pendingRemoval, v.VNIC)
 				c.journalRemoval(fa, v.VNIC, ep, true)
@@ -861,6 +861,9 @@ func (c *Controller) teardown(v *vnicState, fa packet.IPv4, epoch uint64, cause 
 func (n *nodeState) park(vnic uint32, epoch uint64) bool {
 	if old, has := n.pendingRemoval[vnic]; has && old >= epoch {
 		return false
+	}
+	if n.pendingRemoval == nil {
+		n.pendingRemoval = make(map[uint32]uint64)
 	}
 	n.pendingRemoval[vnic] = epoch
 	return true

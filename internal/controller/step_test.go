@@ -50,7 +50,7 @@ func newWorld(t *testing.T, nodes int, cfg Config) *world {
 	c := newState(cfg, 1)
 	c.wal = true
 	for i := 1; i <= nodes; i++ {
-		c.nodes[ip(10, 0, 0, byte(i))] = newNode(idleSwitch{})
+		c.nodes[ip(10, 0, 0, byte(i))] = &nodeState{view: idleSwitch{}}
 	}
 	c.vnics[42] = &vnicState{VNICInfo: VNICInfo{VNIC: 42, Home: home, MakeRules: mkRules(42)}}
 	return &world{t: t, c: c}
@@ -608,7 +608,7 @@ func fuzzRecover(t *testing.T, jsonl, raw []byte) {
 	for i := 1; i <= 24; i++ {
 		a := packet.MakeIP(10, 1, 0, byte(i))
 		addrs = append(addrs, a)
-		c.nodes[a] = newNode(idleSwitch{})
+		c.nodes[a] = &nodeState{view: idleSwitch{}}
 	}
 	for _, id := range []uint32{1, 2, 3, 100} {
 		c.vnics[id] = &vnicState{VNICInfo: VNICInfo{VNIC: id, Home: addrs[id%24], MakeRules: mkRules(id)}}

@@ -61,10 +61,12 @@ type pendingApply struct {
 // before the apply fires, the request is forgotten — a retransmit
 // landing after revival applies cleanly.
 type Agent struct {
-	loop    *sim.Loop
-	fab     *fabric.Fabric
-	t       *Transport
-	vs      *vswitch.VSwitch
+	loop *sim.Loop
+	fab  *fabric.Fabric
+	t    *Transport
+	vs   *vswitch.VSwitch
+	// seen and applied are made by the first request, so an agent the
+	// controller never addresses costs no map.
 	seen    map[uint64]*pendingApply
 	applied map[appKey]uint64
 
@@ -73,13 +75,15 @@ type Agent struct {
 
 // NewAgent wires an agent to a vSwitch's control handler.
 func NewAgent(loop *sim.Loop, fab *fabric.Fabric, t *Transport, vs *vswitch.VSwitch) *Agent {
-	a := &Agent{loop: loop, fab: fab, t: t, vs: vs,
-		seen: make(map[uint64]*pendingApply), applied: make(map[appKey]uint64)}
+	a := &Agent{loop: loop, fab: fab, t: t, vs: vs}
 	vs.SetControlHandler(a.handle)
 	return a
 }
 
 func (a *Agent) handle(p *packet.Packet) {
+	if a.seen == nil {
+		a.seen, a.applied = make(map[uint64]*pendingApply), make(map[appKey]uint64)
+	}
 	id := p.ID
 	if st, ok := a.seen[id]; ok {
 		a.Stats.Duplicates++

@@ -251,6 +251,9 @@ type index struct {
 	buckets []bucket
 	mask    uint32
 	n       uint32
+	// first is the minBuckets array a fresh index probes, held in
+	// place so that an index allocates no buckets until it first grows.
+	first [minBuckets]bucket
 }
 
 // Table is the session table. Not safe for concurrent use; the
@@ -286,13 +289,22 @@ type Table struct {
 
 // New returns an empty table.
 func New(cfg Config) *Table {
-	t := &Table{cfg: cfg}
-	t.index.init()
+	t := new(Table)
+	t.Init(cfg)
 	return t
 }
 
+// Init makes t an empty table in place — New for an owner that holds
+// its table by value. The table must not be copied afterwards: its
+// indexes start on arrays inside it.
+func (t *Table) Init(cfg Config) {
+	*t = Table{cfg: cfg}
+	t.index.init()
+}
+
 func (s *index) init() {
-	s.buckets = make([]bucket, minBuckets)
+	s.first = [minBuckets]bucket{}
+	s.buckets = s.first[:]
 	s.mask = minBuckets - 1
 	s.n = 0
 }

@@ -25,13 +25,15 @@ type CPU struct {
 
 	// order is a binary min-heap over the cores, each node packing a
 	// core's placement key (busyUntil << orderShift) | coreIndex into
-	// one int64: order[0] is always the next core to pick, and a plain
-	// integer compare is the full (busyUntil, index)-lexicographic
-	// order. Every submission raises exactly one core's busy-until time
-	// (the root's), so one sift-down per placement keeps the heap exact
-	// — O(log cores) contiguous compares instead of the linear scan
-	// that used to dominate burst profiles.
-	order      []int64
+	// one integer (typed sim.Time only so that cores, coreBusy and
+	// order share one backing array): order[0] is always the next core
+	// to pick, and a plain integer compare is the full
+	// (busyUntil, index)-lexicographic order. Every submission raises
+	// exactly one core's busy-until time (the root's), so one sift-down
+	// per placement keeps the heap exact — O(log cores) contiguous
+	// compares instead of the linear scan that used to dominate burst
+	// profiles.
+	order      []sim.Time
 	orderShift uint
 
 	waves slab.Pool[waveTask] // recycled wave events for SubmitBurstTo
@@ -49,8 +51,8 @@ func (c *CPU) pickCore() int { return int(c.order[0] & (1<<c.orderShift - 1)) }
 // orderKey packs a core's placement key. Packing is exact as long as
 // busy-until times stay below 2^(63-shift) ns — even with 256 cores
 // (shift 8) that is over a simulated year, far beyond any run.
-func (c *CPU) orderKey(i int, busy sim.Time) int64 {
-	return int64(busy)<<c.orderShift | int64(i)
+func (c *CPU) orderKey(i int, busy sim.Time) sim.Time {
+	return busy<<c.orderShift | sim.Time(i)
 }
 
 // fixTop restores the heap invariant after the root core's busy-until
@@ -108,6 +110,14 @@ func (c *CPU) reheap() {
 
 // NewCPU builds a CPU with the given core count and clock.
 func NewCPU(loop *sim.Loop, cores int, hz uint64, maxDelay sim.Time) *CPU {
+	c := new(CPU)
+	c.Init(loop, cores, hz, maxDelay)
+	return c
+}
+
+// Init builds the CPU in place — NewCPU for an owner that holds its
+// CPU by value. The per-core arrays share one allocation.
+func (c *CPU) Init(loop *sim.Loop, cores int, hz uint64, maxDelay sim.Time) {
 	if cores < 1 {
 		cores = 1
 	}
@@ -117,19 +127,19 @@ func NewCPU(loop *sim.Loop, cores int, hz uint64, maxDelay sim.Time) *CPU {
 	if maxDelay <= 0 {
 		maxDelay = DefaultMaxQueueDelay
 	}
-	c := &CPU{
-		loop: loop, cores: make([]sim.Time, cores),
-		coreBusy: make([]sim.Time, cores),
-		order:    make([]int64, cores),
+	buf := make([]sim.Time, 3*cores)
+	*c = CPU{
+		loop: loop, cores: buf[:cores:cores],
+		coreBusy: buf[cores : 2*cores : 2*cores],
+		order:    buf[2*cores:],
 		hz:       hz, maxDelay: maxDelay,
 	}
 	for c.orderShift = 1; 1<<c.orderShift < cores; c.orderShift++ {
 	}
 	// All-idle cores in index order already satisfy the heap invariant.
 	for i := range c.order {
-		c.order[i] = int64(i)
+		c.order[i] = sim.Time(i)
 	}
-	return c
 }
 
 // Cores returns the core count.
@@ -324,7 +334,15 @@ type UtilMeter struct {
 
 // NewUtilMeter starts a meter at the current time.
 func NewUtilMeter(cpu *CPU) *UtilMeter {
-	return &UtilMeter{cpu: cpu, lastBusy: cpu.busy, lastAt: cpu.loop.Now()}
+	m := new(UtilMeter)
+	m.Start(cpu)
+	return m
+}
+
+// Start (re)starts the meter on cpu at the current time — NewUtilMeter
+// for an owner that holds its meter by value.
+func (m *UtilMeter) Start(cpu *CPU) {
+	*m = UtilMeter{cpu: cpu, lastBusy: cpu.busy, lastAt: cpu.loop.Now()}
 }
 
 // Sample returns the utilization (0..1) since the previous sample and
@@ -354,8 +372,9 @@ type Memory struct {
 	used  atomic.Int64
 }
 
-// NewMemory builds a budget of total bytes.
-func NewMemory(total int) *Memory { return &Memory{total: int64(total)} }
+// Init sets an unused budget to total bytes. The owner holds its
+// budget by value.
+func (m *Memory) Init(total int) { m.total = int64(total) }
 
 // Alloc charges n bytes, reporting false (and charging nothing) if
 // the budget cannot fit them.

@@ -173,7 +173,7 @@ func TestUtilizationCapsAtOne(t *testing.T) {
 }
 
 func TestMemoryBudget(t *testing.T) {
-	m := NewMemory(100)
+	m := &Memory{total: 100}
 	if !m.Alloc(60) {
 		t.Fatal("alloc within budget failed")
 	}
@@ -200,7 +200,7 @@ func TestMemoryBudget(t *testing.T) {
 }
 
 func TestMemoryZeroTotal(t *testing.T) {
-	m := NewMemory(0)
+	m := &Memory{}
 	if m.Utilization() != 0 {
 		t.Fatal("zero-total utilization should be 0")
 	}

@@ -13,7 +13,7 @@ import (
 // accounting is synchronized; the final balance proves CAS loops
 // don't lose updates.
 func TestMemoryConcurrentReaders(t *testing.T) {
-	m := NewMemory(1 << 20)
+	m := &Memory{total: 1 << 20}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -57,7 +57,7 @@ func TestMemoryConcurrentAllocFree(t *testing.T) {
 		rounds  = 5000
 		unit    = 128
 	)
-	m := NewMemory(workers * unit * 2)
+	m := &Memory{total: int64(workers * unit * 2)}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

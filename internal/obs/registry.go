@@ -126,11 +126,13 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 }
 
-// Observe records one value.
+// Observe records one value. The count goes last: a reader that loads
+// the count first (Snapshot, Quantile) then sees every observation it
+// counts in the sum and the buckets too.
 func (h *Histogram) Observe(v uint64) {
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
+	h.count.Add(1)
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"nezha/internal/obs"
@@ -168,6 +169,10 @@ const OverflowVNIC = ^uint32(0)
 // charges beyond it spill into their role's overflow slot.
 const maxSlots = 64
 
+// slotSlab is how many slots a node allocates at once: a switch that
+// homes a few vNICs and fronts a few more claims them all in one.
+const slotSlab = 8
+
 // VNICProf is one (vnic, role) attribution accumulator. All fields
 // are plain uint64s bumped on the sim goroutine; Charge/MemAlloc/
 // MemFree are the only hot-path entry points in the package.
@@ -226,15 +231,23 @@ type CoreWindow struct {
 const timelineCap = 512
 
 // NodeProf holds one node's (vSwitch's) attribution state: a slot per
-// (vnic, role) and, past maxSlots, an overflow slot per role, each
-// allocated when claimed; the per-core busy sampler for timelines; and
-// an optional live-bytes walker for tables whose residency is cheaper
-// to measure at drain time than to track per operation.
+// (vnic, role) and, past maxSlots, an overflow slot per role, carved
+// slotSlab at a time when claimed; the per-core busy sampler for
+// timelines; and an optional live-bytes walker for tables whose
+// residency is cheaper to measure at drain time than to track per
+// operation. A node in use must not be copied: its slot list starts
+// on an array inside it.
 type NodeProf struct {
 	Node  string
 	Cores int
 
-	slots []*VNICProf
+	// slots lists the claimed slots in claim order, the first slotSlab
+	// of them through firstSlots. Claims carve free, the unclaimed
+	// tail of the latest slab; a slot never moves, so the datapath may
+	// cache its pointer.
+	slots      []*VNICProf
+	free       []VNICProf
+	firstSlots [slotSlab]*VNICProf
 
 	// busyFn samples cumulative per-core busy time (sim-time units);
 	// set by the component owning the CPU model.
@@ -271,7 +284,15 @@ func (n *NodeProf) Slot(vnic uint32, role Role) *VNICProf {
 		}
 		vnic = OverflowVNIC
 	}
-	s := &VNICProf{VNIC: vnic, Role: role}
+	if len(n.free) == 0 {
+		n.free = make([]VNICProf, slotSlab)
+	}
+	s := &n.free[0]
+	n.free = n.free[1:]
+	s.VNIC, s.Role = vnic, role
+	if n.slots == nil {
+		n.slots = n.firstSlots[:0]
+	}
 	n.slots = append(n.slots, s)
 	return s
 }
@@ -433,8 +454,8 @@ func (p *Profiler) Register(n *NodeProf) {
 
 func (p *Profiler) add(n *NodeProf) {
 	p.nodes[n.Node] = n
-	p.order = append(p.order, n)
-	sort.Slice(p.order, func(i, j int) bool { return p.order[i].Node < p.order[j].Node })
+	i, _ := slices.BinarySearchFunc(p.order, n.Node, func(m *NodeProf, name string) int { return strings.Compare(m.Node, name) })
+	p.order = slices.Insert(p.order, i, n)
 }
 
 // Nodes returns the registered nodes sorted by name.

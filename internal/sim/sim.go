@@ -226,20 +226,35 @@ func (l *Loop) AtTask(at Time, t Task) EventRef {
 // Every schedules fn to run every period, starting one period from
 // now, until the returned ticker is stopped or the loop drains.
 func (l *Loop) Every(period Time, fn func()) *Ticker {
+	t := new(Ticker)
+	l.EveryTask(t, period, funcTask(fn))
+	return t
+}
+
+// EveryTask is Every for a Task and a ticker its owner holds by value:
+// it arms t to run task every period, starting one period from now,
+// with no allocation. t must be new or stopped, and not called from
+// t's own firing, which re-arms t when it returns.
+func (l *Loop) EveryTask(t *Ticker, period Time, task Task) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: Every with non-positive period %d", period))
 	}
-	t := &Ticker{loop: l, period: period, fn: fn}
+	*t = Ticker{loop: l, period: period, task: task}
 	t.arm()
-	return t
 }
+
+// funcTask runs a plain callback as a Task; a func value is
+// pointer-shaped, so the conversion allocates nothing.
+type funcTask func()
+
+func (f funcTask) Run() { f() }
 
 // Ticker repeatedly fires a callback until stopped. It schedules
 // itself as a Task, so a firing costs no allocation.
 type Ticker struct {
 	loop    *Loop
 	period  Time
-	fn      func()
+	task    Task
 	ref     EventRef
 	stopped bool
 }
@@ -258,7 +273,7 @@ func (tt *tickerTask) Run() {
 	if t.stopped {
 		return
 	}
-	t.fn()
+	t.task.Run()
 	if !t.stopped {
 		t.arm()
 	}

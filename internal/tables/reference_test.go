@@ -111,11 +111,14 @@ func (t *VNICServerMap) Lookup(vnic uint32) (packet.IPv4, bool) {
 	return s, ok
 }
 
+// table is what the reference walk charges of a rule table.
+type table interface{ LookupCycles() uint64 }
+
 // lookupReference is the whole walk over the interpretive tables; the
 // compiled RuleSet.Lookup must return the identical LookupResult.
 func (rs *RuleSet) lookupReference(txTuple packet.FiveTuple) LookupResult {
 	var res LookupResult
-	walk := func(t Table) {
+	walk := func(t table) {
 		res.Cycles += t.LookupCycles()
 		res.TablesWalked++
 	}

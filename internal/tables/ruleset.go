@@ -35,21 +35,24 @@ type RuleSet struct {
 	// soa caches the struct-of-arrays compiled form of the tables
 	// (see soa.go); rebuilt lazily when version changes.
 	soa *soaRules
+
+	// The mandatory tables themselves, which the exported pointers
+	// above address: a rule set is built for every FE install, and one
+	// allocation holds all five.
+	acl   ACLTable
+	route RouteTable
+	qos   QoSTable
+	vxlan VXLANRouteTable
+	srv   VNICServerMap
 }
 
 // NewRuleSet builds a rule set with the five mandatory tables
 // initialized and advanced tables off.
 func NewRuleSet(vnic, vpc uint32) *RuleSet {
-	return &RuleSet{
-		VNIC:    vnic,
-		VPC:     vpc,
-		ACL:     NewACL(VerdictAllow),
-		Route:   NewRoute(),
-		QoS:     NewQoS(),
-		VXLAN:   NewVXLAN(),
-		VNICSrv: NewVNICServerMap(),
-		version: 1,
-	}
+	rs := &RuleSet{VNIC: vnic, VPC: vpc, version: 1}
+	rs.acl.sorted, rs.acl.Default = true, VerdictAllow
+	rs.ACL, rs.Route, rs.QoS, rs.VXLAN, rs.VNICSrv = &rs.acl, &rs.route, &rs.qos, &rs.vxlan, &rs.srv
+	return rs
 }
 
 // EnableAdvanced switches on the advanced feature tables (raising the
@@ -79,33 +82,21 @@ func (rs *RuleSet) Version() uint64 { return rs.version }
 // Bump advances the version, invalidating derived cached flows.
 func (rs *RuleSet) Bump() { rs.version++ }
 
-// Tables returns every active table, for accounting.
-func (rs *RuleSet) Tables() []Table {
-	ts := []Table{rs.ACL, rs.Route, rs.QoS, rs.VXLAN, rs.VNICSrv}
-	for _, t := range []Table{rs.NAT, rs.Policy, rs.Mirror, rs.FlowLog, rs.Stats} {
-		switch v := t.(type) {
-		case *NATTable:
-			if v != nil {
-				ts = append(ts, v)
-			}
-		case *FlagTable:
-			if v != nil {
-				ts = append(ts, v)
-			}
-		case *StatsPolicyTable:
-			if v != nil {
-				ts = append(ts, v)
-			}
+// SizeBytes is the total slow-path memory this vNIC's active tables
+// occupy.
+func (rs *RuleSet) SizeBytes() int {
+	total := rs.ACL.SizeBytes() + rs.Route.SizeBytes() + rs.QoS.SizeBytes() +
+		rs.VXLAN.SizeBytes() + rs.VNICSrv.SizeBytes()
+	if rs.NAT != nil {
+		total += rs.NAT.SizeBytes()
+	}
+	for _, t := range [...]*FlagTable{rs.Policy, rs.Mirror, rs.FlowLog} {
+		if t != nil {
+			total += t.SizeBytes()
 		}
 	}
-	return ts
-}
-
-// SizeBytes is the total slow-path memory this vNIC's rules occupy.
-func (rs *RuleSet) SizeBytes() int {
-	total := 0
-	for _, t := range rs.Tables() {
-		total += t.SizeBytes()
+	if rs.Stats != nil {
+		total += rs.Stats.SizeBytes()
 	}
 	return total
 }

@@ -204,10 +204,14 @@ type qosSoA struct {
 
 func (q *qosSoA) compile(t *QoSTable) {
 	size := tableSize(len(t.portClass))
-	q.ports = make([]uint16, size)
-	q.classes = make([]uint8, size)
-	q.used = make([]bool, size)
 	q.idxMask = uint32(size - 1)
+	if len(t.portClass) == 0 {
+		q.ports, q.classes, q.used = emptyU16[:], emptyU8[:], emptyUsed[:]
+	} else {
+		q.ports = make([]uint16, size)
+		q.classes = make([]uint8, size)
+		q.used = make([]bool, size)
+	}
 	for port, class := range t.portClass {
 		i := hash32(uint32(port)) & q.idxMask
 		for q.used[i] {
@@ -304,10 +308,14 @@ type u32Hash struct {
 
 func (t *u32Hash) compile(m map[uint32]packet.IPv4) {
 	size := tableSize(len(m))
+	t.idxMask = uint32(size - 1)
+	if len(m) == 0 {
+		t.keys, t.vals, t.used = emptyU32[:], emptyU32[:], emptyUsed[:]
+		return
+	}
 	t.keys = make([]uint32, size)
 	t.vals = make([]uint32, size)
 	t.used = make([]bool, size)
-	t.idxMask = uint32(size - 1)
 	for k, v := range m {
 		i := hash32(k) & t.idxMask
 		for t.used[i] {
@@ -422,6 +430,17 @@ func tableSize(n int) int {
 	}
 	return size
 }
+
+// Every empty open-addressed table probes these arrays of
+// tableSize(0) slots: all unused, and never written, so a rule set
+// with no QoS ports or vNIC-server entries compiles without
+// allocating them.
+var (
+	emptyUsed [2]bool
+	emptyU32  [2]uint32
+	emptyU16  [2]uint16
+	emptyU8   [2]uint8
+)
 
 // hash32 is a Fibonacci multiplicative hash; internal placement only,
 // never digest-visible.

@@ -6,19 +6,12 @@ import (
 	"nezha/internal/packet"
 )
 
-// Table is implemented by every rule table. Sizes and lookup costs
-// feed the SmartNIC resource model: table bytes are charged to the
-// vSwitch memory budget (the paper's "#vNICs primarily limited by
-// memory on slow path"), lookup cycles to its CPU (the paper's "CPS
-// limited by CPU on slow path").
-type Table interface {
-	// Name identifies the table kind for logs and accounting.
-	Name() string
-	// SizeBytes is the memory the table occupies.
-	SizeBytes() int
-	// LookupCycles is the CPU cost of one lookup in this table.
-	LookupCycles() uint64
-}
+// Every rule table reports its size and lookup cost, which feed the
+// SmartNIC resource model: table bytes are charged to the vSwitch
+// memory budget (the paper's "#vNICs primarily limited by memory on
+// slow path"), lookup cycles to its CPU (the paper's "CPS limited by
+// CPU on slow path"). RuleSet.SizeBytes sums the sizes; the compiled
+// walk freezes the cycles (soa.go).
 
 // Per-entry memory footprints (bytes). Calibrated so a typical vNIC
 // rule set lands in the paper's 5.5–10 MB band and a vNIC-server
@@ -79,9 +72,6 @@ type ACLTable struct {
 	Default Verdict
 }
 
-// NewACL returns an empty table with the given default verdict.
-func NewACL(def Verdict) *ACLTable { return &ACLTable{sorted: true, Default: def} }
-
 // Add inserts a rule; priority order is restored on the next compile.
 func (t *ACLTable) Add(r ACLRule) {
 	t.rules = append(t.rules, r)
@@ -97,7 +87,6 @@ func (t *ACLTable) sortRules() {
 	t.sorted = true
 }
 
-func (t *ACLTable) Name() string { return "acl" }
 func (t *ACLTable) SizeBytes() int {
 	return tableFixedBytes + len(t.rules)*ACLRuleBytes
 }
@@ -106,14 +95,13 @@ func (t *ACLTable) LookupCycles() uint64 {
 }
 
 // RouteTable is a longest-prefix-match route table implemented as 33
-// exact-match maps keyed by masked address, probed longest-first.
+// exact-match maps keyed by masked address, probed longest-first. The
+// zero value is an empty table; a length's map is made by its first
+// route.
 type RouteTable struct {
 	byLen [33]map[packet.IPv4]packet.IPv4 // prefix -> next hop
 	n     int
 }
-
-// NewRoute returns an empty route table.
-func NewRoute() *RouteTable { return &RouteTable{} }
 
 // Add installs prefix -> nextHop. Re-adding a prefix overwrites.
 func (t *RouteTable) Add(p Prefix, nextHop packet.IPv4) {
@@ -131,11 +119,11 @@ func (t *RouteTable) Add(p Prefix, nextHop packet.IPv4) {
 // Len reports the number of routes.
 func (t *RouteTable) Len() int { return t.n }
 
-func (t *RouteTable) Name() string         { return "route" }
 func (t *RouteTable) SizeBytes() int       { return tableFixedBytes + t.n*RouteEntryBytes }
 func (t *RouteTable) LookupCycles() uint64 { return RouteCycles }
 
-// QoSTable maps a QoS class to its rate limit.
+// QoSTable maps a QoS class to its rate limit. The zero value is an
+// empty table; each map is made by its first insert.
 type QoSTable struct {
 	classes map[uint8]uint64 // class -> bytes/sec (0 = unlimited)
 	// ClassFor optionally classifies by destination port; nil means
@@ -143,21 +131,25 @@ type QoSTable struct {
 	portClass map[uint16]uint8
 }
 
-// NewQoS returns an empty QoS table.
-func NewQoS() *QoSTable {
-	return &QoSTable{classes: make(map[uint8]uint64), portClass: make(map[uint16]uint8)}
+// SetClass installs a class rate.
+func (t *QoSTable) SetClass(class uint8, rateBps uint64) {
+	if t.classes == nil {
+		t.classes = make(map[uint8]uint64)
+	}
+	t.classes[class] = rateBps
 }
 
-// SetClass installs a class rate.
-func (t *QoSTable) SetClass(class uint8, rateBps uint64) { t.classes[class] = rateBps }
-
 // MapPort steers a destination port into a class.
-func (t *QoSTable) MapPort(port uint16, class uint8) { t.portClass[port] = class }
+func (t *QoSTable) MapPort(port uint16, class uint8) {
+	if t.portClass == nil {
+		t.portClass = make(map[uint16]uint8)
+	}
+	t.portClass[port] = class
+}
 
 // Len reports configured classes plus port mappings.
 func (t *QoSTable) Len() int { return len(t.classes) + len(t.portClass) }
 
-func (t *QoSTable) Name() string         { return "qos" }
 func (t *QoSTable) SizeBytes() int       { return tableFixedBytes + t.Len()*QoSEntryBytes }
 func (t *QoSTable) LookupCycles() uint64 { return QoSCycles }
 
@@ -182,18 +174,15 @@ func (t *NATTable) Add(e NATEntry) { t.entries = append(t.entries, e) }
 // Len reports the entry count.
 func (t *NATTable) Len() int { return len(t.entries) }
 
-func (t *NATTable) Name() string         { return "nat" }
 func (t *NATTable) SizeBytes() int       { return tableFixedBytes + len(t.entries)*NATEntryBytes }
 func (t *NATTable) LookupCycles() uint64 { return NATCycles }
 
 // VXLANRouteTable maps overlay destination prefixes to VNIs — the
-// VXLAN routing step of the paper's minimum five-table walk.
+// VXLAN routing step of the paper's minimum five-table walk. The zero
+// value is an empty table.
 type VXLANRouteTable struct {
-	routes *RouteTable // next hop field reused as VNI
+	routes RouteTable // next hop field reused as VNI
 }
-
-// NewVXLAN returns an empty VXLAN route table.
-func NewVXLAN() *VXLANRouteTable { return &VXLANRouteTable{routes: NewRoute()} }
 
 // Add installs prefix -> vni.
 func (t *VXLANRouteTable) Add(p Prefix, vni uint32) { t.routes.Add(p, packet.IPv4(vni)) }
@@ -201,14 +190,12 @@ func (t *VXLANRouteTable) Add(p Prefix, vni uint32) { t.routes.Add(p, packet.IPv
 // Len reports the entry count.
 func (t *VXLANRouteTable) Len() int { return t.routes.Len() }
 
-func (t *VXLANRouteTable) Name() string         { return "vxlan" }
 func (t *VXLANRouteTable) SizeBytes() int       { return tableFixedBytes + t.Len()*VXLANEntryBytes }
 func (t *VXLANRouteTable) LookupCycles() uint64 { return VXLANCycles }
 
 // FlagTable is the shared shape of the mirror / flow-log / policy
 // tables: a prefix list that flags matching traffic.
 type FlagTable struct {
-	name     string
 	perEntry int
 	cycles   uint64
 	prefixes []Prefix
@@ -216,17 +203,17 @@ type FlagTable struct {
 
 // NewMirror returns an empty traffic-mirroring table.
 func NewMirror() *FlagTable {
-	return &FlagTable{name: "mirror", perEntry: MirrorEntryBytes, cycles: MirrorCycles}
+	return &FlagTable{perEntry: MirrorEntryBytes, cycles: MirrorCycles}
 }
 
 // NewFlowLog returns an empty flow-log table.
 func NewFlowLog() *FlagTable {
-	return &FlagTable{name: "flowlog", perEntry: FlowLogEntryBytes, cycles: FlowLogCycles}
+	return &FlagTable{perEntry: FlowLogEntryBytes, cycles: FlowLogCycles}
 }
 
 // NewPolicyRoute returns an empty policy-based-routing table.
 func NewPolicyRoute() *FlagTable {
-	return &FlagTable{name: "policy", perEntry: PolicyEntryBytes, cycles: PolicyCycles}
+	return &FlagTable{perEntry: PolicyEntryBytes, cycles: PolicyCycles}
 }
 
 // Add installs a prefix.
@@ -235,7 +222,6 @@ func (t *FlagTable) Add(p Prefix) { t.prefixes = append(t.prefixes, p) }
 // Len reports the entry count.
 func (t *FlagTable) Len() int { return len(t.prefixes) }
 
-func (t *FlagTable) Name() string         { return t.name }
 func (t *FlagTable) SizeBytes() int       { return tableFixedBytes + len(t.prefixes)*t.perEntry }
 func (t *FlagTable) LookupCycles() uint64 { return t.cycles }
 
@@ -263,25 +249,25 @@ func (t *StatsPolicyTable) Add(p Prefix, policy StatsPolicy) {
 // Len reports the entry count.
 func (t *StatsPolicyTable) Len() int { return len(t.entries) }
 
-func (t *StatsPolicyTable) Name() string         { return "stats" }
 func (t *StatsPolicyTable) SizeBytes() int       { return tableFixedBytes + len(t.entries)*StatsEntryBytes }
 func (t *StatsPolicyTable) LookupCycles() uint64 { return StatsCycles }
 
 // VNICServerMap maps a vNIC to the underlay address of the server
 // hosting it — the paper's "vNIC-Server mapping table" (global
 // routing table). The gateway holds the full map; vSwitches learn
-// subsets on demand (§4.2.1).
+// subsets on demand (§4.2.1). The zero value is an empty map; the Go
+// map is made by the first Set.
 type VNICServerMap struct {
 	m map[uint32]packet.IPv4
 }
 
-// NewVNICServerMap returns an empty map.
-func NewVNICServerMap() *VNICServerMap {
-	return &VNICServerMap{m: make(map[uint32]packet.IPv4)}
-}
-
 // Set installs or updates a vNIC location.
-func (t *VNICServerMap) Set(vnic uint32, server packet.IPv4) { t.m[vnic] = server }
+func (t *VNICServerMap) Set(vnic uint32, server packet.IPv4) {
+	if t.m == nil {
+		t.m = make(map[uint32]packet.IPv4)
+	}
+	t.m[vnic] = server
+}
 
 // Delete removes a vNIC.
 func (t *VNICServerMap) Delete(vnic uint32) { delete(t.m, vnic) }
@@ -289,6 +275,5 @@ func (t *VNICServerMap) Delete(vnic uint32) { delete(t.m, vnic) }
 // Len reports the entry count.
 func (t *VNICServerMap) Len() int { return len(t.m) }
 
-func (t *VNICServerMap) Name() string         { return "vnic-server" }
 func (t *VNICServerMap) SizeBytes() int       { return tableFixedBytes + len(t.m)*VNICServerBytes }
 func (t *VNICServerMap) LookupCycles() uint64 { return VNICServerCycles }

@@ -18,14 +18,22 @@ import (
 const mutualPort = 40001
 
 type mutualPing struct {
-	interval sim.Time
-	misses   int
-	onDown   func(fe packet.IPv4)
-	ticker   *sim.Ticker
-	pending  map[packet.IPv4]bool
-	missed   map[packet.IPv4]int
-	reported map[packet.IPv4]bool
-	targets  []packet.IPv4 // mutualRound's scratch
+	vs     *VSwitch
+	on     bool
+	misses int
+	onDown func(fe packet.IPv4)
+	ticker sim.Ticker
+	// peers is each FE's round state, made by the first round that has
+	// a target.
+	peers   map[packet.IPv4]peerWatch
+	targets []packet.IPv4 // round's scratch
+}
+
+// peerWatch is one FE's state across rounds.
+type peerWatch struct {
+	pending  bool // pinged this round, no pong yet
+	reported bool // onDown fired; cleared by the next pong
+	missed   int  // consecutive unanswered rounds
 }
 
 // StartMutualPing begins periodic pinging of every FE configured on
@@ -35,31 +43,24 @@ type mutualPing struct {
 // FE crash).
 func (vs *VSwitch) StartMutualPing(interval sim.Time, misses int, onDown func(fe packet.IPv4)) {
 	vs.StopMutualPing()
-	m := &mutualPing{
-		interval: interval,
-		misses:   misses,
-		onDown:   onDown,
-		pending:  make(map[packet.IPv4]bool),
-		missed:   make(map[packet.IPv4]int),
-		reported: make(map[packet.IPv4]bool),
-	}
-	vs.mutual = m
-	m.ticker = vs.loop.Every(interval, func() { vs.mutualRound() })
+	vs.mutual = mutualPing{vs: vs, on: true, misses: misses, onDown: onDown, targets: vs.mutual.targets[:0]}
+	vs.loop.EveryTask(&vs.mutual.ticker, interval, &vs.mutual)
 }
 
 // StopMutualPing halts the BE-side connectivity checks.
 func (vs *VSwitch) StopMutualPing() {
-	if vs.mutual != nil {
+	if vs.mutual.on {
 		vs.mutual.ticker.Stop()
-		vs.mutual = nil
+		vs.mutual.on = false
 	}
 }
 
-func (vs *VSwitch) mutualRound() {
-	if vs.crashed || vs.mutual == nil {
+// Run is one ping round, on the ticker.
+func (m *mutualPing) Run() {
+	vs := m.vs
+	if vs.crashed {
 		return
 	}
-	m := vs.mutual
 	// Settle the previous round. Targets are visited in address order:
 	// miss declarations and probe sends must not depend on map
 	// iteration, or the determinism contract (and the chaos trace
@@ -74,21 +75,31 @@ func (vs *VSwitch) mutualRound() {
 	slices.Sort(targets)
 	targets = slices.Compact(targets)
 	m.targets = targets
+	if m.peers == nil && len(targets) > 0 {
+		m.peers = make(map[packet.IPv4]peerWatch)
+	}
 	for _, fe := range targets {
-		if m.pending[fe] {
-			m.missed[fe]++
-			if m.missed[fe] >= m.misses && !m.reported[fe] {
-				m.reported[fe] = true
-				if m.onDown != nil {
-					m.onDown(fe)
-				}
+		if w := m.peers[fe]; w.pending {
+			w.missed++
+			fire := w.missed >= m.misses && !w.reported
+			w.reported = w.reported || fire
+			m.peers[fe] = w
+			if fire && m.onDown != nil {
+				m.onDown(fe)
 			}
 		}
 	}
 	// New round.
-	clear(m.pending)
+	for fe, w := range m.peers {
+		if w.pending {
+			w.pending = false
+			m.peers[fe] = w
+		}
+	}
 	for _, fe := range targets {
-		m.pending[fe] = true
+		w := m.peers[fe]
+		w.pending = true
+		m.peers[fe] = w
 		probe := packet.Get(0, 0, 0, packet.FiveTuple{
 			SrcIP: packet.IPv4(vs.cfg.Addr), DstIP: packet.IPv4(fe),
 			SrcPort: mutualPort, DstPort: ProbePort, Proto: packet.ProtoUDP,
@@ -98,20 +109,16 @@ func (vs *VSwitch) mutualRound() {
 	}
 }
 
-// handleMutualPong clears the pending mark for the answering FE. The
-// pong is absorbed (and released) here.
+// handleMutualPong clears the pending mark for the answering FE and
+// its miss count, and re-allows reports for it. The pong is absorbed
+// (and released) here.
 func (vs *VSwitch) handleMutualPong(p *packet.Packet) {
 	vs.Stats.Absorbed++
 	fe := p.OuterSrc
 	p.Release()
-	m := vs.mutual
-	if m == nil {
+	m := &vs.mutual
+	if !m.on || m.peers == nil {
 		return
 	}
-	delete(m.pending, fe)
-	m.missed[fe] = 0
-	if m.reported[fe] {
-		// Connectivity restored; allow future reports.
-		delete(m.reported, fe)
-	}
+	m.peers[fe] = peerWatch{}
 }

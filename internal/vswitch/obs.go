@@ -22,7 +22,7 @@ type vsObs struct {
 }
 
 // The flight tracer renders drop hops with DropReason names.
-func init() { obs.SetDropNames(dropCauseNames()) }
+func init() { obs.SetDropNames(dropCauseNames) }
 
 // EnableObs publishes this vSwitch's datapath statistics into the
 // registry and turns on flight tracing for sampled packets. The
@@ -39,8 +39,8 @@ func (vs *VSwitch) EnableObs(o *obs.Obs) {
 		tr:        o.Tracer,
 		flows:     o.Flows,
 		queueWait: o.Reg.GetHistogram("vswitch_queue_wait_ns", lbl),
-		util:      *nic.NewUtilMeter(vs.cpu),
 	}
+	vs.ob.util.Start(&vs.cpu)
 	obs.Register(o.Reg, vs, lbl, &vsTable)
 }
 

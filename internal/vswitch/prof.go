@@ -58,7 +58,7 @@ func (vs *VSwitch) EnableProf(p *prof.Profiler) {
 	}
 	vs.node.SetCoreBusy(vs.cpu.CoreBusyTimes)
 	vs.node.SetLive(vs.profLive)
-	p.Register(vs.node)
+	p.Register(&vs.node)
 }
 
 // ProfCtrl attributes control-plane cycles (RPC dispatch, config

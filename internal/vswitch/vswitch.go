@@ -225,16 +225,22 @@ type feInstance struct {
 	slot *prof.VNICProf
 }
 
-// VSwitch is one SmartNIC's virtual switch.
+// VSwitch is one SmartNIC's virtual switch. Its per-server parts —
+// CPU model, memory budget, meters, learner, ledger, session table and
+// mutual-ping state — live inside it, so New allocates them with the
+// switch; none of them may be copied out.
 type VSwitch struct {
 	loop    *sim.Loop
 	fab     *fabric.Fabric
-	learner *fabric.Learner
+	learner fabric.Learner
 	cfg     Config
 
-	cpu      *nic.CPU
-	mem      *nic.Memory // rule-table memory; sessions get the rest
-	sessions *flowcache.Table
+	cpu      nic.CPU
+	mem      nic.Memory // rule-table memory; sessions get the rest
+	sessions flowcache.Table
+	// util is the meter the control plane samples (UtilMeter); it is
+	// zero until the controller starts it.
+	util nic.UtilMeter
 
 	// vnics and fes are the resident-vNIC and hosted-FE tables, indexed
 	// by the gateway's vNIC index (package dense); gw resolves it.
@@ -259,10 +265,10 @@ type VSwitch struct {
 	mirrorSink packet.IPv4
 
 	// mutual is the BE-side FE connectivity checker (§C.1).
-	mutual *mutualPing
+	mutual mutualPing
 
 	// qosBuckets enforces per-class rate limits from QoS pre-actions,
-	// keyed by (vNIC, class).
+	// keyed by (vNIC, class); the first rate-limited class makes it.
 	qosBuckets map[uint64]*tokenBucket
 
 	// ob, when set by EnableObs, holds pre-bound telemetry handles;
@@ -271,7 +277,7 @@ type VSwitch struct {
 
 	// node is the work ledger (prof.go), kept from New whether or not
 	// EnableProf exports it; ctrl is its node-level control-plane slot.
-	node *prof.NodeProf
+	node prof.NodeProf
 	ctrl *prof.VNICProf
 
 	// slo, when set by EnableSLO, receives per-packet latency and drop
@@ -314,18 +320,15 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *VS
 	vs := &VSwitch{
 		loop:    loop,
 		fab:     fab,
-		learner: fabric.NewLearner(loop, gw),
+		learner: *fabric.NewLearner(loop, gw),
 		cfg:     cfg,
-		cpu:     nic.NewCPU(loop, cfg.Cores, cfg.CoreHz, nic.DefaultMaxQueueDelay),
-		mem:     nic.NewMemory(cfg.NetMemBytes),
 		gw:      gw,
-		node:    prof.NewNode(cfg.Addr.String(), cfg.Cores),
+		node:    prof.NodeProf{Node: cfg.Addr.String(), Cores: cfg.Cores},
 	}
+	vs.cpu.Init(loop, cfg.Cores, cfg.CoreHz, nic.DefaultMaxQueueDelay)
+	vs.mem.Init(cfg.NetMemBytes)
 	vs.ctrl = vs.node.Slot(0, prof.RoleCtrl)
-	vs.qosBuckets = make(map[uint64]*tokenBucket)
-	vs.sessions = flowcache.New(flowcache.Config{
-		MaxBytes: cfg.NetMemBytes,
-	})
+	vs.sessions.Init(flowcache.Config{MaxBytes: cfg.NetMemBytes})
 	vs.refreshSessionBudget()
 	fab.Register(cfg.Addr, cfg.ToR, vs.HandleUnderlay)
 	_ = fab.SetBurstHandler(cfg.Addr, vs.HandleUnderlayBurst)
@@ -362,7 +365,12 @@ func (vs *VSwitch) Addr() packet.IPv4 { return vs.cfg.Addr }
 func (vs *VSwitch) ToR() int { return vs.cfg.ToR }
 
 // CPU exposes the CPU model (for meters).
-func (vs *VSwitch) CPU() *nic.CPU { return vs.cpu }
+func (vs *VSwitch) CPU() *nic.CPU { return &vs.cpu }
+
+// UtilMeter returns the CPU utilisation meter the control plane
+// samples each report interval. The controller starts it
+// (UtilMeter.Start) when it registers the switch.
+func (vs *VSwitch) UtilMeter() *nic.UtilMeter { return &vs.util }
 
 // CyclesLocal returns the ledger's cumulative cycles for local-vNIC
 // work: the local-role slots' sum.
@@ -380,7 +388,7 @@ func (vs *VSwitch) Relocatable(fn func(vnic uint32, rule, sess uint64)) {
 }
 
 // Sessions exposes the session table (read-mostly, for experiments).
-func (vs *VSwitch) Sessions() *flowcache.Table { return vs.sessions }
+func (vs *VSwitch) Sessions() *flowcache.Table { return &vs.sessions }
 
 // EnableSLO attaches the latency/hot-flow SLO tracker: the terminal
 // points (deliverToVM, drop) then record end-to-end latency,
@@ -390,17 +398,19 @@ func (vs *VSwitch) Sessions() *flowcache.Table { return vs.sessions }
 func (vs *VSwitch) EnableSLO(t *slo.Tracker) {
 	vs.slo = t
 	if t != nil {
-		t.SetCauseNames(dropCauseNames())
+		t.SetCauseNames(dropCauseNames)
 	}
 }
 
-func dropCauseNames() []string {
+// dropCauseNames names each DropReason, for the telemetry that labels
+// drops by cause; its readers share it and never write it.
+var dropCauseNames = func() []string {
 	names := make([]string, numDropReasons)
 	for r := DropReason(0); r < numDropReasons; r++ {
 		names[r] = r.String()
 	}
 	return names
-}
+}()
 
 // SetDelivery installs the VM delivery callback.
 func (vs *VSwitch) SetDelivery(d Delivery) { vs.deliver = d }
@@ -709,6 +719,9 @@ func (vs *VSwitch) qosAdmit(vnic uint32, pre tables.PreAction, p *packet.Packet)
 			burst = 3000
 		}
 		tb = &tokenBucket{rateBps: float64(pre.RateBps), burst: burst, tokens: burst, last: vs.loop.Now()}
+		if vs.qosBuckets == nil {
+			vs.qosBuckets = make(map[uint64]*tokenBucket)
+		}
 		vs.qosBuckets[key] = tb
 	}
 	if tb.allow(vs.loop.Now(), p.SizeBytes) {

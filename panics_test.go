@@ -28,7 +28,7 @@ var panicAllow = map[string]string{
 	"internal/sim/sched.go:calendarQueue.popLE":                 "programmer-error guard: the occupancy bitmap lost a set bit the wheel count promises",
 	"internal/sim/sim.go:Loop.At":                               "programmer-error guard: a nil event function",
 	"internal/sim/sim.go:Loop.AtTask":                           "programmer-error guard: a nil task",
-	"internal/sim/sim.go:Loop.Every":                            "programmer-error guard: a non-positive ticker period",
+	"internal/sim/sim.go:Loop.EveryTask":                        "programmer-error guard: a non-positive ticker period",
 	"internal/sim/sim.go:Loop.Observe":                          "programmer-error guard: a nil observer",
 	"internal/flowcache/debug_on.go:checkLive":                  "simdebug tripwire: an entry used after delete",
 	"internal/flowcache/debug_on.go:checkNone":                  "simdebug tripwire: the zero pre-actions or state written through Pre or State",
