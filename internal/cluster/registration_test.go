@@ -28,12 +28,10 @@ func TestRegistrationAllocs(t *testing.T) {
 		// The controller registers itself, its RPC transport and its
 		// policy engine.
 		{"controller", func() { c.Ctrl.EnableObs(o) }, 3},
-		// The monitor also binds its declare-latency histogram, whose
-		// lookup builds the series key.
-		{"monitor", func() { c.Mon.EnableObs(o) }, 2},
-		// A vSwitch also keeps its handles and its node label, and binds
-		// its queue-wait histogram.
-		{"vswitch", func() { c.Switches[0].EnableObs(o) }, 4},
+		{"monitor", func() { c.Mon.EnableObs(o) }, 1},
+		// A vSwitch also keeps its handles, its queue-wait histogram
+		// among them, and its node label.
+		{"vswitch", func() { c.Switches[0].EnableObs(o) }, 3},
 		{"prof", func() { p.Attach(o.Reg) }, 1},
 		{"slo", func() { o.AttachSLO(tr) }, 1},
 	} {

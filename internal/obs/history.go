@@ -17,6 +17,7 @@ package obs
 // (the digest-equality tests in internal/opsapi pin this).
 
 import (
+	"slices"
 	"sync"
 
 	"nezha/internal/sim"
@@ -101,76 +102,119 @@ func NewHistory(opt HistoryOptions) *History {
 
 // retained is one retained snapshot: its values column by column against
 // a schema that consecutive snapshots share, and everything else the
-// snapshot held. A counter or gauge costs 16 bytes (value and rate), a
-// histogram 40 more; reads build the rows.
+// snapshot held. A column costs its value, 8 bytes, and its 8-byte
+// pointer in a schema that snapshots share; a counter adds its rate and
+// a histogram its 40 bytes of extras. Label maps are not kept: reads
+// build them. Points built by hand, or whose descriptors or kinds differ
+// from the schema, are kept in head as they stand; any other edit made
+// to a registry snapshot before Publish is not kept.
 type retained struct {
-	head   Snapshot // the snapshot without Points and schema
-	sc     *schema  // nil when the snapshot's Points were nil
+	head   Snapshot // the snapshot without schema, and without Points when sc is set
+	sc     *schema
 	values []float64
-	rates  []float64
-	hist   []histExtras // one per hist column, in column order
+	rates  []float64    // one per counter column, in column order
+	hist   []histExtras // one per histogram column, in column order
 }
 
 type histExtras struct{ count, sum, p50, p99, p999 uint64 }
 
 func retain(s *Snapshot) *retained {
 	r := &retained{head: *s}
-	r.head.Points, r.head.schema = nil, nil
-	if s.Points == nil {
+	r.head.schema = nil
+	if s.Points == nil || !s.schema.matches(s.Points) {
+		r.head.Points = slices.Clone(s.Points)
 		return r
 	}
-	r.sc = s.schema
-	if !r.sc.matches(s.Points) {
-		r.sc = handSchema(s.Points)
-	}
+	r.head.Points, r.sc = nil, s.schema
 	n := len(s.Points)
-	vals := make([]float64, 2*n)
-	r.values, r.rates = vals[:n:n], vals[n:]
+	vals := make([]float64, n+r.sc.counters)
+	r.values, r.rates = vals[:n:n], vals[n:n]
 	if r.sc.hists > 0 {
 		r.hist = make([]histExtras, 0, r.sc.hists)
 	}
-	for i := range s.Points {
+	for i, d := range r.sc.cols {
 		p := &s.Points[i]
-		r.values[i], r.rates[i] = p.Value, p.Rate
-		if r.sc.hist(i) {
+		r.values[i] = p.Value
+		switch d.kind {
+		case KindCounter:
+			r.rates = append(r.rates, p.Rate)
+		case KindHistogram:
 			r.hist = append(r.hist, histExtras{p.Count, p.Sum, p.P50, p.P99, p.P999})
 		}
 	}
 	return r
 }
 
-// snapshot builds the retained snapshot. With want set it holds only
-// the points of those series names, and only T besides.
-func (r *retained) snapshot(want map[string]bool) *Snapshot {
-	var s *Snapshot
-	if want != nil {
-		s = &Snapshot{T: r.head.T}
-	} else {
-		s = new(Snapshot)
+// reader builds the snapshots of one read call. With want set they hold
+// only the points of those series names, and only T besides. Each label
+// set's map is built once and shared by every point of the set the read
+// returns.
+type reader struct {
+	want map[string]bool
+	sets map[string]map[string]string // by appendLabelsKey
+	cols map[*schema][]map[string]string
+	buf  []byte
+}
+
+// labelMaps returns the label map of each of sc's columns.
+func (rd *reader) labelMaps(sc *schema) []map[string]string {
+	if maps, ok := rd.cols[sc]; ok {
+		return maps
+	}
+	if rd.cols == nil {
+		rd.sets, rd.cols = make(map[string]map[string]string), make(map[*schema][]map[string]string)
+	}
+	maps := make([]map[string]string, len(sc.cols))
+	for i, d := range sc.cols {
+		if len(d.labels) == 0 || rd.want != nil && !rd.want[d.name] {
+			continue
+		}
+		rd.buf = appendLabelsKey(rd.buf[:0], d.labels)
+		m := rd.sets[string(rd.buf)]
+		if m == nil {
+			m = d.labels.Map()
+			rd.sets[string(rd.buf)] = m
+		}
+		maps[i] = m
+	}
+	rd.cols[sc] = maps
+	return maps
+}
+
+// snapshot builds the retained snapshot.
+func (r *retained) snapshot(rd *reader) *Snapshot {
+	s := &Snapshot{T: r.head.T}
+	if rd.want == nil {
 		*s = r.head
-		if r.sc != nil {
-			s.Points = make([]Point, 0, len(r.sc.cols))
+		s.Points = slices.Clone(r.head.Points)
+	} else {
+		for _, p := range r.head.Points {
+			if rd.want[p.Name] {
+				s.Points = append(s.Points, p)
+			}
 		}
 	}
 	if r.sc == nil {
 		return s
 	}
-	h := 0
-	for i := range r.sc.cols {
-		c := &r.sc.cols[i]
-		hist := r.sc.hist(i)
-		if hist {
-			h++
-		}
-		if want != nil && !want[c.d.name] {
-			continue
-		}
-		p := Point{Name: c.d.name, Labels: c.d.m, Kind: c.kind, Value: r.values[i], Rate: r.rates[i], d: c.d}
-		if hist {
-			x := &r.hist[h-1]
+	if rd.want == nil {
+		s.Points = make([]Point, 0, len(r.sc.cols))
+	}
+	maps := rd.labelMaps(r.sc)
+	rates, hist := r.rates, r.hist
+	for i, d := range r.sc.cols {
+		p := Point{Name: d.name, Labels: maps[i], Kind: d.kind.String(), Value: r.values[i], d: d}
+		switch d.kind {
+		case KindCounter:
+			p.Rate, rates = rates[0], rates[1:]
+		case KindHistogram:
+			x := &hist[0]
 			p.Count, p.Sum, p.P50, p.P99, p.P999 = x.count, x.sum, x.p50, x.p99, x.p999
+			hist = hist[1:]
 		}
-		s.Points = append(s.Points, p)
+		if rd.want == nil || rd.want[d.name] {
+			s.Points = append(s.Points, p)
+		}
 	}
 	return s
 }
@@ -214,7 +258,7 @@ func (h *History) Latest() *Snapshot {
 	}
 	rec := h.buf[(h.head+h.n-1)%len(h.buf)]
 	h.mu.Unlock()
-	return rec.snapshot(nil)
+	return rec.snapshot(&reader{})
 }
 
 // Len reports how many snapshots the ring currently retains.
@@ -255,9 +299,9 @@ func (h *History) Query(from, to sim.Time, series []string) []*Snapshot {
 // building the next only after fn returns, and stops at fn's first
 // error.
 func (h *History) Scan(from, to sim.Time, series []string, fn func(*Snapshot) error) error {
-	want := wantSet(series)
+	rd := &reader{want: wantSet(series)}
 	for _, rec := range h.window(from, to) {
-		if err := fn(rec.snapshot(want)); err != nil {
+		if err := fn(rec.snapshot(rd)); err != nil {
 			return err
 		}
 	}
@@ -306,8 +350,9 @@ func (h *History) Tail(k int) []*Snapshot {
 	}
 	h.mu.Unlock()
 	out := make([]*Snapshot, len(recs))
+	rd := &reader{}
 	for i, rec := range recs {
-		out[i] = rec.snapshot(nil)
+		out[i] = rec.snapshot(rd)
 	}
 	return out
 }

@@ -210,19 +210,19 @@ func (k Kind) String() string {
 	}
 }
 
-// desc describes one series to Snapshot: its identity, the label map
-// every Point of it shares, and its rate window. Atomic series embed
-// theirs; func series and collector-emitted label sets get one on
-// their first snapshot, so registration allocates nothing for it.
+// desc describes one series to Snapshot: its identity, its kind and its
+// rate window. Atomic series embed theirs; table rows and
+// collector-emitted label sets get one on their first snapshot, so
+// registration allocates nothing for it. Name, labels, key and kind
+// never change once the descriptor enters a schema (a collector label
+// set that changes kind gets a fresh one), so a History reads them from
+// any goroutine.
 type desc struct {
 	name   string
 	labels Labels
-	// key is seriesKey(name, labels); lkey is its k=v,... part between
-	// the braces (a substring of key), the second sort key of a snapshot.
-	key, lkey string
-	// m is the interned map of labels, set when the series first enters
-	// a schema and read-only from then on.
-	m map[string]string
+	// key is seriesKey(name, labels).
+	key  string
+	kind Kind
 	// prev is the counter value the series had in snapshot prevGen; a
 	// rate is taken only against the immediately preceding snapshot.
 	prev    float64
@@ -231,20 +231,20 @@ type desc struct {
 	seen uint64
 }
 
-func makeDesc(name string, labels Labels, key string) desc {
-	d := desc{name: name, labels: labels, key: key}
-	if len(key) > len(name) {
-		d.lkey = key[len(name)+1 : len(key)-1]
+// lkey is the k=v,... part of the key between the braces, the second
+// sort key of a snapshot.
+func (d *desc) lkey() string {
+	if len(d.key) == len(d.name) {
+		return ""
 	}
-	return d
+	return d.key[len(d.name)+1 : len(d.key)-1]
 }
 
 type series struct {
 	desc
-	kind Kind
-	c    *Counter
-	g    *Gauge
-	h    *Histogram
+	c *Counter
+	g *Gauge
+	h *Histogram
 }
 
 // Emit is handed to a table's Collect: it publishes one point into the
@@ -254,15 +254,16 @@ type Emit func(name string, labels Labels, kind Kind, value float64)
 // Series is one row of a component's registration table: a series that
 // every instance of T exports. Value reads it from the instance at
 // snapshot time, on the goroutine that owns the instance (in the sim,
-// the loop goroutine). A row without Value only names a series exported
-// another way, by the table's Collect or through an instrument bound
-// with GetHistogram, and carries its help text.
+// the loop goroutine); a KindHistogram row sets Hist instead, which
+// returns the instance's histogram. A row with neither only names a
+// series the table's Collect emits, and carries its help text.
 type Series[T any] struct {
 	Name, Help string
 	Kind       Kind
 	// Labels are added to the instance's own (a drop reason, say).
 	Labels Labels
 	Value  func(x *T) float64
+	Hist   func(x *T) *Histogram
 }
 
 // Table is everything one component type exports: the series each
@@ -294,7 +295,7 @@ type instance[T any] struct {
 type group interface {
 	rows() int
 	row(i int) row
-	value(i int) float64
+	point(i int, d *desc) Point
 	collect(emit Emit)
 }
 
@@ -310,10 +311,17 @@ func (g *instance[T]) rows() int { return len(g.t.Series) }
 
 func (g *instance[T]) row(i int) row {
 	s := &g.t.Series[i]
-	return row{name: s.Name, help: s.Help, kind: s.Kind, labels: s.Labels, valued: s.Value != nil}
+	return row{name: s.Name, help: s.Help, kind: s.Kind, labels: s.Labels, valued: s.Value != nil || s.Hist != nil}
 }
 
-func (g *instance[T]) value(i int) float64 { return g.t.Series[i].Value(g.x) }
+// point reads row i, which d describes.
+func (g *instance[T]) point(i int, d *desc) Point {
+	s := &g.t.Series[i]
+	if s.Hist != nil {
+		return d.histPoint(s.Hist(g.x))
+	}
+	return d.point(s.Value(g.x))
+}
 
 func (g *instance[T]) collect(emit Emit) {
 	if g.t.Collect != nil {
@@ -324,26 +332,20 @@ func (g *instance[T]) collect(emit Emit) {
 // registration is one Register call: its group, its label set, and how
 // many valued rows the series cap admitted (a prefix, in table order).
 // From its first snapshot on, cols holds each admitted row's
-// descriptor and refs its row and kind. Snapshots keep pointers into
-// cols alone, so what a published snapshot retains is descriptors.
+// descriptor and rows its table row. Snapshots keep pointers into cols
+// alone, so what a published snapshot retains is descriptors.
 type registration struct {
 	g      group
 	labels Labels
 	admit  int
 	built  bool
 	cols   []desc
-	refs   []rowRef
+	rows   []int
 }
 
-// rowRef is the table row an admitted series reads, and its kind.
-type rowRef struct {
-	row  int
-	kind Kind
-}
-
-// Registry holds labeled series. Hot paths call GetCounter /
-// GetHistogram once to pre-bind a handle and then bump atomics;
-// components whose values already live in their own fields Register a
+// Registry holds labeled series. Hot paths call GetCounter once to
+// pre-bind a handle and then bump atomics; components whose values
+// already live in their own fields, histograms included, Register a
 // table of them, which costs nothing until a snapshot reads it.
 type Registry struct {
 	mu     sync.Mutex
@@ -359,8 +361,7 @@ type Registry struct {
 	// maxSeries caps distinct registered series (atomics + table rows)
 	// so a region-scale run cannot silently blow the registry up; past
 	// the cap new registrations are counted in dropped, and GetCounter
-	// and GetHistogram hand out detached (unexported) instruments. 0
-	// disables the cap.
+	// hands out detached (unexported) instruments. 0 disables the cap.
 	maxSeries int
 	dropped   atomic.Uint64
 	warnOnce  sync.Once
@@ -377,10 +378,12 @@ type Registry struct {
 	dyn     map[string]*desc
 	keyBuf  []byte
 	lastLen int
-	// schema is the latest snapshot's; labels interns the label maps
-	// of its label sets (see internLabels).
+	// schema is the latest snapshot's, maps its columns' label maps
+	// (what Snapshot hands to points), and labels the same maps by label
+	// set (see schemaFor).
 	schema *schema
-	labels map[string]*labelMap
+	maps   []map[string]string
+	labels map[string]map[string]string
 }
 
 // DefaultMaxSeries is the registry's default series-cardinality cap.
@@ -394,7 +397,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		series:    make(map[string]*series),
 		dyn:       make(map[string]*desc),
-		labels:    make(map[string]*labelMap),
 		helps:     map[string]string{droppedName: "Series registrations refused by the registry cardinality cap."},
 		maxSeries: DefaultMaxSeries,
 		warnFn: func(msg string) {
@@ -488,7 +490,7 @@ func (r *Registry) get(name string, labels Labels, kind Kind) *series {
 		}
 		return s
 	}
-	s := &series{desc: makeDesc(name, labels, key), kind: kind}
+	s := &series{desc: desc{name: name, labels: labels, key: key, kind: kind}}
 	switch kind {
 	case KindCounter:
 		s.c = &Counter{}
@@ -510,12 +512,6 @@ func (r *Registry) get(name string, labels Labels, kind Kind) *series {
 // GetCounter returns (creating if needed) the counter for name+labels.
 func (r *Registry) GetCounter(name string, labels Labels) *Counter {
 	return r.get(name, labels, KindCounter).c
-}
-
-// GetHistogram returns (creating if needed) the histogram for
-// name+labels.
-func (r *Registry) GetHistogram(name string, labels Labels) *Histogram {
-	return r.get(name, labels, KindHistogram).h
 }
 
 // register admits g's valued rows while the series cap allows.
@@ -559,7 +555,7 @@ func (r *Registry) build(reg *registration) {
 		}
 	}
 	reg.cols = make([]desc, 0, reg.admit)
-	reg.refs = make([]rowRef, 0, reg.admit)
+	reg.rows = make([]int, 0, reg.admit)
 	merged := make(Labels, 0, extra)
 	size := 0
 	for i := 0; i < g.rows(); i++ {
@@ -576,8 +572,8 @@ func (r *Registry) build(reg *registration) {
 			merged = merged[:len(merged)+len(ls)]
 		}
 		size += keyLen(row.name, ls)
-		reg.cols = append(reg.cols, desc{name: row.name, labels: ls})
-		reg.refs = append(reg.refs, rowRef{row: i, kind: row.kind})
+		reg.cols = append(reg.cols, desc{name: row.name, labels: ls, kind: row.kind})
+		reg.rows = append(reg.rows, i)
 	}
 	var b strings.Builder
 	b.Grow(size)
@@ -588,17 +584,17 @@ func (r *Registry) build(reg *registration) {
 	for i := range reg.cols {
 		c := &reg.cols[i]
 		end := off + keyLen(c.name, c.labels)
-		*c = makeDesc(c.name, c.labels, keys[off:end])
-		off = end
+		c.key, off = keys[off:end], end
 	}
 }
 
 // Point is one series' value in a snapshot.
 type Point struct {
 	Name string `json:"name"`
-	// Labels is the series' label set. The map is shared with the
-	// registry and with every point, in any snapshot, of the same label
-	// set: read it, never write it.
+	// Labels is the series' label set. The map is shared with every
+	// point of the same label set that one read returns (one registry
+	// Snapshot, or one History read call), not across reads: read it,
+	// never write it.
 	Labels map[string]string `json:"labels,omitempty"`
 	Kind   string            `json:"kind"`
 	Value  float64           `json:"value"`
@@ -652,83 +648,57 @@ type Snapshot struct {
 	schema *schema
 }
 
-// column is one series of a schema: its descriptor and its kind.
-type column struct {
-	d    *desc
-	kind string
-}
-
 // schema is the series of a snapshot in export order, everything its
 // Points hold but their values. It is immutable: consecutive snapshots
-// emitting the same series of the same kinds share one.
+// emitting the same series share one.
 type schema struct {
-	cols  []column
-	hists int // columns carrying histogram extras
-	// hand marks the schema of points built by hand: its descriptors
-	// hold only each point's name, label set and label map, and every
-	// column carries histogram extras.
-	hand bool
-}
-
-// hist reports whether column i carries histogram extras.
-func (sc *schema) hist(i int) bool {
-	return sc.hand || sc.cols[i].kind == KindHistogram.String()
-}
-
-// handSchema describes points built by hand, or decoded, as they stand.
-func handSchema(pts []Point) *schema {
-	sc := &schema{cols: make([]column, len(pts)), hists: len(pts), hand: true}
-	for i := range pts {
-		p := &pts[i]
-		sc.cols[i] = column{d: &desc{name: p.Name, labels: p.labelSet(), m: p.Labels}, kind: p.Kind}
-	}
-	return sc
+	cols     []*desc
+	counters int // columns carrying a rate
+	hists    int // columns carrying histogram extras
 }
 
 // matches reports whether pts are the registry series sc describes, in
 // its order and of its kinds.
 func (sc *schema) matches(pts []Point) bool {
-	if sc == nil || sc.hand || len(sc.cols) != len(pts) {
+	if sc == nil || len(sc.cols) != len(pts) {
 		return false
 	}
-	for i := range pts {
-		if c := &sc.cols[i]; c.d != pts[i].d || c.kind != pts[i].Kind {
+	for i, d := range sc.cols {
+		if d != pts[i].d || d.kind.String() != pts[i].Kind {
 			return false
 		}
 	}
 	return true
 }
 
-// labelMap is one interned label map and the snapshot generation whose
-// schema last used it.
-type labelMap struct {
-	m   map[string]string
-	gen uint64
+func (d *desc) point(v float64) Point {
+	return Point{Name: d.name, Kind: d.kind.String(), Value: v, d: d}
 }
 
-func (d *desc) point(kind Kind, v float64) Point {
-	return Point{Name: d.name, Kind: kind.String(), Value: v, d: d}
+func (d *desc) histPoint(h *Histogram) Point {
+	p := d.point(0)
+	p.Count, p.Sum = h.Count(), h.Sum()
+	p.P50, p.P99, p.P999 = h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
+	p.Value = float64(p.Count)
+	return p
 }
 
 func (s *series) point() Point {
 	switch s.kind {
 	case KindCounter:
-		return s.desc.point(KindCounter, float64(s.c.Load()))
+		return s.desc.point(float64(s.c.Load()))
 	case KindGauge:
-		return s.desc.point(KindGauge, s.g.Load())
+		return s.desc.point(s.g.Load())
 	}
-	p := s.desc.point(KindHistogram, 0)
-	p.Count, p.Sum = s.h.Count(), s.h.Sum()
-	p.P50, p.P99, p.P999 = s.h.Quantile(0.50), s.h.Quantile(0.99), s.h.Quantile(0.999)
-	p.Value = float64(p.Count)
-	return p
+	return s.desc.histPoint(s.h)
 }
 
 // intern returns the descriptor of a label set a collector emitted,
-// creating it on the set's first appearance, and marks it seen in
-// snapshot gen. The lookup builds the key in scratch, so a set already
-// known allocates nothing. Caller holds snapMu.
-func (r *Registry) intern(name string, labels Labels, gen uint64) *desc {
+// creating it on the set's first appearance or when its kind changed,
+// and marks it seen in snapshot gen. The lookup builds the key in
+// scratch, so a set already known allocates nothing. Caller holds
+// snapMu.
+func (r *Registry) intern(name string, labels Labels, kind Kind, gen uint64) *desc {
 	b := append(r.keyBuf[:0], name...)
 	if len(labels) > 0 {
 		b = append(b, '{')
@@ -742,10 +712,9 @@ func (r *Registry) intern(name string, labels Labels, gen uint64) *desc {
 	}
 	r.keyBuf = b
 	d := r.dyn[string(b)]
-	if d == nil {
+	if d == nil || d.kind != kind {
 		key := string(b)
-		nd := makeDesc(name, labels, key)
-		d = &nd
+		d = &desc{name: name, labels: labels, key: key, kind: kind}
 		r.dyn[key] = d
 	}
 	d.seen = gen
@@ -762,7 +731,7 @@ func (p byKey) Less(i, j int) bool {
 	if a.name != b.name {
 		return a.name < b.name
 	}
-	return a.lkey < b.lkey
+	return a.lkey() < b.lkey()
 }
 
 // Snapshot samples every series, computes windowed rates against the
@@ -772,11 +741,12 @@ func (p byKey) Less(i, j int) bool {
 // A snapshot's cost follows what changed: every point of a series
 // shares the series' descriptor, every point of a label set one label
 // map, a counter's rate comes from the value its descriptor kept, the
-// help map is shared until the help text changes, and the schema until the
-// set of series changes. Label sets that collectors emit are interned in
-// a table holding only the sets of the latest snapshot, so it is bounded
-// by the current cardinality, and a set missing from one snapshot has
-// no rate in the next. Snapshots are serialized.
+// help map is shared until the help text changes, and the schema and its
+// label maps until the set of series changes. Label sets that collectors
+// emit are interned in a table holding only the sets of the latest
+// snapshot, so it is bounded by the current cardinality, and a set
+// missing from one snapshot has no rate in the next. Snapshots are
+// serialized.
 func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
@@ -802,12 +772,12 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 
 	for i := range regs {
 		reg := &regs[i]
-		for j, ref := range reg.refs {
-			pts = append(pts, reg.cols[j].point(ref.kind, reg.g.value(ref.row)))
+		for j, row := range reg.rows {
+			pts = append(pts, reg.g.point(row, &reg.cols[j]))
 		}
 	}
 	emit := func(name string, labels Labels, kind Kind, value float64) {
-		pts = append(pts, r.intern(name, labels, gen).point(kind, value))
+		pts = append(pts, r.intern(name, labels, kind, gen).point(value))
 	}
 	for i := range regs {
 		regs[i].g.collect(emit)
@@ -823,18 +793,17 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 	// Shared label maps and windowed rates for counters. Rates read every
 	// descriptor's previous value before any is overwritten.
 	dt := float64(now-r.prevT) / float64(sim.Second)
-	counter := KindCounter.String()
 	for i := range pts {
 		p := &pts[i]
 		d := p.d
-		p.Labels = d.m
-		if p.Kind == counter && dt > 0 && d.prevGen != 0 && d.prevGen == gen-1 {
+		p.Labels = r.maps[i]
+		if d.kind == KindCounter && dt > 0 && d.prevGen != 0 && d.prevGen == gen-1 {
 			p.Rate = (p.Value - d.prev) / dt
 		}
 	}
 	for i := range pts {
-		if p := &pts[i]; p.Kind == counter {
-			p.d.prev, p.d.prevGen = p.Value, gen
+		if d := pts[i].d; d.kind == KindCounter {
+			d.prev, d.prevGen = pts[i].Value, gen
 		}
 	}
 	r.prevT = now
@@ -857,59 +826,55 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 
 // schemaFor returns the schema of pts, a snapshot's sorted points: the
 // previous snapshot's when pts hold the same series of the same kinds,
-// so a steady registry builds none. A new schema takes every label map
-// from the intern table, which then keeps only the label sets of that
-// schema: it is bounded by the series the registry currently emits.
-// Caller holds snapMu.
+// so a steady registry builds none. A new schema's columns take the
+// label maps of the previous one where their label sets persist, and
+// labels then holds only the sets of the new schema: it is bounded by
+// the series the registry currently emits. The maps stay on the
+// registry's side: the schema, which a History retains, holds
+// descriptors only. Caller holds snapMu.
 func (r *Registry) schemaFor(pts []Point) *schema {
 	if r.schema.matches(pts) {
 		return r.schema
 	}
-	sc := &schema{cols: make([]column, len(pts))}
+	sc := &schema{cols: make([]*desc, len(pts))}
+	maps := make([]map[string]string, len(pts))
+	sets := make(map[string]map[string]string)
 	for i := range pts {
-		p := &pts[i]
-		// Only a series new to this schema takes its map: one already in
-		// a schema was in every one since, so its label set is still
-		// interned to the map it holds, which readers may be reading.
-		if m := r.internLabels(p.d.labels); p.d.m == nil && m != nil {
-			p.d.m = m
-		}
-		sc.cols[i] = column{d: p.d, kind: p.Kind}
-		if sc.hist(i) {
+		d := pts[i].d
+		sc.cols[i] = d
+		switch d.kind {
+		case KindCounter:
+			sc.counters++
+		case KindHistogram:
 			sc.hists++
 		}
-	}
-	for k, lm := range r.labels {
-		if lm.gen != r.gen {
-			delete(r.labels, k)
+		if len(d.labels) == 0 {
+			continue
 		}
+		r.keyBuf = appendLabelsKey(r.keyBuf[:0], d.labels)
+		m := sets[string(r.keyBuf)]
+		if m == nil {
+			if m = r.labels[string(r.keyBuf)]; m == nil {
+				m = d.labels.Map()
+			}
+			sets[string(r.keyBuf)] = m
+		}
+		maps[i] = m
 	}
-	r.schema = sc
+	r.schema, r.maps, r.labels = sc, maps, sets
 	return sc
 }
 
-// internLabels returns the shared map of label set ls (nil when empty).
-// The key length-prefixes every name and value, so no two label sets
-// share one.
-func (r *Registry) internLabels(ls Labels) map[string]string {
-	if len(ls) == 0 {
-		return nil
-	}
-	b := r.keyBuf[:0]
+// appendLabelsKey appends the key of label set ls to b. It
+// length-prefixes every name and value, so no two label sets share one.
+func appendLabelsKey(b []byte, ls Labels) []byte {
 	for _, l := range ls {
 		b = binary.AppendUvarint(b, uint64(len(l.K)))
 		b = append(b, l.K...)
 		b = binary.AppendUvarint(b, uint64(len(l.V)))
 		b = append(b, l.V...)
 	}
-	r.keyBuf = b
-	lm := r.labels[string(b)]
-	if lm == nil {
-		lm = &labelMap{m: ls.Map()}
-		r.labels[string(b)] = lm
-	}
-	lm.gen = r.gen
-	return lm.m
+	return b
 }
 
 // escapeHelp escapes backslashes and newlines per the exposition

@@ -57,9 +57,9 @@ func TestSeriesKeyOneAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { _ = seriesKey(tc.name, tc.labels) }); n != tc.allocs {
 			t.Errorf("seriesKey(%q, %v) allocates %v times, want %v", tc.name, tc.labels, n, tc.allocs)
 		}
-		d := makeDesc(tc.name, tc.labels, seriesKey(tc.name, tc.labels))
-		if d.lkey != tc.labels.key() {
-			t.Errorf("lkey of %q = %q, want %q", want, d.lkey, tc.labels.key())
+		d := desc{name: tc.name, labels: tc.labels, key: seriesKey(tc.name, tc.labels)}
+		if d.lkey() != tc.labels.key() {
+			t.Errorf("lkey of %q = %q, want %q", want, d.lkey(), tc.labels.key())
 		}
 	}
 }

@@ -70,7 +70,9 @@ func (st *referenceRates) snapshot(r *Registry, now sim.Time) *Snapshot {
 				admitted++
 				ls := append(append(Labels(nil), reg.labels...), row.labels...)
 				sort.Slice(ls, func(a, b int) bool { return ls[a].K < ls[b].K })
-				add(row.name, ls, row.kind, reg.g.value(i))
+				p := reg.g.point(i, &desc{name: row.name, labels: ls, kind: row.kind})
+				p.Labels = ls.Map()
+				snap.Points = append(snap.Points, p)
 			}
 		}
 	}

@@ -42,6 +42,12 @@ func (r *Registry) GetGauge(name string, labels Labels) *Gauge {
 	return r.get(name, labels, KindGauge).g
 }
 
+// GetHistogram returns (creating if needed) the histogram for
+// name+labels.
+func (r *Registry) GetHistogram(name string, labels Labels) *Histogram {
+	return r.get(name, labels, KindHistogram).h
+}
+
 // Max returns the largest value observed.
 func (h *Histogram) Max() uint64 { return h.max.Load() }
 

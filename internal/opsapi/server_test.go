@@ -209,7 +209,11 @@ func TestHistoryEndpoint(t *testing.T) {
 func TestHistoryStreamMatchesWriteJSON(t *testing.T) {
 	ob := obs.New(obs.Options{})
 	c := ob.Reg.GetCounter("pkts_total", obs.L("node", "<a&b>"))
-	ob.Reg.GetHistogram("wait_ns", obs.L("node", "a")).Observe(700)
+	var wait obs.Histogram
+	wait.Observe(700)
+	obs.Register(ob.Reg, &wait, obs.L("node", "a"), &obs.Table[obs.Histogram]{Series: []obs.Series[obs.Histogram]{{
+		Name: "wait_ns", Kind: obs.KindHistogram, Hist: func(h *obs.Histogram) *obs.Histogram { return h },
+	}}})
 	obs.Register(ob.Reg, c, nil, &obs.Table[obs.Counter]{
 		Series: []obs.Series[obs.Counter]{{Name: "pkts_total", Help: "Packets <sent> & counted."}},
 		Collect: func(c *obs.Counter, emit obs.Emit) {

@@ -15,9 +15,10 @@ import (
 
 // TestSharedLabelsReadOnly has readers render retained snapshots over
 // HTTP and range over their Point.Labels directly while the sim
-// goroutine keeps publishing. Every snapshot of a series shares one
-// label map, and collector label sets vanish and come back between
-// snapshots; under -race this proves the sharing is read-only.
+// goroutine keeps publishing. Every point of a label set in one read
+// shares one label map, the registry shares its own between the
+// snapshots it takes, and collector label sets vanish and come back
+// between snapshots; under -race this proves the sharing is read-only.
 func TestSharedLabelsReadOnly(t *testing.T) {
 	loop := sim.NewLoop(1)
 	ob := obs.New(obs.Options{})

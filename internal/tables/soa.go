@@ -6,7 +6,8 @@ import "nezha/internal/packet"
 // program runs. The table types hold pointer-rich structures (maps of
 // maps for routes, a rule slice of fat structs for the ACL); the
 // datapath runs the walk millions of times, so every lookup compiles
-// into flat parallel arrays probed with open addressing. Compilation
+// into flat arrays: parallel columns for the scanned lists, and one
+// array of key-value slots for each open-addressed table. Compilation
 // is keyed on the RuleSet version: any config change goes through
 // Bump, which invalidates the compiled form the same way it
 // invalidates cached flows.
@@ -107,7 +108,7 @@ func compileSoA(rs *RuleSet) *soaRules {
 	c.qos.compile(rs.QoS)
 	c.route.compile(&rs.Route.byLen)
 	c.vxlan.compile(&rs.VXLAN.routes.byLen)
-	c.srv.compile(rs.VNICSrv.m)
+	compileU32(&c.srv, rs.VNICSrv.m)
 	if rs.NAT != nil {
 		c.hasNAT, c.natLen, c.natCycles = true, rs.NAT.Len(), rs.NAT.LookupCycles()
 		c.nat.compile(rs.NAT.entries)
@@ -195,29 +196,31 @@ func (a *aclSoA) lookup(ft packet.FiveTuple, def Verdict) Verdict {
 // --- QoS: open-addressed port table + dense class rates --------------
 
 type qosSoA struct {
-	ports   []uint16 // open-addressed keys
-	classes []uint8  // parallel values
-	used    []bool
+	slots   []qosSlot // open-addressed by port
 	idxMask uint32
 	rate    [256]uint64
+}
+
+type qosSlot struct {
+	port  uint16
+	class uint8
+	used  bool
 }
 
 func (q *qosSoA) compile(t *QoSTable) {
 	size := tableSize(len(t.portClass))
 	q.idxMask = uint32(size - 1)
 	if len(t.portClass) == 0 {
-		q.ports, q.classes, q.used = emptyU16[:], emptyU8[:], emptyUsed[:]
+		q.slots = emptyQoS[:]
 	} else {
-		q.ports = make([]uint16, size)
-		q.classes = make([]uint8, size)
-		q.used = make([]bool, size)
+		q.slots = make([]qosSlot, size)
 	}
 	for port, class := range t.portClass {
 		i := hash32(uint32(port)) & q.idxMask
-		for q.used[i] {
+		for q.slots[i].used {
 			i = (i + 1) & q.idxMask
 		}
-		q.used[i], q.ports[i], q.classes[i] = true, port, class
+		q.slots[i] = qosSlot{port: port, class: class, used: true}
 	}
 	for class, rate := range t.classes {
 		q.rate[class] = rate
@@ -226,9 +229,9 @@ func (q *qosSoA) compile(t *QoSTable) {
 
 func (q *qosSoA) lookup(dstPort uint16) (uint8, uint64) {
 	var class uint8
-	for i := hash32(uint32(dstPort)) & q.idxMask; q.used[i]; i = (i + 1) & q.idxMask {
-		if q.ports[i] == dstPort {
-			class = q.classes[i]
+	for i := hash32(uint32(dstPort)) & q.idxMask; q.slots[i].used; i = (i + 1) & q.idxMask {
+		if q.slots[i].port == dstPort {
+			class = q.slots[i].class
 			break
 		}
 	}
@@ -245,52 +248,25 @@ type hashLPM struct {
 }
 
 type lpmLevel struct {
-	mask    uint32
-	keys    []uint32
-	vals    []uint32
-	used    []bool
-	idxMask uint32
+	mask uint32
+	u32Hash
 }
 
 func (t *hashLPM) compile(byLen *[33]map[packet.IPv4]packet.IPv4) {
 	t.levels = t.levels[:0]
 	for l := 32; l >= 0; l-- {
-		m := byLen[l]
-		if m == nil || len(m) == 0 {
-			continue
-		}
-		size := tableSize(len(m))
-		lv := lpmLevel{
-			mask:    uint32(mask(uint8(l))),
-			keys:    make([]uint32, size),
-			vals:    make([]uint32, size),
-			used:    make([]bool, size),
-			idxMask: uint32(size - 1),
-		}
-		for k, v := range m {
-			i := hash32(uint32(k)) & lv.idxMask
-			for lv.used[i] {
-				i = (i + 1) & lv.idxMask
-			}
-			lv.used[i], lv.keys[i], lv.vals[i] = true, uint32(k), uint32(v)
-		}
-		t.levels = append(t.levels, lv)
-	}
-}
-
-func (lv *lpmLevel) probe(key uint32) (uint32, bool) {
-	for i := hash32(key) & lv.idxMask; lv.used[i]; i = (i + 1) & lv.idxMask {
-		if lv.keys[i] == key {
-			return lv.vals[i], true
+		if m := byLen[l]; len(m) > 0 {
+			lv := lpmLevel{mask: uint32(mask(uint8(l)))}
+			compileU32(&lv.u32Hash, m)
+			t.levels = append(t.levels, lv)
 		}
 	}
-	return 0, false
 }
 
 func (t *hashLPM) lookup(ip uint32) (uint32, bool) {
 	for li := range t.levels {
 		lv := &t.levels[li]
-		if v, ok := lv.probe(ip & lv.mask); ok {
+		if v, ok := lv.lookup(ip & lv.mask); ok {
 			return v, true
 		}
 	}
@@ -299,36 +275,40 @@ func (t *hashLPM) lookup(ip uint32) (uint32, bool) {
 
 // --- vNIC-server map: open-addressed uint32 -> IPv4 ------------------
 
+// u32Hash is an open-addressed uint32 -> uint32 table whose slots hold
+// key, value and occupancy together: one array to allocate, and one
+// cache line per probe.
 type u32Hash struct {
-	keys    []uint32
-	vals    []uint32
-	used    []bool
+	slots   []u32Slot
 	idxMask uint32
 }
 
-func (t *u32Hash) compile(m map[uint32]packet.IPv4) {
+type u32Slot struct {
+	key, val uint32
+	used     bool
+}
+
+func compileU32[K ~uint32](t *u32Hash, m map[K]packet.IPv4) {
 	size := tableSize(len(m))
 	t.idxMask = uint32(size - 1)
 	if len(m) == 0 {
-		t.keys, t.vals, t.used = emptyU32[:], emptyU32[:], emptyUsed[:]
+		t.slots = emptySlots[:]
 		return
 	}
-	t.keys = make([]uint32, size)
-	t.vals = make([]uint32, size)
-	t.used = make([]bool, size)
+	t.slots = make([]u32Slot, size)
 	for k, v := range m {
-		i := hash32(k) & t.idxMask
-		for t.used[i] {
+		i := hash32(uint32(k)) & t.idxMask
+		for t.slots[i].used {
 			i = (i + 1) & t.idxMask
 		}
-		t.used[i], t.keys[i], t.vals[i] = true, k, uint32(v)
+		t.slots[i] = u32Slot{key: uint32(k), val: uint32(v), used: true}
 	}
 }
 
 func (t *u32Hash) lookup(key uint32) (uint32, bool) {
-	for i := hash32(key) & t.idxMask; t.used[i]; i = (i + 1) & t.idxMask {
-		if t.keys[i] == key {
-			return t.vals[i], true
+	for i := hash32(key) & t.idxMask; t.slots[i].used; i = (i + 1) & t.idxMask {
+		if t.slots[i].key == key {
+			return t.slots[i].val, true
 		}
 	}
 	return 0, false
@@ -436,10 +416,8 @@ func tableSize(n int) int {
 // with no QoS ports or vNIC-server entries compiles without
 // allocating them.
 var (
-	emptyUsed [2]bool
-	emptyU32  [2]uint32
-	emptyU16  [2]uint16
-	emptyU8   [2]uint8
+	emptySlots [2]u32Slot
+	emptyQoS   [2]qosSlot
 )
 
 // hash32 is a Fibonacci multiplicative hash; internal placement only,

@@ -240,7 +240,7 @@ func TestEnableObsAllocs(t *testing.T) {
 	}
 	n := total / runs
 	t.Logf("EnableObs allocates %d times", n)
-	if n > 8 {
-		t.Fatalf("EnableObs allocates %d times on a fresh registry, want ≤ 8", n)
+	if n > 4 {
+		t.Fatalf("EnableObs allocates %d times on a fresh registry, want ≤ 4", n)
 	}
 }

@@ -17,7 +17,7 @@ type vsObs struct {
 	bundle    *obs.Obs
 	tr        *obs.FlightTracer
 	flows     *obs.FlowTop
-	queueWait *obs.Histogram // CPU queueing+service delay, ns
+	queueWait obs.Histogram // CPU queueing+service delay, ns
 	util      nic.UtilMeter
 }
 
@@ -34,12 +34,7 @@ func (vs *VSwitch) EnableObs(o *obs.Obs) {
 		return
 	}
 	lbl := obs.L("node", vs.node.Node) // the ledger's node name is the address
-	vs.ob = &vsObs{
-		bundle:    o,
-		tr:        o.Tracer,
-		flows:     o.Flows,
-		queueWait: o.Reg.GetHistogram("vswitch_queue_wait_ns", lbl),
-	}
+	vs.ob = &vsObs{bundle: o, tr: o.Tracer, flows: o.Flows}
 	vs.ob.util.Start(&vs.cpu)
 	obs.Register(o.Reg, vs, lbl, &vsTable)
 }
@@ -63,7 +58,8 @@ func b2f(b bool) float64 {
 
 // vsTable is every series a vSwitch exports.
 var vsTable = obs.Table[VSwitch]{Series: slices.Concat([]obs.Series[VSwitch]{
-	{Name: "vswitch_queue_wait_ns", Help: "CPU queueing plus service delay per packet, nanoseconds."},
+	{Name: "vswitch_queue_wait_ns", Help: "CPU queueing plus service delay per packet, nanoseconds.", Kind: obs.KindHistogram,
+		Hist: func(vs *VSwitch) *obs.Histogram { return &vs.ob.queueWait }},
 	stat("vswitch_from_vm_total", "Packets received from local VMs.", func(s *Counters) *uint64 { return &s.FromVM }),
 	stat("vswitch_from_net_total", "Packets received from the fabric.", func(s *Counters) *uint64 { return &s.FromNet }),
 	stat("vswitch_delivered_total", "Packets delivered to local VMs.", func(s *Counters) *uint64 { return &s.Delivered }),
