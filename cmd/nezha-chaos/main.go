@@ -46,7 +46,8 @@
 // line names them all. A replay that misses the failing run's digest is
 // an error, so a failing seed also checks determinism. -replay replays
 // clean campaigns too. Inspect a profile with `go tool pprof -top
-// <dump>`, or fold it for a flamegraph with `nezha-prof folded <dump>`.
+// <dump>`, print its stacks with `-traces`, or open its flame graph
+// with `-http :8080`.
 //
 // With -listen, the process hosts the live ops API and turns on the
 // observability layer and the profiler for every campaign: per-second

@@ -22,9 +22,9 @@
 // given file ('-' = stdout) — the format nezha-top renders. -obs-prom
 // writes a final Prometheus text export at exit. -prof attaches the
 // cycle/byte attribution profiler and writes a pprof-encoded profile
-// at exit (inspect with `go tool pprof -top` or nezha-prof); when
-// combined with -obs the prof_* series appear in the snapshots and
-// nezha-top's PROF section.
+// at exit (inspect with `go tool pprof -top`, `-traces` or `-http`);
+// when combined with -obs the prof_* series appear in the snapshots
+// and nezha-top's PROF section.
 //
 // nezha-sim exits 2 on a bad flag value, before building anything,
 // and 1 when it cannot create or write an output or serve -listen.

@@ -1,10 +1,12 @@
 // Failover: kill an FE and watch Nezha recover — §4.4 live.
 //
-// A server vNIC is offloaded to 4 FEs carrying steady traffic. One FE
+// A server vNIC is offloaded to 8 FEs carrying steady traffic. One FE
 // crashes. The centralized monitor's ping polling misses three probes
 // (~1.5 s), declares the crash, and the controller evicts the dead FE
-// from the BE config and the gateway and adds a replacement to keep
-// the 4-FE floor. The event prints as a per-100ms loss-rate timeline.
+// from the BE config and the gateway. The 7 FEs left are still above
+// the 4-FE floor, so no replacement is added; one would be only if the
+// eviction left fewer than 4. The event prints as a per-100ms
+// loss-rate timeline.
 //
 //	go run ./examples/failover
 package main

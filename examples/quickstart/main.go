@@ -2,9 +2,10 @@
 //
 // One high-demand server VM sits behind a scaled-down SmartNIC
 // vSwitch; eight client VMs drive TCP_CRR-style short connections at
-// it. The Nezha controller notices the hotspot, offloads the server's
-// vNIC to four idle SmartNICs (stateless rule tables and cached flows
-// move; session state stays home), and CPS roughly triples.
+// it. The Nezha controller notices the hotspot and offloads the
+// server's vNIC to four idle SmartNICs (stateless rule tables and
+// cached flows move; session state stays home), then scales out to
+// eight at t=3s. CPS settles at about 4.5× the local rate.
 //
 //	go run ./examples/quickstart
 package main

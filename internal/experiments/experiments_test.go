@@ -183,6 +183,23 @@ func TestTable4Completion(t *testing.T) {
 	}
 }
 
+// TestTable3GainOrdering checks Table 3's CPS ordering: the deeper a
+// middlebox's rule walk, the lower its capacity before offloading and
+// the more offloading buys, so NAT (advanced tables) gains more than
+// LB (ACL walk), which gains more than TR (ACL bypass).
+func TestTable3GainOrdering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy quick experiment")
+	}
+	r := quickRun(t, "table3")
+	lb := cell(t, r, "Load-balancer", "CPS-gain")
+	nat := cell(t, r, "NAT gateway", "CPS-gain")
+	tr := cell(t, r, "Transit router", "CPS-gain")
+	if !(nat > lb && lb > tr && tr > 1) {
+		t.Fatalf("CPS gains NAT %v, LB %v, TR %v: want NAT > LB > TR > 1", nat, lb, tr)
+	}
+}
+
 func TestFig12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy quick experiment")

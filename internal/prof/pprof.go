@@ -1,9 +1,9 @@
 // pprof.go encodes drained attribution samples as a gzipped
-// profile.proto so standard tooling (`go tool pprof -top/-http`,
-// flamegraph viewers) works on simulator output, and decodes the
-// same format back for tests and cmd/nezha-prof. The protobuf wiring
-// is hand-rolled against the stable profile.proto field numbers —
-// the repo takes no dependency on protobuf runtimes.
+// profile.proto so standard tooling (`go tool pprof` -top, -traces
+// and -http, flamegraph viewers) works on simulator output, and
+// decodes the same format back so tests can check the encoding. The
+// protobuf wiring is hand-rolled against the stable profile.proto
+// field numbers — the repo takes no dependency on protobuf runtimes.
 package prof
 
 import (
@@ -269,7 +269,7 @@ type DecodedSample struct {
 }
 
 // DecodedProfile is the subset of profile.proto the simulator emits,
-// decoded back for tests and cmd/nezha-prof.
+// decoded back for tests.
 type DecodedProfile struct {
 	SampleTypes []string // "type/unit"
 	// DefaultSampleType is the sample type pprof shows by default.
@@ -599,30 +599,4 @@ func DecodeProfile(data []byte) (*DecodedProfile, error) {
 		dp.Samples = append(dp.Samples, ds)
 	}
 	return &dp, nil
-}
-
-// Folded renders the decoded profile as folded stacks (root;...;leaf
-// value) for flamegraph tools, using sample-type index vi.
-func (dp *DecodedProfile) Folded(w io.Writer, vi int) error {
-	for _, s := range dp.Samples {
-		if vi >= len(s.Values) || s.Values[vi] == 0 {
-			continue
-		}
-		for i := len(s.Stack) - 1; i >= 0; i-- {
-			if _, err := io.WriteString(w, s.Stack[i]); err != nil {
-				return err
-			}
-			sep := ";"
-			if i == 0 {
-				sep = " "
-			}
-			if _, err := io.WriteString(w, sep); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%d\n", s.Values[vi]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

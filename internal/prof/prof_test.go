@@ -1,7 +1,6 @@
 package prof
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -318,27 +317,6 @@ func TestPprofOpensAsCycles(t *testing.T) {
 	}
 	if file >= uint64(len(strs)) || strs[file] != "nezha" {
 		t.Errorf("mapping file index %d in %q, want nezha", file, strs)
-	}
-}
-
-func TestFoldedOutput(t *testing.T) {
-	p := New()
-	p.Node("n", 1).Slot(1, RoleLocal).Charge(DirRX, StageEncap, 77)
-	raw, err := p.ProfileBytes(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp, err := DecodeProfile(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := dp.Folded(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	want := "node:n;vnic:1/local;dir:rx;stage:encap 77\n"
-	if buf.String() != want {
-		t.Errorf("folded = %q, want %q", buf.String(), want)
 	}
 }
 

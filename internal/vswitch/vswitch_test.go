@@ -271,9 +271,16 @@ func TestNezhaOffloadEndToEnd(t *testing.T) {
 	}
 }
 
+// TestNezhaStatefulACLEquivalence is the §5.1 case study. A server
+// vNIC's ACL denies all inbound traffic, yet a stateful ACL must still
+// admit the responses to connections the server itself opened. Once
+// offloaded, the ACL lives only on the FEs and the first-packet
+// direction only in the BE's session state, so neither side decides
+// alone: an inbound packet's deny pre-action comes from the FE, and
+// the BE overrides it when the state says the server sent first. This
+// is TestStatefulACLAllowsResponses offloaded; separating state from
+// rules must not change a decision (§3.1).
 func TestNezhaStatefulACLEquivalence(t *testing.T) {
-	// Same scenario as TestStatefulACLAllowsResponses but offloaded:
-	// the separation of state and rules must not change decisions.
 	w := newWorld(t, 2, nil)
 	w.installLocal(t, false)
 	srsDeny := func(rs *tables.RuleSet) {
@@ -488,6 +495,14 @@ func TestNotifyPacketInstallsPolicy(t *testing.T) {
 	}
 }
 
+// TestStatefulDecapViaNezha is the §5.2 case study. A load balancer
+// forwards a client's packet to a real server (RS) with the client's
+// address as the inner source. The RS's vSwitch must remember the
+// overlay source (the LB) when it decapsulates, so the RS's response
+// goes back through the LB, not straight to a client that has no TCP
+// connection with the RS. Offloaded, the FE rewrites the outer source,
+// so it preserves the original in the Nezha header and the BE
+// initializes the decap state from it.
 func TestStatefulDecapViaNezha(t *testing.T) {
 	w := newWorld(t, 1, nil)
 	// B is a real server (RS) with decap enabled.
@@ -649,8 +664,13 @@ func TestCrashedVSwitchSilent(t *testing.T) {
 	}
 }
 
+// TestBELocationUpdateRedirects is §7.2's live migration. Moving a VM
+// usually means re-creating its vNIC (rule tables take seconds to
+// configure) and waiting for the gateway's routes to converge. With
+// the vNIC offloaded neither is on the critical path: the FEs keep the
+// rule tables, the gateway keeps pointing at the FEs, and redirecting
+// traffic to the new home is one BE-location update on each FE.
 func TestBELocationUpdateRedirects(t *testing.T) {
-	// §7.2: VM live migration just updates the BE location on FEs.
 	w := newWorld(t, 1, nil)
 	w.installLocal(t, false)
 	w.offloadServer(t, false, true)

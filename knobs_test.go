@@ -27,6 +27,7 @@ var knobAllow = map[string]string{
 	"chaos.ScenarioConfig.CtrlOutage":      "TestCrashRecoveryDecisionLogSuffix sets the outage it crashes the controller for",
 	"controller.Config.RPCAddr":            "an address: the controller transport's fabric address",
 	"controller.Config.GatewayAddr":        "an address: the gateway agent's fabric address",
+	"monitor.Config.Addr":                  "an address: the monitor's fabric address",
 	"obs.HistoryOptions.PolicyLines":       "TestHistorySideStores shrinks the decision-log tail to 2",
 	"obs.HistoryOptions.Invariants":        "TestHistorySideStores shrinks the invariant tail to 2",
 	"slo.Config.BurnWindow":                "TestBurnEvaluator shrinks the burn window to 1000 ns",

@@ -26,6 +26,7 @@ var orphanAllow = map[string]string{
 	"nic.NewBDFAllocator":             "§7.4 BDF limit on a VM's vNICs; ROADMAP item 15 bounds it as a resource edge",
 	"vswitch.VSwitch.PinFlow":         "§7.5 elephant-flow pinning; ROADMAP item 5 runs pinned elephants against the reference vSwitch",
 	"vswitch.VSwitch.UnpinFlow":       "§7.5 elephant-flow pinning; ROADMAP item 5 runs pinned elephants against the reference vSwitch",
+	"vswitch.VSwitch.SetBELocation":   "§7.2 BE relocation when an offloaded vNIC's VM migrates; ROADMAP item 27 turns it into a controller transaction",
 	"vswitch.VSwitch.SetMirrorSink":   "traffic mirroring to a collector; ROADMAP item 5 runs mirror worlds against the reference vSwitch",
 	"vswitch.VSwitch.SetRateLimit":    "VM-level rate limiting; ROADMAP item 5 runs QoS worlds against the reference vSwitch",
 	"workload.NewSYNFlood":            "§7.3 SYN flood; ROADMAP item 15's FE table-full scenario drives it",
