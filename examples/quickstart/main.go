@@ -5,7 +5,8 @@
 // it. The Nezha controller notices the hotspot and offloads the
 // server's vNIC to four idle SmartNICs (stateless rule tables and
 // cached flows move; session state stays home), then scales out to
-// eight at t=3s. CPS settles at about 4.5× the local rate.
+// eight at t=3s. CPS settles at about 4.4× the local rate, which the
+// run prints at the end.
 //
 //	go run ./examples/quickstart
 package main
@@ -39,7 +40,7 @@ func main() {
 	w.Start()
 
 	fmt.Println("quickstart: 8 clients hammering one server vNIC")
-	var last uint64
+	var last, first, cps uint64
 	for s := 1; s <= 12; s++ {
 		w.Loop.Run(sim.Time(s) * sim.Second)
 		done := w.Completed()
@@ -47,11 +48,15 @@ func main() {
 		if w.Ctrl.Offloaded(cluster.ServerVNIC) {
 			state = fmt.Sprintf("offloaded to %d FEs", len(w.Ctrl.FEsOf(cluster.ServerVNIC)))
 		}
-		fmt.Printf("  t=%2ds  cps=%6d  (%s)\n", s, done-last, state)
-		last = done
+		cps, last = done-last, done
+		if s == 1 {
+			first = cps
+		}
+		fmt.Printf("  t=%2ds  cps=%6d  (%s)\n", s, cps, state)
 	}
 	fmt.Printf("\ndone: %d transactions completed; offloads=%d scale-outs=%d\n",
 		w.Completed(), w.Ctrl.Stats.Offloads, w.Ctrl.Stats.ScaleOuts)
-	fmt.Println("note: CPS roughly triples once the rule-table walks run on the FEs;")
+	fmt.Printf("note: CPS went %d -> %d (%.1fx) once the rule-table walks ran on the FEs;\n",
+		first, cps, float64(cps)/float64(first))
 	fmt.Println("      session state never left the server's SmartNIC (one copy, no sync).")
 }

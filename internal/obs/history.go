@@ -17,6 +17,7 @@ package obs
 // (the digest-equality tests in internal/opsapi pin this).
 
 import (
+	"math"
 	"slices"
 	"sync"
 
@@ -68,7 +69,8 @@ type History struct {
 	mu  sync.Mutex
 	opt HistoryOptions
 
-	// Snapshot ring: buf[head] is the oldest of n retained snapshots.
+	// Snapshot ring: buf[head] is the oldest of n retained snapshots,
+	// and the newest is whole.
 	buf  []*retained
 	head int
 	n    int
@@ -100,23 +102,45 @@ func NewHistory(opt HistoryOptions) *History {
 	}
 }
 
-// retained is one retained snapshot: its values column by column against
-// a schema that consecutive snapshots share, and everything else the
-// snapshot held. A column costs its value, 8 bytes, and its 8-byte
-// pointer in a schema that snapshots share; a counter adds its rate and
-// a histogram its 40 bytes of extras. Label maps are not kept: reads
-// build them. Points built by hand, or whose descriptors or kinds differ
-// from the schema, are kept in head as they stand; any other edit made
-// to a registry snapshot before Publish is not kept.
+// retained is one retained snapshot. The ring's newest record holds it
+// whole: its schema and its columns' words. Every older record is a
+// delta against its successor, the next newer record: the columns only
+// one of the two has, as edits at their positions in the union of both
+// column lists, then a bitmap of the union's words that differ and the
+// XOR of each. A column's words are its value, then a counter's rate or
+// a histogram's five extras, compared as bits, so NaN, ±Inf and -0 come
+// back exactly. XOR and the edits both invert, so a read walks back from
+// the newest record, then forward. Records are immutable: Publish
+// replaces the newest with its delta, so a reader holding the pointers
+// it copied under the lock reads a consistent ring. Label maps are not
+// kept: reads build them. Points built by hand, or whose descriptors or
+// kinds differ from the schema, are kept in head as they stand; any
+// other edit made to a registry snapshot before Publish is not kept.
 type retained struct {
-	head   Snapshot // the snapshot without schema, and without Points when sc is set
-	sc     *schema
-	values []float64
-	rates  []float64    // one per counter column, in column order
-	hist   []histExtras // one per histogram column, in column order
+	head  Snapshot // the snapshot without schema, and without Points when it has columns
+	sc    *schema  // the newest record's schema
+	edits []edit   // a delta's columns that it or its successor lacks
+	words []uint64 // the newest record's column words; a delta's bitmap, then its XOR words
 }
 
-type histExtras struct{ count, sum, p50, p99, p999 uint64 }
+// edit is one column of a delta's union that only the older snapshot
+// (old) or only its successor has.
+type edit struct {
+	at  int32 // position in the union
+	old bool
+	d   *desc
+}
+
+// width is the number of words a column of kind k holds.
+func width(k Kind) int {
+	switch k {
+	case KindCounter:
+		return 2
+	case KindHistogram:
+		return 6
+	}
+	return 1
+}
 
 func retain(s *Snapshot) *retained {
 	r := &retained{head: *s}
@@ -126,23 +150,80 @@ func retain(s *Snapshot) *retained {
 		return r
 	}
 	r.head.Points, r.sc = nil, s.schema
-	n := len(s.Points)
-	vals := make([]float64, n+r.sc.counters)
-	r.values, r.rates = vals[:n:n], vals[n:n]
-	if r.sc.hists > 0 {
-		r.hist = make([]histExtras, 0, r.sc.hists)
-	}
-	for i, d := range r.sc.cols {
+	r.words = make([]uint64, 0, len(s.Points)+r.sc.counters+5*r.sc.hists)
+	for i := range s.Points {
 		p := &s.Points[i]
-		r.values[i] = p.Value
-		switch d.kind {
+		r.words = append(r.words, math.Float64bits(p.Value))
+		switch p.d.kind {
 		case KindCounter:
-			r.rates = append(r.rates, p.Rate)
+			r.words = append(r.words, math.Float64bits(p.Rate))
 		case KindHistogram:
-			r.hist = append(r.hist, histExtras{p.Count, p.Sum, p.P50, p.P99, p.P999})
+			r.words = append(r.words, p.Count, p.Sum, p.P50, p.P99, p.P999)
 		}
 	}
 	return r
+}
+
+// delta returns old, the previous newest record, as a delta against its
+// successor next. It merges the two sorted column lists, so a column that
+// persists is shared and one that came or went is an edit.
+func delta(old, next *retained) *retained {
+	var o, n []*desc
+	if old.sc != nil {
+		o = old.sc.cols
+	}
+	if next.sc != nil {
+		n = next.sc.cols
+	}
+	bits := make([]uint64, (len(old.words)+len(next.words)+63)/64)
+	xor := make([]uint64, 0, len(old.words)+len(next.words))
+	var edits []edit
+	ow, nw, g := old.words, next.words, 0
+	for i, j, u := 0, 0, int32(0); i < len(o) || j < len(n); u++ {
+		var d *desc
+		inO, inN := true, true
+		switch {
+		case i < len(o) && j < len(n) && o[i] == n[j]:
+			d = o[i]
+		case i < len(o) && (j == len(n) || !descLess(n[j], o[i])):
+			d, inN = o[i], false
+			edits = append(edits, edit{at: u, old: true, d: d})
+		default:
+			d, inO = n[j], false
+			edits = append(edits, edit{at: u, d: d})
+		}
+		for k := width(d.kind); k > 0; k, g = k-1, g+1 {
+			var x uint64
+			if inO {
+				x, ow = ow[0], ow[1:]
+			}
+			if inN {
+				x, nw = x^nw[0], nw[1:]
+			}
+			if x != 0 {
+				bits[g/64] |= 1 << (g % 64)
+				xor = append(xor, x)
+			}
+		}
+		if inO {
+			i++
+		}
+		if inN {
+			j++
+		}
+	}
+	bits = bits[:(g+63)/64]
+	r := &retained{head: old.head, edits: edits, words: make([]uint64, len(bits)+len(xor))}
+	copy(r.words[copy(r.words, bits):], xor)
+	return r
+}
+
+// frame is one snapshot's columns, their words and their label maps: a
+// read's working state as it walks the ring.
+type frame struct {
+	cols  []*desc
+	words []uint64
+	maps  []map[string]string
 }
 
 // reader builds the snapshots of one read call. With want set they hold
@@ -152,37 +233,123 @@ func retain(s *Snapshot) *retained {
 type reader struct {
 	want map[string]bool
 	sets map[string]map[string]string // by appendLabelsKey
-	cols map[*schema][]map[string]string
 	buf  []byte
 }
 
-// labelMaps returns the label map of each of sc's columns.
-func (rd *reader) labelMaps(sc *schema) []map[string]string {
-	if maps, ok := rd.cols[sc]; ok {
-		return maps
+// labelMap returns d's label map (nil for a series the read leaves out).
+func (rd *reader) labelMap(d *desc) map[string]string {
+	if len(d.labels) == 0 || rd.want != nil && !rd.want[d.name] {
+		return nil
 	}
-	if rd.cols == nil {
-		rd.sets, rd.cols = make(map[string]map[string]string), make(map[*schema][]map[string]string)
+	if rd.sets == nil {
+		rd.sets = make(map[string]map[string]string)
 	}
-	maps := make([]map[string]string, len(sc.cols))
-	for i, d := range sc.cols {
-		if len(d.labels) == 0 || rd.want != nil && !rd.want[d.name] {
-			continue
-		}
-		rd.buf = appendLabelsKey(rd.buf[:0], d.labels)
-		m := rd.sets[string(rd.buf)]
-		if m == nil {
-			m = d.labels.Map()
-			rd.sets[string(rd.buf)] = m
-		}
-		maps[i] = m
+	rd.buf = appendLabelsKey(rd.buf[:0], d.labels)
+	m := rd.sets[string(rd.buf)]
+	if m == nil {
+		m = d.labels.Map()
+		rd.sets[string(rd.buf)] = m
 	}
-	rd.cols[sc] = maps
-	return maps
+	return m
 }
 
-// snapshot builds the retained snapshot.
-func (r *retained) snapshot(rd *reader) *Snapshot {
+// whole returns the frame of the ring's newest record, which it borrows.
+func (rd *reader) whole(r *retained) *frame {
+	f := &frame{words: r.words}
+	if r.sc != nil {
+		f.cols = r.sc.cols
+		f.maps = make([]map[string]string, len(f.cols))
+		for i, d := range f.cols {
+			f.maps[i] = rd.labelMap(d)
+		}
+	}
+	return f
+}
+
+// step rebuilds into dst, from f, the frame on the other side of delta
+// r: the older snapshot's when back is set (f is its successor's), else
+// its successor's (f is the older one's).
+func (rd *reader) step(dst, f *frame, r *retained, back bool) {
+	union := len(f.words)
+	for _, e := range r.edits {
+		if e.old == back {
+			union += width(e.d.kind)
+		}
+	}
+	nb := (union + 63) / 64
+	bits, xor := r.words[:nb], r.words[nb:]
+	dst.cols, dst.words, dst.maps = dst.cols[:0], dst.words[:0], dst.maps[:0]
+	edits, j, w, g := r.edits, 0, f.words, 0
+	for u := int32(0); j < len(f.cols) || len(edits) > 0; u++ {
+		d, in, out := (*desc)(nil), true, true
+		if len(edits) > 0 && edits[0].at == u {
+			in, out = edits[0].old != back, edits[0].old == back
+			if out {
+				d = edits[0].d
+			}
+			edits = edits[1:]
+		}
+		var m map[string]string
+		if in {
+			d, m = f.cols[j], f.maps[j]
+			j++
+		}
+		if out {
+			if !in {
+				m = rd.labelMap(d)
+			}
+			dst.cols, dst.maps = append(dst.cols, d), append(dst.maps, m)
+		}
+		for k := width(d.kind); k > 0; k, g = k-1, g+1 {
+			var x uint64
+			if in {
+				x, w = w[0], w[1:]
+			}
+			if bits[g/64]&(1<<(g%64)) != 0 {
+				x, xor = x^xor[0], xor[1:]
+			}
+			if out {
+				dst.words = append(dst.words, x)
+			}
+		}
+	}
+}
+
+// read hands fn the snapshots of the records of recs that keep accepts
+// (every record when keep is nil), oldest first, stopping at fn's first
+// error. recs runs from the first record to hand out to the ring's
+// newest: read walks back from the newest with one working frame, then
+// forward, so it holds one snapshot's columns however many it returns.
+func (rd *reader) read(recs []*retained, keep func(*retained) bool, fn func(*Snapshot) error) error {
+	hi := len(recs) - 1
+	for hi >= 0 && keep != nil && !keep(recs[hi]) {
+		hi--
+	}
+	if hi < 0 {
+		return nil
+	}
+	var bufs [2]frame
+	f := rd.whole(recs[len(recs)-1])
+	for i := len(recs) - 2; i >= 0; i-- {
+		rd.step(&bufs[i%2], f, recs[i], true)
+		f = &bufs[i%2]
+	}
+	for i := 0; ; i++ {
+		if keep == nil || keep(recs[i]) {
+			if err := fn(rd.snapshot(recs[i], f)); err != nil {
+				return err
+			}
+		}
+		if i == hi {
+			return nil
+		}
+		rd.step(&bufs[(i+1)%2], f, recs[i], false)
+		f = &bufs[(i+1)%2]
+	}
+}
+
+// snapshot builds r's snapshot from f, its frame.
+func (rd *reader) snapshot(r *retained, f *frame) *Snapshot {
 	s := &Snapshot{T: r.head.T}
 	if rd.want == nil {
 		*s = r.head
@@ -194,33 +361,32 @@ func (r *retained) snapshot(rd *reader) *Snapshot {
 			}
 		}
 	}
-	if r.sc == nil {
+	if len(f.cols) == 0 {
 		return s
 	}
 	if rd.want == nil {
-		s.Points = make([]Point, 0, len(r.sc.cols))
+		s.Points = make([]Point, 0, len(f.cols))
 	}
-	maps := rd.labelMaps(r.sc)
-	rates, hist := r.rates, r.hist
-	for i, d := range r.sc.cols {
-		p := Point{Name: d.name, Labels: maps[i], Kind: d.kind.String(), Value: r.values[i], d: d}
-		switch d.kind {
-		case KindCounter:
-			p.Rate, rates = rates[0], rates[1:]
-		case KindHistogram:
-			x := &hist[0]
-			p.Count, p.Sum, p.P50, p.P99, p.P999 = x.count, x.sum, x.p50, x.p99, x.p999
-			hist = hist[1:]
-		}
+	w := f.words
+	for i, d := range f.cols {
 		if rd.want == nil || rd.want[d.name] {
+			p := Point{Name: d.name, Labels: f.maps[i], Kind: d.kind.String(), Value: math.Float64frombits(w[0]), d: d}
+			switch d.kind {
+			case KindCounter:
+				p.Rate = math.Float64frombits(w[1])
+			case KindHistogram:
+				p.Count, p.Sum, p.P50, p.P99, p.P999 = w[1], w[2], w[3], w[4], w[5]
+			}
 			s.Points = append(s.Points, p)
 		}
+		w = w[width(d.kind):]
 	}
 	return s
 }
 
-// Publish retains one snapshot in the ring (evicting the oldest past
-// capacity) and fans it out to subscribers, which receive s itself.
+// Publish retains one snapshot in the ring, whole, turns the previous
+// newest into a delta against it, evicts the oldest past capacity, and
+// fans s out to subscribers, which receive s itself.
 // Slow subscribers never block the sim goroutine: a full subscriber
 // channel drops the event and bumps the drop counter instead.
 func (h *History) Publish(s *Snapshot) {
@@ -231,13 +397,17 @@ func (h *History) Publish(s *Snapshot) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.n == len(h.buf) {
-		h.buf[h.head] = rec
+		h.buf[h.head] = nil
 		h.head = (h.head + 1) % len(h.buf)
+		h.n--
 		h.evicted++
-	} else {
-		h.buf[(h.head+h.n)%len(h.buf)] = rec
-		h.n++
 	}
+	if h.n > 0 {
+		i := (h.head + h.n - 1) % len(h.buf)
+		h.buf[i] = delta(h.buf[i], rec)
+	}
+	h.buf[(h.head+h.n)%len(h.buf)] = rec
+	h.n++
 	h.published++
 	for _, ch := range h.subs {
 		select {
@@ -258,7 +428,8 @@ func (h *History) Latest() *Snapshot {
 	}
 	rec := h.buf[(h.head+h.n-1)%len(h.buf)]
 	h.mu.Unlock()
-	return rec.snapshot(&reader{})
+	rd := &reader{}
+	return rd.snapshot(rec, rd.whole(rec))
 }
 
 // Len reports how many snapshots the ring currently retains.
@@ -299,29 +470,26 @@ func (h *History) Query(from, to sim.Time, series []string) []*Snapshot {
 // building the next only after fn returns, and stops at fn's first
 // error.
 func (h *History) Scan(from, to sim.Time, series []string, fn func(*Snapshot) error) error {
-	rd := &reader{want: wantSet(series)}
-	for _, rec := range h.window(from, to) {
-		if err := fn(rec.snapshot(rd)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// window returns the retained snapshots with from <= T <= to, oldest
-// first.
-func (h *History) window(from, to sim.Time) []*retained {
 	if to <= 0 {
 		to = sim.MaxTime
 	}
+	keep := func(r *retained) bool { return r.head.T >= from && r.head.T <= to }
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]*retained, 0, h.n)
-	for i := 0; i < h.n; i++ {
-		rec := h.buf[(h.head+i)%len(h.buf)]
-		if rec.head.T >= from && rec.head.T <= to {
-			out = append(out, rec)
-		}
+	first := 0
+	for first < h.n && !keep(h.buf[(h.head+first)%len(h.buf)]) {
+		first++
+	}
+	recs := h.records(first)
+	h.mu.Unlock()
+	return (&reader{want: wantSet(series)}).read(recs, keep, fn)
+}
+
+// records returns the retained records from the i-th oldest to the
+// newest. Caller holds h.mu.
+func (h *History) records(i int) []*retained {
+	out := make([]*retained, 0, h.n-i)
+	for ; i < h.n; i++ {
+		out = append(out, h.buf[(h.head+i)%len(h.buf)])
 	}
 	return out
 }
@@ -344,16 +512,13 @@ func (h *History) Tail(k int) []*Snapshot {
 	if k <= 0 || k > h.n {
 		k = h.n
 	}
-	recs := make([]*retained, 0, k)
-	for i := h.n - k; i < h.n; i++ {
-		recs = append(recs, h.buf[(h.head+i)%len(h.buf)])
-	}
+	recs := h.records(h.n - k)
 	h.mu.Unlock()
-	out := make([]*Snapshot, len(recs))
-	rd := &reader{}
-	for i, rec := range recs {
-		out[i] = rec.snapshot(rd)
-	}
+	out := make([]*Snapshot, 0, len(recs))
+	(&reader{}).read(recs, nil, func(s *Snapshot) error {
+		out = append(out, s)
+		return nil
+	})
 	return out
 }
 

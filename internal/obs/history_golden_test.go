@@ -26,15 +26,7 @@ const historyGoldenPath = "testdata/history_golden.json"
 // snapshot a line.
 func historyGolden(t *testing.T) []byte {
 	t.Helper()
-	h := obs.NewHistory(obs.HistoryOptions{})
-	_, err := chaos.RunCampaign(chaos.CampaignConfig{
-		Seed: 1, Duration: 8 * sim.Second,
-		Obs: true, Prof: true, SLO: true, SLOObjective: 100 * sim.Millisecond,
-		Hist: h,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := goldenCampaign(t)
 	var b bytes.Buffer
 	section := func(name string, snaps []*obs.Snapshot) {
 		b.WriteString(name)
@@ -59,6 +51,22 @@ func historyGolden(t *testing.T) []byte {
 	section(",\n\"series\":[", h.Query(0, 0, []string{"vswitch_drops_total", "vswitch_queue_wait_ns"}))
 	b.WriteString("}\n")
 	return b.Bytes()
+}
+
+// goldenCampaign runs seed 1 for 8 virtual seconds with obs, prof and
+// SLO on and returns the History it fed.
+func goldenCampaign(t *testing.T) *obs.History {
+	t.Helper()
+	h := obs.NewHistory(obs.HistoryOptions{})
+	_, err := chaos.RunCampaign(chaos.CampaignConfig{
+		Seed: 1, Duration: 8 * sim.Second,
+		Obs: true, Prof: true, SLO: true, SLOObjective: 100 * sim.Millisecond,
+		Hist: h,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // TestHistoryGolden requires the three reads to equal the committed

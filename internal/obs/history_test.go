@@ -1,7 +1,6 @@
 package obs_test
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -245,19 +244,6 @@ func TestPublisherSpanTailIsCopied(t *testing.T) {
 	}
 }
 
-// render is a snapshot's JSON line and Prometheus text.
-func render(t *testing.T, s *obs.Snapshot) string {
-	t.Helper()
-	var b bytes.Buffer
-	if err := s.WriteJSONLine(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
 // filtered is s cut to the points of the named series, as Query with a
 // series filter returns it: T and those points only.
 func filtered(s *obs.Snapshot, names ...string) *obs.Snapshot {
@@ -299,7 +285,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 	publish := func(s *obs.Snapshot) {
 		h.Publish(s)
 		pubs = append(pubs, <-ch)
-		if got, want := render(t, h.Latest()), render(t, pubs[len(pubs)-1]); got != want {
+		if got, want := text(h.Latest()), text(pubs[len(pubs)-1]); got != want {
 			t.Fatalf("Latest after publish %d:\n%s\nwant\n%s", len(pubs), got, want)
 		}
 	}
@@ -321,7 +307,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %d snapshots, want %d", what, len(got), len(want))
 		}
 		for i := range got {
-			if g, w := render(t, got[i]), render(t, want[i]); g != w {
+			if g, w := text(got[i]), text(want[i]); g != w {
 				t.Fatalf("%s[%d]:\n%s\nwant\n%s", what, i, g, w)
 			}
 		}
@@ -380,29 +366,34 @@ func TestHistoryReadSharesLabelMaps(t *testing.T) {
 	}
 }
 
-// TestHistoryRetention bounds what a ring of 64 campaign-sized
-// snapshots keeps alive per point once the registry that fed it is
-// gone, as a benchmark's instrumented rep holds it: values, schemas,
-// descriptors, keys, label sets, flows and SLO views included. The
-// stable case snapshots campaignObs' fixed series set. In the churning
-// one a collector label set appears or vanishes on every snapshot, so
-// every snapshot builds a schema, and the mix is a chaos campaign's
-// (about 63 % counters, 36 % gauges, 2 % histograms).
+// TestHistoryRetention bounds what a ring of campaign-sized snapshots
+// keeps alive per point once the registry that fed it is gone, as a
+// benchmark's instrumented rep holds it: values, deltas, the newest
+// schema, descriptors, keys, label sets, flows and SLO views included.
+// The stable case snapshots campaignObs' fixed series set, whose values
+// never change. In the churning one a collector label set appears or
+// vanishes on every snapshot, so every snapshot builds a schema, and
+// the mix is a chaos campaign's (about 63 % counters, 36 % gauges, 2 %
+// histograms). The campaign case is the history golden's seed-1
+// campaign, whose values change as a real run's do.
 func TestHistoryRetention(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		churn bool
-		max   float64 // bytes a point
+		name string
+		fill func(t *testing.T) (*obs.History, int)
+		max  float64 // bytes a point
 	}{
-		{"stable", false, 27.6},
-		{"churning", true, 33.7},
+		{"stable", func(t *testing.T) (*obs.History, int) { return fillRing(t, false) }, 9.7},
+		{"churning", func(t *testing.T) (*obs.History, int) { return fillRing(t, true) }, 10.5},
+		{"campaign", fillCampaign, 40.7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fillRing(t, tc.churn) // first-use state of the packages is not the ring's
+			tc.fill(t) // first-use state of the packages is not the ring's
 			var before, after runtime.MemStats
 			runtime.GC()
+			runtime.GC()
 			runtime.ReadMemStats(&before)
-			h, points := fillRing(t, tc.churn)
+			h, points := tc.fill(t)
+			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			perPoint := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(points)
@@ -413,6 +404,17 @@ func TestHistoryRetention(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fillCampaign returns the ring goldenCampaign fills and the number of
+// points it holds.
+func fillCampaign(t *testing.T) (*obs.History, int) {
+	h, points := goldenCampaign(t), 0
+	h.Scan(0, 0, nil, func(s *obs.Snapshot) error {
+		points += len(s.Points)
+		return nil
+	})
+	return h, points
 }
 
 // fillRing publishes 64 snapshots of a campaign-sized bundle into a

@@ -644,7 +644,8 @@ type Snapshot struct {
 	// with the registry until its help text next changes.
 	help map[string]string
 	// schema describes Points column by column (nil on snapshots built
-	// by hand); History keeps it in place of the rows.
+	// by hand); History keeps it in place of the rows until the next
+	// snapshot arrives, and older snapshots as edits against the next.
 	schema *schema
 }
 
@@ -724,10 +725,12 @@ func (r *Registry) intern(name string, labels Labels, kind Kind, gen uint64) *de
 // byKey orders points by (name, labels key) through their descriptors.
 type byKey []Point
 
-func (p byKey) Len() int      { return len(p) }
-func (p byKey) Swap(i, j int) { p[i], p[j] = p[j], p[i] }
-func (p byKey) Less(i, j int) bool {
-	a, b := p[i].d, p[j].d
+func (p byKey) Len() int           { return len(p) }
+func (p byKey) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
+func (p byKey) Less(i, j int) bool { return descLess(p[i].d, p[j].d) }
+
+// descLess orders descriptors by (name, labels key), a snapshot's order.
+func descLess(a, b *desc) bool {
 	if a.name != b.name {
 		return a.name < b.name
 	}
@@ -830,8 +833,8 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 // label maps of the previous one where their label sets persist, and
 // labels then holds only the sets of the new schema: it is bounded by
 // the series the registry currently emits. The maps stay on the
-// registry's side: the schema, which a History retains, holds
-// descriptors only. Caller holds snapMu.
+// registry's side: the schema, which a History retains for its newest
+// snapshot only, holds descriptors only. Caller holds snapMu.
 func (r *Registry) schemaFor(pts []Point) *schema {
 	if r.schema.matches(pts) {
 		return r.schema

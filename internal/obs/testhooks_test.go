@@ -87,3 +87,13 @@ func (r *Registry) GaugeFunc(name string, labels Labels, fn func() float64) {
 func (r *Registry) Collect(fn func(Emit)) {
 	Register(r, &fn, nil, &Table[func(Emit)]{Collect: func(fn *func(Emit), emit Emit) { (*fn)(emit) }})
 }
+
+// DropDeltas clears every retained record but the newest, so a read
+// that walks a delta fails.
+func (h *History) DropDeltas() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := 0; i < h.n-1; i++ {
+		h.buf[(h.head+i)%len(h.buf)] = nil
+	}
+}
