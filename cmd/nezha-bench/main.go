@@ -34,7 +34,7 @@ func validate(args []string, exp string) error {
 
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment id (fig2..fig15, table1..table5, tablea1, figa1, b2) or 'all'")
+		exp    = flag.String("exp", "all", "experiment id (-list shows the catalogue) or 'all'")
 		quick  = flag.Bool("quick", false, "reduced populations and durations")
 		seed   = flag.Int64("seed", 42, "random seed (same seed, same output)")
 		list   = flag.Bool("list", false, "list available experiments")

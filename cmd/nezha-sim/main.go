@@ -337,9 +337,8 @@ func run() (err error) {
 	fmt.Printf("  offloads=%d scale-outs=%d scale-ins=%d failovers=%d fallbacks=%d\n",
 		w.Ctrl.Stats.Offloads, w.Ctrl.Stats.ScaleOuts, w.Ctrl.Stats.ScaleIns,
 		w.Ctrl.Stats.Failovers, w.Ctrl.Stats.Fallbacks)
-	if n := w.Ctrl.OffloadCompletion.Count(); n > 0 {
-		fmt.Printf("  offload completion: avg %.0f ms, P99 %.0f ms\n",
-			w.Ctrl.OffloadCompletion.Mean(), w.Ctrl.OffloadCompletion.P99())
+	if oc := &w.Ctrl.OffloadCompletion; oc.Count() > 0 {
+		fmt.Printf("  offload completion: avg %.0f ms, P99 %.0f ms\n", oc.Mean(), oc.Quantile(0.99))
 	}
 	var drops, overload uint64
 	for _, vs := range w.Switches {

@@ -8,7 +8,6 @@ import (
 	"nezha/internal/cluster"
 	"nezha/internal/controller"
 	"nezha/internal/journal"
-	"nezha/internal/metrics"
 	"nezha/internal/obs"
 	"nezha/internal/policy"
 	"nezha/internal/prof"
@@ -317,8 +316,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		}
 	}
 
-	rampHist := metrics.NewHistogramCap("ramp-latency-us", 1<<18)
-	allHist := metrics.NewHistogramCap("all-latency-us", 1<<18)
+	var rampHist, allHist slo.Samples
 	inRamp := false
 	maxSlope := math.Pi * (cfg.PeakCPS - scenarioBaseCPS) / cfg.Duration.Seconds()
 
@@ -412,8 +410,8 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	}
 	res.PolicySteps = pe.Stats.Steps
 	res.Completed = w.Completed()
-	res.P99Micros = allHist.P99()
-	res.P99RampMicros = rampHist.P99()
+	res.P99Micros = allHist.Quantile(0.99)
+	res.P99RampMicros = rampHist.Quantile(0.99)
 
 	// Oracle scoring from the first offloaded window: before that the
 	// policy is still deciding whether to offload at all, which the

@@ -79,7 +79,7 @@ func TestOffloadCompletionTimes(t *testing.T) {
 	r.StopLoad()
 	r.Loop.Run(r.Loop.Now() + sim.Second)
 
-	h := r.Ctrl.OffloadCompletion
+	h := &r.Ctrl.OffloadCompletion
 	if h.Count() == 0 {
 		t.Fatal("no offload completions recorded")
 	}

@@ -24,12 +24,12 @@ import (
 	"nezha/internal/ctrlrpc"
 	"nezha/internal/fabric"
 	"nezha/internal/journal"
-	"nezha/internal/metrics"
 	"nezha/internal/nic"
 	"nezha/internal/obs"
 	"nezha/internal/packet"
 	"nezha/internal/policy"
 	"nezha/internal/sim"
+	"nezha/internal/slo"
 	"nezha/internal/tables"
 	"nezha/internal/vswitch"
 )
@@ -307,7 +307,7 @@ type Controller struct {
 
 	// OffloadCompletion records, per offload, the time from trigger
 	// until all traffic flows through the FEs (Table 4).
-	OffloadCompletion *metrics.Histogram
+	OffloadCompletion slo.Samples
 	Stats             Events
 
 	// --- driver: the only fields that reach the world ---
@@ -346,14 +346,13 @@ func newState(cfg Config, seed int64) *Controller {
 	}
 	cfg.fill()
 	return &Controller{
-		cfg:               cfg,
-		rng:               sim.NewRand(seed),
-		nodes:             make(map[packet.IPv4]*nodeState),
-		vnics:             make(map[uint32]*vnicState),
-		badLinks:          make(map[packet.IPv4]map[packet.IPv4]sim.Time),
-		failoverAt:        make(map[packet.IPv4]sim.Time),
-		OffloadCompletion: metrics.NewHistogram("offload-completion-ms"),
-		fx:                make([]effect, 0, 16),
+		cfg:        cfg,
+		rng:        sim.NewRand(seed),
+		nodes:      make(map[packet.IPv4]*nodeState),
+		vnics:      make(map[uint32]*vnicState),
+		badLinks:   make(map[packet.IPv4]map[packet.IPv4]sim.Time),
+		failoverAt: make(map[packet.IPv4]sim.Time),
+		fx:         make([]effect, 0, 16),
 	}
 }
 

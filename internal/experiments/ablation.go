@@ -6,7 +6,6 @@ import (
 	"nezha/internal/baseline"
 	"nezha/internal/cluster"
 	"nezha/internal/flowcache"
-	"nezha/internal/metrics"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
 	"nezha/internal/state"
@@ -52,7 +51,7 @@ func runAblation(cfg RunConfig) *Result {
 	loopN.RunAll()
 	nCPS := float64(nez.Established) / loopN.Now().Seconds()
 
-	t1 := metrics.NewTable("pool (4 identical cards)", "CPS", "relative")
+	t1 := NewTable("pool (4 identical cards)", "CPS", "relative")
 	t1.AddRow("Sirius (primary-backup in-line replication)", sCPS, sCPS/nCPS)
 	t1.AddRow("Nezha (stateless FEs, state at the BE)", nCPS, 1.0)
 	res.Tables = append(res.Tables, t1)
@@ -91,7 +90,7 @@ func runAblation(cfg RunConfig) *Result {
 	}
 	fixed := count(false)
 	variable := count(true)
-	t2 := metrics.NewTable("state layout", "sessions in same memory", "relative")
+	t2 := NewTable("state layout", "sessions in same memory", "relative")
 	t2.AddRow("fixed 64B slots", fixed, 1.0)
 	t2.AddRow("variable-length (§7.1)", variable, float64(variable)/float64(fixed))
 	res.Tables = append(res.Tables, t2)
@@ -106,7 +105,7 @@ func runAblation(cfg RunConfig) *Result {
 	// triggers exactly one notify; subsequent packets carry matching
 	// state and stay silent.
 	nf, np := measureNotifyRate(cfg)
-	t3 := metrics.NewTable("metric", "value")
+	t3 := NewTable("metric", "value")
 	t3.AddRow("TX packets through FE", np)
 	t3.AddRow("notify packets", nf)
 	t3.AddRow("notify rate %", 100*float64(nf)/float64(np))
@@ -204,12 +203,12 @@ func runOverhead(cfg RunConfig) *Result {
 	}
 	mono, _ := measure(0)
 	nez, _ := measure(4)
-	t := metrics.NewTable("deployment", "wire-bytes/transaction", "relative")
+	t := NewTable("deployment", "wire-bytes/transaction", "relative")
 	t.AddRow("monolithic", mono, 1.0)
 	t.AddRow("Nezha (4 FEs)", nez, nez/mono)
 	return &Result{
 		ID: "overhead", Title: "Bandwidth overhead",
-		Tables: []*metrics.Table{t},
+		Tables: []*Table{t},
 		Notes: []string{
 			"the extra hop roughly doubles wire bytes per packet, plus the Nezha header's state/pre-action blobs",
 			"the paper accepts this cost against datacenter headroom; the win is vSwitch CPU/memory, not bandwidth",

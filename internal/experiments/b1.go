@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"nezha/internal/cluster"
-	"nezha/internal/metrics"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
+	"nezha/internal/slo"
 	"nezha/internal/tables"
 	"nezha/internal/vswitch"
 	"nezha/internal/workload"
@@ -35,7 +35,7 @@ func runB1(cfg RunConfig) *Result {
 	// FE adds a full extra inter-rack traversal (client→FE and FE→BE
 	// both leave the rack); a same-ToR FE only pays the client→rack
 	// leg that the direct path pays anyway.
-	measure := func(pick func(i int) int) *metrics.Histogram {
+	measure := func(pick func(i int) int) *slo.Samples {
 		c := cluster.New(cluster.Options{
 			Servers: 18, ServersPerToR: 6, Seed: cfg.Seed,
 		})
@@ -76,7 +76,7 @@ func runB1(cfg RunConfig) *Result {
 
 		// Per-flow latency: many distinct flows, each hashing to some
 		// FE; record each flow's delivery latency.
-		lat := metrics.NewHistogram("b1-lat")
+		lat := new(slo.Samples)
 		be.SetDelivery(func(v uint32, p *packet.Packet, l sim.Time) {
 			if p.PayloadLen > 0 {
 				lat.Observe(l.Micros())
@@ -94,16 +94,17 @@ func runB1(cfg RunConfig) *Result {
 	crossToR := measure(func(i int) int { return 12 + i })              // servers 12-15: a third rack
 	mixed := measure(func(i int) int { return []int{1, 2, 12, 13}[i] }) // half near, half far
 
-	t := metrics.NewTable("placement", "lat-us(avg)", "lat-us(p50)", "lat-us(p99)", "spread p99/p50")
-	add := func(name string, h *metrics.Histogram) {
-		t.AddRow(name, h.Mean(), h.P50(), h.P99(), h.P99()/h.P50())
+	t := NewTable("placement", "lat-us(avg)", "lat-us(p50)", "lat-us(p99)", "spread p99/p50")
+	add := func(name string, h *slo.Samples) {
+		p50, p99 := h.Quantile(0.5), h.Quantile(0.99)
+		t.AddRow(name, h.Mean(), p50, p99, p99/p50)
 	}
 	add("same ToR as BE", sameToR)
 	add("cross ToR", crossToR)
 	add("mixed (2+2)", mixed)
 	return &Result{
 		ID: "b1", Title: "FE placement",
-		Tables: []*metrics.Table{t},
+		Tables: []*Table{t},
 		Notes: []string{
 			"same-ToR pools are fastest; mixed pools split the vNIC's flows into two latency classes (the spread column) — exactly why B.1 demands similar attributes",
 		},

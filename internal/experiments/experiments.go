@@ -15,8 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-
-	"nezha/internal/metrics"
 )
 
 // RunConfig parameterizes an experiment run.
@@ -28,13 +26,14 @@ type RunConfig struct {
 	Quick bool
 }
 
-// Result is an experiment's printable outcome.
+// Result is an experiment's printable outcome. JSON marshals it as
+// is: tables as header+rows, series as [t,v] pairs.
 type Result struct {
-	ID     string
-	Title  string
-	Tables []*metrics.Table
-	Series []*metrics.Series
-	Notes  []string
+	ID     string    `json:"id"`
+	Title  string    `json:"title"`
+	Tables []*Table  `json:"tables,omitempty"`
+	Series []*Series `json:"series,omitempty"`
+	Notes  []string  `json:"notes,omitempty"`
 }
 
 // Render formats the result for the terminal.
@@ -52,50 +51,20 @@ func (r *Result) Render() string {
 	return out
 }
 
-func renderSeries(s *metrics.Series) string {
-	out := fmt.Sprintf("series %s (%d points):\n", s.Name(), s.Len())
+func renderSeries(s *Series) string {
+	out := fmt.Sprintf("series %s (%d points):\n", s.Name, len(s.Points))
 	step := 1
-	if s.Len() > 40 {
-		step = s.Len() / 40
+	if len(s.Points) > 40 {
+		step = len(s.Points) / 40
 	}
-	for i := 0; i < s.Len(); i += step {
-		t, v := s.At(i)
-		out += fmt.Sprintf("  t=%-10.3f %v\n", t, v)
+	for i := 0; i < len(s.Points); i += step {
+		out += fmt.Sprintf("  t=%-10.3f %v\n", s.Points[i][0], s.Points[i][1])
 	}
 	return out
 }
 
-// JSON renders the result as machine-readable JSON (tables as
-// header+rows, series as [t,v] pairs).
-func (r *Result) JSON() ([]byte, error) {
-	type jsonTable struct {
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-	}
-	type jsonSeries struct {
-		Name   string       `json:"name"`
-		Points [][2]float64 `json:"points"`
-	}
-	out := struct {
-		ID     string       `json:"id"`
-		Title  string       `json:"title"`
-		Tables []jsonTable  `json:"tables,omitempty"`
-		Series []jsonSeries `json:"series,omitempty"`
-		Notes  []string     `json:"notes,omitempty"`
-	}{ID: r.ID, Title: r.Title, Notes: r.Notes}
-	for _, t := range r.Tables {
-		out.Tables = append(out.Tables, jsonTable{Header: t.Header, Rows: t.Rows})
-	}
-	for _, s := range r.Series {
-		js := jsonSeries{Name: s.Name()}
-		for i := 0; i < s.Len(); i++ {
-			t, v := s.At(i)
-			js.Points = append(js.Points, [2]float64{t, v})
-		}
-		out.Series = append(out.Series, js)
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
+// JSON renders the result as machine-readable JSON.
+func (r *Result) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
 // Experiment couples an ID to its runner.
 type Experiment struct {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"nezha/internal/cluster"
-	"nezha/internal/metrics"
 	"nezha/internal/nic"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
@@ -30,9 +29,9 @@ func runFig10(cfg RunConfig) *Result {
 	if cfg.Quick {
 		window = 2 * sim.Second
 	}
-	t := metrics.NewTable("vCPUs", "CPS(no Nezha)", "CPS(Nezha)", "kernel-cap", "Nezha/base")
-	sNo := metrics.NewSeries("fig10-cps-without")
-	sYes := metrics.NewSeries("fig10-cps-with")
+	t := NewTable("vCPUs", "CPS(no Nezha)", "CPS(Nezha)", "kernel-cap", "Nezha/base")
+	sNo := &Series{Name: "fig10-cps-without"}
+	sYes := &Series{Name: "fig10-cps-with"}
 	var base float64
 	for _, vc := range vcpus {
 		measure := func(k int) float64 {
@@ -56,8 +55,8 @@ func runFig10(cfg RunConfig) *Result {
 	}
 	return &Result{
 		ID: "fig10", Title: "CPS vs VM vCPUs",
-		Tables: []*metrics.Table{t},
-		Series: []*metrics.Series{sNo, sYes},
+		Tables: []*Table{t},
+		Series: []*Series{sNo, sYes},
 		Notes: []string{
 			"kernel-cap is the Amdahl-limited VM capability at rig scale; with Nezha, measured CPS hugs it",
 			"without Nezha the vSwitch caps CPS regardless of vCPUs (Fig 2's gap)",
@@ -91,10 +90,10 @@ func runFig11(cfg RunConfig) *Result {
 		feMeters[i] = nic.NewUtilMeter(vs.CPU())
 	}
 
-	beSeries := metrics.NewSeries("fig11-be-cpu")
-	feSeries := metrics.NewSeries("fig11-fe-cpu-avg")
-	cpsSeries := metrics.NewSeries("fig11-offered-cps")
-	feCount := metrics.NewSeries("fig11-fe-count")
+	beSeries := &Series{Name: "fig11-be-cpu"}
+	feSeries := &Series{Name: "fig11-fe-cpu-avg"}
+	cpsSeries := &Series{Name: "fig11-offered-cps"}
+	feCount := &Series{Name: "fig11-fe-count"}
 
 	dur := 30 * sim.Second
 	if cfg.Quick {
@@ -132,20 +131,20 @@ func runFig11(cfg RunConfig) *Result {
 	loop.Run(dur)
 	r.StopLoad()
 
-	t := metrics.NewTable("event", "value")
+	t := NewTable("event", "value")
 	t.AddRow("offloads", r.Ctrl.Stats.Offloads)
 	t.AddRow("scale-outs", r.Ctrl.Stats.ScaleOuts)
 	t.AddRow("final #FEs", len(r.Ctrl.FEsOf(cluster.ServerVNIC)))
-	t.AddRow("BE peak CPU %", beSeries.MaxValue())
-	beFinal := 0.0
-	if beSeries.Len() > 0 {
-		_, beFinal = beSeries.At(beSeries.Len() - 1)
+	bePeak, beFinal := 0.0, 0.0
+	for _, p := range beSeries.Points {
+		bePeak, beFinal = max(bePeak, p[1]), p[1]
 	}
+	t.AddRow("BE peak CPU %", bePeak)
 	t.AddRow("BE final CPU %", beFinal)
 	return &Result{
 		ID: "fig11", Title: "CPU during offload/scale-out",
-		Tables: []*metrics.Table{t},
-		Series: []*metrics.Series{beSeries, feSeries, feCount, cpsSeries},
+		Tables: []*Table{t},
+		Series: []*Series{beSeries, feSeries, feCount, cpsSeries},
 	}
 }
 
@@ -165,9 +164,9 @@ func runFig12(cfg RunConfig) *Result {
 	if cfg.Quick {
 		fracs = []float64{0.3, 0.8, 1.2}
 	}
-	t := metrics.NewTable("load(frac of capacity)", "lat-us(no Nezha)", "loss%(no)", "lat-us(Nezha)", "loss%(Nezha)")
-	sNo := metrics.NewSeries("fig12-latency-without")
-	sYes := metrics.NewSeries("fig12-latency-with")
+	t := NewTable("load(frac of capacity)", "lat-us(no Nezha)", "loss%(no)", "lat-us(Nezha)", "loss%(Nezha)")
+	sNo := &Series{Name: "fig12-latency-without"}
+	sYes := &Series{Name: "fig12-latency-with"}
 
 	for _, frac := range fracs {
 		latNo, lossNo := fig12Point(cfg, frac, false)
@@ -178,8 +177,8 @@ func runFig12(cfg RunConfig) *Result {
 	}
 	return &Result{
 		ID: "fig12", Title: "Latency vs load",
-		Tables: []*metrics.Table{t},
-		Series: []*metrics.Series{sNo, sYes},
+		Tables: []*Table{t},
+		Series: []*Series{sNo, sYes},
 		Notes: []string{
 			"latency is the probe flow's mean end-to-end delivery time; loss is the probe packets that never arrived",
 			"the Nezha column offloads at 4 FEs above the 70% trigger, adding one extra hop (~tens of µs)",
@@ -205,7 +204,7 @@ func fig12Point(cfg RunConfig, frac float64, nezha bool) (latUS float64, loss fl
 	r.StartLoad()
 
 	// Probe flow: latency recorded at the server VM delivery.
-	probe := metrics.NewHistogram("probe-lat")
+	var latSum float64
 	delivered := 0
 	srv := r.ServerSwitch()
 	orig := r.Server
@@ -213,7 +212,7 @@ func fig12Point(cfg RunConfig, frac float64, nezha bool) (latUS float64, loss fl
 		if p.Tuple.SrcPort == 5555 {
 			if p.PayloadLen > 0 {
 				delivered++
-				probe.Observe(lat.Micros())
+				latSum += lat.Micros()
 			}
 			return
 		}
@@ -231,5 +230,8 @@ func fig12Point(cfg RunConfig, frac float64, nezha bool) (latUS float64, loss fl
 	loop.Run(loop.Now() + sim.Time(n)*sim.Millisecond + sim.Second)
 	r.StopLoad()
 
-	return probe.Mean(), 1 - float64(delivered)/float64(n)
+	if delivered > 0 {
+		latUS = latSum / float64(delivered)
+	}
+	return latUS, 1 - float64(delivered)/float64(n)
 }

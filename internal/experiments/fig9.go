@@ -4,7 +4,6 @@ import (
 	"nezha/internal/cluster"
 	"nezha/internal/fabric"
 	"nezha/internal/flowcache"
-	"nezha/internal/metrics"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
 	"nezha/internal/tables"
@@ -31,11 +30,11 @@ func runFig9(cfg RunConfig) *Result {
 		feCounts = []int{0, 1, 4}
 	}
 
-	t := metrics.NewTable("#FEs", "CPS", "CPS-gain", "#vNICs", "vNIC-gain", "#flows", "flow-gain")
+	t := NewTable("#FEs", "CPS", "CPS-gain", "#vNICs", "vNIC-gain", "#flows", "flow-gain")
 	var baseCPS, baseVNIC, baseFlows float64
-	csCPS := metrics.NewSeries("fig9-cps-gain")
-	csVNIC := metrics.NewSeries("fig9-vnic-gain")
-	csFlows := metrics.NewSeries("fig9-flow-gain")
+	csCPS := &Series{Name: "fig9-cps-gain"}
+	csVNIC := &Series{Name: "fig9-vnic-gain"}
+	csFlows := &Series{Name: "fig9-flow-gain"}
 
 	for _, k := range feCounts {
 		cps := fig9CPS(cfg, k)
@@ -51,8 +50,8 @@ func runFig9(cfg RunConfig) *Result {
 	}
 	return &Result{
 		ID: "fig9", Title: "Gain vs #FEs",
-		Tables: []*metrics.Table{t},
-		Series: []*metrics.Series{csCPS, csVNIC, csFlows},
+		Tables: []*Table{t},
+		Series: []*Series{csCPS, csVNIC, csFlows},
 		Notes: []string{
 			"CPS saturates once the VM kernel becomes the bottleneck (§6.2.2)",
 			"#vNICs: each vNIC's rule tables land on one FE of the pool, so capacity scales with pool size",

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"nezha/internal/cluster"
-	"nezha/internal/metrics"
 	"nezha/internal/nic"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
@@ -154,14 +153,14 @@ func runRegion(cfg RunConfig) *Result {
 	before := runRegionOnce(cfg, false, dur)
 	after := runRegionOnce(cfg, true, dur)
 
-	t := metrics.NewTable("metric", "without Nezha", "with Nezha")
+	t := NewTable("metric", "without Nezha", "with Nezha")
 	t.AddRow("overloaded tenant vSwitches", before.overloaded, after.overloaded)
 	t.AddRow("peak tenant-switch CPU %", before.maxUtil*100, after.maxUtil*100)
 	t.AddRow("completed transactions", before.completed, after.completed)
 	t.AddRow("offload events", before.offloads, after.offloads)
 	return &Result{
 		ID: "region", Title: "Zipf region end-to-end",
-		Tables: []*metrics.Table{t},
+		Tables: []*Table{t},
 		Notes: []string{
 			fmt.Sprintf("throughput gain %.2fx with the same hardware — the idle majority absorbs the hot minority",
 				float64(after.completed)/float64(before.completed)),

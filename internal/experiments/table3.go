@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"nezha/internal/cluster"
-	"nezha/internal/metrics"
 	"nezha/internal/sim"
 	"nezha/internal/tables"
 )
@@ -55,7 +54,7 @@ func runTable3(cfg RunConfig) *Result {
 	if cfg.Quick {
 		window = 2 * sim.Second
 	}
-	t := metrics.NewTable("middlebox", "CPS-gain", "paper", "#vNICs-gain", "paper", "#flows-gain", "paper")
+	t := NewTable("middlebox", "CPS-gain", "paper", "#vNICs-gain", "paper", "#flows-gain", "paper")
 	paperCPS := []float64{4.0, 4.4, 3.0}
 	paperVNIC := []string{">40X", ">40X", ">40X"}
 	paperFlows := []float64{5.04, 50.4, 15.3}
@@ -68,7 +67,7 @@ func runTable3(cfg RunConfig) *Result {
 	}
 	return &Result{
 		ID: "table3", Title: "Middlebox gains",
-		Tables: []*metrics.Table{t},
+		Tables: []*Table{t},
 		Notes: []string{
 			"the more complex the rule walk, the lower the pre-Nezha CPS and the higher the gain (§6.3.1)",
 			"LB's session table is bloated by long-lived connections, limiting its #flows gain",

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"nezha/internal/cluster"
-	"nezha/internal/metrics"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
 	"nezha/internal/tables"
@@ -60,16 +59,16 @@ func runTable4(cfg RunConfig) *Result {
 	}
 	c.Loop.Run(sim.Time(events)*10*sim.Millisecond + 10*sim.Second)
 
-	h := c.Ctrl.OffloadCompletion
-	t := metrics.NewTable("metric", "measured-ms", "paper-ms")
+	h := &c.Ctrl.OffloadCompletion
+	t := NewTable("metric", "measured-ms", "paper-ms")
 	t.AddRow("events", float64(h.Count()), float64(events))
 	t.AddRow("avg", h.Mean(), 1077)
-	t.AddRow("P90", h.P90(), 1503)
-	t.AddRow("P99", h.P99(), 2087)
-	t.AddRow("P999", h.P999(), 2858)
+	t.AddRow("P90", h.Quantile(0.9), 1503)
+	t.AddRow("P99", h.Quantile(0.99), 2087)
+	t.AddRow("P999", h.Quantile(0.999), 2858)
 	return &Result{
 		ID: "table4", Title: "Offload activation completion time",
-		Tables: []*metrics.Table{t},
+		Tables: []*Table{t},
 		Notes:  []string{"completion = slowest of the per-FE config pushes + the 200 ms vNIC-server learning interval"},
 	}
 }
@@ -139,7 +138,7 @@ func runFig13(cfg RunConfig) *Result {
 			}
 		}
 	}
-	t := metrics.NewTable("capability", "before/day", "after/day", "resolved%")
+	t := NewTable("capability", "before/day", "after/day", "resolved%")
 	for k := 0; k < 3; k++ {
 		b := float64(before[k]) / float64(days)
 		a := float64(after[k]) / float64(days)
@@ -151,7 +150,7 @@ func runFig13(cfg RunConfig) *Result {
 	}
 	return &Result{
 		ID: "fig13", Title: "Daily overloads before/after",
-		Tables: []*metrics.Table{t},
+		Tables: []*Table{t},
 		Notes: []string{
 			"residual CPS/#flows overloads are surges faster than the P999 activation time (§6.3.3)",
 			"surge tolerance model: lognormal around 60 s; activation from the Table 4 distribution",
@@ -189,7 +188,7 @@ func runFig14(cfg RunConfig) *Result {
 
 	// Sample loss per 100 ms bin: lost = fabric losses + crashed-
 	// vSwitch drops; denominator = packets entering the fabric.
-	loss := metrics.NewSeries("fig14-loss-rate")
+	loss := &Series{Name: "fig14-loss-rate"}
 	var lastLost, lastSent uint64
 	snapshot := func() (lost, sent uint64) {
 		lost = r.Fab.Lost
@@ -251,9 +250,12 @@ func runFig14(cfg RunConfig) *Result {
 	r.StopLoad()
 
 	// Quantify the surge window.
-	surgeStart, surgeEnd := -1.0, -1.0
-	for i := 0; i < loss.Len(); i++ {
-		ts, v := loss.At(i)
+	surgeStart, surgeEnd, peak := -1.0, -1.0, 0.0
+	for _, p := range loss.Points {
+		ts, v := p[0], p[1]
+		if v > peak {
+			peak = v
+		}
 		if v > 0.01 {
 			if surgeStart < 0 {
 				surgeStart = ts
@@ -261,11 +263,11 @@ func runFig14(cfg RunConfig) *Result {
 			surgeEnd = ts
 		}
 	}
-	t := metrics.NewTable("metric", "value")
+	t := NewTable("metric", "value")
 	if victim != nil {
 		t.AddRow("crashed FE", victim.Addr().String())
 	}
-	t.AddRow("peak loss rate", loss.MaxValue())
+	t.AddRow("peak loss rate", peak)
 	if surgeStart >= 0 {
 		t.AddRow("surge duration (s)", surgeEnd-surgeStart+0.1)
 	} else {
@@ -275,8 +277,8 @@ func runFig14(cfg RunConfig) *Result {
 	t.AddRow("final #FEs", len(r.Ctrl.FEsOf(cluster.ServerVNIC)))
 	return &Result{
 		ID: "fig14", Title: "FE crash loss window",
-		Tables: []*metrics.Table{t},
-		Series: []*metrics.Series{loss},
+		Tables: []*Table{t},
+		Series: []*Series{loss},
 		Notes:  []string{"the loss window ends when the monitor's 3 missed probes (1.5 s) plus eviction/config propagation complete (§4.4)"},
 	}
 }
@@ -319,7 +321,7 @@ func runB2(cfg RunConfig) *Result {
 		}
 		totalFEs += pool
 	}
-	t := metrics.NewTable("metric", "measured", "paper")
+	t := NewTable("metric", "measured", "paper")
 	t.AddRow("offload events", offloads, 2499)
 	t.AddRow("FEs provisioned", totalFEs, 10062)
 	t.AddRow("theoretical minimum (4 each)", 4*offloads, 9996)
@@ -328,7 +330,7 @@ func runB2(cfg RunConfig) *Result {
 	t.AddRow("scaled pool fraction %", 100*float64(scaledPools)/float64(offloads), 2.6)
 	return &Result{
 		ID: "b2", Title: "30-day scaling test",
-		Tables: []*metrics.Table{t},
+		Tables: []*Table{t},
 		Notes:  []string{"4 initial FEs absorb the vast majority of offloaded demand without any scaling (Appendix B.2)"},
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"nezha/internal/metrics"
 	"nezha/internal/packet"
 	"nezha/internal/tables"
 )
@@ -39,7 +38,7 @@ func runTableA1(cfg RunConfig) *Result {
 	for _, rc := range ruleCounts {
 		header = append(header, itoa(rc)+"-rules(Mpps)")
 	}
-	t := &metrics.Table{Header: header}
+	t := &Table{Header: header}
 
 	// Pre-build rule sets per rule count.
 	sets := make([]*tables.RuleSet, len(ruleCounts))
@@ -100,7 +99,7 @@ func runTableA1(cfg RunConfig) *Result {
 	_ = sink
 	return &Result{
 		ID: "tablea1", Title: "Rule lookup throughput (real wall-clock micro-benchmark)",
-		Tables: []*metrics.Table{t},
+		Tables: []*Table{t},
 		Notes: []string{
 			"absolute Mpps depends on the host CPU; the paper's claims are the two monotone declines",
 			"this experiment measures real execution time of the repository's lookup code, not virtual time",

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"nezha/internal/baseline"
-	"nezha/internal/metrics"
+	"nezha/internal/slo"
 	"nezha/internal/state"
 	"nezha/internal/trace"
 )
@@ -22,8 +22,7 @@ func init() {
 			}
 			r := trace.NewRegion(cfg.Seed, 0)
 			pairs := r.HighCPSVMs(n)
-			vm := metrics.NewHistogram("vm-cpu-%")
-			vs := metrics.NewHistogram("vswitch-cpu-%")
+			var vm, vs slo.Samples
 			under60 := 0
 			for _, p := range pairs {
 				vm.Observe(p.VMCPU * 100)
@@ -32,12 +31,12 @@ func init() {
 					under60++
 				}
 			}
-			t := metrics.NewTable("entity", "min%", "p50%", "p90%", "max%")
-			t.AddRow("high-CPS VM", vm.Min(), vm.P50(), vm.P90(), vm.Max())
-			t.AddRow("its vSwitch", vs.Min(), vs.P50(), vs.P90(), vs.Max())
+			t := NewTable("entity", "min%", "p50%", "p90%", "max%")
+			t.AddRow("high-CPS VM", vm.Quantile(0), vm.Quantile(0.5), vm.Quantile(0.9), vm.Quantile(1))
+			t.AddRow("its vSwitch", vs.Quantile(0), vs.Quantile(0.5), vs.Quantile(0.9), vs.Quantile(1))
 			return &Result{
 				ID: "fig2", Title: "High-CPS VM vs vSwitch CPU",
-				Tables: []*metrics.Table{t},
+				Tables: []*Table{t},
 				Notes: []string{fmt.Sprintf(
 					"%.1f%% of high-CPS VMs below 60%% CPU (paper: ~90%%); every vSwitch above 95%%",
 					100*float64(under60)/float64(n))},
@@ -59,12 +58,12 @@ func init() {
 			}
 			r := trace.NewRegion(cfg.Seed, 0)
 			d := r.HotspotDistribution(n)
-			t := metrics.NewTable("cause", "share%", "paper%")
+			t := NewTable("cause", "share%", "paper%")
 			total := float64(n)
 			t.AddRow("CPS", 100*float64(d[trace.OverloadCPS])/total, 61)
 			t.AddRow("#concurrent flows", 100*float64(d[trace.OverloadConcurrentFlows])/total, 30)
 			t.AddRow("#vNICs", 100*float64(d[trace.OverloadVNICs])/total, 9)
-			return &Result{ID: "fig3", Title: "Hotspot causes", Tables: []*metrics.Table{t}}
+			return &Result{ID: "fig3", Title: "Hotspot causes", Tables: []*Table{t}}
 		},
 	})
 }
@@ -83,17 +82,17 @@ func init() {
 			r := trace.NewRegion(cfg.Seed, n)
 			cpu := r.CPUUtilization()
 			mem := r.MemUtilization()
-			t := metrics.NewTable("resource", "avg%", "p90%", "p99%", "p999%", "p9999%", "max%")
-			t.AddRow("CPU", cpu.Mean(), cpu.P90(), cpu.P99(), cpu.P999(), cpu.P9999(), cpu.Max())
+			t := NewTable("resource", "avg%", "p90%", "p99%", "p999%", "p9999%", "max%")
+			t.AddRow("CPU", cpu.Mean(), cpu.Quantile(0.9), cpu.Quantile(0.99), cpu.Quantile(0.999), cpu.Quantile(0.9999), cpu.Quantile(1))
 			t.AddRow("CPU (paper)", 5.0, 15.0, 41.0, 68.0, 90.0, 98.0)
-			t.AddRow("memory", mem.Mean(), mem.P90(), mem.P99(), mem.P999(), mem.P9999(), mem.Max())
+			t.AddRow("memory", mem.Mean(), mem.Quantile(0.9), mem.Quantile(0.99), mem.Quantile(0.999), mem.Quantile(0.9999), mem.Quantile(1))
 			t.AddRow("memory (paper)", 1.5, 15.0, 34.0, 93.0, 96.0, 96.0)
 			return &Result{
 				ID: "fig4", Title: "Utilization CDFs",
-				Tables: []*metrics.Table{t},
+				Tables: []*Table{t},
 				Notes: []string{
-					fmt.Sprintf("CPU skew P9999/avg = %.1fx (paper ≈20x)", cpu.P9999()/cpu.Mean()),
-					fmt.Sprintf("memory skew P9999/avg = %.1fx (paper ≈64x)", mem.P9999()/mem.Mean()),
+					fmt.Sprintf("CPU skew P9999/avg = %.1fx (paper ≈20x)", cpu.Quantile(0.9999)/cpu.Mean()),
+					fmt.Sprintf("memory skew P9999/avg = %.1fx (paper ≈64x)", mem.Quantile(0.9999)/mem.Mean()),
 				},
 			}
 		},
@@ -112,8 +111,8 @@ func init() {
 				n = 30000
 			}
 			r := trace.NewRegion(cfg.Seed, 0)
-			t := metrics.NewTable("percentile", "CPS%", "#flows%", "#vNICs%")
-			hs := make([]*metrics.Histogram, 3)
+			t := NewTable("percentile", "CPS%", "#flows%", "#vNICs%")
+			hs := make([]*slo.Samples, 3)
 			for k := 0; k < 3; k++ {
 				hs[k] = r.UsageDistribution(k, n)
 			}
@@ -127,12 +126,12 @@ func init() {
 				cells := make([]interface{}, 0, 4)
 				cells = append(cells, row.name)
 				for k := 0; k < 3; k++ {
-					cells = append(cells, 100*hs[k].Quantile(row.q)/hs[k].P9999())
+					cells = append(cells, 100*hs[k].Quantile(row.q)/hs[k].Quantile(0.9999))
 				}
 				t.AddRow(cells...)
 			}
 			return &Result{ID: "table1", Title: "Usage distribution (normalized to P9999)",
-				Tables: []*metrics.Table{t},
+				Tables: []*Table{t},
 				Notes:  []string{"usage is dominated by a handful of heavy tenants: P50 is a fraction of a percent of P9999"}}
 		},
 	})
@@ -151,15 +150,15 @@ func init() {
 			}
 			r := trace.NewRegion(cfg.Seed, 0)
 			h := r.StateSizes(n)
-			t := metrics.NewTable("metric", "bytes")
+			t := NewTable("metric", "bytes")
 			t.AddRow("avg state size", h.Mean())
-			t.AddRow("p50", h.P50())
-			t.AddRow("p99", h.P99())
-			t.AddRow("max", h.Max())
+			t.AddRow("p50", h.Quantile(0.5))
+			t.AddRow("p99", h.Quantile(0.99))
+			t.AddRow("max", h.Quantile(1))
 			t.AddRow("fixed slot", float64(state.FixedSizeBytes))
 			return &Result{
 				ID: "fig15", Title: "State sizes",
-				Tables: []*metrics.Table{t},
+				Tables: []*Table{t},
 				Notes: []string{fmt.Sprintf(
 					"variable-length states would fit %.1fx more sessions in the same memory (paper: up to 8x)",
 					float64(state.FixedSizeBytes)/h.Mean())},
@@ -186,7 +185,7 @@ func init() {
 			}{
 				{4, 16}, {8, 32}, {16, 64}, {32, 128}, {64, 256}, {104, 512}, {104, 1024},
 			}
-			t := metrics.NewTable("vCPUs", "memGB", "downtime-ms(avg)", "total-s(avg)")
+			t := NewTable("vCPUs", "memGB", "downtime-ms(avg)", "total-s(avg)")
 			for _, sh := range shapes {
 				var down, total float64
 				for i := 0; i < reps; i++ {
@@ -197,7 +196,7 @@ func init() {
 				t.AddRow(sh.vcpus, sh.memGB, down/float64(reps), total/float64(reps))
 			}
 			return &Result{ID: "figa1", Title: "Migration downtime",
-				Tables: []*metrics.Table{t},
+				Tables: []*Table{t},
 				Notes:  []string{"remote offloading takes ~2s (P99) independent of VM size — the §7.2 comparison"}}
 		},
 	})
@@ -210,7 +209,7 @@ func init() {
 		Title: "Deployment costs of Sailfish / Nezha",
 		Paper: "Sailfish: 100/48/20 P-M, 1-3 months scale-out; Nezha: 0/15/0 P-M, 1-7 days",
 		Run: func(cfg RunConfig) *Result {
-			t := metrics.NewTable("item", "Sailfish", "Nezha")
+			t := NewTable("item", "Sailfish", "Nezha")
 			s, n := baseline.SailfishCost(), baseline.NezhaCost()
 			t.AddRow("hardware development (P-M)", s.HardwareDevPM, n.HardwareDevPM)
 			t.AddRow("software development (P-M)", s.SoftwareDevPM, n.SoftwareDevPM)
@@ -220,7 +219,7 @@ func init() {
 			t.AddRow("new devices in DC", s.NewDevices, n.NewDevices)
 			return &Result{
 				ID: "table5", Title: "Deployment cost model",
-				Tables: []*metrics.Table{t},
+				Tables: []*Table{t},
 				Notes: []string{
 					fmt.Sprintf("Nezha development effort = %.0f%% of Sailfish's (paper: ~10%%)", 100*baseline.DevEffortRatio()),
 					"Sailfish: " + s.Rationale,

@@ -2,9 +2,11 @@
 // fixed-bucket log-linear latency histograms keyed (vnic, path, dir),
 // a count-min sketch + top-K heavy-hitter tracker over normalized
 // flow keys, and a windowed burn-rate evaluator against a per-vNIC
-// p99 objective.
+// p99 objective. Beside them sits Samples, the exact sample set that
+// offline summaries (experiment tables, offload completion times)
+// read their percentiles from; it keeps every sample.
 //
-// Everything here is designed for the simulator's hot path: no
+// Everything else here is designed for the simulator's hot path: no
 // allocations after the first packet of a vNIC, no event scheduling,
 // no randomness, and no writes that fold into campaign digests — the
 // layer is provably observer-effect-free (the chaos digest-equality
@@ -13,7 +15,10 @@
 // obs publisher already is).
 package slo
 
-import "math/bits"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Histogram geometry: HDR-style log-linear buckets. Values 0..7 get
 // one bucket each; every octave above that is split into
@@ -126,4 +131,52 @@ func (h *Hist) AddTo(out *[NumBuckets]uint64) uint64 {
 		out[i] += h.counts[i]
 	}
 	return h.count
+}
+
+// Samples is an exact sample set: it keeps every observation, so its
+// quantiles are the paper's exact P99/P999/P9999. It is for offline
+// summaries, not the per-packet path. The zero value is ready to use.
+type Samples struct {
+	v      []float64
+	sum    float64
+	sorted bool
+}
+
+// Observe records one sample.
+func (s *Samples) Observe(v float64) {
+	s.v = append(s.v, v)
+	s.sum += v
+	s.sorted = false
+}
+
+// Count returns the number of samples.
+func (s *Samples) Count() uint64 { return uint64(len(s.v)) }
+
+// Mean returns the arithmetic mean, or 0 with no samples. The sum is
+// kept in observation order, so sorting never moves it.
+func (s *Samples) Mean() float64 {
+	if len(s.v) == 0 {
+		return 0
+	}
+	return s.sum / float64(len(s.v))
+}
+
+// Quantile returns the sorted sample at index int(q*(n-1)), with q
+// clamped to [0, 1]: Quantile(0) is the minimum and Quantile(1) the
+// maximum. It returns 0 with no samples.
+func (s *Samples) Quantile(q float64) float64 {
+	if len(s.v) == 0 {
+		return 0
+	}
+	if !s.sorted {
+		sort.Float64s(s.v)
+		s.sorted = true
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	return s.v[int(q*float64(len(s.v)-1))]
 }

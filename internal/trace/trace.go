@@ -13,8 +13,8 @@
 package trace
 
 import (
-	"nezha/internal/metrics"
 	"nezha/internal/sim"
+	"nezha/internal/slo"
 )
 
 // Region is a synthetic telemetry snapshot.
@@ -73,8 +73,8 @@ func (r *Region) VSwitchMem() float64 {
 }
 
 // CPUUtilization generates the full Fig 4a CDF.
-func (r *Region) CPUUtilization() *metrics.Histogram {
-	h := metrics.NewHistogramCap("vswitch-cpu", 1<<20)
+func (r *Region) CPUUtilization() *slo.Samples {
+	h := new(slo.Samples)
 	for i := 0; i < r.N; i++ {
 		h.Observe(r.VSwitchCPU() * 100)
 	}
@@ -82,8 +82,8 @@ func (r *Region) CPUUtilization() *metrics.Histogram {
 }
 
 // MemUtilization generates the full Fig 4b CDF.
-func (r *Region) MemUtilization() *metrics.Histogram {
-	h := metrics.NewHistogramCap("vswitch-mem", 1<<20)
+func (r *Region) MemUtilization() *slo.Samples {
+	h := new(slo.Samples)
 	for i := 0; i < r.N; i++ {
 		h.Observe(r.VSwitchMem() * 100)
 	}
@@ -161,9 +161,8 @@ func (r *Region) HotspotDistribution(n int) map[OverloadCause]int {
 // UsageDistribution generates one service-usage metric across n VMs
 // with the Table 1 skew: P50 ≈ 0.5–0.8% of the P9999 VM's usage.
 // kind selects the calibration (0=CPS, 1=#flows, 2=#vNICs).
-func (r *Region) UsageDistribution(kind, n int) *metrics.Histogram {
-	name := [3]string{"cps-usage", "flows-usage", "vnic-usage"}[kind]
-	h := metrics.NewHistogramCap(name, 1<<20)
+func (r *Region) UsageDistribution(kind, n int) *slo.Samples {
+	h := new(slo.Samples)
 	// Lognormal bodies with per-metric spread chosen so the
 	// P50/P9999 ratio lands near Table 1's 0.53% / 0.78% / 0.65%,
 	// and the P999/P9999 ratio near 18% / 29% / 55%.
@@ -205,8 +204,8 @@ func (r *Region) UsageDistribution(kind, n int) *metrics.Histogram {
 // StateSizes samples per-flow state sizes in bytes (Fig 15): most
 // flows keep almost no state; the average lands in the 5–8 B band
 // while the fixed slot is 64 B.
-func (r *Region) StateSizes(n int) *metrics.Histogram {
-	h := metrics.NewHistogramCap("state-bytes", 1<<20)
+func (r *Region) StateSizes(n int) *slo.Samples {
+	h := new(slo.Samples)
 	for i := 0; i < n; i++ {
 		u := r.rng.Float64()
 		var v float64

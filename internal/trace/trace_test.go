@@ -15,17 +15,17 @@ func TestCPUUtilizationCalibration(t *testing.T) {
 		tol       float64 // relative
 	}{
 		{"avg", h.Mean(), 5, 0.4},
-		{"p90", h.P90(), 15, 0.4},
-		{"p99", h.P99(), 41, 0.35},
-		{"p999", h.P999(), 68, 0.3},
-		{"p9999", h.P9999(), 90, 0.15},
+		{"p90", h.Quantile(0.9), 15, 0.4},
+		{"p99", h.Quantile(0.99), 41, 0.35},
+		{"p999", h.Quantile(0.999), 68, 0.3},
+		{"p9999", h.Quantile(0.9999), 90, 0.15},
 	}
 	for _, c := range checks {
 		if math.Abs(c.got-c.want)/c.want > c.tol {
 			t.Errorf("CPU %s = %.1f%%, want ≈%.0f%%", c.name, c.got, c.want)
 		}
 	}
-	if h.Max() > 100 {
+	if h.Quantile(1) > 100 {
 		t.Fatal("utilization above 100%")
 	}
 }
@@ -37,12 +37,12 @@ func TestMemUtilizationCalibration(t *testing.T) {
 	if math.Abs(h.Mean()-1.5)/1.5 > 0.6 {
 		t.Errorf("mem avg = %.2f%%, want ≈1.5%%", h.Mean())
 	}
-	if h.P9999() < 80 || h.P9999() > 100 {
-		t.Errorf("mem p9999 = %.1f%%, want ≈96%%", h.P9999())
+	if h.Quantile(0.9999) < 80 || h.Quantile(0.9999) > 100 {
+		t.Errorf("mem p9999 = %.1f%%, want ≈96%%", h.Quantile(0.9999))
 	}
 	// The skew ratio is the headline: P9999 tens of times the mean.
-	if h.P9999()/h.Mean() < 20 {
-		t.Errorf("mem skew P9999/avg = %.1f, want >> 20 (paper: 64x)", h.P9999()/h.Mean())
+	if h.Quantile(0.9999)/h.Mean() < 20 {
+		t.Errorf("mem skew P9999/avg = %.1f, want >> 20 (paper: 64x)", h.Quantile(0.9999)/h.Mean())
 	}
 }
 
@@ -50,7 +50,7 @@ func TestCPUSkewRatio(t *testing.T) {
 	r := NewRegion(3, 200000)
 	h := r.CPUUtilization()
 	// Paper: P9999 about 20x the average.
-	ratio := h.P9999() / h.Mean()
+	ratio := h.Quantile(0.9999) / h.Mean()
 	if ratio < 10 || ratio > 40 {
 		t.Errorf("CPU skew P9999/avg = %.1f, want ≈20", ratio)
 	}
@@ -103,7 +103,7 @@ func TestUsageDistributionSkew(t *testing.T) {
 	r := NewRegion(6, 0)
 	for kind := 0; kind < 3; kind++ {
 		h := r.UsageDistribution(kind, 300000)
-		p50, p9999 := h.P50(), h.P9999()
+		p50, p9999 := h.Quantile(0.5), h.Quantile(0.9999)
 		if p9999 <= 0 {
 			t.Fatalf("kind %d: zero tail", kind)
 		}
@@ -113,7 +113,7 @@ func TestUsageDistributionSkew(t *testing.T) {
 			t.Errorf("kind %d: P50/P9999 = %.4f, want < 0.05 (paper ≈0.005-0.008)", kind, ratio)
 		}
 		// And the distribution must be monotone in percentile.
-		if !(h.P90() >= p50 && h.P99() >= h.P90() && h.P999() >= h.P99()) {
+		if !(h.Quantile(0.9) >= p50 && h.Quantile(0.99) >= h.Quantile(0.9) && h.Quantile(0.999) >= h.Quantile(0.99)) {
 			t.Fatalf("kind %d: percentiles not monotone", kind)
 		}
 	}
@@ -126,8 +126,8 @@ func TestStateSizes(t *testing.T) {
 	if h.Mean() < 4 || h.Mean() > 9 {
 		t.Errorf("avg state size = %.1f B, want 5-8 B", h.Mean())
 	}
-	if h.Max() >= 64 {
-		t.Errorf("state size %v ≥ fixed slot 64 B", h.Max())
+	if h.Quantile(1) >= 64 {
+		t.Errorf("state size %v ≥ fixed slot 64 B", h.Quantile(1))
 	}
 }
 
