@@ -1,12 +1,11 @@
 // Command nezha-top renders the cluster telemetry stream that
 // nezha-sim emits with -obs (or serves with -listen, as nezha-chaos
 // does): per-node utilization and packet rates, per-vNIC offload
-// state, control-plane transaction and RPC activity, and the top-K
-// flows by sampled packets. Runs with the
+// state, and control-plane transaction and RPC activity. Runs with the
 // latency SLO ledger attached (-slo) additionally get a LATENCY
 // section (per-vNIC end-to-end p99 vs objective, burn rate, per-path
-// breakdown) and a TOP FLOWS (hot) table from the count-min
-// heavy-hitter sketch — in both file and attach modes.
+// breakdown) and a TOP FLOWS (hot) table of the top-K flows from the
+// count-min heavy-hitter sketch — in both file and attach modes.
 //
 // Two input modes:
 //
@@ -594,15 +593,4 @@ func render(w io.Writer, s *obs.Snapshot, topK int, f filter) {
 	renderSLO(w, s, topK, f)
 	renderSpans(w, s, f)
 	renderProf(w, idx, topK, f)
-
-	if len(s.Flows) > 0 && f.node == "" && f.vnic == "" {
-		fmt.Fprintf(w, "TOP FLOWS (sampled) %12s %12s\n", "PACKETS", "BYTES")
-		n := len(s.Flows)
-		if n > topK {
-			n = topK
-		}
-		for _, fl := range s.Flows[:n] {
-			fmt.Fprintf(w, "  %-32s %10d %12d\n", fl.Flow, fl.Packets, fl.Bytes)
-		}
-	}
 }

@@ -104,21 +104,8 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 		telSLO, telObs|telSLO, telProf|telSLO, telObs|telProf|telSLO)
 }
 
-// TestObsDoesNotPerturbSimulation guards the observer effect of the obs
-// layer alone: obs on must match obs off for the same seed.
-func TestObsDoesNotPerturbSimulation(t *testing.T) {
-	checkTelemetryCombos(t, 9, 0, telObs)
-}
-
 // TestProfDoesNotPerturbSimulation guards the observer effect of the
 // profiler alone, on a second seed: prof on must match prof off.
 func TestProfDoesNotPerturbSimulation(t *testing.T) {
 	checkTelemetryCombos(t, 11, 0, telProf)
-}
-
-// TestSLODoesNotPerturbSimulation guards the observer effect of the
-// latency ledger: SLO on must match SLO off, and with the obs layer
-// also attached the flight-trace digest must be untouched too.
-func TestSLODoesNotPerturbSimulation(t *testing.T) {
-	checkTelemetryCombos(t, 9, 0, telSLO, telObs, telObs|telSLO)
 }

@@ -16,6 +16,7 @@ import (
 	"nezha/internal/obs"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
+	"nezha/internal/slo"
 	"nezha/internal/vswitch"
 )
 
@@ -76,7 +77,7 @@ type Monitor struct {
 	// ob, when set by EnableObs, publishes detection latency and
 	// recorder events.
 	ob         *obs.Obs
-	declareLat obs.Histogram
+	declareLat slo.Hist
 }
 
 // New builds a monitor and registers it on the fabric. onDown fires
@@ -116,7 +117,7 @@ func counter(name, help string, c func(*Monitor) *atomic.Uint64) obs.Series[Moni
 
 var monitorTable = obs.Table[Monitor]{Series: []obs.Series[Monitor]{
 	{Name: "monitor_declare_latency_ns", Help: "First missed probe to node-down declaration, nanoseconds.", Kind: obs.KindHistogram,
-		Hist: func(m *Monitor) *obs.Histogram { return &m.declareLat }},
+		Hist: func(m *Monitor) *slo.Hist { return &m.declareLat }},
 	counter("monitor_probes_sent_total", "Health probes sent.", func(m *Monitor) *atomic.Uint64 { return &m.ProbesSent }),
 	counter("monitor_pongs_seen_total", "Probe responses received.", func(m *Monitor) *atomic.Uint64 { return &m.PongsSeen }),
 	counter("monitor_stale_pongs_total", "Responses arriving after their round closed.", func(m *Monitor) *atomic.Uint64 { return &m.StalePongs }),

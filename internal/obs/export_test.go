@@ -16,15 +16,29 @@ import (
 	"nezha/internal/obs"
 	"nezha/internal/prof"
 	"nezha/internal/sim"
+	"nezha/internal/slo"
 )
 
-func TestJSONLRoundTripQuantiles(t *testing.T) {
+// waitHist snapshots a registry holding one wait_ns{node="a"}
+// histogram of the powers of two 1..1024.
+func waitHist(t *testing.T) *obs.Snapshot {
+	t.Helper()
 	r := obs.NewRegistry()
-	h := r.GetHistogram("wait_ns", obs.L("node", "a"))
+	var h slo.Hist
+	r.HistVar("wait_ns", obs.L("node", "a"), &h)
 	for v := uint64(1); v <= 1024; v *= 2 {
 		h.Observe(v)
 	}
-	snap := r.Snapshot(sim.Second)
+	s := r.Snapshot(sim.Second)
+	if len(s.Points) != 1 || s.Points[0].Count != 11 {
+		t.Fatalf("snapshot %+v, want the one histogram of 11 observations", s.Points)
+	}
+	return s
+}
+
+func TestJSONLRoundTripQuantiles(t *testing.T) {
+	snap := waitHist(t)
+	want := snap.Points[0]
 	var buf bytes.Buffer
 	if err := snap.WriteJSONLine(&buf); err != nil {
 		t.Fatal(err)
@@ -51,9 +65,9 @@ func TestJSONLRoundTripQuantiles(t *testing.T) {
 	if pt.Labels["node"] != "a" || pt.Kind != "histogram" {
 		t.Errorf("labels/kind lost: %+v", pt)
 	}
-	if pt.P50 != h.Quantile(0.5) || pt.P99 != h.Quantile(0.99) {
-		t.Errorf("quantiles lost: p50=%d p99=%d, want %d/%d",
-			pt.P50, pt.P99, h.Quantile(0.5), h.Quantile(0.99))
+	if pt.P50 != want.P50 || pt.P99 != want.P99 || pt.P999 != want.P999 {
+		t.Errorf("quantiles lost: p50=%d p99=%d p999=%d, want %d/%d/%d",
+			pt.P50, pt.P99, pt.P999, want.P50, want.P99, want.P999)
 	}
 	if pt.Count != 11 || pt.Sum != 2047 {
 		t.Errorf("count/sum lost: %d/%d", pt.Count, pt.Sum)
@@ -84,13 +98,10 @@ func promQuantiles(t *testing.T, out, name string) map[string]uint64 {
 }
 
 func TestPrometheusRoundTripQuantileLabels(t *testing.T) {
-	r := obs.NewRegistry()
-	h := r.GetHistogram("wait_ns", obs.L("node", "a"))
-	for v := uint64(1); v <= 1024; v *= 2 {
-		h.Observe(v)
-	}
+	snap := waitHist(t)
+	want := snap.Points[0]
 	var b strings.Builder
-	if err := r.Snapshot(sim.Second).WritePrometheus(&b); err != nil {
+	if err := snap.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -98,14 +109,14 @@ func TestPrometheusRoundTripQuantileLabels(t *testing.T) {
 	if len(qs) != 3 {
 		t.Fatalf("got quantile samples %v, want exactly q=0.5, q=0.99, q=0.999", qs)
 	}
-	if qs["0.5"] != h.Quantile(0.5) {
-		t.Errorf(`quantile="0.5" = %d, want %d`, qs["0.5"], h.Quantile(0.5))
+	if qs["0.5"] != want.P50 {
+		t.Errorf(`quantile="0.5" = %d, want %d`, qs["0.5"], want.P50)
 	}
-	if qs["0.99"] != h.Quantile(0.99) {
-		t.Errorf(`quantile="0.99" = %d, want %d`, qs["0.99"], h.Quantile(0.99))
+	if qs["0.99"] != want.P99 {
+		t.Errorf(`quantile="0.99" = %d, want %d`, qs["0.99"], want.P99)
 	}
-	if qs["0.999"] != h.Quantile(0.999) {
-		t.Errorf(`quantile="0.999" = %d, want %d`, qs["0.999"], h.Quantile(0.999))
+	if qs["0.999"] != want.P999 {
+		t.Errorf(`quantile="0.999" = %d, want %d`, qs["0.999"], want.P999)
 	}
 	// The base labels must survive on the quantile samples too.
 	if !strings.Contains(out, `wait_ns{node="a",quantile="0.5"}`) {

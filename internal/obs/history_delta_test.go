@@ -17,6 +17,7 @@ import (
 
 	"nezha/internal/obs"
 	"nezha/internal/sim"
+	"nezha/internal/slo"
 )
 
 // specials are the values the fuzzer draws: bit patterns a float
@@ -49,7 +50,8 @@ func FuzzHistoryDeltas(f *testing.F) {
 		var step []byte // op, label-set mask, kinds, value, read parameter
 		reg := obs.NewRegistry()
 		pkts := reg.GetCounter("pkts_total", obs.L("node", "a"))
-		wait := reg.GetHistogram("wait_ns", nil)
+		var wait slo.Hist
+		reg.HistVar("wait_ns", nil, &wait)
 		reg.Collect(func(emit obs.Emit) {
 			for i := 0; i < 8; i++ {
 				if step[1]>>i&1 != 0 {
@@ -170,8 +172,8 @@ func snapDiff(a, b *obs.Snapshot) string {
 	if pa.String() != pb.String() {
 		return "Prometheus text:\n" + pa.String() + "want\n" + pb.String()
 	}
-	if len(a.Flows) != len(b.Flows) || len(a.Spans) != len(b.Spans) || a.SLO != b.SLO {
-		return "flows, spans or SLO view"
+	if len(a.Spans) != len(b.Spans) || a.SLO != b.SLO {
+		return "spans or SLO view"
 	}
 	return ""
 }

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"nezha/internal/obs"
-	"nezha/internal/packet"
 	"nezha/internal/sim"
+	"nezha/internal/slo"
 )
 
 func snapAt(t sim.Time) *obs.Snapshot {
@@ -266,7 +266,9 @@ func TestHistoryRoundTrip(t *testing.T) {
 	ob := obs.New(obs.Options{})
 	r := ob.Reg
 	c := r.GetCounter("pkts_total", obs.L("node", "a", "role", "BE"))
-	r.GetHistogram("wait_ns", obs.L("node", "a")).Observe(300)
+	var wait slo.Hist
+	wait.Observe(300)
+	r.HistVar("wait_ns", obs.L("node", "a"), &wait)
 	r.GaugeFunc("depth", obs.L("node", "b"), func() float64 { return float64(c.Load()) / 4 })
 	r.Help("pkts_total", "Packets.")
 	r.Collect(func(emit obs.Emit) {
@@ -295,7 +297,6 @@ func TestHistoryRoundTrip(t *testing.T) {
 			r.GetCounter("late_total", nil).Add(9)
 			r.Help("late_total", "Registered \"late\".")
 		}
-		ob.Flows.Observe(packet.FiveTuple{SrcIP: packet.IPv4(i), DstIP: 2, Proto: packet.ProtoUDP}, 64)
 		publish(ob.Snap(sim.Time(i)*sim.Second, 10))
 	}
 	if h.Len() != 5 || h.Evicted() != 4 {
@@ -331,7 +332,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 		{Name: "b_total", Labels: map[string]string{"node": "x"}, Kind: "counter", Value: 3, Rate: 1.5},
 		{Name: "a_hist", Kind: "histogram", Value: 2, Count: 2, Sum: 9, P50: 4, P99: 5, P999: 5},
 		{Name: "odd", Kind: "summary", Value: 1, Count: 7},
-	}, Flows: []obs.FlowStat{{Flow: "f", Packets: 1}}, Spans: []obs.Span{{Kind: "offload"}}}
+	}, Spans: []obs.Span{{Kind: "offload"}}}
 	publish(hand)
 	publish(&obs.Snapshot{T: 21 * sim.Second, Points: []obs.Point{}})
 	publish(&obs.Snapshot{T: 22 * sim.Second})
@@ -369,7 +370,7 @@ func TestHistoryReadSharesLabelMaps(t *testing.T) {
 // TestHistoryRetention bounds what a ring of campaign-sized snapshots
 // keeps alive per point once the registry that fed it is gone, as a
 // benchmark's instrumented rep holds it: values, deltas, the newest
-// schema, descriptors, keys, label sets, flows and SLO views included.
+// schema, descriptors, keys, label sets and SLO views included.
 // The stable case snapshots campaignObs' fixed series set, whose values
 // never change. In the churning one a collector label set appears or
 // vanishes on every snapshot, so every snapshot builds a schema, and

@@ -2,14 +2,10 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
-	"sync"
 
 	"nezha/internal/packet"
 	"nezha/internal/sim"
@@ -18,14 +14,12 @@ import (
 
 // Obs bundles the observability layer handed to every component: the
 // labeled registry, the sampled flight tracer, the transaction span
-// log, the flight-recorder ring, and a top-K flow table fed from
-// sampled deliveries.
+// log and the flight-recorder ring.
 type Obs struct {
 	Reg    *Registry
 	Tracer *FlightTracer
 	Spans  *SpanLog
 	Rec    *FlightRecorder
-	Flows  *FlowTop
 
 	// SLO, when set by AttachSLO, is the latency/hot-flow tracker whose
 	// view Snap embeds in every snapshot.
@@ -50,7 +44,6 @@ func New(opts Options) *Obs {
 		Tracer: NewFlightTracer(opts.Seed, opts.SampleRate, opts.MaxHops),
 		Spans:  NewSpanLog(maxSpans),
 		Rec:    NewFlightRecorder(opts.RingSize),
-		Flows:  NewFlowTop(),
 	}
 }
 
@@ -104,13 +97,15 @@ var sloTable = Table[slo.Tracker]{
 	},
 }
 
-// Snap takes a registry snapshot at now and attaches the current
-// top-K flows plus, when a tracker is attached, the SLO view.
+// Snap takes a registry snapshot at now and, when a tracker is
+// attached, the SLO view, its hot flows cut to the topK heaviest.
 func (o *Obs) Snap(now sim.Time, topK int) *Snapshot {
 	s := o.Reg.Snapshot(now)
-	s.Flows = o.Flows.Top(topK)
 	if o.SLO != nil {
 		s.SLO = o.SLO.View()
+		if topK > 0 && len(s.SLO.HotFlows) > topK {
+			s.SLO.HotFlows = s.SLO.HotFlows[:topK]
+		}
 	}
 	return s
 }
@@ -143,101 +138,4 @@ func (o *Obs) WriteDump(w io.Writer, meta string) error {
 	o.Rec.writeEvents(bw)
 	o.Tracer.writeFlights(bw)
 	return bw.Flush()
-}
-
-// FlowStat is one flow's delivered-packet count in a snapshot.
-type FlowStat struct {
-	Flow    string `json:"flow"`
-	Packets uint64 `json:"packets"`
-	Bytes   uint64 `json:"bytes"`
-}
-
-// maxFlows bounds a FlowTop's distinct flows.
-const maxFlows = 1024
-
-// FlowTop counts delivered packets per five-tuple for sampled
-// packets, bounded to maxFlows distinct flows (new flows beyond the
-// cap are dropped; sampling keeps the table small anyway).
-type FlowTop struct {
-	mu     sync.Mutex
-	counts map[packet.FiveTuple]flowCount
-	// rows and text are Top's scratch, reused across calls: the flows
-	// it ranks and their rendered five-tuples.
-	rows []flowRow
-	text []byte
-}
-
-type flowCount struct {
-	packets uint64
-	bytes   uint64
-}
-
-// flowRow is one flow as Top ranks it; text[off:end] is its rendering.
-type flowRow struct {
-	ft       packet.FiveTuple
-	c        flowCount
-	off, end int
-}
-
-// NewFlowTop builds a flow table of at most maxFlows flows.
-func NewFlowTop() *FlowTop {
-	return &FlowTop{counts: make(map[packet.FiveTuple]flowCount)}
-}
-
-// Observe charges one delivered packet to its flow.
-func (f *FlowTop) Observe(ft packet.FiveTuple, bytes int) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	c, ok := f.counts[ft]
-	if ok || len(f.counts) < maxFlows {
-		c.packets++
-		c.bytes += uint64(bytes)
-		f.counts[ft] = c
-	}
-	f.mu.Unlock()
-}
-
-// Top returns the k busiest flows by packet count (ties broken by
-// flow string for determinism); k <= 0 returns every flow. The result
-// is exactly sized. Only flows at or above the k-th count are rendered,
-// into one reused buffer for the string tie-break, and only the k
-// returned get a string of their own.
-func (f *FlowTop) Top(k int) []FlowStat {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	rows := f.rows[:0]
-	for ft, c := range f.counts {
-		rows = append(rows, flowRow{ft: ft, c: c})
-	}
-	f.rows = rows
-	if k <= 0 || k > len(rows) {
-		k = len(rows)
-	}
-	slices.SortFunc(rows, func(a, b flowRow) int { return cmp.Compare(b.c.packets, a.c.packets) })
-	n := k
-	for n < len(rows) && rows[n].c.packets == rows[k-1].c.packets {
-		n++
-	}
-	rows = rows[:n]
-	text := f.text[:0]
-	for i := range rows {
-		rows[i].off = len(text)
-		text = rows[i].ft.AppendTo(text)
-		rows[i].end = len(text)
-	}
-	f.text = text
-	slices.SortFunc(rows, func(a, b flowRow) int {
-		if c := cmp.Compare(b.c.packets, a.c.packets); c != 0 {
-			return c
-		}
-		return bytes.Compare(text[a.off:a.end], text[b.off:b.end])
-	})
-	out := make([]FlowStat, k)
-	for i := range out {
-		r := &rows[i]
-		out[i] = FlowStat{Flow: string(text[r.off:r.end]), Packets: r.c.packets, Bytes: r.c.bytes}
-	}
-	return out
 }

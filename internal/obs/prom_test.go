@@ -12,6 +12,7 @@ import (
 
 	"nezha/internal/obs"
 	"nezha/internal/sim"
+	"nezha/internal/slo"
 )
 
 type promFamily struct {
@@ -208,9 +209,11 @@ func TestPrometheusStrictExposition(t *testing.T) {
 	r.Help("reqs_total", "Requests\nwith a newline and a back\\slash.")
 	r.GetCounter("reqs_total", obs.L("node", `a"b\c`)).Add(7)
 	r.GetCounter("reqs_total", obs.L("node", "plain")).Add(3)
-	r.GetGauge("temp", nil).Set(2.5) // no help registered
+	temp := 2.5
+	r.GaugeVar("temp", nil, &temp) // no help registered
 	r.Help("wait_ns", "Queue wait.")
-	h := r.GetHistogram("wait_ns", obs.L("node", "a"))
+	var h slo.Hist
+	r.HistVar("wait_ns", obs.L("node", "a"), &h)
 	for v := uint64(1); v <= 4096; v *= 2 {
 		h.Observe(v)
 	}

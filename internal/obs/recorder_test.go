@@ -76,8 +76,6 @@ func TestNilObsSafe(t *testing.T) {
 	}
 	var fr *FlightRecorder
 	fr.Add(Event{}) // must not panic
-	var ft *FlowTop
-	ft.Observe(packet.FiveTuple{}, 0) // must not panic
 	var sl *SpanLog
 	sl.Begin("x", 0, 0, 0)
 	sl.End("x", 0, 0, 0, "y")

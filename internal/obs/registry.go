@@ -5,13 +5,12 @@
 // structured events that the chaos engine dumps on invariant
 // violations.
 //
-// Instrumentation is designed to be cheap enough to leave on: hot
-// paths pre-bind series handles and bump atomics; components whose
-// counters already exist as plain fields register a table of them
-// instead, which costs nothing until a snapshot reads it (snapshots run
-// on the sim goroutine, where those fields are owned). Flight tracing is sampled by a deterministic
-// per-packet hash so the same seed and rate always trace the same
-// packets.
+// Instrumentation is designed to be cheap enough to leave on: a
+// component registers a table of the values it already keeps in plain
+// fields, histograms included, which costs nothing until a snapshot
+// reads it (snapshots run on the sim goroutine, where those fields are
+// owned). Flight tracing is sampled by a deterministic per-packet hash
+// so the same seed and rate always trace the same packets.
 package obs
 
 import (
@@ -19,8 +18,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"math"
-	"math/bits"
 	"os"
 	"slices"
 	"sort"
@@ -99,94 +96,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Gauge is an atomically settable float value.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Load returns the current value.
-func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// histBuckets is the number of power-of-two histogram buckets: bucket
-// i counts observations v with bits.Len64(v) == i, i.e. v in
-// [2^(i-1), 2^i). Bucket 0 counts zeros.
-const histBuckets = 65
-
-// Histogram accumulates uint64 observations (cycles, nanoseconds,
-// bytes) into power-of-two buckets. Observe is a few atomic adds;
-// quantiles are approximate (bucket midpoint, clamped to the largest
-// value observed).
-type Histogram struct {
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	max     atomic.Uint64
-	buckets [histBuckets]atomic.Uint64
-}
-
-// Observe records one value. The count goes last: a reader that loads
-// the count first (Snapshot, Quantile) then sees every observation it
-// counts in the sum and the buckets too.
-func (h *Histogram) Observe(v uint64) {
-	h.sum.Add(v)
-	h.buckets[bits.Len64(v)].Add(1)
-	h.count.Add(1)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Count and Sum return the totals.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-func (h *Histogram) Sum() uint64   { return h.sum.Load() }
-
-// Quantile returns an estimate of the q-th quantile (0 < q <= 1): the
-// midpoint of the first bucket at which the cumulative count reaches
-// q*total, clamped to the largest observed value so small counts
-// can't overshoot the data. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) uint64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	want := uint64(math.Ceil(q * float64(total)))
-	if want == 0 {
-		want = 1
-	}
-	max := h.max.Load()
-	if want >= total {
-		// The quantile is the last observation — that is the max,
-		// exactly.
-		return max
-	}
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= want {
-			if i == 0 {
-				return 0
-			}
-			// Bucket i spans [2^(i-1), 2^i).
-			lo := uint64(1) << uint(i-1)
-			hi := uint64(math.MaxUint64)
-			if i < 64 {
-				hi = 1<<uint(i) - 1
-			}
-			mid := lo + (hi-lo)/2
-			if mid > max {
-				return max
-			}
-			return mid
-		}
-	}
-	return max
-}
-
 // Kind discriminates series types in snapshots.
 type Kind uint8
 
@@ -211,9 +120,8 @@ func (k Kind) String() string {
 }
 
 // desc describes one series to Snapshot: its identity, its kind and its
-// rate window. Atomic series embed theirs; table rows and
-// collector-emitted label sets get one on their first snapshot, so
-// registration allocates nothing for it. Name, labels, key and kind
+// rate window. Table rows and collector-emitted label sets get one on
+// their first snapshot, so registration allocates nothing for it. Name, labels, key and kind
 // never change once the descriptor enters a schema (a collector label
 // set that changes kind gets a fresh one), so a History reads them from
 // any goroutine.
@@ -240,13 +148,6 @@ func (d *desc) lkey() string {
 	return d.key[len(d.name)+1 : len(d.key)-1]
 }
 
-type series struct {
-	desc
-	c *Counter
-	g *Gauge
-	h *Histogram
-}
-
 // Emit is handed to a table's Collect: it publishes one point into the
 // snapshot under construction.
 type Emit func(name string, labels Labels, kind Kind, value float64)
@@ -263,7 +164,7 @@ type Series[T any] struct {
 	// Labels are added to the instance's own (a drop reason, say).
 	Labels Labels
 	Value  func(x *T) float64
-	Hist   func(x *T) *Histogram
+	Hist   func(x *T) *slo.Hist
 }
 
 // Table is everything one component type exports: the series each
@@ -343,14 +244,12 @@ type registration struct {
 	rows   []int
 }
 
-// Registry holds labeled series. Hot paths call GetCounter once to
-// pre-bind a handle and then bump atomics; components whose values
-// already live in their own fields, histograms included, Register a
-// table of them, which costs nothing until a snapshot reads it.
+// Registry holds labeled series: components whose values live in their
+// own fields, histograms included, Register a table of them, which
+// costs nothing until a snapshot reads it.
 type Registry struct {
-	mu     sync.Mutex
-	series map[string]*series
-	regs   []registration
+	mu   sync.Mutex
+	regs []registration
 	// static counts the admitted valued rows of regs.
 	static int
 	// helps is shared with every snapshot taken since it last changed
@@ -358,10 +257,9 @@ type Registry struct {
 	helps      map[string]string
 	helpShared bool
 
-	// maxSeries caps distinct registered series (atomics + table rows)
-	// so a region-scale run cannot silently blow the registry up; past
-	// the cap new registrations are counted in dropped, and GetCounter
-	// hands out detached (unexported) instruments. 0 disables the cap.
+	// maxSeries caps registered table rows so a region-scale run cannot
+	// silently blow the registry up; past the cap new rows are counted
+	// in dropped and not exported. 0 disables the cap.
 	maxSeries int
 	dropped   atomic.Uint64
 	warnOnce  sync.Once
@@ -395,7 +293,6 @@ const droppedName = "obs_series_dropped_total"
 // NewRegistry builds an empty registry with the default series cap.
 func NewRegistry() *Registry {
 	return &Registry{
-		series:    make(map[string]*series),
 		dyn:       make(map[string]*desc),
 		helps:     map[string]string{droppedName: "Series registrations refused by the registry cardinality cap."},
 		maxSeries: DefaultMaxSeries,
@@ -419,7 +316,7 @@ func (r *Registry) setHelp(name, text string) {
 // full reports whether the series cap refuses a new series. Caller
 // holds r.mu.
 func (r *Registry) full() bool {
-	return r.maxSeries > 0 && len(r.series)+r.static >= r.maxSeries
+	return r.maxSeries > 0 && r.static >= r.maxSeries
 }
 
 // dropSeries counts one refused registration, warning once. Caller
@@ -467,7 +364,7 @@ func keyLen(name string, labels Labels) int {
 	return n
 }
 
-// seriesKey returns the series-map key name{k=v,...}, or name alone
+// seriesKey returns the series key name{k=v,...}, or name alone
 // for an empty label set, built in one allocation: the buffer is sized
 // before anything is written.
 func seriesKey(name string, labels Labels) string {
@@ -480,38 +377,16 @@ func seriesKey(name string, labels Labels) string {
 	return b.String()
 }
 
-func (r *Registry) get(name string, labels Labels, kind Kind) *series {
-	key := seriesKey(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.series[key]; ok {
-		if s.kind != kind {
-			panic(fmt.Sprintf("obs: series %s re-registered as %v (was %v)", key, kind, s.kind))
-		}
-		return s
-	}
-	s := &series{desc: desc{name: name, labels: labels, key: key, kind: kind}}
-	switch kind {
-	case KindCounter:
-		s.c = &Counter{}
-	case KindGauge:
-		s.g = &Gauge{}
-	case KindHistogram:
-		s.h = &Histogram{}
-	}
-	if r.full() {
-		// Past the cap: hand back a working but detached instrument so
-		// pre-bound hot-path handles stay nil-safe.
-		r.dropSeries(name, labels)
-		return s
-	}
-	r.series[key] = s
-	return s
-}
-
-// GetCounter returns (creating if needed) the counter for name+labels.
+// GetCounter registers a counter for name+labels as a one-row table and
+// returns it. Every call registers a series of its own, so ask once per
+// name+labels. Past the series cap the counter still counts but is not
+// exported.
 func (r *Registry) GetCounter(name string, labels Labels) *Counter {
-	return r.get(name, labels, KindCounter).c
+	c := new(Counter)
+	Register(r, c, labels, &Table[Counter]{Series: []Series[Counter]{{
+		Name: name, Kind: KindCounter, Value: func(c *Counter) float64 { return float64(c.Load()) },
+	}}})
+	return c
 }
 
 // register admits g's valued rows while the series cap allows.
@@ -621,14 +496,12 @@ func (p *Point) labelSet() Labels {
 	return p.d.labels
 }
 
-// Snapshot is a consistent-enough view of all series at one sim time.
-// Counters are read atomically; a snapshot taken concurrently with
-// writers sees each series at some point within the write window.
+// Snapshot is a view of all series at one sim time. A counter from
+// GetCounter is read atomically; a snapshot taken concurrently with its
+// writers sees it at some point within the write window.
 type Snapshot struct {
 	T      sim.Time `json:"t"`
 	Points []Point  `json:"series"`
-	// Flows is filled in by Obs.Snap with top-K flows (optional).
-	Flows []FlowStat `json:"flows,omitempty"`
 	// Spans is the tail of recently completed control-plane transaction
 	// spans, filled in by a history Publisher (optional) — the TXN
 	// section nezha-top renders in live mode.
@@ -676,22 +549,15 @@ func (d *desc) point(v float64) Point {
 	return Point{Name: d.name, Kind: d.kind.String(), Value: v, d: d}
 }
 
-func (d *desc) histPoint(h *Histogram) Point {
+// histPoint reads h. Its quantiles are bucket upper edges clamped to
+// the largest value observed, so a small count cannot overshoot the data.
+func (d *desc) histPoint(h *slo.Hist) Point {
 	p := d.point(0)
 	p.Count, p.Sum = h.Count(), h.Sum()
-	p.P50, p.P99, p.P999 = h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
+	max := h.Max()
+	p.P50, p.P99, p.P999 = min(h.Quantile(0.50), max), min(h.Quantile(0.99), max), min(h.Quantile(0.999), max)
 	p.Value = float64(p.Count)
 	return p
-}
-
-func (s *series) point() Point {
-	switch s.kind {
-	case KindCounter:
-		return s.desc.point(float64(s.c.Load()))
-	case KindGauge:
-		return s.desc.point(s.g.Load())
-	}
-	return s.desc.histPoint(s.h)
 }
 
 // intern returns the descriptor of a label set a collector emitted,
@@ -758,9 +624,6 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 
 	pts := make([]Point, 0, r.lastLen)
 	r.mu.Lock()
-	for _, s := range r.series {
-		pts = append(pts, s.point())
-	}
 	for i := range r.regs {
 		if !r.regs[i].built {
 			r.build(&r.regs[i])

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nezha/internal/sim"
+	"nezha/internal/slo"
 )
 
 func TestLabelsCanonical(t *testing.T) {
@@ -21,6 +22,9 @@ func TestLabelsCanonical(t *testing.T) {
 	}
 }
 
+// TestCounterGaugeHistogram reads one series of each kind through a
+// snapshot. A histogram's quantiles are slo.Hist's bucket upper edges,
+// clamped to the largest value observed.
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.GetCounter("pkts_total", L("node", "a"))
@@ -29,73 +33,54 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if c.Load() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Load())
 	}
-	// Same name+labels returns the same series.
-	if r.GetCounter("pkts_total", L("node", "a")) != c {
-		t.Fatal("GetCounter did not dedup")
-	}
-	g := r.GetGauge("util", nil)
-	g.Set(0.75)
-	if g.Load() != 0.75 {
-		t.Fatalf("gauge = %v", g.Load())
-	}
-	h := r.GetHistogram("wait_ns", nil)
+	util := 0.75
+	r.GaugeVar("util", nil, &util)
+	var h slo.Hist
+	r.HistVar("wait_ns", nil, &h)
 	for v := uint64(1); v <= 1024; v *= 2 {
 		h.Observe(v)
 	}
-	if h.Count() != 11 || h.Sum() != 2047 {
-		t.Fatalf("hist count=%d sum=%d", h.Count(), h.Sum())
+	s := r.Snapshot(sim.Second)
+	if p := findPoint(s, "pkts_total"); p == nil || p.Kind != "counter" || p.Value != 5 {
+		t.Fatalf("counter point %+v", p)
 	}
-	// p100 clamps to the observed max exactly (the old upper-bound
-	// estimate returned 2047 here).
-	if q := h.Quantile(1.0); q != 1024 {
-		t.Fatalf("p100 = %d, want 1024", q)
+	if p := findPoint(s, "util"); p == nil || p.Kind != "gauge" || p.Value != 0.75 {
+		t.Fatalf("gauge point %+v", p)
 	}
-	// The 6th of 11 observations is 32, in bucket [32,63]: the
-	// midpoint estimate is 47 (the old code returned the upper edge).
-	if q := h.Quantile(0.5); q != 47 {
-		t.Fatalf("p50 = %d, want 47", q)
+	p := findPoint(s, "wait_ns")
+	if p == nil || p.Kind != "histogram" || p.Count != 11 || p.Sum != 2047 || p.Value != 11 {
+		t.Fatalf("histogram point %+v", p)
 	}
-	if h.Max() != 1024 {
-		t.Fatalf("max = %d, want 1024", h.Max())
+	// The 5th of 11 observations is 16, in bucket [16,17]; the 10th is
+	// 512, in [512,575].
+	if p.P50 != 17 || p.P99 != 575 || p.P999 != 575 {
+		t.Fatalf("p50/p99/p999 = %d/%d/%d, want 17/575/575", p.P50, p.P99, p.P999)
 	}
 }
 
-// TestQuantileSmallCountNoOvershoot is the regression for the old
-// bucket-upper-bound quantile: one observation of 1000 lands in
-// bucket [512,1023], and every quantile of that histogram must be
-// exactly 1000, not the bucket edge.
+// TestQuantileSmallCountNoOvershoot: one observation of 1000 lands in
+// bucket [960,1023], and every quantile a snapshot reports of it must
+// be exactly 1000, not the bucket edge.
 func TestQuantileSmallCountNoOvershoot(t *testing.T) {
-	var h Histogram
-	h.Observe(1000)
-	for _, q := range []float64{0.5, 0.99, 1.0} {
-		if got := h.Quantile(q); got != 1000 {
-			t.Fatalf("Quantile(%v) = %d, want 1000 (single observation)", q, got)
-		}
-	}
-	// With two observations the lower bucket's midpoint is used but
-	// still can't exceed the max.
-	h.Observe(4)
-	if got := h.Quantile(0.5); got != 5 { // bucket [4,7] midpoint
-		t.Fatalf("Quantile(0.5) = %d, want 5", got)
-	}
-	if got := h.Quantile(0.99); got != 1000 {
-		t.Fatalf("Quantile(0.99) = %d, want 1000", got)
-	}
-	var empty Histogram
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Fatalf("empty Quantile = %d, want 0", got)
-	}
-}
-
-func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.GetCounter("x", nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge should panic")
-		}
-	}()
-	r.GetGauge("x", nil)
+	var h, empty slo.Hist
+	r.HistVar("wait_ns", nil, &h)
+	r.HistVar("empty_ns", nil, &empty)
+	h.Observe(1000)
+	p := findPoint(r.Snapshot(sim.Second), "wait_ns")
+	if p.P50 != 1000 || p.P99 != 1000 || p.P999 != 1000 {
+		t.Fatalf("p50/p99/p999 = %d/%d/%d, want 1000 (single observation)", p.P50, p.P99, p.P999)
+	}
+	// A second, smaller observation sits in an exact unit bucket, and
+	// no quantile exceeds the max.
+	h.Observe(4)
+	s := r.Snapshot(2 * sim.Second)
+	if p := findPoint(s, "wait_ns"); p.P50 != 4 || p.P99 > 1000 || p.P999 > 1000 {
+		t.Fatalf("p50/p99/p999 = %d/%d/%d, want 4 and at most 1000", p.P50, p.P99, p.P999)
+	}
+	if p := findPoint(s, "empty_ns"); p.P50 != 0 || p.P99 != 0 || p.P999 != 0 || p.Count != 0 {
+		t.Fatalf("empty histogram point %+v, want zeros", p)
+	}
 }
 
 func TestSnapshotRatesAndFuncs(t *testing.T) {
@@ -138,7 +123,9 @@ func TestSnapshotRatesAndFuncs(t *testing.T) {
 func TestSnapshotSharesLabelMaps(t *testing.T) {
 	r := NewRegistry()
 	r.GetCounter("sent_total", L("node", "a")).Add(3)
-	r.GetHistogram("wait_ns", L("node", "a")).Observe(9)
+	var h slo.Hist
+	h.Observe(9)
+	r.HistVar("wait_ns", L("node", "a"), &h)
 	r.GaugeFunc("depth", L("node", "b"), func() float64 { return 1 })
 	r.Collect(func(emit Emit) { emit("dyn_total", L("vnic", "1"), KindCounter, 2) })
 	r.Help("sent_total", "Sent.")
@@ -170,7 +157,9 @@ func TestSnapshotSharesLabelMaps(t *testing.T) {
 func TestLabelMapsInternedAndBounded(t *testing.T) {
 	r := NewRegistry()
 	ticks := r.GetCounter("ticks_total", L("node", "a"))
-	r.GetHistogram("wait_ns", L("node", "a")).Observe(1)
+	var h slo.Hist
+	h.Observe(1)
+	r.HistVar("wait_ns", L("node", "a"), &h)
 	r.CounterFunc("ticks_func_total", L("node", "b"), ticks.Load)
 	r.Collect(func(emit Emit) {
 		n := ticks.Load()
@@ -219,7 +208,9 @@ func findPoint(s *Snapshot, name string) *Point {
 func TestPrometheusExport(t *testing.T) {
 	r := NewRegistry()
 	r.GetCounter("pkts_total", L("node", "a")).Add(3)
-	r.GetHistogram("wait_ns", nil).Observe(100)
+	var h slo.Hist
+	h.Observe(100)
+	r.HistVar("wait_ns", nil, &h)
 	var b strings.Builder
 	if err := r.Snapshot(sim.Time(sim.Second)).WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -238,46 +229,34 @@ func TestPrometheusExport(t *testing.T) {
 	}
 }
 
-// TestParallelWritersSharedSeries hammers one labeled series from
-// many goroutines; run under -race this proves the hot-path write
-// side is synchronization-clean, and the total must be exact.
+// TestParallelWritersSharedSeries hammers one counter from many
+// goroutines; run under -race this proves the counter's write side is
+// synchronization-clean, and the snapshot's total must be exact.
 func TestParallelWritersSharedSeries(t *testing.T) {
 	r := NewRegistry()
+	c := r.GetCounter("shared_total", L("node", "x", "role", "BE"))
 	const workers, perWorker = 16, 10000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker re-resolves the same series, simulating
-			// independent components binding the same labels.
-			c := r.GetCounter("shared_total", L("node", "x", "role", "BE"))
-			g := r.GetGauge("shared_util", L("node", "x"))
-			h := r.GetHistogram("shared_wait", L("node", "x"))
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Set(float64(i))
-				h.Observe(uint64(i))
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.GetCounter("shared_total", L("node", "x", "role", "BE")).Load(); got != workers*perWorker {
-		t.Fatalf("shared counter = %d, want %d", got, workers*perWorker)
-	}
-	if got := r.GetHistogram("shared_wait", L("node", "x")).Count(); got != workers*perWorker {
-		t.Fatalf("shared histogram count = %d, want %d", got, workers*perWorker)
+	if p := findPoint(r.Snapshot(sim.Second), "shared_total"); p == nil || p.Value != workers*perWorker {
+		t.Fatalf("shared counter point %+v, want %d", p, workers*perWorker)
 	}
 }
 
-// TestSnapshotDuringWrites takes snapshots concurrently with writers
-// and checks every snapshot is internally sane: counter values are
-// monotone across snapshots and histogram count never exceeds sum+1
-// relationships (values observed are >= 1 here, so sum >= count).
+// TestSnapshotDuringWrites takes snapshots concurrently with a
+// counter's writers: its value must be monotone across snapshots.
 func TestSnapshotDuringWrites(t *testing.T) {
 	r := NewRegistry()
 	c := r.GetCounter("mono_total", nil)
-	h := r.GetHistogram("obs_ns", nil)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -290,7 +269,6 @@ func TestSnapshotDuringWrites(t *testing.T) {
 					return
 				default:
 					c.Inc()
-					h.Observe(2)
 				}
 			}
 		}()
@@ -306,10 +284,6 @@ func TestSnapshotDuringWrites(t *testing.T) {
 			t.Fatalf("counter went backwards: %v -> %v", last, p.Value)
 		}
 		last = p.Value
-		hp := findPoint(s, "obs_ns")
-		if hp.Sum < hp.Count { // every observation is 2
-			t.Fatalf("histogram sum %d < count %d", hp.Sum, hp.Count)
-		}
 	}
 	close(stop)
 	wg.Wait()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"nezha/internal/sim"
+	"nezha/internal/slo"
 )
 
 // referenceRates is the rate window of referenceSnapshot: the previous
@@ -25,13 +26,9 @@ type referenceRates struct {
 // sorts on label keys rebuilt per comparison, and takes rates against a
 // map of the previous snapshot's counter values that it replaces
 // wholesale. It is the oracle Snapshot is checked against; it reads the
-// registry's series but none of its snapshot state.
+// registry's registrations but none of its snapshot state.
 func (st *referenceRates) snapshot(r *Registry, now sim.Time) *Snapshot {
 	r.mu.Lock()
-	sers := make([]*series, 0, len(r.series))
-	for _, s := range r.series {
-		sers = append(sers, s)
-	}
 	regs := append([]registration(nil), r.regs...)
 	helps := make(map[string]string, len(r.helps))
 	for k, v := range r.helps {
@@ -45,23 +42,6 @@ func (st *referenceRates) snapshot(r *Registry, now sim.Time) *Snapshot {
 			Name: name, Labels: labels.Map(), Kind: kind.String(),
 			Value: value, d: &desc{name: name, labels: labels},
 		})
-	}
-	for _, s := range sers {
-		switch s.kind {
-		case KindCounter:
-			add(s.name, s.labels, KindCounter, float64(s.c.Load()))
-		case KindGauge:
-			add(s.name, s.labels, KindGauge, s.g.Load())
-		case KindHistogram:
-			p := Point{
-				Name: s.name, Labels: s.labels.Map(), Kind: KindHistogram.String(),
-				Count: s.h.Count(), Sum: s.h.Sum(),
-				P50: s.h.Quantile(0.50), P99: s.h.Quantile(0.99), P999: s.h.Quantile(0.999),
-				d: &desc{name: s.name, labels: s.labels},
-			}
-			p.Value = float64(p.Count)
-			snap.Points = append(snap.Points, p)
-		}
 	}
 	for _, reg := range regs {
 		admitted := 0
@@ -111,8 +91,8 @@ func (st *referenceRates) snapshot(r *Registry, now sim.Time) *Snapshot {
 }
 
 // The registry program's vocabulary. Names are disjoint per kind and
-// per source (atomic, func, each collector), so no snapshot holds one
-// series key twice. Names and label sets include pairs whose order by
+// per source (counter, gauge and histogram variables, funcs, each
+// collector), so no snapshot holds one series key twice. Names and label sets include pairs whose order by
 // (name, labels) differs from their order as whole series keys: "a" vs
 // "a_b", "vnic=1" vs "vnic=10".
 var (
@@ -153,8 +133,12 @@ type snapProgram struct {
 	collectors int
 	now        sim.Time
 	// funcs holds the keys of the func series registered so far: a
-	// series is registered once.
-	funcs map[string]bool
+	// series is registered once. counters, gauges and hists hold the
+	// variables registered so far by key, which later operations write.
+	funcs    map[string]bool
+	counters map[string]*Counter
+	gauges   map[string]*float64
+	hists    map[string]*slo.Hist
 }
 
 func (p *snapProgram) u8() byte {
@@ -209,11 +193,31 @@ func (p *snapProgram) collector(k int) func(Emit) {
 func (p *snapProgram) step() bool {
 	switch op := p.u8() % 12; op {
 	case 0:
-		p.r.GetCounter(pick(progCounters, p.u8()), p.labels()).Add(uint64(p.u8()))
+		name, ls := pick(progCounters, p.u8()), p.labels()
+		c := p.counters[seriesKey(name, ls)]
+		if c == nil {
+			c = p.r.GetCounter(name, ls)
+			p.counters[seriesKey(name, ls)] = c
+		}
+		c.Add(uint64(p.u8()))
 	case 1:
-		p.r.GetGauge(pick(progGauges, p.u8()), p.labels()).Set(float64(int8(p.u8())) / 4)
+		name, ls := pick(progGauges, p.u8()), p.labels()
+		g := p.gauges[seriesKey(name, ls)]
+		if g == nil {
+			g = new(float64)
+			p.r.GaugeVar(name, ls, g)
+			p.gauges[seriesKey(name, ls)] = g
+		}
+		*g = float64(int8(p.u8())) / 4
 	case 2:
-		p.r.GetHistogram(pick(progHists, p.u8()), p.labels()).Observe(uint64(p.u8()) << (p.u8() % 40))
+		name, ls := pick(progHists, p.u8()), p.labels()
+		h := p.hists[seriesKey(name, ls)]
+		if h == nil {
+			h = new(slo.Hist)
+			p.r.HistVar(name, ls, h)
+			p.hists[seriesKey(name, ls)] = h
+		}
+		h.Observe(uint64(p.u8()) << (p.u8() % 40))
 	case 3:
 		i, off := int(p.u8())%len(p.vals), uint64(p.u8())
 		if name, ls := pick(progCFuncs, p.u8()), p.labels(); p.once(name, ls) {
@@ -281,7 +285,8 @@ func comparePoints(t *testing.T, n int, got, want []Point) {
 // again: later Help calls and snapshots must not have changed them.
 func checkSnapshotProgram(t *testing.T, prog []byte) {
 	t.Helper()
-	p := &snapProgram{b: prog, r: NewRegistry(), funcs: map[string]bool{}}
+	p := &snapProgram{b: prog, r: NewRegistry(), funcs: map[string]bool{},
+		counters: map[string]*Counter{}, gauges: map[string]*float64{}, hists: map[string]*slo.Hist{}}
 	p.r.SetWarnFn(nil)
 	var ref referenceRates
 	type taken struct {

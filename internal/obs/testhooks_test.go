@@ -1,5 +1,7 @@
 package obs
 
+import "nezha/internal/slo"
+
 // Accessors only the tests use: they read or replace state the
 // program itself never inspects from outside the package.
 
@@ -37,20 +39,6 @@ func (r *Registry) SetWarnFn(fn func(msg string)) {
 	r.warnFn = fn
 }
 
-// GetGauge returns (creating if needed) the gauge for name+labels.
-func (r *Registry) GetGauge(name string, labels Labels) *Gauge {
-	return r.get(name, labels, KindGauge).g
-}
-
-// GetHistogram returns (creating if needed) the histogram for
-// name+labels.
-func (r *Registry) GetHistogram(name string, labels Labels) *Histogram {
-	return r.get(name, labels, KindHistogram).h
-}
-
-// Max returns the largest value observed.
-func (h *Histogram) Max() uint64 { return h.max.Load() }
-
 // Dropped reports how many registrations the cardinality cap refused.
 func (r *Registry) Dropped() uint64 { return r.dropped.Load() }
 
@@ -59,6 +47,13 @@ func (r *Registry) Help(name, text string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.setHelp(name, text)
+}
+
+// HistVar registers a one-row table: the histogram h.
+func (r *Registry) HistVar(name string, labels Labels, h *slo.Hist) {
+	Register(r, h, labels, &Table[slo.Hist]{Series: []Series[slo.Hist]{{
+		Name: name, Kind: KindHistogram, Hist: func(h *slo.Hist) *slo.Hist { return h },
+	}}})
 }
 
 // CounterFunc registers a one-row table: a counter sampled from fn.
@@ -72,6 +67,13 @@ func (r *Registry) CounterFunc(name string, labels Labels, fn func() uint64) {
 func (r *Registry) CounterVar(name string, labels Labels, v *uint64) {
 	Register(r, v, labels, &Table[uint64]{Series: []Series[uint64]{{
 		Name: name, Kind: KindCounter, Value: func(v *uint64) float64 { return float64(*v) },
+	}}})
+}
+
+// GaugeVar registers a one-row table: a gauge read from *v.
+func (r *Registry) GaugeVar(name string, labels Labels, v *float64) {
+	Register(r, v, labels, &Table[float64]{Series: []Series[float64]{{
+		Name: name, Kind: KindGauge, Value: func(v *float64) float64 { return *v },
 	}}})
 }
 

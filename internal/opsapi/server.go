@@ -368,11 +368,10 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 
 // flowsTopResponse is the /api/v1/flows/top payload: the SLO layer's
 // sketch-ranked heavy hitters (exact-identity candidates over all
-// packets) next to the tracer's sampled flow table.
+// packets).
 type flowsTopResponse struct {
-	T       sim.Time       `json:"t"`
-	Hot     []slo.HotFlow  `json:"hot_flows,omitempty"`
-	Sampled []obs.FlowStat `json:"sampled_flows,omitempty"`
+	T   sim.Time      `json:"t"`
+	Hot []slo.HotFlow `json:"hot_flows,omitempty"`
 }
 
 func (s *Server) handleFlowsTop(w http.ResponseWriter, r *http.Request) {
@@ -386,11 +385,11 @@ func (s *Server) handleFlowsTop(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no snapshot published yet", http.StatusServiceUnavailable)
 		return
 	}
-	out := flowsTopResponse{T: snap.T, Sampled: snap.Flows}
-	if snap.SLO != nil {
-		out.Hot = snap.SLO.HotFlows
+	if snap.SLO == nil {
+		http.Error(w, "no SLO tracker attached (run with the SLO layer enabled)", http.StatusNotFound)
+		return
 	}
-	writeJSON(w, out)
+	writeJSON(w, flowsTopResponse{T: snap.T, Hot: snap.SLO.HotFlows})
 }
 
 func (s *Server) handleProf(w http.ResponseWriter, r *http.Request) {

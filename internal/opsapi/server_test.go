@@ -15,6 +15,7 @@ import (
 	"nezha/internal/obs"
 	"nezha/internal/packet"
 	"nezha/internal/sim"
+	"nezha/internal/slo"
 )
 
 func testSnap(t sim.Time) *obs.Snapshot {
@@ -140,6 +141,23 @@ func TestMetricsAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestSLOEndpointsWithoutTracker: once a snapshot without an SLO view is
+// published, /api/v1/slo and /api/v1/flows/top both answer 404, since
+// the hot flows come only from the SLO view.
+func TestSLOEndpointsWithoutTracker(t *testing.T) {
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	h := obs.NewHistory(obs.HistoryOptions{})
+	srv.SetHistory(h)
+	h.Publish(testSnap(sim.Second))
+	for _, ep := range []string{"/api/v1/slo", "/api/v1/flows/top"} {
+		if code, body, _ := get(t, ts.URL+ep); code != http.StatusNotFound || !strings.Contains(body, "no SLO tracker attached") {
+			t.Errorf("%s without an SLO view: %d %q, want 404 naming the missing tracker", ep, code, body)
+		}
+	}
+}
+
 // TestHistoryEndpoint covers time-window forms (duration and bare
 // seconds), the series filter, bookkeeping counters, and 400s on
 // malformed bounds.
@@ -204,15 +222,15 @@ func TestHistoryEndpoint(t *testing.T) {
 // TestHistoryStreamMatchesWriteJSON checks that the streamed
 // /api/v1/history body is byte for byte what encoding the whole
 // response at once writes, for registry snapshots carrying labels JSON
-// would HTML-escape, flows, spans and help, with and without a series
-// filter and a window.
+// would HTML-escape, an SLO view with its hot flows, spans and help,
+// with and without a series filter and a window.
 func TestHistoryStreamMatchesWriteJSON(t *testing.T) {
 	ob := obs.New(obs.Options{})
 	c := ob.Reg.GetCounter("pkts_total", obs.L("node", "<a&b>"))
-	var wait obs.Histogram
+	var wait slo.Hist
 	wait.Observe(700)
-	obs.Register(ob.Reg, &wait, obs.L("node", "a"), &obs.Table[obs.Histogram]{Series: []obs.Series[obs.Histogram]{{
-		Name: "wait_ns", Kind: obs.KindHistogram, Hist: func(h *obs.Histogram) *obs.Histogram { return h },
+	obs.Register(ob.Reg, &wait, obs.L("node", "a"), &obs.Table[slo.Hist]{Series: []obs.Series[slo.Hist]{{
+		Name: "wait_ns", Kind: obs.KindHistogram, Hist: func(h *slo.Hist) *slo.Hist { return h },
 	}}})
 	obs.Register(ob.Reg, c, nil, &obs.Table[obs.Counter]{
 		Series: []obs.Series[obs.Counter]{{Name: "pkts_total", Help: "Packets <sent> & counted."}},
@@ -220,7 +238,10 @@ func TestHistoryStreamMatchesWriteJSON(t *testing.T) {
 			emit("dyn", obs.L("vnic", strconv.FormatUint(c.Load()%3, 10)), obs.KindGauge, 0.5)
 		},
 	})
-	ob.Flows.Observe(packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP}, 100)
+	tr := slo.NewTracker(slo.Config{})
+	ob.AttachSLO(tr)
+	key, _ := packet.SessionKeyOf(7, 1, packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP})
+	tr.RecordDeliver(0, key.VNIC, packet.PathFast, packet.DirRX, 20_000, key.Hash(), key, 100)
 	h := obs.NewHistory(obs.HistoryOptions{Snapshots: 6})
 	pub := &obs.Publisher{Obs: ob, Hist: h}
 	for i := 1; i <= 9; i++ {

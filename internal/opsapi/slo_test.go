@@ -78,9 +78,8 @@ func TestSLOEndpointsServeOverloadedCampaign(t *testing.T) {
 		t.Fatalf("/api/v1/flows/top: %s", resp.Status)
 	}
 	var flows struct {
-		T       sim.Time       `json:"t"`
-		Hot     []slo.HotFlow  `json:"hot_flows"`
-		Sampled []obs.FlowStat `json:"sampled_flows"`
+		T   sim.Time      `json:"t"`
+		Hot []slo.HotFlow `json:"hot_flows"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&flows); err != nil {
 		t.Fatalf("/api/v1/flows/top not JSON: %v", err)

@@ -79,7 +79,7 @@ func (vs *VSwitch) fromVMRun(ps []*packet.Packet) {
 	for _, p := range ps {
 		p.CheckLive()
 		if vs.ob != nil {
-			vs.hop(p, obs.StageIngressVM)
+			vs.hop(p, obs.Hop{Stage: obs.StageIngressVM})
 		}
 	}
 	if vs.crashed {
@@ -420,7 +420,8 @@ func (r *burstRun) Complete(i int, ok bool, d sim.Time) {
 // a burst coalesces the wave's sends, a stage task sends at once.
 func (vs *VSwitch) runAct(a *burstAct, d sim.Time) (send bool) {
 	if vs.ob != nil {
-		vs.hopCPU(a.p, a.cycles, d)
+		vs.ob.queueWait.Observe(uint64(d))
+		vs.hop(a.p, obs.Hop{Stage: obs.StageCPU, Cycles: a.cycles, QueueWait: d})
 	}
 	switch a.kind {
 	case actForward:

@@ -42,14 +42,14 @@ func (vs *VSwitch) lookupOrSlowPath(rules *tables.RuleSet, p *packet.Packet, key
 		vs.Stats.FastPath++
 		p.Path = packet.PathFast
 		if vs.ob != nil {
-			vs.hopLookup(p, true)
+			vs.hop(p, obs.Hop{Stage: obs.StageLookup, Flags: obs.TableHit})
 		}
 		return e, *vs.sessions.Pre(e), false
 	}
 	vs.Stats.SlowPath++
 	p.Path = packet.PathSlow
 	if vs.ob != nil {
-		vs.hopLookup(p, false)
+		vs.hop(p, obs.Hop{Stage: obs.StageLookup})
 	}
 	txTuple := p.Tuple
 	if p.Dir == packet.DirRX {
@@ -141,7 +141,7 @@ func reroute(rules *tables.RuleSet, dst packet.IPv4, peer *uint32, nextHop *pack
 
 func (vs *VSwitch) planLocalTX(vn *vnicState, c *cost, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if vs.ob != nil {
-		vs.hop(p, obs.StageLocalTx)
+		vs.hop(p, obs.Hop{Stage: obs.StageLocalTx})
 	}
 	c.add(prof.StagePerByte, perByteCycles(p))
 	c.add(prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
@@ -195,7 +195,7 @@ func (vs *VSwitch) planForwardAct(p *packet.Packet, peer uint32, staticHop packe
 		return true
 	}
 	if vs.ob != nil {
-		vs.hopPick(p, addr)
+		vs.hop(p, obs.Hop{Stage: obs.StageGWPick, Flags: obs.HasTo, To: addr})
 	}
 	c.add(prof.StageEncap, nic.EncapCycles)
 	*a = burstAct{p: p, cycles: c.cycles, kind: actForward, to: addr, peer: peer}
@@ -207,7 +207,7 @@ func (vs *VSwitch) planLocalRX(vn *vnicState, c *cost, p *packet.Packet, key pac
 		return false
 	}
 	if vs.ob != nil {
-		vs.hop(p, obs.StageLocalRx)
+		vs.hop(p, obs.Hop{Stage: obs.StageLocalRx})
 	}
 	c.add(prof.StagePerByte, perByteCycles(p))
 	c.add(prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
@@ -242,7 +242,7 @@ func (vs *VSwitch) planLocalRX(vn *vnicState, c *cost, p *packet.Packet, key pac
 func (vs *VSwitch) deliverToVM(vnic uint32, p *packet.Packet) {
 	vs.Stats.Delivered++
 	if vs.ob != nil {
-		vs.hopDeliver(p)
+		vs.hop(p, obs.Hop{Stage: obs.StageDeliver})
 	}
 	lat := vs.loop.Now() - sim.Time(p.SentAt)
 	if vs.slo != nil && p.SentAt > 0 {
@@ -286,7 +286,7 @@ func (vs *VSwitch) planBeTX(vn *vnicState, c *cost, p *packet.Packet, key packet
 	}
 	vs.attachStateView(p, vn.id, packet.DirTX, *vs.sessions.State(e))
 	if vs.ob != nil {
-		vs.hopEncap(p, obs.StageBETx, p.Nezha.WireSize())
+		vs.hop(p, obs.Hop{Stage: obs.StageBETx, EncapBytes: uint32(p.Nezha.WireSize())})
 	}
 	*a = burstAct{p: p, cycles: c.cycles, kind: actRelay, to: fe}
 	return true
@@ -303,7 +303,7 @@ func (vs *VSwitch) planBeRX(vn *vnicState, c *cost, p *packet.Packet, key packet
 	// fast/slow tag the FE's own lookup left behind.
 	p.Path = packet.PathOffloaded
 	if vs.ob != nil {
-		vs.hop(p, obs.StageBERx)
+		vs.hop(p, obs.Hop{Stage: obs.StageBERx})
 	}
 	now := int64(vs.loop.Now())
 	c.add(prof.StagePerByte, perByteCycles(p))
@@ -389,7 +389,7 @@ func (vs *VSwitch) absorbNotify(p *packet.Packet) {
 // then forwarding toward the peer.
 func (vs *VSwitch) planFeTX(fe *feInstance, c *cost, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if vs.ob != nil {
-		vs.hop(p, obs.StageFETx)
+		vs.hop(p, obs.Hop{Stage: obs.StageFETx})
 	}
 	c.add(prof.StagePerByte, perByteCycles(p))
 	c.add(prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
@@ -456,7 +456,7 @@ func (vs *VSwitch) planFeRX(fe *feInstance, c *cost, p *packet.Packet, key packe
 	// the original is preserved in the Nezha header.
 	vs.attachPreView(p, fe.vnic, pre, p.OuterSrc)
 	if vs.ob != nil {
-		vs.hopEncap(p, obs.StageFERx, p.Nezha.WireSize())
+		vs.hop(p, obs.Hop{Stage: obs.StageFERx, EncapBytes: uint32(p.Nezha.WireSize())})
 	}
 	*a = burstAct{p: p, cycles: c.cycles, kind: actRelay, to: fe.beAddr}
 	return true

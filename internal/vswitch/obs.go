@@ -6,7 +6,7 @@ import (
 	"nezha/internal/nic"
 	"nezha/internal/obs"
 	"nezha/internal/packet"
-	"nezha/internal/sim"
+	"nezha/internal/slo"
 )
 
 // vsObs holds the vSwitch's pre-bound observability handles. The hot
@@ -14,10 +14,8 @@ import (
 // histogram observe per CPU completion and, for sampled packets only,
 // hop recording.
 type vsObs struct {
-	bundle    *obs.Obs
 	tr        *obs.FlightTracer
-	flows     *obs.FlowTop
-	queueWait obs.Histogram // CPU queueing+service delay, ns
+	queueWait slo.Hist // CPU queueing+service delay, ns
 	util      nic.UtilMeter
 }
 
@@ -34,7 +32,7 @@ func (vs *VSwitch) EnableObs(o *obs.Obs) {
 		return
 	}
 	lbl := obs.L("node", vs.node.Node) // the ledger's node name is the address
-	vs.ob = &vsObs{bundle: o, tr: o.Tracer, flows: o.Flows}
+	vs.ob = &vsObs{tr: o.Tracer}
 	vs.ob.util.Start(&vs.cpu)
 	obs.Register(o.Reg, vs, lbl, &vsTable)
 }
@@ -59,7 +57,7 @@ func b2f(b bool) float64 {
 // vsTable is every series a vSwitch exports.
 var vsTable = obs.Table[VSwitch]{Series: slices.Concat([]obs.Series[VSwitch]{
 	{Name: "vswitch_queue_wait_ns", Help: "CPU queueing plus service delay per packet, nanoseconds.", Kind: obs.KindHistogram,
-		Hist: func(vs *VSwitch) *obs.Histogram { return &vs.ob.queueWait }},
+		Hist: func(vs *VSwitch) *slo.Hist { return &vs.ob.queueWait }},
 	stat("vswitch_from_vm_total", "Packets received from local VMs.", func(s *Counters) *uint64 { return &s.FromVM }),
 	stat("vswitch_from_net_total", "Packets received from the fabric.", func(s *Counters) *uint64 { return &s.FromNet }),
 	stat("vswitch_delivered_total", "Packets delivered to local VMs.", func(s *Counters) *uint64 { return &s.Delivered }),
@@ -109,65 +107,12 @@ func dropSeries() []obs.Series[VSwitch] {
 	return rows
 }
 
-// hop records a simple stage hop for a sampled packet.
-func (vs *VSwitch) hop(p *packet.Packet, stage obs.Stage) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
-		return
-	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: stage})
-}
-
-// hopEncap records a hop that added encapsulation bytes.
-func (vs *VSwitch) hopEncap(p *packet.Packet, stage obs.Stage, encapBytes int) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
-		return
-	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: stage, EncapBytes: uint32(encapBytes)})
-}
-
-// hopLookup records the session-table verdict.
-func (vs *VSwitch) hopLookup(p *packet.Packet, hit bool) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
-		return
-	}
-	var f obs.HopFlags
-	if hit {
-		f = obs.TableHit
-	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageLookup, Flags: f})
-}
-
-// hopCPU records the CPU stage with the cycles charged and the queue
-// wait actually experienced, and feeds the queue-wait histogram.
-func (vs *VSwitch) hopCPU(p *packet.Packet, cycles uint64, wait sim.Time) {
-	vs.ob.queueWait.Observe(uint64(wait))
+// hop records h, stamped with the time and this node, when p is sampled.
+// Callers check vs.ob first.
+func (vs *VSwitch) hop(p *packet.Packet, h obs.Hop) {
 	if !vs.ob.tr.Sampled(p) {
 		return
 	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageCPU, Cycles: cycles, QueueWait: wait})
-}
-
-// hopPick records the gateway-learner pick that chose the next hop.
-func (vs *VSwitch) hopPick(p *packet.Packet, addr packet.IPv4) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
-		return
-	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageGWPick, Flags: obs.HasTo, To: addr})
-}
-
-// hopDrop records the packet's terminal drop with its reason.
-func (vs *VSwitch) hopDrop(p *packet.Packet, r DropReason) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
-		return
-	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageDrop, Drop: uint8(r)})
-}
-
-// hopDeliver records final VM delivery and charges the flow table.
-func (vs *VSwitch) hopDeliver(p *packet.Packet) {
-	if vs.ob == nil || !vs.ob.tr.Sampled(p) {
-		return
-	}
-	vs.ob.tr.Hop(p.ID, obs.Hop{At: vs.loop.Now(), Node: vs.cfg.Addr, Stage: obs.StageDeliver})
-	vs.ob.flows.Observe(p.Tuple, p.SizeBytes)
+	h.At, h.Node = vs.loop.Now(), vs.cfg.Addr
+	vs.ob.tr.Hop(p.ID, h)
 }

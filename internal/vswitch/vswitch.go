@@ -35,6 +35,7 @@ import (
 	"nezha/internal/fabric"
 	"nezha/internal/flowcache"
 	"nezha/internal/nic"
+	"nezha/internal/obs"
 	"nezha/internal/packet"
 	"nezha/internal/prof"
 	"nezha/internal/sim"
@@ -921,7 +922,7 @@ func (vs *VSwitch) SweepSessions() int {
 func (vs *VSwitch) drop(p *packet.Packet, r DropReason) {
 	vs.Stats.Drops[r]++
 	if vs.ob != nil {
-		vs.hopDrop(p, r)
+		vs.hop(p, obs.Hop{Stage: obs.StageDrop, Drop: uint8(r)})
 	}
 	if vs.slo != nil {
 		vs.slo.RecordDrop(int64(vs.loop.Now()), p.VNIC, uint8(r))

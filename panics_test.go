@@ -22,7 +22,6 @@ import (
 // list cannot rot.
 var panicAllow = map[string]string{
 	"internal/obs/registry.go:L":                                "programmer-error guard: an odd count of label strings",
-	"internal/obs/registry.go:Registry.get":                     "programmer-error guard: one series registered under two kinds",
 	"internal/sim/rand.go:NewZipf":                              "programmer-error guard: a Zipf sampler over no ranks",
 	"internal/sim/rand.go:Rand.Intn":                            "programmer-error guard: Intn's documented n <= 0 panic, as math/rand's",
 	"internal/sim/sched.go:calendarQueue.popLE":                 "programmer-error guard: the occupancy bitmap lost a set bit the wheel count promises",
