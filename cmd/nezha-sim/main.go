@@ -240,7 +240,7 @@ func run() (err error) {
 	var srv *opsapi.Server
 	if *listen != "" {
 		hist := obs.NewHistory(obs.HistoryOptions{})
-		pub = w.NewOpsPublisher(hist, 10)
+		pub = w.NewOpsPublisher(hist)
 		srv = opsapi.New()
 		srv.SetHistory(hist)
 		srv.SetMeta("mode", "sim")
@@ -282,7 +282,7 @@ func run() (err error) {
 			meter.Sample()*100, len(w.Ctrl.FEsOf(cluster.ServerVNIC)), state)
 		lastDone = done
 		if out.obs != nil || pub != nil {
-			snap := s.Obs.Snap(w.Loop.Now(), 10)
+			snap := s.Obs.Snap(w.Loop.Now(), 0)
 			if pub != nil {
 				pub.PublishSnap(w.Loop.Now(), snap)
 			}
@@ -374,7 +374,7 @@ func run() (err error) {
 	}
 
 	if out.prom != nil {
-		if err := s.Obs.Snap(w.Loop.Now(), 10).WritePrometheus(out.prom); err != nil {
+		if err := s.Obs.Snap(w.Loop.Now(), 0).WritePrometheus(out.prom); err != nil {
 			return err
 		}
 		fmt.Printf("  wrote Prometheus export: %s\n", *obsProm)

@@ -368,7 +368,7 @@ func run(cfg CampaignConfig, extra func(*Engine), record bool) (Report, error) {
 			return Report{}, fmt.Errorf("chaos: CampaignConfig.Hist requires Obs")
 		}
 		eng.AttachHistory(cfg.Hist)
-		if pub := w.NewOpsPublisher(cfg.Hist, 10); pub != nil {
+		if pub := w.NewOpsPublisher(cfg.Hist); pub != nil {
 			pub.Attach(w.Loop)
 		}
 	}

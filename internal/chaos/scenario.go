@@ -311,7 +311,7 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 		return ScenarioResult{}, err
 	}
 	if cfg.Hist != nil {
-		if pub := w.NewOpsPublisher(cfg.Hist, 10); pub != nil {
+		if pub := w.NewOpsPublisher(cfg.Hist); pub != nil {
 			pub.Attach(w.Loop)
 		}
 	}

@@ -185,14 +185,14 @@ func New(opts Options) *Cluster {
 // observability stack: registry snapshots on the publisher's cadence,
 // the policy decision log when the policy engine decides, and a
 // pprof-encoded attribution profile per publish when the profiler is
-// attached. The caller attaches it to c.Loop (and may override Every,
-// TopK, or OnSnap first). Returns nil when the cluster has no Obs
+// attached. The caller attaches it to c.Loop (and may override Every
+// or OnSnap first). Returns nil when the cluster has no Obs
 // bundle — there is nothing to publish.
-func (c *Cluster) NewOpsPublisher(h *obs.History, topK int) *obs.Publisher {
+func (c *Cluster) NewOpsPublisher(h *obs.History) *obs.Publisher {
 	if c.Obs == nil || h == nil {
 		return nil
 	}
-	p := &obs.Publisher{Obs: c.Obs, Hist: h, TopK: topK}
+	p := &obs.Publisher{Obs: c.Obs, Hist: h}
 	if c.Prof != nil {
 		p.ProfFn = func(now sim.Time) []byte {
 			b, err := c.Prof.ProfileBytes(now, now)

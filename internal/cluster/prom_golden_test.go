@@ -39,7 +39,7 @@ func promGoldenExposition(t *testing.T) []byte {
 	w.StartLoad()
 	w.Loop.Run(sim.Second)
 	var b bytes.Buffer
-	if err := s.Obs.Snap(w.Loop.Now(), 10).WritePrometheus(&b); err != nil {
+	if err := s.Obs.Snap(w.Loop.Now(), 0).WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()

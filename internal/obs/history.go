@@ -657,8 +657,6 @@ type Publisher struct {
 	Hist *History
 	// Every is the virtual publish period (default 1 s).
 	Every sim.Time
-	// TopK is the flow-table depth attached to each snapshot (default 10).
-	TopK int
 	// SpanTail bounds the completed spans embedded in each published
 	// snapshot (default 12; the full tail still lands in the History).
 	SpanTail int
@@ -696,11 +694,7 @@ func (p *Publisher) Attach(loop *sim.Loop) {
 
 // PublishNow snapshots the registry and publishes immediately.
 func (p *Publisher) PublishNow(now sim.Time) {
-	topK := p.TopK
-	if topK <= 0 {
-		topK = 10
-	}
-	p.PublishSnap(now, p.Obs.Snap(now, topK))
+	p.PublishSnap(now, p.Obs.Snap(now, 0))
 }
 
 // PublishSnap publishes an already-taken snapshot (hosts that snapshot

@@ -275,7 +275,7 @@ func TestHistoryScanHoldsOneSnapshot(t *testing.T) {
 	})
 	h := obs.NewHistory(obs.HistoryOptions{})
 	for i := 1; i <= 512; i++ {
-		h.Publish(ob.Snap(sim.Time(i)*sim.Second, 10))
+		h.Publish(ob.Snap(sim.Time(i)*sim.Second, 0))
 	}
 	var ms runtime.MemStats
 	live := func() int64 {
@@ -311,7 +311,7 @@ func TestHistoryLatestWalksNoDeltas(t *testing.T) {
 	ob := campaignObs()
 	h := obs.NewHistory(obs.HistoryOptions{Snapshots: 8})
 	for i := 1; i <= 12; i++ {
-		h.Publish(ob.Snap(sim.Time(i)*sim.Second, 10))
+		h.Publish(ob.Snap(sim.Time(i)*sim.Second, 0))
 	}
 	want := text(h.Latest())
 	h.DropDeltas()

@@ -297,7 +297,7 @@ func TestHistoryRoundTrip(t *testing.T) {
 			r.GetCounter("late_total", nil).Add(9)
 			r.Help("late_total", "Registered \"late\".")
 		}
-		publish(ob.Snap(sim.Time(i)*sim.Second, 10))
+		publish(ob.Snap(sim.Time(i)*sim.Second, 0))
 	}
 	if h.Len() != 5 || h.Evicted() != 4 {
 		t.Fatalf("Len %d, Evicted %d, want 5 and 4", h.Len(), h.Evicted())
@@ -347,7 +347,7 @@ func TestHistoryReadSharesLabelMaps(t *testing.T) {
 	ob := campaignObs()
 	h := obs.NewHistory(obs.HistoryOptions{})
 	for i := 1; i <= 3; i++ {
-		h.Publish(ob.Snap(sim.Time(i)*sim.Second, 10))
+		h.Publish(ob.Snap(sim.Time(i)*sim.Second, 0))
 	}
 	maps := map[string]map[string]string{}
 	for _, s := range h.Query(0, 0, nil) {
@@ -439,7 +439,7 @@ func fillRing(t *testing.T, churn bool) (*obs.History, int) {
 	h := obs.NewHistory(obs.HistoryOptions{Snapshots: 64})
 	points, kinds, prev := 0, map[string]int{}, 0
 	for i := 1; i <= 64; i++ {
-		s := ob.Snap(sim.Time(i)*sim.Second, 10)
+		s := ob.Snap(sim.Time(i)*sim.Second, 0)
 		if churn && len(s.Points) == prev {
 			t.Fatalf("snapshot %d has the series of the one before", i)
 		}

@@ -98,14 +98,12 @@ var sloTable = Table[slo.Tracker]{
 }
 
 // Snap takes a registry snapshot at now and, when a tracker is
-// attached, the SLO view, its hot flows cut to the topK heaviest.
-func (o *Obs) Snap(now sim.Time, topK int) *Snapshot {
+// attached, the SLO view. The second argument is unused: the SLO view
+// already holds its own top hot flows. It stays for callers in bench/.
+func (o *Obs) Snap(now sim.Time, _ int) *Snapshot {
 	s := o.Reg.Snapshot(now)
 	if o.SLO != nil {
 		s.SLO = o.SLO.View()
-		if topK > 0 && len(s.SLO.HotFlows) > topK {
-			s.SLO.HotFlows = s.SLO.HotFlows[:topK]
-		}
 	}
 	return s
 }

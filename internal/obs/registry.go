@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -549,15 +550,25 @@ func (d *desc) point(v float64) Point {
 	return Point{Name: d.name, Kind: d.kind.String(), Value: v, d: d}
 }
 
-// histPoint reads h. Its quantiles are bucket upper edges clamped to
-// the largest value observed, so a small count cannot overshoot the data.
+// histPoint reads h, its quantiles by histQuantile, so a small count
+// cannot overshoot the data.
 func (d *desc) histPoint(h *slo.Hist) Point {
 	p := d.point(0)
 	p.Count, p.Sum = h.Count(), h.Sum()
-	max := h.Max()
-	p.P50, p.P99, p.P999 = min(h.Quantile(0.50), max), min(h.Quantile(0.99), max), min(h.Quantile(0.999), max)
+	p.P50, p.P99, p.P999 = histQuantile(h, 0.50), histQuantile(h, 0.99), histQuantile(h, 0.999)
 	p.Value = float64(p.Count)
 	return p
+}
+
+// histQuantile is h's q-quantile by nearest rank: when the rank
+// ceil(q·count) reaches the last observation it is the max, exactly;
+// below that, the bucket edge slo reports, clamped to the max.
+func histQuantile(h *slo.Hist, q float64) uint64 {
+	n := h.Count()
+	if n > 0 && uint64(math.Ceil(q*float64(n))) >= n {
+		return h.Max()
+	}
+	return min(h.Quantile(q), h.Max())
 }
 
 // intern returns the descriptor of a label set a collector emitted,

@@ -24,7 +24,8 @@ func TestLabelsCanonical(t *testing.T) {
 
 // TestCounterGaugeHistogram reads one series of each kind through a
 // snapshot. A histogram's quantiles are slo.Hist's bucket upper edges,
-// clamped to the largest value observed.
+// clamped to the largest value observed, and the max itself once the
+// nearest rank is the last observation.
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := NewRegistry()
 	c := r.GetCounter("pkts_total", L("node", "a"))
@@ -51,10 +52,10 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if p == nil || p.Kind != "histogram" || p.Count != 11 || p.Sum != 2047 || p.Value != 11 {
 		t.Fatalf("histogram point %+v", p)
 	}
-	// The 5th of 11 observations is 16, in bucket [16,17]; the 10th is
-	// 512, in [512,575].
-	if p.P50 != 17 || p.P99 != 575 || p.P999 != 575 {
-		t.Fatalf("p50/p99/p999 = %d/%d/%d, want 17/575/575", p.P50, p.P99, p.P999)
+	// The 5th of 11 observations is 16, in bucket [16,17]; p99's
+	// nearest rank, ceil(0.99·11), is the 11th, the max.
+	if p.P50 != 17 || p.P99 != 1024 || p.P999 != 1024 {
+		t.Fatalf("p50/p99/p999 = %d/%d/%d, want 17/1024/1024", p.P50, p.P99, p.P999)
 	}
 }
 
@@ -63,20 +64,28 @@ func TestCounterGaugeHistogram(t *testing.T) {
 // be exactly 1000, not the bucket edge.
 func TestQuantileSmallCountNoOvershoot(t *testing.T) {
 	r := NewRegistry()
-	var h, empty slo.Hist
+	var h, pair, empty slo.Hist
 	r.HistVar("wait_ns", nil, &h)
+	r.HistVar("pair_ns", nil, &pair)
 	r.HistVar("empty_ns", nil, &empty)
 	h.Observe(1000)
 	p := findPoint(r.Snapshot(sim.Second), "wait_ns")
 	if p.P50 != 1000 || p.P99 != 1000 || p.P999 != 1000 {
 		t.Fatalf("p50/p99/p999 = %d/%d/%d, want 1000 (single observation)", p.P50, p.P99, p.P999)
 	}
-	// A second, smaller observation sits in an exact unit bucket, and
-	// no quantile exceeds the max.
+	// A second, smaller observation sits in an exact unit bucket; the
+	// tail quantiles' nearest rank is the last observation, the max.
 	h.Observe(4)
 	s := r.Snapshot(2 * sim.Second)
-	if p := findPoint(s, "wait_ns"); p.P50 != 4 || p.P99 > 1000 || p.P999 > 1000 {
-		t.Fatalf("p50/p99/p999 = %d/%d/%d, want 4 and at most 1000", p.P50, p.P99, p.P999)
+	if p := findPoint(s, "wait_ns"); p.P50 != 4 || p.P99 != 1000 || p.P999 != 1000 {
+		t.Fatalf("p50/p99/p999 = %d/%d/%d, want 4/1000/1000", p.P50, p.P99, p.P999)
+	}
+	// p50 of two 1000s is the first: not the last rank, so it reads
+	// the bucket, whose edge 1023 the max clamps.
+	pair.Observe(1000)
+	pair.Observe(1000)
+	if p := findPoint(r.Snapshot(3*sim.Second), "pair_ns"); p.P50 != 1000 || p.P99 != 1000 {
+		t.Fatalf("pair p50/p99 = %d/%d, want 1000/1000", p.P50, p.P99)
 	}
 	if p := findPoint(s, "empty_ns"); p.P50 != 0 || p.P99 != 0 || p.P999 != 0 || p.Count != 0 {
 		t.Fatalf("empty histogram point %+v, want zeros", p)

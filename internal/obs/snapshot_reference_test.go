@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -50,7 +51,17 @@ func (st *referenceRates) snapshot(r *Registry, now sim.Time) *Snapshot {
 				admitted++
 				ls := append(append(Labels(nil), reg.labels...), row.labels...)
 				sort.Slice(ls, func(a, b int) bool { return ls[a].K < ls[b].K })
-				p := reg.g.point(i, &desc{name: row.name, labels: ls, kind: row.kind})
+				d := &desc{name: row.name, labels: ls, kind: row.kind}
+				var p Point
+				if row.kind == KindHistogram {
+					// The program's histograms are HistVar rows.
+					h := reg.g.(*instance[slo.Hist]).x
+					p = Point{Name: row.name, Kind: row.kind.String(), Value: float64(h.Count()), d: d,
+						Count: h.Count(), Sum: h.Sum(),
+						P50: referenceQuantile(h, 0.50), P99: referenceQuantile(h, 0.99), P999: referenceQuantile(h, 0.999)}
+				} else {
+					p = reg.g.point(i, d)
+				}
 				p.Labels = ls.Map()
 				snap.Points = append(snap.Points, p)
 			}
@@ -88,6 +99,29 @@ func (st *referenceRates) snapshot(r *Registry, now sim.Time) *Snapshot {
 	st.prevVal = newVal
 	st.hasPrev = true
 	return snap
+}
+
+// referenceQuantile is h's q-quantile by nearest rank, walked over a
+// copy of its buckets: the max when the rank ceil(q·n) is the last
+// observation, else the upper edge of the bucket holding rank
+// max(floor(q·n), 1), clamped to the max.
+func referenceQuantile(h *slo.Hist, q float64) uint64 {
+	var counts [slo.NumBuckets]uint64
+	n := h.AddTo(&counts)
+	if n == 0 {
+		return 0
+	}
+	if math.Ceil(q*float64(n)) >= float64(n) {
+		return h.Max()
+	}
+	rank := max(uint64(q*float64(n)), 1)
+	var seen uint64
+	for i, c := range counts {
+		if seen += c; seen >= rank {
+			return min(slo.BucketUpper(i), h.Max())
+		}
+	}
+	return h.Max()
 }
 
 // The registry program's vocabulary. Names are disjoint per kind and
